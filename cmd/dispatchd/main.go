@@ -38,14 +38,12 @@ import (
 	"syscall"
 	"time"
 
-	"sapsim/internal/artifact"
 	"sapsim/internal/core"
 	"sapsim/internal/dispatch"
 	"sapsim/internal/fleetmetrics"
 	"sapsim/internal/pprofserve"
 	"sapsim/internal/scenario"
 	"sapsim/internal/sim"
-	"sapsim/internal/trace"
 )
 
 func main() {
@@ -60,7 +58,7 @@ func main() {
 		scenarios  = flag.String("scenarios", "", "comma-separated scenario names (default: all builtin)")
 		variants   = flag.String("variants", "default", "comma-separated variant names (\"all\" = every builtin)")
 		seeds      = flag.String("seeds", "2024", "comma-separated seeds")
-		checkpoint = flag.Duration("checkpoint", 6*time.Hour, "simulated-time checkpoint cadence for workers")
+		checkpoint = flag.Duration("checkpoint", 6*time.Hour, "simulated-time mid-run snapshot cadence for workers")
 		lease      = flag.Duration("lease", dispatch.DefaultLease, "heartbeat deadline before a cell re-books")
 		timeout    = flag.Duration("timeout", 0, "wall-clock limit for the whole sweep (0 = none)")
 		out        = flag.String("out", "", "report directory (default: -dir)")
@@ -159,30 +157,9 @@ func main() {
 	}
 	fmt.Printf("wrote report.txt, runs.csv, artifact_diff.txt to %s\n", reportDir)
 
-	if *bundle != "" {
-		if _, err := artifact.WriteBundle(*bundle, res, q.Store()); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("materialized report bundle in %s\n", *bundle)
-	}
-
-	if *traceOut != "" {
-		spans, err := dispatch.TraceFromJournal(*dir)
-		if err != nil {
-			fatal(err)
-		}
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := trace.WriteChromeTrace(f, spans); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote trace (%d spans) to %s — load it at https://ui.perfetto.dev\n", len(spans), *traceOut)
+	logf := func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
+	if err := dispatch.Export(q, res, dispatch.Exports{Bundle: *bundle, Trace: *traceOut}, logf); err != nil {
+		fatal(err)
 	}
 
 	for _, r := range res.Runs {

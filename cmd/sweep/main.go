@@ -95,7 +95,7 @@ func main() {
 		dispatchTo   = flag.String("dispatch", "", "serve the matrix to external simworkers at this address instead of running in-process")
 		resumeDir    = flag.String("resume", "", "resume an interrupted dispatched sweep from this journal directory")
 		journalDir   = flag.String("journal", "", "journal directory for -dispatch (default: OUT/journal, or a temp dir)")
-		checkpoint   = flag.Duration("checkpoint", 6*time.Hour, "simulated-time checkpoint cadence for dispatched workers")
+		checkpoint   = flag.Duration("checkpoint", 6*time.Hour, "simulated-time mid-run snapshot cadence for dispatched workers")
 		branch       = flag.Bool("branch", false, "warm-fork cells sharing a (variant, seed) from one snapshot of their common prefix (in-process mode only; byte-identical to a cold sweep)")
 		bundleDir    = flag.String("bundle", "", "materialize a digest-verified report bundle (artifact bodies included) into this directory")
 		traceOut     = flag.String("trace", "", "export the sweep's cell-lifecycle trace (Chrome trace-event JSON, Perfetto-loadable) to this file")
@@ -141,14 +141,15 @@ func main() {
 
 	var res *scenario.SweepResult
 	var err error
+	exports := dispatch.Exports{Bundle: *bundleDir, Trace: *traceOut, Engprof: *engprofDir}
 	start := time.Now()
 	switch {
 	case *resumeDir != "":
-		res, err = resumeSweep(ctx, *resumeDir, *dispatchTo, *workers, *progress, *bundleDir, *traceOut, *engprofDir)
+		res, err = resumeSweep(ctx, *resumeDir, *dispatchTo, *workers, *progress, exports)
 	case *dispatchTo != "":
-		res, err = serveSweep(ctx, parseSpec(), *dispatchTo, pickJournalDir(*journalDir, *out), *progress, *bundleDir, *traceOut, *engprofDir)
+		res, err = serveSweep(ctx, parseSpec(), *dispatchTo, pickJournalDir(*journalDir, *out), *progress, exports)
 	default:
-		res, err = localSweep(ctx, parseSpec(), *workers, *diff, *progress, *branch, *bundleDir, *traceOut, *engprofDir)
+		res, err = localSweep(ctx, parseSpec(), *workers, *diff, *progress, *branch, exports)
 	}
 	if err != nil {
 		fatal(err)
@@ -198,7 +199,7 @@ func main() {
 // byte-identical to the bundle a dispatched sweep of the same matrix
 // produces.
 func localSweep(ctx context.Context, spec dispatch.Spec, workers int,
-	fingerprint, progress, branch bool, bundleDir, traceFile, engprofDir string) (*scenario.SweepResult, error) {
+	fingerprint, progress, branch bool, out dispatch.Exports) (*scenario.SweepResult, error) {
 	m, err := spec.Matrix()
 	if err != nil {
 		return nil, err
@@ -207,7 +208,7 @@ func localSweep(ctx context.Context, spec dispatch.Spec, workers int,
 	m.Context = ctx
 	m.Branch = branch
 	var store *artifact.Store
-	if bundleDir != "" {
+	if out.Bundle != "" {
 		casDir, err := os.MkdirTemp("", "sweep-cas-*")
 		if err != nil {
 			return nil, err
@@ -238,8 +239,8 @@ func localSweep(ctx context.Context, spec dispatch.Spec, workers int,
 	var profErr error
 	var profMu sync.Mutex
 	profiles := 0
-	if engprofDir != "" {
-		if err := os.MkdirAll(engprofDir, 0o755); err != nil {
+	if out.Engprof != "" {
+		if err := os.MkdirAll(out.Engprof, 0o755); err != nil {
 			return nil, err
 		}
 		m.OnResult = func(key scenario.Key, res *core.Result) {
@@ -248,7 +249,7 @@ func localSweep(ctx context.Context, spec dispatch.Spec, workers int,
 			}
 			blob, err := sapsim.EncodeProfileBytes(res.Profile)
 			if err == nil {
-				err = os.WriteFile(filepath.Join(engprofDir, profileFileName(key)), blob, 0o644)
+				err = os.WriteFile(filepath.Join(out.Engprof, dispatch.ProfileFileName(key)), blob, 0o644)
 			}
 			profMu.Lock()
 			if err != nil && profErr == nil {
@@ -261,7 +262,7 @@ func localSweep(ctx context.Context, spec dispatch.Spec, workers int,
 	total := len(m.Scenarios) * len(m.Variants) * len(m.Seeds)
 	var callbacks []func(scenario.CellUpdate)
 	var tracer *localTracer
-	if traceFile != "" {
+	if out.Trace != "" {
 		tracer = newLocalTracer()
 		callbacks = append(callbacks, tracer.onCell)
 	}
@@ -288,21 +289,23 @@ func localSweep(ctx context.Context, spec dispatch.Spec, workers int,
 	if err != nil {
 		return nil, err
 	}
-	if bundleDir != "" {
-		if err := writeBundle(bundleDir, res, store); err != nil {
+	if out.Bundle != "" {
+		if err := writeBundle(out.Bundle, res, store); err != nil {
 			return nil, err
 		}
 	}
 	if tracer != nil {
-		if err := exportSpans(traceFile, tracer.spans()); err != nil {
+		spans := tracer.spans()
+		if err := trace.WriteChromeTraceFile(out.Trace, spans); err != nil {
 			return nil, err
 		}
+		logfStderr("sweep: wrote trace (%d spans) to %s — load it at https://ui.perfetto.dev", len(spans), out.Trace)
 	}
-	if engprofDir != "" {
+	if out.Engprof != "" {
 		if profErr != nil {
 			return nil, profErr
 		}
-		fmt.Fprintf(os.Stderr, "sweep: exported %d engine profiles to %s\n", profiles, engprofDir)
+		fmt.Fprintf(os.Stderr, "sweep: exported %d engine profiles to %s\n", profiles, out.Engprof)
 	}
 	return res, nil
 }
@@ -378,23 +381,17 @@ func (lt *localTracer) spans() []trace.Span {
 // serveSweep is the dispatcher path: journal the matrix and serve it to
 // external simworkers until drained.
 func serveSweep(ctx context.Context, spec dispatch.Spec, addr, journalDir string,
-	progress bool, bundleDir, traceFile, engprofDir string) (*scenario.SweepResult, error) {
+	progress bool, out dispatch.Exports) (*scenario.SweepResult, error) {
 	q, err := dispatch.NewQueue(journalDir, spec, dispatch.QueueOptions{})
 	if err != nil {
 		return nil, err
 	}
 	defer q.Close()
 	res, err := serveQueue(ctx, q, addr, progress)
-	if err == nil && bundleDir != "" {
-		err = writeBundle(bundleDir, res, q.Store())
+	if err != nil {
+		return nil, err
 	}
-	if err == nil && traceFile != "" {
-		err = exportJournalTrace(traceFile, q.Dir())
-	}
-	if err == nil && engprofDir != "" {
-		err = exportQueueProfiles(engprofDir, q)
-	}
-	return res, err
+	return res, dispatch.Export(q, res, out, logfSweep)
 }
 
 // resumeSweep reopens a journal: with addr it serves the remaining cells
@@ -402,7 +399,7 @@ func serveSweep(ctx context.Context, spec dispatch.Spec, addr, journalDir string
 // workers re-upload any artifact bodies the resume audit found missing or
 // damaged, so the bundle that materializes afterward is complete.
 func resumeSweep(ctx context.Context, dir, addr string, workers int,
-	progress bool, bundleDir, traceFile, engprofDir string) (*scenario.SweepResult, error) {
+	progress bool, out dispatch.Exports) (*scenario.SweepResult, error) {
 	q, err := dispatch.Resume(dir, dispatch.QueueOptions{})
 	if err != nil {
 		return nil, err
@@ -419,75 +416,10 @@ func resumeSweep(ctx context.Context, dir, addr string, workers int,
 		}
 		res, err = dispatch.RunLocal(ctx, q, opts)
 	}
-	if err == nil && bundleDir != "" {
-		err = writeBundle(bundleDir, res, q.Store())
-	}
-	if err == nil && traceFile != "" {
-		err = exportJournalTrace(traceFile, q.Dir())
-	}
-	if err == nil && engprofDir != "" {
-		err = exportQueueProfiles(engprofDir, q)
-	}
-	return res, err
-}
-
-// profileFileName is the per-cell profile artifact name shared by the
-// in-process and dispatched export paths (and parsed back by analyze).
-func profileFileName(key scenario.Key) string {
-	return fmt.Sprintf("%s__%s__%d.engprof.json", key.Scenario, key.Variant, key.Seed)
-}
-
-// exportQueueProfiles reads each terminal cell's self-profile blob out of
-// the sweep's content-addressed store — where the workers shipped them,
-// and where they outlive both cell completion and dispatcher crashes —
-// and writes one JSON file per cell.
-func exportQueueProfiles(dir string, q *dispatch.Queue) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	n := 0
-	err := q.EachProfile(func(key scenario.Key, rec dispatch.ProfileRecord) error {
-		blob, err := q.Store().Get(rec.Digest)
-		if err != nil {
-			return fmt.Errorf("engprof export %s/%s seed %d: %w", key.Scenario, key.Variant, key.Seed, err)
-		}
-		n++
-		return os.WriteFile(filepath.Join(dir, profileFileName(key)), blob, 0o644)
-	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "sweep: exported %d engine profiles to %s\n", n, dir)
-	return nil
-}
-
-// exportJournalTrace reconstructs the sweep's full trace from the
-// journal (dispatcher-derived lifecycle spans merged with every
-// worker-shipped engine span) and exports it as Chrome trace-event JSON.
-func exportJournalTrace(path, journalDir string) error {
-	spans, err := dispatch.TraceFromJournal(journalDir)
-	if err != nil {
-		return err
-	}
-	return exportSpans(path, spans)
-}
-
-// exportSpans writes spans as a Chrome trace-event file.
-func exportSpans(path string, spans []trace.Span) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WriteChromeTrace(f, spans); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "sweep: wrote trace (%d spans) to %s — load it at https://ui.perfetto.dev\n",
-		len(spans), path)
-	return nil
+	return res, dispatch.Export(q, res, out, logfSweep)
 }
 
 // writeBundle materializes the report bundle and prints what landed.
@@ -542,6 +474,11 @@ func pickJournalDir(journal, out string) string {
 
 func logfStderr(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
+}
+
+// logfSweep prefixes dispatch.Export's lines like the CLI's own.
+func logfSweep(format string, args ...any) {
+	logfStderr("sweep: "+format, args...)
 }
 
 func fatal(err error) {

@@ -55,8 +55,8 @@ func main() {
 		Scenarios: []string{"baseline", "correlated-failures", "capacity-expansion"},
 		Variants:  []string{"default"},
 		Seeds:     []uint64{7, 11},
-		// Workers checkpoint every 3 simulated hours; each checkpoint is a
-		// lease-renewing heartbeat and a journaled resume point.
+		// Workers snapshot the engine every 3 simulated hours; each snapshot
+		// rides a lease-renewing heartbeat and is a journaled resume point.
 		CheckpointEvery: 3 * sim.Hour,
 	}
 
@@ -85,11 +85,13 @@ func main() {
 	victimCtx, killVictim := context.WithCancel(ctx)
 	victim := &dispatch.Worker{
 		Dispatcher: "http://" + addr, ID: "victim",
-		HeartbeatEvery: 50 * time.Millisecond, Poll: 50 * time.Millisecond,
+		// Snapshot pointers ride heartbeats; beat far faster than a cell runs
+		// so the first is accepted mid-run.
+		HeartbeatEvery: 2 * time.Millisecond, Poll: 50 * time.Millisecond,
 		Hooks: dispatch.WorkerHooks{
-			// The first simulated-time checkpoint proves the cell is mid
+			// The first accepted mid-run snapshot proves the cell is mid
 			// run; die right there.
-			OnCheckpoint: func(job int, _ dispatch.CheckpointRecord) { killVictim() },
+			OnSnapshot: func(job int, _ dispatch.BlobRef) { killVictim() },
 		},
 	}
 	victimErr := make(chan error, 1)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
@@ -32,126 +31,6 @@ func completeCell(t *testing.T, q *Queue, worker string, bodies map[string]strin
 		t.Fatal(err)
 	}
 	return j
-}
-
-// TestResumeDetectsDamagedBlobs is the CAS failure-mode acceptance: a
-// truncated blob, a bit-flipped blob, and a missing blob are each
-// detected by the resume audit, reported distinctly, and re-queue exactly
-// the cells whose artifacts they carried; untouched cells stay done, and
-// the shared blob still referenced by a surviving cell outlives the GC.
-func TestResumeDetectsDamagedBlobs(t *testing.T) {
-	clock := &fakeClock{t: time.Unix(1000, 0)}
-	dir := t.TempDir()
-	q, err := NewQueue(dir, testSpec(), QueueOptions{Lease: time.Minute, now: clock.now}) // 4 cells
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Four done cells. Every cell shares the "static" body (stored once);
-	// each also has a private body the test damages selectively.
-	shared := "table5: identical across cells"
-	sharedDigest := artifact.Digest([]byte(shared))
-	private := make([]string, 4)
-	for i := 0; i < 4; i++ {
-		private[i] = fmt.Sprintf("fig9 series of cell %d", i)
-		completeCell(t, q, "w1", map[string]string{"table5": shared, "fig9": private[i]})
-	}
-	// One orphan: uploaded for a cell that never completed.
-	orphan := artifact.Digest([]byte("upload from a crashed cell"))
-	if _, err := q.PutArtifact(orphan, []byte("upload from a crashed cell")); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := q.Store().Len(); n != 6 { // 1 shared + 4 private + 1 orphan
-		t.Fatalf("store holds %d blobs, want 6 (shared body deduplicated)", n)
-	}
-	if err := q.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Damage three of the four private blobs, one per failure mode.
-	casDir := filepath.Join(dir, artifact.DirName)
-	blobPath := func(digest string) string { return filepath.Join(casDir, digest[:2], digest) }
-	truncated := artifact.Digest([]byte(private[1]))
-	if err := os.Truncate(blobPath(truncated), 4); err != nil {
-		t.Fatal(err)
-	}
-	corrupt := artifact.Digest([]byte(private[2]))
-	flipped := []byte(private[2])
-	flipped[0] ^= 0x01
-	if err := os.WriteFile(blobPath(corrupt), flipped, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	missing := artifact.Digest([]byte(private[3]))
-	if err := os.Remove(blobPath(missing)); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := Resume(dir, QueueOptions{Lease: time.Minute, now: clock.now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	snap := r.Snapshot()
-	wantStates := []string{"done", "queued", "queued", "queued"}
-	for i, want := range wantStates {
-		if snap[i].State != want {
-			t.Errorf("cell %d resumed as %s, want %s", i, snap[i].State, want)
-		}
-		if want == "queued" && snap[i].Attempt != 0 {
-			// Disk rot must not eat into the cell's attempt budget.
-			t.Errorf("cell %d requeued with attempt %d, want a fresh budget", i, snap[i].Attempt)
-		}
-	}
-	for _, want := range []string{"1 truncated blobs", "1 corrupt blobs", "1 missing blobs",
-		"3 cells requeued for artifact re-upload"} {
-		if !strings.Contains(r.Recovered(), want) {
-			t.Errorf("Recovered() = %q, want it to mention %q", r.Recovered(), want)
-		}
-	}
-
-	// The shared blob survives (cell 0 still references it); the orphan
-	// and every damaged blob are gone, so re-uploads cannot dedup against
-	// damage.
-	if !r.Store().Has(sharedDigest) {
-		t.Error("shared blob collected despite a live reference")
-	}
-	for name, digest := range map[string]string{
-		"orphan": orphan, "truncated": truncated, "corrupt": corrupt,
-	} {
-		if r.Store().Has(digest) {
-			t.Errorf("%s blob still in the store after resume", name)
-		}
-	}
-
-	// The re-queued cells re-complete (same deterministic bodies) and the
-	// sweep drains to a merged result whose digests match the originals.
-	for i := 1; i <= 3; i++ {
-		completeCell(t, r, "w2", map[string]string{"table5": shared, "fig9": private[i]})
-	}
-	merged, err := r.Merged()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, run := range merged.Runs {
-		if run.Digests["fig9"] != artifact.Digest([]byte(private[i])) {
-			t.Errorf("cell %d re-ran to a different fig9 digest", i)
-		}
-	}
-
-	// A second resume replays the requeue records cleanly: everything is
-	// done again and nothing is re-queued.
-	r.Close()
-	r2, err := Resume(dir, QueueOptions{Lease: time.Minute, now: clock.now})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Close()
-	for i, st := range r2.Snapshot() {
-		if st.State != "done" {
-			t.Errorf("cell %d after second resume = %s, want done", i, st.State)
-		}
-	}
 }
 
 // TestBundleFromQueueStore: a drained queue materializes a bundle whose

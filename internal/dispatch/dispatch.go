@@ -2,8 +2,8 @@
 // job queue backed by a JSON-lines journal (write-ahead log), an HTTP
 // dispatcher that books cells out to workers and collects per-cell metrics
 // and artifact digests, and a worker that runs each booked cell through the
-// step-driven sapsim Session, streaming coalesced Progress/Checkpoint
-// events back as lease-renewing heartbeats.
+// step-driven sapsim Session, renewing its lease with heartbeats that carry
+// the newest mid-run snapshot pointer and the worker's trace spans.
 //
 // The shape follows the SIMQ dispatcher/simd split: the dispatcher owns
 // queue state and survives restarts (Resume replays the journal and
@@ -31,8 +31,8 @@
 // Wire protocol (JSON over HTTP; artifact bodies travel raw):
 //
 //	POST /book     {worker, capacity}        → 200 job+base config | 204 none free | 410 drained
-//	POST /progress {worker, job, attempt, checkpoint} → 200 (lease renewed) | 409 lease lost
-//	POST /complete {worker, job, attempt, run}        → 200 | 409 lease lost | 412 blobs missing
+//	POST /progress {worker, job, attempt, snapshot, spans}     → 200 (lease renewed) | 409 lease lost | 412 blob missing
+//	POST /complete {worker, job, attempt, run, profile, spans} → 200 | 409 lease lost | 412 blobs missing
 //	POST /release  {worker, job, attempt}             → 200 (cell re-queued) | 409 lease lost
 //	HEAD /artifact/{digest} → 200 held | 404
 //	PUT  /artifact/{digest} → 201 stored | 200 deduplicated | 400 hash mismatch
@@ -53,23 +53,9 @@ import (
 	"sapsim/internal/sim"
 )
 
-// FormatVersion versions every on-disk artifact of this package: the
-// journal header and each serialized checkpoint carry it, and readers
-// reject records from a different format rather than misparse them.
-// Version 2 added the content-addressed artifact store alongside the
-// journal (blob records in the WAL, store verification on resume).
-// Version 3 added mid-run snapshot records: workers upload encoded engine
-// snapshots into the store and journal a pointer, so a re-booked cell
-// resumes from the newest intact snapshot instead of t=0.
-// Version 4 added wall-clock timestamps on every record plus span records
-// (worker-side trace spans journaled next to the state transitions they
-// annotate), so a finished or crashed sweep's full cell-lifecycle trace is
-// reconstructable from the journal alone.
-// Version 5 added profile records: each completed cell ships its engine
-// self-profile (per-phase time/work attribution) into the store and
-// journals a pointer, which — unlike a snapshot's — survives the cell's
-// completion for post-hoc analysis (analyze -engprof).
-const FormatVersion = 5
+// FormatVersion versions the journal: its header carries it, and replay
+// refuses a journal of any other version (history lives in CHANGES.md).
+const FormatVersion = 6
 
 // ConfigSpec is the serializable subset of core.Config — the knobs the
 // sweep CLIs vary. Config reconstructs a full core.Config from it on the
@@ -143,31 +129,9 @@ type Spec struct {
 	Scenarios []string
 	Variants  []string
 	Seeds     []uint64
-	// CheckpointEvery is the simulated-time cadence workers take
-	// checkpoints at (default 6 simulated hours).
+	// CheckpointEvery is the simulated-time cadence workers take mid-run
+	// snapshots at (default 6 simulated hours).
 	CheckpointEvery sim.Time
-}
-
-// SpecFor captures a scenario.Matrix whose scenarios and variants are all
-// builtin (addressable by name). It errors on anonymous scenarios or
-// variants, which cannot travel over the wire.
-func SpecFor(m scenario.Matrix) (Spec, error) {
-	s := Spec{Base: SpecOf(m.Base)}
-	for _, sc := range m.Scenarios {
-		if _, err := scenario.ByName(sc.Name); err != nil {
-			return Spec{}, fmt.Errorf("dispatch: %w", err)
-		}
-		s.Scenarios = append(s.Scenarios, sc.Name)
-	}
-	for _, v := range m.Variants {
-		if _, err := scenario.VariantByName(v.Name); err != nil {
-			return Spec{}, fmt.Errorf("dispatch: %w", err)
-		}
-		s.Variants = append(s.Variants, v.Name)
-	}
-	s.Seeds = append(s.Seeds, m.Seeds...)
-	s.normalize()
-	return s, nil
 }
 
 // ParseSpec assembles a sweep spec from the CLI matrix flags shared by
@@ -360,12 +324,10 @@ type JobStatus struct {
 	State   string
 	Worker  string `json:",omitempty"`
 	Attempt int
-	// Checkpoint is the latest heartbeat snapshot for in-flight cells.
-	Checkpoint *CheckpointRecord `json:",omitempty"`
 	// Snapshot points at the newest uploaded engine snapshot, the state a
 	// re-booking of this cell would warm-resume from.
-	Snapshot *SnapshotRecord `json:",omitempty"`
+	Snapshot *BlobRef `json:",omitempty"`
 	// Profile points at the completed cell's engine self-profile blob.
-	Profile *ProfileRecord `json:",omitempty"`
-	Err     string         `json:",omitempty"`
+	Profile *BlobRef `json:",omitempty"`
+	Err     string   `json:",omitempty"`
 }

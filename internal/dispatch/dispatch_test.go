@@ -86,17 +86,19 @@ func TestDispatchedSweepByteIdentity(t *testing.T) {
 	ctx, cancelAll := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancelAll()
 
-	// Worker A books one cell and dies mid-run: the kill fires on the
-	// cell's first simulated-time checkpoint, so it provably lands while
+	// Worker A books one cell and dies mid-run: the kill fires when the
+	// cell's first mid-run snapshot is accepted, so it provably lands while
 	// the simulation is in flight no matter how fast the cell runs.
 	victimCtx, killVictim := context.WithCancel(ctx)
 	var victimJob = -1
 	var victimOnce sync.Once
 	var victimMu sync.Mutex
 	victim := &Worker{
-		Dispatcher:     srv.URL,
-		ID:             "victim",
-		HeartbeatEvery: 50 * time.Millisecond,
+		Dispatcher: srv.URL,
+		ID:         "victim",
+		// Heartbeats far shorter than a cell: the snapshot pointer rides one,
+		// so the first is accepted well before the cell's uploads finish.
+		HeartbeatEvery: 2 * time.Millisecond,
 		Poll:           50 * time.Millisecond,
 		Hooks: WorkerHooks{
 			OnBook: func(job int, _ scenario.Key) {
@@ -106,7 +108,7 @@ func TestDispatchedSweepByteIdentity(t *testing.T) {
 				}
 				victimMu.Unlock()
 			},
-			OnCheckpoint: func(int, CheckpointRecord) { victimOnce.Do(killVictim) },
+			OnSnapshot: func(int, BlobRef) { victimOnce.Do(killVictim) },
 		},
 	}
 	victimDone := make(chan error, 1)
@@ -117,7 +119,7 @@ func TestDispatchedSweepByteIdentity(t *testing.T) {
 	select {
 	case <-victimCtx.Done():
 	case <-time.After(time.Minute):
-		t.Fatal("victim was never killed (no checkpoint observed)")
+		t.Fatal("victim was never killed (no snapshot accepted)")
 	}
 	<-victimDone
 	victimMu.Lock()

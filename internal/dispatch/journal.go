@@ -33,7 +33,7 @@ type journalRecord struct {
 	Version int   `json:"v,omitempty"`
 	Spec    *Spec `json:"spec,omitempty"`
 
-	// state / checkpoint / result
+	// state / result
 	Job     int    `json:"job,omitempty"`
 	State   string `json:"state,omitempty"`
 	Worker  string `json:"worker,omitempty"`
@@ -44,22 +44,16 @@ type journalRecord struct {
 	// cannot reach a dispatcher that just restarted under a new address.
 	Lease string `json:"lease,omitempty"`
 
-	Checkpoint *CheckpointRecord `json:"ckpt,omitempty"`
-	Run        *RunResult        `json:"run,omitempty"`
+	Run *RunResult `json:"run,omitempty"`
 
-	// snapshot: a worker uploaded a mid-run engine snapshot for Job; the
-	// blob lives in the store under Snapshot.Digest. The newest record per
-	// cell wins — a re-booking resumes from it.
-	Snapshot *SnapshotRecord `json:"snap,omitempty"`
+	// snapshot / profile (T is the pointer's BlobKind): a worker recorded a
+	// pointer to a blob it uploaded for Job. The newest record per cell and
+	// kind wins.
+	Ref *BlobRef `json:"ref,omitempty"`
 
-	// profile: a worker shipped the completed cell's engine self-profile;
-	// the blob lives in the store under Profile.Digest and outlives the
-	// cell's completion (analyze -engprof reads it from the drained sweep).
-	Profile *ProfileRecord `json:"prof,omitempty"`
-
-	// artifact: a blob landed in the content-addressed store. Digest is the
-	// blob's SHA-256; Size its byte length — the record Resume uses to
-	// distinguish a truncated blob (size drifted) from a corrupt one
+	// artifact: a blob of any kind landed in the content-addressed store.
+	// Digest is the blob's SHA-256; Size its byte length — the record Resume
+	// uses to distinguish a truncated blob (size drifted) from a corrupt one
 	// (size intact, content re-hashes differently).
 	Digest string `json:"digest,omitempty"`
 	Size   int64  `json:"size,omitempty"`
@@ -73,14 +67,11 @@ type journalRecord struct {
 }
 
 const (
-	recHeader     = "header"
-	recState      = "state"
-	recCheckpoint = "checkpoint"
-	recResult     = "result"
-	recArtifact   = "artifact"
-	recSnapshot   = "snapshot"
-	recProfile    = "profile"
-	recSpan       = "span"
+	recHeader   = "header"
+	recState    = "state"
+	recResult   = "result"
+	recArtifact = "artifact"
+	recSpan     = "span"
 )
 
 // journalWriter appends records to the WAL. Callers serialize access (the
@@ -236,7 +227,8 @@ func replayJournal(path string) (*replayedJournal, error) {
 					return nil, fmt.Errorf("dispatch: journal does not start with a header record")
 				}
 				if rec.Version != FormatVersion {
-					return nil, fmt.Errorf("dispatch: journal format %d, want %d", rec.Version, FormatVersion)
+					return nil, fmt.Errorf("dispatch: journal format v%d, this build reads only v%d: "+
+						"the sweep is not resumable by this build and must be re-run", rec.Version, FormatVersion)
 				}
 				out.spec = *rec.Spec
 				out.spec.normalize()

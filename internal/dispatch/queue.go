@@ -25,15 +25,14 @@ type Job struct {
 
 	// Run holds the completion report for done/failed jobs.
 	Run *RunResult
-	// LastCheckpoint is the latest heartbeat snapshot while running.
-	LastCheckpoint *CheckpointRecord
-	// LastSnapshot points at the newest uploaded engine snapshot; a
-	// re-booking of this cell warm-resumes from it.
-	LastSnapshot *SnapshotRecord
-	// Profile points at the completed cell's engine self-profile blob. It
-	// is recorded just before Complete and — unlike LastSnapshot — survives
+	// Snapshot points at the newest uploaded engine snapshot; a re-booking
+	// of this cell warm-resumes from it. The pointee is never mutated, only
+	// replaced, so the copy Book hands out stays valid.
+	Snapshot *BlobRef
+	// Profile points at the finished cell's engine self-profile blob. It is
+	// recorded in the completion exchange and — unlike Snapshot — outlives
 	// the terminal state: it is what analyze -engprof aggregates.
-	Profile *ProfileRecord
+	Profile *BlobRef
 }
 
 // Stale is returned by Progress and Complete when the reporting worker no
@@ -100,55 +99,9 @@ type Queue struct {
 	metrics *queueMetrics
 }
 
-// NewQueue expands the spec into per-cell jobs and creates the sweep
-// journal in dir. The directory must not already contain a journal —
-// reopen an interrupted sweep with Resume.
-func NewQueue(dir string, spec Spec, opts QueueOptions) (*Queue, error) {
-	spec.normalize()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	opts.fill()
-	w, err := createJournal(dir, spec, opts.now().UnixMicro())
-	if err != nil {
-		return nil, err
-	}
-	store, err := artifact.Open(filepath.Join(dir, artifact.DirName))
-	if err != nil {
-		w.close()
-		return nil, err
-	}
-	q := &Queue{spec: spec, journal: w, opts: opts, dir: dir, store: store}
-	for i, key := range spec.Keys() {
-		q.jobs = append(q.jobs, &Job{ID: i, Key: key})
-	}
-	if len(q.jobs) == 0 {
-		w.close()
-		return nil, scenario.ErrEmptyMatrix
-	}
-	return q, nil
-}
-
-// Resume rebuilds a queue from dir's journal after a crash or shutdown:
-// done and failed cells keep their recorded results, and cells that were
-// queued, booked, or running are (re-)queued — their workers cannot reach
-// a restarted dispatcher, and every cell is deterministically re-runnable
-// from scratch. A torn final line or corrupt interior lines are dropped;
-// each costs at most one cell re-run.
-//
-// Resume also audits the artifact store against the journal: every done
-// cell's blobs are re-verified (missing, truncated, and corrupt blobs are
-// distinguished and reported), cells whose artifacts cannot be produced
-// intact are re-queued, and blobs no finished cell references — uploads
-// for cells that never durably completed — are garbage-collected.
-func Resume(dir string, opts QueueOptions) (*Queue, error) {
-	opts.fill()
-	path := filepath.Join(dir, JournalName)
-	replay, err := replayJournal(path)
-	if err != nil {
-		return nil, err
-	}
-	spec := replay.spec
+// newQueue validates the spec, opens the sweep's store under dir, and
+// expands the matrix into queued jobs; the caller attaches the journal.
+func newQueue(dir string, spec Spec, opts QueueOptions) (*Queue, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -160,270 +113,90 @@ func Resume(dir string, opts QueueOptions) (*Queue, error) {
 	for i, key := range spec.Keys() {
 		q.jobs = append(q.jobs, &Job{ID: i, Key: key})
 	}
-	if len(q.jobs) == 0 {
-		return nil, scenario.ErrEmptyMatrix
+	return q, nil
+}
+
+// NewQueue expands the spec into per-cell jobs and creates the sweep
+// journal in dir. The directory must not already contain a journal —
+// reopen an interrupted sweep with Resume.
+func NewQueue(dir string, spec Spec, opts QueueOptions) (*Queue, error) {
+	spec.normalize()
+	opts.fill()
+	q, err := newQueue(dir, spec, opts)
+	if err != nil {
+		return nil, err
 	}
-	// blobSizes is each stored blob's journaled byte length — what lets
+	q.journal, err = createJournal(dir, spec, opts.now().UnixMicro())
+	if err != nil {
+		return nil, err
+	}
+	return q, nil
+}
+
+// Resume rebuilds a queue from dir's journal after a crash or shutdown:
+// done and failed cells keep their recorded results, and cells that were
+// queued, booked, or running are (re-)queued — their workers cannot reach
+// a restarted dispatcher, and every cell is deterministically re-runnable.
+// A torn final line or corrupt interior lines are dropped; each costs at
+// most one cell re-run.
+//
+// Resume also audits the store against the journal (auditBlobs): every
+// blob a cell still points at is re-verified, damage is healed and costs
+// what blobPolicies says it costs, and blobs nothing points at — uploads
+// for cells that never durably completed, superseded snapshots — are
+// garbage-collected.
+func Resume(dir string, opts QueueOptions) (*Queue, error) {
+	opts.fill()
+	path := filepath.Join(dir, JournalName)
+	replay, err := replayJournal(path)
+	if err != nil {
+		return nil, err
+	}
+	q, err := newQueue(dir, replay.spec, opts)
+	if err != nil {
+		return nil, err
+	}
+	// sizes is each stored blob's journaled byte length — what lets
 	// verification tell a truncated blob from a corrupt one.
-	blobSizes := make(map[string]int64)
+	sizes := make(map[string]int64)
 	for _, rec := range replay.records {
 		if rec.T == recArtifact {
 			if rec.Digest != "" {
-				blobSizes[rec.Digest] = rec.Size
+				sizes[rec.Digest] = rec.Size
 			}
 			continue
 		}
-		if rec.Job < 0 || rec.Job >= len(q.jobs) {
+		if rec.Job < 0 || rec.Job >= len(q.jobs) || !q.jobs[rec.Job].replay(rec) {
 			replay.skipped++
-			continue
-		}
-		j := q.jobs[rec.Job]
-		switch rec.T {
-		case recState:
-			st, err := jobStateFromString(rec.State)
-			if err != nil {
-				replay.skipped++
-				continue
-			}
-			j.State = st
-			j.Worker = rec.Worker
-			j.Attempt = rec.Attempt
-			if st == JobQueued {
-				// A re-queue after a recorded result (the artifact audit
-				// path) invalidates that result — and the profile that
-				// described the invalidated attempt.
-				j.Run = nil
-				j.Profile = nil
-			}
-		case recCheckpoint:
-			if rec.Checkpoint == nil || rec.Checkpoint.Validate() != nil {
-				replay.skipped++
-				continue
-			}
-			j.LastCheckpoint = rec.Checkpoint
-		case recSnapshot:
-			if rec.Snapshot == nil || rec.Snapshot.Validate() != nil {
-				replay.skipped++
-				continue
-			}
-			j.LastSnapshot = rec.Snapshot
-		case recProfile:
-			if rec.Profile == nil || rec.Profile.Validate() != nil {
-				replay.skipped++
-				continue
-			}
-			j.Profile = rec.Profile
-		case recSpan:
-			// Trace spans are observability facts, not queue state; the
-			// replay carries no effect (TraceFromJournal reads them).
-		case recResult:
-			if rec.Run == nil {
-				replay.skipped++
-				continue
-			}
-			j.Run = rec.Run
-			j.Worker = rec.Worker
-			if rec.Run.Err != "" {
-				j.State = JobFailed
-			} else {
-				j.State = JobDone
-			}
 		}
 	}
 	// Whatever was in flight when the process died goes back to queued.
 	requeued := 0
 	for _, j := range q.jobs {
 		if j.State == JobBooked || j.State == JobRunning {
-			j.State = JobQueued
-			j.Worker = ""
+			j.State, j.Worker = JobQueued, ""
+			j.settle()
 			requeued++
 		}
 	}
-	// Audit the store: a done cell is only done if every artifact body it
-	// recorded can still be produced intact. Each distinct blob is read
-	// and re-hashed exactly once however many cells share it (the static
-	// tables are referenced by every cell of the sweep). Bad blobs are
-	// removed (so a re-upload is not deduplicated against the damaged
-	// file) and the affected cells re-run from scratch — determinism
-	// re-produces identical bodies.
-	badBlobs := map[string]int{}
-	verified := map[string]error{}
-	// A heal that cannot remove its damaged blob is worse than no heal:
-	// the bad file shadows the re-upload the re-queued cell will attempt,
-	// so the failure must be surfaced (Recovered, logs, and the store's
-	// remove-failure counter), never swallowed.
-	removeFailed := 0
-	heal := func(digest string) {
-		if rerr := store.Remove(digest); rerr != nil {
-			removeFailed++
-		}
-	}
-	verify := func(digest string) error {
-		verr, seen := verified[digest]
-		if seen {
-			return verr
-		}
-		size, ok := blobSizes[digest]
-		if !ok {
-			size = -1 // no upload record survived; hash check still runs
-		}
-		verr = store.Verify(digest, size)
-		verified[digest] = verr
-		switch {
-		case verr == nil:
-		case errors.Is(verr, artifact.ErrMissing):
-			badBlobs["missing"]++
-		case errors.Is(verr, artifact.ErrTruncated):
-			badBlobs["truncated"]++
-			heal(digest)
-		case errors.Is(verr, artifact.ErrCorrupt):
-			badBlobs["corrupt"]++
-			heal(digest)
-		default:
-			badBlobs["unreadable"]++
-			heal(digest)
-		}
-		return verr
-	}
-	auditRequeued := map[int]bool{}
-	for _, j := range q.jobs {
-		if j.State != JobDone || j.Run == nil {
-			continue
-		}
-		bad := false
-		for _, digest := range j.Run.Digests {
-			if verify(digest) != nil {
-				bad = true
-			}
-		}
-		if bad {
-			j.State = JobQueued
-			j.Worker = ""
-			j.Run = nil
-			j.Profile = nil
-			// Disk rot is not the cell's fault: the re-run starts with a
-			// fresh attempt budget, so a cell that once completed is never
-			// pushed over MaxAttempts by blob damage.
-			j.Attempt = 0
-			auditRequeued[j.ID] = true
-		}
-	}
-	// Audit snapshot blobs the same way — but with the opposite
-	// consequence. A damaged artifact blob re-queues its done cell (the
-	// result is unusable without its bodies); a damaged snapshot blob
-	// merely costs its in-flight cell the warm resume: the pointer is
-	// dropped and the cell restarts from t=0 through the CheckpointRecord
-	// path, exactly as every cell did before snapshots existed. Never a
-	// failure, never a re-queue.
-	badSnaps := map[string]int{}
-	for _, j := range q.jobs {
-		if j.LastSnapshot == nil {
-			continue
-		}
-		if j.State == JobDone || j.State == JobFailed {
-			// Terminal cells never resume; the stale pointer is cleared and
-			// the blob falls to GC.
-			j.LastSnapshot = nil
-			continue
-		}
-		digest := j.LastSnapshot.Digest
-		size, ok := blobSizes[digest]
-		if !ok {
-			size = -1
-		}
-		verr := store.Verify(digest, size)
-		switch {
-		case verr == nil:
-			continue
-		case errors.Is(verr, artifact.ErrMissing):
-			badSnaps["missing"]++
-		case errors.Is(verr, artifact.ErrTruncated):
-			badSnaps["truncated"]++
-			heal(digest)
-		case errors.Is(verr, artifact.ErrCorrupt):
-			badSnaps["corrupt"]++
-			heal(digest)
-		default:
-			badSnaps["unreadable"]++
-			heal(digest)
-		}
-		j.LastSnapshot = nil
-	}
-	// Audit profile blobs. A profile is only meaningful on a terminal cell
-	// (it is recorded in the same exchange as the completion); a pointer on
-	// an in-flight cell is residue of a completion that never durably
-	// landed and is dropped. A damaged blob on a done cell drops only the
-	// pointer — the attribution for that cell goes missing, the result
-	// stays done; profiles are observability, never a correctness
-	// dependency.
-	badProfs := map[string]int{}
-	for _, j := range q.jobs {
-		if j.Profile == nil {
-			continue
-		}
-		if j.State != JobDone && j.State != JobFailed {
-			j.Profile = nil
-			continue
-		}
-		digest := j.Profile.Digest
-		verr := store.Verify(digest, j.Profile.Size)
-		switch {
-		case verr == nil:
-			continue
-		case errors.Is(verr, artifact.ErrMissing):
-			badProfs["missing"]++
-		case errors.Is(verr, artifact.ErrTruncated):
-			badProfs["truncated"]++
-			heal(digest)
-		case errors.Is(verr, artifact.ErrCorrupt):
-			badProfs["corrupt"]++
-			heal(digest)
-		default:
-			badProfs["unreadable"]++
-			heal(digest)
-		}
-		j.Profile = nil
-	}
-	// Garbage-collect orphans: blobs no remaining done cell references.
-	// Live snapshot pointers of unfinished cells count as references too —
-	// they are what the next booking resumes from — as do terminal cells'
-	// profile blobs, which outlive completion by design.
-	refs := map[string]int{}
-	for _, j := range q.jobs {
-		if j.LastSnapshot != nil && j.State != JobDone && j.State != JobFailed {
-			refs[j.LastSnapshot.Digest]++
-		}
-		if j.Profile != nil {
-			refs[j.Profile.Digest]++
-		}
-		if j.State != JobDone || j.Run == nil {
-			continue
-		}
-		for _, digest := range j.Run.Digests {
-			refs[digest]++
-		}
-	}
+	audit, auditRequeued := q.auditBlobs(sizes)
 	// GC failures must not abort the resume — the sweep is still correct
 	// with orphans on disk; they are surfaced in Recovered instead.
-	orphans, gcErr := store.GC(refs)
-	w, err := openJournalForAppend(path)
+	orphans, gcErr := q.store.GC(q.blobRefs())
+	q.journal, err = openJournalForAppend(path)
 	if err != nil {
 		return nil, err
 	}
-	q.journal = w
 	// Journal the re-queues so a second resume replays to the same state
 	// without re-deriving it.
-	q.mu.Lock()
 	for _, j := range q.jobs {
 		if (j.State == JobQueued && j.Attempt > 0) || auditRequeued[j.ID] {
 			if err := q.appendStateLocked(j); err != nil {
-				q.mu.Unlock()
-				w.close()
+				q.journal.close()
 				return nil, err
 			}
 		}
 	}
-	q.mu.Unlock()
 	q.recovered = fmt.Sprintf("resumed: %d done, %d requeued", q.countDone(), requeued)
 	if replay.torn {
 		q.recovered += ", torn tail dropped"
@@ -431,27 +204,7 @@ func Resume(dir string, opts QueueOptions) (*Queue, error) {
 	if replay.skipped > 0 {
 		q.recovered += fmt.Sprintf(", %d corrupt lines skipped", replay.skipped)
 	}
-	for _, kind := range []string{"missing", "truncated", "corrupt", "unreadable"} {
-		if n := badBlobs[kind]; n > 0 {
-			q.recovered += fmt.Sprintf(", %d %s blobs", n, kind)
-		}
-	}
-	for _, kind := range []string{"missing", "truncated", "corrupt", "unreadable"} {
-		if n := badSnaps[kind]; n > 0 {
-			q.recovered += fmt.Sprintf(", %d %s snapshot blobs dropped (cells restart from t=0)", n, kind)
-		}
-	}
-	for _, kind := range []string{"missing", "truncated", "corrupt", "unreadable"} {
-		if n := badProfs[kind]; n > 0 {
-			q.recovered += fmt.Sprintf(", %d %s profile blobs dropped (cells stay done)", n, kind)
-		}
-	}
-	if removeFailed > 0 {
-		q.recovered += fmt.Sprintf(", %d damaged blobs could NOT be removed (they shadow re-uploads)", removeFailed)
-	}
-	if len(auditRequeued) > 0 {
-		q.recovered += fmt.Sprintf(", %d cells requeued for artifact re-upload", len(auditRequeued))
-	}
+	q.recovered += audit
 	if orphans > 0 {
 		q.recovered += fmt.Sprintf(", %d orphan blobs collected", orphans)
 	}
@@ -459,6 +212,159 @@ func Resume(dir string, opts QueueOptions) (*Queue, error) {
 		q.recovered += fmt.Sprintf(", GC incomplete: %v", gcErr)
 	}
 	return q, nil
+}
+
+// replay applies one journaled fact to the job; false means the record is
+// unusable and was skipped.
+func (j *Job) replay(rec journalRecord) bool {
+	switch rec.T {
+	case recState:
+		st, err := jobStateFromString(rec.State)
+		if err != nil {
+			return false
+		}
+		j.State, j.Worker, j.Attempt = st, rec.Worker, rec.Attempt
+		if st == JobQueued {
+			// A re-queue after a recorded result (the artifact audit path)
+			// invalidates that result.
+			j.Run = nil
+		}
+	case recResult:
+		if rec.Run == nil {
+			return false
+		}
+		j.Run, j.Worker, j.State = rec.Run, rec.Worker, JobDone
+		if rec.Run.Err != "" {
+			j.State = JobFailed
+		}
+	case string(BlobSnapshot), string(BlobProfile):
+		if rec.Ref == nil || string(rec.Ref.Kind) != rec.T || rec.Ref.Validate() != nil {
+			return false
+		}
+		*j.slot(rec.Ref.Kind) = rec.Ref
+		return true
+	case recSpan:
+		// Trace spans are observability facts, not queue state; the replay
+		// carries no effect (TraceFromJournal reads them).
+		return true
+	}
+	j.settle()
+	return true
+}
+
+// auditBlobs is the one pass that holds the store to the journal on
+// Resume: every blob a cell points at is read and re-hashed exactly once,
+// however many cells share it (the static tables are referenced by every
+// cell of the sweep). A damaged file is removed, so a re-upload is not
+// deduplicated against it, and the pointing cell pays what its
+// blobPolicies row says. It returns the Recovered() fragment and the cells
+// it re-queued.
+func (q *Queue) auditBlobs(sizes map[string]int64) (string, map[int]bool) {
+	verified := map[string]error{}
+	type damage struct {
+		kind  BlobKind
+		cause string
+	}
+	damaged := map[damage]int{}
+	// A heal that cannot remove its damaged blob is worse than no heal: the
+	// bad file shadows the re-upload the re-queued cell will attempt, so the
+	// failure must be surfaced (Recovered, logs, and the store's
+	// remove-failure counter), never swallowed.
+	removeFailed := 0
+	intact := func(kind BlobKind, digest string) bool {
+		verr, seen := verified[digest]
+		if seen {
+			return verr == nil
+		}
+		size, ok := sizes[digest]
+		if !ok {
+			size = -1 // no upload record survived; the hash check still runs
+		}
+		verr = q.store.Verify(digest, size)
+		verified[digest] = verr
+		if verr == nil {
+			return true
+		}
+		cause := "unreadable"
+		switch {
+		case errors.Is(verr, artifact.ErrMissing):
+			cause = "missing"
+		case errors.Is(verr, artifact.ErrTruncated):
+			cause = "truncated"
+		case errors.Is(verr, artifact.ErrCorrupt):
+			cause = "corrupt"
+		}
+		damaged[damage{kind, cause}]++
+		if cause != "missing" && q.store.Remove(digest) != nil {
+			removeFailed++
+		}
+		return false
+	}
+	requeued := map[int]bool{}
+	for _, j := range q.jobs {
+		for _, p := range blobPolicies {
+			bad := false
+			j.pointers(p.kind, func(digest string) {
+				if !intact(p.kind, digest) {
+					bad = true
+				}
+			})
+			switch {
+			case !bad:
+			case p.requeue:
+				j.State, j.Worker, j.Run, j.Attempt = JobQueued, "", nil, 0
+				j.settle()
+				requeued[j.ID] = true
+			default:
+				*j.slot(p.kind) = nil
+			}
+		}
+	}
+	report := ""
+	for _, p := range blobPolicies {
+		for _, cause := range []string{"missing", "truncated", "corrupt", "unreadable"} {
+			if n := damaged[damage{p.kind, cause}]; n > 0 {
+				report += fmt.Sprintf(", %d %s %s blobs (%s)", n, cause, p.kind, p.cost)
+			}
+		}
+	}
+	if removeFailed > 0 {
+		report += fmt.Sprintf(", %d damaged blobs could NOT be removed (they shadow re-uploads)", removeFailed)
+	}
+	if len(requeued) > 0 {
+		report += fmt.Sprintf(", %d cells requeued for artifact re-upload", len(requeued))
+	}
+	return report, requeued
+}
+
+// blobRefs counts, per digest, the pointers cells hold into the store —
+// what Resume's GC must keep. Every job was settled on its way here, so
+// every pointer still held is live.
+func (q *Queue) blobRefs() map[string]int {
+	refs := map[string]int{}
+	for _, j := range q.jobs {
+		for _, p := range blobPolicies {
+			j.pointers(p.kind, func(digest string) { refs[digest]++ })
+		}
+	}
+	return refs
+}
+
+// reclaimLocked removes blobs no cell points at anymore — a superseded
+// pointer's, or those settle cleared. Best-effort: a failed removal is
+// re-collected by the next Resume's GC.
+func (q *Queue) reclaimLocked(digests ...string) {
+	for _, digest := range digests {
+		held := false
+		for _, j := range q.jobs {
+			for _, p := range blobPolicies {
+				j.pointers(p.kind, func(d string) { held = held || d == digest })
+			}
+		}
+		if !held {
+			_ = q.store.Remove(digest)
+		}
+	}
 }
 
 // Spec returns the sweep's matrix spec.
@@ -482,66 +388,87 @@ func (q *Queue) Close() error {
 	return err
 }
 
-func (q *Queue) appendStateLocked(j *Job) error {
-	rec := journalRecord{T: recState, TS: q.opts.now().UnixMicro(),
-		Job: j.ID, State: j.State.String(),
-		Worker: j.Worker, Attempt: j.Attempt}
-	if !j.Lease.IsZero() && (j.State == JobBooked || j.State == JobRunning) {
-		rec.Lease = leaseStamp(j.Lease)
-	}
+// appendLocked stamps one record with the queue clock and journals it;
+// durable adds the fsync (results — the records whose loss costs a full
+// cell re-run).
+func (q *Queue) appendLocked(rec journalRecord, durable bool) error {
 	if q.journal == nil {
 		return errors.New("dispatch: queue closed")
+	}
+	rec.TS = q.opts.now().UnixMicro()
+	if durable {
+		return q.journal.appendDurable(rec)
 	}
 	return q.journal.append(rec)
 }
 
-// reapLocked re-queues booked/running jobs whose lease expired, failing
-// jobs that exhausted their attempts. Called with the mutex held from
-// every public entry point, so no background reaper is needed: a waiting
-// worker's next /book observes expiries immediately. A transition only
-// takes effect in memory once its journal record lands (the WAL contract
-// Book follows); on an append failure the job keeps its expired lease and
-// the reap retries on the next entry point.
+func (q *Queue) appendStateLocked(j *Job) error {
+	rec := journalRecord{T: recState, Job: j.ID, State: j.State.String(),
+		Worker: j.Worker, Attempt: j.Attempt}
+	if !j.Lease.IsZero() && (j.State == JobBooked || j.State == JobRunning) {
+		rec.Lease = leaseStamp(j.Lease)
+	}
+	return q.appendLocked(rec, false)
+}
+
+// moveLocked is the one place a job changes state, and it is the WAL
+// contract: the transition takes effect in memory only once its journal
+// record lands — a state record, or a durable result record when run is
+// set — and is rolled back whole on an append failure, so a cell is never
+// done in memory without a durable result. A landed transition then
+// settles the job's blob pointers, reclaiming what the new state dropped.
+func (q *Queue) moveLocked(j *Job, to JobState, worker string, run *RunResult) error {
+	prev := *j
+	j.State, j.Worker = to, worker
+	var err error
+	if run != nil {
+		j.Run = run
+		err = q.appendLocked(journalRecord{T: recResult, Job: j.ID, Worker: worker, Run: run}, true)
+	} else {
+		err = q.appendStateLocked(j)
+	}
+	if err != nil {
+		*j = prev
+		return err
+	}
+	q.reclaimLocked(j.settle()...)
+	return nil
+}
+
+// abandonLocked returns a held cell to the queue — or, once its bookings
+// are spent, fails it for good: the cell that crashes or is dropped by
+// every worker that books it must not ping-pong through the sweep forever.
+// how and the worker's reason, if any, word the failure record.
+func (q *Queue) abandonLocked(j *Job, how, reason string) (failed bool, err error) {
+	if j.Attempt < q.opts.MaxAttempts {
+		return false, q.moveLocked(j, JobQueued, "", nil)
+	}
+	msg := fmt.Sprintf("dispatch: abandoned after %d %s (last worker %s)", j.Attempt, how, j.Worker)
+	if reason != "" {
+		msg += ": " + reason
+	}
+	err = q.moveLocked(j, JobFailed, j.Worker, &RunResult{Err: msg})
+	if err == nil && q.metrics != nil {
+		q.metrics.attemptsExhaust.Inc()
+		q.metrics.jobAttempts.Observe(float64(j.Attempt))
+	}
+	return true, err
+}
+
+// reapLocked abandons booked/running jobs whose lease expired. Called with
+// the mutex held from every public entry point, so no background reaper is
+// needed: a waiting worker's next /book observes expiries immediately. On
+// a journal failure the job keeps its expired lease and the reap retries
+// on the next entry point.
 func (q *Queue) reapLocked(now time.Time) {
 	for _, j := range q.jobs {
 		if (j.State == JobBooked || j.State == JobRunning) && now.After(j.Lease) {
-			prevState, prevWorker := j.State, j.Worker
-			if j.Attempt >= q.opts.MaxAttempts {
-				j.State = JobFailed
-				j.Run = &RunResult{Err: fmt.Sprintf(
-					"dispatch: abandoned after %d expired leases (last worker %s)", j.Attempt, j.Worker)}
-				if err := q.appendResultLocked(j); err != nil {
-					j.State, j.Run = prevState, nil
-					continue
-				}
-				snap := j.LastSnapshot
-				j.LastSnapshot = nil
-				q.dropSnapshotBlobLocked(snap)
-				if q.metrics != nil {
-					q.metrics.attemptsExhaust.Inc()
-					q.metrics.jobAttempts.Observe(float64(j.Attempt))
-				}
-				continue
-			}
-			j.State = JobQueued
-			j.Worker = ""
-			if err := q.appendStateLocked(j); err != nil {
-				j.State, j.Worker = prevState, prevWorker
-				continue
-			}
-			if q.metrics != nil {
+			failed, err := q.abandonLocked(j, "expired leases", "")
+			if err == nil && !failed && q.metrics != nil {
 				q.metrics.leaseExpiries.Inc()
 			}
 		}
 	}
-}
-
-func (q *Queue) appendResultLocked(j *Job) error {
-	if q.journal == nil {
-		return errors.New("dispatch: queue closed")
-	}
-	return q.journal.appendDurable(journalRecord{T: recResult, TS: q.opts.now().UnixMicro(),
-		Job: j.ID, Worker: j.Worker, Run: j.Run})
 }
 
 // Book leases the next queued job to the worker. Capacity is the worker's
@@ -581,14 +508,11 @@ func (q *Queue) Book(worker string, capacity int) (*Job, bool, error) {
 				// push it past its advertised capacity.
 				return nil, false, nil
 			}
-			j.State = JobBooked
-			j.Worker = worker
+			attempt, lease := j.Attempt, j.Lease
 			j.Attempt++
 			j.Lease = now.Add(q.opts.Lease)
-			if err := q.appendStateLocked(j); err != nil {
-				j.State = JobQueued
-				j.Worker = ""
-				j.Attempt--
+			if err := q.moveLocked(j, JobBooked, worker, nil); err != nil {
+				j.Attempt, j.Lease = attempt, lease
 				return nil, false, err
 			}
 			if q.metrics != nil {
@@ -607,162 +531,58 @@ func (q *Queue) Book(worker string, capacity int) (*Job, bool, error) {
 }
 
 // Progress records a worker heartbeat for a booked/running job: the lease
-// renews and the checkpoint (if any) is journaled. Attempt is the booking
-// nonce from BookResponse; it is what distinguishes the current holder
-// from a zombie whose expired cell was re-booked to the same worker ID.
-// Returns Stale when the worker no longer holds the job.
-func (q *Queue) Progress(jobID int, worker string, attempt int, ckpt *CheckpointRecord) error {
+// renews, and the first one moves the cell booked → running. Attempt is
+// the booking nonce from BookResponse; it is what distinguishes the current
+// holder from a zombie whose expired cell was re-booked to the same worker
+// ID. Returns Stale when the worker no longer holds the job.
+func (q *Queue) Progress(jobID int, worker string, attempt int) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	now := q.opts.now()
-	q.reapLocked(now)
 	j, err := q.heldLocked(jobID, worker, attempt)
 	if err != nil {
 		return err
 	}
-	if ckpt != nil {
-		// Reject checkpoints from a different on-disk format (a
-		// version-skewed worker) before they reach the journal.
-		if verr := ckpt.Validate(); verr != nil {
-			return verr
-		}
-	}
-	j.Lease = now.Add(q.opts.Lease)
+	j.Lease = q.opts.now().Add(q.opts.Lease)
 	if q.metrics != nil {
 		q.metrics.progress.Inc()
 	}
 	if j.State == JobBooked {
-		j.State = JobRunning
-		if err := q.appendStateLocked(j); err != nil {
-			return err
-		}
-	}
-	if ckpt != nil {
-		j.LastCheckpoint = ckpt
-		if q.journal == nil {
-			return errors.New("dispatch: queue closed")
-		}
-		return q.journal.append(journalRecord{T: recCheckpoint, TS: now.UnixMicro(),
-			Job: j.ID, Worker: worker, Checkpoint: ckpt})
+		return q.moveLocked(j, JobRunning, worker, nil)
 	}
 	return nil
 }
 
-// RecordSnapshot journals a worker's mid-run snapshot pointer for a held
-// cell: the encoded snapshot blob must already be in the store (uploaded
-// via PUT /artifact/{digest}, deduplicated like any body) — a pointer to
-// a blob the store does not hold is rejected with ErrMissingBlobs, since
-// a dangling pointer would send every re-booking through a failed fetch.
-// The newest record wins; it is what /book hands the next holder to
-// warm-resume from. Plain append, no fsync: losing the record costs a
-// cold restart, not a cell. Returns Stale when the worker no longer holds
-// the job.
-func (q *Queue) RecordSnapshot(jobID int, worker string, attempt int, rec SnapshotRecord) error {
-	if err := rec.Validate(); err != nil {
+// RecordBlob journals a held cell's pointer to a blob its worker uploaded:
+// a mid-run snapshot (on a heartbeat) or the finished cell's profile (in
+// the completion exchange, while the lease is still held). The blob must
+// already be in the store — a dangling pointer is rejected with
+// ErrMissingBlobs, since it would send every reader through a failed
+// fetch. The newest pointer of a kind wins, and the superseded blob is
+// reclaimed now instead of accreting one per cadence boundary until the
+// next Resume's GC. Returns Stale when the worker no longer holds the job.
+func (q *Queue) RecordBlob(jobID int, worker string, attempt int, ref BlobRef) error {
+	if err := ref.Validate(); err != nil {
 		return err
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.reapLocked(q.opts.now())
 	j, err := q.heldLocked(jobID, worker, attempt)
 	if err != nil {
 		return err
 	}
-	if !q.store.Has(rec.Digest) {
-		return fmt.Errorf("%w: job %d: snapshot blob %s not uploaded",
-			ErrMissingBlobs, jobID, rec.Digest)
+	if !q.store.Has(ref.Digest) {
+		return fmt.Errorf("%w: job %d: %s blob %s not uploaded",
+			ErrMissingBlobs, jobID, ref.Kind, ref.Digest)
 	}
-	if q.journal == nil {
-		return errors.New("dispatch: queue closed")
-	}
-	if err := q.journal.append(journalRecord{T: recSnapshot, TS: q.opts.now().UnixMicro(),
-		Job: j.ID, Worker: worker, Snapshot: &rec}); err != nil {
+	if err := q.appendLocked(journalRecord{T: string(ref.Kind), Job: j.ID,
+		Worker: worker, Ref: &ref}, false); err != nil {
 		return err
 	}
-	prev := j.LastSnapshot
-	j.LastSnapshot = &rec
-	// The superseded snapshot can never be resumed from again (the newest
-	// record wins), so reclaim its blob now instead of accreting one per
-	// cadence boundary until the next Resume's GC.
-	q.dropSnapshotBlobLocked(prev)
-	return nil
-}
-
-// RecordProfile journals a completed cell's engine self-profile pointer.
-// The encoded profile blob must already be in the store (uploaded via
-// PUT /artifact/{digest}); a dangling pointer is rejected with
-// ErrMissingBlobs. It is called in the completion exchange, while the
-// lease is still held — the pointer then survives the cell's terminal
-// state, unlike a snapshot's, because the profile is the sweep's post-hoc
-// attribution record. Plain append, no fsync: losing it costs one cell's
-// attribution, never its result. Returns Stale when the worker no longer
-// holds the job.
-func (q *Queue) RecordProfile(jobID int, worker string, attempt int, rec ProfileRecord) error {
-	if err := rec.Validate(); err != nil {
-		return err
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.reapLocked(q.opts.now())
-	j, err := q.heldLocked(jobID, worker, attempt)
-	if err != nil {
-		return err
-	}
-	if !q.store.Has(rec.Digest) {
-		return fmt.Errorf("%w: job %d: profile blob %s not uploaded",
-			ErrMissingBlobs, jobID, rec.Digest)
-	}
-	if q.journal == nil {
-		return errors.New("dispatch: queue closed")
-	}
-	if err := q.journal.append(journalRecord{T: recProfile, TS: q.opts.now().UnixMicro(),
-		Job: j.ID, Worker: worker, Profile: &rec}); err != nil {
-		return err
-	}
-	prev := j.Profile
-	j.Profile = &rec
-	// A superseded profile (an earlier attempt's completion that never
-	// durably landed) is unreachable; reclaim its blob like a superseded
-	// snapshot's.
-	q.dropProfileBlobLocked(prev)
-	return nil
-}
-
-// dropProfileBlobLocked reclaims a profile blob no cell's pointer reaches
-// anymore. Best-effort, like dropSnapshotBlobLocked.
-func (q *Queue) dropProfileBlobLocked(prof *ProfileRecord) {
-	if prof == nil {
-		return
-	}
-	for _, j := range q.jobs {
-		if j.Profile != nil && j.Profile.Digest == prof.Digest {
-			return
-		}
-	}
-	_ = q.store.Remove(prof.Digest)
-}
-
-// EachProfile calls fn for every terminal cell that carries a profile
-// pointer, in scenario-major order — the accessor sweep -resume uses to
-// export per-cell profiles from a drained queue. fn runs outside the
-// queue lock (the store is safe for concurrent reads).
-func (q *Queue) EachProfile(fn func(key scenario.Key, rec ProfileRecord) error) error {
-	type entry struct {
-		key scenario.Key
-		rec ProfileRecord
-	}
-	q.mu.Lock()
-	var entries []entry
-	for _, j := range q.jobs {
-		if j.Profile != nil && (j.State == JobDone || j.State == JobFailed) {
-			entries = append(entries, entry{key: j.Key, rec: *j.Profile})
-		}
-	}
-	q.mu.Unlock()
-	for _, e := range entries {
-		if err := fn(e.key, e.rec); err != nil {
-			return err
-		}
+	slot := j.slot(ref.Kind)
+	prev := *slot
+	*slot = &ref
+	if prev != nil {
+		q.reclaimLocked(prev.Digest)
 	}
 	return nil
 }
@@ -791,39 +611,17 @@ func (q *Queue) RecordSpans(jobID int, worker string, attempt int, spans []trace
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.reapLocked(q.opts.now())
 	j, err := q.heldLocked(jobID, worker, attempt)
 	if err != nil {
 		return err
 	}
-	if q.journal == nil {
-		return errors.New("dispatch: queue closed")
-	}
-	ts := q.opts.now().UnixMicro()
 	for i := range spans {
-		s := spans[i]
-		if err := q.journal.append(journalRecord{T: recSpan, TS: ts, Job: j.ID,
-			Worker: worker, Attempt: attempt, Span: &s}); err != nil {
+		if err := q.appendLocked(journalRecord{T: recSpan, Job: j.ID,
+			Worker: worker, Attempt: attempt, Span: &spans[i]}, false); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// dropSnapshotBlobLocked reclaims a snapshot blob no longer reachable
-// from any cell's live pointer. Best-effort: a failed removal is
-// re-collected by the next Resume's GC, and a blob another cell's pointer
-// still shares is left alone.
-func (q *Queue) dropSnapshotBlobLocked(snap *SnapshotRecord) {
-	if snap == nil {
-		return
-	}
-	for _, j := range q.jobs {
-		if j.LastSnapshot != nil && j.LastSnapshot.Digest == snap.Digest {
-			return
-		}
-	}
-	_ = q.store.Remove(snap.Digest)
 }
 
 // Complete records a worker's finished cell (durably, with an fsync).
@@ -835,12 +633,13 @@ func (q *Queue) dropSnapshotBlobLocked(snap *SnapshotRecord) {
 func (q *Queue) Complete(jobID int, worker string, attempt int, run RunResult) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.reapLocked(q.opts.now())
 	j, err := q.heldLocked(jobID, worker, attempt)
 	if err != nil {
 		return err
 	}
+	to := JobFailed
 	if run.Err == "" {
+		to = JobDone
 		if len(run.Digests) == 0 {
 			// A digest-less success would drain the sweep permanently
 			// unable to produce its bundle.
@@ -858,22 +657,11 @@ func (q *Queue) Complete(jobID int, worker string, attempt int, run RunResult) e
 				ErrMissingBlobs, jobID, missing, len(run.Digests))
 		}
 	}
-	j.Run = &run
-	if run.Err != "" {
-		j.State = JobFailed
-	} else {
-		j.State = JobDone
-	}
-	if err := q.appendResultLocked(j); err != nil {
+	if err := q.moveLocked(j, to, worker, &run); err != nil {
 		return err
 	}
-	// A terminal cell never resumes: reclaim its snapshot blob so a
-	// drained store holds exactly the artifact bodies the sweep promises.
-	prev := j.LastSnapshot
-	j.LastSnapshot = nil
-	q.dropSnapshotBlobLocked(prev)
 	if q.metrics != nil {
-		if run.Err != "" {
+		if to == JobFailed {
 			q.metrics.completesFailed.Inc()
 		} else {
 			q.metrics.completesDone.Inc()
@@ -893,52 +681,22 @@ func (q *Queue) Complete(jobID int, worker string, attempt int, run RunResult) e
 func (q *Queue) Release(jobID int, worker string, attempt int, reason string) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.reapLocked(q.opts.now())
 	j, err := q.heldLocked(jobID, worker, attempt)
 	if err != nil {
 		return err
 	}
-	prevState, prevWorker := j.State, j.Worker
-	if j.Attempt >= q.opts.MaxAttempts {
-		// The same backstop lease expiry applies: a cell abandoned on
-		// every attempt must not ping-pong through the queue forever.
-		msg := fmt.Sprintf("dispatch: abandoned after %d attempts (last worker %s)",
-			j.Attempt, prevWorker)
-		if reason != "" {
-			msg += ": " + reason
-		}
-		j.State = JobFailed
-		j.Run = &RunResult{Err: msg}
-		if err := q.appendResultLocked(j); err != nil {
-			j.State, j.Run = prevState, nil
-			return err
-		}
-		snap := j.LastSnapshot
-		j.LastSnapshot = nil
-		q.dropSnapshotBlobLocked(snap)
-		if q.metrics != nil {
-			q.metrics.attemptsExhaust.Inc()
-			q.metrics.jobAttempts.Observe(float64(j.Attempt))
-		}
-		return nil
-	}
-	j.State = JobQueued
-	j.Worker = ""
-	if err := q.appendStateLocked(j); err != nil {
-		j.State, j.Worker = prevState, prevWorker
-		return err
-	}
-	if q.metrics != nil {
+	failed, err := q.abandonLocked(j, "attempts", reason)
+	if err == nil && !failed && q.metrics != nil {
 		q.metrics.releases.Inc()
 	}
-	return nil
+	return err
 }
 
-// PutArtifact stores one artifact body under its digest (verifying the
-// content hashes to it) and journals the upload with its size — the
-// record Resume later verifies the blob against. Re-putting a digest the
-// store already holds is the dedup no-op — nothing is journaled twice —
-// and the bool reports whether a new blob was written.
+// PutArtifact stores one blob under its digest (verifying the content
+// hashes to it) and journals the upload with its size — the record Resume
+// later verifies the blob against. Re-putting a digest the store already
+// holds is the dedup no-op — nothing is journaled twice — and the bool
+// reports whether a new blob was written.
 func (q *Queue) PutArtifact(digest string, body []byte) (bool, error) {
 	stored, err := q.store.Put(digest, body)
 	if err != nil || !stored {
@@ -946,34 +704,35 @@ func (q *Queue) PutArtifact(digest string, body []byte) (bool, error) {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.journal == nil {
-		return true, errors.New("dispatch: queue closed")
-	}
-	return true, q.journal.append(journalRecord{T: recArtifact, TS: q.opts.now().UnixMicro(),
-		Digest: digest, Size: int64(len(body))})
+	return true, q.appendLocked(journalRecord{T: recArtifact,
+		Digest: digest, Size: int64(len(body))}, false)
 }
 
 // Store exposes the queue's content-addressed artifact store (bundle
 // serving and materialization read through it).
 func (q *Queue) Store() *artifact.Store { return q.store }
 
+// result is the job's recorded run in the sweep's own terms.
+func (j *Job) result() scenario.Run {
+	return scenario.Run{Key: j.Key, Metrics: j.Run.Metrics, Digests: j.Run.Digests, Err: j.Run.Err}
+}
+
 // CellRun returns a copy of one cell's recorded result; ok is false while
 // the cell has none (still queued or in flight).
 func (q *Queue) CellRun(jobID int) (scenario.Run, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if jobID < 0 || jobID >= len(q.jobs) {
+	if jobID < 0 || jobID >= len(q.jobs) || q.jobs[jobID].Run == nil {
 		return scenario.Run{}, false
 	}
-	j := q.jobs[jobID]
-	if j.Run == nil {
-		return scenario.Run{}, false
-	}
-	return scenario.Run{Key: j.Key, Metrics: j.Run.Metrics,
-		Digests: j.Run.Digests, Err: j.Run.Err}, true
+	return q.jobs[jobID].result(), true
 }
 
+// heldLocked is the prologue of every worker report: expired leases are
+// reaped first, then the job is returned only if this booking of it — the
+// worker under this attempt nonce — still holds it.
 func (q *Queue) heldLocked(jobID int, worker string, attempt int) (*Job, error) {
+	q.reapLocked(q.opts.now())
 	if jobID < 0 || jobID >= len(q.jobs) {
 		return nil, fmt.Errorf("dispatch: unknown job %d", jobID)
 	}
@@ -1013,8 +772,7 @@ func (q *Queue) Snapshot() []JobStatus {
 	out := make([]JobStatus, len(q.jobs))
 	for i, j := range q.jobs {
 		st := JobStatus{ID: j.ID, Key: j.Key, State: j.State.String(),
-			Worker: j.Worker, Attempt: j.Attempt, Checkpoint: j.LastCheckpoint,
-			Snapshot: j.LastSnapshot, Profile: j.Profile}
+			Worker: j.Worker, Attempt: j.Attempt, Snapshot: j.Snapshot, Profile: j.Profile}
 		if j.Run != nil {
 			st.Err = j.Run.Err
 		}
@@ -1038,8 +796,7 @@ func (q *Queue) Merged() (*scenario.SweepResult, error) {
 			return nil, fmt.Errorf("%w: job %d (%s/%s seed %d) is %s",
 				ErrNotDrained, j.ID, j.Key.Scenario, j.Key.Variant, j.Key.Seed, j.State)
 		}
-		runs[i] = scenario.Run{Key: j.Key, Metrics: j.Run.Metrics,
-			Digests: j.Run.Digests, Err: j.Run.Err}
+		runs[i] = j.result()
 	}
 	return &scenario.SweepResult{Runs: runs}, nil
 }

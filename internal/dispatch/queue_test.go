@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"sapsim"
 	"sapsim/internal/artifact"
 	"sapsim/internal/scenario"
 	"sapsim/internal/sim"
@@ -73,7 +72,7 @@ func TestQueueBookProgressComplete(t *testing.T) {
 	}
 
 	// Progress moves booked → running and renews the lease.
-	if err := q.Progress(job.ID, "w1", job.Attempt, nil); err != nil {
+	if err := q.Progress(job.ID, "w1", job.Attempt); err != nil {
 		t.Fatal(err)
 	}
 	snap := q.Snapshot()
@@ -83,10 +82,10 @@ func TestQueueBookProgressComplete(t *testing.T) {
 
 	// A stranger cannot report on w1's job, and neither can w1 itself
 	// under a stale booking nonce.
-	if err := q.Progress(job.ID, "w2", job.Attempt, nil); !errors.Is(err, ErrStale) {
+	if err := q.Progress(job.ID, "w2", job.Attempt); !errors.Is(err, ErrStale) {
 		t.Fatalf("stale progress error = %v, want ErrStale", err)
 	}
-	if err := q.Progress(job.ID, "w1", job.Attempt+1, nil); !errors.Is(err, ErrStale) {
+	if err := q.Progress(job.ID, "w1", job.Attempt+1); !errors.Is(err, ErrStale) {
 		t.Fatalf("wrong-attempt progress error = %v, want ErrStale", err)
 	}
 	if err := q.Complete(job.ID, "w2", job.Attempt, RunResult{}); !errors.Is(err, ErrStale) {
@@ -226,7 +225,7 @@ func TestQueueLeaseExpiryRebooks(t *testing.T) {
 		t.Fatalf("re-booked attempt = %d, want 2", job3.Attempt)
 	}
 	// The zombie w1 can no longer report.
-	if err := q.Progress(job.ID, "w1", job.Attempt, nil); !errors.Is(err, ErrStale) {
+	if err := q.Progress(job.ID, "w1", job.Attempt); !errors.Is(err, ErrStale) {
 		t.Fatalf("zombie progress error = %v, want ErrStale", err)
 	}
 
@@ -281,8 +280,7 @@ func TestResumeRequeuesInFlight(t *testing.T) {
 	}
 	q.Book("w1", 2)
 	j2, _, _ := q.Book("w2", 1)
-	ck := NewCheckpointRecord(j2.Key, testSpec().Base, checkpointFixture())
-	if err := q.Progress(j2.ID, "w2", j2.Attempt, &ck); err != nil {
+	if err := q.Progress(j2.ID, "w2", j2.Attempt); err != nil {
 		t.Fatal(err)
 	}
 	q.Close() // crash
@@ -302,10 +300,6 @@ func TestResumeRequeuesInFlight(t *testing.T) {
 	// The completed result survived.
 	if snap[0].Err != "" {
 		t.Errorf("job 0 err = %q", snap[0].Err)
-	}
-	// The running cell's checkpoint survived for observability.
-	if snap[2].Checkpoint == nil || snap[2].Checkpoint.At != checkpointFixture().At {
-		t.Errorf("job 2 checkpoint lost on resume: %+v", snap[2].Checkpoint)
 	}
 	if !strings.Contains(r.Recovered(), "1 done, 2 requeued") {
 		t.Errorf("Recovered() = %q", r.Recovered())
@@ -428,8 +422,4 @@ func TestSpecExpansionMatchesSweepOrder(t *testing.T) {
 	if err := (Spec{Scenarios: []string{"no-such"}, Variants: []string{"default"}, Seeds: []uint64{1}}).Validate(); err == nil {
 		t.Error("unknown scenario name validated")
 	}
-}
-
-func checkpointFixture() sapsim.Checkpoint {
-	return sapsim.Checkpoint{At: 6 * sim.Hour, FiredEvents: 1234, LiveVMs: 250, Scheduled: 40}
 }

@@ -31,7 +31,7 @@ type BookRequest struct {
 // to run it from scratch.
 type BookResponse struct {
 	Job             int
-	Key             bookKey
+	Key             scenario.Key
 	Attempt         int
 	Base            ConfigSpec
 	CheckpointEvery int64 // sim.Time (ns)
@@ -39,7 +39,7 @@ type BookResponse struct {
 	// for this cell (a previous holder uploaded it before dying): the
 	// worker fetches the blob and warm-resumes from Snapshot.At instead of
 	// replaying from t=0. Missing or damaged blobs degrade to a cold start.
-	Snapshot *SnapshotRecord `json:",omitempty"`
+	Snapshot *BlobRef `json:",omitempty"`
 	// Trace and Span propagate trace context: the cell's trace ID and the
 	// attempt span the worker parents its own spans under. Workers ship
 	// spans back on heartbeats and completion; an empty Trace (an older
@@ -48,25 +48,16 @@ type BookResponse struct {
 	Span  string `json:",omitempty"`
 }
 
-// bookKey mirrors scenario.Key (kept local so the wire format is explicit).
-type bookKey struct {
-	Scenario string
-	Variant  string
-	Seed     uint64
-}
-
-// ProgressRequest is a worker heartbeat: it renews the job's lease and
-// optionally journals a checkpoint snapshot. Attempt is the booking nonce
-// from BookResponse — a report from a previous booking of the same cell
-// is stale even if the worker ID matches.
+// ProgressRequest is a worker heartbeat: it renews the job's lease.
+// Attempt is the booking nonce from BookResponse — a report from a
+// previous booking of the same cell is stale even if the worker ID matches.
 type ProgressRequest struct {
-	Worker     string
-	Job        int
-	Attempt    int
-	Checkpoint *CheckpointRecord `json:",omitempty"`
+	Worker  string
+	Job     int
+	Attempt int
 	// Snapshot reports a freshly uploaded engine snapshot (the blob must
 	// already be in the store via PUT /artifact/{digest}).
-	Snapshot *SnapshotRecord `json:",omitempty"`
+	Snapshot *BlobRef `json:",omitempty"`
 	// Spans carries the worker's finished trace spans since the last
 	// accepted report (engine phases, snapshot encode/upload).
 	Spans []trace.Span `json:",omitempty"`
@@ -86,7 +77,7 @@ type CompleteRequest struct {
 	// Profile points at the cell's uploaded engine self-profile blob
 	// (PUT /artifact/{digest} first, like any body). It is journaled before
 	// the completion takes effect and survives the cell's terminal state.
-	Profile *ProfileRecord `json:",omitempty"`
+	Profile *BlobRef `json:",omitempty"`
 }
 
 // ReleaseRequest hands an abandoned cell back before its lease expires,
@@ -211,6 +202,20 @@ func (d *Dispatcher) writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
+// queueError maps a queue error onto the wire: a lost lease is 409 (abandon
+// the cell), a pointer or completion ahead of its blobs is 412 (upload
+// first), anything else is the caller's 400.
+func queueError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	switch {
+	case errors.Is(err, ErrStale):
+		status = http.StatusConflict
+	case errors.Is(err, ErrMissingBlobs):
+		status = http.StatusPreconditionFailed
+	}
+	http.Error(w, err.Error(), status)
+}
+
 func (d *Dispatcher) handleBook(w http.ResponseWriter, r *http.Request) {
 	var req BookRequest
 	if !decodeBody(w, r, &req) {
@@ -230,11 +235,11 @@ func (d *Dispatcher) handleBook(w http.ResponseWriter, r *http.Request) {
 		spec := d.queue.Spec()
 		d.writeJSON(w, BookResponse{
 			Job:             job.ID,
-			Key:             bookKey{Scenario: job.Key.Scenario, Variant: job.Key.Variant, Seed: job.Key.Seed},
+			Key:             job.Key,
 			Attempt:         job.Attempt,
 			Base:            spec.Base,
 			CheckpointEvery: int64(spec.CheckpointEvery),
-			Snapshot:        job.LastSnapshot,
+			Snapshot:        job.Snapshot,
 			Trace:           CellTraceID(job.Key),
 			Span:            attemptSpanID(job.ID, job.Attempt),
 		})
@@ -246,37 +251,18 @@ func (d *Dispatcher) handleProgress(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if err := d.queue.Progress(req.Job, req.Worker, req.Attempt, req.Checkpoint); err != nil {
-		if errors.Is(err, ErrStale) {
-			http.Error(w, err.Error(), http.StatusConflict)
-		} else {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+	err := d.queue.Progress(req.Job, req.Worker, req.Attempt)
+	if err == nil && req.Snapshot != nil {
+		if err = d.queue.RecordBlob(req.Job, req.Worker, req.Attempt, *req.Snapshot); err == nil {
+			d.logf("dispatch: job %d snapshot at %v from %s", req.Job, req.Snapshot.At, req.Worker)
 		}
+	}
+	if err == nil {
+		err = d.queue.RecordSpans(req.Job, req.Worker, req.Attempt, req.Spans)
+	}
+	if err != nil {
+		queueError(w, err)
 		return
-	}
-	if req.Snapshot != nil {
-		if err := d.queue.RecordSnapshot(req.Job, req.Worker, req.Attempt, *req.Snapshot); err != nil {
-			switch {
-			case errors.Is(err, ErrStale):
-				http.Error(w, err.Error(), http.StatusConflict)
-			case errors.Is(err, ErrMissingBlobs):
-				http.Error(w, err.Error(), http.StatusPreconditionFailed)
-			default:
-				http.Error(w, err.Error(), http.StatusBadRequest)
-			}
-			return
-		}
-		d.logf("dispatch: job %d snapshot at %v from %s", req.Job, req.Snapshot.At, req.Worker)
-	}
-	if len(req.Spans) > 0 {
-		if err := d.queue.RecordSpans(req.Job, req.Worker, req.Attempt, req.Spans); err != nil {
-			if errors.Is(err, ErrStale) {
-				http.Error(w, err.Error(), http.StatusConflict)
-			} else {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-			}
-			return
-		}
 	}
 	d.writeJSON(w, struct{ OK bool }{true})
 }
@@ -286,46 +272,20 @@ func (d *Dispatcher) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	// The final span drain lands first, while the lease is still held — a
-	// completed job accepts no further reports, so spans after Complete
-	// would always be stale.
-	if len(req.Spans) > 0 {
-		if err := d.queue.RecordSpans(req.Job, req.Worker, req.Attempt, req.Spans); err != nil {
-			if errors.Is(err, ErrStale) {
-				http.Error(w, err.Error(), http.StatusConflict)
-			} else {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-			}
-			return
-		}
+	// The final span drain and the profile pointer land first, while the
+	// lease is still held — a completed job accepts no further reports. A
+	// rejected profile (blob not uploaded, version skew) fails the exchange
+	// before the result is durable, so the worker retries the whole
+	// completion instead of leaving a done cell with a dangling pointer.
+	err := d.queue.RecordSpans(req.Job, req.Worker, req.Attempt, req.Spans)
+	if err == nil && req.Profile != nil {
+		err = d.queue.RecordBlob(req.Job, req.Worker, req.Attempt, *req.Profile)
 	}
-	// The profile pointer lands before the completion too — RecordProfile
-	// requires the lease. A rejected profile (blob not uploaded, version
-	// skew) fails the exchange before the result is durable, so the worker
-	// retries the whole completion instead of leaving a done cell with a
-	// dangling pointer.
-	if req.Profile != nil {
-		if err := d.queue.RecordProfile(req.Job, req.Worker, req.Attempt, *req.Profile); err != nil {
-			switch {
-			case errors.Is(err, ErrStale):
-				http.Error(w, err.Error(), http.StatusConflict)
-			case errors.Is(err, ErrMissingBlobs):
-				http.Error(w, err.Error(), http.StatusPreconditionFailed)
-			default:
-				http.Error(w, err.Error(), http.StatusBadRequest)
-			}
-			return
-		}
+	if err == nil {
+		err = d.queue.Complete(req.Job, req.Worker, req.Attempt, req.Run)
 	}
-	if err := d.queue.Complete(req.Job, req.Worker, req.Attempt, req.Run); err != nil {
-		switch {
-		case errors.Is(err, ErrStale):
-			http.Error(w, err.Error(), http.StatusConflict)
-		case errors.Is(err, ErrMissingBlobs):
-			http.Error(w, err.Error(), http.StatusPreconditionFailed)
-		default:
-			http.Error(w, err.Error(), http.StatusBadRequest)
-		}
+	if err != nil {
+		queueError(w, err)
 		return
 	}
 	outcome := "done"
@@ -342,11 +302,7 @@ func (d *Dispatcher) handleRelease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := d.queue.Release(req.Job, req.Worker, req.Attempt, req.Reason); err != nil {
-		if errors.Is(err, ErrStale) {
-			http.Error(w, err.Error(), http.StatusConflict)
-		} else {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-		}
+		queueError(w, err)
 		return
 	}
 	d.logf("dispatch: job %d released by %s", req.Job, req.Worker)
@@ -368,16 +324,9 @@ func (d *Dispatcher) handleState(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Dispatcher) handleResult(w http.ResponseWriter, r *http.Request) {
-	res, err := d.queue.Merged()
-	if err != nil {
-		if errors.Is(err, ErrNotDrained) {
-			http.Error(w, err.Error(), http.StatusTooEarly)
-		} else {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
+	if res, ok := d.merged(w); ok {
+		d.writeJSON(w, res)
 	}
-	d.writeJSON(w, res)
 }
 
 // Serve listens on addr and serves the protocol until Shutdown (or ctx

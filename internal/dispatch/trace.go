@@ -29,8 +29,8 @@ func attemptSpanID(job, attempt int) string { return fmt.Sprintf("cell-%d/a%d", 
 // dir's journal: per cell, a root span covering queued→done, queue-wait
 // spans for every stretch spent waiting (initial wait and post-expiry
 // re-queues), one attempt span per booking (annotated with worker and
-// outcome), instants for journaled checkpoints and snapshot pointers, and
-// every worker-shipped span record merged in. It reads only the journal —
+// outcome), instants for journaled snapshot pointers, and every
+// worker-shipped span record merged in. It reads only the journal —
 // a crashed, resumed, and drained sweep reconstructs the same way a clean
 // one does, which is the point: the trace survives everything the queue
 // survives.
@@ -111,11 +111,7 @@ func TraceFromJournal(dir string) ([]trace.Span, error) {
 				c.sawResult = false
 				c.endTS = 0
 			}
-		case recCheckpoint, recSnapshot:
-			name := "checkpoint"
-			if rec.T == recSnapshot {
-				name = "snapshot-record"
-			}
+		case string(BlobSnapshot):
 			parent := cellSpanID(rec.Job)
 			if c.open != nil {
 				parent = attemptSpanID(rec.Job, c.open.id)
@@ -123,7 +119,7 @@ func TraceFromJournal(dir string) ([]trace.Span, error) {
 			c.instants++
 			spans = append(spans, trace.Span{
 				Trace: tid, ID: fmt.Sprintf("%s/i%d", cellSpanID(rec.Job), c.instants),
-				Parent: parent, Name: name, Start: rec.TS, End: rec.TS,
+				Parent: parent, Name: "snapshot-record", Start: rec.TS, End: rec.TS,
 			})
 		case recResult:
 			outcome := "done"

@@ -32,7 +32,7 @@ func TestTraceSurvivesCrashResume(t *testing.T) {
 	tid := CellTraceID(job.Key)
 	parent := attemptSpanID(job.ID, job.Attempt)
 
-	// First holder ships a build span and a checkpoint, then the
+	// First holder ships a build span and a heartbeat, then the
 	// dispatcher dies with the cell in flight.
 	b1 := trace.NewBuilder(tid, parent, parent)
 	start := clock.t
@@ -48,8 +48,7 @@ func TestTraceSurvivesCrashResume(t *testing.T) {
 	if err := q.RecordSpans(job.ID, "w1", job.Attempt+1, zombie.Drain()); !errors.Is(err, ErrStale) {
 		t.Fatalf("stale RecordSpans = %v, want ErrStale", err)
 	}
-	ckpt := NewCheckpointRecord(job.Key, testSpec().Base, checkpointFixture())
-	if err := q.Progress(job.ID, "w1", job.Attempt, &ckpt); err != nil {
+	if err := q.Progress(job.ID, "w1", job.Attempt); err != nil {
 		t.Fatal(err)
 	}
 	if err := q.Close(); err != nil {

@@ -31,28 +31,24 @@ var errDrained = errors.New("dispatch: sweep drained")
 type WorkerHooks struct {
 	// OnBook fires after a cell is booked, before it runs.
 	OnBook func(job int, key scenario.Key)
-	// OnCheckpoint fires when the running cell takes a checkpoint (on the
-	// session's event-dispatch goroutine, at the spec's simulated-time
-	// cadence — guaranteed mid-run, however fast the cell runs on the
-	// wall clock).
-	OnCheckpoint func(job int, rec CheckpointRecord)
 	// OnHeartbeat fires after each accepted heartbeat.
-	OnHeartbeat func(job int, ckpt *CheckpointRecord)
+	OnHeartbeat func(job int)
 	// OnUpload fires per artifact body shipped to the dispatcher's store;
 	// deduplicated reports blobs the store already held (skipped via the
 	// HEAD probe).
 	OnUpload func(job int, id, digest string, deduplicated bool)
 	// OnSnapshot fires after a mid-run engine snapshot is accepted by the
-	// dispatcher (blob uploaded, pointer journaled).
-	OnSnapshot func(job int, rec SnapshotRecord)
+	// dispatcher (blob uploaded, pointer journaled) — guaranteed mid-run,
+	// however fast the cell runs on the wall clock.
+	OnSnapshot func(job int, ref BlobRef)
 	// OnResume fires when a booked cell warm-resumes from a previous
 	// holder's snapshot instead of starting at t=0.
 	OnResume func(job int, at sim.Time)
 }
 
 // Worker is the simd half of the dispatcher split: a stateless loop that
-// books cells, runs each through the step-driven sapsim Session, streams
-// coalesced Progress/Checkpoint events back as lease-renewing heartbeats,
+// books cells, runs each through the step-driven sapsim Session, renews
+// the lease with heartbeats that carry its newest mid-run snapshot,
 // uploads every artifact body into the dispatcher's content-addressed
 // store (HEAD-deduplicated: blobs the store already holds never travel),
 // and completes with the cell's metrics plus digests. Workers hold no
@@ -252,8 +248,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			w.m.booksBooked.Inc()
 		}
 		if w.Hooks.OnBook != nil {
-			w.Hooks.OnBook(booked.Job, scenario.Key{Scenario: booked.Key.Scenario,
-				Variant: booked.Key.Variant, Seed: booked.Key.Seed})
+			w.Hooks.OnBook(booked.Job, booked.Key)
 		}
 		wg.Add(1)
 		go func(booked *BookResponse) {
@@ -314,10 +309,9 @@ func (w *Worker) book(ctx context.Context, id string) (*BookResponse, error) {
 }
 
 // runCell executes one booked cell through a sapsim Session, heartbeating
-// the latest coalesced checkpoint at HeartbeatEvery, ships the artifact
-// bodies, and completes it.
+// at HeartbeatEvery, ships the artifact bodies, and completes it.
 func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) error {
-	key := scenario.Key{Scenario: booked.Key.Scenario, Variant: booked.Key.Variant, Seed: booked.Key.Seed}
+	key := booked.Key
 	spec := Spec{Base: booked.Base}
 	spec.Base.Seed = key.Seed
 	cfg, err := spec.CellConfig(key)
@@ -334,14 +328,20 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 	// so the engine unwinds mid-tick instead of wasting a dead cell.
 	cellCtx, cancelCell := context.WithCancelCause(ctx)
 	defer cancelCell(nil)
+	// orStale reports err as ErrStale when the heartbeat loop canceled the
+	// cell for a lost lease — whatever failed then failed because of that.
+	orStale := func(err error) error {
+		if err != nil && errors.Is(context.Cause(cellCtx), ErrStale) {
+			return fmt.Errorf("job %d: %w", booked.Job, ErrStale)
+		}
+		return err
+	}
 
-	// latest holds the freshest checkpoint, pending the freshest encoded
-	// engine snapshot; the heartbeat loop posts them at its own wall-clock
-	// pace — Progress events coalesce in the session dispatcher,
-	// checkpoints and snapshots coalesce here (newest wins).
+	// pending holds the freshest encoded engine snapshot; the heartbeat
+	// loop ships it at its own wall-clock pace, so snapshots coalesce here
+	// (newest wins).
 	var (
 		mu      sync.Mutex
-		latest  *CheckpointRecord
 		pending *pendingSnapshot
 	)
 	// Span collection: the dispatcher handed us trace context (Trace is
@@ -379,20 +379,11 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 		spanb.Requeue(batch)
 		mu.Unlock()
 	}
-	every := sim.Time(booked.CheckpointEvery)
 	observe := sapsim.WithObserverFunc(func(ev sapsim.SessionEvent) {
 		switch c := ev.(type) {
 		case sapsim.SessionPhase:
 			addSpan(c.Name, c.Start, c.End, map[string]string{
 				"sim_from": fmt.Sprint(c.FromSim), "sim_to": fmt.Sprint(c.ToSim)})
-		case sapsim.Checkpoint:
-			rec := NewCheckpointRecord(key, spec.Base, c)
-			mu.Lock()
-			latest = &rec
-			mu.Unlock()
-			if w.Hooks.OnCheckpoint != nil {
-				w.Hooks.OnCheckpoint(booked.Job, rec)
-			}
 		case sapsim.SnapshotReady:
 			// Encode here, on the session's event-dispatch goroutine; the
 			// heartbeat loop ships the blob and reports the pointer.
@@ -404,14 +395,15 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 			}
 			addSpan("snapshot-encode", encStart, time.Now(), nil)
 			mu.Lock()
-			pending = &pendingSnapshot{at: c.At, digest: artifact.Digest(blob), blob: blob}
+			pending = &pendingSnapshot{blob: blob,
+				ref: BlobRef{Kind: BlobSnapshot, Digest: artifact.Digest(blob), At: c.At}}
 			mu.Unlock()
 		}
 	})
 	buildSession := func(snap *sapsim.Snapshot) (*sapsim.Session, error) {
-		opts := []sapsim.Option{sapsim.WithContext(cellCtx), sapsim.WithCheckpointEvery(every), observe}
+		opts := []sapsim.Option{sapsim.WithContext(cellCtx), observe}
 		if !w.DisableSnapshots {
-			opts = append(opts, sapsim.WithSnapshotEvery(every))
+			opts = append(opts, sapsim.WithSnapshotEvery(sim.Time(booked.CheckpointEvery)))
 		}
 		if snap != nil {
 			return sapsim.ResumeFromSnapshot(cfg, snap, opts...)
@@ -421,9 +413,8 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 
 	// Warm resume: a previous holder of this cell uploaded a snapshot
 	// before dying. Every failure on this path — fetch, decode, config
-	// mismatch at build — degrades to the cold t=0 start the checkpoint
-	// record path always provided; a snapshot saves the replayed prefix,
-	// it is never a correctness dependency.
+	// mismatch at build — degrades to the cold t=0 start; a snapshot saves
+	// the replayed prefix, it is never a correctness dependency.
 	var session *sapsim.Session
 	if booked.Snapshot != nil && !w.DisableSnapshots {
 		if snap, err := w.fetchSnapshot(cellCtx, booked.Snapshot); err != nil {
@@ -451,8 +442,8 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 	}
 	defer session.Close()
 
-	// Heartbeat loop: renew the lease even before the first checkpoint,
-	// and keep renewing through artifact rendering and upload — the
+	// Heartbeat loop: renew the lease even before the first snapshot, and
+	// keep renewing through artifact rendering and upload — the
 	// post-simulation work can outlast a lease on slow links, and a cell
 	// that expires there re-runs from scratch just to hit the same wall.
 	// The loop is stopped right before the completion posts: a heartbeat
@@ -483,23 +474,21 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 			case <-t.C:
 			}
 			mu.Lock()
-			ckpt := latest
 			snap := pending
 			mu.Unlock()
 			// Ship the newest snapshot blob before reporting its pointer:
 			// the dispatcher rejects a pointer whose blob is not in the
 			// store. Upload failures are transient — the snapshot stays
 			// pending and the next heartbeat retries (or ships a newer one).
-			var snapRec *SnapshotRecord
+			var snapRef *BlobRef
 			if snap != nil {
 				upStart := time.Now()
-				if err := w.uploadSnapshot(cellCtx, snap); err != nil {
+				if _, err := w.uploadBlob(cellCtx, snap.ref.Digest, snap.blob); err != nil {
 					w.logf("worker %s: job %d snapshot upload: %v", id, booked.Job, err)
 					snap = nil
 				} else {
 					addSpan("snapshot-upload", upStart, time.Now(), nil)
-					rec := NewSnapshotRecord(snap.at, snap.digest)
-					snapRec = &rec
+					snapRef = &snap.ref
 				}
 			}
 			spanBatch := drainSpans()
@@ -507,7 +496,7 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 			hbStart := time.Now()
 			status, err := w.post(cellCtx, "/progress",
 				ProgressRequest{Worker: id, Job: booked.Job, Attempt: booked.Attempt,
-					Checkpoint: ckpt, Snapshot: snapRec, Spans: spanBatch}, &ok)
+					Snapshot: snapRef, Spans: spanBatch}, &ok)
 			if err != nil {
 				// Transient; the lease outlives several heartbeats. The spans
 				// go back in the buffer — the next report re-ships them.
@@ -528,50 +517,44 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 				// heartbeat's 409 cancels this run.
 				requeueSpans(spanBatch)
 				w.logf("worker %s: job %d heartbeat rejected: status %d", id, booked.Job, status)
+				continue
 			}
-			if status == http.StatusOK {
-				// The checkpoint is journaled; don't re-send an unchanged
-				// one — later heartbeats renew the lease with a nil
-				// checkpoint until the session produces a fresh snapshot,
-				// keeping the WAL proportional to state changes, not wall
-				// time.
+			// The pointer is journaled; later heartbeats renew the lease
+			// bare until the session produces a fresh snapshot, keeping the
+			// WAL proportional to state changes, not wall time.
+			if snap != nil {
 				mu.Lock()
-				if latest == ckpt {
-					latest = nil
-				}
-				if snap != nil && pending == snap {
+				if pending == snap {
 					pending = nil
 				}
 				mu.Unlock()
-				if snap != nil && w.Hooks.OnSnapshot != nil {
-					w.Hooks.OnSnapshot(booked.Job, *snapRec)
+				if w.Hooks.OnSnapshot != nil {
+					w.Hooks.OnSnapshot(booked.Job, *snapRef)
 				}
-				if w.Hooks.OnHeartbeat != nil {
-					w.Hooks.OnHeartbeat(booked.Job, ckpt)
-				}
+			}
+			if w.Hooks.OnHeartbeat != nil {
+				w.Hooks.OnHeartbeat(booked.Job)
 			}
 		}
 	}()
 
 	runErr := session.RunToCompletion()
 
-	if runErr != nil {
-		if cause := context.Cause(cellCtx); errors.Is(cause, ErrStale) {
-			return fmt.Errorf("job %d: %w", booked.Job, ErrStale)
-		}
-		if cellCtx.Err() != nil {
-			return cellCtx.Err()
-		}
-		// Deterministic run failure: record it, exactly as scenario.Sweep
-		// records the cell's error string.
-		stopHeartbeat()
-		return w.complete(ctx, id, booked, RunResult{Err: runErr.Error()}, drainSpans(), nil)
-	}
-
-	res, err := session.Result()
-	if err != nil {
+	// A deterministic run failure is recorded exactly as scenario.Sweep
+	// records the cell's error string.
+	fail := func(err error) error {
 		stopHeartbeat()
 		return w.complete(ctx, id, booked, RunResult{Err: err.Error()}, drainSpans(), nil)
+	}
+	if runErr != nil {
+		if cellCtx.Err() != nil {
+			return orStale(cellCtx.Err())
+		}
+		return fail(runErr)
+	}
+	res, err := session.Result()
+	if err != nil {
+		return fail(err)
 	}
 	run := RunResult{Metrics: scenario.Extract(res)}
 	renderStart := time.Now()
@@ -588,12 +571,9 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 		// transfers instead of shipping bodies toward a doomed complete.
 		upStart := time.Now()
 		if err := w.upload(cellCtx, booked.Job, bodies, digests); err != nil {
-			if cause := context.Cause(cellCtx); errors.Is(cause, ErrStale) {
-				return fmt.Errorf("job %d: %w", booked.Job, ErrStale)
-			}
-			// Otherwise the dispatcher would reject the completion anyway
-			// (412); let the lease expire and the cell re-book.
-			return fmt.Errorf("job %d: upload: %w", booked.Job, err)
+			// The dispatcher would reject the completion anyway (412);
+			// abandon the cell so it re-books.
+			return orStale(fmt.Errorf("job %d: upload: %w", booked.Job, err))
 		}
 		addSpan("artifact-upload", upStart, time.Now(), nil)
 	}
@@ -601,20 +581,19 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 	// upload the blob, and attach the pointer. Best-effort — a cell whose
 	// profile cannot travel still completes; only its attribution goes
 	// missing from analyze -engprof.
-	var profRec *ProfileRecord
+	var profRef *BlobRef
 	if prof, perr := session.Profile(); perr == nil && prof != nil {
 		if blob, eerr := sapsim.EncodeProfileBytes(prof); eerr != nil {
 			w.logf("worker %s: job %d profile encode: %v", id, booked.Job, eerr)
 		} else {
 			digest := artifact.Digest(blob)
 			upStart := time.Now()
-			if uerr := w.uploadBlob(cellCtx, digest, blob); uerr != nil {
+			if _, uerr := w.uploadBlob(cellCtx, digest, blob); uerr != nil {
 				w.logf("worker %s: job %d profile upload: %v (completing without attribution)",
 					id, booked.Job, uerr)
 			} else {
 				addSpan("profile-upload", upStart, time.Now(), nil)
-				rec := NewProfileRecord(digest, int64(len(blob)))
-				profRec = &rec
+				profRef = &BlobRef{Kind: BlobProfile, Digest: digest}
 				if w.m != nil {
 					w.m.observeProfile(prof)
 				}
@@ -623,60 +602,49 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 	}
 	w.logf("worker %s: job %d finished", id, booked.Job)
 	stopHeartbeat()
-	if err := w.complete(cellCtx, id, booked, run, drainSpans(), profRec); err != nil {
-		if cause := context.Cause(cellCtx); errors.Is(cause, ErrStale) {
-			return fmt.Errorf("job %d: %w", booked.Job, ErrStale)
-		}
-		return err
-	}
-	return nil
+	return orStale(w.complete(cellCtx, id, booked, run, drainSpans(), profRef))
 }
 
 // pendingSnapshot is an encoded engine snapshot awaiting upload: the wire
-// blob, its content address, and the simulated instant it captures.
+// blob and the pointer (content address, captured instant) to report for it.
 type pendingSnapshot struct {
-	at     sim.Time
-	digest string
-	blob   []byte
+	ref  BlobRef
+	blob []byte
 }
 
-// uploadSnapshot ships one encoded snapshot blob into the dispatcher's
-// store, HEAD-deduplicated like artifact bodies (a re-booked cell that
-// snapshots at an instant the previous holder already covered produces
-// the identical blob).
-func (w *Worker) uploadSnapshot(ctx context.Context, s *pendingSnapshot) error {
-	return w.uploadBlob(ctx, s.digest, s.blob)
-}
-
-// uploadBlob ships one content-addressed blob (snapshot or profile wire
-// form) into the dispatcher's store, HEAD-deduplicated.
-func (w *Worker) uploadBlob(ctx context.Context, digest string, blob []byte) error {
-	status, err := w.do(ctx, http.MethodHead, "/artifact/"+digest, nil)
+// uploadBlob ships one content-addressed blob — artifact body, snapshot, or
+// profile wire form — into the dispatcher's store behind a HEAD probe, so
+// a blob the store already holds never travels: the static tables
+// identical across every cell of a sweep go once per sweep, and a re-booked
+// cell that snapshots at an instant the previous holder covered re-sends
+// nothing. It reports whether the probe deduplicated the upload.
+func (w *Worker) uploadBlob(ctx context.Context, digest string, blob []byte) (deduplicated bool, err error) {
+	_, status, err := w.do(ctx, http.MethodHead, "/artifact/"+digest, nil)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if status == http.StatusOK {
-		return nil // the store already holds this blob
+		return true, nil // the store already holds this blob
 	}
-	status, err = w.do(ctx, http.MethodPut, "/artifact/"+digest, blob)
+	_, status, err = w.do(ctx, http.MethodPut, "/artifact/"+digest, blob)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if status != http.StatusCreated && status != http.StatusOK {
-		return fmt.Errorf("dispatch: blob %s rejected: status %d", digest, status)
+		return false, fmt.Errorf("dispatch: blob %s rejected: status %d", digest, status)
 	}
-	return nil
+	return false, nil
 }
 
 // fetchSnapshot downloads and decodes the snapshot a BookResponse points
 // at. Any failure — missing blob, short read, bit rot the decode's digest
 // check catches — surfaces as an error the caller degrades to a cold
 // start.
-func (w *Worker) fetchSnapshot(ctx context.Context, rec *SnapshotRecord) (*sapsim.Snapshot, error) {
+func (w *Worker) fetchSnapshot(ctx context.Context, rec *BlobRef) (*sapsim.Snapshot, error) {
 	if err := rec.Validate(); err != nil {
 		return nil, err
 	}
-	body, status, err := w.fetch(ctx, "/artifact/"+rec.Digest)
+	body, status, err := w.do(ctx, http.MethodGet, "/artifact/"+rec.Digest, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -689,26 +657,8 @@ func (w *Worker) fetchSnapshot(ctx context.Context, rec *SnapshotRecord) (*sapsi
 	return sapsim.DecodeSnapshotBytes(body)
 }
 
-// fetch sends one GET and returns the response body (blob downloads).
-func (w *Worker) fetch(ctx context.Context, path string) ([]byte, int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.Dispatcher+path, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	resp, err := w.Client.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	return body, resp.StatusCode, err
-}
-
-// upload ships the cell's artifact bodies into the dispatcher's store,
-// deduplicating two ways: per distinct digest within the cell, and via a
-// HEAD probe against blobs earlier cells (on any worker) already
-// delivered — the static tables identical across every cell of a sweep
-// travel once per sweep, not once per cell.
+// upload ships the cell's artifact bodies, once per distinct digest within
+// the cell.
 func (w *Worker) upload(ctx context.Context, job int, bodies, digests map[string]string) error {
 	ids := make([]string, 0, len(bodies))
 	for id := range bodies {
@@ -722,37 +672,25 @@ func (w *Worker) upload(ctx context.Context, job int, bodies, digests map[string
 			continue
 		}
 		shipped[digest] = true
-		status, err := w.do(ctx, http.MethodHead, "/artifact/"+digest, nil)
+		deduplicated, err := w.uploadBlob(ctx, digest, []byte(bodies[id]))
 		if err != nil {
-			return err
-		}
-		if status == http.StatusOK {
-			if w.m != nil {
-				w.m.upDedup.Inc()
-			}
-			if w.Hooks.OnUpload != nil {
-				w.Hooks.OnUpload(job, id, digest, true)
-			}
-			continue // the store already holds this blob
-		}
-		status, err = w.do(ctx, http.MethodPut, "/artifact/"+digest, []byte(bodies[id]))
-		if err != nil {
-			return err
-		}
-		if status != http.StatusCreated && status != http.StatusOK {
-			return fmt.Errorf("dispatch: artifact %s rejected: status %d", id, status)
+			return fmt.Errorf("artifact %s: %w", id, err)
 		}
 		if w.m != nil {
-			w.m.upStored.Inc()
+			if deduplicated {
+				w.m.upDedup.Inc()
+			} else {
+				w.m.upStored.Inc()
+			}
 		}
 		if w.Hooks.OnUpload != nil {
-			w.Hooks.OnUpload(job, id, digest, false)
+			w.Hooks.OnUpload(job, id, digest, deduplicated)
 		}
 	}
 	return nil
 }
 
-func (w *Worker) complete(ctx context.Context, id string, booked *BookResponse, run RunResult, spans []trace.Span, prof *ProfileRecord) error {
+func (w *Worker) complete(ctx context.Context, id string, booked *BookResponse, run RunResult, spans []trace.Span, prof *BlobRef) error {
 	var ok struct{ OK bool }
 	status, err := w.post(ctx, "/complete",
 		CompleteRequest{Worker: id, Job: booked.Job, Attempt: booked.Attempt, Run: run, Spans: spans, Profile: prof}, &ok)
@@ -801,25 +739,25 @@ func (w *Worker) post(ctx context.Context, path string, in, out any) (int, error
 	return resp.StatusCode, nil
 }
 
-// do sends one raw-body request (HEAD probes and blob PUTs) and returns
-// the status.
-func (w *Worker) do(ctx context.Context, method, path string, body []byte) (int, error) {
+// do sends one raw-body request — HEAD probe, blob PUT, or blob GET — and
+// returns the response body and status.
+func (w *Worker) do(ctx context.Context, method, path string, body []byte) ([]byte, int, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, w.Dispatcher+path, rd)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/octet-stream")
 	}
 	resp, err := w.Client.Do(req)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, nil
+	got, err := io.ReadAll(resp.Body)
+	return got, resp.StatusCode, err
 }

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"time"
 )
@@ -299,6 +300,19 @@ func WriteChromeTrace(w io.Writer, spans []Span) error {
 
 	enc := json.NewEncoder(w)
 	return enc.Encode(chromeFile{TraceEvents: events, DisplayTimeUnit: "ms"})
+}
+
+// WriteChromeTraceFile exports spans as a Chrome trace-event file at path.
+func WriteChromeTraceFile(path string, spans []Span) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteChromeTrace(f, spans); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ReadChromeTrace reconstructs spans from a file written by
