@@ -17,6 +17,10 @@ func (p flatProfile) MemUsage(sim.Time) float64  { return p.mem }
 func (p flatProfile) NetTxKbps(sim.Time) float64 { return 0 }
 func (p flatProfile) NetRxKbps(sim.Time) float64 { return 0 }
 func (p flatProfile) DiskUsage(sim.Time) float64 { return 0.1 }
+func (p flatProfile) UsageAt(t sim.Time) vmmodel.Usage {
+	return vmmodel.Usage{CPU: p.CPUUsage(t), Mem: p.MemUsage(t),
+		TxKbps: p.NetTxKbps(t), RxKbps: p.NetRxKbps(t), Disk: p.DiskUsage(t)}
+}
 
 func fragFleet(t *testing.T) (*esx.Fleet, *topology.BuildingBlock) {
 	t.Helper()

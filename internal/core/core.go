@@ -3,15 +3,17 @@
 // discrete-event simulation of the observation window, and collect the
 // telemetry the paper's figures are computed from.
 //
-// The sampler writes host and VM metrics straight into the telemetry store
-// using the Table 4 metric names. The HTTP exporter → scraper path is the
-// same data plane and is exercised separately (internal/scrape tests and
-// examples/telemetry-pipeline); sampling in-process keeps 30-day runs fast.
+// The sampler writes host and VM metrics straight into the telemetry store,
+// through per-series handles, using the Table 4 metric names. The HTTP
+// exporter → scraper path is the same data plane and is exercised separately
+// (internal/scrape tests and examples/telemetry-pipeline); sampling
+// in-process keeps 30-day runs fast.
 package core
 
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"sort"
 
 	"sapsim/internal/analysis"
@@ -185,79 +187,91 @@ func pickLive(live map[vmmodel.ID]*vmmodel.VM, rng *rand.Rand) *vmmodel.VM {
 	return live[vmmodel.ID(ids[rng.IntN(len(ids))])]
 }
 
-// sampler writes telemetry into the result store through a batched
-// appender: each sampling sweep buffers every (metric, host/VM) sample and
-// lands in one commit — one lock acquisition per touched shard instead of
-// one per sample.
+// hostSchema and vmSchema are the two measurements' fixed field lists.
+var (
+	hostSchema = []string{
+		exporter.MetricHostCPUUtil, exporter.MetricHostMemUsage, exporter.MetricHostNetTx,
+		exporter.MetricHostNetRx, exporter.MetricHostDiskUsage, MetricHostDiskPct,
+		exporter.MetricHostCPUCont, exporter.MetricHostCPUReady,
+	}
+	vmSchema = []string{exporter.MetricVMCPURatio, exporter.MetricVMMemRatio}
+)
+
+// sampler writes telemetry through series handles: an entity's series (8 per
+// host, 2 per VM) are resolved at its first sample and every later tick
+// writes (t, v) straight through them. Entities first sampled in one sweep
+// are resolved by one Store.Refs call, in node-ID / VM-ID order, because
+// series creation order is observable: Select, Dump, snapshot bytes.
 type sampler struct {
 	res *Result
 	cfg Config
-	app *telemetry.Appender
-	// hostLabels caches label sets; label construction dominates
-	// otherwise.
-	hostLabels map[topology.NodeID]telemetry.Labels
-	vmLabels   map[vmmodel.ID]telemetry.Labels
+	// fail takes a rejected (out-of-order) append to the engine's error path.
+	fail func(error)
+	// Handles in schema order; a VM's are under the labels, flavor included,
+	// of its first sample.
+	hostRefs map[topology.NodeID][]telemetry.SeriesRef
+	vmRefs   map[vmmodel.ID][]telemetry.SeriesRef
+	total    []telemetry.SeriesRef // openstack_compute_instances_total
 	// contention is sampleVMs' scratch map, cleared and refilled per sweep.
 	contention map[topology.NodeID]float64
 	// prof receives appended-sample counts: the sampling phases' work-unit
-	// proxy (each append is one buffered sample landing in the store).
+	// proxy (each append is one sample landing in the store).
 	prof *engprof.Collector
 }
 
-func newSampler(res *Result, cfg Config, prof *engprof.Collector) *sampler {
+func newSampler(res *Result, cfg Config, prof *engprof.Collector, fail func(error)) *sampler {
 	return &sampler{
 		res:        res,
 		cfg:        cfg,
-		app:        res.Store.Appender(),
-		hostLabels: make(map[topology.NodeID]telemetry.Labels),
-		vmLabels:   make(map[vmmodel.ID]telemetry.Labels),
+		fail:       fail,
+		hostRefs:   make(map[topology.NodeID][]telemetry.SeriesRef),
+		vmRefs:     make(map[vmmodel.ID][]telemetry.SeriesRef),
 		contention: make(map[topology.NodeID]float64),
 		prof:       prof,
 	}
 }
 
-func (s *sampler) labelsFor(h *esx.Host) telemetry.Labels {
-	if l, ok := s.hostLabels[h.Node.ID]; ok {
-		return l
+// put writes one entity's values through its handles, in schema order.
+func (s *sampler) put(refs []telemetry.SeriesRef, now sim.Time, vals ...float64) {
+	for i, v := range vals {
+		if err := refs[i].Append(now, v); err != nil {
+			s.fail(err)
+		}
 	}
-	l := telemetry.MustLabels(
-		"hostsystem", string(h.Node.ID),
-		"cluster", string(h.Node.BB.ID),
-		"datacenter", h.Node.Datacenter().Name,
-	)
-	s.hostLabels[h.Node.ID] = l
-	return l
 }
 
 func (s *sampler) sampleHosts(now sim.Time) {
-	interval := s.cfg.SampleEvery
+	fleet := s.res.Fleet
+	// First sampled this tick: every host in service at t=0, later those a
+	// capacity expansion delivers or a drain releases.
+	var fresh []topology.NodeID
+	var sets []telemetry.Labels
+	fleet.EachHost(func(h *esx.Host) {
+		if h.Node.Maintenance || s.hostRefs[h.Node.ID] != nil {
+			return
+		}
+		fresh = append(fresh, h.Node.ID)
+		sets = append(sets, telemetry.MustLabels("hostsystem", string(h.Node.ID),
+			"cluster", string(h.Node.BB.ID), "datacenter", h.Node.Datacenter().Name))
+	})
+	refs := s.res.Store.Refs(hostSchema, sets)
+	for i, id := range fresh {
+		s.hostRefs[id] = refs[i*len(hostSchema):][:len(hostSchema)]
+	}
 	var ops int64
-	s.res.Fleet.EachHost(func(h *esx.Host) {
+	fleet.EachHost(func(h *esx.Host) {
 		if h.Node.Maintenance {
 			return
 		}
-		l := s.labelsFor(h)
-		m := h.Snapshot(now, interval)
-		app := func(metric string, v float64) {
-			s.app.Append(metric, l, now, v)
-			ops++
-		}
-		app(exporter.MetricHostCPUUtil, m.CPUUtilPct)
-		app(exporter.MetricHostMemUsage, m.MemUsagePct)
-		app(exporter.MetricHostNetTx, m.TxKbps)
-		app(exporter.MetricHostNetRx, m.RxKbps)
-		app(exporter.MetricHostDiskUsage, m.StorageUsedGB)
-		app(MetricHostDiskPct, m.StoragePct(h.Node.Capacity.StorageGB))
-		app(exporter.MetricHostCPUCont, m.CPUContentionPct)
-		app(exporter.MetricHostCPUReady, m.CPUReadyMillis)
+		m := h.Snapshot(now, s.cfg.SampleEvery)
+		s.put(s.hostRefs[h.Node.ID], now, m.CPUUtilPct, m.MemUsagePct, m.TxKbps, m.RxKbps,
+			m.StorageUsedGB, m.StoragePct(h.Node.Capacity.StorageGB), m.CPUContentionPct, m.CPUReadyMillis)
+		ops += int64(len(hostSchema))
 
 		if s.cfg.ContentionFeed {
 			s.res.Scheduler.SetContention(h.Node.BB.ID, m.CPUContentionPct)
 		}
 	})
-	// Out-of-order cannot occur: the ticker is strictly monotonic. Ignore
-	// the error to keep the hot path lean.
-	_, _ = s.app.Commit()
 	if s.prof != nil {
 		s.prof.AddOps(engprof.PhaseHostSample, ops)
 	}
@@ -275,6 +289,26 @@ func (s *sampler) sampleVMs(now sim.Time, live map[vmmodel.ID]*vmmodel.VM) {
 		m := h.Snapshot(now, s.cfg.VMSampleEvery)
 		contention[h.Node.ID] = m.CPUContentionPct
 	})
+	// First sampled this tick, in ID order: live is a map.
+	var fresh []vmmodel.ID
+	for id, vm := range live {
+		if vm.Node != nil && s.vmRefs[id] == nil {
+			fresh = append(fresh, id)
+		}
+	}
+	slices.Sort(fresh)
+	sets := make([]telemetry.Labels, len(fresh))
+	for i, id := range fresh {
+		sets[i] = telemetry.MustLabels("virtualmachine", string(id),
+			"flavor", live[id].Flavor.Name, "project", live[id].Project)
+	}
+	refs := s.res.Store.Refs(vmSchema, sets)
+	for i, id := range fresh {
+		s.vmRefs[id] = refs[i*len(vmSchema):][:len(vmSchema)]
+	}
+	if s.total == nil {
+		s.total = s.res.Store.Refs([]string{exporter.MetricInstancesTotal}, []telemetry.Labels{{}})
+	}
 	for _, vm := range live {
 		if vm.Node == nil {
 			continue
@@ -283,22 +317,11 @@ func (s *sampler) sampleVMs(now sim.Time, live map[vmmodel.ID]*vmmodel.VM) {
 		if err != nil {
 			continue
 		}
-		l, ok := s.vmLabels[vm.ID]
-		if !ok {
-			l = telemetry.MustLabels(
-				"virtualmachine", string(vm.ID),
-				"flavor", vm.Flavor.Name,
-				"project", vm.Project,
-			)
-			s.vmLabels[vm.ID] = l
-		}
 		u := h.VMSnapshot(vm, now, s.cfg.VMSampleEvery, contention[vm.Node.ID])
-		s.app.Append(exporter.MetricVMCPURatio, l, now, u.CPUUsageRatio)
-		s.app.Append(exporter.MetricVMMemRatio, l, now, u.MemUsageRatio)
-		ops += 2
+		s.put(s.vmRefs[vm.ID], now, u.CPUUsageRatio, u.MemUsageRatio)
+		ops += int64(len(vmSchema))
 	}
-	s.app.Append(exporter.MetricInstancesTotal, telemetry.Labels{}, now, float64(len(live)))
-	_, _ = s.app.Commit()
+	s.put(s.total, now, float64(len(live)))
 	if s.prof != nil {
 		s.prof.AddOps(engprof.PhaseVMSample, ops+1)
 	}

@@ -99,7 +99,7 @@ type Simulation struct {
 	// down is the scenario layer's out-of-service refcount map, shared by
 	// every injector Env (empty when no injector runs).
 	down map[topology.NodeID]int
-	// sampler is kept so a restore can seed its per-VM label cache (the
+	// sampler is kept so a restore can seed its per-VM series handles (the
 	// flavor label is pinned at a VM's first sample, which may predate the
 	// snapshot and a later resize).
 	sampler *sampler
@@ -312,7 +312,7 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 
 	// Host telemetry sampler. OnTick fires after the sweep so observers see
 	// a consistent snapshot of the just-sampled state.
-	sampler := newSampler(res, cfg, prof)
+	sampler := newSampler(res, cfg, prof, engine.NoteError)
 	s.sampler = sampler
 	hostTick := sampler.sampleHosts
 	if hooks.OnTick != nil {

@@ -263,20 +263,20 @@ func (s *Simulation) overlay(snap *snapshot.Snapshot) error {
 	if err := res.Store.Load(snap.Series); err != nil {
 		return err
 	}
-	// Seed the sampler's per-VM label cache from the loaded series: the
-	// flavor label is pinned at a VM's first sample, so a VM resized after
-	// that must keep appending to its original series, not open a new one
-	// under the current flavor.
+	// Seed the sampler's per-VM handles from the loaded series: the flavor
+	// label is pinned at a VM's first sample, so a VM resized after that
+	// must keep appending to its original series, not open a new one under
+	// the current flavor.
 	for _, d := range snap.Series {
 		if d.Metric != exporter.MetricVMCPURatio {
 			continue
 		}
 		l, err := telemetry.NewLabels(d.Labels...)
 		if err != nil {
-			return fmt.Errorf("vm label cache: %w", err)
+			return fmt.Errorf("vm series handles: %w", err)
 		}
 		if id := l.Get("virtualmachine"); id != "" {
-			s.sampler.vmLabels[vmmodel.ID(id)] = l
+			s.sampler.vmRefs[vmmodel.ID(id)] = res.Store.Refs(vmSchema, []telemetry.Labels{l})
 		}
 	}
 	// RNG streams: every registered stream must have captured state and

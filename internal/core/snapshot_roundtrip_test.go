@@ -2,29 +2,13 @@ package core_test
 
 import (
 	"reflect"
-	"sort"
-	"strings"
 	"testing"
 
 	"sapsim/internal/core"
 	"sapsim/internal/scenario"
 	"sapsim/internal/sim"
 	"sapsim/internal/snapshot"
-	"sapsim/internal/telemetry"
 )
-
-// sortedDump canonicalizes a store dump by (metric, labels) so two runs
-// can be compared independently of series creation order.
-func sortedDump(res *core.Result) []telemetry.SeriesData {
-	d := res.Store.Dump()
-	sort.Slice(d, func(i, j int) bool {
-		if d[i].Metric != d[j].Metric {
-			return d[i].Metric < d[j].Metric
-		}
-		return strings.Join(d[i].Labels, ",") < strings.Join(d[j].Labels, ",")
-	})
-	return d
-}
 
 // roundtripConfig is a small but fully featured run: DRS, cross-BB
 // rebalancing, resize churn, and one injector of every snapshot-relevant
@@ -146,10 +130,9 @@ func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
 				i, coldEvents[i], restoredEvents[i])
 		}
 	}
-	// Per-VM series creation order varies between runs (the VM sweep walks
-	// a map), so compare the stores under a canonical order. The analysis
-	// layer is insensitive to creation order for the same reason.
-	if !reflect.DeepEqual(sortedDump(cold.Result()), sortedDump(restored.Result())) {
+	// Series creation order is part of the comparison: it is what Select
+	// and a later snapshot expose.
+	if !reflect.DeepEqual(cold.Result().Store.Dump(), restored.Result().Store.Dump()) {
 		t.Fatal("telemetry stores diverged")
 	}
 	if !reflect.DeepEqual(cold.Result().SchedStats.Eliminated, restored.Result().SchedStats.Eliminated) {

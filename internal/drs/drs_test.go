@@ -17,6 +17,10 @@ func (p constProfile) MemUsage(sim.Time) float64  { return p.mem }
 func (p constProfile) NetTxKbps(sim.Time) float64 { return 0 }
 func (p constProfile) NetRxKbps(sim.Time) float64 { return 0 }
 func (p constProfile) DiskUsage(sim.Time) float64 { return 0.1 }
+func (p constProfile) UsageAt(t sim.Time) vmmodel.Usage {
+	return vmmodel.Usage{CPU: p.CPUUsage(t), Mem: p.MemUsage(t),
+		TxKbps: p.NetTxKbps(t), RxKbps: p.NetRxKbps(t), Disk: p.DiskUsage(t)}
+}
 
 func testFleet(t *testing.T, nodes int) (*esx.Fleet, *topology.BuildingBlock) {
 	t.Helper()

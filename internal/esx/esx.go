@@ -300,7 +300,8 @@ func (h *Host) snapshot(t sim.Time) Metrics {
 		if p == nil {
 			continue
 		}
-		demand := p.CPUUsage(t) * float64(vm.RequestedCPUCores())
+		u := p.UsageAt(t)
+		demand := u.CPU * float64(vm.RequestedCPUCores())
 		if vm.Flavor.PinCPU {
 			// Pinned vCPUs map 1:1 to cores: demand beyond the
 			// allocation is clipped, never contended.
@@ -311,10 +312,10 @@ func (h *Host) snapshot(t sim.Time) Metrics {
 		} else {
 			sharedDemand += demand
 		}
-		memMB += p.MemUsage(t) * float64(vm.RequestedMemoryMB())
-		tx += p.NetTxKbps(t)
-		rx += p.NetRxKbps(t)
-		diskGB += p.DiskUsage(t) * float64(vm.RequestedDiskGB())
+		memMB += u.Mem * float64(vm.RequestedMemoryMB())
+		tx += u.TxKbps
+		rx += u.RxKbps
+		diskGB += u.Disk * float64(vm.RequestedDiskGB())
 	}
 	totalCores := float64(h.Node.Capacity.PCPUCores)
 	sharedSupply := float64(h.SharedCores())

@@ -20,6 +20,10 @@ func (p constProfile) MemUsage(sim.Time) float64  { return p.mem }
 func (p constProfile) NetTxKbps(sim.Time) float64 { return p.tx }
 func (p constProfile) NetRxKbps(sim.Time) float64 { return p.rx }
 func (p constProfile) DiskUsage(sim.Time) float64 { return p.disk }
+func (p constProfile) UsageAt(t sim.Time) vmmodel.Usage {
+	return vmmodel.Usage{CPU: p.CPUUsage(t), Mem: p.MemUsage(t),
+		TxKbps: p.NetTxKbps(t), RxKbps: p.NetRxKbps(t), Disk: p.DiskUsage(t)}
+}
 
 func testRegion(t *testing.T) *topology.Region {
 	t.Helper()

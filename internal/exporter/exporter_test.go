@@ -19,6 +19,10 @@ func (p constProfile) MemUsage(sim.Time) float64  { return p.mem }
 func (p constProfile) NetTxKbps(sim.Time) float64 { return 500 }
 func (p constProfile) NetRxKbps(sim.Time) float64 { return 700 }
 func (p constProfile) DiskUsage(sim.Time) float64 { return 0.25 }
+func (p constProfile) UsageAt(t sim.Time) vmmodel.Usage {
+	return vmmodel.Usage{CPU: p.CPUUsage(t), Mem: p.MemUsage(t),
+		TxKbps: p.NetTxKbps(t), RxKbps: p.NetRxKbps(t), Disk: p.DiskUsage(t)}
+}
 
 func testExporter(t *testing.T) (*Exporter, *esx.Fleet) {
 	t.Helper()

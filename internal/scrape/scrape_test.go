@@ -98,6 +98,10 @@ func (constProfile) MemUsage(sim.Time) float64  { return 0.6 }
 func (constProfile) NetTxKbps(sim.Time) float64 { return 100 }
 func (constProfile) NetRxKbps(sim.Time) float64 { return 100 }
 func (constProfile) DiskUsage(sim.Time) float64 { return 0.3 }
+func (p constProfile) UsageAt(t sim.Time) vmmodel.Usage {
+	return vmmodel.Usage{CPU: p.CPUUsage(t), Mem: p.MemUsage(t),
+		TxKbps: p.NetTxKbps(t), RxKbps: p.NetRxKbps(t), Disk: p.DiskUsage(t)}
+}
 
 // End-to-end: exporter → HTTP → scraper → store, the Sec. 4 pipeline.
 func TestScrapePipelineEndToEnd(t *testing.T) {

@@ -304,8 +304,10 @@ func (e *Engine) SetProfiler(p *engprof.Collector) { e.prof = p }
 // Without a hook such errors are collected and surfaced by Run.
 func (e *Engine) OnError(fn func(error)) { e.errHook = fn }
 
-// noteError routes an internal error to the hook, or records it for Run.
-func (e *Engine) noteError(err error) {
+// NoteError routes an error a handler cannot return — a ticker failing to
+// reschedule, a sampler's rejected append — to the hook, or records it for
+// Run. A nil error is ignored.
+func (e *Engine) NoteError(err error) {
 	if err == nil {
 		return
 	}
@@ -458,7 +460,7 @@ func (t *Ticker) fire(now Time) {
 	at := now + t.interval
 	if at < t.engine.now {
 		err := fmt.Errorf("%w: at=%v now=%v", ErrPast, at, t.engine.now)
-		t.engine.noteError(fmt.Errorf("sim: ticker reschedule at %v: %w", now, err))
+		t.engine.NoteError(fmt.Errorf("sim: ticker reschedule at %v: %w", now, err))
 		return
 	}
 	t.engine.scheduleInto(t.next, at, 0, "", t.owner, nil, t.fireFn)

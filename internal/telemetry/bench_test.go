@@ -68,6 +68,29 @@ func BenchmarkStoreAppend(b *testing.B) {
 	})
 }
 
+// BenchmarkSeriesRefAppend measures the simulator's write path: one writer,
+// a fixed schema resolved to handles once, then (t, v) straight through the
+// handle — 8 series per host over 32 hosts, one sweep per 5 simulated
+// minutes. Compare with BenchmarkStoreAppend's buffered hash-and-lookup.
+func BenchmarkSeriesRefAppend(b *testing.B) {
+	st := NewStore()
+	var schema []string
+	for m := 0; m < 8; m++ {
+		schema = append(schema, fmt.Sprintf("metric_%d", m))
+	}
+	var sets []Labels
+	for h := 0; h < 32; h++ {
+		sets = append(sets, MustLabels("hostsystem", fmt.Sprintf("n%03d", h), "cluster", fmt.Sprintf("bb-%d", h/8)))
+	}
+	refs := st.Refs(schema, sets)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := refs[i%len(refs)].Append(sim.Time(i/len(refs)+1)*5*sim.Minute, float64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchSelectStore builds a store with `total` series spread over many
 // metrics, of which exactly `matching` belong to the queried metric.
 func benchSelectStore(b *testing.B, matching, total int) *Store {

@@ -123,11 +123,25 @@ func fillMultiShard(t *testing.T) *Store {
 	return st
 }
 
+// multiShardRefs resolves a handle to every series fillMultiShard wrote.
+func multiShardRefs(st *Store) []SeriesRef {
+	var sets []Labels
+	for n := 0; n < 32; n++ {
+		sets = append(sets, MustLabels("node", fmt.Sprintf("n%02d", n)))
+	}
+	return st.Refs([]string{"cpu", "mem", "net"}, sets)
+}
+
 // TestDropBeforeIndexConsistency: after retention deletes whole series, the
 // postings and label-value indexes must agree — Metrics goes empty, Select
-// by metric and by matcher find nothing, and recreation works.
+// by metric and by matcher find nothing, and recreation works, through
+// Append and through a handle resolved before the drop.
 func TestDropBeforeIndexConsistency(t *testing.T) {
 	st := fillMultiShard(t)
+	refs := multiShardRefs(st)
+	if st.SeriesCount() != len(refs) {
+		t.Fatalf("resolving handles to existing series changed the series count to %d", st.SeriesCount())
+	}
 	if got := len(st.Metrics()); got != 3 {
 		t.Fatalf("Metrics = %d, want 3", got)
 	}
@@ -152,6 +166,50 @@ func TestDropBeforeIndexConsistency(t *testing.T) {
 	}
 	if got := st.Select("cpu", Matcher{"node", "n00"}); len(got) != 1 {
 		t.Errorf("recreated series not indexed: %d", len(got))
+	}
+	// A handle outlives its series: the write re-creates and re-indexes it
+	// (joining the series Append just re-created, not shadowing it), never
+	// lands in the unlinked object.
+	for i := range refs {
+		if err := refs[i].Append(101*sim.Hour, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.SeriesCount() != len(refs) || st.SampleCount() != len(refs)+1 {
+		t.Errorf("after handle appends: %d series, %d samples, want %d and %d",
+			st.SeriesCount(), st.SampleCount(), len(refs), len(refs)+1)
+	}
+	for _, metric := range []string{"cpu", "mem", "net"} {
+		if got := st.Select(metric); len(got) != 32 {
+			t.Errorf("Select(%s) after handle appends = %d series, want 32", metric, len(got))
+		}
+		got := st.Select(metric, Matcher{"node", "n31"})
+		if len(got) != 1 || len(got[0].Samples) != 1 || got[0].Samples[0].T != 101*sim.Hour {
+			t.Errorf("matcher Select(%s) after handle append = %v", metric, got)
+		}
+	}
+	if err := refs[0].Append(101*sim.Hour, 0); !errors.Is(err, ErrOutOfOrder) {
+		t.Errorf("repeated timestamp through a handle = %v, want ErrOutOfOrder", err)
+	}
+	// Each series is indexed once: a second full drop leaves nothing behind.
+	st.DropBefore(200 * sim.Hour)
+	if st.SeriesCount() != 0 || len(st.Metrics()) != 0 || len(st.Select("cpu", Matcher{"node", "n00"})) != 0 {
+		t.Errorf("second drop left %d series, metrics %v", st.SeriesCount(), st.Metrics())
+	}
+	// A snapshot Load into the emptied store builds fresh series; the old
+	// handles must write into those.
+	dump := fillMultiShard(t).Dump()
+	if err := st.Load(dump); err != nil {
+		t.Fatal(err)
+	}
+	for i := range refs {
+		if err := refs[i].Append(300*sim.Hour, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.SeriesCount() != len(dump) || st.SampleCount() != len(dump)*49 {
+		t.Errorf("after Load and handle appends: %d series, %d samples, want %d and %d",
+			st.SeriesCount(), st.SampleCount(), len(dump), len(dump)*49)
 	}
 }
 
@@ -178,6 +236,7 @@ func TestDropBeforePartialKeepsIndexes(t *testing.T) {
 // every index entry intact, and the store appendable across shards.
 func TestCompactIndexConsistency(t *testing.T) {
 	st := fillMultiShard(t)
+	refs := multiShardRefs(st)
 	before := st.SeriesCount()
 	reduced := st.Compact(48*sim.Hour, sim.Day)
 	if reduced <= 0 {
@@ -199,6 +258,19 @@ func TestCompactIndexConsistency(t *testing.T) {
 	}
 	if got := st.Select("net", Matcher{"node", "n31"}); len(got) != 1 {
 		t.Errorf("label index broken after compact: %d", len(got))
+	}
+	// Compaction replaces sample slices, not series: handles stay bound.
+	for i := range refs {
+		if err := refs[i].Append(3*sim.Day, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st.SeriesCount() != before {
+		t.Errorf("handle appends after compact changed series count: %d -> %d", before, st.SeriesCount())
+	}
+	got := st.Select("net", Matcher{"node", "n31"})
+	if len(got) != 1 || len(got[0].Samples) != 3 || got[0].Samples[2] != (Sample{T: 3 * sim.Day, V: 7}) {
+		t.Errorf("handle append after compact not visible: %v", got)
 	}
 }
 

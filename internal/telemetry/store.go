@@ -22,6 +22,7 @@ type memSeries struct {
 	labels  Labels
 	hash    uint64 // hashSeries(metric, labels)
 	seq     uint64 // global creation sequence, for deterministic Select order
+	removed bool   // unlinked by removeSeries; a SeriesRef must re-resolve
 	samples []Sample
 }
 
@@ -197,6 +198,7 @@ func (st *Store) removeSeries(sh *shard, s *memSeries) {
 		}
 	}
 	st.releaseInterned(s.labels)
+	s.removed = true
 }
 
 func filterOut(list []*memSeries, drop *memSeries) []*memSeries {

@@ -8,9 +8,10 @@
 // shards by a 64-bit FNV-1a fingerprint of (metric, labels), each shard
 // keeping its own lock, a metric→series postings index, and a label-value
 // index, so concurrent ingestion scales with shard count and Select walks
-// only candidate series instead of the whole store. Batch ingestion goes
-// through an Appender (one lock acquisition per shard per flush); reads
-// receive immutable snapshots.
+// only candidate series instead of the whole store. A fixed-schema writer
+// holds SeriesRef handles; batch ingestion of unknown series goes through an
+// Appender (one lock acquisition per shard per flush); reads receive
+// immutable snapshots.
 package telemetry
 
 import (

@@ -57,7 +57,13 @@ type UsageProfile interface {
 	NetRxKbps(t sim.Time) float64
 	// DiskUsage returns the fraction (0..1) of requested disk in use.
 	DiskUsage(t sim.Time) float64
+	// UsageAt returns all five at once, each bit-identical to its method
+	// above, so terms they share (diurnal cycle, noise) are evaluated once.
+	UsageAt(t sim.Time) Usage
 }
+
+// Usage is one VM's demand on every resource at one instant.
+type Usage struct{ CPU, Mem, TxKbps, RxKbps, Disk float64 }
 
 // VM is a virtual machine instance.
 type VM struct {

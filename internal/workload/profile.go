@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"sapsim/internal/sim"
+	"sapsim/internal/vmmodel"
 )
 
 // Profile is a deterministic, stateless usage profile for one VM. It
@@ -113,6 +114,19 @@ func (p *Profile) NetRxKbps(t sim.Time) float64 {
 func (p *Profile) DiskUsage(t sim.Time) float64 {
 	// Slow, bounded growth.
 	return clamp(p.DiskFrac*(1+0.002*t.Days()), 0, 1)
+}
+
+// UsageAt implements vmmodel.UsageProfile. cycle(t) and noise(t) are evaluated
+// once; products keep the component methods' order, so results are bit-equal.
+func (p *Profile) UsageAt(t sim.Time) vmmodel.Usage {
+	c, n := p.cycle(t), p.noise(t)
+	return vmmodel.Usage{
+		CPU:    clamp(p.MeanCPU*c*n*p.burst(t), 0, 1.5),
+		Mem:    p.MemUsage(t),
+		TxKbps: math.Max(0, p.TxKbps*c*n),
+		RxKbps: math.Max(0, p.RxKbps*c*p.noise(t+noiseBucket)),
+		Disk:   p.DiskUsage(t),
+	}
 }
 
 // AverageCPUOver estimates the profile's average CPU usage across a window

@@ -60,6 +60,12 @@ func (r *ReplayProfile) DiskUsage(t sim.Time) float64 {
 	return seriesAt(r.Disk, t, r.FallbackDisk)
 }
 
+// UsageAt implements vmmodel.UsageProfile.
+func (r *ReplayProfile) UsageAt(t sim.Time) vmmodel.Usage {
+	return vmmodel.Usage{CPU: r.CPUUsage(t), Mem: r.MemUsage(t),
+		TxKbps: r.NetTxKbps(t), RxKbps: r.NetRxKbps(t), Disk: r.DiskUsage(t)}
+}
+
 // Metric names of the released per-VM series (Appendix C). Declared here
 // rather than importing internal/exporter to keep workload dependency-free.
 const (

@@ -169,3 +169,32 @@ func TestSnapshotCadenceStretchIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSamplingWorkGate pins, without a stopwatch, how much work the
+// sampling tick does on the golden cell: samples written per sweep family
+// (8 per sampled host per tick; 2 per placed VM plus 1 per VM tick), series
+// and samples that reached the store, and resident-set walks (snapshot-cache
+// misses — the cache serves the VM sweep and DRS at a shared instant). All
+// are deterministic per seed. A change that drops or duplicates samples, or
+// re-walks a host's VMs per metric or per consumer, fails here.
+func TestSamplingWorkGate(t *testing.T) {
+	res, err := Run(goldenConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, misses := res.Fleet.SnapshotCacheStats()
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"sample/hosts ops", res.Profile.Phase(engprof.PhaseHostSample).Ops, 921920},
+		{"sample/vms ops", res.Profile.Phase(engprof.PhaseVMSample).Ops, 362913},
+		{"store series", int64(res.Store.SeriesCount()), 3857},
+		{"store samples", int64(res.Store.SampleCount()), 921920 + 362913},
+		{"snapshot-cache misses", int64(misses), 115720},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+}
