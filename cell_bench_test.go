@@ -9,8 +9,7 @@ import (
 // fullCellConfig is a complete-but-compact cell: every subsystem the 30-day
 // experiments exercise (arrival churn, deletions, DRS passes, resize churn,
 // host + VM telemetry sampling) at a size that keeps one iteration under a
-// second. This is the end-to-end number the BENCH_*.json trajectory tracks:
-// cell runtime is the floor under every sweep and resume.
+// second. Cell runtime is the floor under every sweep and resume.
 func fullCellConfig(seed uint64) Config {
 	cfg := DefaultConfig(seed)
 	cfg.Scale = 0.02

@@ -3,43 +3,39 @@
 // for the headline artifacts: packing efficiency, scheduling latency
 // proxy, and migration counts.
 //
-// Three execution modes share one matrix definition:
+// Two execution modes here, plus dispatchd's, share one matrix definition:
 //
 //   - default: in-process across a bounded worker pool (-workers).
-//   - -dispatch ADDR: serve the matrix as a durable dispatcher at ADDR and
-//     let simworker processes (this machine or others) drain it. Every
-//     state transition lands in a journal (-journal, default OUT/journal),
-//     so a killed sweep resumes.
-//   - -resume DIR: reopen an interrupted dispatched sweep — finished cells
-//     keep their recorded results, in-flight ones re-run. Without
-//     -dispatch the remaining cells run in-process over loopback HTTP;
-//     with it they are served to external workers again.
+//   - -resume DIR: reopen the journal directory of a dispatched sweep —
+//     finished cells keep their recorded results, in-flight ones re-run
+//     in-process over loopback HTTP. On a drained sweep this just merges
+//     and exports (-bundle, -trace, -engprof) post hoc.
 //
-// All three produce byte-identical reports for the same matrix (the
-// dispatch package's tests enforce it).
+// Serving a matrix to external simworkers is cmd/dispatchd's job
+// (dispatchd [-resume]). All three produce byte-identical reports for the
+// same matrix (the dispatch package's tests enforce it).
 //
 // Usage:
 //
 //	sweep [-scale F] [-vms N] [-days N] [-sample D] \
 //	      [-scenarios a,b,...] [-variants x,y,...] [-seeds 7,11,...] \
 //	      [-workers N] [-timeout D] [-out DIR] [-diff] [-list] [-branch] \
-//	      [-dispatch ADDR] [-resume DIR] [-journal DIR] [-bundle DIR] \
-//	      [-trace FILE] [-engprof DIR]
+//	      [-resume DIR] [-bundle DIR] [-trace FILE] [-engprof DIR]
 //
 // -engprof DIR exports each cell's engine self-profile — the always-on
 // per-phase wall-time/work attribution the core collects as it runs — as
 // one JSON file per cell (scenario__variant__seed.engprof.json), ready for
-// analyze -engprof. In-process sweeps write the files as cells finish; the
-// dispatched and resumed modes read the blobs the workers shipped into the
+// analyze -engprof. In-process sweeps encode them from each cell's Result;
+// the resumed mode reads the blobs the workers shipped into the
 // content-addressed store (profile pointers survive completion and
 // kill+resume, so a resumed sweep exports attribution for every cell).
 //
 // -trace FILE exports the sweep's cell-lifecycle trace as Chrome
 // trace-event JSON (load it at https://ui.perfetto.dev): per cell, a root
 // span covering queued→done with queue-wait and per-attempt child spans.
-// In the dispatched and resumed modes the trace reconstructs from the
-// journal and includes every worker-shipped engine-phase span; all three
-// modes emit the same span identity scheme.
+// In the resumed mode the trace reconstructs from the journal and includes
+// every worker-shipped engine-phase span; all modes emit the same span
+// identity scheme.
 //
 // Scenario and variant names come from the builtin libraries; -list prints
 // them. Runs are fully deterministic per seed, independent of -workers and
@@ -51,10 +47,10 @@
 // bundle: index.html, the comparative reports, one baseline-vs-scenario
 // page per scenario, and every cell's artifact bodies, each read out of
 // the content-addressed store with digest verification (SHA256SUMS in the
-// bundle re-verifies offline). In the dispatched and resumed modes the
-// bodies come from the store the workers uploaded into, under the journal
-// directory; in the in-process mode they are captured during the sweep —
-// all three produce byte-identical bundles for the same matrix.
+// bundle re-verifies offline). In the resumed mode the bodies come from
+// the store the workers uploaded into, under the journal directory; in the
+// in-process mode they are captured during the sweep — both produce
+// byte-identical bundles for the same matrix, as does dispatchd -bundle.
 package main
 
 import (
@@ -92,10 +88,7 @@ func main() {
 		out          = flag.String("out", "", "directory for report.txt and runs.csv")
 		diff         = flag.Bool("diff", false, "fingerprint all artifacts per cell and print per-cell diffs vs the baseline scenario")
 		list         = flag.Bool("list", false, "list builtin scenarios and variants, then exit")
-		dispatchTo   = flag.String("dispatch", "", "serve the matrix to external simworkers at this address instead of running in-process")
 		resumeDir    = flag.String("resume", "", "resume an interrupted dispatched sweep from this journal directory")
-		journalDir   = flag.String("journal", "", "journal directory for -dispatch (default: OUT/journal, or a temp dir)")
-		checkpoint   = flag.Duration("checkpoint", 6*time.Hour, "simulated-time mid-run snapshot cadence for dispatched workers")
 		branch       = flag.Bool("branch", false, "warm-fork cells sharing a (variant, seed) from one snapshot of their common prefix (in-process mode only; byte-identical to a cold sweep)")
 		bundleDir    = flag.String("bundle", "", "materialize a digest-verified report bundle (artifact bodies included) into this directory")
 		traceOut     = flag.String("trace", "", "export the sweep's cell-lifecycle trace (Chrome trace-event JSON, Perfetto-loadable) to this file")
@@ -132,7 +125,9 @@ func main() {
 		base.VMs = *vms
 		base.Days = *days
 		base.SampleEvery = sim.Time(*sample)
-		spec, err := dispatch.ParseSpec(base, *scenarioList, *variantList, *seedList, sim.Time(*checkpoint))
+		// The snapshot cadence is for dispatched workers; in-process cells
+		// take no mid-run snapshots.
+		spec, err := dispatch.ParseSpec(base, *scenarioList, *variantList, *seedList, 0)
 		if err != nil {
 			fatal(err)
 		}
@@ -143,12 +138,9 @@ func main() {
 	var err error
 	exports := dispatch.Exports{Bundle: *bundleDir, Trace: *traceOut, Engprof: *engprofDir}
 	start := time.Now()
-	switch {
-	case *resumeDir != "":
-		res, err = resumeSweep(ctx, *resumeDir, *dispatchTo, *workers, *progress, exports)
-	case *dispatchTo != "":
-		res, err = serveSweep(ctx, parseSpec(), *dispatchTo, pickJournalDir(*journalDir, *out), *progress, exports)
-	default:
+	if *resumeDir != "" {
+		res, err = resumeSweep(ctx, *resumeDir, *workers, *progress, exports)
+	} else {
 		res, err = localSweep(ctx, parseSpec(), *workers, *diff, *progress, *branch, exports)
 	}
 	if err != nil {
@@ -161,7 +153,7 @@ func main() {
 	// Dispatched cells always carry digests; print the diff whenever we
 	// have them or the user asked.
 	diffText := ""
-	if *diff || *dispatchTo != "" || *resumeDir != "" {
+	if *diff || *resumeDir != "" {
 		diffText = scenario.ArtifactDiff(res)
 		fmt.Print(diffText)
 	}
@@ -170,16 +162,16 @@ func main() {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			fatal(err)
 		}
-		files := map[string]string{"report.txt": text, "runs.csv": scenario.RunsCSV(res)}
+		files := [][2]string{{"report.txt", text}, {"runs.csv", scenario.RunsCSV(res)}}
 		if diffText != "" {
-			files["artifact_diff.txt"] = diffText
+			files = append(files, [2]string{"artifact_diff.txt", diffText})
 		}
 		var wrote []string
-		for name, content := range files {
-			if err := os.WriteFile(filepath.Join(*out, name), []byte(content), 0o644); err != nil {
+		for _, f := range files {
+			if err := os.WriteFile(filepath.Join(*out, f[0]), []byte(f[1]), 0o644); err != nil {
 				fatal(err)
 			}
-			wrote = append(wrote, name)
+			wrote = append(wrote, f[0])
 		}
 		fmt.Printf("\nwrote %s to %s\n", strings.Join(wrote, ", "), *out)
 	}
@@ -235,29 +227,10 @@ func localSweep(ctx context.Context, spec dispatch.Spec, workers int,
 	}
 	// Profile export hangs off OnResult — deliberately not Fingerprint —
 	// so the wall-clock-dependent profile bytes never enter the
-	// byte-identity contract the three execution modes share.
-	var profErr error
-	var profMu sync.Mutex
-	profiles := 0
+	// byte-identity contract the execution modes share.
+	var profiles sync.Map // scenario.Key → *sapsim.Profile
 	if out.Engprof != "" {
-		if err := os.MkdirAll(out.Engprof, 0o755); err != nil {
-			return nil, err
-		}
-		m.OnResult = func(key scenario.Key, res *core.Result) {
-			if res.Profile == nil {
-				return
-			}
-			blob, err := sapsim.EncodeProfileBytes(res.Profile)
-			if err == nil {
-				err = os.WriteFile(filepath.Join(out.Engprof, dispatch.ProfileFileName(key)), blob, 0o644)
-			}
-			profMu.Lock()
-			if err != nil && profErr == nil {
-				profErr = fmt.Errorf("engprof export %s/%s seed %d: %w", key.Scenario, key.Variant, key.Seed, err)
-			}
-			profiles++
-			profMu.Unlock()
-		}
+		m.OnResult = func(key scenario.Key, res *core.Result) { profiles.Store(key, res.Profile) }
 	}
 	total := len(m.Scenarios) * len(m.Variants) * len(m.Seeds)
 	var callbacks []func(scenario.CellUpdate)
@@ -289,25 +262,19 @@ func localSweep(ctx context.Context, spec dispatch.Spec, workers int,
 	if err != nil {
 		return nil, err
 	}
-	if out.Bundle != "" {
-		if err := writeBundle(out.Bundle, res, store); err != nil {
-			return nil, err
-		}
-	}
+	var spans []trace.Span
 	if tracer != nil {
-		spans := tracer.spans()
-		if err := trace.WriteChromeTraceFile(out.Trace, spans); err != nil {
-			return nil, err
-		}
-		logfStderr("sweep: wrote trace (%d spans) to %s — load it at https://ui.perfetto.dev", len(spans), out.Trace)
+		spans = tracer.spans()
 	}
-	if out.Engprof != "" {
-		if profErr != nil {
-			return nil, profErr
+	blobs := map[scenario.Key][]byte{}
+	for _, r := range res.Runs {
+		if p, ok := profiles.Load(r.Key); ok {
+			if blobs[r.Key], err = sapsim.EncodeProfileBytes(p.(*sapsim.Profile)); err != nil {
+				return nil, fmt.Errorf("engprof export %s/%s seed %d: %w", r.Key.Scenario, r.Key.Variant, r.Key.Seed, err)
+			}
 		}
-		fmt.Fprintf(os.Stderr, "sweep: exported %d engine profiles to %s\n", profiles, out.Engprof)
 	}
-	return res, nil
+	return res, dispatch.WriteExports(out, res, store, spans, blobs, logfSweep)
 }
 
 // localTracer derives the in-process sweep's cell-lifecycle spans from
@@ -378,27 +345,11 @@ func (lt *localTracer) spans() []trace.Span {
 	return out
 }
 
-// serveSweep is the dispatcher path: journal the matrix and serve it to
-// external simworkers until drained.
-func serveSweep(ctx context.Context, spec dispatch.Spec, addr, journalDir string,
-	progress bool, out dispatch.Exports) (*scenario.SweepResult, error) {
-	q, err := dispatch.NewQueue(journalDir, spec, dispatch.QueueOptions{})
-	if err != nil {
-		return nil, err
-	}
-	defer q.Close()
-	res, err := serveQueue(ctx, q, addr, progress)
-	if err != nil {
-		return nil, err
-	}
-	return res, dispatch.Export(q, res, out, logfSweep)
-}
-
-// resumeSweep reopens a journal: with addr it serves the remaining cells
-// to external workers, without it they run in-process over loopback. The
-// workers re-upload any artifact bodies the resume audit found missing or
-// damaged, so the bundle that materializes afterward is complete.
-func resumeSweep(ctx context.Context, dir, addr string, workers int,
+// resumeSweep reopens a journal and runs the remaining cells in-process
+// over loopback. The workers re-upload any artifact bodies the resume audit
+// found missing or damaged, so the bundle that materializes afterward is
+// complete.
+func resumeSweep(ctx context.Context, dir string, workers int,
 	progress bool, out dispatch.Exports) (*scenario.SweepResult, error) {
 	q, err := dispatch.Resume(dir, dispatch.QueueOptions{})
 	if err != nil {
@@ -406,77 +357,22 @@ func resumeSweep(ctx context.Context, dir, addr string, workers int,
 	}
 	defer q.Close()
 	fmt.Fprintf(os.Stderr, "sweep: %s\n", q.Recovered())
-	var res *scenario.SweepResult
-	if addr != "" {
-		res, err = serveQueue(ctx, q, addr, progress)
-	} else {
-		opts := dispatch.LocalOptions{Workers: workers}
-		if progress {
-			opts.Logf = logfStderr
-		}
-		res, err = dispatch.RunLocal(ctx, q, opts)
+	opts := dispatch.LocalOptions{Workers: workers}
+	if progress {
+		opts.Logf = logfStderr
 	}
+	res, err := dispatch.RunLocal(ctx, q, opts)
 	if err != nil {
 		return nil, err
 	}
 	return res, dispatch.Export(q, res, out, logfSweep)
 }
 
-// writeBundle materializes the report bundle and prints what landed.
-func writeBundle(dir string, res *scenario.SweepResult, store *artifact.Store) error {
-	manifest, err := artifact.WriteBundle(dir, res, store)
-	if err != nil {
-		return fmt.Errorf("bundle: %w", err)
-	}
-	bodies := 0
-	for _, c := range manifest.Cells {
-		bodies += len(c.Artifacts)
-	}
-	blobs, _ := store.Len()
-	fmt.Fprintf(os.Stderr, "sweep: bundled %d cells (%d artifact bodies, %d distinct blobs) into %s\n",
-		len(manifest.Cells), bodies, blobs, dir)
-	return nil
-}
-
-func serveQueue(ctx context.Context, q *dispatch.Queue, addr string, progress bool) (*scenario.SweepResult, error) {
-	d := dispatch.NewDispatcher(q)
-	if progress {
-		d.Logf = logfStderr
-	}
-	serveCtx, stopServe := context.WithCancel(ctx)
-	defer stopServe()
-	bound, err := d.Serve(serveCtx, addr)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("sweeping %d cells via dispatcher at %s (journal %s)\n",
-		len(q.Snapshot()), bound, filepath.Join(q.Dir(), dispatch.JournalName))
-	fmt.Printf("point workers here:  simworker -dispatcher http://%s\n", bound)
-	return d.WaitDrained(ctx, 0)
-}
-
-// pickJournalDir resolves the -journal default: OUT/journal when -out is
-// set, otherwise a fresh temp dir (printed, so the sweep stays resumable).
-func pickJournalDir(journal, out string) string {
-	if journal != "" {
-		return journal
-	}
-	if out != "" {
-		return filepath.Join(out, "journal")
-	}
-	dir, err := os.MkdirTemp("", "sweep-journal-*")
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "sweep: journaling to %s (use -journal to choose; -resume %s to recover)\n", dir, dir)
-	return dir
-}
-
 func logfStderr(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 }
 
-// logfSweep prefixes dispatch.Export's lines like the CLI's own.
+// logfSweep prefixes the export writer's lines like the CLI's own.
 func logfSweep(format string, args ...any) {
 	logfStderr("sweep: "+format, args...)
 }

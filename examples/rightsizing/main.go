@@ -26,25 +26,14 @@ func main() {
 	cfg.SampleEvery = 30 * sim.Minute
 	cfg.VMSampleEvery = sim.Hour
 
-	// Drive the window through a Session with a daily checkpoint cadence:
-	// the last checkpoint summarizes the run the recommendations are based
-	// on without touching the telemetry store.
-	session, err := sapsim.NewSession(cfg, sapsim.WithCheckpointEvery(sim.Day))
+	res, err := sapsim.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer session.Close()
-	if err := session.RunToCompletion(); err != nil {
-		log.Fatal(err)
-	}
-	res, err := session.Result()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if ckpt, ok := session.LastCheckpoint(); ok {
-		fmt.Printf("run: %d VMs live at %s, %d placements, %d migrations\n\n",
-			ckpt.LiveVMs, ckpt.At, ckpt.Scheduled, ckpt.Migrations)
-	}
+	// The run the recommendations are based on, from the result's counters.
+	fmt.Printf("run: %d VMs live at %s, %d placements, %d migrations\n\n",
+		analysis.Packing(res.Fleet).VMs, cfg.Horizon(), res.SchedStats.Scheduled,
+		res.DRSMigrations+res.CrossBBMoves)
 
 	// Mean usage per VM over the window, from the recorded VM series.
 	type usage struct{ cpu, mem float64 }

@@ -30,26 +30,51 @@ func ProfileFileName(key scenario.Key) string {
 	return fmt.Sprintf("%s__%s__%d.engprof.json", key.Scenario, key.Variant, key.Seed)
 }
 
-// Export materializes a drained queue's outputs, all three read from what
-// the sweep directory already holds: the bundle from the store the workers
-// uploaded into, the trace reconstructed from the journal (worker-shipped
-// engine spans included), and one profile file per terminal cell whose
-// profile pointer survived. res is the queue's merged result. logf
-// receives one line per output written.
+// Export gathers a drained queue's outputs from what the sweep directory
+// already holds — the store the workers uploaded into, the trace
+// reconstructed from the journal (worker-shipped engine spans included), and
+// the profile blob of every terminal cell whose profile pointer survived —
+// and hands them to WriteExports. res is the queue's merged result.
 func Export(q *Queue, res *scenario.SweepResult, out Exports, logf func(format string, args ...any)) error {
+	var spans []trace.Span
+	if out.Trace != "" {
+		var err error
+		if spans, err = TraceFromJournal(q.dir); err != nil {
+			return fmt.Errorf("trace: %w", err)
+		}
+	}
+	var profiles map[scenario.Key][]byte
+	if out.Engprof != "" {
+		profiles = map[scenario.Key][]byte{}
+		for _, st := range q.Snapshot() {
+			if st.Profile == nil {
+				continue
+			}
+			blob, err := q.store.Get(st.Profile.Digest)
+			if err != nil {
+				return fmt.Errorf("engprof export %s/%s seed %d: %w", st.Key.Scenario, st.Key.Variant, st.Key.Seed, err)
+			}
+			profiles[st.Key] = blob
+		}
+	}
+	return WriteExports(out, res, q.store, spans, profiles, logf)
+}
+
+// WriteExports is the one writer of a finished sweep's outputs, whichever
+// mode ran it: the bundle of res with bodies read from store, spans as a
+// Chrome trace, and one encoded profile file per cell of res that has one.
+// logf receives one line per output written.
+func WriteExports(out Exports, res *scenario.SweepResult, store *artifact.Store,
+	spans []trace.Span, profiles map[scenario.Key][]byte, logf func(format string, args ...any)) error {
 	if out.Bundle != "" {
-		manifest, err := artifact.WriteBundle(out.Bundle, res, q.store)
+		manifest, err := artifact.WriteBundle(out.Bundle, res, store)
 		if err != nil {
 			return fmt.Errorf("bundle: %w", err)
 		}
 		logf("bundled %d cells into %s", len(manifest.Cells), out.Bundle)
 	}
 	if out.Trace != "" {
-		spans, err := TraceFromJournal(q.dir)
-		if err == nil {
-			err = trace.WriteChromeTraceFile(out.Trace, spans)
-		}
-		if err != nil {
+		if err := trace.WriteChromeTraceFile(out.Trace, spans); err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
 		logf("wrote trace (%d spans) to %s — load it at https://ui.perfetto.dev", len(spans), out.Trace)
@@ -59,16 +84,13 @@ func Export(q *Queue, res *scenario.SweepResult, out Exports, logf func(format s
 			return err
 		}
 		n := 0
-		for _, st := range q.Snapshot() {
-			if st.Profile == nil {
+		for _, r := range res.Runs {
+			blob, ok := profiles[r.Key]
+			if !ok {
 				continue
 			}
-			blob, err := q.store.Get(st.Profile.Digest)
-			if err == nil {
-				err = os.WriteFile(filepath.Join(out.Engprof, ProfileFileName(st.Key)), blob, 0o644)
-			}
-			if err != nil {
-				return fmt.Errorf("engprof export %s/%s seed %d: %w", st.Key.Scenario, st.Key.Variant, st.Key.Seed, err)
+			if err := os.WriteFile(filepath.Join(out.Engprof, ProfileFileName(r.Key)), blob, 0o644); err != nil {
+				return fmt.Errorf("engprof export %s/%s seed %d: %w", r.Key.Scenario, r.Key.Variant, r.Key.Seed, err)
 			}
 			n++
 		}

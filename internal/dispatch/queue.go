@@ -370,9 +370,6 @@ func (q *Queue) reclaimLocked(digests ...string) {
 // Spec returns the sweep's matrix spec.
 func (q *Queue) Spec() Spec { return q.spec }
 
-// Dir returns the sweep directory holding the journal.
-func (q *Queue) Dir() string { return q.dir }
-
 // Recovered describes what Resume found (empty for a fresh queue).
 func (q *Queue) Recovered() string { return q.recovered }
 

@@ -12,7 +12,7 @@ import (
 // enabled (cells sharing a (variant, seed) fork from one snapshot of their
 // common prefix). The scenarios diverge in the final eighth of a 48h
 // horizon, so the warm path simulates the 42h warmup once instead of three
-// times — the ns/op gap in BENCH_*.json is that skipped prefix, net of the
+// times — the ns/op gap between the two is that skipped prefix, net of the
 // snapshot + per-branch restore cost. Cells are full-cell sized: on toy
 // cells the fork overhead wins instead, which is exactly why Matrix.Branch
 // is opt-in.

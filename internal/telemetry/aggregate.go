@@ -131,32 +131,3 @@ func DailyStats(s *Series, days int) []DailyStat {
 func MeanOverRange(s *Series, from, to sim.Time) float64 {
 	return Mean(s.Range(from, to))
 }
-
-// Downsample reduces a series to one mean sample per step, anchored at the
-// start of each step. It is the Thanos-style compaction used before
-// long-range queries.
-func Downsample(s *Series, step sim.Time) []Sample {
-	if step <= 0 || len(s.Samples) == 0 {
-		return nil
-	}
-	var out []Sample
-	cur := (s.Samples[0].T / step) * step
-	sum, n := 0.0, 0
-	flush := func() {
-		if n > 0 {
-			out = append(out, Sample{T: cur, V: sum / float64(n)})
-		}
-	}
-	for _, smp := range s.Samples {
-		bucket := (smp.T / step) * step
-		if bucket != cur {
-			flush()
-			cur = bucket
-			sum, n = 0, 0
-		}
-		sum += smp.V
-		n++
-	}
-	flush()
-	return out
-}

@@ -37,15 +37,11 @@ func (st *Store) Refs(metrics []string, sets []Labels) []SeriesRef {
 	return refs
 }
 
-// Append adds one sample. A series removed from the store since the handle
-// was resolved (retention, a snapshot Load) is re-created and re-indexed
-// first, exactly as an Appender write would.
+// Append adds one sample. The store never removes a series, so the handle
+// is valid for the life of its store.
 func (r *SeriesRef) Append(t sim.Time, v float64) error {
 	sh := r.st.shardFor(r.s.hash)
 	sh.mu.Lock()
-	if r.s.removed {
-		r.s = r.st.getOrCreate(sh, r.s.hash, r.s.metric, r.s.labels)
-	}
 	err := r.s.appendSample(t, v)
 	sh.mu.Unlock()
 	return err

@@ -22,7 +22,6 @@ type memSeries struct {
 	labels  Labels
 	hash    uint64 // hashSeries(metric, labels)
 	seq     uint64 // global creation sequence, for deterministic Select order
-	removed bool   // unlinked by removeSeries; a SeriesRef must re-resolve
 	samples []Sample
 }
 
@@ -40,9 +39,9 @@ func (s *memSeries) appendSample(t sim.Time, v float64) error {
 
 // snapshot returns an immutable view. The three-index slice caps the
 // snapshot at the current length: a later append writes past the cap (or
-// reallocates), never into the snapshot's window, and Compact/DropBefore
-// replace the backing array wholesale, so snapshots stay stable under
-// concurrent writes. Called with the shard lock held.
+// reallocates), never into the snapshot's window, and a stored sample is
+// never rewritten, so snapshots stay stable under concurrent writes. Called
+// with the shard lock held.
 func (s *memSeries) snapshot() *Series {
 	n := len(s.samples)
 	return &Series{Metric: s.metric, Labels: s.labels, Samples: s.samples[:n:n]}
@@ -69,27 +68,22 @@ func (sh *shard) init() {
 }
 
 // Store holds many series and is safe for concurrent use (the exporter
-// scrape path and the simulator may interleave).
+// scrape path and the simulator may interleave). It is append-only: a
+// series is never removed and a stored sample is never rewritten.
 type Store struct {
 	shards [shardCount]shard
 	seq    atomic.Uint64
 
 	// interned deduplicates label sets store-wide: every series created
-	// with an equal label set shares one backing slice. Entries are
-	// refcounted so retention can prune label sets whose last series is
-	// gone.
+	// with an equal label set shares one backing slice. Hash collisions
+	// chain.
 	internMu sync.Mutex
-	interned map[uint64][]internEntry
-}
-
-type internEntry struct {
-	labels Labels
-	refs   int
+	interned map[uint64][]Labels
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	st := &Store{interned: make(map[uint64][]internEntry)}
+	st := &Store{interned: make(map[uint64][]Labels)}
 	for i := range st.shards {
 		st.shards[i].init()
 	}
@@ -104,43 +98,18 @@ func (st *Store) shardFor(hash uint64) *shard {
 	return &st.shards[hash&(shardCount-1)]
 }
 
-// intern returns the canonical copy of a label set, taking one reference.
+// intern returns the canonical copy of a label set.
 func (st *Store) intern(l Labels) Labels {
 	h := hashLabels(l)
 	st.internMu.Lock()
 	defer st.internMu.Unlock()
-	entries := st.interned[h]
-	for i := range entries {
-		if entries[i].labels.Equal(l) {
-			entries[i].refs++
-			return entries[i].labels
+	for _, c := range st.interned[h] {
+		if c.Equal(l) {
+			return c
 		}
 	}
-	st.interned[h] = append(entries, internEntry{labels: l, refs: 1})
+	st.interned[h] = append(st.interned[h], l)
 	return l
-}
-
-// releaseInterned drops one reference to a label set, pruning the entry
-// when its last series is gone.
-func (st *Store) releaseInterned(l Labels) {
-	h := hashLabels(l)
-	st.internMu.Lock()
-	defer st.internMu.Unlock()
-	entries := st.interned[h]
-	for i := range entries {
-		if entries[i].labels.Equal(l) {
-			entries[i].refs--
-			if entries[i].refs <= 0 {
-				entries = append(entries[:i], entries[i+1:]...)
-				if len(entries) == 0 {
-					delete(st.interned, h)
-				} else {
-					st.interned[h] = entries
-				}
-			}
-			return
-		}
-	}
 }
 
 // getOrCreate resolves (metric, labels) to its series, creating and
@@ -171,45 +140,6 @@ func (st *Store) getOrCreate(sh *shard, hash uint64, metric string, labels Label
 	return s
 }
 
-// removeSeries unlinks a series from every index of its shard and releases
-// its interned label set. Called with the shard write lock held (the
-// shard-lock → internMu order matches getOrCreate).
-func (st *Store) removeSeries(sh *shard, s *memSeries) {
-	sh.series[s.hash] = filterOut(sh.series[s.hash], s)
-	if len(sh.series[s.hash]) == 0 {
-		delete(sh.series, s.hash)
-	}
-	sh.postings[s.metric] = filterOut(sh.postings[s.metric], s)
-	if len(sh.postings[s.metric]) == 0 {
-		delete(sh.postings, s.metric)
-	}
-	for i := 0; i < len(s.labels.kv); i += 2 {
-		name, value := s.labels.kv[i], s.labels.kv[i+1]
-		vals := sh.byLabel[name]
-		if vals == nil {
-			continue
-		}
-		vals[value] = filterOut(vals[value], s)
-		if len(vals[value]) == 0 {
-			delete(vals, value)
-		}
-		if len(vals) == 0 {
-			delete(sh.byLabel, name)
-		}
-	}
-	st.releaseInterned(s.labels)
-	s.removed = true
-}
-
-func filterOut(list []*memSeries, drop *memSeries) []*memSeries {
-	for i, s := range list {
-		if s == drop {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
-}
-
 // Append adds a sample to the series identified by (metric, labels),
 // creating it on first use. For bulk ingestion prefer an Appender, which
 // batches samples and takes each shard lock once per flush.
@@ -231,7 +161,7 @@ type Matcher struct {
 // satisfy every matcher, in deterministic (creation) order. The postings
 // and label-value indexes bound the work by the smallest candidate list,
 // so cost is proportional to matching series, not store size. Snapshots
-// are immune to subsequent appends and compactions.
+// are immune to subsequent appends.
 func (st *Store) Select(metric string, matchers ...Matcher) []*Series {
 	type hit struct {
 		seq uint64

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -36,11 +37,62 @@ func TestSelectSnapshotImmutable(t *testing.T) {
 			t.Errorf("snapshot sample %d mutated: %v", i, smp.V)
 		}
 	}
-	// Compaction must not disturb outstanding snapshots either.
-	snap2 := st.Select("cpu")[0]
-	st.Compact(1000*sim.Minute, sim.Hour)
-	if len(snap2.Samples) != 1000 {
-		t.Errorf("snapshot shrank to %d samples after compaction", len(snap2.Samples))
+}
+
+// TestSeriesRefLifecycle drives the only lifecycle a handle has: resolve,
+// append, round-trip the store through Dump/Load, resolve again on the
+// loaded store (finding, not shadowing, the loaded series) and append. Every
+// key ends as one series, in the original creation order, with all samples.
+func TestSeriesRefLifecycle(t *testing.T) {
+	metrics := []string{"cpu", "mem", "net"}
+	var sets []Labels
+	for n := 0; n < 32; n++ { // enough keys to land in every shard
+		sets = append(sets, MustLabels("node", fmt.Sprintf("n%02d", n)))
+	}
+	appendAll := func(refs []SeriesRef, at sim.Time) {
+		t.Helper()
+		for i := range refs {
+			if err := refs[i].Append(at, float64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := NewStore()
+	refs := st.Refs(metrics, sets)
+	appendAll(refs, sim.Hour)
+	appendAll(refs, 2*sim.Hour)
+	if err := refs[0].Append(2*sim.Hour, 0); !errors.Is(err, ErrOutOfOrder) {
+		t.Errorf("repeated timestamp through a handle = %v, want ErrOutOfOrder", err)
+	}
+
+	loaded := NewStore()
+	if err := loaded.Load(st.Dump()); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Load(st.Dump()); err == nil {
+		t.Error("Load into a non-empty store succeeded")
+	}
+	appendAll(loaded.Refs(metrics, sets), 3*sim.Hour)
+
+	if got, want := loaded.SeriesCount(), len(refs); got != want {
+		t.Fatalf("loaded store has %d series, want %d (a handle shadowed a loaded series)", got, want)
+	}
+	for mi, metric := range metrics {
+		before, after := st.Select(metric), loaded.Select(metric)
+		if len(before) != len(sets) || len(after) != len(sets) {
+			t.Fatalf("Select(%s) = %d series before, %d after Load, want %d", metric, len(before), len(after), len(sets))
+		}
+		for i, s := range after {
+			if !s.Labels.Equal(before[i].Labels) {
+				t.Fatalf("Select(%s)[%d] = %s after Load, want %s (creation order lost)", metric, i, s.Labels, before[i].Labels)
+			}
+		}
+		got := loaded.Select(metric, Matcher{"node", "n31"})
+		v := float64(31*len(metrics) + mi)
+		want := []Sample{{sim.Hour, v}, {2 * sim.Hour, v}, {3 * sim.Hour, v}}
+		if len(got) != 1 || !reflect.DeepEqual(got[0].Samples, want) {
+			t.Errorf("Select(%s, node=n31) after Load = %v, want samples %v", metric, got, want)
+		}
 	}
 }
 
@@ -167,33 +219,6 @@ func TestLabelInterning(t *testing.T) {
 	b := st.Select("mem")[0].Labels
 	if len(a.kv) == 0 || &a.kv[0] != &b.kv[0] {
 		t.Error("equal label sets not interned to one backing slice")
-	}
-}
-
-// TestInternPruning: retention that deletes the last series of a label set
-// must release the interned entry (churning VM labels must not accumulate
-// for the store's lifetime).
-func TestInternPruning(t *testing.T) {
-	st := NewStore()
-	keep := MustLabels("node", "survivor")
-	if err := st.Append("cpu", keep, 10*sim.Day, 1); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		l := MustLabels("virtualmachine", fmt.Sprintf("vm-%03d", i))
-		if err := st.Append("vm_cpu", l, sim.Time(i), 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st.DropBefore(sim.Day) // kills all 100 VM series, keeps the survivor
-	st.internMu.Lock()
-	entries := 0
-	for _, chain := range st.interned {
-		entries += len(chain)
-	}
-	st.internMu.Unlock()
-	if entries != 1 {
-		t.Errorf("intern table holds %d label sets after retention, want 1", entries)
 	}
 }
 

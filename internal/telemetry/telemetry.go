@@ -201,7 +201,7 @@ func fingerprint(metric string, l Labels) string {
 
 // Series is one time series: a metric name, a label set, and samples in
 // strictly increasing time order. Series returned by Store.Select are
-// immutable snapshots: later appends or compactions never mutate them.
+// immutable snapshots: later appends never mutate them.
 type Series struct {
 	Metric  string
 	Labels  Labels

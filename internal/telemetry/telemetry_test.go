@@ -206,32 +206,6 @@ func TestDailyStats(t *testing.T) {
 	}
 }
 
-func TestDownsample(t *testing.T) {
-	s := &Series{}
-	for i := 0; i < 120; i++ { // 2 hours at 1-minute resolution
-		s.Samples = append(s.Samples, Sample{T: sim.Time(i) * sim.Minute, V: float64(i)})
-	}
-	ds := Downsample(s, sim.Hour)
-	if len(ds) != 2 {
-		t.Fatalf("downsampled to %d buckets, want 2", len(ds))
-	}
-	if ds[0].V != 29.5 { // mean of 0..59
-		t.Errorf("bucket0 mean = %v, want 29.5", ds[0].V)
-	}
-	if ds[1].V != 89.5 {
-		t.Errorf("bucket1 mean = %v, want 89.5", ds[1].V)
-	}
-	if ds[0].T != 0 || ds[1].T != sim.Hour {
-		t.Errorf("bucket anchors wrong: %v %v", ds[0].T, ds[1].T)
-	}
-	if Downsample(s, 0) != nil {
-		t.Error("zero step should return nil")
-	}
-	if Downsample(&Series{}, sim.Hour) != nil {
-		t.Error("empty series should return nil")
-	}
-}
-
 func TestMeanOverRange(t *testing.T) {
 	s := &Series{Samples: []Sample{{0, 2}, {sim.Hour, 4}, {2 * sim.Hour, 9}}}
 	if got := MeanOverRange(s, 0, 2*sim.Hour); got != 3 {

@@ -81,11 +81,17 @@ const (
 // stretchSnapshotEvery decides the session's next snapshot interval: when
 // cumulative snapshot-capture cost exceeds snapshotBudgetPct of the run's
 // accounted engine time, the current interval doubles (capped at
-// maxSnapshotStretch × the configured base). Tiny cells — where a capture
-// costs as much as simulating the interval — back off; full-size cells
-// never cross the threshold and keep their configured cadence. The decision
-// reads only the profiler's wall-clock counters, so it cannot perturb
-// simulated event order.
+// maxSnapshotStretch × the configured base). It fires on both real cell
+// sizes, because capture copies every stored sample (Store.Dump) and so
+// costs O(samples so far): measured at a 6 h cadence, the default 30-day
+// cell reaches the 8× cap and takes 18–19 snapshots instead of 119, with
+// capture still 30–40% of accounted engine time, and cmd/sweep's default
+// cell takes 10–14 instead of 39; only cells whose total capture stays under
+// snapshotStretchFloorNanos (the six-day 0.01-scale dispatch cell, 23
+// snapshots, ≈ 34 ms) keep their configured cadence. The stretch is
+// load-bearing until capture stops being O(samples). The decision reads only
+// the profiler's wall-clock counters, so it cannot perturb simulated event
+// order.
 func stretchSnapshotEvery(base, current sim.Time, encodeNanos, accountedNanos int64) sim.Time {
 	if encodeNanos < snapshotStretchFloorNanos {
 		return current

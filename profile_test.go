@@ -170,13 +170,16 @@ func TestSnapshotCadenceStretchIntegration(t *testing.T) {
 	}
 }
 
-// TestSamplingWorkGate pins, without a stopwatch, how much work the
-// sampling tick does on the golden cell: samples written per sweep family
-// (8 per sampled host per tick; 2 per placed VM plus 1 per VM tick), series
-// and samples that reached the store, and resident-set walks (snapshot-cache
-// misses — the cache serves the VM sweep and DRS at a shared instant). All
-// are deterministic per seed. A change that drops or duplicates samples, or
-// re-walks a host's VMs per metric or per consumer, fails here.
+// TestSamplingWorkGate pins, without a stopwatch, how much work the hot
+// phases do on the golden cell. The sampling tick: samples written per sweep
+// family (8 per sampled host per tick; 2 per placed VM plus 1 per VM tick),
+// series and samples that reached the store, and resident-set walks
+// (snapshot-cache misses — the cache serves the VM sweep and DRS at a shared
+// instant). Placement and rebalancing: candidates the scheduler filtered,
+// claim attempts including retries, hosts DRS scanned, and engine events
+// fired. All are deterministic per seed. A change that drops or duplicates
+// samples, re-walks a host's VMs per metric or per consumer, re-filters or
+// re-scans more than before, or schedules extra events fails here.
 func TestSamplingWorkGate(t *testing.T) {
 	res, err := Run(goldenConfig())
 	if err != nil {
@@ -192,6 +195,10 @@ func TestSamplingWorkGate(t *testing.T) {
 		{"store series", int64(res.Store.SeriesCount()), 3857},
 		{"store samples", int64(res.Store.SampleCount()), 921920 + 362913},
 		{"snapshot-cache misses", int64(misses), 115720},
+		{"sched/filter ops", res.Profile.Phase(engprof.PhaseSchedFilter).Ops, 20079},
+		{"sched/claim ops", res.Profile.Phase(engprof.PhaseSchedClaim).Ops, 2663},
+		{"drs/scan ops", res.Profile.Phase(engprof.PhaseDRSScan).Ops, 11697},
+		{"fired events", res.Profile.Events, 5590},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
