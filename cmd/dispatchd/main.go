@@ -58,7 +58,7 @@ func main() {
 		scenarios  = flag.String("scenarios", "", "comma-separated scenario names (default: all builtin)")
 		variants   = flag.String("variants", "default", "comma-separated variant names (\"all\" = every builtin)")
 		seeds      = flag.String("seeds", "2024", "comma-separated seeds")
-		checkpoint = flag.Duration("checkpoint", 6*time.Hour, "simulated-time mid-run snapshot cadence for workers")
+		checkpoint = flag.Duration("checkpoint", 6*time.Hour, "simulated-time stride workers step their cells in; between strides a worker captures at most one snapshot per heartbeat")
 		lease      = flag.Duration("lease", dispatch.DefaultLease, "heartbeat deadline before a cell re-books")
 		timeout    = flag.Duration("timeout", 0, "wall-clock limit for the whole sweep (0 = none)")
 		out        = flag.String("out", "", "report directory (default: -dir)")

@@ -1,7 +1,7 @@
 // Command simworker is the worker half of the dispatcher split (the simd
 // of SIMQ): it books sweep cells from a dispatchd, runs each through the
-// step-driven sapsim Session, renews its lease with heartbeats that carry
-// the newest mid-run snapshot, uploads every artifact body into the
+// step-driven sapsim Session, renews its lease with heartbeats that each
+// carry at most one mid-run snapshot, uploads every artifact body into the
 // dispatcher's content-addressed store (deduplicated: a HEAD probe skips
 // blobs the store already holds), and completes each cell with its
 // metrics plus digests. Workers are stateless: start as many as you have

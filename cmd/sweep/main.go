@@ -89,7 +89,7 @@ func main() {
 		diff         = flag.Bool("diff", false, "fingerprint all artifacts per cell and print per-cell diffs vs the baseline scenario")
 		list         = flag.Bool("list", false, "list builtin scenarios and variants, then exit")
 		resumeDir    = flag.String("resume", "", "resume an interrupted dispatched sweep from this journal directory")
-		branch       = flag.Bool("branch", false, "warm-fork cells sharing a (variant, seed) from one snapshot of their common prefix (in-process mode only; byte-identical to a cold sweep)")
+		branch       = flag.Bool("branch", false, "warm-fork cells sharing a (variant, seed) from one snapshot of their common prefix (in-process mode only; a test pins equal runs to a cold sweep for one matrix, there is no general byte-identity guarantee)")
 		bundleDir    = flag.String("bundle", "", "materialize a digest-verified report bundle (artifact bodies included) into this directory")
 		traceOut     = flag.String("trace", "", "export the sweep's cell-lifecycle trace (Chrome trace-event JSON, Perfetto-loadable) to this file")
 		engprofDir   = flag.String("engprof", "", "export each cell's engine self-profile as JSON into this directory (for analyze -engprof)")
@@ -125,7 +125,7 @@ func main() {
 		base.VMs = *vms
 		base.Days = *days
 		base.SampleEvery = sim.Time(*sample)
-		// The snapshot cadence is for dispatched workers; in-process cells
+		// The checkpoint stride is for dispatched workers; in-process cells
 		// take no mid-run snapshots.
 		spec, err := dispatch.ParseSpec(base, *scenarioList, *variantList, *seedList, 0)
 		if err != nil {

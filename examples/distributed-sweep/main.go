@@ -55,8 +55,9 @@ func main() {
 		Scenarios: []string{"baseline", "correlated-failures", "capacity-expansion"},
 		Variants:  []string{"default"},
 		Seeds:     []uint64{7, 11},
-		// Workers snapshot the engine every 3 simulated hours; each snapshot
-		// rides a lease-renewing heartbeat and is a journaled resume point.
+		// Workers stride their cells in 3-simulated-hour steps; between steps
+		// they capture at most one snapshot per lease-renewing heartbeat, and
+		// each one shipped is a journaled resume point.
 		CheckpointEvery: 3 * sim.Hour,
 	}
 
@@ -89,8 +90,8 @@ func main() {
 		// so the first is accepted mid-run.
 		HeartbeatEvery: 2 * time.Millisecond, Poll: 50 * time.Millisecond,
 		Hooks: dispatch.WorkerHooks{
-			// The first accepted mid-run snapshot proves the cell is mid
-			// run; die right there.
+			// An accepted snapshot means the cell has resumable state in
+			// the store and has not completed; die right there.
 			OnSnapshot: func(job int, _ dispatch.BlobRef) { killVictim() },
 		},
 	}

@@ -2,12 +2,30 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"sapsim/internal/events"
 	"sapsim/internal/sim"
 	"sapsim/internal/vmmodel"
 )
+
+// TestRejectedEventFailsTheRun: an event-log append the log refuses used to
+// be dropped; it must come back from AdvanceTo.
+func TestRejectedEventFailsTheRun(t *testing.T) {
+	s, err := NewSimulation(smallConfig(5), Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An entry ahead of the clock makes the run's next append out of order.
+	ahead := events.Event{At: s.Horizon(), Type: events.Create, VM: "ahead"}
+	if err := s.Result().Events.Append(ahead); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AdvanceTo(s.Horizon(), nil); !errors.Is(err, events.ErrBadEvent) {
+		t.Fatalf("AdvanceTo = %v, want events.ErrBadEvent", err)
+	}
+}
 
 func TestRunRecordsEvents(t *testing.T) {
 	cfg := smallConfig(37)

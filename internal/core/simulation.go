@@ -200,9 +200,9 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 	s.instances = workload.NewGenerator(spec).Generate()
 	instances := s.instances
 
-	// record appends an event; logging failures cannot occur because all
-	// appends happen in simulation-time order.
-	record := func(e events.Event) { _ = res.Events.Append(e) }
+	// record appends an event. Appends happen in simulation-time order, so a
+	// rejected one is a bug; it fails the run instead of thinning the log.
+	record := func(e events.Event) { engine.NoteError(res.Events.Append(e)) }
 
 	// deleteVM builds the planned-deletion handler for one instance. Both
 	// the cold path and the rearmer use it, so a restored deletion event
@@ -217,7 +217,7 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 			if in.VM.Node != nil {
 				source = string(in.VM.Node.ID)
 			}
-			_ = sched.Delete(in.VM, at)
+			engine.NoteError(sched.Delete(in.VM, at))
 			record(events.Event{At: at, Type: events.Delete,
 				VM: string(in.VM.ID), Flavor: in.VM.Flavor.Name, Source: source})
 		}
@@ -252,7 +252,8 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 		}
 		live[in.VM.ID] = in.VM
 		if del := in.DeleteAt(); del < cfg.Horizon() {
-			_, _ = engine.SchedulePriorityOwned(del, -1, ownerDelete, indexPayload(idx), deleteVM(in))
+			_, err := engine.SchedulePriorityOwned(del, -1, ownerDelete, indexPayload(idx), deleteVM(in))
+			engine.NoteError(err)
 		}
 	}
 	placeVM := s.placeVM
@@ -494,11 +495,6 @@ func (s *Simulation) Result() *Result {
 	return s.res
 }
 
-// Profiler exposes the simulation's engine self-profiler, so callers that
-// measure work outside the engine loop on this cell's behalf (the session's
-// snapshot encode) can attribute it into the same profile.
-func (s *Simulation) Profiler() *engprof.Collector { return s.prof }
-
 // snapshotProfile folds the subsystem counters the collector cannot see
 // from the engine loop — placement-database operations, the fleet's
 // snapshot-cache outcomes — into the owner breakdown, then snapshots.
@@ -545,6 +541,9 @@ func (s *Simulation) finalize() {
 	s.finalized = true
 	if s.rebalancer != nil {
 		s.res.DRSMigrations = s.rebalancer.Migrations()
+		// Result.DRS outlives the run; its hook reaches the engine through
+		// record, and a held Result must not pin the engine's queue.
+		s.rebalancer.OnMigrate = nil
 	}
 	if s.cross != nil {
 		s.res.CrossBBMoves = s.cross.Moves()

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"sapsim/internal/analysis"
+	"sapsim/internal/engprof"
 	"sapsim/internal/events"
 	"sapsim/internal/exporter"
 	"sapsim/internal/nova"
@@ -42,11 +43,13 @@ func fingerprint(cfg Config, numInjectors int) string {
 // engine-idle boundary: the pending event queue as rearmable records, the
 // dynamic VM overlay, node service state, RNG streams, counters, the event
 // log, and the telemetry store. It must be called between AdvanceTo
-// segments, never from inside a handler.
+// segments, never from inside a handler. Every capture is attributed to the
+// profile's snapshot/encode phase, one op each.
 func (s *Simulation) Snapshot() (*snapshot.Snapshot, error) {
 	if s.finalized {
 		return nil, errors.New("core: cannot snapshot a finished simulation")
 	}
+	mark := s.prof.Start()
 	eng, err := s.engine.CaptureState()
 	if err != nil {
 		return nil, err
@@ -113,6 +116,7 @@ func (s *Simulation) Snapshot() (*snapshot.Snapshot, error) {
 	}
 	snap.Events = append([]events.Event(nil), s.res.Events.All()...)
 	snap.Series = s.res.Store.Dump()
+	s.prof.EndSpan(engprof.PhaseSnapshotEncode, mark, 1)
 	return snap, nil
 }
 

@@ -3,7 +3,7 @@
 // dispatcher that books cells out to workers and collects per-cell metrics
 // and artifact digests, and a worker that runs each booked cell through the
 // step-driven sapsim Session, renewing its lease with heartbeats that carry
-// the newest mid-run snapshot pointer and the worker's trace spans.
+// at most one mid-run snapshot pointer each and the worker's trace spans.
 //
 // The shape follows the SIMQ dispatcher/simd split: the dispatcher owns
 // queue state and survives restarts (Resume replays the journal and
@@ -129,8 +129,11 @@ type Spec struct {
 	Scenarios []string
 	Variants  []string
 	Seeds     []uint64
-	// CheckpointEvery is the simulated-time cadence workers take mid-run
-	// snapshots at (default 6 simulated hours).
+	// CheckpointEvery is the simulated-time stride workers step a cell in,
+	// rounded up to whole SampleEvery ticks (default 6 simulated hours).
+	// Stride boundaries are where a worker can capture a snapshot; it
+	// captures one only when its previous one has shipped, so at most one
+	// per heartbeat.
 	CheckpointEvery sim.Time
 }
 

@@ -555,7 +555,7 @@ func (q *Queue) Progress(jobID int, worker string, attempt int) error {
 // already be in the store — a dangling pointer is rejected with
 // ErrMissingBlobs, since it would send every reader through a failed
 // fetch. The newest pointer of a kind wins, and the superseded blob is
-// reclaimed now instead of accreting one per cadence boundary until the
+// reclaimed now instead of accreting one per shipped snapshot until the
 // next Resume's GC. Returns Stale when the worker no longer holds the job.
 func (q *Queue) RecordBlob(jobID int, worker string, attempt int, ref BlobRef) error {
 	if err := ref.Validate(); err != nil {

@@ -37,9 +37,11 @@ type WorkerHooks struct {
 	// deduplicated reports blobs the store already held (skipped via the
 	// HEAD probe).
 	OnUpload func(job int, id, digest string, deduplicated bool)
-	// OnSnapshot fires after a mid-run engine snapshot is accepted by the
-	// dispatcher (blob uploaded, pointer journaled) — guaranteed mid-run,
-	// however fast the cell runs on the wall clock.
+	// OnSnapshot fires after an engine snapshot is accepted by the
+	// dispatcher (blob uploaded, pointer journaled), at most once per
+	// heartbeat and before that heartbeat's OnHeartbeat. The snapshot is of
+	// mid-run state, and the cell has not completed: the heartbeat loop
+	// stops before the completion posts.
 	OnSnapshot func(job int, ref BlobRef)
 	// OnResume fires when a booked cell warm-resumes from a previous
 	// holder's snapshot instead of starting at t=0.
@@ -47,13 +49,14 @@ type WorkerHooks struct {
 }
 
 // Worker is the simd half of the dispatcher split: a stateless loop that
-// books cells, runs each through the step-driven sapsim Session, renews
-// the lease with heartbeats that carry its newest mid-run snapshot,
-// uploads every artifact body into the dispatcher's content-addressed
-// store (HEAD-deduplicated: blobs the store already holds never travel),
-// and completes with the cell's metrics plus digests. Workers hold no
-// sweep state — kill one at any point and its cells re-book elsewhere
-// after the lease expires.
+// books cells, strides each through the sapsim Session in steps of the
+// sweep's CheckpointEvery, renews the lease with heartbeats that each carry
+// at most one mid-run snapshot — captured at a stride boundary only once the
+// previous one has shipped — uploads every artifact body into the
+// dispatcher's content-addressed store (HEAD-deduplicated: blobs the store
+// already holds never travel), and completes with the cell's metrics plus
+// digests. Workers hold no sweep state — kill one at any point and its
+// cells re-book elsewhere after the lease expires.
 type Worker struct {
 	// Dispatcher is the base URL (http://host:port).
 	Dispatcher string
@@ -91,9 +94,10 @@ type Worker struct {
 	// Hooks observe the lifecycle (tests).
 	Hooks WorkerHooks
 	// DisableSnapshots turns off mid-run snapshot capture and warm
-	// resume: cells always start at t=0 and upload no snapshot blobs
-	// (simworker -snapshots=false). Correctness is unaffected — snapshots
-	// only save the re-run prefix after a worker death.
+	// resume: cells always start at t=0, run in one RunToCompletion, and
+	// upload no snapshot blobs (simworker -snapshots=false). Correctness is
+	// unaffected — snapshots only save the re-run prefix after a worker
+	// death.
 	DisableSnapshots bool
 	// Artifacts renders the cell's artifact bodies, artifact ID → text
 	// (default sapsim.ArtifactSet — all 18 paper artifacts). Digests are
@@ -337,12 +341,15 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 		return err
 	}
 
-	// pending holds the freshest encoded engine snapshot; the heartbeat
-	// loop ships it at its own wall-clock pace, so snapshots coalesce here
-	// (newest wins).
+	// pending is the one snapshot awaiting shipment. The run loop captures
+	// into it at a stride boundary only while it is nil; the heartbeat loop
+	// encodes and ships it, and clears it once the pointer is journaled (or
+	// the encode failed) — which is what asks the run loop for the next. So
+	// nothing is captured faster than heartbeats can ship, and nothing is
+	// encoded that is not shipped.
 	var (
 		mu      sync.Mutex
-		pending *pendingSnapshot
+		pending *sapsim.Snapshot
 	)
 	// Span collection: the dispatcher handed us trace context (Trace is
 	// the cell's trace ID, Span the attempt span it derives from the
@@ -380,31 +387,13 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 		mu.Unlock()
 	}
 	observe := sapsim.WithObserverFunc(func(ev sapsim.SessionEvent) {
-		switch c := ev.(type) {
-		case sapsim.SessionPhase:
+		if c, ok := ev.(sapsim.SessionPhase); ok {
 			addSpan(c.Name, c.Start, c.End, map[string]string{
 				"sim_from": fmt.Sprint(c.FromSim), "sim_to": fmt.Sprint(c.ToSim)})
-		case sapsim.SnapshotReady:
-			// Encode here, on the session's event-dispatch goroutine; the
-			// heartbeat loop ships the blob and reports the pointer.
-			encStart := time.Now()
-			blob, err := sapsim.EncodeSnapshotBytes(c.Snapshot)
-			if err != nil {
-				w.logf("worker %s: job %d snapshot encode: %v", id, booked.Job, err)
-				return
-			}
-			addSpan("snapshot-encode", encStart, time.Now(), nil)
-			mu.Lock()
-			pending = &pendingSnapshot{blob: blob,
-				ref: BlobRef{Kind: BlobSnapshot, Digest: artifact.Digest(blob), At: c.At}}
-			mu.Unlock()
 		}
 	})
 	buildSession := func(snap *sapsim.Snapshot) (*sapsim.Session, error) {
 		opts := []sapsim.Option{sapsim.WithContext(cellCtx), observe}
-		if !w.DisableSnapshots {
-			opts = append(opts, sapsim.WithSnapshotEvery(sim.Time(booked.CheckpointEvery)))
-		}
 		if snap != nil {
 			return sapsim.ResumeFromSnapshot(cfg, snap, opts...)
 		}
@@ -476,19 +465,29 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 			mu.Lock()
 			snap := pending
 			mu.Unlock()
-			// Ship the newest snapshot blob before reporting its pointer:
-			// the dispatcher rejects a pointer whose blob is not in the
-			// store. Upload failures are transient — the snapshot stays
-			// pending and the next heartbeat retries (or ships a newer one).
+			// Encode the pending snapshot here, off the engine goroutine, and
+			// ship the blob before reporting its pointer: the dispatcher
+			// rejects a pointer whose blob is not in the store. Upload
+			// failures are transient — the snapshot stays pending and the
+			// next heartbeat encodes and tries it again.
 			var snapRef *BlobRef
 			if snap != nil {
-				upStart := time.Now()
-				if _, err := w.uploadBlob(cellCtx, snap.ref.Digest, snap.blob); err != nil {
-					w.logf("worker %s: job %d snapshot upload: %v", id, booked.Job, err)
-					snap = nil
+				encStart := time.Now()
+				if blob, err := sapsim.EncodeSnapshotBytes(snap); err != nil {
+					w.logf("worker %s: job %d snapshot encode: %v", id, booked.Job, err)
+					mu.Lock()
+					pending = nil
+					mu.Unlock()
 				} else {
-					addSpan("snapshot-upload", upStart, time.Now(), nil)
-					snapRef = &snap.ref
+					addSpan("snapshot-encode", encStart, time.Now(), nil)
+					ref := BlobRef{Kind: BlobSnapshot, Digest: artifact.Digest(blob), At: snap.At}
+					upStart := time.Now()
+					if _, err := w.uploadBlob(cellCtx, ref.Digest, blob); err != nil {
+						w.logf("worker %s: job %d snapshot upload: %v", id, booked.Job, err)
+					} else {
+						addSpan("snapshot-upload", upStart, time.Now(), nil)
+						snapRef = &ref
+					}
 				}
 			}
 			spanBatch := drainSpans()
@@ -520,13 +519,11 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 				continue
 			}
 			// The pointer is journaled; later heartbeats renew the lease
-			// bare until the session produces a fresh snapshot, keeping the
+			// bare until the run loop captures a fresh snapshot, keeping the
 			// WAL proportional to state changes, not wall time.
-			if snap != nil {
+			if snapRef != nil {
 				mu.Lock()
-				if pending == snap {
-					pending = nil
-				}
+				pending = nil
 				mu.Unlock()
 				if w.Hooks.OnSnapshot != nil {
 					w.Hooks.OnSnapshot(booked.Job, *snapRef)
@@ -538,7 +535,35 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 		}
 	}()
 
-	runErr := session.RunToCompletion()
+	// Stride the run in CheckpointEvery-sized steps (whole SampleEvery
+	// ticks, counted from the build or resume point): between steps the
+	// engine is idle, the only place a consistent snapshot can be captured.
+	drive := session.RunToCompletion
+	if !w.DisableSnapshots {
+		stride := max(1, int((sim.Time(booked.CheckpointEvery)+cfg.SampleEvery-1)/cfg.SampleEvery))
+		drive = func() error {
+			for {
+				done, err := session.Step(stride)
+				if done || err != nil {
+					return err
+				}
+				mu.Lock()
+				asked := pending == nil
+				mu.Unlock()
+				if !asked {
+					continue
+				}
+				snap, err := session.Snapshot()
+				if err != nil {
+					return err
+				}
+				mu.Lock()
+				pending = snap
+				mu.Unlock()
+			}
+		}
+	}
+	runErr := drive()
 
 	// A deterministic run failure is recorded exactly as scenario.Sweep
 	// records the cell's error string.
@@ -603,13 +628,6 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 	w.logf("worker %s: job %d finished", id, booked.Job)
 	stopHeartbeat()
 	return orStale(w.complete(cellCtx, id, booked, run, drainSpans(), profRef))
-}
-
-// pendingSnapshot is an encoded engine snapshot awaiting upload: the wire
-// blob and the pointer (content address, captured instant) to report for it.
-type pendingSnapshot struct {
-	ref  BlobRef
-	blob []byte
 }
 
 // uploadBlob ships one content-addressed blob — artifact body, snapshot, or

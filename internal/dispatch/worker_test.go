@@ -1,13 +1,21 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"sapsim"
+	"sapsim/internal/engprof"
 )
 
 // TestWorkerBookBackoff pins the retry schedule against a flapping
@@ -144,4 +152,126 @@ func TestWorkerIDNeverCollides(t *testing.T) {
 	if !strings.HasPrefix(c.ID, "anon-") {
 		t.Errorf("empty-hostname ID %q missing the random fallback prefix", c.ID)
 	}
+}
+
+// TestWorkerSnapshotsFollowHeartbeats pins the snapshot pacing: a worker
+// captures at a stride boundary only when the heartbeat loop has nothing
+// pending, and encodes only what a heartbeat ships. (a) A heartbeat longer
+// than the cell never fires: one capture per cell (the initial ask), nothing
+// encoded, uploaded or journaled. (b) A short heartbeat journals at least one
+// snapshot, never more than one per heartbeat. (c) DisableSnapshots captures
+// nothing at all. The merged sweep equals the reference in every case.
+func TestWorkerSnapshotsFollowHeartbeats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run end-to-end sweep")
+	}
+	spec := testSpec()
+	spec.Seeds = spec.Seeds[:1]
+	ref := referenceSweep(t, spec)
+
+	// drain runs the sweep through w alone and reports how many snapshot
+	// blobs were PUT, how many snapshot pointers the journal holds, and each
+	// cell's captures as its shipped profile counted them.
+	drain := func(t *testing.T, w *Worker) (puts, journaled int, captures []int64) {
+		dir := t.TempDir()
+		q, err := NewQueue(dir, spec, QueueOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer q.Close()
+		handler := NewDispatcher(q).Handler()
+		var snapshotPuts atomic.Int64
+		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPut {
+				body, err := io.ReadAll(r.Body)
+				if err != nil {
+					t.Errorf("reading PUT body: %v", err)
+				}
+				if _, err := sapsim.DecodeSnapshotBytes(body); err == nil {
+					snapshotPuts.Add(1)
+				}
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			handler.ServeHTTP(rw, r)
+		}))
+		defer srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+		defer cancel()
+		w.Dispatcher, w.ID, w.Poll = srv.URL, "w", 10*time.Millisecond
+		if err := w.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		merged, err := q.Merged()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIdentical(t, merged, ref, t.Name())
+		journal, err := os.ReadFile(filepath.Join(dir, JournalName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, job := range q.Snapshot() {
+			if job.Profile == nil {
+				t.Fatalf("job %d completed without a profile", job.ID)
+			}
+			blob, err := q.Store().Get(job.Profile.Digest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof, err := sapsim.DecodeProfileBytes(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			captures = append(captures, prof.Phase(engprof.PhaseSnapshotEncode).Ops)
+		}
+		return int(snapshotPuts.Load()), strings.Count(string(journal), `"t":"snapshot"`), captures
+	}
+
+	t.Run("heartbeat longer than the cell", func(t *testing.T) {
+		puts, journaled, captures := drain(t, &Worker{HeartbeatEvery: time.Hour})
+		if puts != 0 || journaled != 0 {
+			t.Errorf("%d snapshot blobs PUT, %d journaled; want none without a heartbeat", puts, journaled)
+		}
+		for job, n := range captures {
+			if n != 1 {
+				t.Errorf("job %d captured %d snapshots, want only the initially asked one", job, n)
+			}
+		}
+	})
+	t.Run("short heartbeat", func(t *testing.T) {
+		var snapshots, heartbeats atomic.Int64
+		puts, journaled, captures := drain(t, &Worker{
+			HeartbeatEvery: 2 * time.Millisecond,
+			Hooks: WorkerHooks{
+				OnSnapshot:  func(int, BlobRef) { snapshots.Add(1) },
+				OnHeartbeat: func(int) { heartbeats.Add(1) },
+			},
+		})
+		accepted := int(snapshots.Load())
+		if accepted < 1 || int64(accepted) > heartbeats.Load() {
+			t.Errorf("%d snapshots accepted over %d heartbeats; want 1 <= snapshots <= heartbeats",
+				accepted, heartbeats.Load())
+		}
+		if journaled != accepted || puts < accepted {
+			t.Errorf("%d accepted, %d journaled, %d PUT; want accepted == journaled <= PUT", accepted, journaled, puts)
+		}
+		var captured int64
+		for _, n := range captures {
+			captured += n
+		}
+		if captured < int64(puts) {
+			t.Errorf("profiles count %d captures for %d snapshot PUTs", captured, puts)
+		}
+	})
+	t.Run("DisableSnapshots", func(t *testing.T) {
+		puts, journaled, captures := drain(t, &Worker{HeartbeatEvery: 2 * time.Millisecond, DisableSnapshots: true})
+		if puts != 0 || journaled != 0 {
+			t.Errorf("%d snapshot blobs PUT, %d journaled; want none", puts, journaled)
+		}
+		for job, n := range captures {
+			if n != 0 {
+				t.Errorf("job %d captured %d snapshots with snapshots disabled", job, n)
+			}
+		}
+	})
 }

@@ -27,7 +27,7 @@
 // Allocation attribution: Go offers no free per-section allocator counters
 // (runtime.MemStats is a stop-the-world read), so each phase carries an Ops
 // counter of phase-specific work units — candidates filtered, samples
-// appended, claims attempted, bytes encoded — that tracks that phase's
+// appended, claims attempted, snapshots captured — that tracks that phase's
 // allocation behavior by proxy. The units per phase are documented on the
 // Phase constants.
 //
@@ -82,9 +82,8 @@ const (
 	// PhaseOther collects events with owners no other phase claims
 	// (custom injectors, test handlers).
 	PhaseOther
-	// PhaseSnapshotEncode is mid-run engine snapshot capture+encode,
-	// measured at the session/worker layer between run segments.
-	// Ops: encoded bytes.
+	// PhaseSnapshotEncode is mid-run engine snapshot capture, measured by
+	// core.Simulation.Snapshot between run segments. Ops: captures.
 	PhaseSnapshotEncode
 
 	// Nested phases: detail inside a top-level phase, excluded from the
@@ -307,14 +306,6 @@ func (c *Collector) SetOwnerOps(owner string, ops int64) { c.bucket(owner).c.Ops
 
 // Events reports how many engine events have been attributed.
 func (c *Collector) Events() int64 { return c.events }
-
-// AccountedNanos reports the total wall time attributed so far across all
-// top-level phases — the denominator for overhead-budget decisions like the
-// session's adaptive snapshot cadence.
-func (c *Collector) AccountedNanos() int64 { return c.accounted }
-
-// PhaseCounter reads one phase's current counter.
-func (c *Collector) PhaseCounter(p Phase) Counter { return c.phases[p] }
 
 // OwnerCount is one exact event-owner's attribution in a Profile,
 type OwnerCount struct {

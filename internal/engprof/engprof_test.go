@@ -87,10 +87,11 @@ func TestOpsHelpers(t *testing.T) {
 	c.AddOps(PhaseHostSample, 3)
 	c.SetOps(PhaseSchedClaim, 42)
 	c.SetOps(PhaseSchedClaim, 40)
-	if got := c.PhaseCounter(PhaseHostSample).Ops; got != 10 {
+	p := c.Profile()
+	if got := p.Phase(PhaseHostSample).Ops; got != 10 {
 		t.Fatalf("AddOps = %d, want 10", got)
 	}
-	if got := c.PhaseCounter(PhaseSchedClaim).Ops; got != 40 {
+	if got := p.Phase(PhaseSchedClaim).Ops; got != 40 {
 		t.Fatalf("SetOps = %d, want 40", got)
 	}
 }

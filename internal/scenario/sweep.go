@@ -51,8 +51,10 @@ type Matrix struct {
 	// it, events a branch injects tie-break after same-instant events
 	// already in flight (they carry later sequence numbers than a cold run
 	// would assign), so a branched cell can differ from its cold twin in
-	// exact same-nanosecond orderings. Metrics comparisons are unaffected;
-	// leave Branch off when cells must be byte-identical to cold runs.
+	// exact same-nanosecond orderings. TestSweepBranchedMatchesCold pins
+	// equal Runs to the cold sweep for its matrix; there is no general
+	// byte-identity guarantee — leave Branch off when cells must be
+	// byte-identical to cold runs.
 	Branch bool
 	// Context cancels the sweep: in-flight cells unwind within one engine
 	// tick and pending cells never start; both record the context's error

@@ -60,7 +60,7 @@ func TestProfiledTickerFireAllocs(t *testing.T) {
 	if prof.Events() == 0 {
 		t.Fatal("profiler observed no events")
 	}
-	c := prof.PhaseCounter(engprof.PhaseHostSample)
+	c := prof.Profile().Phase(engprof.PhaseHostSample)
 	if c.Count != int64(n) {
 		t.Errorf("profiler counted %d host-tick events, ticker fired %d", c.Count, n)
 	}

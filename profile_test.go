@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sapsim/internal/engprof"
-	"sapsim/internal/sim"
 )
 
 // TestSessionProfile: a finished session carries a valid self-profile whose
@@ -13,11 +12,17 @@ import (
 func TestSessionProfile(t *testing.T) {
 	col := &collector{}
 	cfg := snapshotTestConfig(21)
-	s, err := NewSession(cfg, WithObserver(col), WithSnapshotEvery(12*sim.Hour))
+	s, err := NewSession(cfg, WithObserver(col))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	if _, err := s.Step(24); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.RunToCompletion(); err != nil {
 		t.Fatal(err)
 	}
@@ -101,72 +106,6 @@ func TestSessionProfileMidRun(t *testing.T) {
 	if late.Events <= early.Events || late.AccountedNanos <= early.AccountedNanos {
 		t.Fatalf("profile did not grow: events %d -> %d, nanos %d -> %d",
 			early.Events, late.Events, early.AccountedNanos, late.AccountedNanos)
-	}
-}
-
-// TestStretchSnapshotEvery pins the adaptive-cadence decision in both
-// directions: material capture cost over the 2% budget stretches (doubling,
-// capped at 8x the configured base); full-size-cell profiles — where
-// capture is a fraction of a percent of engine time — and immaterial
-// absolute costs keep the configured cadence.
-func TestStretchSnapshotEvery(t *testing.T) {
-	base := 6 * sim.Hour
-	second := int64(1e9)
-	cases := []struct {
-		name          string
-		current       sim.Time
-		encode, acctd int64
-		want          sim.Time
-	}{
-		{"full-size cell under budget keeps cadence", base, 200e6, 60 * second, base},
-		{"tiny cell under absolute floor keeps cadence", base, 40e6, 100e6, base},
-		{"over budget doubles", base, 5 * second, 60 * second, 2 * base},
-		{"keeps doubling while over budget", 2 * base, 10 * second, 120 * second, 4 * base},
-		{"stretch capped at 8x base", 8 * base, 100 * second, 200 * second, 8 * base},
-		{"zero accounted keeps cadence", base, 60e6, 0, base},
-	}
-	for _, tc := range cases {
-		if got := stretchSnapshotEvery(base, tc.current, tc.encode, tc.acctd); got != tc.want {
-			t.Errorf("%s: stretchSnapshotEvery(%v, %v, %d, %d) = %v, want %v",
-				tc.name, base, tc.current, tc.encode, tc.acctd, got, tc.want)
-		}
-	}
-}
-
-// TestSnapshotCadenceStretchIntegration drives the session boundary logic
-// with a profiler state that blows the encode budget and asserts the next
-// boundary moves out — the session-level half of the adaptive cadence.
-func TestSnapshotCadenceStretchIntegration(t *testing.T) {
-	cfg := sessionTestConfig(23)
-	every := 6 * sim.Hour
-	s, err := NewSession(cfg, WithSnapshotEvery(every))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Build(); err != nil {
-		t.Fatal(err)
-	}
-	// Inflate the capture phase far past both the absolute floor and the 2%
-	// budget, then cross one snapshot boundary.
-	prof := s.sim.Profiler()
-	mark := prof.Start() - 10*int64(1e9)
-	prof.EndSpan(engprof.PhaseSnapshotEncode, mark, 1)
-	if _, err := s.Step(int((every + cfg.SampleEvery) / cfg.SampleEvery)); err != nil {
-		t.Fatal(err)
-	}
-	if s.snapEvery <= every {
-		t.Fatalf("effective cadence %v did not stretch past configured %v", s.snapEvery, every)
-	}
-	if s.nextSnapshot != every+s.snapEvery {
-		t.Fatalf("next boundary %v, want %v", s.nextSnapshot, every+s.snapEvery)
-	}
-	// And the run still completes normally at the stretched cadence.
-	if err := s.RunToCompletion(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Result(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"sapsim/internal/core"
-	"sapsim/internal/engprof"
 	"sapsim/internal/sim"
 )
 
@@ -76,12 +75,12 @@ type Error struct {
 }
 
 // SessionPhase reports the wall-clock cost of one engine phase: "build"
-// (simulation assembly), "run" (an uninterrupted AdvanceTo segment), or
-// "snapshot-capture" (engine state capture at a snapshot boundary). It is
-// the session's hook for external tracing — a supervisor turns these into
-// spans attributed to the cell's attempt. Phase events are only measured
-// and emitted when observers are registered; an observer-less run pays no
-// clock reads on the driving loop.
+// (simulation assembly), "run" (one driving call's AdvanceTo), or
+// "snapshot-capture" (one Session.Snapshot call). It is the session's hook
+// for external tracing — a supervisor turns these into spans attributed to
+// the cell's attempt. Phase events are only measured and emitted when
+// observers are registered; an observer-less run pays no clock reads on the
+// driving loop.
 type SessionPhase struct {
 	Name string
 	// Start and End bound the phase in wall-clock time.
@@ -176,7 +175,6 @@ type sessionOptions struct {
 	ctx            context.Context
 	observers      []Observer
 	policyNames    []string
-	snapshotEvery  sim.Time
 	incremental    bool
 	incrementalIDs map[string]bool
 }
@@ -284,14 +282,6 @@ type Session struct {
 	// assembling at t=0.
 	resume *Snapshot
 
-	lastSnapshot *Snapshot
-	nextSnapshot sim.Time
-	// snapEvery is the effective snapshot interval: it starts at the
-	// configured WithSnapshotEvery cadence and stretches (see
-	// stretchSnapshotEvery) when the profiler shows capture cost blowing
-	// the overhead budget.
-	snapEvery sim.Time
-
 	// pending holds incremental experiments not yet emitted, keyed by
 	// effective stage; each stage's list is consumed exactly once, so the
 	// per-tick readiness check stays O(1) after a stage drains.
@@ -388,16 +378,6 @@ func (s *Session) Build() error {
 		return err
 	}
 	s.sim = simulation
-	// Cadences count from the run's starting point: t=0 for a cold build,
-	// the snapshot time for a resumed one.
-	base := sim.Time(0)
-	if s.resume != nil {
-		base = s.resume.At
-	}
-	s.snapEvery = s.opts.snapshotEvery
-	if s.snapEvery > 0 {
-		s.nextSnapshot = base + s.snapEvery
-	}
 	if s.opts.incremental {
 		s.pending = make(map[Stage][]Experiment)
 		for _, exp := range Experiments() {
@@ -410,8 +390,9 @@ func (s *Session) Build() error {
 	}
 	s.state = StateBuilt
 	if s.disp != nil {
+		// A resumed build starts at the snapshot time, a cold one at t=0.
 		s.disp.publish(SessionPhase{Name: "build", Start: buildStart, End: time.Now(),
-			FromSim: base, ToSim: base})
+			FromSim: s.sim.Now(), ToSim: s.sim.Now()})
 	}
 	return nil
 }
@@ -469,73 +450,32 @@ func (s *Session) RunToCompletion() error {
 	return s.advance(s.cfg.Horizon())
 }
 
-// advance drives the engine to target simulated time, routing context
-// cancellation and engine errors to the terminal states. With a snapshot
-// cadence configured the span is segmented at each boundary: the engine is
-// idle between segments, which is the only place a consistent snapshot can
-// be captured. A boundary on the horizon itself is skipped — reaching the
-// horizon finalizes the run.
+// advance drives the engine to target simulated time in one uninterrupted
+// stretch, routing context cancellation and engine errors to the terminal
+// states. With observers registered the stretch is measured as a "run"
+// phase; a zero-length one (target already reached) publishes nothing.
 func (s *Session) advance(target sim.Time) error {
 	var interrupt func() error
 	if ctx := s.opts.ctx; ctx != nil {
 		interrupt = ctx.Err
 	}
-	if s.snapEvery > 0 {
-		for s.nextSnapshot <= target && s.nextSnapshot < s.cfg.Horizon() {
-			boundary := s.nextSnapshot
-			if boundary > s.sim.Now() {
-				if err := s.runSegment(boundary, interrupt); err != nil {
-					return s.abort(err)
-				}
-			}
-			var phaseStart time.Time
-			if s.disp != nil {
-				phaseStart = time.Now()
-			}
-			prof := s.sim.Profiler()
-			mark := prof.Start()
-			snap, err := s.sim.Snapshot()
-			if err != nil {
-				return s.abort(err)
-			}
-			prof.EndSpan(engprof.PhaseSnapshotEncode, mark, 1)
-			if s.disp != nil {
-				s.disp.publish(SessionPhase{Name: "snapshot-capture",
-					Start: phaseStart, End: time.Now(), FromSim: boundary, ToSim: boundary})
-			}
-			s.lastSnapshot = snap
-			s.publish(SnapshotReady{At: boundary, Snapshot: snap})
-			enc := prof.PhaseCounter(engprof.PhaseSnapshotEncode)
-			s.snapEvery = stretchSnapshotEvery(s.opts.snapshotEvery, s.snapEvery,
-				enc.Nanos, prof.AccountedNanos())
-			s.nextSnapshot = boundary + s.snapEvery
-		}
+	from := s.sim.Now()
+	var start time.Time
+	if s.disp != nil {
+		start = time.Now()
 	}
-	if err := s.runSegment(target, interrupt); err != nil {
+	err := s.sim.AdvanceTo(target, interrupt)
+	if s.disp != nil && target > from {
+		s.disp.publish(SessionPhase{Name: "run", Start: start, End: time.Now(),
+			FromSim: from, ToSim: s.sim.Now()})
+	}
+	if err != nil {
 		return s.abort(err)
 	}
 	if s.sim.Done() {
 		s.finish()
 	}
 	return nil
-}
-
-// runSegment advances the engine to target in one uninterrupted stretch,
-// measured as a "run" phase when observers are registered. Zero-length
-// segments (target already reached) publish nothing.
-func (s *Session) runSegment(target sim.Time, interrupt func() error) error {
-	if s.disp == nil {
-		return s.sim.AdvanceTo(target, interrupt)
-	}
-	from := s.sim.Now()
-	if target <= from {
-		return s.sim.AdvanceTo(target, interrupt)
-	}
-	start := time.Now()
-	err := s.sim.AdvanceTo(target, interrupt)
-	s.disp.publish(SessionPhase{Name: "run", Start: start, End: time.Now(),
-		FromSim: from, ToSim: s.sim.Now()})
-	return err
 }
 
 // abort routes a driving-loop error to the matching terminal state and

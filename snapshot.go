@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"time"
 
 	"sapsim/internal/core"
-	"sapsim/internal/sim"
 	"sapsim/internal/snapshot"
 )
 
@@ -52,31 +52,6 @@ func DecodeSnapshotBytes(b []byte) (*Snapshot, error) { return snapshot.DecodeBy
 // content address the artifact store keeps the blob under.
 func SnapshotDigest(b []byte) string { return snapshot.Digest(b) }
 
-// SnapshotReady delivers a periodic mid-run snapshot, emitted at the
-// WithSnapshotEvery cadence. The snapshot is fully detached from the live
-// run: observers may encode or restore it at any time.
-type SnapshotReady struct {
-	At       sim.Time
-	Snapshot *Snapshot
-}
-
-func (SnapshotReady) sessionEvent() {}
-
-// WithSnapshotEvery captures a mid-run snapshot every interval of simulated
-// time, delivered through SnapshotReady events and Session.LastSnapshot.
-// The run is segmented at each boundary so capture happens with the engine
-// idle; a boundary landing exactly on the horizon is skipped (the finished
-// run is fully described by its Result).
-func WithSnapshotEvery(every sim.Time) Option {
-	return func(o *sessionOptions) error {
-		if every <= 0 {
-			return errors.New("sapsim: non-positive snapshot interval")
-		}
-		o.snapshotEvery = every
-		return nil
-	}
-}
-
 // Snapshot captures the session's complete current state on demand. It is
 // valid on a built or running session between driving calls (Step,
 // RunToCompletion) — the engine is idle there — and errors once the session
@@ -92,13 +67,16 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 	default:
 		return nil, fmt.Errorf("sapsim: Snapshot on %s session", s.state)
 	}
-	return s.sim.Snapshot()
-}
-
-// LastSnapshot returns the most recent periodic snapshot, if any. On-demand
-// Snapshot calls do not update it.
-func (s *Session) LastSnapshot() (*Snapshot, bool) {
-	return s.lastSnapshot, s.lastSnapshot != nil
+	var start time.Time
+	if s.disp != nil {
+		start = time.Now()
+	}
+	snap, err := s.sim.Snapshot()
+	if err == nil && s.disp != nil {
+		s.disp.publish(SessionPhase{Name: "snapshot-capture", Start: start, End: time.Now(),
+			FromSim: snap.At, ToSim: snap.At})
+	}
+	return snap, err
 }
 
 // Name reports the branch name for a session produced by Fork, empty

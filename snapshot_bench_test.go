@@ -27,8 +27,8 @@ func benchMidpointSnapshot(b *testing.B) (Config, *Snapshot) {
 }
 
 // BenchmarkSnapshotEncode measures serializing a midpoint full-cell
-// snapshot to its wire form — the cost a worker pays on the session's
-// event-dispatch goroutine at every snapshot boundary.
+// snapshot to its wire form — the cost a worker's heartbeat loop pays per
+// snapshot it ships.
 func BenchmarkSnapshotEncode(b *testing.B) {
 	_, snap := benchMidpointSnapshot(b)
 	blob, err := EncodeSnapshotBytes(snap)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sapsim/internal/core"
+	"sapsim/internal/engprof"
 	"sapsim/internal/scenario"
 	"sapsim/internal/sim"
 )
@@ -20,45 +21,93 @@ func snapshotTestConfig(seed uint64) Config {
 	return cfg
 }
 
-// TestSessionSnapshotCadence: WithSnapshotEvery segments the run and emits
-// one detached snapshot per boundary, skipping the horizon itself;
-// LastSnapshot tracks the newest one.
-func TestSessionSnapshotCadence(t *testing.T) {
-	col := &collector{}
+// TestSessionSnapshotOnDemand: periodic snapshotting is Step and Snapshot
+// interleaved by the caller. Each of k captures reaches an observer as one
+// snapshot-capture phase and the profile as one snapshot/encode op, each
+// snapshot resumes to the uninterrupted run's artifact digests, and a done
+// session refuses to snapshot.
+func TestSessionSnapshotOnDemand(t *testing.T) {
 	cfg := snapshotTestConfig(11)
-	every := 6 * sim.Hour
-	s, err := NewSession(cfg, WithObserver(col), WithSnapshotEvery(every))
+	coldRes, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldDigests, err := ArtifactDigests(coldRes)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	col := &collector{}
+	s, err := NewSession(cfg, WithObserver(col))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	const k, ticks = 3, 24 // 12h, 24h, 36h of a 48h run
+	var snaps []*Snapshot
+	for i := 0; i < k; i++ {
+		if _, err := s.Step(ticks); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := sim.Time(i+1) * ticks * cfg.SampleEvery; snap.At != want {
+			t.Fatalf("snapshot %d at %v, want %v", i, snap.At, want)
+		}
+		snaps = append(snaps, snap)
+	}
 	if err := s.RunToCompletion(); err != nil {
 		t.Fatal(err)
 	}
-	var snaps []SnapshotReady
+	if _, err := s.Snapshot(); err == nil {
+		t.Error("Snapshot on a done session accepted")
+	}
+
+	// The finished session has drained its observers.
+	var captures []SessionPhase
 	for _, ev := range col.snapshot() {
-		if sr, ok := ev.(SnapshotReady); ok {
-			snaps = append(snaps, sr)
+		if ph, ok := ev.(SessionPhase); ok && ph.Name == "snapshot-capture" {
+			captures = append(captures, ph)
 		}
 	}
-	// 2 days at a 6-hour cadence: boundaries at 6h..42h; 48h is the horizon
-	// and is skipped.
-	want := int(cfg.Horizon()/every) - 1
-	if len(snaps) != want {
-		t.Fatalf("got %d snapshots, want %d", len(snaps), want)
+	if len(captures) != k {
+		t.Fatalf("observer saw %d snapshot-capture phases, want %d", len(captures), k)
 	}
-	for i, sr := range snaps {
-		if at := sim.Time(i+1) * every; sr.At != at || sr.Snapshot.At != at {
-			t.Fatalf("snapshot %d at %v/%v, want %v", i, sr.At, sr.Snapshot.At, at)
+	for i, ph := range captures {
+		if ph.FromSim != snaps[i].At || ph.ToSim != snaps[i].At {
+			t.Errorf("capture phase %d spans %v..%v, want %v", i, ph.FromSim, ph.ToSim, snaps[i].At)
 		}
 	}
-	last, ok := s.LastSnapshot()
-	if !ok || last != snaps[len(snaps)-1].Snapshot {
-		t.Fatal("LastSnapshot does not track the final periodic snapshot")
-	}
-	// The session itself still finished normally.
-	if _, err := s.Result(); err != nil {
+	prof, err := s.Profile()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if c := prof.Phase(engprof.PhaseSnapshotEncode); c.Ops != k || c.Count != k {
+		t.Fatalf("snapshot/encode = %d ops in %d spans, want %d each", c.Ops, c.Count, k)
+	}
+
+	for i, snap := range snaps {
+		resumed, err := ResumeFromSnapshot(cfg, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resumed.Close()
+		if err := resumed.RunToCompletion(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := resumed.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests, err := ArtifactDigests(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(digests, coldDigests) {
+			t.Errorf("resume from snapshot %d (at %v) diverged from the uninterrupted run", i, snap.At)
+		}
 	}
 }
 
@@ -188,9 +237,6 @@ func TestSessionFork(t *testing.T) {
 
 func TestSnapshotOptionValidation(t *testing.T) {
 	cfg := sessionTestConfig(14)
-	if _, err := NewSession(cfg, WithSnapshotEvery(0)); err == nil {
-		t.Error("zero snapshot interval accepted")
-	}
 	if _, err := ResumeFromSnapshot(cfg, nil); err == nil {
 		t.Error("nil snapshot accepted by ResumeFromSnapshot")
 	}
