@@ -11,8 +11,11 @@
 //
 // Workers upload every artifact body into the dispatcher's
 // content-addressed store (under -dir, deduplicated by digest), so the
-// daemon serves a browsable report bundle at /bundle while the sweep runs
-// and can materialize it to disk with -bundle once drained.
+// daemon serves the report bundle at /bundle/ while the sweep runs — the
+// index and finished cells' bodies at once, the sweep-wide files once
+// drained — and -bundle writes the identical tree to disk, path for path.
+// -out (default -dir) receives report.txt, runs.csv and artifact_diff.txt,
+// the same bytes the bundle holds under those names.
 //
 // Usage:
 //
@@ -134,31 +137,15 @@ func main() {
 		fatal(err)
 	}
 
-	text := scenario.Comparative(res)
-	diff := scenario.ArtifactDiff(res)
-	fmt.Print(text)
-	fmt.Print(diff)
+	fmt.Print(scenario.Comparative(res))
+	fmt.Print(scenario.ArtifactDiff(res))
 
-	reportDir := *out
-	if reportDir == "" {
-		reportDir = *dir
+	exports := dispatch.Exports{Report: *out, Bundle: *bundle, Trace: *traceOut}
+	if exports.Report == "" {
+		exports.Report = *dir
 	}
-	if err := os.MkdirAll(reportDir, 0o755); err != nil {
-		fatal(err)
-	}
-	for name, content := range map[string]string{
-		"report.txt":        text,
-		"runs.csv":          scenario.RunsCSV(res),
-		"artifact_diff.txt": diff,
-	} {
-		if err := os.WriteFile(filepath.Join(reportDir, name), []byte(content), 0o644); err != nil {
-			fatal(err)
-		}
-	}
-	fmt.Printf("wrote report.txt, runs.csv, artifact_diff.txt to %s\n", reportDir)
-
 	logf := func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
-	if err := dispatch.Export(q, res, dispatch.Exports{Bundle: *bundle, Trace: *traceOut}, logf); err != nil {
+	if err := dispatch.Export(q, res, exports, logf); err != nil {
 		fatal(err)
 	}
 

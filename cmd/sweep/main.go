@@ -43,14 +43,18 @@
 // artifact, all 18) and prints which artifacts changed versus the baseline
 // scenario for the same variant and seed.
 //
+// -out DIR writes report.txt, runs.csv and — when the cells carry artifact
+// digests (-diff, -bundle, -resume) — artifact_diff.txt.
+//
 // -bundle DIR materializes the finished sweep as a browsable report
 // bundle: index.html, the comparative reports, one baseline-vs-scenario
 // page per scenario, and every cell's artifact bodies, each read out of
 // the content-addressed store with digest verification (SHA256SUMS in the
-// bundle re-verifies offline). In the resumed mode the bodies come from
-// the store the workers uploaded into, under the journal directory; in the
-// in-process mode they are captured during the sweep — both produce
-// byte-identical bundles for the same matrix, as does dispatchd -bundle.
+// bundle re-verifies offline) — the tree a dispatcher serves at /bundle/.
+// In the resumed mode the bodies come from the store the workers uploaded
+// into, under the journal directory; in the in-process mode they are
+// captured during the sweep — both produce byte-identical bundles for the
+// same matrix, as does dispatchd -bundle.
 package main
 
 import (
@@ -58,8 +62,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,7 +87,7 @@ func main() {
 		workers      = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		timeout      = flag.Duration("timeout", 0, "wall-clock limit for the whole sweep (0 = none)")
 		progress     = flag.Bool("progress", true, "print per-cell completions to stderr")
-		out          = flag.String("out", "", "directory for report.txt and runs.csv")
+		out          = flag.String("out", "", "directory for the comparative report, the per-run CSV and (when cells were fingerprinted) the artifact diff")
 		diff         = flag.Bool("diff", false, "fingerprint all artifacts per cell and print per-cell diffs vs the baseline scenario")
 		list         = flag.Bool("list", false, "list builtin scenarios and variants, then exit")
 		resumeDir    = flag.String("resume", "", "resume an interrupted dispatched sweep from this journal directory")
@@ -136,7 +138,7 @@ func main() {
 
 	var res *scenario.SweepResult
 	var err error
-	exports := dispatch.Exports{Bundle: *bundleDir, Trace: *traceOut, Engprof: *engprofDir}
+	exports := dispatch.Exports{Report: *out, Bundle: *bundleDir, Trace: *traceOut, Engprof: *engprofDir}
 	start := time.Now()
 	if *resumeDir != "" {
 		res, err = resumeSweep(ctx, *resumeDir, *workers, *progress, exports)
@@ -148,32 +150,11 @@ func main() {
 	}
 	fmt.Printf("completed in %v\n\n", time.Since(start).Round(time.Millisecond))
 
-	text := scenario.Comparative(res)
-	fmt.Print(text)
+	fmt.Print(scenario.Comparative(res))
 	// Dispatched cells always carry digests; print the diff whenever we
 	// have them or the user asked.
-	diffText := ""
 	if *diff || *resumeDir != "" {
-		diffText = scenario.ArtifactDiff(res)
-		fmt.Print(diffText)
-	}
-
-	if *out != "" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fatal(err)
-		}
-		files := [][2]string{{"report.txt", text}, {"runs.csv", scenario.RunsCSV(res)}}
-		if diffText != "" {
-			files = append(files, [2]string{"artifact_diff.txt", diffText})
-		}
-		var wrote []string
-		for _, f := range files {
-			if err := os.WriteFile(filepath.Join(*out, f[0]), []byte(f[1]), 0o644); err != nil {
-				fatal(err)
-			}
-			wrote = append(wrote, f[0])
-		}
-		fmt.Printf("\nwrote %s to %s\n", strings.Join(wrote, ", "), *out)
+		fmt.Print(scenario.ArtifactDiff(res))
 	}
 
 	for _, r := range res.Runs {

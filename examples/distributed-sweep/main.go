@@ -162,7 +162,8 @@ func main() {
 
 	// ── 6. Fetch the browsable bundle over the wire. ────────────────────
 	// The workers shipped every artifact body into the store; the drained
-	// dispatcher serves the collected report tree at /bundle.
+	// dispatcher serves the collected report tree at /bundle — path for path
+	// and byte for byte the tree step 7 writes to disk.
 	d2 := dispatch.NewDispatcher(resumed)
 	serveCtx, stopServe := context.WithCancel(ctx)
 	defer stopServe()
@@ -170,16 +171,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report := get("http://" + addr2 + "/bundle/report")
+	report := get("http://" + addr2 + "/bundle/report.txt")
 	firstLine, _, _ := strings.Cut(report, "\n")
-	fmt.Printf("GET /bundle/report        → %s\n", firstLine)
+	fmt.Printf("GET /bundle/report.txt         → %s\n", firstLine)
 	run := merged.Runs[0]
-	body := get(fmt.Sprintf("http://%s/bundle/cell/%s/%s/%d/table1",
+	body := get(fmt.Sprintf("http://%s/bundle/cells/%s/%s/seed-%d/table1.txt",
 		addr2, run.Key.Scenario, run.Key.Variant, run.Key.Seed))
 	if artifact.Digest([]byte(body)) != run.Digests["table1"] {
 		log.Fatal("fetched artifact does not hash to its journaled digest")
 	}
-	fmt.Printf("GET /bundle/cell/.../table1 → %d bytes, digest-verified\n", len(body))
+	fmt.Printf("GET /bundle/cells/.../table1.txt → %d bytes, digest-verified\n", len(body))
 
 	// ── 7. Materialize the digest-verified bundle to disk. ──────────────
 	bundleDir, err := os.MkdirTemp("", "sweep-bundle-*")

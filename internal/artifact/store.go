@@ -180,9 +180,6 @@ func OpenScratch(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 func validDigest(digest string) error {
 	if len(digest) != sha256.Size*2 {
 		return fmt.Errorf("%w: bad digest %q: want %d hex chars", ErrInvalid, digest, sha256.Size*2)

@@ -2,16 +2,13 @@ package dispatch
 
 import (
 	"errors"
-	"fmt"
-	"html"
 	"io"
+	"io/fs"
 	"net/http"
-	"sort"
+	"path"
 	"strconv"
-	"strings"
 
 	"sapsim/internal/artifact"
-	"sapsim/internal/scenario"
 )
 
 // The /artifact blob endpoints: the upload/fetch half of the CAS wire
@@ -26,15 +23,11 @@ func (d *Dispatcher) handleArtifactHead(w http.ResponseWriter, r *http.Request) 
 	// store at rest.
 	size, err := d.queue.Store().Stat(r.PathValue("digest"))
 	if err != nil {
-		if d.headMisses != nil {
-			d.headMisses.Inc()
-		}
+		d.headMisses.Inc()
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	if d.headHits != nil {
-		d.headHits.Inc()
-	}
+	d.headHits.Inc()
 	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
 	w.WriteHeader(http.StatusOK)
 }
@@ -81,195 +74,27 @@ func (d *Dispatcher) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// The /bundle tree: the browsable report over the collected artifacts.
-// The index and per-cell pages serve incrementally as cells finish;
-// sweep-wide pages (report, csv, diff, per-scenario comparatives) answer
-// 425 until the sweep drains, like /result.
-
-func (d *Dispatcher) merged(w http.ResponseWriter) (*scenario.SweepResult, bool) {
-	res, err := d.queue.Merged()
-	if err != nil {
-		if errors.Is(err, ErrNotDrained) {
-			http.Error(w, err.Error(), http.StatusTooEarly)
-		} else {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return nil, false
-	}
-	return res, true
-}
-
-func writeText(w http.ResponseWriter, text string) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, _ = io.WriteString(w, text)
-}
-
-func writeHTML(w http.ResponseWriter, page string) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_, _ = io.WriteString(w, page)
-}
-
-func (d *Dispatcher) handleBundleReport(w http.ResponseWriter, r *http.Request) {
-	if res, ok := d.merged(w); ok {
-		writeText(w, scenario.Comparative(res))
-	}
-}
-
-func (d *Dispatcher) handleBundleRunsCSV(w http.ResponseWriter, r *http.Request) {
-	if res, ok := d.merged(w); ok {
-		writeText(w, scenario.RunsCSV(res))
-	}
-}
-
-func (d *Dispatcher) handleBundleDiff(w http.ResponseWriter, r *http.Request) {
-	if res, ok := d.merged(w); ok {
-		writeText(w, scenario.ArtifactDiff(res))
-	}
-}
-
-func (d *Dispatcher) handleBundleScenario(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	res, ok := d.merged(w)
-	if !ok {
-		return
-	}
-	names := scenario.ScenarioNames(res)
-	found := false
-	for _, n := range names {
-		if n == name {
-			found = true
-			break
-		}
-	}
-	if !found {
-		http.Error(w, fmt.Sprintf("no scenario %q in this sweep", name), http.StatusNotFound)
-		return
-	}
-	writeText(w, scenario.Comparative(scenario.FilterScenarios(res, names[0], name)))
-}
-
-// cellByKey resolves a /bundle/cell path to the queue's job.
-func (d *Dispatcher) cellByKey(r *http.Request) (JobStatus, bool) {
-	seed, err := strconv.ParseUint(r.PathValue("seed"), 10, 64)
-	if err != nil {
-		return JobStatus{}, false
-	}
-	key := scenario.Key{Scenario: r.PathValue("scenario"), Variant: r.PathValue("variant"), Seed: seed}
-	for _, st := range d.queue.Snapshot() {
-		if st.Key == key {
-			return st, true
-		}
-	}
-	return JobStatus{}, false
-}
-
-func (d *Dispatcher) handleBundleCell(w http.ResponseWriter, r *http.Request) {
-	st, ok := d.cellByKey(r)
-	if !ok {
-		http.Error(w, "no such cell", http.StatusNotFound)
-		return
-	}
-	run, done := d.queue.CellRun(st.ID)
-	if !done {
-		http.Error(w, fmt.Sprintf("cell is %s; artifacts arrive on completion", st.State), http.StatusTooEarly)
-		return
-	}
-	var b strings.Builder
-	cell := fmt.Sprintf("%s/%s seed %d", run.Key.Scenario, run.Key.Variant, run.Key.Seed)
-	fmt.Fprintf(&b, "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>%s</title></head><body>\n",
-		html.EscapeString(cell))
-	fmt.Fprintf(&b, "<h1>cell %s</h1>\n", html.EscapeString(cell))
-	if run.Err != "" {
-		fmt.Fprintf(&b, "<p>run failed: %s</p>\n</body></html>\n", html.EscapeString(run.Err))
-		writeHTML(w, b.String())
-		return
-	}
-	b.WriteString("<table>\n<tr><th>artifact</th><th>sha-256</th></tr>\n")
-	ids := make([]string, 0, len(run.Digests))
-	for id := range run.Digests {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		fmt.Fprintf(&b, "<tr><td><a href=\"%s/%s\">%s</a></td><td><code>%s</code></td></tr>\n",
-			html.EscapeString(r.URL.Path), html.EscapeString(id),
-			html.EscapeString(id), run.Digests[id])
-	}
-	b.WriteString("</table>\n</body></html>\n")
-	writeHTML(w, b.String())
-}
-
-func (d *Dispatcher) handleBundleArtifact(w http.ResponseWriter, r *http.Request) {
-	st, ok := d.cellByKey(r)
-	if !ok {
-		http.Error(w, "no such cell", http.StatusNotFound)
-		return
-	}
-	run, done := d.queue.CellRun(st.ID)
-	if !done {
-		http.Error(w, "cell has no artifacts yet", http.StatusTooEarly)
-		return
-	}
-	if run.Err != "" {
-		// Terminal: a failed cell will never have artifacts — don't invite
-		// a retry loop with 425.
-		http.Error(w, "cell failed; it has no artifacts: "+run.Err, http.StatusNotFound)
-		return
-	}
-	digest, ok := run.Digests[r.PathValue("id")]
-	if !ok {
-		http.Error(w, "no such artifact in this cell", http.StatusNotFound)
-		return
-	}
-	body, err := d.queue.Store().Get(digest)
-	if err != nil {
+// The /bundle tree is artifact.Bundle over the queue's cells, mounted as is:
+// every path of the on-disk layout serves the bytes WriteBundle would write
+// there. The index and finished cells' bodies serve while the sweep runs;
+// whatever summarizes the whole sweep answers 425 until it drains, like
+// /result.
+func (d *Dispatcher) serveBundle(w http.ResponseWriter, r *http.Request) {
+	rel := r.PathValue("path")
+	body, err := d.queue.bundle().Open(rel)
+	switch {
+	case errors.Is(err, artifact.ErrNotReady):
+		http.Error(w, err.Error(), http.StatusTooEarly)
+	case errors.Is(err, fs.ErrNotExist):
+		http.Error(w, err.Error(), http.StatusNotFound)
+	case err != nil:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeText(w, string(body))
-}
-
-func (d *Dispatcher) handleBundleIndex(w http.ResponseWriter, r *http.Request) {
-	jobs := d.queue.Snapshot()
-	done := 0
-	for _, j := range jobs {
-		if j.State == JobDone.String() || j.State == JobFailed.String() {
-			done++
+	default:
+		kind := "text/plain"
+		if rel == "" || path.Ext(rel) == ".html" {
+			kind = "text/html"
 		}
+		w.Header().Set("Content-Type", kind+"; charset=utf-8")
+		_, _ = w.Write(body)
 	}
-	var b strings.Builder
-	b.WriteString("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>sweep bundle</title>\n")
-	b.WriteString("<style>body{font-family:monospace;margin:2em}table{border-collapse:collapse}" +
-		"td,th{border:1px solid #999;padding:2px 8px;text-align:left}</style></head><body>\n")
-	fmt.Fprintf(&b, "<h1>sweep report bundle</h1>\n<p>%d/%d cells terminal.</p>\n", done, len(jobs))
-	b.WriteString("<ul>\n<li><a href=\"/bundle/report\">comparative report</a> (serves once drained)</li>\n" +
-		"<li><a href=\"/bundle/runs.csv\">runs.csv</a></li>\n" +
-		"<li><a href=\"/bundle/diff\">artifact diff vs baseline</a></li>\n</ul>\n")
-	// Per-scenario comparative links; the first-seen scenario is the
-	// baseline every page already compares against, so it gets no page of
-	// its own.
-	b.WriteString("<h2>per-scenario comparatives</h2>\n<ul>\n")
-	seen := map[string]bool{}
-	var baseline string
-	for _, j := range jobs {
-		if seen[j.Key.Scenario] {
-			continue
-		}
-		seen[j.Key.Scenario] = true
-		if baseline == "" {
-			baseline = j.Key.Scenario
-			continue
-		}
-		fmt.Fprintf(&b, "<li><a href=\"/bundle/scenario/%s\">%s vs %s</a></li>\n",
-			html.EscapeString(j.Key.Scenario), html.EscapeString(j.Key.Scenario),
-			html.EscapeString(baseline))
-	}
-	b.WriteString("</ul>\n<h2>cells</h2>\n<table>\n<tr><th>cell</th><th>state</th></tr>\n")
-	for _, j := range jobs {
-		cell := fmt.Sprintf("%s/%s/%d", j.Key.Scenario, j.Key.Variant, j.Key.Seed)
-		fmt.Fprintf(&b, "<tr><td><a href=\"/bundle/cell/%s\">%s</a></td><td>%s</td></tr>\n",
-			html.EscapeString(cell), html.EscapeString(cell), html.EscapeString(j.State))
-	}
-	b.WriteString("</table>\n</body></html>\n")
-	writeHTML(w, b.String())
 }

@@ -23,10 +23,11 @@
 // body into the dispatcher's content-addressed store (internal/artifact,
 // under the journal directory), deduplicated by digest — a HEAD probe lets
 // a worker skip blobs the store already holds, which covers the static
-// tables identical across cells. The dispatcher serves the collected
-// bodies as a browsable /bundle report tree, and Resume re-verifies the
-// store against the journal, re-queueing any cell whose blobs went
-// missing, truncated, or corrupt.
+// tables identical across cells. The dispatcher mounts the report tree over
+// the collected bodies — artifact.Bundle, the same value WriteBundle writes
+// to disk — at /bundle, and Resume re-verifies the store against the
+// journal, re-queueing any cell whose blobs went missing, truncated, or
+// corrupt.
 //
 // Wire protocol (JSON over HTTP; artifact bodies travel raw):
 //
@@ -39,8 +40,10 @@
 //	GET  /artifact/{digest} → 200 body (digest-verified) | 404
 //	GET  /state    → queue snapshot
 //	GET  /result   → merged SweepResult (425 until drained)
-//	GET  /bundle   → browsable report index (cells serve as they finish;
-//	                 sweep-wide pages 425 until drained)
+//	GET  /bundle/{path} → one file of the report bundle, as -bundle DIR writes
+//	                 it (/bundle/ is index.html) | 425 not there yet (a
+//	                 sweep-wide file before the drain, an in-flight cell's
+//	                 body) | 404 never will be (unknown path, failed cell)
 package dispatch
 
 import (

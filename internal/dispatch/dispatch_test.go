@@ -317,14 +317,14 @@ func TestDispatchTwoWorkersClean(t *testing.T) {
 	// the comparative of the reference, a cell's artifact body fetched
 	// through the bundle tree re-hashes to the reference digest, and the
 	// raw CAS endpoint serves the same bytes.
-	if got := getText(t, srv.URL+"/bundle/report"); got != scenario.Comparative(ref) {
-		t.Fatal("/bundle/report differs from the reference comparative")
+	if got := getText(t, srv.URL+"/bundle/report.txt"); got != scenario.Comparative(ref) {
+		t.Fatal("/bundle/report.txt differs from the reference comparative")
 	}
-	if idx := getText(t, srv.URL+"/bundle"); !strings.Contains(idx, "baseline/default/7") {
+	if idx := getText(t, srv.URL+"/bundle"); !strings.Contains(idx, "baseline/default/seed-7") {
 		t.Fatalf("/bundle index does not list the cells:\n%s", idx)
 	}
 	refRun := ref.Runs[0]
-	body := getText(t, fmt.Sprintf("%s/bundle/cell/%s/%s/%d/fig9",
+	body := getText(t, fmt.Sprintf("%s/bundle/cells/%s/%s/seed-%d/fig9.txt",
 		srv.URL, refRun.Key.Scenario, refRun.Key.Variant, refRun.Key.Seed))
 	if artifact.Digest([]byte(body)) != refRun.Digests["fig9"] {
 		t.Fatal("artifact served through /bundle does not hash to the reference digest")

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"sapsim/internal/artifact"
 	"sapsim/internal/scenario"
@@ -13,6 +15,10 @@ import (
 // Exports names where a finished sweep's post-hoc outputs land; an empty
 // path skips that output.
 type Exports struct {
+	// Report is the directory report.txt, runs.csv and — when the runs carry
+	// artifact digests — artifact_diff.txt land in (sweep -out, dispatchd
+	// -out): the same bytes the bundle holds under those names.
+	Report string
 	// Bundle is the directory of the browsable, digest-verified report
 	// bundle (sweep -bundle).
 	Bundle string
@@ -61,11 +67,32 @@ func Export(q *Queue, res *scenario.SweepResult, out Exports, logf func(format s
 }
 
 // WriteExports is the one writer of a finished sweep's outputs, whichever
-// mode ran it: the bundle of res with bodies read from store, spans as a
-// Chrome trace, and one encoded profile file per cell of res that has one.
-// logf receives one line per output written.
+// mode ran it: the report files and the bundle of res with bodies read from
+// store (which only the bundle needs), spans as a Chrome trace, and one
+// encoded profile file per cell of res that has one. logf receives one line
+// per output written.
 func WriteExports(out Exports, res *scenario.SweepResult, store *artifact.Store,
 	spans []trace.Span, profiles map[scenario.Key][]byte, logf func(format string, args ...any)) error {
+	if out.Report != "" {
+		names := []string{artifact.BundleReportName, artifact.BundleRunsName}
+		if slices.ContainsFunc(res.Runs, func(r scenario.Run) bool { return len(r.Digests) > 0 }) {
+			names = append(names, artifact.BundleDiffName)
+		}
+		if err := os.MkdirAll(out.Report, 0o755); err != nil {
+			return err
+		}
+		bundle := &artifact.Bundle{Sweep: res, Store: store}
+		for _, name := range names {
+			content, err := bundle.Open(name)
+			if err == nil {
+				err = os.WriteFile(filepath.Join(out.Report, name), content, 0o644)
+			}
+			if err != nil {
+				return fmt.Errorf("report: %w", err)
+			}
+		}
+		logf("wrote %s to %s", strings.Join(names, ", "), out.Report)
+	}
 	if out.Bundle != "" {
 		manifest, err := artifact.WriteBundle(out.Bundle, res, store)
 		if err != nil {

@@ -47,9 +47,9 @@ const (
 	MetricWorkerPhaseSecs = "worker_engine_phase_seconds" // histogram{worker,phase}: self-profiler time per phase per completed cell
 )
 
-// queueMetrics are the dispatcher-side instruments. All increments are
-// nil-guarded at the call sites, so an uninstrumented queue (tests,
-// RunLocal) pays one pointer compare per transition.
+// queueMetrics are the dispatcher-side instruments. The zero value — an
+// uninstrumented queue (tests, RunLocal) — holds nil instruments, whose
+// methods are no-ops.
 type queueMetrics struct {
 	books           *fleetmetrics.Counter
 	rebooks         *fleetmetrics.Counter
@@ -70,7 +70,7 @@ type queueMetrics struct {
 // histogram, journal append latency/fsync counters, and the artifact
 // store's gauges and counters. Call once, before serving.
 func (q *Queue) Instrument(reg *fleetmetrics.Registry) {
-	m := &queueMetrics{
+	m := queueMetrics{
 		books:           reg.Counter(MetricBooks, "successful cell bookings"),
 		rebooks:         reg.Counter(MetricRebooks, "bookings of a cell already attempted (lease expiry or release re-book)"),
 		progress:        reg.Counter(MetricProgress, "accepted worker heartbeats"),
@@ -80,7 +80,7 @@ func (q *Queue) Instrument(reg *fleetmetrics.Registry) {
 		leaseExpiries:   reg.Counter(MetricLeaseExpiries, "leases that expired and re-queued their cell"),
 		attemptsExhaust: reg.Counter(MetricAttemptsExhaust, "cells failed after exhausting their booking attempts"),
 		jobAttempts: reg.Histogram(MetricJobAttempts, "bookings a cell took to reach a terminal state",
-			fleetmetrics.LinearBuckets(1, 1, q.opts.MaxAttempts)),
+			fleetmetrics.LinearBuckets(1, 1, q.opts.maxAttempts)),
 		journalAppend: reg.Histogram(MetricJournalAppend, "journal append latency",
 			fleetmetrics.ExponentialBuckets(1e-5, 10, 6)),
 		journalFsyncs: reg.Counter(MetricJournalFsyncs, "journal fsyncs (durable appends)"),
@@ -140,7 +140,8 @@ func (q *Queue) countState(st JobState) int {
 }
 
 // workerMetrics are the simworker-side instruments, labeled by worker ID
-// so scrapes from several workers can share one telemetry store.
+// so scrapes from several workers can share one telemetry store. The zero
+// value (Worker.Metrics unset) holds nil instruments and records nothing.
 type workerMetrics struct {
 	inflight    *fleetmetrics.Gauge
 	completed   *fleetmetrics.Counter
@@ -164,6 +165,9 @@ type workerMetrics struct {
 // per phase, in seconds, labeled {worker, phase}. The registry memoizes
 // series, so repeated cells accumulate into the same histograms.
 func (m *workerMetrics) observeProfile(p *engprof.Profile) {
+	if m.reg == nil {
+		return
+	}
 	for name, c := range p.Phases {
 		if c.Nanos <= 0 {
 			continue
@@ -176,11 +180,11 @@ func (m *workerMetrics) observeProfile(p *engprof.Profile) {
 	}
 }
 
-func newWorkerMetrics(reg *fleetmetrics.Registry, id string, capacity int) *workerMetrics {
+func newWorkerMetrics(reg *fleetmetrics.Registry, id string, capacity int) workerMetrics {
 	lbl := []string{"worker", id}
 	capGauge := reg.Gauge(MetricWorkerCapacity, "advertised concurrent-cell capacity", lbl...)
 	capGauge.Set(float64(capacity))
-	return &workerMetrics{
+	return workerMetrics{
 		reg:       reg,
 		lbl:       lbl,
 		inflight:  reg.Gauge(MetricWorkerInflight, "cells running right now", lbl...),

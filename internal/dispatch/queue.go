@@ -59,18 +59,18 @@ const DefaultMaxAttempts = 5
 type QueueOptions struct {
 	// Lease is the heartbeat deadline (default DefaultLease).
 	Lease time.Duration
-	// MaxAttempts bounds bookings per job (default DefaultMaxAttempts).
-	MaxAttempts int
-	// now overrides the clock in tests.
-	now func() time.Time
+	// maxAttempts (bookings per job, DefaultMaxAttempts) and now (the clock)
+	// are test seams.
+	maxAttempts int
+	now         func() time.Time
 }
 
 func (o *QueueOptions) fill() {
 	if o.Lease <= 0 {
 		o.Lease = DefaultLease
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = DefaultMaxAttempts
+	if o.maxAttempts <= 0 {
+		o.maxAttempts = DefaultMaxAttempts
 	}
 	if o.now == nil {
 		o.now = time.Now
@@ -95,8 +95,9 @@ type Queue struct {
 	// recovered describes what Resume found (torn tail, skipped lines).
 	recovered string
 
-	// metrics, when set via Instrument, receives every queue transition.
-	metrics *queueMetrics
+	// metrics receives every queue transition; its instruments are nil, and
+	// their methods no-ops, until Instrument registers them.
+	metrics queueMetrics
 }
 
 // newQueue validates the spec, opens the sweep's store under dir, and
@@ -437,7 +438,7 @@ func (q *Queue) moveLocked(j *Job, to JobState, worker string, run *RunResult) e
 // every worker that books it must not ping-pong through the sweep forever.
 // how and the worker's reason, if any, word the failure record.
 func (q *Queue) abandonLocked(j *Job, how, reason string) (failed bool, err error) {
-	if j.Attempt < q.opts.MaxAttempts {
+	if j.Attempt < q.opts.maxAttempts {
 		return false, q.moveLocked(j, JobQueued, "", nil)
 	}
 	msg := fmt.Sprintf("dispatch: abandoned after %d %s (last worker %s)", j.Attempt, how, j.Worker)
@@ -445,7 +446,7 @@ func (q *Queue) abandonLocked(j *Job, how, reason string) (failed bool, err erro
 		msg += ": " + reason
 	}
 	err = q.moveLocked(j, JobFailed, j.Worker, &RunResult{Err: msg})
-	if err == nil && q.metrics != nil {
+	if err == nil {
 		q.metrics.attemptsExhaust.Inc()
 		q.metrics.jobAttempts.Observe(float64(j.Attempt))
 	}
@@ -461,7 +462,7 @@ func (q *Queue) reapLocked(now time.Time) {
 	for _, j := range q.jobs {
 		if (j.State == JobBooked || j.State == JobRunning) && now.After(j.Lease) {
 			failed, err := q.abandonLocked(j, "expired leases", "")
-			if err == nil && !failed && q.metrics != nil {
+			if err == nil && !failed {
 				q.metrics.leaseExpiries.Inc()
 			}
 		}
@@ -512,11 +513,9 @@ func (q *Queue) Book(worker string, capacity int) (*Job, bool, error) {
 				j.Attempt, j.Lease = attempt, lease
 				return nil, false, err
 			}
-			if q.metrics != nil {
-				q.metrics.books.Inc()
-				if j.Attempt > 1 {
-					q.metrics.rebooks.Inc()
-				}
+			q.metrics.books.Inc()
+			if j.Attempt > 1 {
+				q.metrics.rebooks.Inc()
 			}
 			cp := *j
 			return &cp, false, nil
@@ -540,9 +539,7 @@ func (q *Queue) Progress(jobID int, worker string, attempt int) error {
 		return err
 	}
 	j.Lease = q.opts.now().Add(q.opts.Lease)
-	if q.metrics != nil {
-		q.metrics.progress.Inc()
-	}
+	q.metrics.progress.Inc()
 	if j.State == JobBooked {
 		return q.moveLocked(j, JobRunning, worker, nil)
 	}
@@ -657,14 +654,12 @@ func (q *Queue) Complete(jobID int, worker string, attempt int, run RunResult) e
 	if err := q.moveLocked(j, to, worker, &run); err != nil {
 		return err
 	}
-	if q.metrics != nil {
-		if to == JobFailed {
-			q.metrics.completesFailed.Inc()
-		} else {
-			q.metrics.completesDone.Inc()
-		}
-		q.metrics.jobAttempts.Observe(float64(j.Attempt))
+	if to == JobFailed {
+		q.metrics.completesFailed.Inc()
+	} else {
+		q.metrics.completesDone.Inc()
 	}
+	q.metrics.jobAttempts.Observe(float64(j.Attempt))
 	return nil
 }
 
@@ -683,7 +678,7 @@ func (q *Queue) Release(jobID int, worker string, attempt int, reason string) er
 		return err
 	}
 	failed, err := q.abandonLocked(j, "attempts", reason)
-	if err == nil && !failed && q.metrics != nil {
+	if err == nil && !failed {
 		q.metrics.releases.Inc()
 	}
 	return err
@@ -714,15 +709,22 @@ func (j *Job) result() scenario.Run {
 	return scenario.Run{Key: j.Key, Metrics: j.Run.Metrics, Digests: j.Run.Digests, Err: j.Run.Err}
 }
 
-// CellRun returns a copy of one cell's recorded result; ok is false while
-// the cell has none (still queued or in flight).
-func (q *Queue) CellRun(jobID int) (scenario.Run, bool) {
+// bundle is the report tree over the queue as it stands: every cell with
+// its recorded result, or its state while it has none.
+func (q *Queue) bundle() *artifact.Bundle {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if jobID < 0 || jobID >= len(q.jobs) || q.jobs[jobID].Run == nil {
-		return scenario.Run{}, false
+	q.reapLocked(q.opts.now())
+	b := &artifact.Bundle{Store: q.store, Pending: map[scenario.Key]string{},
+		Sweep: &scenario.SweepResult{Runs: make([]scenario.Run, len(q.jobs))}}
+	for i, j := range q.jobs {
+		if j.Run == nil {
+			b.Sweep.Runs[i].Key, b.Pending[j.Key] = j.Key, j.State.String()
+		} else {
+			b.Sweep.Runs[i] = j.result()
+		}
 	}
-	return q.jobs[jobID].result(), true
+	return b
 }
 
 // heldLocked is the prologue of every worker report: expired leases are
@@ -781,19 +783,13 @@ func (q *Queue) Snapshot() []JobStatus {
 // ErrNotDrained is returned by Merged while cells are still outstanding.
 var ErrNotDrained = errors.New("dispatch: sweep not drained")
 
-// Merged assembles the finished sweep in scenario-major order — the exact
+// Merged returns the finished sweep in scenario-major order — the exact
 // SweepResult (metrics, digests, error strings) a single-process
-// scenario.Sweep of the same spec produces.
+// scenario.Sweep of the same spec produces, and the one the bundle reports on.
 func (q *Queue) Merged() (*scenario.SweepResult, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	runs := make([]scenario.Run, len(q.jobs))
-	for i, j := range q.jobs {
-		if j.Run == nil {
-			return nil, fmt.Errorf("%w: job %d (%s/%s seed %d) is %s",
-				ErrNotDrained, j.ID, j.Key.Scenario, j.Key.Variant, j.Key.Seed, j.State)
-		}
-		runs[i] = j.result()
+	b := q.bundle()
+	if len(b.Pending) > 0 {
+		return nil, fmt.Errorf("%w: %d of %d cells outstanding", ErrNotDrained, len(b.Pending), len(b.Sweep.Runs))
 	}
-	return &scenario.SweepResult{Runs: runs}, nil
+	return b.Sweep, nil
 }

@@ -115,7 +115,7 @@ func TestQueueBookProgressComplete(t *testing.T) {
 // the MaxAttempts backstop still catches a cell abandoned on every try.
 func TestReleaseRequeuesImmediately(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
-	q, _ := newTestQueue(t, QueueOptions{Lease: time.Minute, MaxAttempts: 2, now: clock.now})
+	q, _ := newTestQueue(t, QueueOptions{Lease: time.Minute, maxAttempts: 2, now: clock.now})
 
 	j, _, err := q.Book("w1", 1)
 	if err != nil || j == nil {
@@ -201,7 +201,7 @@ func TestCapacityWeightedBooking(t *testing.T) {
 
 func TestQueueLeaseExpiryRebooks(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
-	q, _ := newTestQueue(t, QueueOptions{Lease: time.Minute, MaxAttempts: 3, now: clock.now})
+	q, _ := newTestQueue(t, QueueOptions{Lease: time.Minute, maxAttempts: 3, now: clock.now})
 
 	job, _, err := q.Book("w1", 1)
 	if err != nil {

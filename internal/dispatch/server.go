@@ -141,9 +141,6 @@ func (d *Dispatcher) Instrument(reg *fleetmetrics.Registry) {
 		"HEAD /artifact probes", "outcome", "miss")
 }
 
-// Queue returns the dispatcher's queue.
-func (d *Dispatcher) Queue() *Queue { return d.queue }
-
 func (d *Dispatcher) logf(format string, args ...any) {
 	if d.Logf != nil {
 		d.Logf(format, args...)
@@ -162,13 +159,9 @@ func (d *Dispatcher) Handler() http.Handler {
 	mux.HandleFunc("HEAD /artifact/{digest}", d.handleArtifactHead)
 	mux.HandleFunc("PUT /artifact/{digest}", d.handleArtifactPut)
 	mux.HandleFunc("GET /artifact/{digest}", d.handleArtifactGet)
-	mux.HandleFunc("GET /bundle", d.handleBundleIndex)
-	mux.HandleFunc("GET /bundle/report", d.handleBundleReport)
-	mux.HandleFunc("GET /bundle/runs.csv", d.handleBundleRunsCSV)
-	mux.HandleFunc("GET /bundle/diff", d.handleBundleDiff)
-	mux.HandleFunc("GET /bundle/scenario/{name}", d.handleBundleScenario)
-	mux.HandleFunc("GET /bundle/cell/{scenario}/{variant}/{seed}", d.handleBundleCell)
-	mux.HandleFunc("GET /bundle/cell/{scenario}/{variant}/{seed}/{id}", d.handleBundleArtifact)
+	// The subtree root serves the index, and the mux redirects the bare
+	// /bundle to it — the index's links are relative to the tree.
+	mux.HandleFunc("GET /bundle/{path...}", d.serveBundle)
 	if d.registry != nil {
 		mux.Handle("GET /metrics", d.registry.Handler())
 	}
@@ -196,9 +189,7 @@ func (d *Dispatcher) writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		d.logf("dispatch: encoding response: %v", err)
-		if d.encodeErrors != nil {
-			d.encodeErrors.Inc()
-		}
+		d.encodeErrors.Inc()
 	}
 }
 
@@ -324,9 +315,12 @@ func (d *Dispatcher) handleState(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Dispatcher) handleResult(w http.ResponseWriter, r *http.Request) {
-	if res, ok := d.merged(w); ok {
-		d.writeJSON(w, res)
+	res, err := d.queue.Merged()
+	if err != nil { // ErrNotDrained, Merged's only failure
+		http.Error(w, err.Error(), http.StatusTooEarly)
+		return
 	}
+	d.writeJSON(w, res)
 }
 
 // Serve listens on addr and serves the protocol until Shutdown (or ctx

@@ -26,6 +26,19 @@ import (
 // errDrained signals the dispatcher reported the sweep complete (410).
 var errDrained = errors.New("dispatch: sweep drained")
 
+// errBlobRefused marks a blob PUT the dispatcher answered with a 4xx: it
+// read the request and will not take these bytes (over its body cap, hash
+// mismatch), so — unlike a transport error or a 5xx — re-sending them cannot
+// succeed.
+var errBlobRefused = errors.New("dispatch: blob refused")
+
+// abandonBackoff is how long a slot cools down after its cell is abandoned
+// and released. The released cell re-books immediately — on another worker;
+// the cool-down keeps a worker with a persistently failing path (say, its
+// uploads rejected) from re-booking its own releases in a tight loop and
+// burning the cell's whole attempt budget in milliseconds.
+const abandonBackoff = 5 * time.Second
+
 // WorkerHooks observe a worker's lifecycle; tests use them to kill a
 // worker mid-cell deterministically.
 type WorkerHooks struct {
@@ -69,24 +82,11 @@ type Worker struct {
 	// Poll is the idle re-poll interval when no cell is free (default
 	// 500ms). It is also the starting point of the book-failure backoff.
 	Poll time.Duration
-	// BookBackoffMax caps the exponential backoff between failed /book
-	// attempts (default 15s). On transient dispatcher errors the retry
-	// delay doubles from Poll up to this cap, with jitter, and resets the
-	// moment a book succeeds — so a fleet of workers facing a restarted
-	// dispatcher re-books spread out instead of stampeding in lockstep.
-	BookBackoffMax time.Duration
 	// Concurrency is how many cells run at once (default 1). It is
 	// advertised to the queue as the worker's booking capacity, so an
 	// N-job worker holds up to N concurrent leases and drains the matrix
 	// proportionally faster.
 	Concurrency int
-	// AbandonBackoff is how long a slot cools down after its cell is
-	// abandoned and released (default 5s). The released cell re-books
-	// immediately — on another worker; the cool-down keeps a worker with
-	// a persistently failing path (say, its uploads rejected) from
-	// re-booking its own releases in a tight loop and burning the cell's
-	// whole attempt budget in milliseconds.
-	AbandonBackoff time.Duration
 	// Client overrides the HTTP client.
 	Client *http.Client
 	// Logf, when set, receives one line per cell transition.
@@ -99,23 +99,25 @@ type Worker struct {
 	// unaffected — snapshots only save the re-run prefix after a worker
 	// death.
 	DisableSnapshots bool
-	// Artifacts renders the cell's artifact bodies, artifact ID → text
-	// (default sapsim.ArtifactSet — all 18 paper artifacts). Digests are
-	// taken over these bodies, and the bodies ship to the dispatcher's
-	// store.
-	Artifacts func(*sapsim.Result) (map[string]string, error)
 	// Metrics, when set, receives the worker's fleet metrics (in-flight
 	// vs capacity, per-cell wall time, heartbeat RTT, book failures,
 	// upload dedup) — simworker serves it on its -metrics listener.
 	Metrics *fleetmetrics.Registry
 
-	// m holds the registered instruments (nil when Metrics is unset).
-	m *workerMetrics
-	// hostname, sleep, and randFloat are test seams: identity-collision
+	// m holds the instruments: nil ones, whose methods are no-ops, while
+	// Metrics is unset.
+	m workerMetrics
+	// bookBackoffMax caps the exponential backoff between failed /book
+	// attempts (default 15s). On transient dispatcher errors the retry
+	// delay doubles from Poll up to this cap, with jitter, and resets the
+	// moment a book succeeds — so a fleet of workers facing a restarted
+	// dispatcher re-books spread out instead of stampeding in lockstep.
+	// It, hostname, sleep, and randFloat are test seams: identity-collision
 	// and backoff tests substitute deterministic implementations.
-	hostname  func() (string, error)
-	sleep     func(ctx context.Context, d time.Duration) error
-	randFloat func() float64
+	bookBackoffMax time.Duration
+	hostname       func() (string, error)
+	sleep          func(ctx context.Context, d time.Duration) error
+	randFloat      func() float64
 }
 
 func (w *Worker) fill() {
@@ -158,25 +160,19 @@ func (w *Worker) fill() {
 	if w.Poll <= 0 {
 		w.Poll = 500 * time.Millisecond
 	}
-	if w.BookBackoffMax <= 0 {
-		w.BookBackoffMax = 15 * time.Second
+	if w.bookBackoffMax <= 0 {
+		w.bookBackoffMax = 15 * time.Second
 	}
-	if w.BookBackoffMax < w.Poll {
-		w.BookBackoffMax = w.Poll
+	if w.bookBackoffMax < w.Poll {
+		w.bookBackoffMax = w.Poll
 	}
 	if w.Concurrency <= 0 {
 		w.Concurrency = 1
 	}
-	if w.AbandonBackoff <= 0 {
-		w.AbandonBackoff = 5 * time.Second
-	}
 	if w.Client == nil {
 		w.Client = &http.Client{Timeout: 10 * time.Second}
 	}
-	if w.Artifacts == nil {
-		w.Artifacts = sapsim.ArtifactSet
-	}
-	if w.Metrics != nil && w.m == nil {
+	if w.Metrics != nil && w.m.reg == nil {
 		w.m = newWorkerMetrics(w.Metrics, w.ID, w.Concurrency)
 	}
 }
@@ -216,31 +212,27 @@ func (w *Worker) Run(ctx context.Context) error {
 			return nil
 		case err != nil:
 			// Transient dispatcher unavailability: jittered exponential
-			// backoff, doubling from Poll up to BookBackoffMax. The jitter
+			// backoff, doubling from Poll up to bookBackoffMax. The jitter
 			// (uniform over [backoff/2, backoff)) decorrelates a fleet whose
 			// workers all saw the same dispatcher restart — without it they
 			// retry in lockstep and the recovering dispatcher eats a
 			// thundering herd at every interval.
-			if w.m != nil {
-				w.m.bookFails.Inc()
-			}
+			w.m.bookFails.Inc()
 			w.logf("worker %s: book: %v (retry in ~%s)", w.ID, err, backoff)
 			<-slots
 			delay := backoff/2 + time.Duration(w.randFloat()*float64(backoff/2))
 			if err := w.sleep(ctx, delay); err != nil {
 				return err
 			}
-			if backoff *= 2; backoff > w.BookBackoffMax {
-				backoff = w.BookBackoffMax
+			if backoff *= 2; backoff > w.bookBackoffMax {
+				backoff = w.bookBackoffMax
 			}
 			continue
 		case booked == nil:
 			// The dispatcher answered (nothing free right now): it is
 			// healthy, so poll at the normal cadence and reset the backoff.
 			backoff = w.Poll
-			if w.m != nil {
-				w.m.booksEmpty.Inc()
-			}
+			w.m.booksEmpty.Inc()
 			<-slots
 			if err := w.sleep(ctx, w.Poll); err != nil {
 				return err
@@ -248,9 +240,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			continue
 		}
 		backoff = w.Poll
-		if w.m != nil {
-			w.m.booksBooked.Inc()
-		}
+		w.m.booksBooked.Inc()
 		if w.Hooks.OnBook != nil {
 			w.Hooks.OnBook(booked.Job, booked.Key)
 		}
@@ -258,24 +248,18 @@ func (w *Worker) Run(ctx context.Context) error {
 		go func(booked *BookResponse) {
 			defer wg.Done()
 			defer func() { <-slots }()
-			if w.m != nil {
-				w.m.inflight.Inc()
-			}
+			w.m.inflight.Inc()
 			start := time.Now()
 			err := w.runCell(ctx, w.ID, booked)
-			if w.m != nil {
-				w.m.inflight.Dec()
-				w.m.cellSecs.Observe(time.Since(start).Seconds())
-			}
+			w.m.inflight.Dec()
+			w.m.cellSecs.Observe(time.Since(start).Seconds())
 			if err != nil && ctx.Err() == nil {
 				// Abandon the cell, handing the lease back so it re-books
 				// immediately — otherwise the queue counts it against this
 				// worker's capacity until the lease times out, idling a
 				// slot. Best-effort: if the lease is already lost (409) or
 				// the dispatcher is unreachable, expiry re-books it anyway.
-				if w.m != nil {
-					w.m.abandoned.Inc()
-				}
+				w.m.abandoned.Inc()
 				w.logf("worker %s: job %d abandoned: %v", w.ID, booked.Job, err)
 				var ok struct{ OK bool }
 				_, _ = w.post(ctx, "/release",
@@ -286,9 +270,9 @@ func (w *Worker) Run(ctx context.Context) error {
 				// grab the cell meanwhile.
 				select {
 				case <-ctx.Done():
-				case <-time.After(w.AbandonBackoff):
+				case <-time.After(abandonBackoff):
 				}
-			} else if err == nil && w.m != nil {
+			} else if err == nil {
 				w.m.completed.Inc()
 			}
 		}(booked)
@@ -344,13 +328,19 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 	// pending is the one snapshot awaiting shipment. The run loop captures
 	// into it at a stride boundary only while it is nil; the heartbeat loop
 	// encodes and ships it, and clears it once the pointer is journaled (or
-	// the encode failed) — which is what asks the run loop for the next. So
-	// nothing is captured faster than heartbeats can ship, and nothing is
-	// encoded that is not shipped.
+	// never can be: the encode failed, the dispatcher refused the blob) —
+	// which is what asks the run loop for the next. So nothing is captured
+	// faster than heartbeats can ship, and nothing is encoded that is not
+	// shipped.
 	var (
 		mu      sync.Mutex
 		pending *sapsim.Snapshot
 	)
+	clearPending := func() {
+		mu.Lock()
+		pending = nil
+		mu.Unlock()
+	}
 	// Span collection: the dispatcher handed us trace context (Trace is
 	// the cell's trace ID, Span the attempt span it derives from the
 	// journal), so engine phases and upload work become spans parented
@@ -467,23 +457,26 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 			mu.Unlock()
 			// Encode the pending snapshot here, off the engine goroutine, and
 			// ship the blob before reporting its pointer: the dispatcher
-			// rejects a pointer whose blob is not in the store. Upload
-			// failures are transient — the snapshot stays pending and the
-			// next heartbeat encodes and tries it again.
+			// rejects a pointer whose blob is not in the store. A transport
+			// failure is transient — the snapshot stays pending and the next
+			// heartbeat encodes and tries it again; a blob the dispatcher
+			// refused (over its body cap, say) is dropped, since the same
+			// bytes would be refused at every heartbeat until the cell ends.
 			var snapRef *BlobRef
 			if snap != nil {
 				encStart := time.Now()
 				if blob, err := sapsim.EncodeSnapshotBytes(snap); err != nil {
 					w.logf("worker %s: job %d snapshot encode: %v", id, booked.Job, err)
-					mu.Lock()
-					pending = nil
-					mu.Unlock()
+					clearPending()
 				} else {
 					addSpan("snapshot-encode", encStart, time.Now(), nil)
 					ref := BlobRef{Kind: BlobSnapshot, Digest: artifact.Digest(blob), At: snap.At}
 					upStart := time.Now()
 					if _, err := w.uploadBlob(cellCtx, ref.Digest, blob); err != nil {
 						w.logf("worker %s: job %d snapshot upload: %v", id, booked.Job, err)
+						if errors.Is(err, errBlobRefused) {
+							clearPending()
+						}
 					} else {
 						addSpan("snapshot-upload", upStart, time.Now(), nil)
 						snapRef = &ref
@@ -502,9 +495,7 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 				requeueSpans(spanBatch)
 				continue
 			}
-			if w.m != nil {
-				w.m.heartbeat.Observe(time.Since(hbStart).Seconds())
-			}
+			w.m.heartbeat.Observe(time.Since(hbStart).Seconds())
 			if status == http.StatusConflict {
 				cancelCell(ErrStale)
 				return
@@ -522,9 +513,7 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 			// bare until the run loop captures a fresh snapshot, keeping the
 			// WAL proportional to state changes, not wall time.
 			if snapRef != nil {
-				mu.Lock()
-				pending = nil
-				mu.Unlock()
+				clearPending()
 				if w.Hooks.OnSnapshot != nil {
 					w.Hooks.OnSnapshot(booked.Job, *snapRef)
 				}
@@ -583,7 +572,7 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 	}
 	run := RunResult{Metrics: scenario.Extract(res)}
 	renderStart := time.Now()
-	bodies, err := w.Artifacts(res)
+	bodies, err := sapsim.ArtifactSet(res)
 	addSpan("artifact-render", renderStart, time.Now(), nil)
 	if err != nil {
 		run.Err = "fingerprint: " + err.Error()
@@ -619,9 +608,7 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 			} else {
 				addSpan("profile-upload", upStart, time.Now(), nil)
 				profRef = &BlobRef{Kind: BlobProfile, Digest: digest}
-				if w.m != nil {
-					w.m.observeProfile(prof)
-				}
+				w.m.observeProfile(prof)
 			}
 		}
 	}
@@ -648,10 +635,14 @@ func (w *Worker) uploadBlob(ctx context.Context, digest string, blob []byte) (de
 	if err != nil {
 		return false, err
 	}
-	if status != http.StatusCreated && status != http.StatusOK {
+	switch {
+	case status == http.StatusCreated || status == http.StatusOK:
+		return false, nil
+	case status >= 400 && status < 500:
+		return false, fmt.Errorf("%w: %s: status %d", errBlobRefused, digest, status)
+	default:
 		return false, fmt.Errorf("dispatch: blob %s rejected: status %d", digest, status)
 	}
-	return false, nil
 }
 
 // fetchSnapshot downloads and decodes the snapshot a BookResponse points
@@ -694,12 +685,10 @@ func (w *Worker) upload(ctx context.Context, job int, bodies, digests map[string
 		if err != nil {
 			return fmt.Errorf("artifact %s: %w", id, err)
 		}
-		if w.m != nil {
-			if deduplicated {
-				w.m.upDedup.Inc()
-			} else {
-				w.m.upStored.Inc()
-			}
+		if deduplicated {
+			w.m.upDedup.Inc()
+		} else {
+			w.m.upStored.Inc()
 		}
 		if w.Hooks.OnUpload != nil {
 			w.Hooks.OnUpload(job, id, digest, deduplicated)

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ import (
 
 // TestWorkerBookBackoff pins the retry schedule against a flapping
 // dispatcher: jittered exponential backoff doubling from Poll to
-// BookBackoffMax, resetting to the plain Poll cadence the moment the
+// bookBackoffMax, resetting to the plain Poll cadence the moment the
 // dispatcher answers again. The seams make it deterministic: randFloat
 // pinned to 0 selects the low edge of each jitter window (backoff/2).
 func TestWorkerBookBackoff(t *testing.T) {
@@ -56,7 +57,7 @@ func TestWorkerBookBackoff(t *testing.T) {
 		Dispatcher:     srv.URL,
 		ID:             "w1",
 		Poll:           time.Second,
-		BookBackoffMax: 4 * time.Second,
+		bookBackoffMax: 4 * time.Second,
 		sleep: func(ctx context.Context, d time.Duration) error {
 			slept = append(slept, d)
 			return nil // no wall-clock time passes
@@ -274,4 +275,72 @@ func TestWorkerSnapshotsFollowHeartbeats(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestWorkerDropsRefusedSnapshot: a dispatcher that refuses snapshot blobs
+// (as the real one does past its body cap) sees each captured snapshot PUT
+// exactly once — a refusal is not retried at every following heartbeat — and
+// the cells still complete and merge byte-identically.
+func TestWorkerDropsRefusedSnapshot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run end-to-end sweep")
+	}
+	spec := testSpec()
+	spec.Seeds = spec.Seeds[:1]
+	ref := referenceSweep(t, spec)
+
+	q, err := NewQueue(t.TempDir(), spec, QueueOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	handler := NewDispatcher(q).Handler()
+	var mu sync.Mutex
+	refused := map[string]int{} // snapshot blob path → PUTs seen
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Errorf("reading PUT body: %v", err)
+			}
+			if _, err := sapsim.DecodeSnapshotBytes(body); err == nil {
+				mu.Lock()
+				refused[r.URL.Path]++
+				mu.Unlock()
+				http.Error(rw, "bad request: http: request body too large", http.StatusBadRequest)
+				return
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		handler.ServeHTTP(rw, r)
+	}))
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	var accepted atomic.Int64
+	w := &Worker{Dispatcher: srv.URL, ID: "w", Poll: 10 * time.Millisecond,
+		// Far shorter than a cell: a snapshot left pending would be re-PUT
+		// dozens of times before the cell ends.
+		HeartbeatEvery: 2 * time.Millisecond,
+		Hooks:          WorkerHooks{OnSnapshot: func(int, BlobRef) { accepted.Add(1) }}}
+	if err := w.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	merged, err := q.Merged()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, merged, ref, "refused snapshots")
+	if len(refused) == 0 {
+		t.Fatal("no snapshot was ever PUT; the test exercised nothing")
+	}
+	for blob, puts := range refused {
+		if puts != 1 {
+			t.Errorf("refused snapshot %s was PUT %d times, want once", blob, puts)
+		}
+	}
+	if n := accepted.Load(); n != 0 {
+		t.Errorf("%d snapshot pointers accepted for blobs the dispatcher refused", n)
+	}
 }

@@ -582,8 +582,7 @@ func (f *Fleet) Migrate(vm *vmmodel.VM, to *topology.Node, at sim.Time) error {
 	}
 	if err := src.evict(vm); err != nil {
 		// Roll back the destination admission.
-		_ = dst.evict(vm)
-		return err
+		return errors.Join(err, dst.evict(vm))
 	}
 	vm.MigrateTo(to, at)
 	return nil

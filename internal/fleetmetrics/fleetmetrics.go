@@ -56,7 +56,9 @@ type series struct {
 	hist    *Histogram
 }
 
-// Counter is a monotonically increasing value.
+// Counter is a monotonically increasing value. Like Gauge and Histogram, a
+// nil one records nothing: code whose instruments are optional holds nil
+// pointers and calls them unguarded.
 type Counter struct{ bits atomic.Uint64 }
 
 // Inc adds 1.
@@ -64,7 +66,7 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds delta; negative deltas are ignored (counters only go up).
 func (c *Counter) Add(delta float64) {
-	if delta < 0 {
+	if c == nil || delta < 0 {
 		return
 	}
 	addFloat(&c.bits, delta)
@@ -77,10 +79,18 @@ func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Add adds delta (may be negative).
-func (g *Gauge) Add(delta float64) { addFloat(&g.bits, delta) }
+func (g *Gauge) Add(delta float64) {
+	if g != nil {
+		addFloat(&g.bits, delta)
+	}
+}
 
 // Inc adds 1.
 func (g *Gauge) Inc() { g.Add(1) }
@@ -114,6 +124,9 @@ type Histogram struct {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	h.mu.Lock()
 	i := sort.SearchFloat64s(h.upper, v) // first bound >= v
 	h.counts[i]++

@@ -151,3 +151,20 @@ func TestConcurrentInstrumentation(t *testing.T) {
 		t.Fatalf("inflight = %g, want 0", g.Value())
 	}
 }
+
+// TestNilInstrumentsRecordNothing: an uninstrumented queue or worker holds
+// nil instruments and calls them unguarded.
+func TestNilInstrumentsRecordNothing(t *testing.T) {
+	var (
+		c *Counter
+		g *Gauge
+		h *Histogram
+	)
+	c.Inc()
+	c.Add(2)
+	g.Set(3)
+	g.Add(1)
+	g.Inc()
+	g.Dec()
+	h.Observe(0.5)
+}

@@ -223,7 +223,9 @@ func (s *Scheduler) Schedule(req *RequestSpec, now sim.Time) (*Result, error) {
 			continue
 		}
 		if err := s.fleet.Place(req.VM, node, now); err != nil {
-			// Roll back the claim and retry elsewhere.
+			// Roll back the claim and retry elsewhere. The release cannot
+			// fail: its one error is an unknown consumer, and the claim
+			// above just recorded this one.
 			_ = s.release(string(req.VM.ID))
 			s.retries++
 			s.reasons["AdmissionFailed"]++

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -11,6 +12,7 @@ import (
 	"sapsim/internal/core"
 	"sapsim/internal/esx"
 	"sapsim/internal/events"
+	"sapsim/internal/placement"
 	"sapsim/internal/sim"
 	"sapsim/internal/topology"
 	"sapsim/internal/vmmodel"
@@ -92,13 +94,21 @@ func evacuateHost(env *core.Env, h *esx.Host, now sim.Time) {
 	}
 }
 
-// failNode takes a node out of service and evacuates its residents. The
-// placement inventory error is ignored: every building block registered a
-// provider at scheduler construction.
+// failNode takes a node out of service and evacuates its residents.
 func failNode(env *core.Env, h *esx.Host, now sim.Time) {
 	env.TakeDown(h.Node)
-	_ = env.Scheduler.RefreshInventory(h.Node.BB)
+	refreshBBs(env, []*esx.Host{h})
 	evacuateHost(env, h, now)
+}
+
+// scheduleFollowUp schedules an injector's next owned event from inside one
+// of its handlers. A handler has no caller to return a rejection to, and a
+// follow-up that silently never fires — hosts that never recover, an
+// evaluation loop that stops — changes the run's results without a trace, so
+// the rejection fails the run.
+func scheduleFollowUp(env *core.Env, at sim.Time, suffix string, payload []byte) {
+	_, err := env.ScheduleOwned(at, suffix, payload)
+	env.Engine.NoteError(err)
 }
 
 // restoreHosts releases one out-of-service claim per host; hosts with no
@@ -115,13 +125,19 @@ func restoreHosts(env *core.Env, hosts []*esx.Host) {
 }
 
 // refreshBBs re-syncs the placement inventory of each host's building
-// block, once per block.
+// block, once per block. A block with no provider has nothing to re-sync: a
+// CapacityExpansion block is in the topology from inject time but joins
+// placement only on arrival, with whatever capacity it has then, and an
+// injector that picks blocks by index can reach it before that. Any other
+// failure fails the run.
 func refreshBBs(env *core.Env, hosts []*esx.Host) {
 	seen := make(map[*topology.BuildingBlock]bool)
 	for _, h := range hosts {
 		if bb := h.Node.BB; !seen[bb] {
 			seen[bb] = true
-			_ = env.Scheduler.RefreshInventory(bb)
+			if err := env.Scheduler.RefreshInventory(bb); !errors.Is(err, placement.ErrUnknownProvider) {
+				env.Engine.NoteError(err)
+			}
 		}
 	}
 }
@@ -189,7 +205,7 @@ func (hf HostFailures) Inject(env *core.Env) error {
 			evacuateHost(env, h, now)
 		}
 		if hf.Recover > 0 {
-			_, _ = env.ScheduleOwned(now+hf.Recover, "restore", hostsPayload(failed))
+			scheduleFollowUp(env, now+hf.Recover, "restore", hostsPayload(failed))
 		}
 	}
 	env.OnRestore("fail", func([]byte) (sim.Handler, error) { return fail, nil })
@@ -245,7 +261,7 @@ func (o AZOutage) Inject(env *core.Env) error {
 			evacuateHost(env, h, now)
 		}
 		if o.Duration > 0 {
-			_, _ = env.ScheduleOwned(now+o.Duration, "restore", hostsPayload(down))
+			scheduleFollowUp(env, now+o.Duration, "restore", hostsPayload(down))
 		}
 	}
 	env.OnRestore("outage", func([]byte) (sim.Handler, error) { return outage, nil })
@@ -439,7 +455,7 @@ func (cf CorrelatedFailures) Inject(env *core.Env) error {
 				evacuateHost(env, h, now)
 			}
 			if cf.Recover > 0 {
-				_, _ = env.ScheduleOwned(now+cf.Recover, "restore", hostsPayload(failed))
+				scheduleFollowUp(env, now+cf.Recover, "restore", hostsPayload(failed))
 			}
 		}
 	}
@@ -602,10 +618,10 @@ func (cf CascadingFailures) Inject(env *core.Env) error {
 			evacuateHost(env, h, now)
 		}
 		if cf.Recover > 0 && len(failed) > 0 {
-			_, _ = env.ScheduleOwned(now+cf.Recover, "restore", hostsPayload(failed))
+			scheduleFollowUp(env, now+cf.Recover, "restore", hostsPayload(failed))
 		}
 		if next := now + every; next < end {
-			_, _ = env.ScheduleOwned(next, "eval", nil)
+			scheduleFollowUp(env, next, "eval", nil)
 		}
 	}
 	env.OnRestore("eval", func([]byte) (sim.Handler, error) { return evaluate, nil })
@@ -708,10 +724,7 @@ func (ce CapacityExpansion) Inject(env *core.Env) error {
 			for _, n := range bb.Nodes {
 				env.BringUp(n)
 			}
-			// The provider cannot pre-exist (AddBB guarantees a fresh
-			// ID), so registration reduces to CreateProvider and cannot
-			// fail; RegisterBB still degrades to a refresh defensively.
-			_ = env.Scheduler.RegisterBB(bb)
+			env.Engine.NoteError(env.Scheduler.RegisterBB(bb))
 		}, nil
 	})
 	if env.Restoring() {
@@ -721,7 +734,9 @@ func (ce CapacityExpansion) Inject(env *core.Env) error {
 		// restoring injection.
 		for i, bb := range bbs {
 			if ce.At+sim.Time(i)*every <= env.RestoreAt() {
-				_ = env.Scheduler.RegisterBB(bb)
+				if err := env.Scheduler.RegisterBB(bb); err != nil {
+					return fmt.Errorf("capacity-expansion: %w", err)
+				}
 			}
 		}
 		return nil

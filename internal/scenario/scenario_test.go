@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -48,6 +50,23 @@ func TestHostFailuresEvacuate(t *testing.T) {
 	}
 	if err := CheckInvariants(res); err != nil {
 		t.Fatalf("invariants: %v", err)
+	}
+}
+
+// TestRejectedRecoveryFailsTheRun: a recovery event the engine refuses (here
+// a Recover so large the instant overflows into the past) used to be
+// dropped — the failed hosts silently never came back; it must come back
+// from AdvanceTo.
+func TestRejectedRecoveryFailsTheRun(t *testing.T) {
+	sc := &Scenario{Name: "hf-overflow", Injections: []core.Injector{
+		HostFailures{At: sim.Day, Count: 1, Recover: sim.Time(math.MaxInt64)},
+	}}
+	s, err := core.NewSimulation(sc.Configure(testConfig(2)), core.Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AdvanceTo(s.Horizon(), nil); !errors.Is(err, sim.ErrPast) {
+		t.Fatalf("AdvanceTo = %v, want sim.ErrPast", err)
 	}
 }
 
