@@ -193,8 +193,8 @@ func sampleTimes(store *telemetry.Store, metrics ...string) []sim.Time {
 	seen := map[sim.Time]bool{}
 	for _, m := range metrics {
 		for _, s := range store.Select(m) {
-			for _, smp := range s.Samples {
-				seen[smp.T] = true
+			for i := 0; i < s.Len(); i++ {
+				seen[s.Sample(i).T] = true
 			}
 		}
 	}

@@ -162,7 +162,8 @@ func main() {
 		sums := map[sim.Time]float64{}
 		counts := map[sim.Time]int{}
 		for _, s := range store.Select(exporter.MetricVMCPURatio) {
-			for _, smp := range s.Samples {
+			for i := 0; i < s.Len(); i++ {
+				smp := s.Sample(i)
 				sums[smp.T] += smp.V
 				counts[smp.T]++
 			}

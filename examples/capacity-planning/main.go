@@ -65,22 +65,25 @@ func main() {
 		if len(series) == 0 {
 			continue
 		}
-		// Average member nodes into one BB series.
-		avg := &telemetry.Series{}
-		for i := range series[0].Samples {
+		// Average member nodes into one BB series, held in a store of
+		// its own.
+		bbStore := telemetry.NewStore()
+		for i := 0; i < series[0].Len(); i++ {
 			sum := 0.0
 			n := 0
 			for _, s := range series {
-				if i < len(s.Samples) {
-					sum += s.Samples[i].V
+				if i < s.Len() {
+					sum += s.Sample(i).V
 					n++
 				}
 			}
 			if n > 0 {
-				avg.Samples = append(avg.Samples,
-					telemetry.Sample{T: series[0].Samples[i].T, V: sum / float64(n)})
+				if err := bbStore.Append("bb_cpu", telemetry.Labels{}, series[0].Sample(i).T, sum/float64(n)); err != nil {
+					log.Fatal(err)
+				}
 			}
 		}
+		avg := bbStore.Select("bb_cpu")[0]
 		model, err := forecast.NewHoltWinters(0.3, 0.01, 0.3, period)
 		if err != nil {
 			log.Fatal(err)
@@ -105,7 +108,8 @@ func main() {
 	sums := map[sim.Time]float64{}
 	counts := map[sim.Time]int{}
 	for _, s := range res.Store.Select(exporter.MetricVMCPURatio) {
-		for _, smp := range s.Samples {
+		for i := 0; i < s.Len(); i++ {
+			smp := s.Sample(i)
 			sums[smp.T] += smp.V
 			counts[smp.T]++
 		}

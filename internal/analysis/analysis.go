@@ -282,14 +282,15 @@ type NodeStat struct {
 func TopKByMax(q telemetry.Querier, metric, entityLabel string, k int, tf Transform) []NodeStat {
 	perSeries := mapSeries(q.Select(metric), func(s *telemetry.Series) *NodeStat {
 		name := s.Labels.Get(entityLabel)
-		if name == "" || len(s.Samples) == 0 {
+		if name == "" || s.Len() == 0 {
 			return nil
 		}
+		all := s.All()
 		return &NodeStat{
 			Node: name,
-			Max:  tf(telemetry.Max(s.Samples)),
-			P95:  tf(telemetry.Percentile(s.Samples, 95)),
-			Mean: tf(telemetry.Mean(s.Samples)),
+			Max:  tf(telemetry.Max(all)),
+			P95:  tf(telemetry.Percentile(all.Values(), 95)),
+			Mean: tf(telemetry.Mean(all)),
 		}
 	})
 	stats := make([]NodeStat, 0, len(perSeries))
@@ -324,30 +325,48 @@ type DailyAggregate struct {
 // mean/p95/max across all samples of all entities.
 func DailyPooled(q telemetry.Querier, metric string, days int) []DailyAggregate {
 	series := q.Select(metric)
-	// Slice each series into its per-day windows in parallel (cheap
-	// aliasing subslices); pools are then concatenated in series order so
-	// the float accumulation is deterministic.
-	windows := mapSeries(series, func(s *telemetry.Series) [][]telemetry.Sample {
-		win := make([][]telemetry.Sample, days)
+	// Slice each series into its per-day windows in parallel (index
+	// arithmetic, no copying); pools are then concatenated in series order
+	// so the float accumulation is deterministic.
+	windows := mapSeries(series, func(s *telemetry.Series) []telemetry.Window {
+		win := make([]telemetry.Window, days)
 		for d := 0; d < days; d++ {
 			from := sim.Time(d) * sim.Day
 			win[d] = s.Range(from, from+sim.Day)
 		}
 		return win
 	})
+	// One buffer, sized for the fullest day, serves every day: Percentile
+	// sorts it in place after the order-dependent mean has been taken.
+	fullest := 0
+	for d := 0; d < days; d++ {
+		n := 0
+		for i := range series {
+			n += windows[i][d].Len()
+		}
+		fullest = max(fullest, n)
+	}
+	pool := make([]float64, 0, fullest)
 	out := make([]DailyAggregate, days)
 	for d := 0; d < days; d++ {
-		var pool []telemetry.Sample
+		pool = pool[:0]
 		for i := range series {
-			pool = append(pool, windows[i][d]...)
+			pool = windows[i][d].AppendValues(pool)
 		}
 		a := DailyAggregate{Day: d, N: len(pool)}
 		if len(pool) == 0 {
 			a.Mean, a.P95, a.Max = math.NaN(), math.NaN(), math.NaN()
 		} else {
-			a.Mean = telemetry.Mean(pool)
+			sum, max := 0.0, pool[0]
+			for _, v := range pool {
+				sum += v
+				if v > max {
+					max = v
+				}
+			}
+			a.Mean = sum / float64(len(pool))
+			a.Max = max
 			a.P95 = telemetry.Percentile(pool, 95)
-			a.Max = telemetry.Max(pool)
 		}
 		out[d] = a
 	}
@@ -390,7 +409,7 @@ func (c *CDF) Quantile(q float64) float64 {
 	if len(c.Values) == 0 {
 		return math.NaN()
 	}
-	return telemetry.PercentileValues(c.Values, q*100)
+	return telemetry.Percentile(c.Values, q*100)
 }
 
 // Utilization thresholds from Sec. 5.5: under-utilized below 70%, optimal
@@ -506,7 +525,7 @@ func MedianLifetimeHours(records []LifetimeRecord) float64 {
 	for i, r := range records {
 		vals[i] = r.Lifetime.Hours()
 	}
-	return telemetry.PercentileValues(vals, 50)
+	return telemetry.Percentile(vals, 50)
 }
 
 // ClassCount tallies a VM population by size class (Tables 1 and 2).

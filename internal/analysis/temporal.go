@@ -84,12 +84,13 @@ func (s Shift) Delta() float64 { return s.After - s.Before }
 // than threshold. Windows are non-overlapping scans stepped by half a
 // window; consecutive detections are merged into the largest one.
 func DetectShifts(s *telemetry.Series, window sim.Time, threshold float64) []Shift {
-	if window <= 0 || len(s.Samples) == 0 {
+	final, ok := s.Last()
+	if window <= 0 || !ok {
 		return nil
 	}
 	var shifts []Shift
-	start := s.Samples[0].T
-	end := s.Samples[len(s.Samples)-1].T
+	start := s.Sample(0).T
+	end := final.T
 	step := window / 2
 	if step <= 0 {
 		step = window

@@ -57,16 +57,32 @@ func TestWeekEffectEmpty(t *testing.T) {
 	}
 }
 
-func TestDetectShifts(t *testing.T) {
-	s := &telemetry.Series{}
-	// Level 80 for 5 days, abrupt drop to 20 (a termination), then flat.
-	for i := 0; i < 10*24; i++ {
-		v := 80.0
-		if i >= 5*24 {
-			v = 20
+// seriesOf returns a series holding vals at start, start+step, …, read back
+// from a store of its own.
+func seriesOf(t testing.TB, start, step sim.Time, vals ...float64) *telemetry.Series {
+	t.Helper()
+	st := telemetry.NewStore()
+	for i, v := range vals {
+		if err := st.Append("m", telemetry.Labels{}, start+sim.Time(i)*step, v); err != nil {
+			t.Fatal(err)
 		}
-		s.Samples = append(s.Samples, telemetry.Sample{T: sim.Time(i) * sim.Hour, V: v})
 	}
+	if len(vals) == 0 {
+		return &telemetry.Series{}
+	}
+	return st.Select("m")[0]
+}
+
+func TestDetectShifts(t *testing.T) {
+	// Level 80 for 5 days, abrupt drop to 20 (a termination), then flat.
+	vals := make([]float64, 10*24)
+	for i := range vals {
+		vals[i] = 80
+		if i >= 5*24 {
+			vals[i] = 20
+		}
+	}
+	s := seriesOf(t, 0, sim.Hour, vals...)
 	shifts := DetectShifts(s, sim.Day, 30)
 	if len(shifts) != 1 {
 		t.Fatalf("shifts = %d, want 1: %+v", len(shifts), shifts)
@@ -82,10 +98,11 @@ func TestDetectShifts(t *testing.T) {
 }
 
 func TestDetectShiftsNoneOnFlat(t *testing.T) {
-	s := &telemetry.Series{}
-	for i := 0; i < 100; i++ {
-		s.Samples = append(s.Samples, telemetry.Sample{T: sim.Time(i) * sim.Hour, V: 50})
+	vals := make([]float64, 100)
+	for i := range vals {
+		vals[i] = 50
 	}
+	s := seriesOf(t, 0, sim.Hour, vals...)
 	if got := DetectShifts(s, sim.Day, 10); len(got) != 0 {
 		t.Errorf("flat series produced shifts: %v", got)
 	}
@@ -98,19 +115,19 @@ func TestDetectShiftsNoneOnFlat(t *testing.T) {
 }
 
 func TestDetectShiftsMergesRamp(t *testing.T) {
-	s := &telemetry.Series{}
 	// One monotone transition spread over hours must collapse into one
 	// detection, not one per scan step.
-	for i := 0; i < 6*24; i++ {
-		v := 20.0
+	vals := make([]float64, 6*24)
+	for i := range vals {
+		vals[i] = 20
 		switch {
 		case i >= 3*24:
-			v = 90
+			vals[i] = 90
 		case i >= 3*24-6:
-			v = 20 + float64(i-(3*24-6))*10
+			vals[i] = 20 + float64(i-(3*24-6))*10
 		}
-		s.Samples = append(s.Samples, telemetry.Sample{T: sim.Time(i) * sim.Hour, V: v})
 	}
+	s := seriesOf(t, 0, sim.Hour, vals...)
 	shifts := DetectShifts(s, sim.Day, 30)
 	if len(shifts) != 1 {
 		t.Errorf("ramp detections = %d, want 1 (merged): %+v", len(shifts), shifts)

@@ -55,7 +55,7 @@ func TestRunProducesTelemetry(t *testing.T) {
 	}
 	// 7 days at 30-minute sampling = 336 samples (+1 at t=0).
 	wantSamples := 7*48 + 1
-	if got := len(cpuSeries[0].Samples); got != wantSamples {
+	if got := cpuSeries[0].Len(); got != wantSamples {
 		t.Errorf("samples per host = %d, want %d", got, wantSamples)
 	}
 	// Every Table 4 host metric present.
@@ -73,10 +73,10 @@ func TestRunProducesTelemetry(t *testing.T) {
 		t.Error("no VM CPU series")
 	}
 	inst := res.Store.Select(exporter.MetricInstancesTotal)
-	if len(inst) != 1 || len(inst[0].Samples) == 0 {
+	if len(inst) != 1 || inst[0].Len() == 0 {
 		t.Fatal("instance gauge missing")
 	}
-	if v := inst[0].Samples[0].V; v < 300 {
+	if v := inst[0].Sample(0).V; v < 300 {
 		t.Errorf("initial population = %v, want ≥300", v)
 	}
 }
@@ -104,9 +104,9 @@ func TestRunDeterministic(t *testing.T) {
 	// Spot-check one series is bit-identical.
 	sa := a.Store.Select(exporter.MetricHostCPUUtil)[0]
 	sb := b.Store.Select(exporter.MetricHostCPUUtil)[0]
-	for i := range sa.Samples {
-		if sa.Samples[i] != sb.Samples[i] {
-			t.Fatalf("sample %d differs: %+v vs %+v", i, sa.Samples[i], sb.Samples[i])
+	for i := 0; i < sa.Len(); i++ {
+		if sa.Sample(i) != sb.Sample(i) {
+			t.Fatalf("sample %d differs: %+v vs %+v", i, sa.Sample(i), sb.Sample(i))
 		}
 	}
 }
@@ -213,7 +213,8 @@ func TestRunNetworkHeadroom(t *testing.T) {
 	}
 	// Figs. 11/12: network is never a constraint (200 Gbps NICs).
 	for _, s := range res.Store.Select(exporter.MetricHostNetTx) {
-		for _, smp := range s.Samples {
+		for i := 0; i < s.Len(); i++ {
+			smp := s.Sample(i)
 			pct := smp.V / (200 * 1e6) * 100 // Kbps over 200 Gbps
 			if pct > 1.0 {
 				t.Fatalf("TX utilization %.3f%% exceeds 1%%; paper reports ≤0.3%%", pct)

@@ -128,10 +128,13 @@ func TestHostSeriesOrderMatchesBufferedAppender(t *testing.T) {
 		if !ok {
 			t.Fatalf("unexpected series %s", d.Metric)
 		}
+		if len(d.Times) > 0 {
+			t.Fatalf("sampler-written series %s%v fell off its grid", d.Metric, d.Labels)
+		}
 		l := telemetry.MustLabels(d.Labels...)
-		firstSample[d.Samples[0].T] = true
-		for _, smp := range d.Samples {
-			points = append(points, point{smp.T, l.Get("hostsystem"), field, d.Metric, l, smp.V})
+		firstSample[d.Start] = true
+		for i, v := range d.Values {
+			points = append(points, point{d.Start + sim.Time(i)*d.Step, l.Get("hostsystem"), field, d.Metric, l, v})
 		}
 	}
 	if len(firstSample) < 4 {

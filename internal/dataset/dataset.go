@@ -80,7 +80,8 @@ func Write(w io.Writer, store *telemetry.Store, opts WriteOptions) error {
 		})
 		for _, s := range series {
 			labelStr := encodeLabels(s.Labels, opts)
-			for _, smp := range s.Samples {
+			for i := 0; i < s.Len(); i++ {
+				smp := s.Sample(i)
 				rec := []string{
 					metric,
 					strconv.FormatFloat(smp.T.Seconds(), 'f', -1, 64),
@@ -97,48 +98,19 @@ func Write(w io.Writer, store *telemetry.Store, opts WriteOptions) error {
 	return cw.Error()
 }
 
-// labelKeys extracts the sorted label keys of a set. telemetry.Labels does
-// not expose iteration, so parse its canonical String form.
+// encodeLabels renders the label set as k=v;k2=v2 in name order, hashing
+// the values of the anonymized keys.
 func encodeLabels(l telemetry.Labels, opts WriteOptions) string {
-	str := l.String() // {k="v",k2="v2"}
-	inner := strings.TrimSuffix(strings.TrimPrefix(str, "{"), "}")
-	if inner == "" {
-		return ""
-	}
-	parts := splitTopLevel(inner)
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		eq := strings.IndexByte(p, '=')
-		key := p[:eq]
-		val, _ := strconv.Unquote(p[eq+1:])
+	pairs := l.Pairs()
+	out := make([]string, 0, len(pairs)/2)
+	for i := 0; i < len(pairs); i += 2 {
+		key, val := pairs[i], pairs[i+1]
 		if opts.Anonymizer != nil && opts.AnonymizeLabels[key] {
 			val = opts.Anonymizer.Hash(val)
 		}
 		out = append(out, key+"="+val)
 	}
 	return strings.Join(out, ";")
-}
-
-// splitTopLevel splits on commas not inside quotes.
-func splitTopLevel(s string) []string {
-	var out []string
-	depth := false
-	start := 0
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			if i == 0 || s[i-1] != '\\' {
-				depth = !depth
-			}
-		case ',':
-			if !depth {
-				out = append(out, s[start:i])
-				start = i + 1
-			}
-		}
-	}
-	out = append(out, s[start:])
-	return out
 }
 
 // Read imports a dataset CSV into a fresh telemetry store.

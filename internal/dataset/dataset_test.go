@@ -71,11 +71,11 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if len(series) != 1 {
 		t.Fatalf("node-1 series = %d", len(series))
 	}
-	if series[0].Samples[2].V != 12 || series[0].Samples[2].T != 2*sim.Hour {
-		t.Errorf("sample = %+v", series[0].Samples[2])
+	if series[0].Sample(2).V != 12 || series[0].Sample(2).T != 2*sim.Hour {
+		t.Errorf("sample = %+v", series[0].Sample(2))
 	}
 	// Label-less series survives.
-	if s := got.Select("instances_total"); len(s) != 1 || s[0].Samples[0].V != 2 {
+	if s := got.Select("instances_total"); len(s) != 1 || s[0].Sample(0).V != 2 {
 		t.Errorf("instances series = %+v", s)
 	}
 }
@@ -147,9 +147,15 @@ func TestReadRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
-func TestSplitTopLevel(t *testing.T) {
-	got := splitTopLevel(`a="1",b="x,y",c="z"`)
-	if len(got) != 3 || got[1] != `b="x,y"` {
-		t.Errorf("splitTopLevel = %v", got)
+// TestEncodeLabelsAwkwardValues: values with commas, quotes and a trailing
+// backslash reach the file as they are (the label-string parser this
+// replaced split the last one in the wrong place).
+func TestEncodeLabelsAwkwardValues(t *testing.T) {
+	l := telemetry.MustLabels("a", `x,y`, "b", `say "hi"`, "c", `dir\`, "d", "z")
+	if got, want := encodeLabels(l, WriteOptions{}), `a=x,y;b=say "hi";c=dir\;d=z`; got != want {
+		t.Errorf("encodeLabels = %s, want %s", got, want)
+	}
+	if got := encodeLabels(telemetry.Labels{}, WriteOptions{}); got != "" {
+		t.Errorf("empty label set encodes as %q", got)
 	}
 }

@@ -44,9 +44,12 @@ func TestWorkerWarmResumeByteIdentity(t *testing.T) {
 	var victimMu sync.Mutex
 	victimJob := -1
 	victim := &Worker{
-		Dispatcher:     srv.URL,
-		ID:             "victim",
-		HeartbeatEvery: 30 * time.Millisecond,
+		Dispatcher: srv.URL,
+		ID:         "victim",
+		// Well inside one cell (about 25 ms of wall time, and less with
+		// every engine speed-up): at 30 ms a warm cell often ended before
+		// its first heartbeat and the victim drained the sweep unkilled.
+		HeartbeatEvery: 10 * time.Millisecond,
 		Poll:           30 * time.Millisecond,
 		Hooks: WorkerHooks{
 			OnBook: func(job int, _ scenario.Key) {

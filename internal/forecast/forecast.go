@@ -12,6 +12,7 @@ package forecast
 import (
 	"errors"
 	"math"
+	"slices"
 
 	"sapsim/internal/telemetry"
 )
@@ -128,8 +129,8 @@ func (h *HoltWinters) Forecast(steps int) float64 {
 
 // FitSeries feeds every sample of a telemetry series into the model.
 func (h *HoltWinters) FitSeries(s *telemetry.Series) {
-	for _, smp := range s.Samples {
-		h.Observe(smp.V)
+	for i := 0; i < s.Len(); i++ {
+		h.Observe(s.Sample(i).V)
 	}
 }
 
@@ -155,7 +156,7 @@ func DynamicOvercommit(usageRatios []float64, headroom float64) (OvercommitRecom
 	if headroom < 1 {
 		headroom = 1
 	}
-	peak := telemetry.PercentileValues(usageRatios, 99)
+	peak := telemetry.Percentile(slices.Clone(usageRatios), 99)
 	if peak <= 0 {
 		peak = 0.01
 	}
@@ -174,11 +175,9 @@ func DynamicOvercommit(usageRatios []float64, headroom float64) (OvercommitRecom
 // MAE reports the mean absolute one-step-ahead forecast error of the model
 // over a series — the validation metric for predictor quality.
 func MAE(h *HoltWinters, s *telemetry.Series) float64 {
-	if len(s.Samples) == 0 {
-		return math.NaN()
-	}
 	sum, n := 0.0, 0
-	for _, smp := range s.Samples {
+	for i := 0; i < s.Len(); i++ {
+		smp := s.Sample(i)
 		if h.Ready() {
 			pred := h.Forecast(1)
 			sum += math.Abs(pred - smp.V)

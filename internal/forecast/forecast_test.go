@@ -117,16 +117,33 @@ func TestHoltWintersNotReady(t *testing.T) {
 
 // The workload generator's diurnal profiles must be predictable: MAE of the
 // seasonal model should clearly beat a naive flat prediction.
+// seriesOf returns a series holding vals at start, start+step, …, read back
+// from a store of its own.
+func seriesOf(t testing.TB, start, step sim.Time, vals ...float64) *telemetry.Series {
+	t.Helper()
+	st := telemetry.NewStore()
+	for i, v := range vals {
+		if err := st.Append("m", telemetry.Labels{}, start+sim.Time(i)*step, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(vals) == 0 {
+		return &telemetry.Series{}
+	}
+	return st.Select("m")[0]
+}
+
 func TestHoltWintersBeatsNaiveOnWorkloadProfile(t *testing.T) {
 	p := &workload.Profile{
 		Seed: 9, MeanCPU: 0.4, DiurnalAmp: 0.35, WeekendDip: 0.0,
 		NoiseAmp: 0.05,
 	}
-	s := &telemetry.Series{}
 	const step = 30 * sim.Minute
+	var vals []float64
 	for ts := sim.Time(0); ts < 10*sim.Day; ts += step {
-		s.Samples = append(s.Samples, telemetry.Sample{T: ts, V: p.CPUUsage(ts)})
+		vals = append(vals, p.CPUUsage(ts))
 	}
+	s := seriesOf(t, 0, step, vals...)
 	period := int(sim.Day / step)
 	h, _ := NewHoltWinters(0.3, 0.02, 0.3, period)
 	mae := MAE(h, s)
@@ -134,7 +151,8 @@ func TestHoltWintersBeatsNaiveOnWorkloadProfile(t *testing.T) {
 	// Naive: predict the running mean.
 	e, _ := NewEWMA(0.05)
 	naive, n := 0.0, 0
-	for _, smp := range s.Samples {
+	for i := 0; i < s.Len(); i++ {
+		smp := s.Sample(i)
 		if e.N() > period {
 			naive += math.Abs(e.Value() - smp.V)
 			n++
@@ -149,10 +167,11 @@ func TestHoltWintersBeatsNaiveOnWorkloadProfile(t *testing.T) {
 }
 
 func TestFitSeries(t *testing.T) {
-	s := &telemetry.Series{}
-	for i := 0; i < 48; i++ {
-		s.Samples = append(s.Samples, telemetry.Sample{T: sim.Time(i) * sim.Hour, V: float64(i % 24)})
+	vals := make([]float64, 48)
+	for i := range vals {
+		vals[i] = float64(i % 24)
 	}
+	s := seriesOf(t, 0, sim.Hour, vals...)
 	h, _ := NewHoltWinters(0.3, 0.05, 0.3, 24)
 	h.FitSeries(s)
 	if !h.Ready() {

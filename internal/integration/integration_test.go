@@ -142,8 +142,8 @@ func TestFullPipelineHTTPScrape(t *testing.T) {
 	}
 	wantTicks := int(2*sim.Day/(30*sim.Minute)) + 1
 	for _, s := range series[:3] {
-		if len(s.Samples) != wantTicks {
-			t.Errorf("series %s has %d samples, want %d", s.Labels, len(s.Samples), wantTicks)
+		if s.Len() != wantTicks {
+			t.Errorf("series %s has %d samples, want %d", s.Labels, s.Len(), wantTicks)
 		}
 	}
 

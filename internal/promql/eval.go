@@ -99,7 +99,7 @@ func (e *Engine) evalRangeCall(call *RangeCall, at sim.Time) (Vector, error) {
 	var out Vector
 	for _, s := range e.selectSeries(call.Selector) {
 		win := s.Range(from, at+1) // inclusive right edge, Prometheus-style
-		if len(win) == 0 {
+		if win.Len() == 0 {
 			continue
 		}
 		var v float64
@@ -111,19 +111,16 @@ func (e *Engine) evalRangeCall(call *RangeCall, at sim.Time) (Vector, error) {
 		case "min_over_time":
 			v = telemetry.Min(win)
 		case "sum_over_time":
-			v = 0
-			for _, smp := range win {
-				v += smp.V
-			}
+			v = telemetry.Sum(win)
 		case "count_over_time":
-			v = float64(len(win))
+			v = float64(win.Len())
 		case "quantile_over_time":
-			v = telemetry.Percentile(win, call.Param*100)
+			v = telemetry.Percentile(win.Values(), call.Param*100)
 		case "rate", "delta":
-			if len(win) < 2 {
+			if win.Len() < 2 {
 				continue
 			}
-			first, last := win[0], win[len(win)-1]
+			first, last := win.Sample(0), win.Sample(win.Len()-1)
 			span := (last.T - first.T).Seconds()
 			if span <= 0 {
 				continue

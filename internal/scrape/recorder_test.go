@@ -87,10 +87,10 @@ func TestRecorderRecordsFleet(t *testing.T) {
 	workerHost := strings.TrimPrefix(workSrv.URL, "http://")
 	series := rec.Store().Select("worker_inflight",
 		telemetry.Matcher{Name: "instance", Value: workerHost})
-	if len(series) != 1 || len(series[0].Samples) != 3 {
+	if len(series) != 1 || series[0].Len() != 3 {
 		t.Fatalf("worker_inflight series = %+v, want 1 series with 3 samples", series)
 	}
-	if got := series[0].Samples[2]; got.T != 2*sim.Second || got.V != 1 {
+	if got := series[0].Sample(2); got.T != 2*sim.Second || got.V != 1 {
 		t.Errorf("sample 3 = %+v, want {2s 1}", got)
 	}
 	if err := rec.Close(); err != nil {
@@ -125,7 +125,7 @@ func TestRecorderDatasetDurableAndReloadable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("mid-recording dataset unreadable: %v", err)
 	}
-	if got := st.Select("m"); len(got) != 1 || len(got[0].Samples) != 1 {
+	if got := st.Select("m"); len(got) != 1 || got[0].Len() != 1 {
 		t.Fatalf("mid-recording store = %+v, want 1 series, 1 sample", got)
 	}
 
@@ -166,10 +166,10 @@ func TestRecorderDatasetDurableAndReloadable(t *testing.T) {
 	}
 	// The second recording resumed past the file's high-water mark, so
 	// all three rounds survive in order: 0s, 2s, 2s + 1ms.
-	if len(series[0].Samples) != 3 {
-		t.Fatalf("reloaded samples = %+v, want 3", series[0].Samples)
+	if series[0].Len() != 3 {
+		t.Fatalf("reloaded %d samples, want 3", series[0].Len())
 	}
-	if got := series[0].Samples[2].T; got != 2*sim.Second+sim.Time(time.Millisecond) {
+	if got := series[0].Sample(2).T; got != 2*sim.Second+sim.Time(time.Millisecond) {
 		t.Errorf("resumed sample at %v, want 2.001s", got)
 	}
 	host := strings.TrimPrefix(srv.URL, "http://")

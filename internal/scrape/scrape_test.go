@@ -86,7 +86,7 @@ func TestIngestAppendsToStore(t *testing.T) {
 		t.Errorf("ingested %d, want 2", n)
 	}
 	series := st.Select("cpu", telemetry.Matcher{Name: "node", Value: "n1"})
-	if len(series) != 1 || series[0].Samples[0].V != 55 || series[0].Samples[0].T != sim.Hour {
+	if len(series) != 1 || series[0].Sample(0).V != 55 || series[0].Sample(0).T != sim.Hour {
 		t.Errorf("stored series wrong: %+v", series)
 	}
 }
@@ -147,11 +147,11 @@ func TestScrapePipelineEndToEnd(t *testing.T) {
 	if len(series) != 1 {
 		t.Fatalf("host CPU series = %d, want 1", len(series))
 	}
-	if len(series[0].Samples) != 2 {
-		t.Errorf("samples = %d, want 2", len(series[0].Samples))
+	if series[0].Len() != 2 {
+		t.Errorf("samples = %d, want 2", series[0].Len())
 	}
 	// MK = 2 vCPU × 0.4 = 0.8 cores of 16 → 5%.
-	if got := series[0].Samples[0].V; got != 5 {
+	if got := series[0].Sample(0).V; got != 5 {
 		t.Errorf("scraped CPU util = %v, want 5", got)
 	}
 	vmSeries := st.Select(exporter.MetricVMCPURatio)

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"sapsim/internal/events"
 	"sapsim/internal/sim"
@@ -30,8 +31,11 @@ import (
 )
 
 // FormatVersion is bumped whenever the serialized layout changes
-// incompatibly; Decode rejects snapshots from other versions.
-const FormatVersion = 1
+// incompatibly; Decode rejects snapshots from other versions. Version 2
+// carries each telemetry series as a value column with its (start, step)
+// grid or explicit timestamps; version 1 carried (time, value) pairs and has
+// no reader.
+const FormatVersion = 2
 
 // magic frames a snapshot stream. The trailing byte is the format version's
 // low byte so even pre-header readers fail loudly on a version mismatch.
@@ -131,7 +135,7 @@ func Encode(w io.Writer, s *Snapshot) error {
 		return fmt.Errorf("snapshot: encode: %w", err)
 	}
 	sum := sha256.Sum256(payload.Bytes())
-	var hdr [8 + 4 + sha256.Size + 8]byte
+	var hdr [headerLen]byte
 	copy(hdr[:8], magic[:])
 	binary.BigEndian.PutUint32(hdr[8:12], FormatVersion)
 	copy(hdr[12:12+sha256.Size], sum[:])
@@ -152,33 +156,60 @@ func EncodeBytes(s *Snapshot) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode reads and verifies a snapshot stream: magic, version, digest, and
-// length must all check out before the payload is decoded. Corruption —
-// truncation, bit flips, trailing garbage in the length field — surfaces as
-// ErrCorrupt; a foreign format version as ErrVersion.
-func Decode(r io.Reader) (*Snapshot, error) {
-	var hdr [8 + 4 + sha256.Size + 8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
+const headerLen = 8 + 4 + sha256.Size + 8
+
+// parseHeader checks magic and version and returns the payload's digest and
+// declared length.
+func parseHeader(hdr []byte) (want [sha256.Size]byte, n uint64, err error) {
+	if len(hdr) < headerLen {
+		return want, 0, fmt.Errorf("%w: short header: %d bytes", ErrCorrupt, len(hdr))
 	}
 	if !bytes.Equal(hdr[:7], magic[:7]) {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+		return want, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	ver := binary.BigEndian.Uint32(hdr[8:12])
 	if hdr[7] != byte(ver) || ver != FormatVersion {
-		return nil, fmt.Errorf("%w: got v%d, want v%d", ErrVersion, ver, FormatVersion)
+		return want, 0, fmt.Errorf("%w: got v%d, want v%d", ErrVersion, ver, FormatVersion)
 	}
-	var want [sha256.Size]byte
 	copy(want[:], hdr[12:12+sha256.Size])
-	n := binary.BigEndian.Uint64(hdr[12+sha256.Size:])
-	const maxPayload = 16 << 30
-	if n > maxPayload {
+	return want, binary.BigEndian.Uint64(hdr[12+sha256.Size:]), nil
+}
+
+// Decode reads and verifies a snapshot stream: magic, version, digest, and
+// length must all check out before the payload is decoded. Corruption —
+// truncation, bit flips, trailing garbage in the length field — surfaces as
+// ErrCorrupt; a foreign format version as ErrVersion. The declared length is
+// not trusted: memory grows with the bytes the stream actually delivers.
+func Decode(r io.Reader) (*Snapshot, error) {
+	var hdr [headerLen]byte
+	k, _ := io.ReadFull(r, hdr[:])
+	want, n, err := parseHeader(hdr[:k])
+	if err != nil {
+		return nil, err
+	}
+	if n > math.MaxInt64 {
 		return nil, fmt.Errorf("%w: implausible payload length %d", ErrCorrupt, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: truncated payload: %v", ErrCorrupt, err)
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil || uint64(len(payload)) != n {
+		return nil, fmt.Errorf("%w: truncated payload: %d of %d bytes: %v", ErrCorrupt, len(payload), n, err)
 	}
+	return decodePayload(payload, want)
+}
+
+// DecodeBytes is Decode from a byte slice, without copying the payload.
+func DecodeBytes(b []byte) (*Snapshot, error) {
+	want, n, err := parseHeader(b)
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(len(b)-headerLen) {
+		return nil, fmt.Errorf("%w: truncated payload: %d of %d bytes", ErrCorrupt, len(b)-headerLen, n)
+	}
+	return decodePayload(b[headerLen:headerLen+int(n)], want)
+}
+
+func decodePayload(payload []byte, want [sha256.Size]byte) (*Snapshot, error) {
 	if sha256.Sum256(payload) != want {
 		return nil, fmt.Errorf("%w: payload digest mismatch", ErrCorrupt)
 	}
@@ -187,11 +218,6 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: gob: %v", ErrCorrupt, err)
 	}
 	return &s, nil
-}
-
-// DecodeBytes is Decode from a byte slice.
-func DecodeBytes(b []byte) (*Snapshot, error) {
-	return Decode(bytes.NewReader(b))
 }
 
 // Digest returns the hex SHA-256 of the snapshot's encoded form — the

@@ -1,9 +1,11 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sapsim/internal/sim"
@@ -55,7 +57,6 @@ func TestDecodeRejectsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	headerLen := 8 + 4 + 32 + 8
 	damage := map[string]func([]byte) []byte{
 		"empty":            func(b []byte) []byte { return nil },
 		"short header":     func(b []byte) []byte { return b[:headerLen-1] },
@@ -97,5 +98,50 @@ func TestDecodeRejectsVersionSkew(t *testing.T) {
 	mixed[7] = FormatVersion + 1
 	if _, err := DecodeBytes(mixed); !errors.Is(err, ErrVersion) {
 		t.Fatalf("decode = %v, want ErrVersion", err)
+	}
+}
+
+// TestDecodeRejectsV1: a snapshot written before the store became columnar
+// (format 1: telemetry as (time, value) pairs) is refused as version skew,
+// by both readers, before its payload is looked at.
+func TestDecodeRejectsV1(t *testing.T) {
+	blob, err := EncodeBytes(testSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[7] = 1
+	binary.BigEndian.PutUint32(blob[8:12], 1)
+	if _, err := DecodeBytes(blob); !errors.Is(err, ErrVersion) {
+		t.Errorf("DecodeBytes(v1) = %v, want ErrVersion", err)
+	}
+	if _, err := Decode(bytes.NewReader(blob)); !errors.Is(err, ErrVersion) {
+		t.Errorf("Decode(v1) = %v, want ErrVersion", err)
+	}
+}
+
+// TestDecodeDoesNotTrustDeclaredLength: a sound header declaring a 15 GiB
+// payload with no payload behind it is a truncated blob. It used to cost a
+// 15 GiB allocation to find that out.
+func TestDecodeDoesNotTrustDeclaredLength(t *testing.T) {
+	blob, err := EncodeBytes(testSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := blob[:headerLen:headerLen]
+	binary.BigEndian.PutUint64(hdr[12+32:], 15<<30)
+	for name, decode := range map[string]func() (*Snapshot, error){
+		"DecodeBytes": func() (*Snapshot, error) { return DecodeBytes(hdr) },
+		"Decode":      func() (*Snapshot, error) { return Decode(bytes.NewReader(hdr)) },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decode()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s = %v, want ErrCorrupt", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s allocated %d bytes for a %d-byte input, want < 1 MiB", name, got, len(hdr))
+		}
 	}
 }

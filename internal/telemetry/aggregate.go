@@ -7,90 +7,75 @@ import (
 	"sapsim/internal/sim"
 )
 
-// Mean returns the arithmetic mean of the samples, or NaN when empty.
-func Mean(samples []Sample) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
+// Sum returns the sum of the window's values in sample order, 0 when empty.
+func Sum(w Window) float64 {
 	sum := 0.0
-	for _, s := range samples {
-		sum += s.V
+	for run := range w.runs {
+		for _, v := range run {
+			sum += v
+		}
 	}
-	return sum / float64(len(samples))
+	return sum
 }
 
-// Max returns the maximum sample value, or NaN when empty.
-func Max(samples []Sample) float64 {
-	if len(samples) == 0 {
+// Mean returns the arithmetic mean of the window, or NaN when empty.
+func Mean(w Window) float64 {
+	if w.Len() == 0 {
 		return math.NaN()
 	}
-	max := samples[0].V
-	for _, s := range samples[1:] {
-		if s.V > max {
-			max = s.V
+	return Sum(w) / float64(w.Len())
+}
+
+// Max returns the maximum value in the window, or NaN when empty.
+func Max(w Window) float64 {
+	if w.Len() == 0 {
+		return math.NaN()
+	}
+	max := w.col.valueAt(w.lo)
+	for run := range w.runs {
+		for _, v := range run {
+			if v > max {
+				max = v
+			}
 		}
 	}
 	return max
 }
 
-// Min returns the minimum sample value, or NaN when empty.
-func Min(samples []Sample) float64 {
-	if len(samples) == 0 {
+// Min returns the minimum value in the window, or NaN when empty.
+func Min(w Window) float64 {
+	if w.Len() == 0 {
 		return math.NaN()
 	}
-	min := samples[0].V
-	for _, s := range samples[1:] {
-		if s.V < min {
-			min = s.V
+	min := w.col.valueAt(w.lo)
+	for run := range w.runs {
+		for _, v := range run {
+			if v < min {
+				min = v
+			}
 		}
 	}
 	return min
 }
 
-// Percentile returns the p-th percentile (0..100) of the sample values using
-// linear interpolation between order statistics, or NaN when empty. The
-// paper reports 95th percentiles throughout (Figs. 8 and 9).
-func Percentile(samples []Sample, p float64) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
-	return PercentileValues(valuesOf(samples), p)
-}
-
-// PercentileValues is Percentile over a plain value slice. The input is
-// copied, not mutated.
-func PercentileValues(values []float64, p float64) float64 {
+// Percentile returns the p-th percentile (0..100) of values using linear
+// interpolation between order statistics, or NaN when empty. The paper
+// reports 95th percentiles throughout (Figs. 8 and 9). It sorts values in
+// place: pass Window.Values' copy, or a clone of a slice whose order matters.
+func Percentile(values []float64, p float64) float64 {
 	if len(values) == 0 {
 		return math.NaN()
 	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	sorted := make([]float64, len(values))
-	copy(sorted, values)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
+	sort.Float64s(values)
+	p = min(max(p, 0), 100)
+	rank := p / 100 * float64(len(values)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return sorted[lo]
+		return values[lo]
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-func valuesOf(samples []Sample) []float64 {
-	out := make([]float64, len(samples))
-	for i, s := range samples {
-		out[i] = s.V
-	}
-	return out
+	return values[lo]*(1-frac) + values[hi]*frac
 }
 
 // DailyStat is one day's aggregate of a series, used for heatmap rows and
@@ -112,14 +97,14 @@ func DailyStats(s *Series, days int) []DailyStat {
 		from := sim.Time(d) * sim.Day
 		to := from + sim.Day
 		win := s.Range(from, to)
-		st := DailyStat{Day: d, N: len(win)}
-		if len(win) == 0 {
+		st := DailyStat{Day: d, N: win.Len()}
+		if win.Len() == 0 {
 			st.Mean, st.Max, st.Min, st.P95 = math.NaN(), math.NaN(), math.NaN(), math.NaN()
 		} else {
 			st.Mean = Mean(win)
 			st.Max = Max(win)
 			st.Min = Min(win)
-			st.P95 = Percentile(win, 95)
+			st.P95 = Percentile(win.Values(), 95)
 		}
 		out[d] = st
 	}

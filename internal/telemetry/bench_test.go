@@ -160,7 +160,7 @@ func BenchmarkStoreSelectMatcher(b *testing.B) {
 func BenchmarkDailyStats(b *testing.B) {
 	s := &Series{}
 	for i := 0; i < 30*288; i++ {
-		s.Samples = append(s.Samples, Sample{T: sim.Time(i) * 5 * sim.Minute, V: float64(i % 97)})
+		s.col.append(sim.Time(i)*5*sim.Minute, float64(i%97))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -171,12 +171,13 @@ func BenchmarkDailyStats(b *testing.B) {
 // BenchmarkPercentile measures the p95 computation used throughout the
 // Fig. 8/9 analyses.
 func BenchmarkPercentile(b *testing.B) {
-	samples := make([]Sample, 8640)
-	for i := range samples {
-		samples[i] = Sample{T: sim.Time(i), V: float64((i * 7919) % 1000)}
+	s := &Series{}
+	for i := 0; i < 8640; i++ {
+		s.col.append(sim.Time(i), float64((i*7919)%1000))
 	}
+	w := s.All()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Percentile(samples, 95)
+		Percentile(w.Values(), 95)
 	}
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,35 +17,27 @@ import (
 const shardCount = 16
 
 // memSeries is the mutable in-store representation of one series. The
-// exported Series type is a read-only snapshot of it.
+// exported Series type is a read-only view of it.
 type memSeries struct {
-	metric  string
-	labels  Labels
-	hash    uint64 // hashSeries(metric, labels)
-	seq     uint64 // global creation sequence, for deterministic Select order
-	samples []Sample
+	metric string
+	labels Labels
+	hash   uint64 // hashSeries(metric, labels)
+	seq    uint64 // global creation sequence, for deterministic Select order
+	col    column
 }
 
 // appendSample enforces strict time order. Called with the shard lock held.
-// The error path is the one place the string fingerprint survives — the
-// hot path works purely on the 64-bit hash.
 func (s *memSeries) appendSample(t sim.Time, v float64) error {
-	if n := len(s.samples); n > 0 && s.samples[n-1].T >= t {
+	if !s.col.append(t, v) {
 		return fmt.Errorf("%w: %s%s t=%v last=%v",
-			ErrOutOfOrder, s.metric, s.labels, t, s.samples[n-1].T)
+			ErrOutOfOrder, s.metric, s.labels, t, s.col.timeAt(s.col.n-1))
 	}
-	s.samples = append(s.samples, Sample{T: t, V: v})
 	return nil
 }
 
-// snapshot returns an immutable view. The three-index slice caps the
-// snapshot at the current length: a later append writes past the cap (or
-// reallocates), never into the snapshot's window, and a stored sample is
-// never rewritten, so snapshots stay stable under concurrent writes. Called
-// with the shard lock held.
+// snapshot returns an immutable view. Called with the shard lock held.
 func (s *memSeries) snapshot() *Series {
-	n := len(s.samples)
-	return &Series{Metric: s.metric, Labels: s.labels, Samples: s.samples[:n:n]}
+	return &Series{Metric: s.metric, Labels: s.labels, col: s.col.view()}
 }
 
 // shard is one lock domain: a fraction of the series keyed by fingerprint
@@ -112,13 +105,22 @@ func (st *Store) intern(l Labels) Labels {
 	return l
 }
 
-// getOrCreate resolves (metric, labels) to its series, creating and
-// indexing it on first use. Called with the shard write lock held.
-func (st *Store) getOrCreate(sh *shard, hash uint64, metric string, labels Labels) *memSeries {
+// lookup returns the series of (metric, labels), or nil. Called with the
+// shard lock held.
+func (sh *shard) lookup(hash uint64, metric string, labels Labels) *memSeries {
 	for _, s := range sh.series[hash] {
 		if s.metric == metric && s.labels.Equal(labels) {
 			return s
 		}
+	}
+	return nil
+}
+
+// getOrCreate resolves (metric, labels) to its series, creating and
+// indexing it on first use. Called with the shard write lock held.
+func (st *Store) getOrCreate(sh *shard, hash uint64, metric string, labels Labels) *memSeries {
+	if s := sh.lookup(hash, metric, labels); s != nil {
+		return s
 	}
 	s := &memSeries{
 		metric: metric,
@@ -229,43 +231,87 @@ func (st *Store) Metrics() []string {
 	return out
 }
 
-// SeriesCount reports the number of stored series.
-func (st *Store) SeriesCount() int {
-	n := 0
+// each calls fn on every series, shard by shard under the shard's read lock.
+func (st *Store) each(fn func(*memSeries)) {
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.RLock()
 		for _, chain := range sh.series {
-			n += len(chain)
+			for _, s := range chain {
+				fn(s)
+			}
 		}
 		sh.mu.RUnlock()
 	}
+}
+
+// SeriesCount reports the number of stored series.
+func (st *Store) SeriesCount() int {
+	n := 0
+	st.each(func(*memSeries) { n++ })
 	return n
 }
 
 // SampleCount reports the total number of stored samples.
 func (st *Store) SampleCount() int {
 	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for _, chain := range sh.series {
-			for _, s := range chain {
-				n += len(s.samples)
-			}
-		}
-		sh.mu.RUnlock()
-	}
+	st.each(func(s *memSeries) { n += s.col.n })
+	return n
+}
+
+// Bytes reports the memory held by the value and time columns of every
+// series, by capacity: 8 per sample plus each series' unfilled chunk tail
+// while all series are on their grids, 16 per sample for those that are
+// not. The 8-byte pointer per chunk is not counted.
+func (st *Store) Bytes() int {
+	n := 0
+	st.each(func(s *memSeries) { n += s.col.bytes() })
 	return n
 }
 
 // SeriesData is the serializable form of one series: the metric, the label
-// pairs, and the samples. A store dumped and re-loaded behaves identically —
+// pairs, and the samples as the store holds them — Values with the grid
+// (Start, Step) they were written on, or with explicit Times (then Start and
+// Step are zero). A store dumped and re-loaded behaves identically —
 // including the per-metric creation order Select's determinism rests on.
 type SeriesData struct {
-	Metric  string
-	Labels  []string // flattened name/value pairs, sorted by name
-	Samples []Sample
+	Metric      string
+	Labels      []string // flattened name/value pairs, sorted by name
+	Start, Step sim.Time
+	Times       []sim.Time // empty for a series on its grid
+	Values      []float64
+}
+
+// column validates the samples and copies them into store form.
+func (d *SeriesData) column() (column, error) {
+	n := len(d.Values)
+	c := column{n: n, chunks: make([]*[chunkCap]float64, 0, (n+chunkCap-1)/chunkCap)}
+	switch {
+	case len(d.Times) > 0:
+		if len(d.Times) != n {
+			return c, fmt.Errorf("%d timestamps for %d values", len(d.Times), n)
+		}
+		for i := 1; i < n; i++ {
+			if d.Times[i] <= d.Times[i-1] {
+				return c, fmt.Errorf("%w: t=%v last=%v", ErrOutOfOrder, d.Times[i], d.Times[i-1])
+			}
+		}
+		c.times = slices.Clone(d.Times)
+	case n > 1:
+		span := d.Step * sim.Time(n-1)
+		if d.Step <= 0 || span/sim.Time(n-1) != d.Step || d.Start+span < d.Start {
+			return c, fmt.Errorf("%w: grid start=%v step=%v n=%d", ErrOutOfOrder, d.Start, d.Step, n)
+		}
+		c.start, c.step = d.Start, d.Step
+	case n == 1:
+		c.start = d.Start
+	}
+	for i := 0; i < n; i += chunkCap {
+		chunk := new([chunkCap]float64)
+		copy(chunk[:], d.Values[i:])
+		c.chunks = append(c.chunks, chunk)
+	}
+	return c, nil
 }
 
 // Dump snapshots every series in global creation order. Together with Load
@@ -276,20 +322,14 @@ func (st *Store) Dump() []SeriesData {
 		d   SeriesData
 	}
 	var hits []hit
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for _, chain := range sh.series {
-			for _, s := range chain {
-				samples := make([]Sample, len(s.samples))
-				copy(samples, s.samples)
-				hits = append(hits, hit{seq: s.seq, d: SeriesData{
-					Metric: s.metric, Labels: s.labels.Pairs(), Samples: samples,
-				}})
-			}
-		}
-		sh.mu.RUnlock()
-	}
+	st.each(func(s *memSeries) {
+		c := &s.col
+		hits = append(hits, hit{seq: s.seq, d: SeriesData{
+			Metric: s.metric, Labels: s.labels.Pairs(),
+			Start: c.start, Step: c.step, Times: slices.Clone(c.times),
+			Values: Window{col: c, hi: c.n}.Values(),
+		}})
+	})
 	sort.Slice(hits, func(i, j int) bool { return hits[i].seq < hits[j].seq })
 	out := make([]SeriesData, 0, len(hits))
 	for _, h := range hits {
@@ -300,22 +340,35 @@ func (st *Store) Dump() []SeriesData {
 
 // Load replays a Dump into an empty store, recreating every series in the
 // dumped order so creation sequence — and with it Select order — survives
-// the round trip.
+// the round trip. The data may come from a damaged or foreign snapshot, so
+// a series that the store could not have dumped — timestamps not strictly
+// increasing, a count mismatch, a (metric, labels) pair seen before — fails
+// the load.
 func (st *Store) Load(data []SeriesData) error {
 	if st.SeriesCount() != 0 {
 		return errors.New("telemetry: Load into a non-empty store")
 	}
-	for _, d := range data {
+	for i := range data {
+		d := &data[i]
 		labels, err := NewLabels(d.Labels...)
 		if err != nil {
 			return fmt.Errorf("telemetry: load %s: %w", d.Metric, err)
 		}
+		col, err := d.column()
+		if err != nil {
+			return fmt.Errorf("telemetry: load %s%s: %w", d.Metric, labels, err)
+		}
 		hash := hashSeries(d.Metric, labels)
 		sh := st.shardFor(hash)
 		sh.mu.Lock()
-		s := st.getOrCreate(sh, hash, d.Metric, labels)
-		s.samples = append(s.samples[:0], d.Samples...)
+		dup := sh.lookup(hash, d.Metric, labels) != nil
+		if !dup {
+			st.getOrCreate(sh, hash, d.Metric, labels).col = col
+		}
 		sh.mu.Unlock()
+		if dup {
+			return fmt.Errorf("telemetry: load %s%s: duplicate series", d.Metric, labels)
+		}
 	}
 	return nil
 }

@@ -21,19 +21,19 @@ func TestSelectSnapshotImmutable(t *testing.T) {
 		}
 	}
 	snap := st.Select("cpu")[0]
-	if len(snap.Samples) != 3 {
-		t.Fatalf("snapshot has %d samples, want 3", len(snap.Samples))
+	if snap.Len() != 3 {
+		t.Fatalf("snapshot has %d samples, want 3", snap.Len())
 	}
 	for i := 3; i < 1000; i++ {
 		if err := st.Append("cpu", l, sim.Time(i)*sim.Minute, float64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(snap.Samples) != 3 {
-		t.Errorf("snapshot grew to %d samples after appends", len(snap.Samples))
+	if snap.Len() != 3 {
+		t.Errorf("snapshot grew to %d samples after appends", snap.Len())
 	}
-	for i, smp := range snap.Samples {
-		if smp.V != float64(i) {
+	for i := 0; i < snap.Len(); i++ {
+		if smp := snap.Sample(i); smp.V != float64(i) {
 			t.Errorf("snapshot sample %d mutated: %v", i, smp.V)
 		}
 	}
@@ -90,7 +90,7 @@ func TestSeriesRefLifecycle(t *testing.T) {
 		got := loaded.Select(metric, Matcher{"node", "n31"})
 		v := float64(31*len(metrics) + mi)
 		want := []Sample{{sim.Hour, v}, {2 * sim.Hour, v}, {3 * sim.Hour, v}}
-		if len(got) != 1 || !reflect.DeepEqual(got[0].Samples, want) {
+		if len(got) != 1 || !reflect.DeepEqual(samplesOf(got[0]), want) {
 			t.Errorf("Select(%s, node=n31) after Load = %v, want samples %v", metric, got, want)
 		}
 	}
@@ -131,8 +131,8 @@ func TestConcurrentAppendSelect(t *testing.T) {
 			for _, s := range st.Select("m") {
 				// Walk every sample; with -race this flags any mutation
 				// of handed-out snapshots.
-				for _, smp := range s.Samples {
-					_ = smp.V
+				for i := 0; i < s.Len(); i++ {
+					_ = s.Sample(i).V
 				}
 			}
 			_ = st.Metrics()
@@ -195,7 +195,7 @@ func TestAppenderPartialOutOfOrder(t *testing.T) {
 	if applied != 1 {
 		t.Errorf("applied = %d, want 1", applied)
 	}
-	if got := st.Select("cpu", Matcher{"node", "n2"}); len(got) != 1 || got[0].Samples[0].V != 3 {
+	if got := st.Select("cpu", Matcher{"node", "n2"}); len(got) != 1 || got[0].Sample(0).V != 3 {
 		t.Errorf("in-order sample of the batch missing: %v", got)
 	}
 	// The appender is reusable after an error.
@@ -262,8 +262,9 @@ func TestSelectDeterministicOrder(t *testing.T) {
 }
 
 // TestHashMatchesStringFingerprint: the 64-bit hash must distinguish every
-// pair the debug string fingerprint distinguishes, including the classic
-// concatenation ambiguity ("ab"+"c" vs "a"+"bc").
+// pair a separator-joined string key would, including the classic
+// concatenation ambiguity ("ab"+"c" vs "a"+"bc"). The cases are pairwise
+// distinct series.
 func TestHashMatchesStringFingerprint(t *testing.T) {
 	cases := []struct {
 		metric string
@@ -282,11 +283,8 @@ func TestHashMatchesStringFingerprint(t *testing.T) {
 			if i == j {
 				continue
 			}
-			fpEq := fingerprint(cases[i].metric, cases[i].labels) == fingerprint(cases[j].metric, cases[j].labels)
-			hashEq := hashSeries(cases[i].metric, cases[i].labels) == hashSeries(cases[j].metric, cases[j].labels)
-			if fpEq != hashEq {
-				t.Errorf("case %d vs %d: string fingerprint equal=%v, hash equal=%v",
-					i, j, fpEq, hashEq)
+			if hashSeries(cases[i].metric, cases[i].labels) == hashSeries(cases[j].metric, cases[j].labels) {
+				t.Errorf("case %d and %d are distinct series with one hash", i, j)
 			}
 		}
 	}

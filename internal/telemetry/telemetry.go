@@ -11,7 +11,9 @@
 // only candidate series instead of the whole store. A fixed-schema writer
 // holds SeriesRef handles; batch ingestion of unknown series goes through an
 // Appender (one lock acquisition per shard per flush); reads receive
-// immutable snapshots.
+// immutable views. A series' samples are a column (column.go): values in
+// fixed-capacity chunks, timestamps as a (start, step) grid for as long as
+// the writer keeps to one.
 package telemetry
 
 import (
@@ -149,8 +151,7 @@ func (l Labels) String() string {
 	return b.String()
 }
 
-// 64-bit FNV-1a. Series are keyed by this hash; the string fingerprint
-// below survives only for collision diagnostics and debug output.
+// 64-bit FNV-1a. Series are keyed by this hash.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -165,7 +166,7 @@ func fnvString(h uint64, s string) uint64 {
 }
 
 // hashSeries fingerprints (metric, labels) with a 0xff separator between
-// components, mirroring the old string fingerprint without allocating.
+// components, so moving a byte across a component boundary changes the hash.
 func hashSeries(metric string, l Labels) uint64 {
 	h := fnvString(fnvOffset64, metric)
 	for _, s := range l.kv {
@@ -185,51 +186,4 @@ func hashLabels(l Labels) uint64 {
 		h = fnvString(h, s)
 	}
 	return h
-}
-
-// fingerprint is the human-readable series key, kept for debug paths only
-// (the store keys series by hashSeries).
-func fingerprint(metric string, l Labels) string {
-	var b strings.Builder
-	b.WriteString(metric)
-	for _, s := range l.kv {
-		b.WriteByte(0xff)
-		b.WriteString(s)
-	}
-	return b.String()
-}
-
-// Series is one time series: a metric name, a label set, and samples in
-// strictly increasing time order. Series returned by Store.Select are
-// immutable snapshots: later appends never mutate them.
-type Series struct {
-	Metric  string
-	Labels  Labels
-	Samples []Sample
-}
-
-// Last returns the most recent sample, or false if the series is empty.
-func (s *Series) Last() (Sample, bool) {
-	if len(s.Samples) == 0 {
-		return Sample{}, false
-	}
-	return s.Samples[len(s.Samples)-1], true
-}
-
-// Range returns the samples with from <= T < to. The returned slice aliases
-// the series storage; callers must not mutate it.
-func (s *Series) Range(from, to sim.Time) []Sample {
-	lo := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].T >= from })
-	hi := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].T >= to })
-	return s.Samples[lo:hi]
-}
-
-// At returns the value at or immediately before t (Prometheus instant-query
-// staleness semantics, without the staleness window).
-func (s *Series) At(t sim.Time) (float64, bool) {
-	i := sort.Search(len(s.Samples), func(i int) bool { return s.Samples[i].T > t })
-	if i == 0 {
-		return 0, false
-	}
-	return s.Samples[i-1].V, true
 }

@@ -3,11 +3,32 @@ package telemetry
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"sapsim/internal/sim"
 )
+
+// seriesOf builds a free-standing series from samples in time order.
+func seriesOf(samples ...Sample) *Series {
+	s := &Series{}
+	for _, smp := range samples {
+		if !s.col.append(smp.T, smp.V) {
+			panic("seriesOf: samples out of order")
+		}
+	}
+	return s
+}
+
+// samplesOf materialises a view, sample by sample.
+func samplesOf(s *Series) []Sample {
+	out := make([]Sample, 0, s.Len())
+	for i := 0; i < s.Len(); i++ {
+		out = append(out, s.Sample(i))
+	}
+	return out
+}
 
 func TestNewLabels(t *testing.T) {
 	l, err := NewLabels("node", "n1", "bb", "bb-0")
@@ -78,7 +99,7 @@ func TestAppendAndSelect(t *testing.T) {
 		t.Fatalf("Select(cpu) = %d series, want 2", len(all))
 	}
 	one := st.Select("cpu", Matcher{"node", "n1"})
-	if len(one) != 1 || len(one[0].Samples) != 5 {
+	if len(one) != 1 || one[0].Len() != 5 {
 		t.Fatalf("Select(cpu,node=n1) wrong: %v", one)
 	}
 	none := st.Select("cpu", Matcher{"node", "nope"})
@@ -112,13 +133,17 @@ func TestOutOfOrderRejected(t *testing.T) {
 }
 
 func TestSeriesRangeAndAt(t *testing.T) {
-	s := &Series{}
+	var samples []Sample
 	for i := 0; i < 10; i++ {
-		s.Samples = append(s.Samples, Sample{T: sim.Time(i) * sim.Hour, V: float64(i)})
+		samples = append(samples, Sample{T: sim.Time(i) * sim.Hour, V: float64(i)})
 	}
+	s := seriesOf(samples...)
 	win := s.Range(2*sim.Hour, 5*sim.Hour)
-	if len(win) != 3 || win[0].V != 2 || win[2].V != 4 {
-		t.Errorf("Range = %v", win)
+	if win.Len() != 3 || win.Sample(0).V != 2 || win.Sample(2).V != 4 {
+		t.Errorf("Range = %v", win.AppendValues(nil))
+	}
+	if w := s.Range(5*sim.Hour, 2*sim.Hour); w.Len() != 0 {
+		t.Errorf("inverted Range has %d samples", w.Len())
 	}
 	if v, ok := s.At(3*sim.Hour + sim.Minute); !ok || v != 3 {
 		t.Errorf("At = %v,%v want 3,true", v, ok)
@@ -136,7 +161,7 @@ func TestSeriesRangeAndAt(t *testing.T) {
 }
 
 func TestAggregates(t *testing.T) {
-	samples := []Sample{{0, 1}, {1, 2}, {2, 3}, {3, 4}}
+	samples := seriesOf(Sample{0, 1}, Sample{1, 2}, Sample{2, 3}, Sample{3, 4}).All()
 	if got := Mean(samples); got != 2.5 {
 		t.Errorf("Mean = %v, want 2.5", got)
 	}
@@ -146,51 +171,53 @@ func TestAggregates(t *testing.T) {
 	if got := Min(samples); got != 1 {
 		t.Errorf("Min = %v, want 1", got)
 	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Max(nil)) || !math.IsNaN(Min(nil)) {
-		t.Error("empty aggregates should be NaN")
+	if got := Sum(samples); got != 10 {
+		t.Errorf("Sum = %v, want 10", got)
+	}
+	var none Window
+	if !math.IsNaN(Mean(none)) || !math.IsNaN(Max(none)) || !math.IsNaN(Min(none)) || Sum(none) != 0 {
+		t.Error("empty aggregates should be NaN, the empty sum 0")
 	}
 }
 
 func TestPercentile(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := PercentileValues(vals, 50); got != 5.5 {
+	if got := Percentile(vals, 50); got != 5.5 {
 		t.Errorf("p50 = %v, want 5.5", got)
 	}
-	if got := PercentileValues(vals, 0); got != 1 {
+	if got := Percentile(vals, 0); got != 1 {
 		t.Errorf("p0 = %v, want 1", got)
 	}
-	if got := PercentileValues(vals, 100); got != 10 {
+	if got := Percentile(vals, 100); got != 10 {
 		t.Errorf("p100 = %v, want 10", got)
 	}
-	if got := PercentileValues([]float64{7}, 95); got != 7 {
+	if got := Percentile([]float64{7}, 95); got != 7 {
 		t.Errorf("single-value p95 = %v, want 7", got)
 	}
-	if !math.IsNaN(PercentileValues(nil, 50)) {
+	if !math.IsNaN(Percentile(nil, 50)) {
 		t.Error("empty percentile should be NaN")
 	}
 	// Clamping.
-	if got := PercentileValues(vals, -10); got != 1 {
+	if got := Percentile(vals, -10); got != 1 {
 		t.Errorf("p(-10) = %v, want 1", got)
 	}
-	if got := PercentileValues(vals, 200); got != 10 {
+	if got := Percentile(vals, 200); got != 10 {
 		t.Errorf("p(200) = %v, want 10", got)
 	}
-	// Input must not be mutated.
+	// The input is sorted in place: that is the one copy a caller makes.
 	orig := []float64{3, 1, 2}
-	PercentileValues(orig, 50)
-	if orig[0] != 3 || orig[1] != 1 || orig[2] != 2 {
-		t.Error("PercentileValues mutated its input")
+	if got := Percentile(orig, 50); got != 2 || !sort.Float64sAreSorted(orig) {
+		t.Errorf("p50 of {3,1,2} = %v leaving %v, want 2 and the input sorted", got, orig)
 	}
 }
 
 func TestDailyStats(t *testing.T) {
-	s := &Series{}
 	// Day 0: values 10, 20. Day 1: empty. Day 2: value 30.
-	s.Samples = []Sample{
-		{T: sim.Hour, V: 10},
-		{T: 2 * sim.Hour, V: 20},
-		{T: 2*sim.Day + sim.Hour, V: 30},
-	}
+	s := seriesOf(
+		Sample{T: sim.Hour, V: 10},
+		Sample{T: 2 * sim.Hour, V: 20},
+		Sample{T: 2*sim.Day + sim.Hour, V: 30},
+	)
 	stats := DailyStats(s, 3)
 	if len(stats) != 3 {
 		t.Fatalf("got %d days", len(stats))
@@ -207,7 +234,7 @@ func TestDailyStats(t *testing.T) {
 }
 
 func TestMeanOverRange(t *testing.T) {
-	s := &Series{Samples: []Sample{{0, 2}, {sim.Hour, 4}, {2 * sim.Hour, 9}}}
+	s := seriesOf(Sample{0, 2}, Sample{sim.Hour, 4}, Sample{2 * sim.Hour, 9})
 	if got := MeanOverRange(s, 0, 2*sim.Hour); got != 3 {
 		t.Errorf("MeanOverRange = %v, want 3", got)
 	}
@@ -235,8 +262,8 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 		if p1 > p2 {
 			p1, p2 = p2, p1
 		}
-		v1, v2 := PercentileValues(vals, p1), PercentileValues(vals, p2)
-		lo, hi := PercentileValues(vals, 0), PercentileValues(vals, 100)
+		v1, v2 := Percentile(vals, p1), Percentile(vals, p2)
+		lo, hi := Percentile(vals, 0), Percentile(vals, 100)
 		return v1 <= v2 && lo <= v1 && v2 <= hi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -259,8 +286,9 @@ func TestPropertyMeanBounded(t *testing.T) {
 		if len(ss) == 0 {
 			return true
 		}
-		m := Mean(ss)
-		return Min(ss) <= m+1e-9 && m <= Max(ss)+1e-9
+		w := seriesOf(ss...).All()
+		m := Mean(w)
+		return Min(w) <= m+1e-9 && m <= Max(w)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

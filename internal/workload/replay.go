@@ -93,7 +93,7 @@ func BuildReplay(q telemetry.Querier, horizon sim.Time) ([]*Instance, error) {
 	var out []*Instance
 	for _, s := range cpu {
 		id := s.Labels.Get("virtualmachine")
-		if id == "" || len(s.Samples) == 0 {
+		if id == "" || s.Len() == 0 {
 			continue
 		}
 		flavorName := s.Labels.Get("flavor")
@@ -101,20 +101,20 @@ func BuildReplay(q telemetry.Querier, horizon sim.Time) ([]*Instance, error) {
 		if !ok {
 			return nil, fmt.Errorf("workload: VM %s has unknown flavor %q", id, flavorName)
 		}
-		first := s.Samples[0].T
-		last := s.Samples[len(s.Samples)-1].T
+		first := s.Sample(0).T
+		last := s.Sample(s.Len() - 1).T
 
 		profile := &ReplayProfile{
 			CPU:         s,
 			Mem:         memByVM[id],
-			FallbackCPU: s.Samples[0].V,
+			FallbackCPU: s.Sample(0).V,
 			FallbackMem: 0.5,
 			// The released dataset has no per-VM disk series; a neutral
 			// constant keeps storage accounting defined.
 			FallbackDisk: 0.3,
 		}
-		if m := memByVM[id]; m != nil && len(m.Samples) > 0 {
-			profile.FallbackMem = m.Samples[0].V
+		if m := memByVM[id]; m != nil && m.Len() > 0 {
+			profile.FallbackMem = m.Sample(0).V
 		}
 
 		vm := &vmmodel.VM{

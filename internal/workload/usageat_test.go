@@ -58,16 +58,26 @@ func TestProfileUsageAtMatchesComponents(t *testing.T) {
 	}
 }
 
+// seriesOf returns a series holding vals at start, start+step, …, read back
+// from a store of its own.
+func seriesOf(t testing.TB, start, step sim.Time, vals ...float64) *telemetry.Series {
+	t.Helper()
+	st := telemetry.NewStore()
+	for i, v := range vals {
+		if err := st.Append("m", telemetry.Labels{}, start+sim.Time(i)*step, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(vals) == 0 {
+		return &telemetry.Series{}
+	}
+	return st.Select("m")[0]
+}
+
 // TestReplayUsageAtMatchesComponents covers last-observation-carried-forward
 // before, at, between and after samples, and absent optional series.
 func TestReplayUsageAtMatchesComponents(t *testing.T) {
-	series := func(vals ...float64) *telemetry.Series {
-		s := &telemetry.Series{}
-		for i, v := range vals {
-			s.Samples = append(s.Samples, telemetry.Sample{T: sim.Time(i+1) * sim.Hour, V: v})
-		}
-		return s
-	}
+	series := func(vals ...float64) *telemetry.Series { return seriesOf(t, sim.Hour, sim.Hour, vals...) }
 	full := &ReplayProfile{CPU: series(0.1, 0.2, 0.3), Mem: series(0.5, 0.6), Tx: series(10, 20),
 		Rx: series(30), Disk: series(0.4, 0.45), FallbackCPU: 0.05, FallbackMem: 0.5, FallbackDisk: 0.3}
 	sparse := &ReplayProfile{CPU: series(0.7), FallbackCPU: 0.7, FallbackMem: 0.5, FallbackDisk: 0.3}

@@ -114,9 +114,10 @@ func TestSessionProfileMidRun(t *testing.T) {
 // family (8 per sampled host per tick; 2 per placed VM plus 1 per VM tick),
 // series and samples that reached the store, and resident-set walks
 // (snapshot-cache misses — the cache serves the VM sweep and DRS at a shared
-// instant). Placement and rebalancing: candidates the scheduler filtered,
-// claim attempts including retries, hosts DRS scanned, and engine events
-// fired. All are deterministic per seed. A change that drops or duplicates
+// instant), and the bytes the store holds per sample. Placement and
+// rebalancing: candidates the scheduler filtered, claim attempts including
+// retries, hosts DRS scanned, and engine events fired. All are deterministic
+// per seed. A change that drops or duplicates
 // samples, re-walks a host's VMs per metric or per consumer, re-filters or
 // re-scans more than before, or schedules extra events fails here.
 func TestSamplingWorkGate(t *testing.T) {
@@ -142,5 +143,13 @@ func TestSamplingWorkGate(t *testing.T) {
 		if c.got != c.want {
 			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
+	}
+	// The store's footprint, also without a stopwatch: 8 bytes per sample
+	// and at most 6% of unfilled chunk tails. A sampler-written series that
+	// leaves its grid (16 bytes per sample) or chunks that reserve ahead
+	// fail here.
+	if bytes, samples := res.Store.Bytes(), res.Store.SampleCount(); float64(bytes) > 8.5*float64(samples) {
+		t.Errorf("store holds %d bytes for %d samples (%.2f per sample), want at most 8.5",
+			bytes, samples, float64(bytes)/float64(samples))
 	}
 }
