@@ -203,17 +203,15 @@ func (d *DRS) pickVM(src, dst *esx.Host, now sim.Time) *vmmodel.VM {
 	dstCores := float64(dst.Node.Capacity.PCPUCores)
 	var best *vmmodel.VM
 	bestDemand := -1.0
-	src.EachVM(func(vm *vmmodel.VM) {
+	// loads has just snapshotted src at now: its per-resident demand is cached.
+	src.EachVMDemand(now, func(vm *vmmodel.VM, cpu float64) {
 		if vm.Flavor.RAMGiB > d.cfg.MaxVMMemGiB {
 			return
 		}
 		if !dst.Fits(vm.Flavor) {
 			return
 		}
-		if vm.Profile == nil {
-			return
-		}
-		demand := vm.Profile.CPUUsage(now) * float64(vm.RequestedCPUCores())
+		demand := cpu * float64(vm.RequestedCPUCores())
 		// Would the move overload the destination?
 		if dstSnap.CPUUtilPct+demand/dstCores*100 > 90 {
 			return

@@ -19,6 +19,7 @@ package esx
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"sapsim/internal/sim"
@@ -84,6 +85,10 @@ type Host struct {
 	// for telemetry/DRS snapshot cost (see Fleet.SnapshotCacheStats).
 	snapHits   uint64
 	snapMisses uint64
+	// usage holds each profiled resident's CPU and memory fraction in the
+	// cached snapshot, aligned with sorted; snapFallbacks counts reads it missed.
+	usage         [][2]float64
+	snapFallbacks uint64
 }
 
 // Errors returned by placement operations.
@@ -141,14 +146,6 @@ func (h *Host) VMs() []*vmmodel.VM {
 	out := make([]*vmmodel.VM, len(h.sorted))
 	copy(out, h.sorted)
 	return out
-}
-
-// EachVM visits resident VMs in ascending ID order without allocating.
-// The resident set must not change during the walk.
-func (h *Host) EachVM(fn func(*vmmodel.VM)) {
-	for _, vm := range h.sorted {
-		fn(vm)
-	}
 }
 
 // Fits reports whether the flavor can be admitted under current allocations.
@@ -295,12 +292,14 @@ func (h *Host) snapshot(t sim.Time) Metrics {
 	)
 	// Iterate in sorted order: float accumulation is not associative, and
 	// deterministic snapshots make whole runs reproducible bit-for-bit.
-	for _, vm := range h.sorted {
+	h.usage = slices.Grow(h.usage[:0], len(h.sorted))[:len(h.sorted)]
+	for i, vm := range h.sorted {
 		p := vm.Profile
 		if p == nil {
 			continue
 		}
 		u := p.UsageAt(t)
+		h.usage[i] = [2]float64{u.CPU, u.Mem}
 		demand := u.CPU * float64(vm.RequestedCPUCores())
 		if vm.Flavor.PinCPU {
 			// Pinned vCPUs map 1:1 to cores: demand beyond the
@@ -355,31 +354,53 @@ type VMUsage struct {
 	ReadyMillis float64
 }
 
+// demand returns vm's CPU and memory fractions at t, vm being resident at
+// index i (< 0: not resident): cached when the snapshot covers (t, ver).
+func (h *Host) demand(vm *vmmodel.VM, i int, t sim.Time) (cpu, mem float64) {
+	if i >= 0 && h.snapValid && h.snapAt == t && h.snapVer == h.ver {
+		return h.usage[i][0], h.usage[i][1]
+	}
+	h.snapFallbacks++
+	return vm.Profile.CPUUsage(t), vm.Profile.MemUsage(t)
+}
+
+// EachVMDemand visits resident VMs that have a profile in ascending ID order
+// with their CPU demand fraction at t, read from the snapshot cached for t
+// when there is one. The resident set must not change during the walk.
+func (h *Host) EachVMDemand(t sim.Time, fn func(vm *vmmodel.VM, cpu float64)) {
+	for i, vm := range h.sorted {
+		if vm.Profile != nil {
+			cpu, _ := h.demand(vm, i, t)
+			fn(vm, cpu)
+		}
+	}
+}
+
 // VMSnapshot computes one VM's delivered usage at time t given the host's
 // contention level. Under proportional-share scheduling every runnable vCPU
-// on a saturated host is throttled by the same factor.
+// on a saturated host is throttled by the same factor. Demand comes from
+// the host snapshot cached for t when there is one.
 func (h *Host) VMSnapshot(vm *vmmodel.VM, t sim.Time, interval sim.Time, hostContentionPct float64) VMUsage {
-	p := vm.Profile
-	if p == nil {
+	if vm.Profile == nil {
 		return VMUsage{}
 	}
+	// A pointer scan: tens of residents, cheaper than binary search by ID.
+	demand, mem := h.demand(vm, slices.Index(h.sorted, vm), t)
 	if vm.Flavor.PinCPU {
 		// Dedicated cores: full delivery up to the allocation, no
 		// scheduling delay — the QoS guarantee of CPU pinning.
-		demand := p.CPUUsage(t)
 		if demand > 1 {
 			demand = 1
 		}
-		return VMUsage{CPUUsageRatio: demand, MemUsageRatio: p.MemUsage(t)}
+		return VMUsage{CPUUsageRatio: demand, MemUsageRatio: mem}
 	}
-	demand := p.CPUUsage(t)
 	delivered := demand * (1 - hostContentionPct/100)
 	if delivered > 1 {
 		delivered = 1
 	}
 	return VMUsage{
 		CPUUsageRatio: delivered,
-		MemUsageRatio: p.MemUsage(t),
+		MemUsageRatio: mem,
 		ReadyMillis:   hostContentionPct / 100 * float64(interval.Duration().Milliseconds()),
 	}
 }
@@ -445,6 +466,15 @@ func (f *Fleet) SnapshotCacheStats() (hits, misses uint64) {
 		misses += h.snapMisses
 	}
 	return hits, misses
+}
+
+// SnapshotFallbacks counts per-VM demand reads the snapshot cache did not
+// cover (VMSnapshot, EachVMDemand), each of which re-evaluated the profile.
+func (f *Fleet) SnapshotFallbacks() (n uint64) {
+	for _, h := range f.sorted() {
+		n += h.snapFallbacks
+	}
+	return n
 }
 
 // sorted returns the cached fleet-wide host slice, node-ID order.

@@ -2,9 +2,12 @@ package esx
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"sapsim/internal/sim"
+	"sapsim/internal/vmmodel"
+	"sapsim/internal/workload"
 )
 
 // TestSnapshotAllocs pins the sampling hot path: Snapshot must not allocate
@@ -74,4 +77,61 @@ func TestSnapshotCacheInvalidation(t *testing.T) {
 	if m2.VMCount != 7 || m2.CPUContentionPct >= m1.CPUContentionPct {
 		t.Errorf("stale snapshot after evict: before %+v after %+v", m1, m2)
 	}
+}
+
+// TestVMDemandReadsSnapshotCache checks that VMSnapshot and EachVMDemand
+// read the resident's demand from the snapshot cached for (t, resident set)
+// — bit-identical to re-evaluating the profile — and that only reads the
+// cache does not cover fall back and are counted.
+func TestVMDemandReadsSnapshotCache(t *testing.T) {
+	r := testRegion(t)
+	f := NewFleet(r, DefaultConfig())
+	n := r.Nodes()[0]
+	h, _ := f.Host(n.ID)
+	for i := 0; i < 6; i++ {
+		vm := newVM(fmt.Sprintf("vm-%d", i), "MK", &workload.Profile{Seed: uint64(i), MeanCPU: 0.2 * float64(i+1),
+			MeanMem: 0.6, DiurnalAmp: 0.3, NoiseAmp: 0.2, BurstProb: 0.3, BurstMag: 2})
+		if err := f.Place(vm, n, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fallbacks := func(want uint64) {
+		t.Helper()
+		if got := f.SnapshotFallbacks(); got != want {
+			t.Fatalf("fallbacks = %d, want %d", got, want)
+		}
+	}
+	at := 3*sim.Hour + 5*sim.Minute
+	var fresh []VMUsage
+	for _, vm := range h.VMs() {
+		fresh = append(fresh, h.VMSnapshot(vm, at, 5*sim.Minute, 20))
+	}
+	fallbacks(6)
+	h.Snapshot(at, 5*sim.Minute)
+	for i, vm := range h.VMs() {
+		u := h.VMSnapshot(vm, at, 5*sim.Minute, 20)
+		if math.Float64bits(u.CPUUsageRatio) != math.Float64bits(fresh[i].CPUUsageRatio) ||
+			math.Float64bits(u.MemUsageRatio) != math.Float64bits(fresh[i].MemUsageRatio) || u != fresh[i] {
+			t.Fatalf("%s: cached %+v, re-evaluated %+v", vm.ID, u, fresh[i])
+		}
+	}
+	h.EachVMDemand(at, func(vm *vmmodel.VM, cpu float64) {
+		if want := vm.Profile.CPUUsage(at); math.Float64bits(cpu) != math.Float64bits(want) {
+			t.Fatalf("%s: EachVMDemand cpu = %v, CPUUsage = %v", vm.ID, cpu, want)
+		}
+	})
+	fallbacks(6)
+
+	// Another instant, a VM resident elsewhere, and a resident-set change at
+	// the cached instant all miss the cache.
+	vm0 := h.VMs()[0]
+	h.VMSnapshot(vm0, at+5*sim.Minute, 5*sim.Minute, 0)
+	fallbacks(7)
+	h.VMSnapshot(newVM("elsewhere", "MK", vm0.Profile), at, 5*sim.Minute, 0)
+	fallbacks(8)
+	if err := f.Remove(h.VMs()[5], at); err != nil {
+		t.Fatal(err)
+	}
+	h.VMSnapshot(vm0, at, 5*sim.Minute, 0)
+	fallbacks(9)
 }

@@ -52,17 +52,15 @@ type UsageProfile interface {
 	CPUUsage(t sim.Time) float64
 	// MemUsage returns the fraction (0..1) of requested memory in use.
 	MemUsage(t sim.Time) float64
-	// NetTxKbps and NetRxKbps return instantaneous NIC traffic.
-	NetTxKbps(t sim.Time) float64
-	NetRxKbps(t sim.Time) float64
-	// DiskUsage returns the fraction (0..1) of requested disk in use.
-	DiskUsage(t sim.Time) float64
-	// UsageAt returns all five at once, each bit-identical to its method
-	// above, so terms they share (diurnal cycle, noise) are evaluated once.
+	// UsageAt returns demand on every resource at once, CPU and Mem
+	// bit-identical to the methods above, so terms they share (diurnal
+	// cycle, noise) are evaluated once. The host snapshot is its caller;
+	// per-VM reads fall back to CPUUsage/MemUsage only off its cache.
 	UsageAt(t sim.Time) Usage
 }
 
-// Usage is one VM's demand on every resource at one instant.
+// Usage is one VM's demand on every resource at one instant: CPU, Mem and
+// Disk as fractions of the request, NIC traffic in Kbit/s.
 type Usage struct{ CPU, Mem, TxKbps, RxKbps, Disk float64 }
 
 // VM is a virtual machine instance.

@@ -49,13 +49,13 @@ func (r *ReplayProfile) MemUsage(t sim.Time) float64 {
 	return seriesAt(r.Mem, t, r.FallbackMem)
 }
 
-// NetTxKbps implements vmmodel.UsageProfile.
+// NetTxKbps is the transmit rate UsageAt reports.
 func (r *ReplayProfile) NetTxKbps(t sim.Time) float64 { return seriesAt(r.Tx, t, 0) }
 
-// NetRxKbps implements vmmodel.UsageProfile.
+// NetRxKbps is the receive rate UsageAt reports.
 func (r *ReplayProfile) NetRxKbps(t sim.Time) float64 { return seriesAt(r.Rx, t, 0) }
 
-// DiskUsage implements vmmodel.UsageProfile.
+// DiskUsage is the disk fraction UsageAt reports.
 func (r *ReplayProfile) DiskUsage(t sim.Time) float64 {
 	return seriesAt(r.Disk, t, r.FallbackDisk)
 }

@@ -81,7 +81,7 @@ func TestReplayProfileValues(t *testing.T) {
 		t.Errorf("Mem = %v, want 0.8", got)
 	}
 	// vm-b has no memory series → fallback.
-	pb := insts[1].VM.Profile
+	pb := insts[1].VM.Profile.(*ReplayProfile)
 	if got := pb.MemUsage(15 * sim.Hour); got != 0.5 {
 		t.Errorf("fallback mem = %v, want 0.5", got)
 	}

@@ -9,10 +9,20 @@ import (
 	"sapsim/internal/vmmodel"
 )
 
+// components is UsageAt's per-field methods, which *Profile and
+// *ReplayProfile keep for tests and AverageCPUOver though
+// vmmodel.UsageProfile carries only CPUUsage and MemUsage of them.
+type components interface {
+	vmmodel.UsageProfile
+	NetTxKbps(sim.Time) float64
+	NetRxKbps(sim.Time) float64
+	DiskUsage(sim.Time) float64
+}
+
 // sameBits fails unless UsageAt equals the five component methods bit for
 // bit: the host snapshot sums UsageAt fields where it used to sum the
 // components, and every golden digest rests on those sums.
-func sameBits(t *testing.T, p vmmodel.UsageProfile, at sim.Time) {
+func sameBits(t *testing.T, p components, at sim.Time) {
 	t.Helper()
 	u := p.UsageAt(at)
 	for _, c := range []struct {
