@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"sapsim/internal/sim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden artifact digests")
@@ -22,6 +24,23 @@ func goldenConfig() Config {
 	cfg.Scale = 0.02
 	cfg.VMs = 960
 	cfg.Days = 10
+	return cfg
+}
+
+// churnGateConfig is a place_churn-shaped cell at tier-1 cost: daily
+// sampling without per-VM series, 6-hourly DRS, cross-BB rebalancing and a
+// resize rate that draws ≈ 24 picks per day over ≈ 2.4k live VMs.
+func churnGateConfig() Config {
+	cfg := DefaultConfig(42)
+	cfg.Scale = 0.05
+	cfg.VMs = 2400
+	cfg.Days = 30
+	cfg.SampleEvery = 24 * sim.Hour
+	cfg.VMSampleEvery = 24 * sim.Hour
+	cfg.RecordVMMetrics = false
+	cfg.DRSEvery = 6 * sim.Hour
+	cfg.CrossBB = true
+	cfg.ResizeRate = 0.3
 	return cfg
 }
 

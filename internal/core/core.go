@@ -12,9 +12,8 @@ package core
 
 import (
 	"errors"
-	"math/rand/v2"
 	"slices"
-	"sort"
+	"strings"
 
 	"sapsim/internal/analysis"
 	"sapsim/internal/drs"
@@ -174,17 +173,15 @@ func Run(cfg Config) (*Result, error) {
 	return s.Result(), nil
 }
 
-// pickLive selects a random live VM deterministically (sorted key order).
-func pickLive(live map[vmmodel.ID]*vmmodel.VM, rng *rand.Rand) *vmmodel.VM {
-	if len(live) == 0 {
-		return nil
+// sortedLive returns the live VMs in ID order: the deterministic view of a
+// map that resize picks index and injectors iterate.
+func sortedLive(live map[vmmodel.ID]*vmmodel.VM) []*vmmodel.VM {
+	out := make([]*vmmodel.VM, 0, len(live))
+	for _, vm := range live {
+		out = append(out, vm)
 	}
-	ids := make([]string, 0, len(live))
-	for id := range live {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	return live[vmmodel.ID(ids[rng.IntN(len(ids))])]
+	slices.SortFunc(out, func(a, b *vmmodel.VM) int { return strings.Compare(string(a.ID), string(b.ID)) })
+	return out
 }
 
 // hostSchema and vmSchema are the two measurements' fixed field lists.

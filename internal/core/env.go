@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 
 	"sapsim/internal/esx"
 	"sapsim/internal/events"
@@ -155,14 +154,7 @@ func (e *Env) BringUp(n *topology.Node) bool {
 
 // Live returns the currently running VMs sorted by ID, so injector-side
 // iteration is deterministic.
-func (e *Env) Live() []*vmmodel.VM {
-	out := make([]*vmmodel.VM, 0, len(e.live))
-	for _, vm := range e.live {
-		out = append(out, vm)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+func (e *Env) Live() []*vmmodel.VM { return sortedLive(e.live) }
 
 // LiveCount reports the number of currently running VMs.
 func (e *Env) LiveCount() int { return len(e.live) }

@@ -389,11 +389,15 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 			if rng.Float64() < perDay-float64(n) {
 				n++
 			}
+			if n == 0 || len(live) == 0 {
+				return
+			}
+			// A resize never adds or removes a live VM (a failed one rolls
+			// back onto its old node), so one ID-ordered view serves every
+			// pick of the tick.
+			view := sortedLive(live)
 			for i := 0; i < n; i++ {
-				vm := pickLive(live, rng)
-				if vm == nil {
-					return
-				}
+				vm := view[rng.IntN(len(view))]
 				target := vmmodel.ResizeTarget(vm.Flavor, rng)
 				if target == nil {
 					continue

@@ -347,11 +347,12 @@ func (c *CrossBB) pickMove(hot, cold *topology.BuildingBlock) (*vmmodel.VM, *top
 		}
 		return candidates[i].ID < candidates[j].ID
 	})
+	targets := c.fleet.HostsInBB(cold)
 	for _, vm := range candidates {
 		if vm.Flavor.RAMGiB > 512 {
 			continue
 		}
-		for _, h := range c.fleet.HostsInBB(cold) {
+		for _, h := range targets {
 			if !h.Node.Maintenance && h.Fits(vm.Flavor) {
 				return vm, h.Node
 			}

@@ -16,7 +16,7 @@ func BenchmarkGenerate(b *testing.B) {
 
 // BenchmarkProfileCPUUsage measures one CPU demand evaluation, the VM
 // sampler's and DRS's fallback when the host snapshot cache does not cover
-// the instant, and AverageCPUOver's inner loop.
+// the instant.
 func BenchmarkProfileCPUUsage(b *testing.B) {
 	p := &Profile{
 		Seed: 1, MeanCPU: 0.3, DiurnalAmp: 0.2, WeekendDip: 0.2,

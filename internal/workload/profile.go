@@ -182,17 +182,3 @@ func (p *Profile) UsageAt(t sim.Time) vmmodel.Usage {
 		Disk:   p.DiskUsage(t),
 	}
 }
-
-// AverageCPUOver estimates the profile's average CPU usage across a window
-// by sampling at the given step; the analysis uses this to build Fig. 14a.
-func (p *Profile) AverageCPUOver(from, to, step sim.Time) float64 {
-	if step <= 0 || to <= from {
-		return math.NaN()
-	}
-	sum, n := 0.0, 0
-	for t := from; t < to; t += step {
-		sum += p.CPUUsage(t)
-		n++
-	}
-	return sum / float64(n)
-}

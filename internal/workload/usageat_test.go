@@ -10,7 +10,7 @@ import (
 )
 
 // components is UsageAt's per-field methods, which *Profile and
-// *ReplayProfile keep for tests and AverageCPUOver though
+// *ReplayProfile keep for their own UsageAt and for tests, though
 // vmmodel.UsageProfile carries only CPUUsage and MemUsage of them.
 type components interface {
 	vmmodel.UsageProfile

@@ -139,12 +139,13 @@ func TestProfileBounds(t *testing.T) {
 
 func TestProfileAverageTracksMean(t *testing.T) {
 	p := &Profile{Seed: 13, MeanCPU: 0.25, DiurnalAmp: 0.2, WeekendDip: 0.2, NoiseAmp: 0.1, BurstProb: 0.005, BurstMag: 2}
-	avg := p.AverageCPUOver(0, 30*sim.Day, 10*sim.Minute)
-	if math.Abs(avg-0.25) > 0.06 {
-		t.Errorf("30-day average = %v, want ≈0.25", avg)
+	sum, n := 0.0, 0
+	for ti := sim.Time(0); ti < 30*sim.Day; ti += 10 * sim.Minute {
+		sum += p.CPUUsage(ti)
+		n++
 	}
-	if !math.IsNaN(p.AverageCPUOver(0, 0, sim.Minute)) {
-		t.Error("empty window should be NaN")
+	if avg := sum / float64(n); math.Abs(avg-0.25) > 0.06 {
+		t.Errorf("30-day average = %v, want ≈0.25", avg)
 	}
 }
 

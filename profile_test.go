@@ -1,6 +1,8 @@
 package sapsim
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"sapsim/internal/engprof"
@@ -153,5 +155,48 @@ func TestSamplingWorkGate(t *testing.T) {
 	if bytes, samples := res.Store.Bytes(), res.Store.SampleCount(); float64(bytes) > 8.5*float64(samples) {
 		t.Errorf("store holds %d bytes for %d samples (%.2f per sample), want at most 8.5",
 			bytes, samples, float64(bytes)/float64(samples))
+	}
+}
+
+// TestChurnWorkGate is the work gate's place_churn-shaped row: resize picks,
+// DRS and cross-BB scans, Nova filtering, claims and retries on a small churn
+// cell, as exact counts, plus the bytes the whole run allocates within ±2%
+// (re-pin that row when the toolchain changes). A resize pick that re-sorts
+// the fleet fails the allocation row; a re-filter, an extra scan or a moved
+// RNG draw fails a counter row.
+func TestChurnWorkGate(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(churnGateConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"fired events", res.Profile.Events, 15609},
+		{"resizes", int64(res.Resizes), 461},
+		{"resize phase count", res.Profile.Phase(engprof.PhaseResize).Count, 30},
+		{"drs/scan ops", res.Profile.Phase(engprof.PhaseDRSScan).Ops, 16063},
+		{"sched/filter ops", res.Profile.Phase(engprof.PhaseSchedFilter).Ops, 153552},
+		{"sched/claim ops", res.Profile.Phase(engprof.PhaseSchedClaim).Ops, 19695},
+		{"sched retries", int64(res.SchedStats.Retries), 11543},
+		{"sched failures", int64(res.SchedStats.Failed), 4644},
+		{"placement failures", int64(res.PlacementFailures), 4385},
+		{"DRS migrations", int64(res.DRSMigrations), 657},
+		{"cross-BB moves", int64(res.CrossBBMoves), 88},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
+	}
+	if raceEnabled {
+		return // the race detector's shadow allocations move the byte count
+	}
+	const wantAlloc = 26.3e6
+	if got := float64(after.TotalAlloc - before.TotalAlloc); math.Abs(got-wantAlloc) > 0.02*wantAlloc {
+		t.Errorf("run allocated %.1f MB, want %.1f MB ±2%%", got/1e6, wantAlloc/1e6)
 	}
 }
