@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,7 +36,7 @@ type cellProfile struct {
 }
 
 // runEngprof is the -engprof entry point.
-func runEngprof(path, against, critPath string, topN int) error {
+func runEngprof(w io.Writer, path, against, critPath string, topN int) error {
 	cells, merged, err := loadProfiles(path)
 	if err != nil {
 		return err
@@ -45,16 +46,16 @@ func runEngprof(path, against, critPath string, topN int) error {
 		if err != nil {
 			return err
 		}
-		printProfileDiff(path, merged, against, other)
+		printProfileDiff(w, path, merged, against, other)
 		return nil
 	}
 
-	fmt.Printf("engine profile %s: %d cells, %d events, %s attributed\n\n",
+	fmt.Fprintf(w, "engine profile %s: %d cells, %d events, %s attributed\n\n",
 		path, merged.Cells, merged.Events, fmtNanos(merged.AccountedNanos))
-	printPhaseTable(merged)
-	printOwnerTable(merged, topN)
+	printPhaseTable(w, merged)
+	printOwnerTable(w, merged, topN)
 	if len(cells) > 1 {
-		if err := printStragglers(cells, critPath); err != nil {
+		if err := printStragglers(w, cells, critPath); err != nil {
 			return err
 		}
 	}
@@ -152,29 +153,29 @@ func sortedPhases(p *engprof.Profile, nested bool) []string {
 // printPhaseTable renders the top-level attribution (rows sum to exactly
 // 100% of the attributed envelope by construction) and the nested
 // scheduler/DRS detail beneath it.
-func printPhaseTable(p *engprof.Profile) {
-	fmt.Println("per-phase attribution (top-level rows sum to 100% of attributed time):")
-	fmt.Printf("%-16s %10s %6s %10s %12s\n", "phase", "time", "%", "count", "ops")
+func printPhaseTable(w io.Writer, p *engprof.Profile) {
+	fmt.Fprintln(w, "per-phase attribution (top-level rows sum to 100% of attributed time):")
+	fmt.Fprintf(w, "%-16s %10s %6s %10s %12s\n", "phase", "time", "%", "count", "ops")
 	for _, name := range sortedPhases(p, false) {
 		c := p.Phases[name]
-		fmt.Printf("%-16s %10s %5.1f%% %10d %12d\n",
+		fmt.Fprintf(w, "%-16s %10s %5.1f%% %10d %12d\n",
 			name, fmtNanos(c.Nanos), pct(c.Nanos, p.AccountedNanos), c.Count, c.Ops)
 	}
 	nested := sortedPhases(p, true)
 	if len(nested) > 0 {
-		fmt.Println("\nnested detail (measured inside the phases above, not additive):")
-		fmt.Printf("%-16s %10s %6s %10s %12s\n", "phase", "time", "%", "count", "ops")
+		fmt.Fprintln(w, "\nnested detail (measured inside the phases above, not additive):")
+		fmt.Fprintf(w, "%-16s %10s %6s %10s %12s\n", "phase", "time", "%", "count", "ops")
 		for _, name := range nested {
 			c := p.Phases[name]
-			fmt.Printf("%-16s %10s %5.1f%% %10d %12d\n",
+			fmt.Fprintf(w, "%-16s %10s %5.1f%% %10d %12d\n",
 				name, fmtNanos(c.Nanos), pct(c.Nanos, p.AccountedNanos), c.Count, c.Ops)
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // printOwnerTable renders the top-N exact event-owner rows.
-func printOwnerTable(p *engprof.Profile, topN int) {
+func printOwnerTable(w io.Writer, p *engprof.Profile, topN int) {
 	if len(p.Owners) == 0 {
 		return
 	}
@@ -182,20 +183,20 @@ func printOwnerTable(p *engprof.Profile, topN int) {
 	if n > len(p.Owners) {
 		n = len(p.Owners)
 	}
-	fmt.Printf("top %d event owners (of %d):\n", n, len(p.Owners))
-	fmt.Printf("%-28s %10s %6s %10s %12s\n", "owner", "time", "%", "count", "ops")
+	fmt.Fprintf(w, "top %d event owners (of %d):\n", n, len(p.Owners))
+	fmt.Fprintf(w, "%-28s %10s %6s %10s %12s\n", "owner", "time", "%", "count", "ops")
 	for _, oc := range p.Owners[:n] {
-		fmt.Printf("%-28s %10s %5.1f%% %10d %12d\n",
+		fmt.Fprintf(w, "%-28s %10s %5.1f%% %10d %12d\n",
 			oc.Owner, fmtNanos(oc.Nanos), pct(oc.Nanos, p.AccountedNanos), oc.Count, oc.Ops)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 // printStragglers renders the per-cell ranking (slowest attributed time
 // first) with each cell's dominant phase. With a trace, each cell's
 // attributed time is joined against its wall-clock root span — coverage
 // is the fraction of real wall time the engine phases explain.
-func printStragglers(cells []cellProfile, critPath string) error {
+func printStragglers(w io.Writer, cells []cellProfile, critPath string) error {
 	wall := map[string]time.Duration{}
 	if critPath != "" {
 		f, err := os.Open(critPath)
@@ -213,29 +214,29 @@ func printStragglers(cells []cellProfile, critPath string) error {
 			}
 		}
 	}
-	fmt.Println("stragglers (slowest cells by attributed time):")
+	fmt.Fprintln(w, "stragglers (slowest cells by attributed time):")
 	if critPath != "" {
-		fmt.Printf("%-36s %10s %10s %9s  %s\n", "cell", "attributed", "wall", "coverage", "dominant phase")
+		fmt.Fprintf(w, "%-36s %10s %10s %9s  %s\n", "cell", "attributed", "wall", "coverage", "dominant phase")
 	} else {
-		fmt.Printf("%-36s %10s  %s\n", "cell", "attributed", "dominant phase")
+		fmt.Fprintf(w, "%-36s %10s  %s\n", "cell", "attributed", "dominant phase")
 	}
 	for _, c := range cells {
 		name, share := dominantPhase(c.p)
 		dom := fmt.Sprintf("%s (%.0f%%)", name, share)
 		if critPath == "" {
-			fmt.Printf("%-36s %10s  %s\n", c.name, fmtNanos(c.p.AccountedNanos), dom)
+			fmt.Fprintf(w, "%-36s %10s  %s\n", c.name, fmtNanos(c.p.AccountedNanos), dom)
 			continue
 		}
 		wallCol, covCol := "-", "-"
 		if c.keyOK {
-			if w := wall[dispatch.CellTraceID(c.key)]; w > 0 {
-				wallCol = fmtNanos(int64(w))
-				covCol = fmt.Sprintf("%.0f%%", pct(c.p.AccountedNanos, int64(w)))
+			if d := wall[dispatch.CellTraceID(c.key)]; d > 0 {
+				wallCol = fmtNanos(int64(d))
+				covCol = fmt.Sprintf("%.0f%%", pct(c.p.AccountedNanos, int64(d)))
 			}
 		}
-		fmt.Printf("%-36s %10s %10s %9s  %s\n", c.name, fmtNanos(c.p.AccountedNanos), wallCol, covCol, dom)
+		fmt.Fprintf(w, "%-36s %10s %10s %9s  %s\n", c.name, fmtNanos(c.p.AccountedNanos), wallCol, covCol, dom)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 
@@ -252,8 +253,8 @@ func dominantPhase(p *engprof.Profile) (string, float64) {
 // printProfileDiff compares two exports phase by phase on per-cell means,
 // so sweeps of different matrix sizes (or a single cell against a fleet)
 // still compare like for like.
-func printProfileDiff(pathA string, a *engprof.Profile, pathB string, b *engprof.Profile) {
-	fmt.Printf("engine profile diff (per-cell means):\n  A = %s (%d cells, %s attributed)\n  B = %s (%d cells, %s attributed)\n\n",
+func printProfileDiff(w io.Writer, pathA string, a *engprof.Profile, pathB string, b *engprof.Profile) {
+	fmt.Fprintf(w, "engine profile diff (per-cell means):\n  A = %s (%d cells, %s attributed)\n  B = %s (%d cells, %s attributed)\n\n",
 		pathA, a.Cells, fmtNanos(a.AccountedNanos), pathB, b.Cells, fmtNanos(b.AccountedNanos))
 	seen := map[string]bool{}
 	var names []string
@@ -276,14 +277,14 @@ func printProfileDiff(pathA string, a *engprof.Profile, pathB string, b *engprof
 		}
 		return names[i] < names[j]
 	})
-	fmt.Printf("%-16s %12s %12s %9s\n", "phase", "A", "B", "delta")
+	fmt.Fprintf(w, "%-16s %12s %12s %9s\n", "phase", "A", "B", "delta")
 	for _, name := range names {
 		ca := perCell(a.Phases[name].Nanos, a.Cells)
 		cb := perCell(b.Phases[name].Nanos, b.Cells)
-		fmt.Printf("%-16s %12s %12s %9s\n", name, fmtNanos(ca), fmtNanos(cb), deltaPct(ca, cb))
+		fmt.Fprintf(w, "%-16s %12s %12s %9s\n", name, fmtNanos(ca), fmtNanos(cb), deltaPct(ca, cb))
 	}
 	ta, tb := perCell(a.AccountedNanos, a.Cells), perCell(b.AccountedNanos, b.Cells)
-	fmt.Printf("%-16s %12s %12s %9s\n", "TOTAL", fmtNanos(ta), fmtNanos(tb), deltaPct(ta, tb))
+	fmt.Fprintf(w, "%-16s %12s %12s %9s\n", "TOTAL", fmtNanos(ta), fmtNanos(tb), deltaPct(ta, tb))
 }
 
 func perCell(nanos int64, cells int) int64 {

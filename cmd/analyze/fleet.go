@@ -8,14 +8,15 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"sort"
-	"strings"
 	"syscall"
 	"time"
 
+	"sapsim/internal/cli"
 	"sapsim/internal/dataset"
 	"sapsim/internal/dispatch"
 	"sapsim/internal/promql"
@@ -26,28 +27,8 @@ import (
 )
 
 // runRecord polls the targets into dir until interrupted (or -for
-// elapses), mirroring scrape.Recorder.Run but keeping the Recording in
-// hand so a summary prints on the way out.
-func runRecord(dir, targets string, every, dur time.Duration) error {
-	var urls []string
-	for _, u := range strings.Split(targets, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
-	}
-	r := &scrape.Recorder{
-		Targets: urls,
-		Every:   every,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	}
-	rec, err := r.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer rec.Close()
-
+// elapses) and summarizes the recording on the way out.
+func runRecord(stdout, stderr io.Writer, dir string, targets []string, every, dur time.Duration) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if dur > 0 {
@@ -55,30 +36,20 @@ func runRecord(dir, targets string, every, dur time.Duration) error {
 		ctx, cancel = context.WithTimeout(ctx, dur)
 		defer cancel()
 	}
-	if every <= 0 {
-		every = time.Second
+	path := filepath.Join(dir, scrape.FleetDataset)
+	fmt.Fprintf(stderr, "recording %d targets every %v into %s (interrupt to stop)\n", len(targets), every, path)
+	r := &scrape.Recorder{Targets: targets, Every: every, Logf: cli.Logf(stderr, "")}
+	rec, err := r.Run(ctx, dir)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "recording %d targets every %v into %s (interrupt to stop)\n",
-		len(urls), every, filepath.Join(dir, scrape.FleetDataset))
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	for {
-		if _, err := rec.Round(); err != nil {
-			return err
-		}
-		select {
-		case <-ctx.Done():
-			fmt.Printf("recorded %d rounds, %d samples into %s\n",
-				rec.Rounds(), rec.Samples(), filepath.Join(dir, scrape.FleetDataset))
-			return nil
-		case <-tick.C:
-		}
-	}
+	fmt.Fprintf(stdout, "recorded %d rounds, %d samples into %s\n", rec.Rounds(), rec.Samples(), path)
+	return nil
 }
 
 // runFleet loads a flight-recorder dataset and renders the sweep's
 // queue-depth and worker-utilization timelines.
-func runFleet(dir string) error {
+func runFleet(w io.Writer, dir string) error {
 	path := dir
 	if st, err := os.Stat(path); err == nil && st.IsDir() {
 		path = filepath.Join(dir, scrape.FleetDataset)
@@ -92,7 +63,7 @@ func runFleet(dir string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("fleet recording %s: %d series, %d samples\n\n",
+	fmt.Fprintf(w, "fleet recording %s: %d series, %d samples\n\n",
 		path, store.SeriesCount(), store.SampleCount())
 
 	engine := &promql.Engine{Store: store}
@@ -104,12 +75,12 @@ func runFleet(dir string) error {
 	ts = strideTo(ts, 40)
 
 	states := []string{"queued", "booked", "running", "done", "failed"}
-	fmt.Println("queue depth by state (sum over instances):")
-	fmt.Printf("%8s", "t(s)")
+	fmt.Fprintln(w, "queue depth by state (sum over instances):")
+	fmt.Fprintf(w, "%8s", "t(s)")
 	for _, s := range states {
-		fmt.Printf(" %7s", s)
+		fmt.Fprintf(w, " %7s", s)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, t := range ts {
 		vec, err := engine.Query(fmt.Sprintf("sum by (state) (%s)", dispatch.MetricQueueJobs), t)
 		if err != nil {
@@ -119,16 +90,16 @@ func runFleet(dir string) error {
 		for _, s := range vec {
 			byState[s.Labels.Get("state")] = s.Value
 		}
-		fmt.Printf("%8.1f", t.Seconds())
+		fmt.Fprintf(w, "%8.1f", t.Seconds())
 		for _, s := range states {
-			fmt.Printf(" %7.0f", byState[s])
+			fmt.Fprintf(w, " %7.0f", byState[s])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	instances := labelValues(store, dispatch.MetricWorkerCapacity, "instance")
 	if len(instances) == 0 {
-		fmt.Println("\nno worker instances in the recording")
+		fmt.Fprintln(w, "\nno worker instances in the recording")
 		return nil
 	}
 	const maxCols = 8
@@ -136,12 +107,12 @@ func runFleet(dir string) error {
 	if len(shown) > maxCols {
 		shown = shown[:maxCols]
 	}
-	fmt.Println("\nworker utilization (inflight / capacity per instance):")
-	fmt.Printf("%8s", "t(s)")
+	fmt.Fprintln(w, "\nworker utilization (inflight / capacity per instance):")
+	fmt.Fprintf(w, "%8s", "t(s)")
 	for _, inst := range shown {
-		fmt.Printf(" %*s", colWidth(inst), inst)
+		fmt.Fprintf(w, " %*s", colWidth(inst), inst)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, t := range ts {
 		// The in-tree promql has no vector/vector division; take the two
 		// aggregates and divide here.
@@ -153,26 +124,26 @@ func runFleet(dir string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%8.1f", t.Seconds())
+		fmt.Fprintf(w, "%8.1f", t.Seconds())
 		for _, inst := range shown {
 			c, ok := cap[inst]
 			if !ok || c == 0 {
-				fmt.Printf(" %*s", colWidth(inst), "-")
+				fmt.Fprintf(w, " %*s", colWidth(inst), "-")
 				continue
 			}
-			fmt.Printf(" %*.0f%%", colWidth(inst)-1, 100*inf[inst]/c)
+			fmt.Fprintf(w, " %*.0f%%", colWidth(inst)-1, 100*inf[inst]/c)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if len(instances) > maxCols {
-		fmt.Printf("(%d more instances not shown)\n", len(instances)-maxCols)
+		fmt.Fprintf(w, "(%d more instances not shown)\n", len(instances)-maxCols)
 	}
 	return nil
 }
 
 // runCritpath loads an exported Chrome trace and prints the critical
 // path plus the per-phase latency breakdown.
-func runCritpath(path string) error {
+func runCritpath(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -183,7 +154,7 @@ func runCritpath(path string) error {
 		return err
 	}
 	a := trace.Analyze(spans)
-	a.Report(os.Stdout)
+	a.Report(w)
 	return nil
 }
 

@@ -33,46 +33,43 @@ package main
 
 import (
 	"context"
-	"flag"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"syscall"
 	"time"
 
-	"sapsim/internal/core"
+	"sapsim/internal/cli"
 	"sapsim/internal/dispatch"
 	"sapsim/internal/fleetmetrics"
 	"sapsim/internal/pprofserve"
-	"sapsim/internal/scenario"
 	"sapsim/internal/sim"
 )
 
-func main() {
+func main() { cli.Main("dispatchd", run) }
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs, cell := cli.Flags("dispatchd", stderr)
 	var (
-		addr       = flag.String("addr", ":9090", "listen address for the dispatcher protocol")
-		dir        = flag.String("dir", "", "sweep directory holding the journal (required)")
-		resume     = flag.Bool("resume", false, "resume the journal in -dir instead of starting a new sweep")
-		scale      = flag.Float64("scale", 0.02, "region scale (1.0 = 1,823 hypervisors)")
-		vms        = flag.Int("vms", 960, "initial VM population per run")
-		days       = flag.Int("days", 10, "observation window in days")
-		sample     = flag.Duration("sample", 15*time.Minute, "host sampling interval")
-		scenarios  = flag.String("scenarios", "", "comma-separated scenario names (default: all builtin)")
-		variants   = flag.String("variants", "default", "comma-separated variant names (\"all\" = every builtin)")
-		seeds      = flag.String("seeds", "2024", "comma-separated seeds")
-		checkpoint = flag.Duration("checkpoint", 6*time.Hour, "simulated-time stride workers step their cells in; between strides a worker captures at most one snapshot per heartbeat")
-		lease      = flag.Duration("lease", dispatch.DefaultLease, "heartbeat deadline before a cell re-books")
-		timeout    = flag.Duration("timeout", 0, "wall-clock limit for the whole sweep (0 = none)")
-		out        = flag.String("out", "", "report directory (default: -dir)")
-		bundle     = flag.String("bundle", "", "materialize the digest-verified report bundle into this directory once drained")
-		traceOut   = flag.String("trace", "", "export the sweep's cell-lifecycle trace (Chrome trace-event JSON, Perfetto-loadable) to this file once drained")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof at this address (e.g. 127.0.0.1:6060; empty = off)")
-		progress   = flag.Bool("progress", true, "log queue transitions to stderr")
+		addr       = fs.String("addr", ":9090", "listen address for the dispatcher protocol")
+		dir        = fs.String("dir", "", "sweep directory holding the journal (required)")
+		resume     = fs.Bool("resume", false, "resume the journal in -dir instead of starting a new sweep")
+		checkpoint = fs.Duration("checkpoint", 6*time.Hour, "simulated-time stride workers step their cells in; between strides a worker captures at most one snapshot per heartbeat")
+		lease      = fs.Duration("lease", dispatch.DefaultLease, "heartbeat deadline before a cell re-books")
+		out        = fs.String("out", "", "report directory (default: -dir)")
+		bundle     = fs.String("bundle", "", "materialize the digest-verified report bundle into this directory once drained")
+		traceOut   = fs.String("trace", "", "export the sweep's cell-lifecycle trace (Chrome trace-event JSON, Perfetto-loadable) to this file once drained")
+		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof at this address (e.g. 127.0.0.1:6060; empty = off)")
+		progress   = fs.Bool("progress", true, "log queue transitions to stderr")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 	if *dir == "" {
-		fatal(fmt.Errorf("-dir is required"))
+		return errors.New("-dir is required")
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -80,15 +77,12 @@ func main() {
 	if *pprofAddr != "" {
 		bound, err := pprofserve.Serve(*pprofAddr)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "dispatchd: pprof at http://%s/debug/pprof/\n", bound)
+		fmt.Fprintf(stderr, "dispatchd: pprof at http://%s/debug/pprof/\n", bound)
 	}
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	ctx, cancel := cell.Context(ctx)
+	defer cancel()
 
 	opts := dispatch.QueueOptions{Lease: *lease}
 	var q *dispatch.Queue
@@ -96,67 +90,46 @@ func main() {
 	if *resume {
 		q, err = dispatch.Resume(*dir, opts)
 		if err == nil {
-			fmt.Fprintf(os.Stderr, "dispatchd: %s\n", q.Recovered())
+			fmt.Fprintf(stderr, "dispatchd: %s\n", q.Recovered())
 		}
 	} else {
-		base := core.DefaultConfig(2024)
-		base.Scale = *scale
-		base.VMs = *vms
-		base.Days = *days
-		base.SampleEvery = sim.Time(*sample)
-		spec, serr := dispatch.ParseSpec(base, *scenarios, *variants, *seeds, sim.Time(*checkpoint))
+		spec, serr := cell.Spec(sim.Time(*checkpoint))
 		if serr != nil {
-			fatal(serr)
+			return serr
 		}
 		q, err = dispatch.NewQueue(*dir, spec, opts)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer q.Close()
 
 	d := dispatch.NewDispatcher(q)
 	if *progress {
-		d.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
+		d.Logf = cli.Logf(stderr, "")
 	}
 	d.Instrument(fleetmetrics.NewRegistry())
 	bound, err := d.Serve(ctx, *addr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	total := len(q.Snapshot())
-	fmt.Printf("dispatchd: serving %d cells at %s (journal %s)\n",
-		total, bound, filepath.Join(*dir, dispatch.JournalName))
-	fmt.Printf("dispatchd: browsable report bundle at http://%s/bundle\n", bound)
-	fmt.Printf("dispatchd: fleet metrics at http://%s/metrics\n", bound)
+	fmt.Fprintf(stdout, "dispatchd: serving %d cells at %s (journal %s)\n",
+		len(q.Snapshot()), bound, filepath.Join(*dir, dispatch.JournalName))
+	fmt.Fprintf(stdout, "dispatchd: browsable report bundle at http://%s/bundle\n", bound)
+	fmt.Fprintf(stdout, "dispatchd: fleet metrics at http://%s/metrics\n", bound)
 
 	res, err := d.WaitDrained(ctx, 0)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Print(scenario.Comparative(res))
-	fmt.Print(scenario.ArtifactDiff(res))
-
+	failed := cli.Report(stdout, res, true)
 	exports := dispatch.Exports{Report: *out, Bundle: *bundle, Trace: *traceOut}
 	if exports.Report == "" {
 		exports.Report = *dir
 	}
-	logf := func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
-	if err := dispatch.Export(q, res, exports, logf); err != nil {
-		fatal(err)
+	if err := dispatch.Export(q, res, exports, cli.Logf(stdout, "")); err != nil {
+		return err
 	}
-
-	for _, r := range res.Runs {
-		if r.Err != "" {
-			fatal(fmt.Errorf("run %s/%s seed %d: %s", r.Key.Scenario, r.Key.Variant, r.Key.Seed, r.Err))
-		}
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dispatchd:", err)
-	os.Exit(1)
+	return failed
 }

@@ -13,13 +13,13 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
-	"os"
 	"time"
 
+	"sapsim/internal/cli"
 	"sapsim/internal/esx"
 	"sapsim/internal/exporter"
 	"sapsim/internal/nova"
@@ -30,29 +30,31 @@ import (
 	"sapsim/internal/workload"
 )
 
-func main() {
-	var (
-		addr    = flag.String("addr", ":9100", "listen address")
-		speedup = flag.Float64("speedup", 3600, "simulated seconds per wall-clock second")
-		scale   = flag.Float64("scale", 0.02, "region scale")
-		vms     = flag.Int("vms", 400, "VM population")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		timeout = flag.Duration("timeout", 0, "serve for this long, then shut down (0 = forever)")
-	)
-	flag.Parse()
+func main() { cli.Main("exporter", run) }
 
-	region, err := topology.Build(topology.DefaultBuildSpec(*scale))
+func run(args []string, stdout, stderr io.Writer) error {
+	fs, cell := cli.Flags("exporter", stderr)
+	var (
+		addr    = fs.String("addr", ":9100", "listen address")
+		speedup = fs.Float64("speedup", 3600, "simulated seconds per wall-clock second")
+	)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
+	cfg := cell.Config()
+
+	region, err := topology.Build(topology.DefaultBuildSpec(cfg.Scale))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fleet := esx.NewFleet(region, esx.DefaultConfig())
 	sched, err := nova.NewScheduler(fleet, placement.NewService(), nova.DefaultConfig())
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	// Place the initial population.
-	spec := workload.DefaultSpec(*vms, *seed)
+	spec := workload.DefaultSpec(cfg.VMs, cfg.Seed)
 	var live []*vmmodel.VM
 	for _, in := range workload.NewGenerator(spec).Generate() {
 		if in.ArriveAt > 0 {
@@ -62,7 +64,7 @@ func main() {
 			live = append(live, in.VM)
 		}
 	}
-	fmt.Printf("fleet up: %d nodes, %d VMs placed\n", region.NodeCount(), len(live))
+	fmt.Fprintf(stdout, "fleet up: %d nodes, %d VMs placed\n", region.NodeCount(), len(live))
 
 	start := time.Now()
 	exp := &exporter.Exporter{
@@ -75,22 +77,25 @@ func main() {
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", exp.Handler())
-	server := &http.Server{Addr: *addr, Handler: mux}
-	if *timeout > 0 {
-		time.AfterFunc(*timeout, func() {
-			fmt.Printf("exporter: %v elapsed, shutting down\n", *timeout)
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_ = server.Shutdown(ctx)
-		})
+	server := &http.Server{Handler: mux}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("serving Prometheus metrics on %s/metrics (speedup %.0fx)\n", *addr, *speedup)
-	if err := server.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fatal(err)
+	fmt.Fprintf(stdout, "serving Prometheus metrics on %s/metrics (speedup %.0fx)\n", ln.Addr(), *speedup)
+	ctx, cancel := cell.Context(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- server.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "exporter:", err)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "exporter: %v elapsed, shutting down\n", cell.Timeout)
+	shutdown, cancelShutdown := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancelShutdown()
+	_ = server.Shutdown(shutdown) // a scrape still open after the grace period is cut
+	<-served
+	return nil
 }

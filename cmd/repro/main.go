@@ -15,9 +15,8 @@
 package main
 
 import (
-	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -25,91 +24,63 @@ import (
 	"time"
 
 	"sapsim"
-	"sapsim/internal/sim"
+	"sapsim/internal/cli"
 )
 
-func main() {
+func main() { cli.Main("repro", run) }
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs, cell := cli.Flags("repro", stderr)
 	var (
-		seed     = flag.Uint64("seed", 2024, "random seed (runs are deterministic per seed)")
-		scale    = flag.Float64("scale", 0.05, "region scale (1.0 = 1,823 hypervisors)")
-		vms      = flag.Int("vms", 2400, "initial VM population")
-		days     = flag.Int("days", 30, "observation window in days")
-		every    = flag.Duration("sample", 5*time.Minute, "host sampling interval")
-		id       = flag.String("id", "", "single experiment ID (fig5..fig15b, table1..table5)")
-		only     = flag.String("only", "", "regexp over experiment IDs; only matches are computed")
-		timeout  = flag.Duration("timeout", 0, "wall-clock limit for the simulation (0 = none)")
-		progress = flag.Bool("progress", true, "print per-day progress to stderr")
-		out      = flag.String("out", "", "directory to write full artifact text files")
+		id       = fs.String("id", "", "single experiment ID (fig5..fig15b, table1..table5)")
+		only     = fs.String("only", "", "regexp over experiment IDs; only matches are computed")
+		progress = fs.Bool("progress", true, "print per-day progress to stderr")
+		out      = fs.String("out", "", "directory to write full artifact text files")
 	)
-	flag.Parse()
-
-	cfg := sapsim.DefaultConfig(*seed)
-	cfg.Scale = *scale
-	cfg.VMs = *vms
-	cfg.Days = *days
-	cfg.SampleEvery = sim.Time(*every)
-
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 	experiments, err := selectExperiments(*id, *only)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Printf("running %d-day simulation: scale=%.2f (%s), %d VMs, seed %d\n",
+	cfg := cell.Config()
+	fmt.Fprintf(stdout, "running %d-day simulation: scale=%.2f (%s), %d VMs, seed %d\n",
 		cfg.Days, cfg.Scale, "region 9 replica", cfg.VMs, cfg.Seed)
 	start := time.Now()
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	opts := []sapsim.Option{sapsim.WithContext(ctx)}
-	if *progress {
-		opts = append(opts, sapsim.WithObserver(sapsim.LogDailyProgress(os.Stderr, "repro")))
-	}
-	session, err := sapsim.NewSession(cfg, opts...)
+	res, err := cell.Simulate("repro", *progress, stderr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	defer session.Close()
-	if err := session.RunToCompletion(); err != nil {
-		if ctx.Err() != nil {
-			fatal(fmt.Errorf("timed out after %v at simulated %s: %w", *timeout, session.Now(), err))
-		}
-		fatal(err)
-	}
-	res, err := session.Result()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("simulated %d nodes, %d VM instances, %d samples in %v\n\n",
+	fmt.Fprintf(stdout, "simulated %d nodes, %d VM instances, %d samples in %v\n\n",
 		res.Region.NodeCount(), len(res.VMs), res.Store.SampleCount(), time.Since(start).Round(time.Millisecond))
 
 	for _, exp := range experiments {
 		art, err := exp.Compute(res)
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", exp.ID, err))
+			return fmt.Errorf("%s: %w", exp.ID, err)
 		}
-		fmt.Printf("=== %s: %s\n", exp.ID, exp.Title)
-		fmt.Printf("    paper:    %s\n", exp.PaperClaim)
-		fmt.Printf("    measured: %s\n", formatValues(art.Values))
+		fmt.Fprintf(stdout, "=== %s: %s\n", exp.ID, exp.Title)
+		fmt.Fprintf(stdout, "    paper:    %s\n", exp.PaperClaim)
+		fmt.Fprintf(stdout, "    measured: %s\n", formatValues(art.Values))
 		if *out == "" && len(experiments) == 1 {
-			fmt.Println()
-			fmt.Println(art.Text)
+			fmt.Fprintln(stdout)
+			fmt.Fprintln(stdout, art.Text)
 		}
 		if *out != "" {
 			path := filepath.Join(*out, exp.ID+".txt")
 			if err := os.MkdirAll(*out, 0o755); err != nil {
-				fatal(err)
+				return err
 			}
 			if err := os.WriteFile(path, []byte(art.Text), 0o644); err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("    written:  %s\n", path)
+			fmt.Fprintf(stdout, "    written:  %s\n", path)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return nil
 }
 
 // selectExperiments resolves -id / -only to the experiment subset, in paper
@@ -159,9 +130,4 @@ func formatValues(values map[string]float64) string {
 		s += fmt.Sprintf("%s=%.3g", k, values[k])
 	}
 	return s
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "repro:", err)
-	os.Exit(1)
 }

@@ -13,133 +13,97 @@ package main
 
 import (
 	"bufio"
-	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
-	"sapsim"
+	"sapsim/internal/cli"
 	"sapsim/internal/dataset"
 	"sapsim/internal/events"
-	"sapsim/internal/sim"
 	"sapsim/internal/vmmodel"
 )
 
-func main() {
+func main() { cli.Main("sapsim", run) }
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs, cell := cli.Flags("sapsim", stderr)
 	var (
-		seed     = flag.Uint64("seed", 2024, "random seed")
-		scale    = flag.Float64("scale", 0.05, "region scale (1.0 = 1,823 hypervisors)")
-		vms      = flag.Int("vms", 2400, "initial VM population")
-		days     = flag.Int("days", 30, "observation window in days")
-		every    = flag.Duration("sample", 5*time.Minute, "host sampling interval")
-		timeout  = flag.Duration("timeout", 0, "wall-clock limit for the simulation (0 = none)")
-		progress = flag.Bool("progress", true, "print per-day progress to stderr")
-		out      = flag.String("o", "dataset.csv", "output CSV path")
-		evOut    = flag.String("events", "", "also export the scheduling event stream to this CSV")
-		flOut    = flag.String("flavors", "", "also export the flavor catalog to this CSV")
-		salt     = flag.String("salt", "sap-cloud-dataset", "anonymization salt")
-		raw      = flag.Bool("raw", false, "skip anonymization (keep entity names)")
+		progress = fs.Bool("progress", true, "print per-day progress to stderr")
+		out      = fs.String("o", "dataset.csv", "output CSV path")
+		evOut    = fs.String("events", "", "also export the scheduling event stream to this CSV")
+		flOut    = fs.String("flavors", "", "also export the flavor catalog to this CSV")
+		salt     = fs.String("salt", "sap-cloud-dataset", "anonymization salt")
+		raw      = fs.Bool("raw", false, "skip anonymization (keep entity names)")
 	)
-	flag.Parse()
-
-	cfg := sapsim.DefaultConfig(*seed)
-	cfg.Scale = *scale
-	cfg.VMs = *vms
-	cfg.Days = *days
-	cfg.SampleEvery = sim.Time(*every)
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	sessOpts := []sapsim.Option{sapsim.WithContext(ctx)}
-	if *progress {
-		sessOpts = append(sessOpts, sapsim.WithObserver(sapsim.LogDailyProgress(os.Stderr, "sapsim")))
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 
 	start := time.Now()
-	session, err := sapsim.NewSession(cfg, sessOpts...)
+	res, err := cell.Simulate("sapsim", *progress, stderr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	defer session.Close()
-	if err := session.RunToCompletion(); err != nil {
-		if ctx.Err() != nil {
-			fatal(fmt.Errorf("timed out after %v at simulated %s: %w", *timeout, session.Now(), err))
-		}
-		fatal(err)
-	}
-	res, err := session.Result()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("simulated %d days: %d nodes, %d VMs, %d series, %d samples (%v)\n",
-		cfg.Days, res.Region.NodeCount(), len(res.VMs),
+	fmt.Fprintf(stdout, "simulated %d days: %d nodes, %d VMs, %d series, %d samples (%v)\n",
+		res.Config.Days, res.Region.NodeCount(), len(res.VMs),
 		res.Store.SeriesCount(), res.Store.SampleCount(), time.Since(start).Round(time.Millisecond))
-	fmt.Printf("scheduler: %d placed, %d failed, %d retries; DRS migrations: %d\n",
+	fmt.Fprintf(stdout, "scheduler: %d placed, %d failed, %d retries; DRS migrations: %d\n",
 		res.SchedStats.Scheduled, res.SchedStats.Failed, res.SchedStats.Retries, res.DRSMigrations)
 
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	w := bufio.NewWriterSize(f, 1<<20)
 	opts := dataset.WriteOptions{}
 	if !*raw {
 		opts.Anonymizer = dataset.NewAnonymizer(*salt)
 		opts.AnonymizeLabels = dataset.DefaultAnonymizedLabels()
 	}
-	if err := dataset.Write(w, res.Store, opts); err != nil {
-		fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		fatal(err)
-	}
-	info, err := f.Stat()
+	size, err := writeFile(*out, func(w io.Writer) error { return dataset.Write(w, res.Store, opts) })
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("dataset written: %s (%.1f MiB)\n", *out, float64(info.Size())/(1<<20))
+	fmt.Fprintf(stdout, "dataset written: %s (%.1f MiB)\n", *out, float64(size)/(1<<20))
 
 	if *evOut != "" {
-		ef, err := os.Create(*evOut)
-		if err != nil {
-			fatal(err)
-		}
-		defer ef.Close()
-		ew := bufio.NewWriter(ef)
 		// Avoid handing WriteCSV a typed-nil interface when -raw is set.
 		var anon events.Anonymizer
 		if opts.Anonymizer != nil {
 			anon = opts.Anonymizer
 		}
-		if err := res.Events.WriteCSV(ew, anon); err != nil {
-			fatal(err)
+		if _, err := writeFile(*evOut, func(w io.Writer) error { return res.Events.WriteCSV(w, anon) }); err != nil {
+			return err
 		}
-		if err := ew.Flush(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("events written: %s (%d events)\n", *evOut, res.Events.Len())
+		fmt.Fprintf(stdout, "events written: %s (%d events)\n", *evOut, res.Events.Len())
 	}
 
 	if *flOut != "" {
-		ff, err := os.Create(*flOut)
-		if err != nil {
-			fatal(err)
+		if _, err := writeFile(*flOut, func(w io.Writer) error { return dataset.WriteFlavors(w, vmmodel.Catalog()) }); err != nil {
+			return err
 		}
-		defer ff.Close()
-		if err := dataset.WriteFlavors(ff, vmmodel.Catalog()); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("flavors written: %s\n", *flOut)
+		fmt.Fprintf(stdout, "flavors written: %s\n", *flOut)
 	}
+	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sapsim:", err)
-	os.Exit(1)
+// writeFile creates path, fills it through a buffer with write, flushes
+// and closes it, and returns the file's size. A failed close fails the
+// write: the file may be truncated.
+func writeFile(path string, write func(io.Writer) error) (int64, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	w := bufio.NewWriterSize(f, 1<<20)
+	if err := write(w); err != nil {
+		f.Close()
+		return 0, err
+	}
+	if err := w.Flush(); err != nil {
+		f.Close()
+		return 0, err
+	}
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return 0, err
+	}
+	return info.Size(), f.Close()
 }

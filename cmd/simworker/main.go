@@ -37,8 +37,8 @@ package main
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -46,28 +46,32 @@ import (
 	"syscall"
 	"time"
 
+	"sapsim/internal/cli"
 	"sapsim/internal/dispatch"
 	"sapsim/internal/fleetmetrics"
 	"sapsim/internal/pprofserve"
 )
 
-func main() {
+func main() { cli.Main("simworker", run) }
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs, cell := cli.Flags("simworker", stderr)
 	var (
-		dispatcher = flag.String("dispatcher", "", "dispatcher base URL, e.g. http://host:9090 (required)")
-		id         = flag.String("id", "", "worker id (default host:pid)")
-		jobs       = flag.Int("jobs", 1, "cells to run concurrently")
-		heartbeat  = flag.Duration("heartbeat", 2*time.Second, "heartbeat cadence (must be well under the dispatcher lease)")
-		poll       = flag.Duration("poll", 500*time.Millisecond, "idle re-poll interval when no cell is free")
-		timeout    = flag.Duration("timeout", 0, "wall-clock limit (0 = run until drained)")
-		metrics    = flag.String("metrics", "", "serve Prometheus metrics at this address (e.g. 127.0.0.1:9191; empty = off)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof at this address (e.g. 127.0.0.1:6061; empty = off)")
-		snapshots  = flag.Bool("snapshots", true, "upload mid-run engine snapshots so a re-booked cell warm-resumes instead of restarting from t=0")
-		quiet      = flag.Bool("quiet", false, "suppress per-cell progress lines")
+		dispatcher = fs.String("dispatcher", "", "dispatcher base URL, e.g. http://host:9090 (required)")
+		id         = fs.String("id", "", "worker id (default host:pid)")
+		jobs       = fs.Int("jobs", 1, "cells to run concurrently")
+		heartbeat  = fs.Duration("heartbeat", 2*time.Second, "heartbeat cadence (must be well under the dispatcher lease)")
+		poll       = fs.Duration("poll", 500*time.Millisecond, "idle re-poll interval when no cell is free")
+		metrics    = fs.String("metrics", "", "serve Prometheus metrics at this address (e.g. 127.0.0.1:9191; empty = off)")
+		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof at this address (e.g. 127.0.0.1:6061; empty = off)")
+		snapshots  = fs.Bool("snapshots", true, "upload mid-run engine snapshots so a re-booked cell warm-resumes instead of restarting from t=0")
+		quiet      = fs.Bool("quiet", false, "suppress per-cell progress lines")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 	if *dispatcher == "" {
-		fmt.Fprintln(os.Stderr, "simworker: -dispatcher is required")
-		os.Exit(1)
+		return errors.New("-dispatcher is required")
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -75,16 +79,12 @@ func main() {
 	if *pprofAddr != "" {
 		bound, err := pprofserve.Serve(*pprofAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "simworker: pprof listener:", err)
-			os.Exit(1)
+			return fmt.Errorf("pprof listener: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "simworker: pprof at http://%s/debug/pprof/\n", bound)
+		fmt.Fprintf(stderr, "simworker: pprof at http://%s/debug/pprof/\n", bound)
 	}
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	ctx, cancel := cell.Context(ctx)
+	defer cancel()
 
 	w := &dispatch.Worker{
 		Dispatcher:       *dispatcher,
@@ -95,27 +95,24 @@ func main() {
 		DisableSnapshots: !*snapshots,
 	}
 	if !*quiet {
-		w.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
+		w.Logf = cli.Logf(stderr, "")
 	}
 	if *metrics != "" {
 		reg := fleetmetrics.NewRegistry()
 		w.Metrics = reg
 		ln, err := net.Listen("tcp", *metrics)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "simworker: metrics listener:", err)
-			os.Exit(1)
+			return fmt.Errorf("metrics listener: %w", err)
 		}
 		mux := http.NewServeMux()
 		mux.Handle("GET /metrics", reg.Handler())
 		srv := &http.Server{Handler: mux}
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "simworker: fleet metrics at http://%s/metrics\n", ln.Addr())
+		fmt.Fprintf(stderr, "simworker: fleet metrics at http://%s/metrics\n", ln.Addr())
 	}
 	if err := w.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "simworker:", err)
-		os.Exit(1)
+		return err
 	}
+	return nil
 }

@@ -59,8 +59,8 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -68,100 +68,73 @@ import (
 
 	"sapsim"
 	"sapsim/internal/artifact"
+	"sapsim/internal/cli"
 	"sapsim/internal/core"
 	"sapsim/internal/dispatch"
 	"sapsim/internal/scenario"
-	"sapsim/internal/sim"
 	"sapsim/internal/trace"
 )
 
-func main() {
+func main() { cli.Main("sweep", run) }
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs, cell := cli.Flags("sweep", stderr)
 	var (
-		scale        = flag.Float64("scale", 0.02, "region scale (1.0 = 1,823 hypervisors)")
-		vms          = flag.Int("vms", 960, "initial VM population per run")
-		days         = flag.Int("days", 10, "observation window in days")
-		sample       = flag.Duration("sample", 15*time.Minute, "host sampling interval")
-		scenarioList = flag.String("scenarios", "", "comma-separated scenario names (default: all builtin)")
-		variantList  = flag.String("variants", "default", "comma-separated variant names (\"all\" = every builtin)")
-		seedList     = flag.String("seeds", "2024", "comma-separated seeds")
-		workers      = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		timeout      = flag.Duration("timeout", 0, "wall-clock limit for the whole sweep (0 = none)")
-		progress     = flag.Bool("progress", true, "print per-cell completions to stderr")
-		out          = flag.String("out", "", "directory for the comparative report, the per-run CSV and (when cells were fingerprinted) the artifact diff")
-		diff         = flag.Bool("diff", false, "fingerprint all artifacts per cell and print per-cell diffs vs the baseline scenario")
-		list         = flag.Bool("list", false, "list builtin scenarios and variants, then exit")
-		resumeDir    = flag.String("resume", "", "resume an interrupted dispatched sweep from this journal directory")
-		branch       = flag.Bool("branch", false, "warm-fork cells sharing a (variant, seed) from one snapshot of their common prefix (in-process mode only; a test pins equal runs to a cold sweep for one matrix, there is no general byte-identity guarantee)")
-		bundleDir    = flag.String("bundle", "", "materialize a digest-verified report bundle (artifact bodies included) into this directory")
-		traceOut     = flag.String("trace", "", "export the sweep's cell-lifecycle trace (Chrome trace-event JSON, Perfetto-loadable) to this file")
-		engprofDir   = flag.String("engprof", "", "export each cell's engine self-profile as JSON into this directory (for analyze -engprof)")
+		workers    = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+		progress   = fs.Bool("progress", true, "print per-cell completions to stderr")
+		out        = fs.String("out", "", "directory for the comparative report, the per-run CSV and (when cells were fingerprinted) the artifact diff")
+		diff       = fs.Bool("diff", false, "fingerprint all artifacts per cell and print per-cell diffs vs the baseline scenario")
+		list       = fs.Bool("list", false, "list builtin scenarios and variants, then exit")
+		resumeDir  = fs.String("resume", "", "resume an interrupted dispatched sweep from this journal directory")
+		branch     = fs.Bool("branch", false, "warm-fork cells sharing a (variant, seed) from one snapshot of their common prefix (in-process mode only; a test pins equal runs to a cold sweep for one matrix, there is no general byte-identity guarantee)")
+		bundleDir  = fs.String("bundle", "", "materialize a digest-verified report bundle (artifact bodies included) into this directory")
+		traceOut   = fs.String("trace", "", "export the sweep's cell-lifecycle trace (Chrome trace-event JSON, Perfetto-loadable) to this file")
+		engprofDir = fs.String("engprof", "", "export each cell's engine self-profile as JSON into this directory (for analyze -engprof)")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 
 	if *list {
-		fmt.Println("scenarios:")
+		fmt.Fprintln(stdout, "scenarios:")
 		for _, sc := range scenario.Builtin() {
-			fmt.Printf("  %-20s %s\n", sc.Name, sc.Description)
+			fmt.Fprintf(stdout, "  %-20s %s\n", sc.Name, sc.Description)
 		}
-		fmt.Println("variants:")
+		fmt.Fprintln(stdout, "variants:")
 		for _, v := range scenario.BuiltinVariants() {
-			fmt.Printf("  %s\n", v.Name)
+			fmt.Fprintf(stdout, "  %s\n", v.Name)
 		}
-		return
+		return nil
 	}
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	// -resume ignores the matrix flags entirely: the journal header's spec
-	// is authoritative for an interrupted sweep, so a resume must not be
-	// blocked by (or silently diverge from) whatever flags this invocation
-	// happens to carry.
-	parseSpec := func() dispatch.Spec {
-		base := core.DefaultConfig(2024)
-		base.Scale = *scale
-		base.VMs = *vms
-		base.Days = *days
-		base.SampleEvery = sim.Time(*sample)
-		// The checkpoint stride is for dispatched workers; in-process cells
-		// take no mid-run snapshots.
-		spec, err := dispatch.ParseSpec(base, *scenarioList, *variantList, *seedList, 0)
-		if err != nil {
-			fatal(err)
-		}
-		return spec
-	}
-
+	ctx, cancel := cell.Context(context.Background())
+	defer cancel()
 	var res *scenario.SweepResult
 	var err error
 	exports := dispatch.Exports{Report: *out, Bundle: *bundleDir, Trace: *traceOut, Engprof: *engprofDir}
 	start := time.Now()
 	if *resumeDir != "" {
-		res, err = resumeSweep(ctx, *resumeDir, *workers, *progress, exports)
+		// -resume ignores the matrix flags entirely: the journal header's
+		// spec is authoritative for an interrupted sweep, so a resume must
+		// not be blocked by (or silently diverge from) whatever flags this
+		// invocation happens to carry.
+		res, err = resumeSweep(ctx, *resumeDir, *workers, *progress, stderr, exports)
 	} else {
-		res, err = localSweep(ctx, parseSpec(), *workers, *diff, *progress, *branch, exports)
+		// The checkpoint stride is for dispatched workers; in-process cells
+		// take no mid-run snapshots.
+		spec, serr := cell.Spec(0)
+		if serr != nil {
+			return serr
+		}
+		res, err = localSweep(ctx, spec, *workers, *diff, *progress, *branch, stdout, stderr, exports)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("completed in %v\n\n", time.Since(start).Round(time.Millisecond))
-
-	fmt.Print(scenario.Comparative(res))
+	fmt.Fprintf(stdout, "completed in %v\n\n", time.Since(start).Round(time.Millisecond))
 	// Dispatched cells always carry digests; print the diff whenever we
 	// have them or the user asked.
-	if *diff || *resumeDir != "" {
-		fmt.Print(scenario.ArtifactDiff(res))
-	}
-
-	for _, r := range res.Runs {
-		if r.Err != "" {
-			fatal(fmt.Errorf("run %s/%s seed %d: %s", r.Key.Scenario, r.Key.Variant, r.Key.Seed, r.Err))
-		}
-	}
+	return cli.Report(stdout, res, *diff || *resumeDir != "")
 }
 
 // localSweep is the in-process path: the spec expanded into the bounded
@@ -172,7 +145,7 @@ func main() {
 // byte-identical to the bundle a dispatched sweep of the same matrix
 // produces.
 func localSweep(ctx context.Context, spec dispatch.Spec, workers int,
-	fingerprint, progress, branch bool, out dispatch.Exports) (*scenario.SweepResult, error) {
+	fingerprint, progress, branch bool, stdout, stderr io.Writer, out dispatch.Exports) (*scenario.SweepResult, error) {
 	m, err := spec.Matrix()
 	if err != nil {
 		return nil, err
@@ -225,7 +198,7 @@ func localSweep(ctx context.Context, spec dispatch.Spec, workers int,
 		callbacks = append(callbacks, func(u scenario.CellUpdate) {
 			switch u.State {
 			case scenario.CellFinished, scenario.CellFailed, scenario.CellCanceled:
-				fmt.Fprintf(os.Stderr, "sweep: [%d/%d] %s/%s seed %d: %s\n",
+				fmt.Fprintf(stderr, "sweep: [%d/%d] %s/%s seed %d: %s\n",
 					done.Add(1), total, u.Key.Scenario, u.Key.Variant, u.Key.Seed, u.State)
 			}
 		})
@@ -237,7 +210,7 @@ func localSweep(ctx context.Context, spec dispatch.Spec, workers int,
 			}
 		}
 	}
-	fmt.Printf("sweeping %d scenarios x %d variants x %d seeds = %d runs in-process\n",
+	fmt.Fprintf(stdout, "sweeping %d scenarios x %d variants x %d seeds = %d runs in-process\n",
 		len(m.Scenarios), len(m.Variants), len(m.Seeds), total)
 	res, err := scenario.Sweep(m)
 	if err != nil {
@@ -255,7 +228,7 @@ func localSweep(ctx context.Context, spec dispatch.Spec, workers int,
 			}
 		}
 	}
-	return res, dispatch.WriteExports(out, res, store, spans, blobs, logfSweep)
+	return res, dispatch.WriteExports(out, res, store, spans, blobs, cli.Logf(stderr, "sweep: "))
 }
 
 // localTracer derives the in-process sweep's cell-lifecycle spans from
@@ -331,34 +304,20 @@ func (lt *localTracer) spans() []trace.Span {
 // found missing or damaged, so the bundle that materializes afterward is
 // complete.
 func resumeSweep(ctx context.Context, dir string, workers int,
-	progress bool, out dispatch.Exports) (*scenario.SweepResult, error) {
+	progress bool, stderr io.Writer, out dispatch.Exports) (*scenario.SweepResult, error) {
 	q, err := dispatch.Resume(dir, dispatch.QueueOptions{})
 	if err != nil {
 		return nil, err
 	}
 	defer q.Close()
-	fmt.Fprintf(os.Stderr, "sweep: %s\n", q.Recovered())
+	fmt.Fprintf(stderr, "sweep: %s\n", q.Recovered())
 	opts := dispatch.LocalOptions{Workers: workers}
 	if progress {
-		opts.Logf = logfStderr
+		opts.Logf = cli.Logf(stderr, "")
 	}
 	res, err := dispatch.RunLocal(ctx, q, opts)
 	if err != nil {
 		return nil, err
 	}
-	return res, dispatch.Export(q, res, out, logfSweep)
-}
-
-func logfStderr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-}
-
-// logfSweep prefixes the export writer's lines like the CLI's own.
-func logfSweep(format string, args ...any) {
-	logfStderr("sweep: "+format, args...)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "sweep:", err)
-	os.Exit(1)
+	return res, dispatch.Export(q, res, out, cli.Logf(stderr, "sweep: "))
 }

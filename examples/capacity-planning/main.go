@@ -105,20 +105,7 @@ func main() {
 	}
 
 	// 2. Workload-based overcommit recommendation from aggregate demand.
-	sums := map[sim.Time]float64{}
-	counts := map[sim.Time]int{}
-	for _, s := range res.Store.Select(exporter.MetricVMCPURatio) {
-		for i := 0; i < s.Len(); i++ {
-			smp := s.Sample(i)
-			sums[smp.T] += smp.V
-			counts[smp.T]++
-		}
-	}
-	var ratios []float64
-	for ts, sum := range sums {
-		ratios = append(ratios, sum/float64(counts[ts]))
-	}
-	rec, err := forecast.DynamicOvercommit(ratios, 1.25)
+	rec, _, err := forecast.RecommendOvercommit(res.Store)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,8 @@ import (
 	"math"
 	"slices"
 
+	"sapsim/internal/exporter"
+	"sapsim/internal/sim"
 	"sapsim/internal/telemetry"
 )
 
@@ -170,6 +172,29 @@ func DynamicOvercommit(usageRatios []float64, headroom float64) (OvercommitRecom
 		ratio = 8
 	}
 	return OvercommitRecommendation{Ratio: ratio, PeakDemandRatio: peak, Headroom: headroom}, nil
+}
+
+// RecommendOvercommit is DynamicOvercommit over the VM CPU usage ratios in
+// a store, with 25% headroom. Overcommit works through statistical
+// multiplexing, so the input is the aggregate per-vCPU demand ratio of the
+// population at each sampling instant, not individual VM tails. It also
+// returns the number of instants.
+func RecommendOvercommit(store telemetry.Querier) (OvercommitRecommendation, int, error) {
+	sums := map[sim.Time]float64{}
+	counts := map[sim.Time]int{}
+	for _, s := range store.Select(exporter.MetricVMCPURatio) {
+		for i := 0; i < s.Len(); i++ {
+			smp := s.Sample(i)
+			sums[smp.T] += smp.V
+			counts[smp.T]++
+		}
+	}
+	ratios := make([]float64, 0, len(sums))
+	for t, sum := range sums {
+		ratios = append(ratios, sum/float64(counts[t]))
+	}
+	rec, err := DynamicOvercommit(ratios, 1.25)
+	return rec, len(ratios), err
 }
 
 // MAE reports the mean absolute one-step-ahead forecast error of the model

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"sapsim/internal/exporter"
 	"sapsim/internal/sim"
 	"sapsim/internal/telemetry"
 	"sapsim/internal/workload"
@@ -229,5 +230,43 @@ func TestMAEEmptySeries(t *testing.T) {
 	h, _ := NewHoltWinters(0.3, 0.1, 0.1, 4)
 	if !math.IsNaN(MAE(h, &telemetry.Series{})) {
 		t.Error("MAE of empty series should be NaN")
+	}
+}
+
+func TestRecommendOvercommit(t *testing.T) {
+	// Two VMs at 20% and 60% of their vCPUs: each instant's aggregate
+	// demand is 40%, so 1/(0.4×1.25) = 2:1 — not the 1.33:1 the busier VM's
+	// own tail would give. Other metrics do not count.
+	store := telemetry.NewStore()
+	for _, vm := range []struct {
+		name  string
+		ratio float64
+	}{{"a", 0.2}, {"b", 0.6}} {
+		labels, err := telemetry.NewLabels("vm", vm.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			at := sim.Time(i) * sim.Hour
+			if err := store.Append(exporter.MetricVMCPURatio, labels, at, vm.ratio); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Append(exporter.MetricHostCPUUtil, labels, at, 95); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rec, instants, err := RecommendOvercommit(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if instants != 100 {
+		t.Errorf("instants = %d, want 100", instants)
+	}
+	if math.Abs(rec.Ratio-2) > 1e-9 || math.Abs(rec.PeakDemandRatio-0.4) > 1e-9 || rec.Headroom != 1.25 {
+		t.Errorf("recommendation = %+v, want ratio 2, peak 0.4, headroom 1.25", rec)
+	}
+	if _, _, err := RecommendOvercommit(telemetry.NewStore()); err == nil {
+		t.Error("empty store accepted")
 	}
 }

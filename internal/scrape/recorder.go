@@ -215,14 +215,14 @@ func (rec *Recording) logf(format string, args ...any) {
 }
 
 // Run records into dir until ctx is canceled: one round immediately,
-// then one per cadence tick. Scrape failures are logged and survived;
-// only dataset I/O errors abort the recording.
-func (r *Recorder) Run(ctx context.Context, dir string) error {
+// then one per cadence tick. It returns the closed recording, whose
+// Rounds and Samples summarize it. Scrape failures are logged and
+// survived; only dataset I/O errors abort the recording.
+func (r *Recorder) Run(ctx context.Context, dir string) (*Recording, error) {
 	rec, err := r.Open(dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer rec.Close()
 	every := r.Every
 	if every <= 0 {
 		every = time.Second
@@ -231,11 +231,12 @@ func (r *Recorder) Run(ctx context.Context, dir string) error {
 	defer tick.Stop()
 	for {
 		if _, err := rec.Round(); err != nil {
-			return err
+			rec.Close()
+			return nil, err
 		}
 		select {
 		case <-ctx.Done():
-			return nil
+			return rec, rec.Close()
 		case <-tick.C:
 		}
 	}

@@ -185,7 +185,7 @@ func TestRecorderRunStopsOnCancel(t *testing.T) {
 	cancel()
 	r := &Recorder{Targets: []string{srv.URL}, Every: time.Hour}
 	dir := t.TempDir()
-	if err := r.Run(ctx, dir); err != nil {
+	if _, err := r.Run(ctx, dir); err != nil {
 		t.Fatal(err)
 	}
 	// Even a canceled context gets one round: flight recorders capture
