@@ -34,7 +34,13 @@ func (b *lockedBuffer) String() string {
 
 // The worker drains a 2-cell matrix from a loopback dispatcher and exits 0
 // once the dispatcher reports the sweep drained.
-func TestDrainsMatrix(t *testing.T) {
+func TestDrainsMatrix(t *testing.T) { drainMatrix(t, "1") }
+
+// With two jobs the cells run at once, so their engine profiles reach the
+// per-phase histograms of the worker's metrics registry concurrently.
+func TestDrainsMatrixTwoJobs(t *testing.T) { drainMatrix(t, "2") }
+
+func drainMatrix(t *testing.T, jobs string) {
 	base := core.DefaultConfig(7)
 	base.Scale, base.VMs, base.Days, base.SampleEvery = 0.01, 150, 2, 15*sim.Minute
 	spec, err := dispatch.ParseSpec(base, "baseline,host-failures", "default", "7", 6*sim.Hour)
@@ -54,11 +60,8 @@ func TestDrainsMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// One job at a time: the per-phase histograms of the worker's metrics
-	// registry are created lazily without a lock, so two cells finishing
-	// at once race on them.
 	var stdout, stderr lockedBuffer
-	if err := run([]string{"-dispatcher", "http://" + addr, "-id", "w1",
+	if err := run([]string{"-dispatcher", "http://" + addr, "-id", "w1", "-jobs", jobs,
 		"-heartbeat", "100ms", "-poll", "20ms", "-metrics", "127.0.0.1:0", "-timeout", "1m"},
 		&stdout, &stderr); err != nil {
 		t.Fatalf("simworker: %v\n%s", err, stderr.String())

@@ -195,10 +195,12 @@ var (
 )
 
 // sampler writes telemetry through series handles: an entity's series (8 per
-// host, 2 per VM) are resolved at its first sample and every later tick
-// writes (t, v) straight through them. Entities first sampled in one sweep
-// are resolved by one Store.Refs call, in node-ID / VM-ID order, because
-// series creation order is observable: Select, Dump, snapshot bytes.
+// host, 2 per VM) are resolved at its first sample, and every tick queues
+// its values behind them and commits the sweep with one Store.AppendAll.
+// Entities first sampled in one sweep are resolved by one Store.Refs call,
+// in node-ID / VM-ID order, because series creation order is observable:
+// Select, Dump, snapshot bytes. The order of a sweep's writes is not: each
+// goes to a distinct series.
 type sampler struct {
 	res *Result
 	cfg Config
@@ -209,8 +211,9 @@ type sampler struct {
 	hostRefs map[topology.NodeID][]telemetry.SeriesRef
 	vmRefs   map[vmmodel.ID][]telemetry.SeriesRef
 	total    []telemetry.SeriesRef // openstack_compute_instances_total
-	// contention is sampleVMs' scratch map, cleared and refilled per sweep.
-	contention map[topology.NodeID]float64
+	// refs and vals queue the current sweep's samples; reused across sweeps.
+	refs []telemetry.SeriesRef
+	vals []float64
 	// prof receives appended-sample counts: the sampling phases' work-unit
 	// proxy (each append is one sample landing in the store).
 	prof *engprof.Collector
@@ -218,23 +221,25 @@ type sampler struct {
 
 func newSampler(res *Result, cfg Config, prof *engprof.Collector, fail func(error)) *sampler {
 	return &sampler{
-		res:        res,
-		cfg:        cfg,
-		fail:       fail,
-		hostRefs:   make(map[topology.NodeID][]telemetry.SeriesRef),
-		vmRefs:     make(map[vmmodel.ID][]telemetry.SeriesRef),
-		contention: make(map[topology.NodeID]float64),
-		prof:       prof,
+		res:      res,
+		cfg:      cfg,
+		fail:     fail,
+		hostRefs: make(map[topology.NodeID][]telemetry.SeriesRef),
+		vmRefs:   make(map[vmmodel.ID][]telemetry.SeriesRef),
+		prof:     prof,
 	}
 }
 
-// put writes one entity's values through its handles, in schema order.
-func (s *sampler) put(refs []telemetry.SeriesRef, now sim.Time, vals ...float64) {
-	for i, v := range vals {
-		if err := refs[i].Append(now, v); err != nil {
-			s.fail(err)
-		}
-	}
+// put queues one entity's values behind its handles, in schema order.
+func (s *sampler) put(refs []telemetry.SeriesRef, vals ...float64) {
+	s.refs = append(s.refs, refs...)
+	s.vals = append(s.vals, vals...)
+}
+
+// commit writes the queued sweep in one batch and empties the queue.
+func (s *sampler) commit(now sim.Time) {
+	s.fail(s.res.Store.AppendAll(now, s.refs, s.vals))
+	s.refs, s.vals = s.refs[:0], s.vals[:0]
 }
 
 func (s *sampler) sampleHosts(now sim.Time) {
@@ -261,7 +266,7 @@ func (s *sampler) sampleHosts(now sim.Time) {
 			return
 		}
 		m := h.Snapshot(now, s.cfg.SampleEvery)
-		s.put(s.hostRefs[h.Node.ID], now, m.CPUUtilPct, m.MemUsagePct, m.TxKbps, m.RxKbps,
+		s.put(s.hostRefs[h.Node.ID], m.CPUUtilPct, m.MemUsagePct, m.TxKbps, m.RxKbps,
 			m.StorageUsedGB, m.StoragePct(h.Node.Capacity.StorageGB), m.CPUContentionPct, m.CPUReadyMillis)
 		ops += int64(len(hostSchema))
 
@@ -269,56 +274,54 @@ func (s *sampler) sampleHosts(now sim.Time) {
 			s.res.Scheduler.SetContention(h.Node.BB.ID, m.CPUContentionPct)
 		}
 	})
+	s.commit(now)
 	if s.prof != nil {
 		s.prof.AddOps(engprof.PhaseHostSample, ops)
 	}
 }
 
-func (s *sampler) sampleVMs(now sim.Time, live map[vmmodel.ID]*vmmodel.VM) {
-	fleet := s.res.Fleet
-	var ops int64
-	// Snapshot host contention once per host for throttling. When the VM
-	// sweep shares an instant with the host sweep this reads the snapshot
-	// cache rather than re-walking every host's VMs.
-	contention := s.contention
-	clear(contention)
-	fleet.EachHost(func(h *esx.Host) {
-		m := h.Snapshot(now, s.cfg.VMSampleEvery)
-		contention[h.Node.ID] = m.CPUContentionPct
-	})
-	// First sampled this tick, in ID order: live is a map.
-	var fresh []vmmodel.ID
-	for id, vm := range live {
-		if vm.Node != nil && s.vmRefs[id] == nil {
-			fresh = append(fresh, id)
-		}
+// sampleVMs samples every resident VM, host by host in node-ID order, and
+// records live as the instance count. Every live VM is resident on exactly
+// one host and every resident is live, so the walk covers the live set.
+func (s *sampler) sampleVMs(now sim.Time, live int) {
+	// First sampled this tick: queued behind unresolved handles, then
+	// resolved in ID order and patched into the queue at offset at.
+	type firstSample struct {
+		vm *vmmodel.VM
+		at int
 	}
-	slices.Sort(fresh)
+	var fresh []firstSample
+	var ops int64
+	s.res.Fleet.EachHost(func(h *esx.Host) {
+		// Throttling needs the host's contention; when the VM sweep shares an
+		// instant with the host sweep this reads the snapshot cache.
+		m := h.Snapshot(now, s.cfg.VMSampleEvery)
+		h.EachVMSnapshot(now, s.cfg.VMSampleEvery, m.CPUContentionPct, func(vm *vmmodel.VM, u esx.VMUsage) {
+			refs := s.vmRefs[vm.ID]
+			if refs == nil {
+				fresh = append(fresh, firstSample{vm, len(s.refs)})
+				refs = make([]telemetry.SeriesRef, len(vmSchema))
+			}
+			s.put(refs, u.CPUUsageRatio, u.MemUsageRatio)
+			ops += int64(len(vmSchema))
+		})
+	})
+	slices.SortFunc(fresh, func(a, b firstSample) int { return strings.Compare(string(a.vm.ID), string(b.vm.ID)) })
 	sets := make([]telemetry.Labels, len(fresh))
-	for i, id := range fresh {
-		sets[i] = telemetry.MustLabels("virtualmachine", string(id),
-			"flavor", live[id].Flavor.Name, "project", live[id].Project)
+	for i, f := range fresh {
+		sets[i] = telemetry.MustLabels("virtualmachine", string(f.vm.ID),
+			"flavor", f.vm.Flavor.Name, "project", f.vm.Project)
 	}
 	refs := s.res.Store.Refs(vmSchema, sets)
-	for i, id := range fresh {
-		s.vmRefs[id] = refs[i*len(vmSchema):][:len(vmSchema)]
+	for i, f := range fresh {
+		s.vmRefs[f.vm.ID] = refs[i*len(vmSchema):][:len(vmSchema)]
+		copy(s.refs[f.at:], s.vmRefs[f.vm.ID])
 	}
 	if s.total == nil {
 		s.total = s.res.Store.Refs([]string{exporter.MetricInstancesTotal}, []telemetry.Labels{{}})
 	}
-	for _, vm := range live {
-		if vm.Node == nil {
-			continue
-		}
-		h, err := fleet.Host(vm.Node.ID)
-		if err != nil {
-			continue
-		}
-		u := h.VMSnapshot(vm, now, s.cfg.VMSampleEvery, contention[vm.Node.ID])
-		s.put(s.vmRefs[vm.ID], now, u.CPUUsageRatio, u.MemUsageRatio)
-		ops += int64(len(vmSchema))
-	}
-	s.put(s.total, now, float64(len(live)))
+	s.put(s.total, float64(live))
+	s.commit(now)
 	if s.prof != nil {
 		s.prof.AddOps(engprof.PhaseVMSample, ops+1)
 	}

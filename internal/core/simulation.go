@@ -326,7 +326,7 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 		return nil, err
 	}
 	if cfg.RecordVMMetrics {
-		vmSampler := func(now sim.Time) { sampler.sampleVMs(now, live) }
+		vmSampler := func(now sim.Time) { sampler.sampleVMs(now, len(live)) }
 		if err := addTicker(ownerTickVM, 0, cfg.VMSampleEvery, vmSampler); err != nil {
 			return nil, err
 		}

@@ -72,10 +72,10 @@ type Host struct {
 	pinnedCores int
 
 	// Snapshot cache: within one sampling instant the host sampler, the VM
-	// sampler's contention map, and DRS all ask for the same pure function
-	// of (t, resident set) — compute it once. Only CPUReadyMillis depends
-	// on the caller's interval; it is derived per call so the cache works
-	// across subsystems sampling at different intervals.
+	// sampler, and DRS all ask for the same pure function of (t, resident
+	// set) — compute it once. Only CPUReadyMillis depends on the caller's
+	// interval; it is derived per call so the cache works across subsystems
+	// sampling at different intervals.
 	snapAt    sim.Time
 	snapVer   uint64
 	snapValid bool
@@ -266,9 +266,9 @@ func (m Metrics) StoragePct(capGB int64) float64 {
 // Snapshot computes host metrics at simulation time t. interval is the
 // sampling period over which ready time accumulates. The result is a pure
 // function of (t, interval, resident set), so repeated calls at one sampling
-// instant — host sampler, then the VM sampler's contention map, then a DRS
-// pass — hit a cache instead of re-walking the VMs; only the ready time is
-// re-derived for the caller's interval.
+// instant — host sampler, then the VM sampler, then a DRS pass — hit a
+// cache instead of re-walking the VMs; only the ready time is re-derived
+// for the caller's interval.
 func (h *Host) Snapshot(t sim.Time, interval sim.Time) Metrics {
 	if !h.snapValid || h.snapAt != t || h.snapVer != h.ver {
 		h.snap = h.snapshot(t)
@@ -381,11 +381,25 @@ func (h *Host) EachVMDemand(t sim.Time, fn func(vm *vmmodel.VM, cpu float64)) {
 // on a saturated host is throttled by the same factor. Demand comes from
 // the host snapshot cached for t when there is one.
 func (h *Host) VMSnapshot(vm *vmmodel.VM, t sim.Time, interval sim.Time, hostContentionPct float64) VMUsage {
+	// A pointer scan: tens of residents, cheaper than binary search by ID.
+	return h.vmSnapshot(vm, slices.Index(h.sorted, vm), t, interval, hostContentionPct)
+}
+
+// EachVMSnapshot visits every resident in ascending ID order with its
+// VMSnapshot at t, without VMSnapshot's search for the resident. The resident
+// set must not change during the walk.
+func (h *Host) EachVMSnapshot(t sim.Time, interval sim.Time, hostContentionPct float64, fn func(*vmmodel.VM, VMUsage)) {
+	for i, vm := range h.sorted {
+		fn(vm, h.vmSnapshot(vm, i, t, interval, hostContentionPct))
+	}
+}
+
+// vmSnapshot is VMSnapshot for vm resident at index i (< 0: not resident).
+func (h *Host) vmSnapshot(vm *vmmodel.VM, i int, t sim.Time, interval sim.Time, hostContentionPct float64) VMUsage {
 	if vm.Profile == nil {
 		return VMUsage{}
 	}
-	// A pointer scan: tens of residents, cheaper than binary search by ID.
-	demand, mem := h.demand(vm, slices.Index(h.sorted, vm), t)
+	demand, mem := h.demand(vm, i, t)
 	if vm.Flavor.PinCPU {
 		// Dedicated cores: full delivery up to the allocation, no
 		// scheduling delay — the QoS guarantee of CPU pinning.
@@ -458,8 +472,8 @@ func (f *Fleet) Host(id topology.NodeID) (*Host, error) {
 
 // SnapshotCacheStats sums host snapshot-cache outcomes fleet-wide. A miss
 // is one full resident-set walk; hits quantify the work the cache saves
-// when the host sampler, the VM sampler's contention map, and DRS share a
-// sampling instant. The totals feed the engine profiler's owner breakdown.
+// when the host sampler, the VM sampler, and DRS share a sampling
+// instant. The totals feed the engine profiler's owner breakdown.
 func (f *Fleet) SnapshotCacheStats() (hits, misses uint64) {
 	for _, h := range f.sorted() {
 		hits += h.snapHits
@@ -469,7 +483,8 @@ func (f *Fleet) SnapshotCacheStats() (hits, misses uint64) {
 }
 
 // SnapshotFallbacks counts per-VM demand reads the snapshot cache did not
-// cover (VMSnapshot, EachVMDemand), each of which re-evaluated the profile.
+// cover (VMSnapshot, EachVMSnapshot, EachVMDemand), each of which
+// re-evaluated the profile.
 func (f *Fleet) SnapshotFallbacks() (n uint64) {
 	for _, h := range f.sorted() {
 		n += h.snapFallbacks

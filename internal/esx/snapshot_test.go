@@ -79,10 +79,10 @@ func TestSnapshotCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestVMDemandReadsSnapshotCache checks that VMSnapshot and EachVMDemand
-// read the resident's demand from the snapshot cached for (t, resident set)
-// — bit-identical to re-evaluating the profile — and that only reads the
-// cache does not cover fall back and are counted.
+// TestVMDemandReadsSnapshotCache checks that VMSnapshot, EachVMSnapshot and
+// EachVMDemand read the resident's demand from the snapshot cached for (t,
+// resident set) — bit-identical to re-evaluating the profile — and that only
+// reads the cache does not cover fall back and are counted.
 func TestVMDemandReadsSnapshotCache(t *testing.T) {
 	r := testRegion(t)
 	f := NewFleet(r, DefaultConfig())
@@ -114,6 +114,16 @@ func TestVMDemandReadsSnapshotCache(t *testing.T) {
 			math.Float64bits(u.MemUsageRatio) != math.Float64bits(fresh[i].MemUsageRatio) || u != fresh[i] {
 			t.Fatalf("%s: cached %+v, re-evaluated %+v", vm.ID, u, fresh[i])
 		}
+	}
+	var walked int
+	h.EachVMSnapshot(at, 5*sim.Minute, 20, func(vm *vmmodel.VM, u VMUsage) {
+		if vm != h.VMs()[walked] || u != fresh[walked] {
+			t.Fatalf("EachVMSnapshot visit %d: %s %+v, want %s %+v", walked, vm.ID, u, h.VMs()[walked].ID, fresh[walked])
+		}
+		walked++
+	})
+	if walked != len(fresh) {
+		t.Fatalf("EachVMSnapshot visited %d of %d residents", walked, len(fresh))
 	}
 	h.EachVMDemand(at, func(vm *vmmodel.VM, cpu float64) {
 		if want := vm.Profile.CPUUsage(at); math.Float64bits(cpu) != math.Float64bits(want) {

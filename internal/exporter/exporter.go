@@ -115,9 +115,7 @@ func (e *Exporter) collect() []sample {
 		add(MetricNodeMemoryMB, float64(h.MemCapacityMB()), nodeLabels...)
 		add(MetricNodeMemoryMBUsed, float64(h.AllocatedMemMB()), nodeLabels...)
 
-		contention := m.CPUContentionPct
-		for _, vm := range h.VMs() {
-			u := h.VMSnapshot(vm, now, e.Interval, contention)
+		h.EachVMSnapshot(now, e.Interval, m.CPUContentionPct, func(vm *vmmodel.VM, u esx.VMUsage) {
 			vmLabels := []string{
 				"virtualmachine", string(vm.ID),
 				"hostsystem", string(h.Node.ID),
@@ -126,7 +124,7 @@ func (e *Exporter) collect() []sample {
 			}
 			add(MetricVMCPURatio, u.CPUUsageRatio, vmLabels...)
 			add(MetricVMMemRatio, u.MemUsageRatio, vmLabels...)
-		}
+		})
 	}
 	if e.VMs != nil {
 		add(MetricInstancesTotal, float64(len(e.VMs())))

@@ -179,20 +179,26 @@ const (
 // different metric kind panics — that is a programming error, not a
 // runtime condition.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
-	s := r.getOrCreate(name, help, kindCounter, labels)
-	if s.counter == nil {
-		s.counter = &Counter{}
-	}
-	return s.counter
+	var c *Counter
+	r.register(name, help, kindCounter, labels, func(s *series) {
+		if s.counter == nil {
+			s.counter = &Counter{}
+		}
+		c = s.counter
+	})
+	return c
 }
 
 // Gauge registers (or returns the existing) gauge.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	s := r.getOrCreate(name, help, kindGauge, labels)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	var g *Gauge
+	r.register(name, help, kindGauge, labels, func(s *series) {
+		if s.gauge == nil {
+			s.gauge = &Gauge{}
+		}
+		g = s.gauge
+	})
+	return g
 }
 
 // GaugeFunc registers a gauge whose value is computed at exposition time —
@@ -200,31 +206,35 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 // per job state, store blob count). fn must be safe to call from the
 // exposition goroutine.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...string) {
-	s := r.getOrCreate(name, help, kindGauge, labels)
-	s.fn = fn
+	r.register(name, help, kindGauge, labels, func(s *series) { s.fn = fn })
 }
 
 // CounterFunc registers a counter read at exposition time from fn —
 // for monotone counts maintained outside the registry (artifact store
 // stats, which accumulate before the daemon instruments them).
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...string) {
-	s := r.getOrCreate(name, help, kindCounter, labels)
-	s.fn = fn
+	r.register(name, help, kindCounter, labels, func(s *series) { s.fn = fn })
 }
 
 // Histogram registers (or returns the existing) histogram with the given
 // bucket upper bounds (ascending; +Inf is implicit).
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...string) *Histogram {
-	s := r.getOrCreate(name, help, kindHistogram, labels)
-	if s.hist == nil {
-		upper := append([]float64(nil), buckets...)
-		sort.Float64s(upper)
-		s.hist = &Histogram{upper: upper, counts: make([]uint64, len(upper)+1)}
-	}
-	return s.hist
+	var h *Histogram
+	r.register(name, help, kindHistogram, labels, func(s *series) {
+		if s.hist == nil {
+			upper := append([]float64(nil), buckets...)
+			sort.Float64s(upper)
+			s.hist = &Histogram{upper: upper, counts: make([]uint64, len(upper)+1)}
+		}
+		h = s.hist
+	})
+	return h
 }
 
-func (r *Registry) getOrCreate(name, help, kind string, labels []string) *series {
+// register resolves (name, labels) to its series, creating it on first use,
+// and runs set on it under the family lock: two goroutines registering one
+// series concurrently get the same instrument.
+func (r *Registry) register(name, help, kind string, labels []string, set func(*series)) {
 	if len(labels)%2 != 0 {
 		panic(fmt.Sprintf("fleetmetrics: odd label pairs for %s", name))
 	}
@@ -250,7 +260,7 @@ func (r *Registry) getOrCreate(name, help, kind string, labels []string) *series
 		copy(f.order[i+1:], f.order[i:])
 		f.order[i] = key
 	}
-	return s
+	set(s)
 }
 
 // renderLabels renders alternating pairs sorted by key: `a="b",c="d"`.
@@ -300,11 +310,11 @@ func (r *Registry) Write(w io.Writer) error {
 }
 
 func (f *family) write(w *bufio.Writer) error {
+	// Copy the rows under the lock that register writes them under.
 	f.mu.Lock()
-	order := append([]string(nil), f.order...)
-	rows := make([]*series, len(order))
-	for i, key := range order {
-		rows[i] = f.series[key]
+	rows := make([]series, len(f.order))
+	for i, key := range f.order {
+		rows[i] = *f.series[key]
 	}
 	f.mu.Unlock()
 	if f.help != "" {

@@ -168,3 +168,29 @@ func TestNilInstrumentsRecordNothing(t *testing.T) {
 	g.Dec()
 	h.Observe(0.5)
 }
+
+// TestConcurrentHistogramRegistration: goroutines that register one
+// histogram at once get one instrument, so no observation is lost to a
+// histogram another goroutine replaced. Run with -race.
+func TestConcurrentHistogramRegistration(t *testing.T) {
+	r := NewRegistry()
+	const goroutines, perGoroutine = 8, 100
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perGoroutine; i++ {
+				r.Histogram("cell_seconds", "", []float64{1, 10}, "phase", "sample").Observe(float64(i))
+			}
+		}()
+	}
+	var out bytes.Buffer
+	if err := r.Write(&out); err != nil { // exposition races registration too
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if got := r.Histogram("cell_seconds", "", nil, "phase", "sample").Count(); got != goroutines*perGoroutine {
+		t.Errorf("histogram counted %d observations, want %d", got, goroutines*perGoroutine)
+	}
+}

@@ -68,27 +68,33 @@ func BenchmarkStoreAppend(b *testing.B) {
 	})
 }
 
-// BenchmarkSeriesRefAppend measures the simulator's write path: one writer,
-// a fixed schema resolved to handles once, then (t, v) straight through the
-// handle — 8 series per host over 32 hosts, one sweep per 5 simulated
-// minutes. Compare with BenchmarkStoreAppend's buffered hash-and-lookup.
-func BenchmarkSeriesRefAppend(b *testing.B) {
+// BenchmarkStoreAppendAll measures the simulator's write path: a fixed
+// schema resolved to handles once, then one AppendAll per sampling sweep —
+// 8 series per host over 91 hosts (the default cell's host sweep), one sweep
+// per 5 simulated minutes. It reports ns per sample; compare with
+// BenchmarkStoreAppend's buffered hash-and-lookup.
+func BenchmarkStoreAppendAll(b *testing.B) {
 	st := NewStore()
 	var schema []string
 	for m := 0; m < 8; m++ {
 		schema = append(schema, fmt.Sprintf("metric_%d", m))
 	}
 	var sets []Labels
-	for h := 0; h < 32; h++ {
+	for h := 0; h < 91; h++ {
 		sets = append(sets, MustLabels("hostsystem", fmt.Sprintf("n%03d", h), "cluster", fmt.Sprintf("bb-%d", h/8)))
 	}
 	refs := st.Refs(schema, sets)
+	vals := make([]float64, len(refs))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := refs[i%len(refs)].Append(sim.Time(i/len(refs)+1)*5*sim.Minute, float64(i)); err != nil {
+		for j := range vals {
+			vals[j] = float64(i + j)
+		}
+		if err := st.AppendAll(sim.Time(i+1)*5*sim.Minute, refs, vals); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(refs)), "ns/sample")
 }
 
 // benchSelectStore builds a store with `total` series spread over many

@@ -268,9 +268,9 @@ func TestViewsImmutableAcrossChunkSeal(t *testing.T) {
 		}
 	}
 	st := NewStore()
-	ref := st.Refs([]string{"m"}, []Labels{{}})[0]
+	ref := st.Refs([]string{"m"}, []Labels{{}})
 	for i := 0; i < chunkCap-1; i++ { // leave the open chunk one short of its seal
-		if err := ref.Append(at(i), float64(i)); err != nil {
+		if err := st.AppendAll(at(i), ref, []float64{float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -279,7 +279,7 @@ func TestViewsImmutableAcrossChunkSeal(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := chunkCap - 1; i < total; i++ {
-			if err := ref.Append(at(i), float64(i)); err != nil {
+			if err := st.AppendAll(at(i), ref, []float64{float64(i)}); err != nil {
 				t.Error(err)
 				return
 			}

@@ -1,10 +1,16 @@
 package telemetry
 
-import "sapsim/internal/sim"
+import (
+	"errors"
+	"sync"
+
+	"sapsim/internal/sim"
+)
 
 // SeriesRef is a stable write handle to one series, for a writer whose schema
-// is fixed: resolve once with Store.Refs, then Append needs no hash and no
-// index lookup. Like an Appender, a ref belongs to one goroutine.
+// is fixed: resolve once with Store.Refs, then AppendAll needs no hash and no
+// index lookup. The store never removes a series, so a handle is valid for
+// the life of its store.
 type SeriesRef struct {
 	st *Store
 	s  *memSeries
@@ -37,12 +43,36 @@ func (st *Store) Refs(metrics []string, sets []Labels) []SeriesRef {
 	return refs
 }
 
-// Append adds one sample. The store never removes a series, so the handle
-// is valid for the life of its store.
-func (r *SeriesRef) Append(t sim.Time, v float64) error {
-	sh := r.st.shardFor(r.s.hash)
-	sh.mu.Lock()
-	err := r.s.appendSample(t, v)
-	sh.mu.Unlock()
-	return err
+// errForeignRef rejects a handle that was not resolved on the store it is
+// written to (or was never resolved at all).
+var errForeignRef = errors.New("telemetry: handle from another store")
+
+// AppendAll writes the sample (t, vals[i]) through refs[i] for every i: one
+// sampling sweep as one batch. It takes every shard's write lock once, in
+// index order, so a reader that holds every read lock (Select, Dump and the
+// counts) sees a batch whole or not at all. A rejected sample — out of order,
+// or through a handle from another store — is skipped, the rest of the batch
+// lands, and the rejections come back joined. Like an Appender, the slices
+// belong to one writer.
+func (st *Store) AppendAll(t sim.Time, refs []SeriesRef, vals []float64) error {
+	vals = vals[:len(refs)]
+	var errs []error
+	st.lockEach((*sync.RWMutex).Lock)
+	for i := range refs {
+		if refs[i].st != st {
+			errs = append(errs, errForeignRef)
+		} else if err := refs[i].s.appendSample(t, vals[i]); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	st.lockEach((*sync.RWMutex).Unlock)
+	return errors.Join(errs...)
+}
+
+// lockEach applies op to every shard's lock in index order. Every holder of
+// more than one shard lock takes them in this order, so none can deadlock.
+func (st *Store) lockEach(op func(*sync.RWMutex)) {
+	for i := range st.shards {
+		op(&st.shards[i].mu)
+	}
 }

@@ -163,16 +163,17 @@ type Matcher struct {
 // satisfy every matcher, in deterministic (creation) order. The postings
 // and label-value indexes bound the work by the smallest candidate list,
 // so cost is proportional to matching series, not store size. Snapshots
-// are immune to subsequent appends.
+// are immune to subsequent appends, and every shard is read under its lock
+// at once, so a selection sees each AppendAll batch whole or not at all.
 func (st *Store) Select(metric string, matchers ...Matcher) []*Series {
 	type hit struct {
 		seq uint64
 		s   *Series
 	}
 	var hits []hit
+	st.lockEach((*sync.RWMutex).RLock)
 	for i := range st.shards {
 		sh := &st.shards[i]
-		sh.mu.RLock()
 		candidates := sh.postings[metric]
 		// Seed from the smallest index posting list; every candidate is
 		// still verified against the metric and all matchers below. An
@@ -202,8 +203,8 @@ func (st *Store) Select(metric string, matchers ...Matcher) []*Series {
 				hits = append(hits, hit{seq: s.seq, s: s.snapshot()})
 			}
 		}
-		sh.mu.RUnlock()
 	}
+	st.lockEach((*sync.RWMutex).RUnlock)
 	sort.Slice(hits, func(i, j int) bool { return hits[i].seq < hits[j].seq })
 	out := make([]*Series, 0, len(hits))
 	for _, h := range hits {
@@ -231,17 +232,17 @@ func (st *Store) Metrics() []string {
 	return out
 }
 
-// each calls fn on every series, shard by shard under the shard's read lock.
+// each calls fn on every series under every shard's read lock, so it sees
+// each AppendAll batch whole or not at all.
 func (st *Store) each(fn func(*memSeries)) {
+	st.lockEach((*sync.RWMutex).RLock)
+	defer st.lockEach((*sync.RWMutex).RUnlock)
 	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for _, chain := range sh.series {
+		for _, chain := range st.shards[i].series {
 			for _, s := range chain {
 				fn(s)
 			}
 		}
-		sh.mu.RUnlock()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -49,19 +50,21 @@ func TestSeriesRefLifecycle(t *testing.T) {
 	for n := 0; n < 32; n++ { // enough keys to land in every shard
 		sets = append(sets, MustLabels("node", fmt.Sprintf("n%02d", n)))
 	}
-	appendAll := func(refs []SeriesRef, at sim.Time) {
+	appendAll := func(st *Store, refs []SeriesRef, at sim.Time) {
 		t.Helper()
-		for i := range refs {
-			if err := refs[i].Append(at, float64(i)); err != nil {
-				t.Fatal(err)
-			}
+		vals := make([]float64, len(refs))
+		for i := range vals {
+			vals[i] = float64(i)
+		}
+		if err := st.AppendAll(at, refs, vals); err != nil {
+			t.Fatal(err)
 		}
 	}
 	st := NewStore()
 	refs := st.Refs(metrics, sets)
-	appendAll(refs, sim.Hour)
-	appendAll(refs, 2*sim.Hour)
-	if err := refs[0].Append(2*sim.Hour, 0); !errors.Is(err, ErrOutOfOrder) {
+	appendAll(st, refs, sim.Hour)
+	appendAll(st, refs, 2*sim.Hour)
+	if err := st.AppendAll(2*sim.Hour, refs[:1], []float64{0}); !errors.Is(err, ErrOutOfOrder) {
 		t.Errorf("repeated timestamp through a handle = %v, want ErrOutOfOrder", err)
 	}
 
@@ -72,7 +75,7 @@ func TestSeriesRefLifecycle(t *testing.T) {
 	if err := loaded.Load(st.Dump()); err == nil {
 		t.Error("Load into a non-empty store succeeded")
 	}
-	appendAll(loaded.Refs(metrics, sets), 3*sim.Hour)
+	appendAll(loaded, loaded.Refs(metrics, sets), 3*sim.Hour)
 
 	if got, want := loaded.SeriesCount(), len(refs); got != want {
 		t.Fatalf("loaded store has %d series, want %d (a handle shadowed a loaded series)", got, want)
@@ -93,6 +96,119 @@ func TestSeriesRefLifecycle(t *testing.T) {
 		if len(got) != 1 || !reflect.DeepEqual(samplesOf(got[0]), want) {
 			t.Errorf("Select(%s, node=n31) after Load = %v, want samples %v", metric, got, want)
 		}
+	}
+}
+
+// TestAppendAllRejectsSamplesIndividually: an out-of-order sample in the
+// middle of a batch, and a handle resolved on another store, are each
+// rejected on their own; every other sample of the batch lands, and the
+// error names the out-of-order series. An empty batch writes nothing.
+func TestAppendAllRejectsSamplesIndividually(t *testing.T) {
+	st := NewStore()
+	var sets []Labels
+	for n := 0; n < 32; n++ {
+		sets = append(sets, MustLabels("node", fmt.Sprintf("n%02d", n)))
+	}
+	refs := st.Refs([]string{"cpu"}, sets)
+	if err := st.AppendAll(sim.Hour, nil, nil); err != nil || st.SampleCount() != 0 {
+		t.Fatalf("empty batch: err %v, %d samples", err, st.SampleCount())
+	}
+	// n16 already holds a sample at the batch's instant.
+	if err := st.AppendAll(sim.Hour, refs[16:17], []float64{-1}); err != nil {
+		t.Fatal(err)
+	}
+	foreign := NewStore().Refs([]string{"cpu"}, sets[:1])
+	batch := append(append([]SeriesRef{}, refs...), foreign...)
+	vals := make([]float64, len(batch))
+	for i := range vals {
+		vals[i] = float64(i)
+	}
+	err := st.AppendAll(sim.Hour, batch, vals)
+	if !errors.Is(err, ErrOutOfOrder) || !strings.Contains(err.Error(), `cpu{node="n16"}`) {
+		t.Errorf("AppendAll error = %v, want ErrOutOfOrder naming cpu{node=\"n16\"}", err)
+	}
+	if !errors.Is(err, errForeignRef) {
+		t.Errorf("AppendAll error = %v, want the foreign handle refused", err)
+	}
+	if got, want := st.SampleCount(), len(refs); got != want {
+		t.Errorf("SampleCount = %d, want %d (one per series)", got, want)
+	}
+	for _, s := range st.Select("cpu") {
+		var i int
+		fmt.Sscanf(s.Labels.Get("node"), "n%d", &i)
+		want := float64(i)
+		if i == 16 {
+			want = -1
+		}
+		if v, _ := s.At(sim.Hour); v != want {
+			t.Errorf("%s at 1h = %v, want %v", s.Labels, v, want)
+		}
+	}
+}
+
+// TestAppendAllBatchesAreAtomic: readers running against concurrent
+// AppendAll batches see every batch whole or not at all — SampleCount, Dump
+// and Select never observe a partly written sweep — and a held Select view
+// never changes. Run with -race.
+func TestAppendAllBatchesAreAtomic(t *testing.T) {
+	st := NewStore()
+	var sets []Labels
+	for n := 0; n < 24; n++ { // enough keys to span the shards
+		sets = append(sets, MustLabels("node", fmt.Sprintf("n%02d", n)))
+	}
+	refs := st.Refs([]string{"cpu", "mem"}, sets)
+	const batches = 300
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		vals := make([]float64, len(refs))
+		for b := 1; b <= batches; b++ {
+			for i := range vals {
+				vals[i] = float64(b)
+			}
+			if err := st.AppendAll(sim.Time(b)*sim.Minute, refs, vals); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var held []*Series
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		if n := st.SampleCount(); n%len(refs) != 0 {
+			t.Fatalf("SampleCount = %d, not a whole number of %d-sample batches", n, len(refs))
+		}
+		dump := st.Dump()
+		for _, d := range dump {
+			if len(d.Values) != len(dump[0].Values) {
+				t.Fatalf("Dump holds series of %d and %d samples", len(d.Values), len(dump[0].Values))
+			}
+		}
+		sel := st.Select("cpu")
+		for _, s := range sel {
+			if s.Len() != sel[0].Len() {
+				t.Fatalf("Select holds series of %d and %d samples", s.Len(), sel[0].Len())
+			}
+		}
+		if held == nil && sel[0].Len() > 0 {
+			held = sel
+		}
+	}
+	if held == nil {
+		t.Fatal("no non-empty selection observed")
+	}
+	n := held[0].Len()
+	for _, s := range held {
+		if s.Len() != n || s.Sample(n-1).V != float64(n) {
+			t.Errorf("held view of %s changed: %d samples, last %v", s.Labels, s.Len(), s.Sample(s.Len()-1))
+		}
+	}
+	if got, want := st.SampleCount(), batches*len(refs); got != want {
+		t.Errorf("SampleCount = %d, want %d", got, want)
 	}
 }
 

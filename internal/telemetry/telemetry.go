@@ -9,8 +9,9 @@
 // keeping its own lock, a metric→series postings index, and a label-value
 // index, so concurrent ingestion scales with shard count and Select walks
 // only candidate series instead of the whole store. A fixed-schema writer
-// holds SeriesRef handles; batch ingestion of unknown series goes through an
-// Appender (one lock acquisition per shard per flush); reads receive
+// holds SeriesRef handles and commits each sweep with AppendAll (one pass of
+// the shard locks per sweep); batch ingestion of unknown series goes through
+// an Appender (one lock acquisition per shard per flush); reads receive
 // immutable views. A series' samples are a column (column.go): values in
 // fixed-capacity chunks, timestamps as a (start, step) grid for as long as
 // the writer keeps to one.

@@ -122,12 +122,17 @@ func TestSessionProfileMidRun(t *testing.T) {
 // retries, hosts DRS scanned, and engine events fired. All are deterministic
 // per seed. A change that drops or duplicates
 // samples, re-walks a host's VMs per metric or per consumer, re-filters or
-// re-scans more than before, or schedules extra events fails here.
+// re-scans more than before, or schedules extra events fails here. The
+// bytes the whole run allocates are pinned within ±2% (re-pin that row when
+// the toolchain changes): a sweep that allocates per sample fails it.
 func TestSamplingWorkGate(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	res, err := Run(goldenConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	runtime.ReadMemStats(&after)
 	_, misses := res.Fleet.SnapshotCacheStats()
 	for _, c := range []struct {
 		name      string
@@ -155,6 +160,13 @@ func TestSamplingWorkGate(t *testing.T) {
 	if bytes, samples := res.Store.Bytes(), res.Store.SampleCount(); float64(bytes) > 8.5*float64(samples) {
 		t.Errorf("store holds %d bytes for %d samples (%.2f per sample), want at most 8.5",
 			bytes, samples, float64(bytes)/float64(samples))
+	}
+	if raceEnabled {
+		return // the race detector's shadow allocations move the byte count
+	}
+	const wantAlloc = 19.1e6
+	if got := float64(after.TotalAlloc - before.TotalAlloc); math.Abs(got-wantAlloc) > 0.02*wantAlloc {
+		t.Errorf("run allocated %.1f MB, want %.1f MB ±2%%", got/1e6, wantAlloc/1e6)
 	}
 }
 
