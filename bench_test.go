@@ -180,11 +180,7 @@ func BenchmarkAblationContentionAware(b *testing.B) {
 			cfg := ablationConfig(uint64(300 + i))
 			if aware {
 				cfg.ContentionFeed = true
-				cfg.Scheduler.Weighers = []nova.Weigher{
-					nova.ContentionWeigher{Mult: 2},
-					nova.RAMWeigher{Mult: 1, SAPPolicy: true},
-					nova.CPUWeigher{Mult: 0.5},
-				}
+				cfg.Scheduler.Weighers = nova.ContentionAwareWeighers()
 			}
 			res, err := Run(cfg)
 			if err != nil {

@@ -223,10 +223,29 @@ func TestRunNetworkHeadroom(t *testing.T) {
 	}
 }
 
+// TestRunContentionFeedEnablesWeigher checks that host samples reach the
+// scheduler's per-BB contention view with the feed on, and never without it.
 func TestRunContentionFeedEnablesWeigher(t *testing.T) {
 	cfg := smallConfig(31)
 	cfg.ContentionFeed = true
-	if _, err := Run(cfg); err != nil {
+	res, err := Run(cfg)
+	if err != nil {
 		t.Fatal(err)
+	}
+	fed := res.Scheduler.Contention()
+	if len(fed) == 0 {
+		t.Fatal("the contention feed never reached the scheduler")
+	}
+	for bb := range fed {
+		if _, err := res.Region.BB(bb); err != nil {
+			t.Errorf("contention fed for unknown block: %v", err)
+		}
+	}
+	cfg.ContentionFeed = false
+	if res, err = Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if fed := res.Scheduler.Contention(); len(fed) != 0 {
+		t.Errorf("contention reached the scheduler without the feed: %v", fed)
 	}
 }

@@ -10,12 +10,15 @@ import (
 	"fmt"
 
 	"sapsim/internal/esx"
+	"sapsim/internal/placement"
 	"sapsim/internal/topology"
 	"sapsim/internal/vmmodel"
 )
 
-// HostState is the scheduler's cached view of one compute host (building
-// block), assembled from the placement inventory and recent telemetry.
+// HostState is what filters and weighers see of one compute host (building
+// block) that placement returned as a candidate: the fleet's current
+// allocation summary of the block and its recent telemetry. The scheduler
+// keeps one per block and refreshes both fields per request.
 type HostState struct {
 	BB    *topology.BuildingBlock
 	Alloc esx.BBAllocation
@@ -44,52 +47,38 @@ type RequestSpec struct {
 // Flavor is shorthand for the requested flavor.
 func (r *RequestSpec) Flavor() *vmmodel.Flavor { return r.VM.Flavor }
 
-// Shared trait slices returned by Traits — there are only three request
-// shapes, so the slices are computed once. Callers must not mutate them.
-var (
-	traitsGPU          = []string{TraitGPU}
-	traitsHANA         = []string{TraitHANA}
-	traitsReservedOnly = []string{TraitReserved}
-	traitsGeneralForb  = []string{TraitHANA, TraitGPU, TraitReserved}
-)
-
-// Traits derives the placement traits of the request: HANA flavors must
-// land on HANA building blocks, GPU flavors on GPU blocks, and
-// general-purpose flavors on neither (Sec. 3.1: special-purpose BBs "do not
-// accommodate other VMs"). Reserved failover capacity is excluded for
-// every request. The returned slices are shared and must not be mutated.
-func (r *RequestSpec) Traits() (required, forbidden []string) {
-	f := r.Flavor()
+// askOf derives the placement ask of a VM: its flavor's vCPUs and memory,
+// and traits that send HANA flavors to HANA building blocks, GPU flavors to
+// GPU blocks, and general-purpose flavors to neither (Sec. 3.1:
+// special-purpose BBs "do not accommodate other VMs"). Reserved failover
+// capacity is excluded for every request.
+func askOf(vm *vmmodel.VM) placement.Ask {
+	f := vm.Flavor
+	ask := placement.Ask{VCPU: int64(f.VCPUs), MemoryMB: vm.RequestedMemoryMB(), Forbidden: placement.Reserved}
 	switch {
 	case f.RequireGPU:
-		return traitsGPU, traitsReservedOnly
+		ask.Required = placement.GPU
 	case f.Class == vmmodel.HANA:
-		return traitsHANA, traitsReservedOnly
+		ask.Required = placement.HANA
 	default:
-		return nil, traitsGeneralForb
+		ask.Forbidden |= placement.HANA | placement.GPU
 	}
+	return ask
 }
 
-// Placement traits.
-const (
-	TraitHANA     = "HANA"
-	TraitGPU      = "GPU"
-	TraitReserved = "RESERVED"
-)
-
-// TraitsOfBB maps a building block to its advertised traits.
-func TraitsOfBB(bb *topology.BuildingBlock) []string {
-	var traits []string
+// traitsOf maps a building block to the placement traits it advertises.
+func traitsOf(bb *topology.BuildingBlock) placement.Traits {
+	var t placement.Traits
 	switch bb.Kind {
 	case topology.HANA:
-		traits = append(traits, TraitHANA)
+		t = placement.HANA
 	case topology.GPU:
-		traits = append(traits, TraitGPU)
+		t = placement.GPU
 	}
 	if bb.Reserved {
-		traits = append(traits, TraitReserved)
+		t |= placement.Reserved
 	}
-	return traits
+	return t
 }
 
 // NoValidHostError is Nova's terminal scheduling failure: every host was

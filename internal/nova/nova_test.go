@@ -27,6 +27,13 @@ func (p constProfile) UsageAt(t sim.Time) vmmodel.Usage {
 // testEnv builds a two-AZ region with general and HANA building blocks.
 func testEnv(t *testing.T, cfg Config) (*esx.Fleet, *Scheduler) {
 	t.Helper()
+	return testEnvWith(t, cfg, nil)
+}
+
+// testEnvWith is testEnv with a hook that may add building blocks to the
+// region before the scheduler registers them.
+func testEnvWith(t *testing.T, cfg Config, extend func(*topology.Region)) (*esx.Fleet, *Scheduler) {
+	t.Helper()
 	r := topology.NewRegion("t")
 	azA := r.AddAZ("az-a")
 	dcA := azA.AddDC("dc-a")
@@ -42,6 +49,9 @@ func testEnv(t *testing.T, cfg Config) (*esx.Fleet, *Scheduler) {
 		if _, err := dc.AddBB(topology.BBID(fmt.Sprintf("hana-%d", i)), topology.HANA, 2, hana); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if extend != nil {
+		extend(r)
 	}
 	fleet := esx.NewFleet(r, esx.DefaultConfig())
 	sched, err := NewScheduler(fleet, placement.NewService(), cfg)
@@ -326,21 +336,31 @@ func TestFilterUnits(t *testing.T) {
 }
 
 func TestRequestTraits(t *testing.T) {
-	gen := &RequestSpec{VM: mkVM("a", "MK")}
-	req, forb := gen.Traits()
-	if len(req) != 0 || len(forb) != 3 {
-		t.Errorf("general traits = %v / %v", req, forb)
-	}
-	hana := &RequestSpec{VM: mkVM("b", "XLG")}
-	req, _ = hana.Traits()
-	if len(req) != 1 || req[0] != TraitHANA {
-		t.Errorf("hana traits = %v", req)
-	}
 	gpuFlavor := &vmmodel.Flavor{Name: "GA", VCPUs: 16, RAMGiB: 128, DiskGB: 100, RequireGPU: true}
-	gpu := &RequestSpec{VM: &vmmodel.VM{ID: "g", Flavor: gpuFlavor}}
-	req, _ = gpu.Traits()
-	if len(req) != 1 || req[0] != TraitGPU {
-		t.Errorf("gpu traits = %v", req)
+	for _, c := range []struct {
+		vm                  *vmmodel.VM
+		required, forbidden placement.Traits
+	}{
+		{mkVM("a", "MK"), 0, placement.HANA | placement.GPU | placement.Reserved},
+		{mkVM("b", "XLG"), placement.HANA, placement.Reserved},
+		{&vmmodel.VM{ID: "g", Flavor: gpuFlavor}, placement.GPU, placement.Reserved},
+	} {
+		ask := askOf(c.vm)
+		if ask.Required != c.required || ask.Forbidden != c.forbidden {
+			t.Errorf("%s traits = %b / %b, want %b / %b",
+				c.vm.Flavor.Name, ask.Required, ask.Forbidden, c.required, c.forbidden)
+		}
+		if ask.VCPU != int64(c.vm.Flavor.VCPUs) || ask.MemoryMB != c.vm.RequestedMemoryMB() {
+			t.Errorf("%s ask = %d vCPU / %d MB", c.vm.Flavor.Name, ask.VCPU, ask.MemoryMB)
+		}
+	}
+	r := topology.NewRegion("t")
+	dc := r.AddAZ("a").AddDC("d")
+	cap := topology.Capacity{PCPUCores: 8, MemoryMB: 1 << 20, StorageGB: 1 << 10, NetworkGbps: 100}
+	gpu, _ := dc.AddBB("gpu", topology.GPU, 1, cap)
+	gpu.Reserved = true
+	if got := traitsOf(gpu); got != placement.GPU|placement.Reserved {
+		t.Errorf("reserved GPU block traits = %b", got)
 	}
 }
 
@@ -406,5 +426,33 @@ func TestSchedulerFillsToCapacityThenFails(t *testing.T) {
 	st := sched.Stats()
 	if st.Failed != 80-56 {
 		t.Errorf("failed = %d, want %d", st.Failed, 80-56)
+	}
+}
+
+// TestSchedulerScheduleAllocs pins the steady-state allocation budget of a
+// schedule+delete pair: the Result is the only allocation. Candidates,
+// host states, rank scratch and the allocation record reuse their storage.
+func TestSchedulerScheduleAllocs(t *testing.T) {
+	_, sched := testEnv(t, DefaultConfig())
+	flavor := vmmodel.CatalogByName()["MK"]
+	// Warm up scratch buffers and map capacity.
+	for i := 0; i < 50; i++ {
+		vm := &vmmodel.VM{ID: vmmodel.ID(fmt.Sprintf("warm-%d", i)), Flavor: flavor}
+		if _, err := sched.Schedule(&RequestSpec{VM: vm}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vm := &vmmodel.VM{ID: "alloc-probe", Flavor: flavor}
+	req := &RequestSpec{VM: vm}
+	avg := testing.AllocsPerRun(200, func() {
+		if _, err := sched.Schedule(req, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := sched.Delete(vm, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 1 {
+		t.Errorf("schedule+delete pair allocates %.1f objects, want <= 1", avg)
 	}
 }

@@ -3,31 +3,49 @@ package nova
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
-	"sapsim/internal/esx"
 	"sapsim/internal/placement"
 	"sapsim/internal/sim"
+	"sapsim/internal/topology"
 	"sapsim/internal/vmmodel"
 )
 
-// Property: across random schedule/delete/resize sequences, the scheduler
-// never violates admission limits, never double-books placement, and
-// keeps hypervisor and placement accounting in agreement.
+// Property: across random schedule/delete/resize sequences interleaved with
+// maintenance flips and inventory refreshes, the scheduler never violates
+// admission limits, never double-books placement, keeps hypervisor and
+// placement accounting in agreement, and placement's candidate query admits
+// exactly the providers whose traits and free capacity fit each flavor.
 func TestPropertySchedulerInvariants(t *testing.T) {
+	gpuFlavor := &vmmodel.Flavor{Name: "GA", VCPUs: 16, RAMGiB: 128, DiskGB: 100, RequireGPU: true}
+	flavors := append(vmmodel.Catalog(), gpuFlavor)
+	// A GPU block and a reserved general-purpose block widen the trait
+	// shapes beyond testEnv's general and HANA blocks.
+	extend := func(r *topology.Region) {
+		dc := r.AZs[0].DCs[0]
+		gen := topology.Capacity{PCPUCores: 32, MemoryMB: 512 << 10, StorageGB: 8 << 10, NetworkGbps: 200}
+		if _, err := dc.AddBB("gpu-0", topology.GPU, 2, gen); err != nil {
+			t.Fatal(err)
+		}
+		reserved, err := dc.AddBB("gp-r", topology.GeneralPurpose, 2, gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reserved.Reserved = true
+	}
 	for trial := 0; trial < 10; trial++ {
 		rng := rand.New(rand.NewPCG(uint64(trial), 77))
-		fleet, sched := testEnv(t, DefaultConfig())
+		fleet, sched := testEnvWith(t, DefaultConfig(), extend)
 		pl := schedPlacement(sched)
-		catalog := vmmodel.Catalog()
 		var live []*vmmodel.VM
 		now := sim.Time(0)
 
 		for step := 0; step < 300; step++ {
 			now += sim.Minute
-			switch op := rng.IntN(10); {
+			switch op := rng.IntN(12); {
 			case op < 6: // schedule
-				f := catalog[rng.IntN(len(catalog))]
+				f := flavors[rng.IntN(len(flavors))]
 				vm := &vmmodel.VM{
 					ID:      vmmodel.ID(fmt.Sprintf("t%d-vm%d", trial, step)),
 					Flavor:  f,
@@ -42,13 +60,27 @@ func TestPropertySchedulerInvariants(t *testing.T) {
 					t.Fatalf("trial %d step %d: delete: %v", trial, step, err)
 				}
 				live = append(live[:i], live[i+1:]...)
-			case len(live) > 0: // resize
+			case op < 10 && len(live) > 0: // resize
 				i := rng.IntN(len(live))
-				target := catalog[rng.IntN(len(catalog))]
+				target := flavors[rng.IntN(len(flavors))]
 				if target.Class != live[i].Flavor.Class {
 					continue
 				}
 				_, _ = sched.Resize(live[i], target, now)
+				if live[i].Node == nil {
+					// A failed resize whose rollback also failed (the old
+					// node went into maintenance mid-flight) strands the VM
+					// unplaced — documented Resize behavior.
+					live = append(live[:i], live[i+1:]...)
+				}
+			case op >= 10: // flip a node's maintenance and refresh the BB inventory
+				bbs := fleet.Region().BBs()
+				bb := bbs[rng.IntN(len(bbs))]
+				n := bb.Nodes[rng.IntN(len(bb.Nodes))]
+				n.Maintenance = !n.Maintenance
+				if err := sched.RefreshInventory(bb); err != nil {
+					t.Fatalf("trial %d step %d: refresh: %v", trial, step, err)
+				}
 			}
 		}
 
@@ -75,24 +107,78 @@ func TestPropertySchedulerInvariants(t *testing.T) {
 
 		// Invariant 2: every live VM has a placement allocation on the
 		// BB that hosts it, and no allocations leak.
-		allocated := 0
+		type usage struct{ vcpu, mem int64 }
+		used := map[string]usage{}
 		for _, vm := range live {
 			if vm.Node == nil {
 				t.Fatalf("trial %d: live VM %s unplaced", trial, vm.ID)
 			}
-			alloc := pl.AllocationOf(string(vm.ID))
-			if alloc == nil {
+			alloc, ok := pl.AllocationOf(string(vm.ID))
+			if !ok {
 				t.Fatalf("trial %d: live VM %s has no placement allocation", trial, vm.ID)
 			}
 			if alloc.Provider != string(vm.Node.BB.ID) {
 				t.Fatalf("trial %d: VM %s placement points at %s, hosted on %s",
 					trial, vm.ID, alloc.Provider, vm.Node.BB.ID)
 			}
-			allocated++
+			u := used[alloc.Provider]
+			used[alloc.Provider] = usage{u.vcpu + int64(vm.Flavor.VCPUs), u.mem + vm.RequestedMemoryMB()}
 		}
-		if pl.AllocationCount() != allocated {
+		if pl.AllocationCount() != len(live) {
 			t.Fatalf("trial %d: placement has %d allocations, %d live VMs",
-				trial, pl.AllocationCount(), allocated)
+				trial, pl.AllocationCount(), len(live))
+		}
+
+		// Invariants 3 and 4: each provider's capacity is its block's
+		// fleet capacity, and its usage is the sum of its live VMs' flavors.
+		providers := pl.Providers()
+		if len(providers) != len(fleet.Region().BBs()) {
+			t.Fatalf("trial %d: %d providers for %d blocks", trial, len(providers), len(fleet.Region().BBs()))
+		}
+		free := map[string]usage{}
+		for _, p := range providers {
+			bb, err := fleet.Region().BB(topology.BBID(p.Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			alloc := fleet.BBAlloc(bb)
+			if p.VCPUCap != int64(alloc.VCPUCap) || p.MemCapMB != alloc.MemCapMB {
+				t.Errorf("trial %d: %s capacity %d vCPU / %d MB, fleet %d / %d",
+					trial, p.Name, p.VCPUCap, p.MemCapMB, alloc.VCPUCap, alloc.MemCapMB)
+			}
+			if u := used[p.Name]; p.VCPUUsed != u.vcpu || p.MemUsedMB != u.mem {
+				t.Errorf("trial %d: %s usage %d vCPU / %d MB, live allocations %d / %d",
+					trial, p.Name, p.VCPUUsed, p.MemUsedMB, u.vcpu, u.mem)
+			}
+			free[p.Name] = usage{p.VCPUCap - p.VCPUUsed, p.MemCapMB - p.MemUsedMB}
+		}
+
+		// Invariant 5: for every flavor, Candidates returns exactly the
+		// providers whose block kind and free capacity admit it, in name
+		// order.
+		for _, f := range flavors {
+			vm := &vmmodel.VM{ID: "probe", Flavor: f}
+			var want []string
+			for _, p := range providers {
+				bb, _ := fleet.Region().BB(topology.BBID(p.Name))
+				kind := topology.GeneralPurpose
+				if f.RequireGPU {
+					kind = topology.GPU
+				} else if f.Class == vmmodel.HANA {
+					kind = topology.HANA
+				}
+				if bb.Kind == kind && !bb.Reserved &&
+					free[p.Name].vcpu >= int64(f.VCPUs) && free[p.Name].mem >= vm.RequestedMemoryMB() {
+					want = append(want, p.Name)
+				}
+			}
+			var got []string
+			for _, p := range pl.Candidates(askOf(vm), nil) {
+				got = append(got, p.Name)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d flavor %s: candidates %v, want %v", trial, f.Name, got, want)
+			}
 		}
 	}
 }
@@ -130,5 +216,3 @@ func TestPropertySchedulerDeterministic(t *testing.T) {
 		}
 	}
 }
-
-var _ = esx.DefaultConfig // keep the import pinned for the helper types

@@ -60,20 +60,17 @@ type Scheduler struct {
 	fleet     *esx.Fleet
 	placement *placement.Service
 
-	// Incremental candidate inventory: one entry per building block, name-
-	// sorted (the order placement.Candidates returns), mirroring the
-	// placement service so the per-request scan touches no maps or locks.
-	entries []*bbEntry
-	byBB    map[topology.BBID]*bbEntry
-	// asks records each consumer's claimed amounts for mirror rollback.
-	asks map[string]askRec
+	// states holds one persistent HostState per building block, indexed by
+	// its placement provider's creation index; a candidate's Alloc and
+	// AvgContentionPct are refreshed per request.
+	states []*HostState
 
 	// groups tracks server-group membership per VM so deletions release
 	// the policy hold.
 	groups map[vmmodel.ID]*ServerGroup
 
 	// Scratch buffers reused across Schedule calls.
-	ask     placement.Request
+	cands   []placement.Provider
 	reasons map[string]int
 	hosts   []*HostState
 	rbuf    rankBuf
@@ -95,8 +92,9 @@ type Scheduler struct {
 // SetProfiler attaches the engine self-profiler's collector; nil detaches.
 func (s *Scheduler) SetProfiler(p *engprof.Collector) { s.prof = p }
 
-// NewScheduler wires a scheduler to a fleet and placement service, creating
-// one resource provider per building block.
+// NewScheduler wires a scheduler to a fleet and a fresh placement service,
+// registering one resource provider per building block. The scheduler is
+// the service's sole writer.
 func NewScheduler(fleet *esx.Fleet, pl *placement.Service, cfg Config) (*Scheduler, error) {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 3
@@ -105,24 +103,15 @@ func NewScheduler(fleet *esx.Fleet, pl *placement.Service, cfg Config) (*Schedul
 		cfg:        cfg,
 		fleet:      fleet,
 		placement:  pl,
-		byBB:       make(map[topology.BBID]*bbEntry),
-		asks:       make(map[string]askRec),
 		groups:     make(map[vmmodel.ID]*ServerGroup),
-		ask:        make(placement.Request, 2),
 		reasons:    make(map[string]int),
 		eliminated: make(map[string]int),
 		contention: make(map[topology.BBID]float64),
 	}
 	for _, bb := range fleet.Region().BBs() {
-		alloc := fleet.BBAlloc(bb)
-		inv := map[placement.ResourceClass]placement.Inventory{
-			placement.VCPU:     {Total: int64(alloc.VCPUCap), AllocationRatio: 1},
-			placement.MemoryMB: {Total: alloc.MemCapMB, AllocationRatio: 1},
+		if err := s.RegisterBB(bb); err != nil {
+			return nil, err
 		}
-		if _, err := pl.CreateProvider(string(bb.ID), inv, TraitsOfBB(bb)...); err != nil {
-			return nil, fmt.Errorf("nova: provider for %s: %w", bb.ID, err)
-		}
-		s.addEntry(newEntry(bb, alloc))
 	}
 	return s, nil
 }
@@ -159,16 +148,11 @@ type Result struct {
 
 // Schedule places the VM: candidate scan → filters → weighers → claim →
 // node selection → hypervisor admission. It retries down the ranked list,
-// reproducing Nova's greedy retry behavior (Sec. 2.2). Candidates come from
-// the scheduler's incremental inventory mirror — same set, same name order
-// as the placement query it replaces — so the hot path allocates nothing on
-// a first-attempt success.
+// reproducing Nova's greedy retry behavior (Sec. 2.2). Candidates are one
+// placement query into a reused buffer, so the hot path allocates only the
+// Result on a first-attempt success.
 func (s *Scheduler) Schedule(req *RequestSpec, now sim.Time) (*Result, error) {
 	f := req.Flavor()
-	askVCPU := int64(f.VCPUs)
-	askMem := req.VM.RequestedMemoryMB()
-	traits := vmFlavorTraits{requireGPU: f.RequireGPU, hana: f.Class == vmmodel.HANA}
-
 	prof := s.prof
 	var mark int64
 	if prof != nil {
@@ -176,19 +160,17 @@ func (s *Scheduler) Schedule(req *RequestSpec, now sim.Time) (*Result, error) {
 	}
 	clear(s.reasons)
 	s.hosts = s.hosts[:0]
-	for _, e := range s.entries {
-		if !e.matches(&traits) ||
-			e.vcpuCap-e.vcpuUsed < askVCPU || e.memCap-e.memUsed < askMem {
-			continue
-		}
-		e.state.Alloc = s.fleet.BBAlloc(e.bb)
-		e.state.AvgContentionPct = s.contention[e.bb.ID]
-		if passed := s.applyFilters(req, &e.state, s.reasons); passed {
-			s.hosts = append(s.hosts, &e.state)
+	s.cands = s.placement.Candidates(askOf(req.VM), s.cands[:0])
+	for i := range s.cands {
+		h := s.states[s.cands[i].Index]
+		h.Alloc = s.fleet.BBAlloc(h.BB)
+		h.AvgContentionPct = s.contention[h.BB.ID]
+		if s.applyFilters(req, h, s.reasons) {
+			s.hosts = append(s.hosts, h)
 		}
 	}
 	if prof != nil {
-		prof.EndSpan(engprof.PhaseSchedFilter, mark, int64(len(s.entries)))
+		prof.EndSpan(engprof.PhaseSchedFilter, mark, int64(len(s.states)))
 	}
 	if len(s.hosts) == 0 {
 		s.failed++
@@ -217,16 +199,14 @@ func (s *Scheduler) Schedule(req *RequestSpec, now sim.Time) (*Result, error) {
 			s.reasons["NodeFragmentation"]++
 			continue
 		}
-		if err := s.claim(string(req.VM.ID), s.byBB[h.BB.ID], askVCPU, askMem); err != nil {
+		if err := s.claim(req.VM, h.BB); err != nil {
 			s.retries++
 			s.reasons["ClaimConflict"]++
 			continue
 		}
 		if err := s.fleet.Place(req.VM, node, now); err != nil {
-			// Roll back the claim and retry elsewhere. The release cannot
-			// fail: its one error is an unknown consumer, and the claim
-			// above just recorded this one.
-			_ = s.release(string(req.VM.ID))
+			// Roll back the claim and retry elsewhere.
+			_ = s.release(req.VM)
 			s.retries++
 			s.reasons["AdmissionFailed"]++
 			continue
@@ -257,6 +237,16 @@ func (s *Scheduler) applyFilters(req *RequestSpec, h *HostState, reasons map[str
 		}
 	}
 	return true
+}
+
+// copyReasons snapshots the scratch elimination counters for an error that
+// outlives the scheduling call.
+func copyReasons(m map[string]int) map[string]int {
+	out := make(map[string]int, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
 }
 
 // selectNode picks a node within the building block per the class policy,
@@ -308,18 +298,16 @@ func (s *Scheduler) Delete(vm *vmmodel.VM, now sim.Time) error {
 		g.forget(vm.ID)
 		delete(s.groups, vm.ID)
 	}
-	if err := s.release(string(vm.ID)); err != nil &&
-		!errors.Is(err, placement.ErrUnknownConsumer) {
-		return err
-	}
-	return nil
+	return s.release(vm)
 }
 
 // Resize changes a VM's flavor, re-running placement with the new resource
 // ask (a resize is one of the scheduler-triggering events of Sec. 2.2). The
 // VM keeps running on its node when the node can absorb the delta;
 // otherwise it is rescheduled like a fresh request. On failure the VM is
-// restored to its original node and flavor.
+// restored to its original node and flavor; when the old node no longer
+// admits it either, the VM is left unplaced without a placement claim, as a
+// failed evacuation leaves it.
 func (s *Scheduler) Resize(vm *vmmodel.VM, newFlavor *vmmodel.Flavor, now sim.Time) (*Result, error) {
 	if newFlavor == nil {
 		return nil, errors.New("nova: nil flavor")
@@ -333,8 +321,7 @@ func (s *Scheduler) Resize(vm *vmmodel.VM, newFlavor *vmmodel.Flavor, now sim.Ti
 	if err := s.fleet.Evict(vm); err != nil {
 		return nil, err
 	}
-	if err := s.release(string(vm.ID)); err != nil &&
-		!errors.Is(err, placement.ErrUnknownConsumer) {
+	if err := s.release(vm); err != nil {
 		return nil, err
 	}
 	vm.Flavor = newFlavor
@@ -344,11 +331,11 @@ func (s *Scheduler) Resize(vm *vmmodel.VM, newFlavor *vmmodel.Flavor, now sim.Ti
 	}
 	// Roll back: old flavor, old node, old claim.
 	vm.Flavor = oldFlavor
-	if cerr := s.claim(string(vm.ID), s.byBB[oldNode.BB.ID],
-		int64(oldFlavor.VCPUs), vm.RequestedMemoryMB()); cerr != nil {
+	if cerr := s.claim(vm, oldNode.BB); cerr != nil {
 		return nil, fmt.Errorf("nova: resize rollback claim: %w (after %w)", cerr, err)
 	}
 	if perr := s.fleet.Place(vm, oldNode, now); perr != nil {
+		_ = s.release(vm)
 		return nil, fmt.Errorf("nova: resize rollback place: %w (after %w)", perr, err)
 	}
 	return nil, err
@@ -366,8 +353,7 @@ func (s *Scheduler) Evacuate(vm *vmmodel.VM, now sim.Time) (*Result, error) {
 	if err := s.fleet.Evict(vm); err != nil {
 		return nil, err
 	}
-	if err := s.release(string(vm.ID)); err != nil &&
-		!errors.Is(err, placement.ErrUnknownConsumer) {
+	if err := s.release(vm); err != nil {
 		return nil, err
 	}
 	res, err := s.Schedule(&RequestSpec{VM: vm}, now)
@@ -381,31 +367,20 @@ func (s *Scheduler) Evacuate(vm *vmmodel.VM, now sim.Time) (*Result, error) {
 // RefreshInventory re-syncs a building block's placement inventory with the
 // fleet's current active-node capacity. Callers invoke it when nodes fail,
 // enter maintenance, or return to service, so the placement view tracks the
-// shrunken (or restored) building block.
+// shrunken (or restored) building block. A block with no provider yields an
+// error wrapping placement.ErrUnknownProvider.
 func (s *Scheduler) RefreshInventory(bb *topology.BuildingBlock) error {
 	alloc := s.fleet.BBAlloc(bb)
-	if err := s.placement.UpdateInventory(string(bb.ID), placement.VCPU,
-		placement.Inventory{Total: int64(alloc.VCPUCap), AllocationRatio: 1}); err != nil {
-		return err
-	}
-	if err := s.placement.UpdateInventory(string(bb.ID), placement.MemoryMB,
-		placement.Inventory{Total: alloc.MemCapMB, AllocationRatio: 1}); err != nil {
-		return err
-	}
-	if e, ok := s.byBB[bb.ID]; ok {
-		e.vcpuCap = int64(alloc.VCPUCap)
-		e.memCap = alloc.MemCapMB
-	}
-	return nil
+	return s.placement.SetCapacity(string(bb.ID), int64(alloc.VCPUCap), alloc.MemCapMB)
 }
 
 // RefreshAllInventories re-reads capacity for every registered building
-// block, in name order. Snapshot restore calls it after overlaying node
-// service state so every provider inventory reflects the restored fleet
-// before allocations are re-claimed.
+// block. Snapshot restore calls it after overlaying node service state so
+// every provider inventory reflects the restored fleet before allocations
+// are re-claimed.
 func (s *Scheduler) RefreshAllInventories() error {
-	for _, e := range s.entries {
-		if err := s.RefreshInventory(e.bb); err != nil {
+	for _, h := range s.states {
+		if err := s.RefreshInventory(h.BB); err != nil {
 			return err
 		}
 	}
@@ -419,33 +394,43 @@ func (s *Scheduler) RefreshAllInventories() error {
 // and grown blocks.
 func (s *Scheduler) RegisterBB(bb *topology.BuildingBlock) error {
 	alloc := s.fleet.BBAlloc(bb)
-	inv := map[placement.ResourceClass]placement.Inventory{
-		placement.VCPU:     {Total: int64(alloc.VCPUCap), AllocationRatio: 1},
-		placement.MemoryMB: {Total: alloc.MemCapMB, AllocationRatio: 1},
+	err := s.placement.CreateProvider(string(bb.ID), traitsOf(bb), int64(alloc.VCPUCap), alloc.MemCapMB)
+	if errors.Is(err, placement.ErrDuplicateProvider) {
+		return s.RefreshInventory(bb)
 	}
-	if _, err := s.placement.CreateProvider(string(bb.ID), inv, TraitsOfBB(bb)...); err != nil {
-		if errors.Is(err, placement.ErrDuplicateProvider) {
-			return s.RefreshInventory(bb)
-		}
+	if err != nil {
 		return fmt.Errorf("nova: provider for %s: %w", bb.ID, err)
 	}
-	s.addEntry(newEntry(bb, alloc))
+	// The scheduler is the service's sole writer, so the new provider's
+	// creation index is len(s.states).
+	s.states = append(s.states, &HostState{BB: bb})
 	return nil
 }
 
-// RestoreAllocation re-creates the placement claim and inventory-mirror
-// hold for a VM resident in the fleet — snapshot restore re-admits each
-// live VM onto its recorded node and then calls this to bring the placement
-// view back in sync, exactly as the original Schedule's claim left it.
+// RestoreAllocation re-creates the placement claim for a VM resident in the
+// fleet — snapshot restore re-admits each live VM onto its recorded node and
+// then calls this to bring the placement view back in sync, exactly as the
+// original Schedule's claim left it.
 func (s *Scheduler) RestoreAllocation(vm *vmmodel.VM) error {
 	if vm.Node == nil {
 		return fmt.Errorf("nova: restore allocation of unplaced VM %s", vm.ID)
 	}
-	e, ok := s.byBB[vm.Node.BB.ID]
-	if !ok {
-		return fmt.Errorf("nova: restore allocation: unknown BB %s", vm.Node.BB.ID)
+	return s.claim(vm, vm.Node.BB)
+}
+
+// claim allocates the VM's current flavor against the building block's
+// placement provider.
+func (s *Scheduler) claim(vm *vmmodel.VM, bb *topology.BuildingBlock) error {
+	return s.placement.Claim(string(vm.ID), string(bb.ID), int64(vm.Flavor.VCPUs), vm.RequestedMemoryMB())
+}
+
+// release frees the VM's placement allocation; a VM that holds none is not
+// an error.
+func (s *Scheduler) release(vm *vmmodel.VM) error {
+	if err := s.placement.Release(string(vm.ID)); !errors.Is(err, placement.ErrUnknownConsumer) {
+		return err
 	}
-	return s.claim(string(vm.ID), e, int64(vm.Flavor.VCPUs), vm.RequestedMemoryMB())
+	return nil
 }
 
 // RestoreStats overwrites the scheduler's counters from a snapshot.
@@ -476,9 +461,6 @@ func (s *Scheduler) MoveBB(vm *vmmodel.VM, to *topology.Node, now sim.Time) erro
 	if vm.Node != nil && vm.Node.BB != to.BB {
 		if err := s.placement.Move(string(vm.ID), string(to.BB.ID)); err != nil {
 			return err
-		}
-		if e, ok := s.byBB[to.BB.ID]; ok {
-			s.moveMirror(string(vm.ID), e)
 		}
 	}
 	return s.fleet.Migrate(vm, to, now)

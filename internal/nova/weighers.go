@@ -125,6 +125,17 @@ func DefaultWeighers() []Weigher {
 	}
 }
 
+// ContentionAwareWeighers is the Sec. 7 contention-aware pipeline: the
+// production RAM/CPU weighers led by a ContentionWeigher, which reads the
+// per-BB contention fed through SetContention (core.Config.ContentionFeed).
+func ContentionAwareWeighers() []Weigher {
+	return []Weigher{
+		ContentionWeigher{Mult: 2},
+		RAMWeigher{Mult: 1, SAPPolicy: true},
+		CPUWeigher{Mult: 0.5},
+	}
+}
+
 // scored pairs a host with its accumulated normalized weight.
 type scored struct {
 	h *HostState

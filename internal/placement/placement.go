@@ -15,77 +15,45 @@ import (
 	"sync"
 )
 
-// ResourceClass names follow the Placement API conventions.
-type ResourceClass string
+// Traits is the set of placement traits a provider advertises, one bit each.
+type Traits uint8
 
+// Placement traits.
 const (
-	VCPU     ResourceClass = "VCPU"
-	MemoryMB ResourceClass = "MEMORY_MB"
-	DiskGB   ResourceClass = "DISK_GB"
+	HANA Traits = 1 << iota
+	GPU
+	Reserved
 )
 
-// Inventory is the capacity of one resource class on a provider.
-type Inventory struct {
-	Total int64
-	// AllocationRatio is the overcommit factor applied to Total when
-	// admitting allocations (Placement's allocation_ratio).
-	AllocationRatio float64
-	// Reserved is capacity withheld from placement.
-	Reserved int64
-}
-
-// Capacity is the admissible allocation: (Total - Reserved) × ratio.
-func (inv Inventory) Capacity() int64 {
-	usable := inv.Total - inv.Reserved
-	if usable < 0 {
-		usable = 0
-	}
-	return int64(float64(usable) * inv.AllocationRatio)
-}
-
-// Request is the resource ask of one VM, keyed by resource class.
-type Request map[ResourceClass]int64
-
-// Provider is one resource provider with inventories and usage counters.
+// Provider is one resource provider: a building block's vCPU and memory
+// capacity and the usage its allocations hold. The vCPU capacity already
+// carries overcommit (esx's BBAlloc.VCPUCap).
 type Provider struct {
-	Name        string
-	Traits      map[string]bool // e.g. "HANA", "GPU"
-	inventories map[ResourceClass]Inventory
-	used        map[ResourceClass]int64
+	Name string
+	// Index is the provider's creation order in its service (0, 1, ...).
+	Index  int
+	Traits Traits
+
+	VCPUCap, MemCapMB   int64
+	VCPUUsed, MemUsedMB int64
 }
 
-// Inventory returns the inventory of a class (zero value when absent).
-func (p *Provider) Inventory(rc ResourceClass) Inventory { return p.inventories[rc] }
-
-// Used returns the allocated amount of a class.
-func (p *Provider) Used(rc ResourceClass) int64 { return p.used[rc] }
-
-// Free returns remaining admissible capacity of a class.
-func (p *Provider) Free(rc ResourceClass) int64 {
-	return p.inventories[rc].Capacity() - p.used[rc]
+// fits reports whether the amounts fit the provider's free capacity.
+func (p *Provider) fits(vcpu, memMB int64) bool {
+	return p.VCPUCap-p.VCPUUsed >= vcpu && p.MemCapMB-p.MemUsedMB >= memMB
 }
 
-// HasTrait reports whether the provider advertises the trait.
-func (p *Provider) HasTrait(trait string) bool { return p.Traits[trait] }
-
-// fits reports whether the request fits the provider's free capacity.
-func (p *Provider) fits(req Request) bool {
-	for rc, amount := range req {
-		if _, ok := p.inventories[rc]; !ok {
-			return false
-		}
-		if p.Free(rc) < amount {
-			return false
-		}
-	}
-	return true
+// Ask is one VM's resource and trait request: the provider must advertise
+// every Required trait and none of the Forbidden ones.
+type Ask struct {
+	VCPU, MemoryMB      int64
+	Required, Forbidden Traits
 }
 
 // Allocation records one consumer's resource hold on a provider.
 type Allocation struct {
-	Consumer string // VM ID
-	Provider string
-	Request  Request
+	Provider       string
+	VCPU, MemoryMB int64
 }
 
 // Errors returned by the service.
@@ -95,19 +63,16 @@ var (
 	ErrUnknownConsumer   = errors.New("placement: unknown consumer")
 	ErrDuplicateConsumer = errors.New("placement: consumer already has an allocation")
 	ErrCapacityExceeded  = errors.New("placement: insufficient capacity")
-	ErrEmptyRequest      = errors.New("placement: empty request")
 )
 
 // Service is the placement database: providers and allocations. It is safe
-// for concurrent use.
+// for concurrent use; every read or write of usage holds mu.
 type Service struct {
 	mu          sync.Mutex
-	providers   map[string]*Provider
-	allocations map[string]*Allocation
-	// Operation counters (guarded by mu). Every Claim allocates an
-	// allocation record, so the claim counters double as the engine
-	// profiler's allocation-behavior proxy for the claim phase.
-	stats Stats
+	byName      map[string]*Provider
+	sorted      []*Provider // name order, the order Candidates returns
+	allocations map[string]Allocation
+	stats       Stats
 }
 
 // Stats counts placement-database operations since construction.
@@ -130,134 +95,99 @@ func (s *Service) Stats() Stats {
 // NewService returns an empty placement service.
 func NewService() *Service {
 	return &Service{
-		providers:   make(map[string]*Provider),
-		allocations: make(map[string]*Allocation),
+		byName:      make(map[string]*Provider),
+		allocations: make(map[string]Allocation),
 	}
 }
 
-// CreateProvider registers a resource provider with its inventories.
-func (s *Service) CreateProvider(name string, inv map[ResourceClass]Inventory, traits ...string) (*Provider, error) {
+// CreateProvider registers a resource provider; its Index is the number of
+// providers created before it.
+func (s *Service) CreateProvider(name string, traits Traits, vcpuCap, memCapMB int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.providers[name]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrDuplicateProvider, name)
+	if _, ok := s.byName[name]; ok {
+		return fmt.Errorf("%w: %s", ErrDuplicateProvider, name)
 	}
-	p := &Provider{
-		Name:        name,
-		Traits:      make(map[string]bool),
-		inventories: make(map[ResourceClass]Inventory, len(inv)),
-		used:        make(map[ResourceClass]int64),
-	}
-	for rc, i := range inv {
-		if i.AllocationRatio <= 0 {
-			i.AllocationRatio = 1
-		}
-		p.inventories[rc] = i
-	}
-	for _, t := range traits {
-		p.Traits[t] = true
-	}
-	s.providers[name] = p
-	return p, nil
-}
-
-// Provider looks up a provider by name.
-func (s *Service) Provider(name string) (*Provider, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.providers[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownProvider, name)
-	}
-	return p, nil
-}
-
-// Providers returns all providers sorted by name.
-func (s *Service) Providers() []*Provider {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Provider, 0, len(s.providers))
-	for _, p := range s.providers {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// UpdateInventory replaces one resource class inventory on a provider, e.g.
-// when nodes enter or leave maintenance.
-func (s *Service) UpdateInventory(provider string, rc ResourceClass, inv Inventory) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.providers[provider]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownProvider, provider)
-	}
-	if inv.AllocationRatio <= 0 {
-		inv.AllocationRatio = 1
-	}
-	p.inventories[rc] = inv
+	p := &Provider{Name: name, Index: len(s.byName), Traits: traits, VCPUCap: vcpuCap, MemCapMB: memCapMB}
+	s.byName[name] = p
+	i := sort.Search(len(s.sorted), func(i int) bool { return s.sorted[i].Name >= name })
+	s.sorted = append(s.sorted, nil)
+	copy(s.sorted[i+1:], s.sorted[i:])
+	s.sorted[i] = p
 	return nil
 }
 
-// Candidates returns the names of providers that can satisfy the request,
-// sorted by name. requiredTraits restricts to providers advertising every
-// trait; forbiddenTraits excludes providers advertising any.
-func (s *Service) Candidates(req Request, requiredTraits, forbiddenTraits []string) ([]string, error) {
-	if len(req) == 0 {
-		return nil, ErrEmptyRequest
-	}
+// Provider returns a copy of the named provider.
+func (s *Service) Provider(name string) (Provider, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []string
-candidates:
-	for name, p := range s.providers {
-		for _, t := range requiredTraits {
-			if !p.HasTrait(t) {
-				continue candidates
-			}
-		}
-		for _, t := range forbiddenTraits {
-			if p.HasTrait(t) {
-				continue candidates
-			}
-		}
-		if p.fits(req) {
-			out = append(out, name)
-		}
+	p, ok := s.byName[name]
+	if !ok {
+		return Provider{}, fmt.Errorf("%w: %s", ErrUnknownProvider, name)
 	}
-	sort.Strings(out)
-	return out, nil
+	return *p, nil
 }
 
-// Claim atomically allocates the request for the consumer on the provider.
-// It fails if capacity was consumed since the candidate query — the race
-// Nova handles with scheduling retries. The request map is copied into the
-// allocation record, so callers may reuse a scratch map across claims.
-func (s *Service) Claim(consumer, provider string, req Request) error {
-	if len(req) == 0 {
-		return ErrEmptyRequest
+// Providers returns a copy of every provider, in name order.
+func (s *Service) Providers() []Provider {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]Provider, len(s.sorted))
+	for i, p := range s.sorted {
+		out[i] = *p
 	}
+	return out
+}
+
+// SetCapacity replaces a provider's capacity, e.g. when nodes enter or
+// leave maintenance. Usage is kept, so a shrunken provider may be over
+// capacity until allocations are released.
+func (s *Service) SetCapacity(provider string, vcpuCap, memCapMB int64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p, ok := s.byName[provider]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrUnknownProvider, provider)
+	}
+	p.VCPUCap, p.MemCapMB = vcpuCap, memCapMB
+	return nil
+}
+
+// Candidates appends a copy of every provider that can satisfy the ask to
+// out, in name order, under one acquisition of the service lock.
+func (s *Service) Candidates(ask Ask, out []Provider) []Provider {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range s.sorted {
+		if p.Traits&ask.Required == ask.Required && p.Traits&ask.Forbidden == 0 &&
+			p.fits(ask.VCPU, ask.MemoryMB) {
+			out = append(out, *p)
+		}
+	}
+	return out
+}
+
+// Claim atomically allocates the amounts for the consumer on the provider.
+// It fails if capacity was consumed since the candidate query — the race
+// Nova handles with scheduling retries.
+func (s *Service) Claim(consumer, provider string, vcpu, memMB int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.allocations[consumer]; ok {
 		s.stats.ClaimConflicts++
 		return fmt.Errorf("%w: %s", ErrDuplicateConsumer, consumer)
 	}
-	p, ok := s.providers[provider]
+	p, ok := s.byName[provider]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownProvider, provider)
 	}
-	if !p.fits(req) {
+	if !p.fits(vcpu, memMB) {
 		s.stats.ClaimConflicts++
 		return fmt.Errorf("%w: %s on %s", ErrCapacityExceeded, consumer, provider)
 	}
-	stored := make(Request, len(req))
-	for rc, amount := range req {
-		p.used[rc] += amount
-		stored[rc] = amount
-	}
-	s.allocations[consumer] = &Allocation{Consumer: consumer, Provider: provider, Request: stored}
+	p.VCPUUsed += vcpu
+	p.MemUsedMB += memMB
+	s.allocations[consumer] = Allocation{Provider: provider, VCPU: vcpu, MemoryMB: memMB}
 	s.stats.Claims++
 	return nil
 }
@@ -268,26 +198,27 @@ func (s *Service) Claim(consumer, provider string, req Request) error {
 func (s *Service) Move(consumer, newProvider string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	alloc, ok := s.allocations[consumer]
+	a, ok := s.allocations[consumer]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownConsumer, consumer)
 	}
-	dst, ok := s.providers[newProvider]
+	dst, ok := s.byName[newProvider]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownProvider, newProvider)
 	}
-	if alloc.Provider == newProvider {
+	if a.Provider == newProvider {
 		return nil
 	}
-	if !dst.fits(alloc.Request) {
+	if !dst.fits(a.VCPU, a.MemoryMB) {
 		return fmt.Errorf("%w: move %s to %s", ErrCapacityExceeded, consumer, newProvider)
 	}
-	src := s.providers[alloc.Provider]
-	for rc, amount := range alloc.Request {
-		src.used[rc] -= amount
-		dst.used[rc] += amount
-	}
-	alloc.Provider = newProvider
+	src := s.byName[a.Provider]
+	src.VCPUUsed -= a.VCPU
+	src.MemUsedMB -= a.MemoryMB
+	dst.VCPUUsed += a.VCPU
+	dst.MemUsedMB += a.MemoryMB
+	a.Provider = newProvider
+	s.allocations[consumer] = a
 	s.stats.Moves++
 	return nil
 }
@@ -296,24 +227,24 @@ func (s *Service) Move(consumer, newProvider string) error {
 func (s *Service) Release(consumer string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	alloc, ok := s.allocations[consumer]
+	a, ok := s.allocations[consumer]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownConsumer, consumer)
 	}
-	p := s.providers[alloc.Provider]
-	for rc, amount := range alloc.Request {
-		p.used[rc] -= amount
-	}
+	p := s.byName[a.Provider]
+	p.VCPUUsed -= a.VCPU
+	p.MemUsedMB -= a.MemoryMB
 	delete(s.allocations, consumer)
 	s.stats.Releases++
 	return nil
 }
 
-// AllocationOf returns the consumer's allocation, or nil.
-func (s *Service) AllocationOf(consumer string) *Allocation {
+// AllocationOf returns the consumer's allocation and whether it has one.
+func (s *Service) AllocationOf(consumer string) (Allocation, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.allocations[consumer]
+	a, ok := s.allocations[consumer]
+	return a, ok
 }
 
 // AllocationCount reports the number of live allocations.

@@ -11,110 +11,133 @@ import (
 func newTestService(t *testing.T) *Service {
 	t.Helper()
 	s := NewService()
-	inv := map[ResourceClass]Inventory{
-		VCPU:     {Total: 100, AllocationRatio: 4},
-		MemoryMB: {Total: 1 << 20, AllocationRatio: 1, Reserved: 1 << 16},
-	}
-	if _, err := s.CreateProvider("bb-0", inv); err != nil {
+	if err := s.CreateProvider("bb-0", 0, 400, 15<<16); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.CreateProvider("bb-1", inv, "HANA"); err != nil {
+	if err := s.CreateProvider("bb-1", HANA, 400, 15<<16); err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
-func TestInventoryCapacity(t *testing.T) {
-	inv := Inventory{Total: 100, AllocationRatio: 4, Reserved: 10}
-	if got := inv.Capacity(); got != 360 {
-		t.Errorf("Capacity = %d, want 360", got)
+// names lists the providers' names in order.
+func names(ps []Provider) []string {
+	var out []string
+	for _, p := range ps {
+		out = append(out, p.Name)
 	}
-	neg := Inventory{Total: 5, Reserved: 10, AllocationRatio: 2}
-	if got := neg.Capacity(); got != 0 {
-		t.Errorf("over-reserved capacity = %d, want 0", got)
-	}
+	return out
 }
 
 func TestCreateProviderDefaults(t *testing.T) {
 	s := NewService()
-	p, err := s.CreateProvider("x", map[ResourceClass]Inventory{VCPU: {Total: 10}})
+	if err := s.CreateProvider("x", GPU, 10, 20); err != nil {
+		t.Fatal(err)
+	}
+	p, err := s.Provider("x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Inventory(VCPU).AllocationRatio; got != 1 {
-		t.Errorf("default allocation ratio = %v, want 1", got)
+	want := Provider{Name: "x", Index: 0, Traits: GPU, VCPUCap: 10, MemCapMB: 20}
+	if p != want {
+		t.Errorf("new provider = %+v, want %+v with no usage", p, want)
 	}
-	if _, err := s.CreateProvider("x", nil); !errors.Is(err, ErrDuplicateProvider) {
+	if err := s.CreateProvider("x", 0, 1, 1); !errors.Is(err, ErrDuplicateProvider) {
 		t.Errorf("duplicate error = %v", err)
+	}
+	if err := s.CreateProvider("y", 0, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := s.Provider("y"); p.Index != 1 {
+		t.Errorf("second provider index = %d, want 1", p.Index)
 	}
 }
 
 func TestCandidatesAndTraits(t *testing.T) {
 	s := newTestService(t)
-	req := Request{VCPU: 8, MemoryMB: 32 << 10}
-	all, err := s.Candidates(req, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+	ask := Ask{VCPU: 8, MemoryMB: 32 << 10}
+	if got := names(s.Candidates(ask, nil)); fmt.Sprint(got) != "[bb-0 bb-1]" {
+		t.Errorf("candidates = %v", got)
 	}
-	if len(all) != 2 || all[0] != "bb-0" || all[1] != "bb-1" {
-		t.Errorf("candidates = %v", all)
+	hana := ask
+	hana.Required = HANA
+	if got := names(s.Candidates(hana, nil)); fmt.Sprint(got) != "[bb-1]" {
+		t.Errorf("HANA candidates = %v", got)
 	}
-	hana, err := s.Candidates(req, []string{"HANA"}, nil)
-	if err != nil {
-		t.Fatal(err)
+	general := ask
+	general.Forbidden = HANA | GPU
+	if got := names(s.Candidates(general, nil)); fmt.Sprint(got) != "[bb-0]" {
+		t.Errorf("general candidates = %v", got)
 	}
-	if len(hana) != 1 || hana[0] != "bb-1" {
-		t.Errorf("HANA candidates = %v", hana)
+	gpu := ask
+	gpu.Required = GPU
+	if got := s.Candidates(gpu, nil); len(got) != 0 {
+		t.Errorf("GPU candidates = %v", names(got))
 	}
-	general, err := s.Candidates(req, nil, []string{"HANA"})
-	if err != nil {
-		t.Fatal(err)
+	// Too large for any provider.
+	if got := s.Candidates(Ask{VCPU: 401}, nil); len(got) != 0 {
+		t.Errorf("oversized candidates = %v", names(got))
 	}
-	if len(general) != 1 || general[0] != "bb-0" {
-		t.Errorf("general candidates = %v", general)
+	// Candidates appends to the caller's buffer.
+	buf := make([]Provider, 1, 4)
+	if got := s.Candidates(hana, buf); len(got) != 2 || got[1].Name != "bb-1" {
+		t.Errorf("appended candidates = %v", names(got))
 	}
-	if _, err := s.Candidates(nil, nil, nil); !errors.Is(err, ErrEmptyRequest) {
-		t.Errorf("empty request error = %v", err)
+}
+
+// Providers created out of name order — as a capacity expansion registers
+// blocks mid-run — still come back from Candidates and Providers in name
+// order, each with its creation index.
+func TestCandidatesNameOrderAcrossCreationOrder(t *testing.T) {
+	s := NewService()
+	for _, name := range []string{"bb-c", "bb-a", "bb-d", "bb-b"} {
+		if err := s.CreateProvider(name, 0, 10, 10); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Unknown resource class disqualifies.
-	none, err := s.Candidates(Request{"PONY": 1}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+	got := s.Candidates(Ask{VCPU: 1, MemoryMB: 1}, nil)
+	if fmt.Sprint(names(got)) != "[bb-a bb-b bb-c bb-d]" {
+		t.Errorf("candidates = %v, want name order", names(got))
 	}
-	if len(none) != 0 {
-		t.Errorf("unknown class candidates = %v", none)
+	wantIndex := map[string]int{"bb-c": 0, "bb-a": 1, "bb-d": 2, "bb-b": 3}
+	for _, p := range got {
+		if p.Index != wantIndex[p.Name] {
+			t.Errorf("%s index = %d, want %d", p.Name, p.Index, wantIndex[p.Name])
+		}
+	}
+	if fmt.Sprint(names(s.Providers())) != fmt.Sprint(names(got)) {
+		t.Errorf("providers = %v, want name order", names(s.Providers()))
 	}
 }
 
 func TestClaimReleaseLifecycle(t *testing.T) {
 	s := newTestService(t)
-	req := Request{VCPU: 100, MemoryMB: 1 << 18}
-	if err := s.Claim("vm-1", "bb-0", req); err != nil {
+	if err := s.Claim("vm-1", "bb-0", 100, 1<<18); err != nil {
 		t.Fatal(err)
 	}
 	p, _ := s.Provider("bb-0")
-	if p.Used(VCPU) != 100 {
-		t.Errorf("used vcpu = %d", p.Used(VCPU))
-	}
-	if got := p.Free(VCPU); got != 300 {
-		t.Errorf("free vcpu = %d, want 300", got)
+	if p.VCPUUsed != 100 || p.MemUsedMB != 1<<18 {
+		t.Errorf("used = %d vCPU / %d MB", p.VCPUUsed, p.MemUsedMB)
 	}
 	if s.AllocationCount() != 1 {
 		t.Error("allocation not recorded")
 	}
-	alloc := s.AllocationOf("vm-1")
-	if alloc == nil || alloc.Provider != "bb-0" {
-		t.Errorf("allocation = %+v", alloc)
+	want := Allocation{Provider: "bb-0", VCPU: 100, MemoryMB: 1 << 18}
+	if a, ok := s.AllocationOf("vm-1"); !ok || a != want {
+		t.Errorf("allocation = %+v, %v; want %+v", a, ok, want)
 	}
 
-	if err := s.Claim("vm-1", "bb-0", req); !errors.Is(err, ErrDuplicateConsumer) {
+	if err := s.Claim("vm-1", "bb-0", 1, 1); !errors.Is(err, ErrDuplicateConsumer) {
 		t.Errorf("duplicate consumer error = %v", err)
 	}
 	if err := s.Release("vm-1"); err != nil {
 		t.Fatal(err)
 	}
-	if p.Used(VCPU) != 0 || s.AllocationCount() != 0 {
+	if p, _ := s.Provider("bb-0"); p.VCPUUsed != 0 || p.MemUsedMB != 0 || s.AllocationCount() != 0 {
 		t.Error("release did not free resources")
+	}
+	if _, ok := s.AllocationOf("vm-1"); ok {
+		t.Error("released allocation still listed")
 	}
 	if err := s.Release("vm-1"); !errors.Is(err, ErrUnknownConsumer) {
 		t.Errorf("double release error = %v", err)
@@ -123,32 +146,34 @@ func TestClaimReleaseLifecycle(t *testing.T) {
 
 func TestClaimCapacityRace(t *testing.T) {
 	s := newTestService(t)
-	// bb-0 has 400 admissible vCPUs; the 5th claim of 100 must fail even
-	// though a stale candidate query would have returned bb-0.
+	// bb-0 has 400 vCPUs; the 5th claim of 100 must fail even though a
+	// stale candidate query would have returned bb-0.
 	for i := 0; i < 4; i++ {
-		if err := s.Claim(fmt.Sprintf("vm-%d", i), "bb-0", Request{VCPU: 100}); err != nil {
+		if err := s.Claim(fmt.Sprintf("vm-%d", i), "bb-0", 100, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Claim("vm-4", "bb-0", Request{VCPU: 100}); !errors.Is(err, ErrCapacityExceeded) {
+	if err := s.Claim("vm-4", "bb-0", 100, 0); !errors.Is(err, ErrCapacityExceeded) {
 		t.Errorf("over-capacity claim error = %v", err)
+	}
+	if st := s.Stats(); st.Claims != 4 || st.ClaimConflicts != 1 {
+		t.Errorf("stats = %+v, want 4 claims and 1 conflict", st)
 	}
 }
 
 func TestClaimErrors(t *testing.T) {
 	s := newTestService(t)
-	if err := s.Claim("vm", "nope", Request{VCPU: 1}); !errors.Is(err, ErrUnknownProvider) {
+	if err := s.Claim("vm", "nope", 1, 1); !errors.Is(err, ErrUnknownProvider) {
 		t.Errorf("unknown provider error = %v", err)
 	}
-	if err := s.Claim("vm", "bb-0", nil); !errors.Is(err, ErrEmptyRequest) {
-		t.Errorf("empty request error = %v", err)
+	if err := s.Claim("vm", "bb-0", 0, 15<<16+1); !errors.Is(err, ErrCapacityExceeded) {
+		t.Errorf("memory over capacity error = %v", err)
 	}
 }
 
 func TestMove(t *testing.T) {
 	s := newTestService(t)
-	req := Request{VCPU: 50, MemoryMB: 1 << 16}
-	if err := s.Claim("vm-1", "bb-0", req); err != nil {
+	if err := s.Claim("vm-1", "bb-0", 50, 1<<16); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Move("vm-1", "bb-1"); err != nil {
@@ -156,15 +181,18 @@ func TestMove(t *testing.T) {
 	}
 	p0, _ := s.Provider("bb-0")
 	p1, _ := s.Provider("bb-1")
-	if p0.Used(VCPU) != 0 || p1.Used(VCPU) != 50 {
-		t.Errorf("move did not transfer usage: %d / %d", p0.Used(VCPU), p1.Used(VCPU))
+	if p0.VCPUUsed != 0 || p0.MemUsedMB != 0 || p1.VCPUUsed != 50 || p1.MemUsedMB != 1<<16 {
+		t.Errorf("move did not transfer usage: %+v / %+v", p0, p1)
 	}
-	if s.AllocationOf("vm-1").Provider != "bb-1" {
+	if a, _ := s.AllocationOf("vm-1"); a.Provider != "bb-1" {
 		t.Error("allocation record not updated")
 	}
 	// Self-move is a no-op.
 	if err := s.Move("vm-1", "bb-1"); err != nil {
 		t.Fatal(err)
+	}
+	if s.Stats().Moves != 1 {
+		t.Errorf("moves = %d, want 1", s.Stats().Moves)
 	}
 	// Unknown consumer / provider.
 	if err := s.Move("ghost", "bb-0"); !errors.Is(err, ErrUnknownConsumer) {
@@ -177,41 +205,46 @@ func TestMove(t *testing.T) {
 
 func TestMoveCapacityCheck(t *testing.T) {
 	s := newTestService(t)
-	if err := s.Claim("big", "bb-1", Request{VCPU: 400}); err != nil {
+	if err := s.Claim("big", "bb-1", 400, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Claim("vm-1", "bb-0", Request{VCPU: 10}); err != nil {
+	if err := s.Claim("vm-1", "bb-0", 10, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Move("vm-1", "bb-1"); !errors.Is(err, ErrCapacityExceeded) {
 		t.Errorf("move to full provider error = %v", err)
 	}
 	// Failed move must not corrupt state.
-	p0, _ := s.Provider("bb-0")
-	if p0.Used(VCPU) != 10 {
-		t.Errorf("failed move corrupted source usage: %d", p0.Used(VCPU))
+	if p0, _ := s.Provider("bb-0"); p0.VCPUUsed != 10 {
+		t.Errorf("failed move corrupted source usage: %d", p0.VCPUUsed)
 	}
 }
 
-func TestUpdateInventory(t *testing.T) {
+func TestSetCapacity(t *testing.T) {
 	s := newTestService(t)
-	if err := s.UpdateInventory("bb-0", VCPU, Inventory{Total: 10, AllocationRatio: 0}); err != nil {
+	if err := s.Claim("vm-1", "bb-0", 8, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetCapacity("bb-0", 4, 100); err != nil {
 		t.Fatal(err)
 	}
 	p, _ := s.Provider("bb-0")
-	if got := p.Inventory(VCPU).Capacity(); got != 10 {
-		t.Errorf("updated capacity = %d, want 10 (ratio defaulted to 1)", got)
+	if p.VCPUCap != 4 || p.MemCapMB != 100 || p.VCPUUsed != 8 {
+		t.Errorf("after SetCapacity = %+v, want capacity 4/100 and usage kept", p)
 	}
-	if err := s.UpdateInventory("nope", VCPU, Inventory{}); !errors.Is(err, ErrUnknownProvider) {
+	// Over capacity: no candidate, even for an empty ask.
+	if got := s.Candidates(Ask{}, nil); fmt.Sprint(names(got)) != "[bb-1]" {
+		t.Errorf("candidates over a shrunken provider = %v", names(got))
+	}
+	if err := s.SetCapacity("nope", 1, 1); !errors.Is(err, ErrUnknownProvider) {
 		t.Errorf("unknown provider error = %v", err)
 	}
 }
 
 func TestProvidersSorted(t *testing.T) {
 	s := newTestService(t)
-	ps := s.Providers()
-	if len(ps) != 2 || ps[0].Name != "bb-0" || ps[1].Name != "bb-1" {
-		t.Errorf("providers = %v", ps)
+	if got := names(s.Providers()); fmt.Sprint(got) != "[bb-0 bb-1]" {
+		t.Errorf("providers = %v", got)
 	}
 	if _, err := s.Provider("ghost"); !errors.Is(err, ErrUnknownProvider) {
 		t.Errorf("unknown lookup error = %v", err)
@@ -221,7 +254,7 @@ func TestProvidersSorted(t *testing.T) {
 // Concurrent claims must never oversubscribe capacity.
 func TestConcurrentClaims(t *testing.T) {
 	s := NewService()
-	if _, err := s.CreateProvider("p", map[ResourceClass]Inventory{VCPU: {Total: 100, AllocationRatio: 1}}); err != nil {
+	if err := s.CreateProvider("p", 0, 100, 0); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -231,7 +264,7 @@ func TestConcurrentClaims(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id := fmt.Sprintf("vm-%d", i)
-			if err := s.Claim(id, "p", Request{VCPU: 10}); err == nil {
+			if err := s.Claim(id, "p", 10, 0); err == nil {
 				granted <- id
 			}
 		}(i)
@@ -245,25 +278,24 @@ func TestConcurrentClaims(t *testing.T) {
 	if n != 10 {
 		t.Errorf("granted %d claims of 10 vCPU on 100 capacity, want exactly 10", n)
 	}
-	p, _ := s.Provider("p")
-	if p.Used(VCPU) != 100 {
-		t.Errorf("used = %d, want 100", p.Used(VCPU))
+	if p, _ := s.Provider("p"); p.VCPUUsed != 100 {
+		t.Errorf("used = %d, want 100", p.VCPUUsed)
 	}
 }
 
-// Property: usage counters never go negative and free never exceeds
-// capacity across random claim/release sequences.
+// Property: usage never goes negative or above capacity and always equals
+// the sum of live allocations across random claim/release sequences.
 func TestPropertyUsageInvariant(t *testing.T) {
 	f := func(ops []bool) bool {
 		s := NewService()
-		if _, err := s.CreateProvider("p", map[ResourceClass]Inventory{VCPU: {Total: 50, AllocationRatio: 2}}); err != nil {
+		if err := s.CreateProvider("p", 0, 100, 0); err != nil {
 			return false
 		}
 		live := []string{}
 		for i, claim := range ops {
 			if claim {
 				id := fmt.Sprintf("c-%d", i)
-				if err := s.Claim(id, "p", Request{VCPU: 7}); err == nil {
+				if err := s.Claim(id, "p", 7, 0); err == nil {
 					live = append(live, id)
 				}
 			} else if len(live) > 0 {
@@ -273,10 +305,7 @@ func TestPropertyUsageInvariant(t *testing.T) {
 				live = live[:len(live)-1]
 			}
 			p, _ := s.Provider("p")
-			if p.Used(VCPU) < 0 || p.Free(VCPU) > p.Inventory(VCPU).Capacity() {
-				return false
-			}
-			if p.Used(VCPU) != int64(len(live))*7 {
+			if p.VCPUUsed < 0 || p.VCPUUsed > p.VCPUCap || p.VCPUUsed != int64(len(live))*7 {
 				return false
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sapsim/internal/core"
+	"sapsim/internal/nova"
 	"sapsim/internal/sim"
 )
 
@@ -300,5 +301,41 @@ func TestAggregatesAverageOverSeeds(t *testing.T) {
 	}
 	if got, want := aggs[0].PackingMemPct, sum/2; got != want {
 		t.Fatalf("aggregate mem packing %v != hand-computed %v", got, want)
+	}
+}
+
+// TestContentionAwareVariantWeighsContention pins that the contention-aware
+// variant both feeds contention telemetry and weighs it: its config carries
+// a ContentionWeigher, and its sweep row differs from the default's.
+func TestContentionAwareVariantWeighsContention(t *testing.T) {
+	v, err := VariantByName("contention-aware")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A denser cell than testConfig's, so hosts contend.
+	base := testConfig(6)
+	base.VMs = 600
+	cfg := base
+	v.Apply(&cfg)
+	weighs := false
+	for _, w := range cfg.Scheduler.Weighers {
+		_, ok := w.(nova.ContentionWeigher)
+		weighs = weighs || ok
+	}
+	if !cfg.ContentionFeed || !weighs {
+		t.Fatalf("contention-aware config: feed %v, ContentionWeigher %v; want both", cfg.ContentionFeed, weighs)
+	}
+	def, _ := VariantByName("default")
+	res, err := Sweep(Matrix{
+		Base:      base,
+		Scenarios: []*Scenario{Baseline()},
+		Variants:  []Variant{def, v},
+		Seeds:     []uint64{42},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := res.Runs[0].Metrics, res.Runs[1].Metrics; reflect.DeepEqual(a, b) {
+		t.Errorf("contention-aware sweep row equals default's: %+v", a)
 	}
 }

@@ -21,7 +21,10 @@ func BuiltinVariants() []Variant {
 		{Name: "pack-general", Apply: func(cfg *core.Config) {
 			cfg.Scheduler.GeneralNodePolicy = nova.PackNodes
 		}},
-		{Name: "contention-aware", Apply: func(cfg *core.Config) { cfg.ContentionFeed = true }},
+		{Name: "contention-aware", Apply: func(cfg *core.Config) {
+			cfg.ContentionFeed = true
+			cfg.Scheduler.Weighers = nova.ContentionAwareWeighers()
+		}},
 	}
 }
 

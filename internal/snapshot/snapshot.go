@@ -1,6 +1,6 @@
 // Package snapshot defines the versioned, digest-stamped serialization of
 // complete mid-run engine state: the discrete-event queue (as rearmable
-// owner/payload records), every RNG stream, the fleet and inventory-mirror
+// owner/payload records), every RNG stream, the fleet and placement
 // overlays, counters, the event log, and the telemetry store.
 //
 // A snapshot is pure data — no function values, no pointers into the live

@@ -119,11 +119,7 @@ func init() {
 		Description: "feed per-BB contention telemetry into a contention weigher",
 		Apply: func(cfg *Config) {
 			cfg.ContentionFeed = true
-			cfg.Scheduler.Weighers = []nova.Weigher{
-				nova.ContentionWeigher{Mult: 2},
-				nova.RAMWeigher{Mult: 1, SAPPolicy: true},
-				nova.CPUWeigher{Mult: 0.5},
-			}
+			cfg.Scheduler.Weighers = nova.ContentionAwareWeighers()
 		},
 	})
 }

@@ -164,7 +164,7 @@ func TestSamplingWorkGate(t *testing.T) {
 	if raceEnabled {
 		return // the race detector's shadow allocations move the byte count
 	}
-	const wantAlloc = 19.1e6
+	const wantAlloc = 18.5e6
 	if got := float64(after.TotalAlloc - before.TotalAlloc); math.Abs(got-wantAlloc) > 0.02*wantAlloc {
 		t.Errorf("run allocated %.1f MB, want %.1f MB ±2%%", got/1e6, wantAlloc/1e6)
 	}
@@ -207,7 +207,7 @@ func TestChurnWorkGate(t *testing.T) {
 	if raceEnabled {
 		return // the race detector's shadow allocations move the byte count
 	}
-	const wantAlloc = 26.3e6
+	const wantAlloc = 23.6e6
 	if got := float64(after.TotalAlloc - before.TotalAlloc); math.Abs(got-wantAlloc) > 0.02*wantAlloc {
 		t.Errorf("run allocated %.1f MB, want %.1f MB ±2%%", got/1e6, wantAlloc/1e6)
 	}
