@@ -3,29 +3,34 @@ package nova
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
-	"sapsim/internal/placement"
 	"sapsim/internal/sim"
+	"sapsim/internal/topology"
 	"sapsim/internal/vmmodel"
 )
 
 // TestInventoryMirrorConsistency hammers the scheduler with random
-// schedule/delete/resize traffic plus maintenance-driven inventory
-// refreshes, then asserts the incremental inventory mirror agrees with the
-// placement service field by field, and that the mirror's candidate scan
-// returns exactly the set the placement query would.
+// schedule/delete/resize traffic, maintenance-driven inventory refreshes and
+// mid-run block registrations, then asserts the scheduler's per-block
+// host-state table mirrors the placement service: each provider's creation
+// index resolves to the block of the same name, its traits and capacity are
+// the block's, and every candidate placement returns resolves to a host
+// state of the block placement named, in the same order.
 func TestInventoryMirrorConsistency(t *testing.T) {
+	catalog := vmmodel.Catalog()
+	gen := topology.Capacity{PCPUCores: 32, MemoryMB: 512 << 10, StorageGB: 8 << 10, NetworkGbps: 200}
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewPCG(uint64(trial), 1234))
 		fleet, sched := testEnv(t, DefaultConfig())
-		catalog := vmmodel.Catalog()
 		var live []*vmmodel.VM
 		now := sim.Time(0)
+		added := 0
 
 		for step := 0; step < 250; step++ {
 			now += sim.Minute
-			switch op := rng.IntN(12); {
+			switch op := rng.IntN(13); {
 			case op < 6: // schedule
 				f := catalog[rng.IntN(len(catalog))]
 				vm := &vmmodel.VM{
@@ -55,14 +60,25 @@ func TestInventoryMirrorConsistency(t *testing.T) {
 					// unplaced — documented Resize behavior.
 					live = append(live[:i], live[i+1:]...)
 				}
-			default: // flip a node's maintenance and refresh the BB inventory
+			case op == 12 && added < 3: // register a block added mid-run
+				// The "a-" prefix sorts ahead of the initial blocks, so
+				// placement's name order and creation order diverge.
+				dc := fleet.Region().AZs[rng.IntN(2)].DCs[0]
+				bb, err := dc.AddBB(topology.BBID(fmt.Sprintf("a-late-%d", added)), topology.GeneralPurpose, 2, gen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range bb.Nodes {
+					fleet.AddHost(n)
+				}
+				if err := sched.RegisterBB(bb); err != nil {
+					t.Fatalf("trial %d step %d: register: %v", trial, step, err)
+				}
+				added++
+			case op >= 10: // flip a node's maintenance and refresh the BB inventory
 				bbs := fleet.Region().BBs()
 				bb := bbs[rng.IntN(len(bbs))]
-				nodes := bb.Nodes
-				if len(nodes) == 0 {
-					continue
-				}
-				n := nodes[rng.IntN(len(nodes))]
+				n := bb.Nodes[rng.IntN(len(bb.Nodes))]
 				n.Maintenance = !n.Maintenance
 				if err := sched.RefreshInventory(bb); err != nil {
 					t.Fatalf("trial %d step %d: refresh: %v", trial, step, err)
@@ -71,85 +87,42 @@ func TestInventoryMirrorConsistency(t *testing.T) {
 		}
 
 		pl := schedPlacement(sched)
-		for _, e := range sched.entries {
-			p, err := pl.Provider(e.name)
-			if err != nil {
-				t.Fatalf("trial %d: mirror has entry %s, placement does not: %v", trial, e.name, err)
+		providers := pl.Providers()
+		if len(sched.states) != len(providers) || len(providers) != len(fleet.Region().BBs()) {
+			t.Fatalf("trial %d: %d host states, %d providers, %d blocks",
+				trial, len(sched.states), len(providers), len(fleet.Region().BBs()))
+		}
+		for _, p := range providers {
+			h := sched.states[p.Index]
+			if string(h.BB.ID) != p.Name {
+				t.Fatalf("trial %d: provider %s (index %d) resolves to host state of %s",
+					trial, p.Name, p.Index, h.BB.ID)
 			}
-			if got, want := e.vcpuUsed, p.Used(placement.VCPU); got != want {
-				t.Errorf("trial %d: %s mirror vcpuUsed=%d placement=%d", trial, e.name, got, want)
+			if got, want := p.Traits, traitsOf(h.BB); got != want {
+				t.Errorf("trial %d: %s traits %v, block advertises %v", trial, p.Name, got, want)
 			}
-			if got, want := e.memUsed, p.Used(placement.MemoryMB); got != want {
-				t.Errorf("trial %d: %s mirror memUsed=%d placement=%d", trial, e.name, got, want)
-			}
-			if got, want := e.vcpuCap, p.Inventory(placement.VCPU).Capacity(); got != want {
-				t.Errorf("trial %d: %s mirror vcpuCap=%d placement=%d", trial, e.name, got, want)
-			}
-			if got, want := e.memCap, p.Inventory(placement.MemoryMB).Capacity(); got != want {
-				t.Errorf("trial %d: %s mirror memCap=%d placement=%d", trial, e.name, got, want)
+			alloc := fleet.BBAlloc(h.BB)
+			if p.VCPUCap != int64(alloc.VCPUCap) || p.MemCapMB != alloc.MemCapMB {
+				t.Errorf("trial %d: %s capacity %d vCPU / %d MB, fleet %d / %d",
+					trial, p.Name, p.VCPUCap, p.MemCapMB, alloc.VCPUCap, alloc.MemCapMB)
 			}
 		}
 
-		// The mirror's candidate scan must reproduce the placement query:
-		// same providers, same name order, for every request shape.
+		// The scheduler's candidate lookup must reproduce the placement
+		// query: same blocks, same name order, for every request shape.
 		for _, f := range catalog {
 			vm := &vmmodel.VM{ID: "probe", Flavor: f}
-			req := &RequestSpec{VM: vm}
-			ask := placement.Request{
-				placement.VCPU:     int64(f.VCPUs),
-				placement.MemoryMB: vm.RequestedMemoryMB(),
+			var want, got []string
+			for _, p := range pl.Candidates(askOf(vm), nil) {
+				want = append(want, p.Name)
+				got = append(got, string(sched.states[p.Index].BB.ID))
 			}
-			required, forbidden := req.Traits()
-			want, err := pl.Candidates(ask, required, forbidden)
-			if err != nil {
-				t.Fatal(err)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d flavor %s: host states %v, placement %v", trial, f.Name, got, want)
 			}
-			var got []string
-			traits := vmFlavorTraits{requireGPU: f.RequireGPU, hana: f.Class == vmmodel.HANA}
-			for _, e := range sched.entries {
-				if e.matches(&traits) &&
-					e.vcpuCap-e.vcpuUsed >= int64(f.VCPUs) &&
-					e.memCap-e.memUsed >= vm.RequestedMemoryMB() {
-					got = append(got, e.name)
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("trial %d flavor %s: mirror candidates %v, placement %v", trial, f.Name, got, want)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d flavor %s: mirror candidates %v, placement %v", trial, f.Name, got, want)
-				}
+			if !slices.IsSorted(want) {
+				t.Fatalf("trial %d flavor %s: candidates %v not in name order", trial, f.Name, want)
 			}
 		}
-	}
-}
-
-// TestSchedulerScheduleAllocs pins the steady-state allocation budget of a
-// schedule+delete pair. Before the incremental inventory this was ~75
-// allocations (candidate query, host-state rebuild, rank scratch, node
-// sort); the budget leaves room only for the claim record and map churn.
-func TestSchedulerScheduleAllocs(t *testing.T) {
-	_, sched := testEnv(t, DefaultConfig())
-	flavor := vmmodel.CatalogByName()["MK"]
-	// Warm up scratch buffers and map capacity.
-	for i := 0; i < 50; i++ {
-		vm := &vmmodel.VM{ID: vmmodel.ID(fmt.Sprintf("warm-%d", i)), Flavor: flavor}
-		if _, err := sched.Schedule(&RequestSpec{VM: vm}, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	vm := &vmmodel.VM{ID: "alloc-probe", Flavor: flavor}
-	req := &RequestSpec{VM: vm}
-	avg := testing.AllocsPerRun(200, func() {
-		if _, err := sched.Schedule(req, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := sched.Delete(vm, 0); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 6 {
-		t.Errorf("schedule+delete pair allocates %.1f objects, want <= 6", avg)
 	}
 }
