@@ -102,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintln(stdout, "variants:")
 		for _, v := range scenario.BuiltinVariants() {
-			fmt.Fprintf(stdout, "  %s\n", v.Name)
+			fmt.Fprintf(stdout, "  %-20s %s\n", v.Name, v.Description)
 		}
 		return nil
 	}

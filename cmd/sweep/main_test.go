@@ -171,8 +171,12 @@ func TestListNamesEveryBuiltin(t *testing.T) {
 			t.Errorf("-list lacks scenario %s", sc.Name)
 		}
 	}
-	for _, v := range scenario.BuiltinVariants() {
-		if !strings.Contains(out, "  "+v.Name+"\n") {
+	variants := scenario.BuiltinVariants()
+	if len(variants) != 8 {
+		t.Errorf("%d builtin variants, want 8", len(variants))
+	}
+	for _, v := range variants {
+		if !strings.Contains(out, "  "+v.Name+" ") || !strings.Contains(out, v.Description+"\n") {
 			t.Errorf("-list lacks variant %s", v.Name)
 		}
 	}
@@ -182,5 +186,8 @@ func TestBadMatrixFails(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-scenarios", "no-such-scenario"}, &stdout, &stderr); err == nil {
 		t.Error("unknown scenario accepted")
+	}
+	if err := run([]string{"-variants", "default,default"}, &stdout, &stderr); err == nil {
+		t.Error("repeated variant accepted")
 	}
 }

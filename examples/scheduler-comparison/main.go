@@ -1,15 +1,13 @@
-// Scheduler comparison: run the same workload under every registered
-// placement policy — the SAP production posture (spread general, bin-pack
-// HANA), pure spreading, BestFit-style packing, and contention-aware
-// placement — and compare placement success, fleet imbalance, and
-// contention. This is the runnable form of the paper's Sec. 7 guidance
-// ("placement and dynamic rescheduling should be combined", "CPU contention
-// should be mitigated").
+// Scheduler comparison: run the same workload under each placement policy
+// — the SAP production posture (spread general, bin-pack HANA), pure
+// spreading, BestFit-style packing, and contention-aware placement — and
+// compare placement success, fleet imbalance, and contention. This is the
+// runnable form of the paper's Sec. 7 guidance ("placement and dynamic
+// rescheduling should be combined", "CPU contention should be mitigated").
 //
-// Policies come from the sapsim policy registry (sapsim.Policies /
-// sapsim.RegisterPolicy), so nothing here hand-wires scheduler internals:
-// registering a new policy from init anywhere in the program adds a row to
-// this comparison.
+// Policies come from sapsim.Policies, rows of the one table of scheduler
+// configurations (scenario.BuiltinVariants), so nothing here hand-wires
+// scheduler internals.
 package main
 
 import (

@@ -61,12 +61,18 @@ func main() {
 	fmt.Printf("replay workload: %d instances reconstructed from telemetry\n\n", len(instances))
 
 	// Phase 3: replay through two scheduler variants on a fresh region.
+	pack, ok := sapsim.PolicyByName(sapsim.PolicyPack)
+	if !ok {
+		log.Fatalf("no %s policy", sapsim.PolicyPack)
+	}
+	packed := sapsim.DefaultConfig(cfg.Seed)
+	pack.Apply(&packed)
 	variants := []struct {
 		name string
 		cfg  nova.Config
 	}{
 		{"production (spread gp / pack HANA)", nova.DefaultConfig()},
-		{"pack-everything (BestFit-style)", packConfig()},
+		{"pack-everything (BestFit-style)", packed.Scheduler},
 	}
 	for _, v := range variants {
 		region, err := topology.Build(topology.DefaultBuildSpec(cfg.Scale))
@@ -127,14 +133,4 @@ func main() {
 	}
 	fmt.Println("\nreading: packing uses fewer nodes at higher peak utilization —")
 	fmt.Println("the bin-packing/load-balancing tradeoff of Sec. 3.2, on recorded demand.")
-}
-
-// packConfig bin-packs everything: negative RAM weigher and packing node
-// policy for both classes.
-func packConfig() nova.Config {
-	cfg := nova.DefaultConfig()
-	cfg.Weighers = []nova.Weigher{nova.RAMWeigher{Mult: -1}, nova.CPUWeigher{Mult: -0.5}}
-	cfg.GeneralNodePolicy = nova.PackNodes
-	cfg.HANANodePolicy = nova.PackNodes
-	return cfg
 }

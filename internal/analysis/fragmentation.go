@@ -19,9 +19,7 @@ import (
 // fragmentation-aware count).
 func PlaceableVMs(fleet *esx.Fleet, f *vmmodel.Flavor) int {
 	total := 0
-	for _, h := range fleet.Hosts() {
-		total += placeableOnHost(h, f)
-	}
+	fleet.EachHost(func(h *esx.Host) { total += placeableOnHost(h, f) })
 	return total
 }
 
@@ -48,9 +46,9 @@ func placeableOnHost(h *esx.Host, f *vmmodel.Flavor) int {
 func AggregatePlaceableVMs(fleet *esx.Fleet, f *vmmodel.Flavor) int {
 	var freeCPU int
 	var freeMem int64
-	for _, h := range fleet.Hosts() {
+	fleet.EachHost(func(h *esx.Host) {
 		if h.Node.Maintenance {
-			continue
+			return
 		}
 		if c := h.FreeVCPUs(); c > 0 {
 			freeCPU += c
@@ -58,7 +56,7 @@ func AggregatePlaceableVMs(fleet *esx.Fleet, f *vmmodel.Flavor) int {
 		if m := h.FreeMemMB(); m > 0 {
 			freeMem += m
 		}
-	}
+	})
 	byCPU := freeCPU / f.VCPUs
 	byMem := int(freeMem / (int64(f.RAMGiB) << 10))
 	if byMem < byCPU {

@@ -60,9 +60,6 @@ type Config struct {
 	CrossBB bool
 	// RecordVMMetrics enables per-VM series (needed for Fig. 14).
 	RecordVMMetrics bool
-	// ContentionFeed updates the scheduler's per-BB contention view at
-	// every host sample, powering the contention-aware weigher.
-	ContentionFeed bool
 	// HolisticNodeFit appends the NodeFitFilter (wired to the live
 	// fleet), collapsing the two-layer BB→node split into one node-aware
 	// decision — the Sec. 7 "holistic scheduling" ablation (A7).
@@ -217,6 +214,9 @@ type sampler struct {
 	// prof receives appended-sample counts: the sampling phases' work-unit
 	// proxy (each append is one sample landing in the store).
 	prof *engprof.Collector
+	// feed passes each host's contention to the scheduler, which only a
+	// ContentionWeigher reads.
+	feed bool
 }
 
 func newSampler(res *Result, cfg Config, prof *engprof.Collector, fail func(error)) *sampler {
@@ -227,7 +227,19 @@ func newSampler(res *Result, cfg Config, prof *engprof.Collector, fail func(erro
 		hostRefs: make(map[topology.NodeID][]telemetry.SeriesRef),
 		vmRefs:   make(map[vmmodel.ID][]telemetry.SeriesRef),
 		prof:     prof,
+		feed:     weighsContention(cfg),
 	}
+}
+
+// weighsContention reports whether the scheduler's weighers read the per-BB
+// contention view, which host samples then feed.
+func weighsContention(cfg Config) bool {
+	for _, w := range cfg.Scheduler.Weighers {
+		if _, ok := w.(nova.ContentionWeigher); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // put queues one entity's values behind its handles, in schema order.
@@ -270,7 +282,7 @@ func (s *sampler) sampleHosts(now sim.Time) {
 			m.StorageUsedGB, m.StoragePct(h.Node.Capacity.StorageGB), m.CPUContentionPct, m.CPUReadyMillis)
 		ops += int64(len(hostSchema))
 
-		if s.cfg.ContentionFeed {
+		if s.feed {
 			s.res.Scheduler.SetContention(h.Node.BB.ID, m.CPUContentionPct)
 		}
 	})

@@ -6,6 +6,7 @@ import (
 
 	"sapsim/internal/analysis"
 	"sapsim/internal/exporter"
+	"sapsim/internal/nova"
 	"sapsim/internal/sim"
 	"sapsim/internal/vmmodel"
 )
@@ -224,10 +225,11 @@ func TestRunNetworkHeadroom(t *testing.T) {
 }
 
 // TestRunContentionFeedEnablesWeigher checks that host samples reach the
-// scheduler's per-BB contention view with the feed on, and never without it.
+// scheduler's per-BB contention view when its weighers hold a
+// ContentionWeigher, and never with the default weighers.
 func TestRunContentionFeedEnablesWeigher(t *testing.T) {
 	cfg := smallConfig(31)
-	cfg.ContentionFeed = true
+	cfg.Scheduler.Weighers = nova.ContentionAwareWeighers()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -241,8 +243,7 @@ func TestRunContentionFeedEnablesWeigher(t *testing.T) {
 			t.Errorf("contention fed for unknown block: %v", err)
 		}
 	}
-	cfg.ContentionFeed = false
-	if res, err = Run(cfg); err != nil {
+	if res, err = Run(smallConfig(31)); err != nil {
 		t.Fatal(err)
 	}
 	if fed := res.Scheduler.Contention(); len(fed) != 0 {

@@ -30,7 +30,7 @@ func fingerprint(cfg Config, numInjectors int) string {
 		cfg.Seed, cfg.Scale, cfg.VMs, cfg.Days, cfg.SampleEvery, cfg.VMSampleEvery)
 	fmt.Fprintf(&b, " drs=%t/%d cross=%t vmmetrics=%t contention=%t holistic=%t resize=%g",
 		cfg.DRS, cfg.DRSEvery, cfg.CrossBB, cfg.RecordVMMetrics,
-		cfg.ContentionFeed, cfg.HolisticNodeFit, cfg.ResizeRate)
+		weighsContention(cfg), cfg.HolisticNodeFit, cfg.ResizeRate)
 	fmt.Fprintf(&b, " esx=%+v", cfg.ESX)
 	fmt.Fprintf(&b, " phases=%+v", cfg.ArrivalPhases)
 	for i := 0; i < numInjectors && i < len(cfg.Injectors); i++ {

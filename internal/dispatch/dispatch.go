@@ -77,7 +77,6 @@ type ConfigSpec struct {
 	DRSEvery        sim.Time
 	CrossBB         bool
 	RecordVMMetrics bool
-	ContentionFeed  bool
 	HolisticNodeFit bool
 	ResizeRate      float64
 }
@@ -97,7 +96,6 @@ func SpecOf(cfg core.Config) ConfigSpec {
 		DRSEvery:        cfg.DRSEvery,
 		CrossBB:         cfg.CrossBB,
 		RecordVMMetrics: cfg.RecordVMMetrics,
-		ContentionFeed:  cfg.ContentionFeed,
 		HolisticNodeFit: cfg.HolisticNodeFit,
 		ResizeRate:      cfg.ResizeRate,
 	}
@@ -118,7 +116,6 @@ func (s ConfigSpec) Config() core.Config {
 	cfg.DRSEvery = s.DRSEvery
 	cfg.CrossBB = s.CrossBB
 	cfg.RecordVMMetrics = s.RecordVMMetrics
-	cfg.ContentionFeed = s.ContentionFeed
 	cfg.HolisticNodeFit = s.HolisticNodeFit
 	cfg.ResizeRate = s.ResizeRate
 	return cfg
@@ -200,7 +197,8 @@ func (s *Spec) normalize() {
 }
 
 // Validate checks that every scenario and variant name resolves against
-// the builtin libraries.
+// the builtin libraries and that no scenario, variant or seed repeats: a
+// repeat would run the same cell twice under one key.
 func (s Spec) Validate() error {
 	if len(s.Scenarios) == 0 || len(s.Variants) == 0 || len(s.Seeds) == 0 {
 		return fmt.Errorf("dispatch: empty sweep spec")
@@ -214,6 +212,23 @@ func (s Spec) Validate() error {
 		if _, err := scenario.VariantByName(name); err != nil {
 			return fmt.Errorf("dispatch: %w", err)
 		}
+	}
+	if err := unique("scenario", s.Scenarios); err != nil {
+		return err
+	}
+	if err := unique("variant", s.Variants); err != nil {
+		return err
+	}
+	return unique("seed", s.Seeds)
+}
+
+func unique[T comparable](what string, list []T) error {
+	seen := make(map[T]bool, len(list))
+	for _, v := range list {
+		if seen[v] {
+			return fmt.Errorf("dispatch: %s %v listed twice", what, v)
+		}
+		seen[v] = true
 	}
 	return nil
 }
@@ -265,9 +280,7 @@ func (s Spec) CellConfig(key scenario.Key) (core.Config, error) {
 	cfg := s.Base.Config()
 	cfg.Seed = key.Seed
 	cfg = sc.Configure(cfg)
-	if v.Apply != nil {
-		v.Apply(&cfg)
-	}
+	v.Apply(&cfg)
 	return cfg, nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sapsim/internal/artifact"
+	"sapsim/internal/core"
 	"sapsim/internal/scenario"
 	"sapsim/internal/sim"
 )
@@ -421,5 +422,23 @@ func TestSpecExpansionMatchesSweepOrder(t *testing.T) {
 	}
 	if err := (Spec{Scenarios: []string{"no-such"}, Variants: []string{"default"}, Seeds: []uint64{1}}).Validate(); err == nil {
 		t.Error("unknown scenario name validated")
+	}
+}
+
+// TestParseSpecRejectsRepeats: a repeated name or seed would run one cell
+// twice under one key, and both runs would land on one bundle path.
+func TestParseSpecRejectsRepeats(t *testing.T) {
+	base := core.DefaultConfig(1)
+	for _, tc := range []struct{ scenarios, variants, seeds string }{
+		{"baseline", "default,default", "1"},
+		{"baseline,host-failures,baseline", "default", "1"},
+		{"baseline", "default", "1,2,1"},
+	} {
+		if _, err := ParseSpec(base, tc.scenarios, tc.variants, tc.seeds, 0); err == nil {
+			t.Errorf("ParseSpec(%q, %q, %q) accepted a repeat", tc.scenarios, tc.variants, tc.seeds)
+		}
+	}
+	if _, err := ParseSpec(base, "baseline", "default,no-drs", "1,2", 0); err != nil {
+		t.Errorf("distinct matrix rejected: %v", err)
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"sapsim/internal/sim"
+	"sapsim/internal/topology"
 	"sapsim/internal/vmmodel"
+	"sapsim/internal/workload"
 )
 
 // pinnedFlavor returns a CPU-pinned test flavor (the Sec. 8 QoS class).
@@ -141,5 +143,64 @@ func TestPinnedFits(t *testing.T) {
 	}
 	if h.Fits(pinnedFlavor(33, 16)) {
 		t.Error("oversized pin accepted")
+	}
+}
+
+// TestPinningShieldsLatencySensitiveVM is the Sec. 8 QoS outlook: a
+// latency-sensitive VM shares one 32-core host with four bursty noisy
+// neighbors for a day. With dedicated cores it gets its demand delivered
+// and never waits; on the shared pool it is throttled under contention.
+func TestPinningShieldsLatencySensitiveVM(t *testing.T) {
+	run := func(pinned bool) (delivered, readyS float64) {
+		r := topology.NewRegion("pin")
+		bb, err := r.AddAZ("a").AddDC("d").AddBB("bb", topology.GeneralPurpose, 1, topology.Capacity{
+			PCPUCores: 32, MemoryMB: 512 << 10, StorageGB: 8 << 10, NetworkGbps: 200,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleet := NewFleet(r, DefaultConfig())
+		node := bb.Nodes[0]
+		critical := &vmmodel.VM{
+			ID:      "critical",
+			Flavor:  &vmmodel.Flavor{Name: "CRIT", VCPUs: 8, RAMGiB: 32, DiskGB: 100, PinCPU: pinned},
+			Profile: &workload.Profile{Seed: 1, MeanCPU: 0.9},
+		}
+		if err := fleet.Place(critical, node, 0); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 4; j++ {
+			noisy := &vmmodel.VM{
+				ID:      vmmodel.ID(rune('a' + j)),
+				Flavor:  vmmodel.CatalogByName()["MJ"],
+				Profile: &workload.Profile{Seed: uint64(j + 2), MeanCPU: 0.9, BurstProb: 0.3, BurstMag: 1.6},
+			}
+			if err := fleet.Place(noisy, node, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h, err := fleet.Host(node.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const step = 5 * sim.Minute
+		for ts := sim.Time(0); ts < sim.Day; ts += step {
+			m := h.Snapshot(ts, step)
+			u := h.VMSnapshot(critical, ts, step, m.CPUContentionPct)
+			delivered += u.CPUUsageRatio
+			readyS += u.ReadyMillis / 1000
+		}
+		n := float64(sim.Day / step)
+		return delivered / n, readyS / n
+	}
+	pinDelivered, pinReady := run(true)
+	sharedDelivered, sharedReady := run(false)
+	t.Logf("mean delivered ratio %.3f pinned, %.3f shared; mean ready %.3f s pinned, %.3f s shared",
+		pinDelivered, sharedDelivered, pinReady, sharedReady)
+	if pinReady != 0 || sharedReady == 0 {
+		t.Errorf("ready time %v s pinned, %v s shared; want 0 pinned only", pinReady, sharedReady)
+	}
+	if pinDelivered <= sharedDelivered {
+		t.Errorf("delivered ratio %.3f pinned <= %.3f shared", pinDelivered, sharedDelivered)
 	}
 }

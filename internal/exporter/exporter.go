@@ -93,9 +93,9 @@ func (e *Exporter) collect() []sample {
 		out = append(out, sample{name: name, labels: labels, value: value})
 	}
 
-	for _, h := range e.Fleet.Hosts() {
+	e.Fleet.EachHost(func(h *esx.Host) {
 		if h.Node.Maintenance {
-			continue // vROps reports no data for maintenance hosts
+			return // vROps reports no data for maintenance hosts
 		}
 		nodeLabels := []string{
 			"hostsystem", string(h.Node.ID),
@@ -125,7 +125,7 @@ func (e *Exporter) collect() []sample {
 			add(MetricVMCPURatio, u.CPUUsageRatio, vmLabels...)
 			add(MetricVMMemRatio, u.MemUsageRatio, vmLabels...)
 		})
-	}
+	})
 	if e.VMs != nil {
 		add(MetricInstancesTotal, float64(len(e.VMs())))
 	}

@@ -127,7 +127,8 @@ func DefaultWeighers() []Weigher {
 
 // ContentionAwareWeighers is the Sec. 7 contention-aware pipeline: the
 // production RAM/CPU weighers led by a ContentionWeigher, which reads the
-// per-BB contention fed through SetContention (core.Config.ContentionFeed).
+// per-BB contention that core's host sampler feeds through SetContention
+// whenever the weighers hold one.
 func ContentionAwareWeighers() []Weigher {
 	return []Weigher{
 		ContentionWeigher{Mult: 2},

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"sapsim/internal/core"
+	"sapsim/internal/esx"
 	"sapsim/internal/events"
 	"sapsim/internal/topology"
 	"sapsim/internal/vmmodel"
@@ -27,7 +28,7 @@ func CheckInvariants(res *core.Result) error {
 	var errs []error
 
 	// 1. Admission ceilings.
-	for _, h := range res.Fleet.Hosts() {
+	res.Fleet.EachHost(func(h *esx.Host) {
 		if h.AllocatedVCPUs() > h.VCPUCapacity() {
 			errs = append(errs, fmt.Errorf("host %s: vCPU allocation %d exceeds overcommit ceiling %d",
 				h.Node.ID, h.AllocatedVCPUs(), h.VCPUCapacity()))
@@ -40,11 +41,11 @@ func CheckInvariants(res *core.Result) error {
 			errs = append(errs, fmt.Errorf("host %s: %d pinned cores exceed %d physical cores",
 				h.Node.ID, h.PinnedCores(), h.Node.Capacity.PCPUCores))
 		}
-	}
+	})
 
 	// 3. Residency: each VM on at most one host, pointers consistent.
 	resident := make(map[vmmodel.ID]topology.NodeID)
-	for _, h := range res.Fleet.Hosts() {
+	res.Fleet.EachHost(func(h *esx.Host) {
 		for _, vm := range h.VMs() {
 			if prev, ok := resident[vm.ID]; ok {
 				errs = append(errs, fmt.Errorf("vm %s: double-placed on %s and %s", vm.ID, prev, h.Node.ID))
@@ -59,7 +60,7 @@ func CheckInvariants(res *core.Result) error {
 				errs = append(errs, fmt.Errorf("vm %s: resident on %s in state %s", vm.ID, h.Node.ID, vm.State))
 			}
 		}
-	}
+	})
 
 	// 2. Conservation: created = running + deleted + never-placed + lost.
 	var running, deleted, neverPlaced, lost int

@@ -19,8 +19,9 @@ import (
 // mutates a per-run copy of the base config; a nil Apply is the base config
 // unchanged.
 type Variant struct {
-	Name  string
-	Apply func(*core.Config)
+	Name        string
+	Description string
+	Apply       func(*core.Config)
 }
 
 // Matrix declares a sweep: every (scenario × variant × seed) combination

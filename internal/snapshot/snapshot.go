@@ -77,8 +77,8 @@ type SchedulerState struct {
 	Failed     int
 	Retries    int
 	Eliminated map[string]int
-	// Contention is the per-BB contention view fed by the sampler
-	// (Config.ContentionFeed), keyed by building-block ID.
+	// Contention is the per-BB contention view the sampler feeds when the
+	// weighers hold a ContentionWeigher, keyed by building-block ID.
 	Contention map[string]float64
 }
 

@@ -218,7 +218,7 @@ func WithObserverFunc(fn func(SessionEvent)) Option {
 	}
 }
 
-// WithPolicy applies a registered placement policy (see RegisterPolicy) to
+// WithPolicy applies a named scheduler configuration (see PolicyByName) to
 // the session's config copy. Unknown names fail NewSession.
 func WithPolicy(name string) Option {
 	return func(o *sessionOptions) error {

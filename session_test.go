@@ -3,12 +3,14 @@ package sapsim
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"sapsim/internal/core"
+	"sapsim/internal/nova"
 	"sapsim/internal/scenario"
 	"sapsim/internal/sim"
 )
@@ -541,24 +543,26 @@ func TestSessionOptionValidation(t *testing.T) {
 }
 
 func TestPolicyRegistry(t *testing.T) {
-	for _, name := range []string{PolicyProduction, PolicySpread, PolicyPack, PolicyContentionAware} {
-		p, ok := PolicyByName(name)
+	var names []string
+	for _, p := range Policies() {
+		names = append(names, p.Name)
+	}
+	want := []string{PolicyProduction, PolicyContentionAware, PolicyPack, PolicySpread}
+	if !slices.Equal(names, want) {
+		t.Errorf("Policies() = %v, want %v", names, want)
+	}
+	// Every row of the one table is a policy, complete.
+	for _, v := range scenario.BuiltinVariants() {
+		p, ok := PolicyByName(v.Name)
 		if !ok {
-			t.Fatalf("builtin policy %q not registered", name)
+			t.Fatalf("row %q is not a policy", v.Name)
 		}
 		if p.Description == "" || p.Apply == nil {
-			t.Errorf("policy %q incomplete", name)
+			t.Errorf("policy %q incomplete", v.Name)
 		}
 	}
 	if _, ok := PolicyByName("nope"); ok {
 		t.Error("unknown policy found")
-	}
-	ps := Policies()
-	if len(ps) < 4 {
-		t.Fatalf("registry has %d policies, want >= 4", len(ps))
-	}
-	if ps[0].Name != PolicyProduction {
-		t.Errorf("Policies()[0] = %s, want the production default first", ps[0].Name)
 	}
 	// WithPolicy actually mutates the session's config copy.
 	s, err := NewSession(sessionTestConfig(1), WithPolicy(PolicyContentionAware))
@@ -566,11 +570,17 @@ func TestPolicyRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if !s.Config().ContentionFeed {
-		t.Error("contention-aware policy did not enable the contention feed")
+	weighsContention := func(cfg Config) bool {
+		return slices.ContainsFunc(cfg.Scheduler.Weighers, func(w nova.Weigher) bool {
+			_, ok := w.(nova.ContentionWeigher)
+			return ok
+		})
+	}
+	if !weighsContention(s.Config()) {
+		t.Error("contention-aware policy did not add the contention weigher")
 	}
 	// The base config the caller holds is untouched.
-	if sessionTestConfig(1).ContentionFeed {
+	if weighsContention(sessionTestConfig(1)) {
 		t.Error("policy mutated the shared base config")
 	}
 }
