@@ -9,7 +9,7 @@
 // merged report of a killed-and-resumed sweep is byte-identical to a
 // single-process `sweep` run of the same matrix.
 //
-// Workers upload every artifact body into the dispatcher's
+// Each completion carries its cell's artifact bodies into the dispatcher's
 // content-addressed store (under -dir, deduplicated by digest), so the
 // daemon serves the report bundle at /bundle/ while the sweep runs — the
 // index and finished cells' bodies at once, the sweep-wide files once

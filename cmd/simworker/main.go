@@ -1,12 +1,11 @@
 // Command simworker is the worker half of the dispatcher split (the simd
 // of SIMQ): it books sweep cells from a dispatchd, runs each through the
 // step-driven sapsim Session, renews its lease with heartbeats that each
-// carry at most one mid-run snapshot, uploads every artifact body into the
-// dispatcher's content-addressed store (deduplicated: a HEAD probe skips
-// blobs the store already holds), and completes each cell with its
-// metrics plus digests. Workers are stateless: start as many as you have
-// machines, kill them freely — a dead worker's cell re-books after its
-// lease expires.
+// carry at most one mid-run snapshot, and completes each cell with one
+// request carrying its metrics, artifact digests and the bodies behind
+// them, which the dispatcher stores in its content-addressed store.
+// Workers are stateless: start as many as you have machines, kill them
+// freely — a dead worker's cell re-books after its lease expires.
 //
 // -jobs advertises the worker's capacity on every booking: the dispatcher
 // weights bookings by it, leasing an N-job worker up to N cells at once,
@@ -18,7 +17,7 @@
 //	          [-heartbeat D] [-poll D] [-timeout D] [-metrics ADDR] [-quiet]
 //
 // -metrics starts an HTTP listener serving the worker's fleet metrics
-// (in-flight vs capacity, per-cell wall time, heartbeat RTT, upload dedup)
+// (in-flight vs capacity, per-cell wall time, heartbeat RTT, book failures)
 // in Prometheus exposition format at GET /metrics, scrapeable by the
 // in-tree scrape/promql stack alongside the dispatcher's endpoint. Each
 // completed cell also feeds its engine self-profile into per-phase
@@ -26,9 +25,9 @@
 // scrape shows live where the fleet's simulation time is going — the
 // same attribution analyze -engprof renders post-hoc.
 //
-// Beyond the artifact bodies, every completed cell ships its engine
-// self-profile blob into the store; the profile pointer survives the
-// cell's completion and any dispatcher crash, so sweep -engprof can
+// Beyond the artifact bodies, every completion carries the cell's engine
+// self-profile, which the dispatcher stores; the profile pointer survives
+// the cell's completion and any dispatcher crash, so sweep -engprof can
 // export per-cell attribution even from a resumed sweep.
 //
 // The worker exits 0 once the dispatcher reports the sweep drained.

@@ -51,8 +51,8 @@
 // page per scenario, and every cell's artifact bodies, each read out of
 // the content-addressed store with digest verification (SHA256SUMS in the
 // bundle re-verifies offline) — the tree a dispatcher serves at /bundle/.
-// In the resumed mode the bodies come from the store the workers uploaded
-// into, under the journal directory; in the in-process mode they are
+// In the resumed mode the bodies come from the store the workers' completions
+// filled, under the journal directory; in the in-process mode they are
 // captured during the sweep — both produce byte-identical bundles for the
 // same matrix, as does dispatchd -bundle.
 package main
@@ -300,9 +300,9 @@ func (lt *localTracer) spans() []trace.Span {
 }
 
 // resumeSweep reopens a journal and runs the remaining cells in-process
-// over loopback. The workers re-upload any artifact bodies the resume audit
-// found missing or damaged, so the bundle that materializes afterward is
-// complete.
+// over loopback. The cells whose bodies the resume audit found missing or
+// damaged re-run and send them again, so the bundle that materializes
+// afterward is complete.
 func resumeSweep(ctx context.Context, dir string, workers int,
 	progress bool, stderr io.Writer, out dispatch.Exports) (*scenario.SweepResult, error) {
 	q, err := dispatch.Resume(dir, dispatch.QueueOptions{})

@@ -11,8 +11,8 @@
 //  5. verifies the merged report and per-cell artifact digests are
 //     byte-identical to a single-process scenario.Sweep of the same
 //     matrix,
-//  6. fetches the browsable report bundle over the wire — the workers
-//     uploaded every artifact body into the dispatcher's
+//  6. fetches the browsable report bundle over the wire — each completion
+//     carried its artifact bodies into the dispatcher's
 //     content-addressed store (deduplicated by digest, so the static
 //     tables identical across cells landed once) — and
 //  7. materializes the bundle to disk, every body digest-verified on the

@@ -156,15 +156,6 @@ func (e *Env) BringUp(n *topology.Node) bool {
 // iteration is deterministic.
 func (e *Env) Live() []*vmmodel.VM { return sortedLive(e.live) }
 
-// LiveCount reports the number of currently running VMs.
-func (e *Env) LiveCount() int { return len(e.live) }
-
-// IsLive reports whether the VM is currently running.
-func (e *Env) IsLive(id vmmodel.ID) bool {
-	_, ok := e.live[id]
-	return ok
-}
-
 // Lose removes a VM from the live set without a normal deletion — an
 // evacuation that found no valid host. Its pending deletion event becomes a
 // no-op.

@@ -17,8 +17,9 @@ import (
 )
 
 // completeCell books the next cell for worker and completes it with the
-// given artifact bodies, uploading each into the queue's store first —
-// the contract the wire path (PUT /artifact then POST /complete) follows.
+// given artifact bodies, storing each in the queue's store first — what
+// the dispatcher does with the bodies a POST /complete carries before it
+// calls Complete.
 func completeCell(t *testing.T, q *Queue, worker string, bodies map[string]string) *Job {
 	t.Helper()
 	j, _, err := q.Book(worker, 1)

@@ -23,10 +23,11 @@ const (
 	BlobProfile BlobKind = "profile"
 )
 
-// BlobRef is a worker-recorded pointer to one blob in the store. The body
-// travels first (PUT /artifact/{digest}, deduplicated like any other); the
-// pointer binds it to a cell. Losing a pointer is cheap — a cold restart,
-// or one cell's attribution — so the queue journals it without an fsync.
+// BlobRef is a recorded pointer to one blob in the store, binding it to a
+// cell. A snapshot's body travels first (PUT /artifact/{digest}) and its
+// pointer on the next heartbeat; a profile's body rides in the completion,
+// which records the pointer. Losing a pointer is cheap — a cold restart, or
+// one cell's attribution — so the queue journals it without an fsync.
 type BlobRef struct {
 	Kind   BlobKind
 	Digest string

@@ -12,15 +12,20 @@ import (
 )
 
 // The /artifact blob endpoints: the upload/fetch half of the CAS wire
-// protocol. Workers HEAD before PUT so blobs shared across cells — the
-// static tables every cell reproduces — travel and land exactly once.
+// protocol. HEAD and PUT carry the one blob that must land before the
+// pointer naming it, mid-run: a snapshot. The worker probes before it
+// uploads, so a re-booked cell that snapshots at an instant its previous
+// holder covered sends nothing. Artifact bodies and profiles ride in the
+// completion instead. GET serves every kind, for warm resume and the
+// bundle.
+
+// maxBlobBytes caps a blob PUT and a completion, whose bodies are blobs too.
+const maxBlobBytes = 64 << 20
 
 func (d *Dispatcher) handleArtifactHead(w http.ResponseWriter, r *http.Request) {
-	// A stat, deliberately not a content verification: every completing
-	// cell probes all its digests, so this sits on the sweep's hot path.
-	// Integrity is enforced where bytes move — Put refuses mismatched
-	// bodies, Get re-hashes on the way out — and Resume audits the whole
-	// store at rest.
+	// A stat, deliberately not a content verification: integrity is
+	// enforced where bytes move — Put refuses mismatched bodies, Get
+	// re-hashes on the way out — and Resume audits the whole store at rest.
 	size, err := d.queue.Store().Stat(r.PathValue("digest"))
 	if err != nil {
 		d.headMisses.Inc()
@@ -34,21 +39,14 @@ func (d *Dispatcher) handleArtifactHead(w http.ResponseWriter, r *http.Request) 
 
 func (d *Dispatcher) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBlobBytes))
 	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	stored, err := d.queue.PutArtifact(digest, body)
 	if err != nil {
-		// A body that doesn't hash to its digest is the client's fault; a
-		// store that can't write is ours — workers must be able to tell a
-		// rejected artifact from a dispatcher having a bad day.
-		if errors.Is(err, artifact.ErrInvalid) {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-		} else {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		blobError(w, err)
 		return
 	}
 	if !stored {
@@ -56,6 +54,18 @@ func (d *Dispatcher) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusCreated)
+}
+
+// blobError answers a failed Queue.PutArtifact. A body that doesn't hash to
+// its digest is the client's fault; a store that can't write is ours —
+// workers must be able to tell a rejected blob from a dispatcher having a
+// bad day.
+func blobError(w http.ResponseWriter, err error) {
+	status := http.StatusInternalServerError
+	if errors.Is(err, artifact.ErrInvalid) {
+		status = http.StatusBadRequest
+	}
+	http.Error(w, err.Error(), status)
 }
 
 func (d *Dispatcher) handleArtifactGet(w http.ResponseWriter, r *http.Request) {

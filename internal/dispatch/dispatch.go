@@ -19,24 +19,28 @@
 // Queue states: queued → booked → running → done | failed, with
 // lease-expiry edges booked/running → queued.
 //
-// Completed cells deliver more than digests: workers upload every artifact
-// body into the dispatcher's content-addressed store (internal/artifact,
-// under the journal directory), deduplicated by digest — a HEAD probe lets
-// a worker skip blobs the store already holds, which covers the static
-// tables identical across cells. The dispatcher mounts the report tree over
-// the collected bodies — artifact.Bundle, the same value WriteBundle writes
-// to disk — at /bundle, and Resume re-verifies the store against the
-// journal, re-queueing any cell whose blobs went missing, truncated, or
-// corrupt.
+// Completed cells deliver more than digests: the completion carries every
+// artifact body and the cell's engine profile, and the dispatcher stores
+// them in its content-addressed store (internal/artifact, under the journal
+// directory) before the result takes effect. The store keeps one copy per
+// digest, so the static tables identical across cells land once. Only
+// mid-run snapshots travel on their own (HEAD probe, then PUT), since their
+// blob must land before the heartbeat that points at it. The dispatcher
+// mounts the report tree over the collected bodies — artifact.Bundle, the
+// same value WriteBundle writes to disk — at /bundle, and Resume re-verifies
+// the store against the journal, re-queueing any cell whose blobs went
+// missing, truncated, or corrupt.
 //
-// Wire protocol (JSON over HTTP; artifact bodies travel raw):
+// Wire protocol (JSON over HTTP; snapshot blobs travel raw):
 //
 //	POST /book     {worker, capacity}        → 200 job+base config | 204 none free | 410 drained
 //	POST /progress {worker, job, attempt, snapshot, spans}     → 200 (lease renewed) | 409 lease lost | 412 blob missing
-//	POST /complete {worker, job, attempt, run, profile, spans} → 200 | 409 lease lost | 412 blobs missing
+//	POST /complete {worker, job, attempt, run, bodies, profile, spans}
+//	               → 200 | 400 body not named by run or not hashing to its digest
+//	                 | 409 lease lost | 412 a digest with neither body nor blob
 //	POST /release  {worker, job, attempt}             → 200 (cell re-queued) | 409 lease lost
-//	HEAD /artifact/{digest} → 200 held | 404
-//	PUT  /artifact/{digest} → 201 stored | 200 deduplicated | 400 hash mismatch
+//	HEAD /artifact/{digest} → 200 held | 404 (snapshot dedup probe)
+//	PUT  /artifact/{digest} → 201 stored | 200 deduplicated | 400 hash mismatch (snapshot blobs)
 //	GET  /artifact/{digest} → 200 body (digest-verified) | 404
 //	GET  /state    → queue snapshot
 //	GET  /result   → merged SweepResult (425 until drained)

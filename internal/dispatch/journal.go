@@ -38,11 +38,6 @@ type journalRecord struct {
 	State   string `json:"state,omitempty"`
 	Worker  string `json:"worker,omitempty"`
 	Attempt int    `json:"attempt,omitempty"`
-	// Lease is the lease expiry for booked/running transitions (wall
-	// clock, RFC 3339). Informational on replay: a resumed queue re-queues
-	// every in-flight job regardless, because the worker holding the lease
-	// cannot reach a dispatcher that just restarted under a new address.
-	Lease string `json:"lease,omitempty"`
 
 	Run *RunResult `json:"run,omitempty"`
 
@@ -59,7 +54,7 @@ type journalRecord struct {
 	Size   int64  `json:"size,omitempty"`
 
 	// span: one worker-side trace span (engine phase, snapshot encode,
-	// artifact upload) shipped alongside a heartbeat or completion for
+	// artifact render) shipped alongside a heartbeat or completion for
 	// Job. Spans are facts about the past, never replayed into queue
 	// state; TraceFromJournal merges them with the dispatcher-derived
 	// lifecycle spans.
@@ -247,6 +242,3 @@ func replayJournal(path string) (*replayedJournal, error) {
 	}
 	return out, nil
 }
-
-// leaseStamp formats a lease expiry for the journal.
-func leaseStamp(t time.Time) string { return t.UTC().Format(time.RFC3339Nano) }

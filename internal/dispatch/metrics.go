@@ -25,7 +25,7 @@ const (
 	MetricJournalAppend   = "dispatch_journal_append_seconds"
 	MetricJournalFsyncs   = "dispatch_journal_fsyncs_total"
 	MetricEncodeErrors    = "dispatch_response_encode_errors_total"
-	MetricArtifactHeads   = "dispatch_artifact_head_total" // counter{outcome}: hit|miss — the wire half of dedup
+	MetricArtifactHeads   = "dispatch_artifact_head_total" // counter{outcome}: hit|miss — workers' snapshot probes
 	// Artifact store (served by dispatchd, counters maintained by the store
 	// itself so Resume-time heal/GC work is included).
 	MetricStoreBlobs       = "artifact_store_blobs"
@@ -43,7 +43,6 @@ const (
 	MetricWorkerHeartbeat = "worker_heartbeat_seconds"
 	MetricWorkerBooks     = "worker_books_total"
 	MetricWorkerBookFails = "worker_book_failures_total"
-	MetricWorkerUploads   = "worker_uploads_total"        // counter{worker,outcome}: stored|dedup
 	MetricWorkerPhaseSecs = "worker_engine_phase_seconds" // histogram{worker,phase}: self-profiler time per phase per completed cell
 )
 
@@ -151,8 +150,6 @@ type workerMetrics struct {
 	booksBooked *fleetmetrics.Counter
 	booksEmpty  *fleetmetrics.Counter
 	bookFails   *fleetmetrics.Counter
-	upStored    *fleetmetrics.Counter
-	upDedup     *fleetmetrics.Counter
 
 	// reg and lbl let observeProfile register per-phase series lazily —
 	// the phase label values come from each completed cell's profile.
@@ -197,7 +194,5 @@ func newWorkerMetrics(reg *fleetmetrics.Registry, id string, capacity int) worke
 		booksBooked: reg.Counter(MetricWorkerBooks, "book attempts", append(lbl, "outcome", "booked")...),
 		booksEmpty:  reg.Counter(MetricWorkerBooks, "book attempts", append(lbl, "outcome", "empty")...),
 		bookFails:   reg.Counter(MetricWorkerBookFails, "transient book failures (dispatcher unreachable)", lbl...),
-		upStored:    reg.Counter(MetricWorkerUploads, "artifact uploads", append(lbl, "outcome", "stored")...),
-		upDedup:     reg.Counter(MetricWorkerUploads, "artifact uploads", append(lbl, "outcome", "dedup")...),
 	}
 }

@@ -41,9 +41,9 @@ type Job struct {
 var ErrStale = errors.New("dispatch: lease lost")
 
 // ErrMissingBlobs is returned by Complete when a successful cell's digests
-// reference artifact bodies the store does not hold — the worker must
-// upload every body before completing, or the sweep could drain without
-// the artifacts its bundle promises.
+// reference artifact bodies the store does not hold — the completion must
+// carry every body the store lacks, or the sweep could drain without the
+// artifacts its bundle promises.
 var ErrMissingBlobs = errors.New("dispatch: artifact blobs missing from store")
 
 // DefaultLease is how long a booked or running job may go without a
@@ -401,12 +401,8 @@ func (q *Queue) appendLocked(rec journalRecord, durable bool) error {
 }
 
 func (q *Queue) appendStateLocked(j *Job) error {
-	rec := journalRecord{T: recState, Job: j.ID, State: j.State.String(),
-		Worker: j.Worker, Attempt: j.Attempt}
-	if !j.Lease.IsZero() && (j.State == JobBooked || j.State == JobRunning) {
-		rec.Lease = leaseStamp(j.Lease)
-	}
-	return q.appendLocked(rec, false)
+	return q.appendLocked(journalRecord{T: recState, Job: j.ID, State: j.State.String(),
+		Worker: j.Worker, Attempt: j.Attempt}, false)
 }
 
 // moveLocked is the one place a job changes state, and it is the WAL
@@ -546,7 +542,7 @@ func (q *Queue) Progress(jobID int, worker string, attempt int) error {
 	return nil
 }
 
-// RecordBlob journals a held cell's pointer to a blob its worker uploaded:
+// RecordBlob journals a held cell's pointer to a blob already in the store:
 // a mid-run snapshot (on a heartbeat) or the finished cell's profile (in
 // the completion exchange, while the lease is still held). The blob must
 // already be in the store — a dangling pointer is rejected with
@@ -647,7 +643,7 @@ func (q *Queue) Complete(jobID int, worker string, attempt int, run RunResult) e
 			}
 		}
 		if missing > 0 {
-			return fmt.Errorf("%w: job %d: %d of %d bodies not uploaded",
+			return fmt.Errorf("%w: job %d: %d of %d bodies neither sent nor stored",
 				ErrMissingBlobs, jobID, missing, len(run.Digests))
 		}
 	}
@@ -664,7 +660,7 @@ func (q *Queue) Complete(jobID int, worker string, attempt int, run RunResult) e
 }
 
 // Release returns a held cell to the queue before its lease expires — a
-// worker abandoning a cell (upload rejected, transient dispatcher error)
+// worker abandoning a cell (completion rejected, transient dispatcher error)
 // calls it so the cell re-books immediately instead of idling out the
 // lease. The booking attempt is spent either way, and reason is
 // preserved in the failure record if the cell exhausts its attempts.

@@ -2,6 +2,7 @@ package dispatch
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -285,6 +286,17 @@ func TestResumeRequeuesInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.Close() // crash
+	// Earlier builds stamped booked and running records with a lease
+	// expiry; replay ignores it.
+	f, err := os.OpenFile(filepath.Join(dir, JournalName), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(f, `{"t":"state","ts":1000000000,"job":%d,"state":"running","worker":"w2","attempt":%d,"lease":"1970-01-01T00:17:40Z"}`+"\n",
+		j2.ID, j2.Attempt)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	r, err := Resume(dir, QueueOptions{Lease: time.Minute, now: clock.now})
 	if err != nil {
@@ -302,7 +314,7 @@ func TestResumeRequeuesInFlight(t *testing.T) {
 	if snap[0].Err != "" {
 		t.Errorf("job 0 err = %q", snap[0].Err)
 	}
-	if !strings.Contains(r.Recovered(), "1 done, 2 requeued") {
+	if !strings.Contains(r.Recovered(), "1 done, 2 requeued") || strings.Contains(r.Recovered(), "corrupt") {
 		t.Errorf("Recovered() = %q", r.Recovered())
 	}
 	// Merged refuses while cells are outstanding.

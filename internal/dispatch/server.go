@@ -6,10 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
+	"slices"
 	"time"
 
+	"sapsim/internal/artifact"
 	"sapsim/internal/fleetmetrics"
 	"sapsim/internal/scenario"
 	"sapsim/internal/trace"
@@ -40,12 +43,6 @@ type BookResponse struct {
 	// worker fetches the blob and warm-resumes from Snapshot.At instead of
 	// replaying from t=0. Missing or damaged blobs degrade to a cold start.
 	Snapshot *BlobRef `json:",omitempty"`
-	// Trace and Span propagate trace context: the cell's trace ID and the
-	// attempt span the worker parents its own spans under. Workers ship
-	// spans back on heartbeats and completion; an empty Trace (an older
-	// dispatcher) disables span collection.
-	Trace string `json:",omitempty"`
-	Span  string `json:",omitempty"`
 }
 
 // ProgressRequest is a worker heartbeat: it renews the job's lease.
@@ -56,28 +53,33 @@ type ProgressRequest struct {
 	Job     int
 	Attempt int
 	// Snapshot reports a freshly uploaded engine snapshot (the blob must
-	// already be in the store via PUT /artifact/{digest}).
+	// already be in the store via PUT /artifact/{digest}: the one blob that
+	// travels on its own, because it lands mid-run).
 	Snapshot *BlobRef `json:",omitempty"`
 	// Spans carries the worker's finished trace spans since the last
 	// accepted report (engine phases, snapshot encode/upload).
 	Spans []trace.Span `json:",omitempty"`
 }
 
-// CompleteRequest reports a finished cell. Every artifact body behind
-// Run.Digests must already be uploaded (PUT /artifact/{digest}); the
-// dispatcher rejects the completion otherwise.
+// CompleteRequest reports a finished cell and carries what it produced: the
+// artifact bodies behind Run.Digests and the encoded engine profile. The
+// dispatcher stores both before the result takes effect; a digest with
+// neither a body here nor a blob already in the store fails the completion.
 type CompleteRequest struct {
 	Worker  string
 	Job     int
 	Attempt int
 	Run     RunResult
+	// Bodies maps digest to artifact body. Every key must be one of
+	// Run.Digests. Bodies are transport only: the journal records Run.
+	Bodies map[string]string `json:",omitempty"`
 	// Spans is the final drain of the worker's span buffer — journaled
 	// before the completion takes effect, while the lease is still held.
 	Spans []trace.Span `json:",omitempty"`
-	// Profile points at the cell's uploaded engine self-profile blob
-	// (PUT /artifact/{digest} first, like any body). It is journaled before
-	// the completion takes effect and survives the cell's terminal state.
-	Profile *BlobRef `json:",omitempty"`
+	// Profile is the cell's encoded engine self-profile
+	// (sapsim.EncodeProfileBytes). The dispatcher stores it and journals a
+	// pointer to it, which survives the cell's terminal state.
+	Profile []byte `json:",omitempty"`
 }
 
 // ReleaseRequest hands an abandoned cell back before its lease expires,
@@ -102,8 +104,9 @@ type StateResponse struct {
 
 // Dispatcher serves a Queue over the wire protocol. It is the simq-style
 // queue manager: workers book cells, heartbeat progress, and deliver
-// results; observers poll /state; the merged sweep is served at /result
-// once drained.
+// results — metrics, digests and the bodies behind them in one completion;
+// observers poll /state; the merged sweep is served at /result once
+// drained.
 type Dispatcher struct {
 	queue *Queue
 	srv   *http.Server
@@ -168,8 +171,12 @@ func (d *Dispatcher) Handler() http.Handler {
 	return mux
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
+// maxJSONBytes caps a JSON request body. A completion, which carries its
+// cell's artifact bodies, is read under maxBlobBytes instead.
+const maxJSONBytes = 8 << 20
+
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 	if err == nil {
 		err = json.Unmarshal(body, v)
 	}
@@ -194,8 +201,8 @@ func (d *Dispatcher) writeJSON(w http.ResponseWriter, v any) {
 }
 
 // queueError maps a queue error onto the wire: a lost lease is 409 (abandon
-// the cell), a pointer or completion ahead of its blobs is 412 (upload
-// first), anything else is the caller's 400.
+// the cell), a pointer or completion naming a blob the store lacks is 412,
+// anything else is the caller's 400.
 func queueError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	switch {
@@ -209,7 +216,7 @@ func queueError(w http.ResponseWriter, err error) {
 
 func (d *Dispatcher) handleBook(w http.ResponseWriter, r *http.Request) {
 	var req BookRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req, maxJSONBytes) {
 		return
 	}
 	job, drained, err := d.queue.Book(req.Worker, req.Capacity)
@@ -231,15 +238,13 @@ func (d *Dispatcher) handleBook(w http.ResponseWriter, r *http.Request) {
 			Base:            spec.Base,
 			CheckpointEvery: int64(spec.CheckpointEvery),
 			Snapshot:        job.Snapshot,
-			Trace:           CellTraceID(job.Key),
-			Span:            attemptSpanID(job.ID, job.Attempt),
 		})
 	}
 }
 
 func (d *Dispatcher) handleProgress(w http.ResponseWriter, r *http.Request) {
 	var req ProgressRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req, maxJSONBytes) {
 		return
 	}
 	err := d.queue.Progress(req.Job, req.Worker, req.Attempt)
@@ -260,17 +265,45 @@ func (d *Dispatcher) handleProgress(w http.ResponseWriter, r *http.Request) {
 
 func (d *Dispatcher) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req, maxBlobBytes) {
 		return
 	}
-	// The final span drain and the profile pointer land first, while the
-	// lease is still held — a completed job accepts no further reports. A
-	// rejected profile (blob not uploaded, version skew) fails the exchange
-	// before the result is durable, so the worker retries the whole
-	// completion instead of leaving a done cell with a dangling pointer.
-	err := d.queue.RecordSpans(req.Job, req.Worker, req.Attempt, req.Spans)
-	if err == nil && req.Profile != nil {
-		err = d.queue.RecordBlob(req.Job, req.Worker, req.Attempt, *req.Profile)
+	// The bodies land in the store before Complete checks that it holds
+	// every digest. Only bodies the run names may ride along: anything else
+	// is outside input that would fill the store with blobs nothing points
+	// at.
+	named := make(map[string]bool, len(req.Run.Digests))
+	for _, digest := range req.Run.Digests {
+		named[digest] = true
+	}
+	for digest := range req.Bodies {
+		if !named[digest] {
+			http.Error(w, fmt.Sprintf("bad request: body %s is not one of the run's digests", digest),
+				http.StatusBadRequest)
+			return
+		}
+	}
+	for _, digest := range slices.Sorted(maps.Keys(req.Bodies)) {
+		if _, err := d.queue.PutArtifact(digest, []byte(req.Bodies[digest])); err != nil {
+			blobError(w, err)
+			return
+		}
+	}
+	// The profile pointer and the final span drain land before the result,
+	// while the lease is still held — a completed job accepts no further
+	// reports. A rejected pointer (a zombie's) fails the exchange before the
+	// result is durable, so no done cell is left with a dangling pointer.
+	var err error
+	if len(req.Profile) > 0 {
+		digest := artifact.Digest(req.Profile)
+		if _, perr := d.queue.PutArtifact(digest, req.Profile); perr != nil {
+			blobError(w, perr)
+			return
+		}
+		err = d.queue.RecordBlob(req.Job, req.Worker, req.Attempt, BlobRef{Kind: BlobProfile, Digest: digest})
+	}
+	if err == nil {
+		err = d.queue.RecordSpans(req.Job, req.Worker, req.Attempt, req.Spans)
 	}
 	if err == nil {
 		err = d.queue.Complete(req.Job, req.Worker, req.Attempt, req.Run)
@@ -289,7 +322,7 @@ func (d *Dispatcher) handleComplete(w http.ResponseWriter, r *http.Request) {
 
 func (d *Dispatcher) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req ReleaseRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req, maxJSONBytes) {
 		return
 	}
 	if err := d.queue.Release(req.Job, req.Worker, req.Attempt, req.Reason); err != nil {

@@ -19,8 +19,8 @@ func CellTraceID(key scenario.Key) string {
 // its final result.
 func cellSpanID(job int) string { return fmt.Sprintf("cell-%d", job) }
 
-// attemptSpanID is one booking of a cell. BookResponse hands it to the
-// worker as the parent for worker-side spans, so the dispatcher-derived
+// attemptSpanID is one booking of a cell. The worker derives it from its
+// booking as the parent for worker-side spans, so the dispatcher-derived
 // attempt span and the worker's engine phases join up at merge time
 // without any coordination.
 func attemptSpanID(job, attempt int) string { return fmt.Sprintf("cell-%d/a%d", job, attempt) }

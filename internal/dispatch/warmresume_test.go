@@ -46,10 +46,11 @@ func TestWorkerWarmResumeByteIdentity(t *testing.T) {
 	victim := &Worker{
 		Dispatcher: srv.URL,
 		ID:         "victim",
-		// Well inside one cell (about 25 ms of wall time, and less with
-		// every engine speed-up): at 30 ms a warm cell often ended before
-		// its first heartbeat and the victim drained the sweep unkilled.
-		HeartbeatEvery: 10 * time.Millisecond,
+		// Well inside one cell (10–17 ms of wall time on a 2-core box, and
+		// less with every engine speed-up): a cell that ends before its
+		// first heartbeat ships no snapshot, and the victim drains the
+		// sweep unkilled.
+		HeartbeatEvery: 2 * time.Millisecond,
 		Poll:           30 * time.Millisecond,
 		Hooks: WorkerHooks{
 			OnBook: func(job int, _ scenario.Key) {

@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -35,7 +34,7 @@ var errBlobRefused = errors.New("dispatch: blob refused")
 // abandonBackoff is how long a slot cools down after its cell is abandoned
 // and released. The released cell re-books immediately — on another worker;
 // the cool-down keeps a worker with a persistently failing path (say, its
-// uploads rejected) from re-booking its own releases in a tight loop and
+// completions rejected) from re-booking its own releases in a tight loop and
 // burning the cell's whole attempt budget in milliseconds.
 const abandonBackoff = 5 * time.Second
 
@@ -46,10 +45,6 @@ type WorkerHooks struct {
 	OnBook func(job int, key scenario.Key)
 	// OnHeartbeat fires after each accepted heartbeat.
 	OnHeartbeat func(job int)
-	// OnUpload fires per artifact body shipped to the dispatcher's store;
-	// deduplicated reports blobs the store already held (skipped via the
-	// HEAD probe).
-	OnUpload func(job int, id, digest string, deduplicated bool)
 	// OnSnapshot fires after an engine snapshot is accepted by the
 	// dispatcher (blob uploaded, pointer journaled), at most once per
 	// heartbeat and before that heartbeat's OnHeartbeat. The snapshot is of
@@ -65,11 +60,10 @@ type WorkerHooks struct {
 // books cells, strides each through the sapsim Session in steps of the
 // sweep's CheckpointEvery, renews the lease with heartbeats that each carry
 // at most one mid-run snapshot — captured at a stride boundary only once the
-// previous one has shipped — uploads every artifact body into the
-// dispatcher's content-addressed store (HEAD-deduplicated: blobs the store
-// already holds never travel), and completes with the cell's metrics plus
-// digests. Workers hold no sweep state — kill one at any point and its
-// cells re-book elsewhere after the lease expires.
+// previous one has shipped — and completes with one request that carries
+// the cell's metrics, digests, artifact bodies and engine profile. Workers
+// hold no sweep state — kill one at any point and its cells re-book
+// elsewhere after the lease expires.
 type Worker struct {
 	// Dispatcher is the base URL (http://host:port).
 	Dispatcher string
@@ -101,7 +95,7 @@ type Worker struct {
 	DisableSnapshots bool
 	// Metrics, when set, receives the worker's fleet metrics (in-flight
 	// vs capacity, per-cell wall time, heartbeat RTT, book failures,
-	// upload dedup) — simworker serves it on its -metrics listener.
+	// engine phases) — simworker serves it on its -metrics listener.
 	Metrics *fleetmetrics.Registry
 
 	// m holds the instruments: nil ones, whose methods are no-ops, while
@@ -297,7 +291,7 @@ func (w *Worker) book(ctx context.Context, id string) (*BookResponse, error) {
 }
 
 // runCell executes one booked cell through a sapsim Session, heartbeating
-// at HeartbeatEvery, ships the artifact bodies, and completes it.
+// at HeartbeatEvery, and completes it with its artifact bodies and profile.
 func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) error {
 	key := booked.Key
 	spec := Spec{Base: booked.Base}
@@ -306,7 +300,7 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 	if err != nil {
 		// The cell cannot be built on this worker (unknown scenario or
 		// variant name — version skew): report it as a failed run.
-		return w.complete(ctx, id, booked, RunResult{Err: err.Error()}, nil, nil)
+		return w.complete(ctx, booked, CompleteRequest{Worker: id, Run: RunResult{Err: err.Error()}})
 	}
 
 	w.logf("worker %s: job %d (%s/%s seed %d) starting", id, booked.Job,
@@ -341,35 +335,27 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 		pending = nil
 		mu.Unlock()
 	}
-	// Span collection: the dispatcher handed us trace context (Trace is
-	// the cell's trace ID, Span the attempt span it derives from the
-	// journal), so engine phases and upload work become spans parented
-	// under the attempt, shipped on heartbeats and the completion. An
-	// empty Trace (older dispatcher) disables collection entirely. The
-	// builder is guarded by mu — the session's event-dispatch goroutine,
-	// the heartbeat loop, and this goroutine all touch it.
-	var spanb *trace.Builder
-	if booked.Trace != "" {
-		spanb = trace.NewBuilder(booked.Trace, booked.Span, booked.Span)
-	}
+	// Span collection: engine phases and snapshot work become spans
+	// parented under the booking's attempt span, shipped on heartbeats and
+	// the completion. The trace and attempt IDs are the ones
+	// TraceFromJournal derives from the journal, so the two halves join up
+	// without any coordination. The builder is guarded by mu — the
+	// session's event-dispatch goroutine, the heartbeat loop, and this
+	// goroutine all touch it.
+	attempt := attemptSpanID(booked.Job, booked.Attempt)
+	spanb := trace.NewBuilder(CellTraceID(key), attempt, attempt)
 	addSpan := func(name string, start, end time.Time, attrs map[string]string) {
-		if spanb == nil {
-			return
-		}
 		mu.Lock()
 		spanb.Add(name, start, end, attrs)
 		mu.Unlock()
 	}
 	drainSpans := func() []trace.Span {
-		if spanb == nil {
-			return nil
-		}
 		mu.Lock()
 		defer mu.Unlock()
 		return spanb.Drain()
 	}
 	requeueSpans := func(batch []trace.Span) {
-		if spanb == nil || len(batch) == 0 {
+		if len(batch) == 0 {
 			return
 		}
 		mu.Lock()
@@ -415,16 +401,17 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 	if session == nil {
 		s, err := buildSession(nil)
 		if err != nil {
-			return w.complete(ctx, id, booked, RunResult{Err: err.Error()}, drainSpans(), nil)
+			return w.complete(ctx, booked, CompleteRequest{Worker: id, Run: RunResult{Err: err.Error()},
+				Spans: drainSpans()})
 		}
 		session = s
 	}
 	defer session.Close()
 
 	// Heartbeat loop: renew the lease even before the first snapshot, and
-	// keep renewing through artifact rendering and upload — the
-	// post-simulation work can outlast a lease on slow links, and a cell
-	// that expires there re-runs from scratch just to hit the same wall.
+	// keep renewing through artifact rendering — the post-simulation work
+	// can outlast a lease on a slow box, and a cell that expires there
+	// re-runs from scratch just to hit the same wall.
 	// The loop is stopped right before the completion posts: a heartbeat
 	// racing an accepted /complete would see 409 on the done job and
 	// cancel the cell context out from under the in-flight response,
@@ -472,7 +459,7 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 					addSpan("snapshot-encode", encStart, time.Now(), nil)
 					ref := BlobRef{Kind: BlobSnapshot, Digest: artifact.Digest(blob), At: snap.At}
 					upStart := time.Now()
-					if _, err := w.uploadBlob(cellCtx, ref.Digest, blob); err != nil {
+					if err := w.uploadBlob(cellCtx, ref.Digest, blob); err != nil {
 						w.logf("worker %s: job %d snapshot upload: %v", id, booked.Job, err)
 						if errors.Is(err, errBlobRefused) {
 							clearPending()
@@ -558,7 +545,8 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 	// records the cell's error string.
 	fail := func(err error) error {
 		stopHeartbeat()
-		return w.complete(ctx, id, booked, RunResult{Err: err.Error()}, drainSpans(), nil)
+		return w.complete(ctx, booked, CompleteRequest{Worker: id, Run: RunResult{Err: err.Error()},
+			Spans: drainSpans()})
 	}
 	if runErr != nil {
 		if cellCtx.Err() != nil {
@@ -570,78 +558,54 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 	if err != nil {
 		return fail(err)
 	}
-	run := RunResult{Metrics: scenario.Extract(res)}
+	req := CompleteRequest{Worker: id, Run: RunResult{Metrics: scenario.Extract(res)}}
 	renderStart := time.Now()
 	bodies, err := sapsim.ArtifactSet(res)
 	addSpan("artifact-render", renderStart, time.Now(), nil)
 	if err != nil {
-		run.Err = "fingerprint: " + err.Error()
+		req.Run.Err = "fingerprint: " + err.Error()
 	} else {
-		digests := artifact.DigestSet(bodies)
-		run.Digests = digests
-		// Upload on the cell context: a heartbeat 409 during the upload
-		// window (the lease is renewing through it, but a crashed-and-
-		// resumed dispatcher forgets the booking) cancels the remaining
-		// transfers instead of shipping bodies toward a doomed complete.
-		upStart := time.Now()
-		if err := w.upload(cellCtx, booked.Job, bodies, digests); err != nil {
-			// The dispatcher would reject the completion anyway (412);
-			// abandon the cell so it re-books.
-			return orStale(fmt.Errorf("job %d: upload: %w", booked.Job, err))
+		req.Run.Digests = artifact.DigestSet(bodies)
+		req.Bodies = make(map[string]string, len(bodies))
+		for name, body := range bodies {
+			req.Bodies[req.Run.Digests[name]] = body
 		}
-		addSpan("artifact-upload", upStart, time.Now(), nil)
 	}
-	// Ship the cell's engine self-profile alongside the completion: encode,
-	// upload the blob, and attach the pointer. Best-effort — a cell whose
-	// profile cannot travel still completes; only its attribution goes
-	// missing from analyze -engprof.
-	var profRef *BlobRef
+	// The cell's engine self-profile rides along. Best-effort — a cell
+	// whose profile cannot be encoded still completes; only its attribution
+	// goes missing from analyze -engprof.
 	if prof, perr := session.Profile(); perr == nil && prof != nil {
-		if blob, eerr := sapsim.EncodeProfileBytes(prof); eerr != nil {
-			w.logf("worker %s: job %d profile encode: %v", id, booked.Job, eerr)
+		if req.Profile, err = sapsim.EncodeProfileBytes(prof); err != nil {
+			w.logf("worker %s: job %d profile encode: %v", id, booked.Job, err)
 		} else {
-			digest := artifact.Digest(blob)
-			upStart := time.Now()
-			if _, uerr := w.uploadBlob(cellCtx, digest, blob); uerr != nil {
-				w.logf("worker %s: job %d profile upload: %v (completing without attribution)",
-					id, booked.Job, uerr)
-			} else {
-				addSpan("profile-upload", upStart, time.Now(), nil)
-				profRef = &BlobRef{Kind: BlobProfile, Digest: digest}
-				w.m.observeProfile(prof)
-			}
+			w.m.observeProfile(prof)
 		}
 	}
 	w.logf("worker %s: job %d finished", id, booked.Job)
 	stopHeartbeat()
-	return orStale(w.complete(cellCtx, id, booked, run, drainSpans(), profRef))
+	req.Spans = drainSpans()
+	return orStale(w.complete(cellCtx, booked, req))
 }
 
-// uploadBlob ships one content-addressed blob — artifact body, snapshot, or
-// profile wire form — into the dispatcher's store behind a HEAD probe, so
-// a blob the store already holds never travels: the static tables
-// identical across every cell of a sweep go once per sweep, and a re-booked
+// uploadBlob ships one snapshot blob into the dispatcher's store behind a
+// HEAD probe, so a blob the store already holds never travels: a re-booked
 // cell that snapshots at an instant the previous holder covered re-sends
-// nothing. It reports whether the probe deduplicated the upload.
-func (w *Worker) uploadBlob(ctx context.Context, digest string, blob []byte) (deduplicated bool, err error) {
+// nothing.
+func (w *Worker) uploadBlob(ctx context.Context, digest string, blob []byte) error {
 	_, status, err := w.do(ctx, http.MethodHead, "/artifact/"+digest, nil)
-	if err != nil {
-		return false, err
-	}
-	if status == http.StatusOK {
-		return true, nil // the store already holds this blob
+	if err != nil || status == http.StatusOK {
+		return err // a transport error, or the store already holds this blob
 	}
 	_, status, err = w.do(ctx, http.MethodPut, "/artifact/"+digest, blob)
-	if err != nil {
-		return false, err
-	}
 	switch {
+	case err != nil:
+		return err
 	case status == http.StatusCreated || status == http.StatusOK:
-		return false, nil
+		return nil
 	case status >= 400 && status < 500:
-		return false, fmt.Errorf("%w: %s: status %d", errBlobRefused, digest, status)
+		return fmt.Errorf("%w: %s: status %d", errBlobRefused, digest, status)
 	default:
-		return false, fmt.Errorf("dispatch: blob %s rejected: status %d", digest, status)
+		return fmt.Errorf("dispatch: blob %s rejected: status %d", digest, status)
 	}
 }
 
@@ -666,41 +630,11 @@ func (w *Worker) fetchSnapshot(ctx context.Context, rec *BlobRef) (*sapsim.Snaps
 	return sapsim.DecodeSnapshotBytes(body)
 }
 
-// upload ships the cell's artifact bodies, once per distinct digest within
-// the cell.
-func (w *Worker) upload(ctx context.Context, job int, bodies, digests map[string]string) error {
-	ids := make([]string, 0, len(bodies))
-	for id := range bodies {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	shipped := map[string]bool{}
-	for _, id := range ids {
-		digest := digests[id]
-		if shipped[digest] {
-			continue
-		}
-		shipped[digest] = true
-		deduplicated, err := w.uploadBlob(ctx, digest, []byte(bodies[id]))
-		if err != nil {
-			return fmt.Errorf("artifact %s: %w", id, err)
-		}
-		if deduplicated {
-			w.m.upDedup.Inc()
-		} else {
-			w.m.upStored.Inc()
-		}
-		if w.Hooks.OnUpload != nil {
-			w.Hooks.OnUpload(job, id, digest, deduplicated)
-		}
-	}
-	return nil
-}
-
-func (w *Worker) complete(ctx context.Context, id string, booked *BookResponse, run RunResult, spans []trace.Span, prof *BlobRef) error {
+// complete posts the cell's completion under its booking.
+func (w *Worker) complete(ctx context.Context, booked *BookResponse, req CompleteRequest) error {
+	req.Job, req.Attempt = booked.Job, booked.Attempt
 	var ok struct{ OK bool }
-	status, err := w.post(ctx, "/complete",
-		CompleteRequest{Worker: id, Job: booked.Job, Attempt: booked.Attempt, Run: run, Spans: spans, Profile: prof}, &ok)
+	status, err := w.post(ctx, "/complete", req, &ok)
 	if err != nil {
 		return err
 	}

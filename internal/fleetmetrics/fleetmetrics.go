@@ -142,13 +142,6 @@ func (h *Histogram) Count() uint64 {
 	return h.total
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // LinearBuckets returns count upper bounds start, start+width, ...
 func LinearBuckets(start, width float64, count int) []float64 {
 	out := make([]float64, count)

@@ -157,13 +157,3 @@ func ByName(name string) (*Scenario, error) {
 	}
 	return nil, fmt.Errorf("scenario: unknown scenario %q", name)
 }
-
-// Names lists the builtin scenario names in order.
-func Names() []string {
-	b := Builtin()
-	out := make([]string, len(b))
-	for i, s := range b {
-		out[i] = s.Name
-	}
-	return out
-}

@@ -76,13 +76,6 @@ func (e *Event) At() Time { return e.at }
 // Name reports the optional diagnostic label given at scheduling time.
 func (e *Event) Name() string { return e.name }
 
-// Owner reports the rearm key given at scheduling time (empty for events
-// that cannot survive a snapshot).
-func (e *Event) Owner() string { return e.owner }
-
-// Payload reports the serializable rearm payload given at scheduling time.
-func (e *Event) Payload() []byte { return e.payload }
-
 // Canceled reports whether Cancel was called before the event fired.
 func (e *Event) Canceled() bool { return e.canceled }
 
@@ -317,9 +310,6 @@ func (e *Engine) NoteError(err error) {
 	}
 	e.errs = append(e.errs, err)
 }
-
-// Errs returns internal errors collected so far (nil hook installed).
-func (e *Engine) Errs() []error { return e.errs }
 
 // NewEngine returns an engine positioned at time zero.
 func NewEngine() *Engine {

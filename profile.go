@@ -2,7 +2,6 @@ package sapsim
 
 import (
 	"fmt"
-	"io"
 
 	"sapsim/internal/engprof"
 	"sapsim/internal/sim"
@@ -31,17 +30,11 @@ type ProfileReady struct {
 
 func (ProfileReady) sessionEvent() {}
 
-// EncodeProfile serializes a profile as JSON.
-func EncodeProfile(w io.Writer, p *Profile) error { return p.Encode(w) }
-
-// EncodeProfileBytes is EncodeProfile into a fresh byte slice.
+// EncodeProfileBytes serializes a profile as JSON.
 func EncodeProfileBytes(p *Profile) ([]byte, error) { return p.EncodeBytes() }
 
-// DecodeProfile reads and validates a serialized profile, rejecting foreign
-// format versions.
-func DecodeProfile(r io.Reader) (*Profile, error) { return engprof.Decode(r) }
-
-// DecodeProfileBytes is DecodeProfile from a byte slice.
+// DecodeProfileBytes reads and validates a serialized profile, rejecting
+// foreign format versions.
 func DecodeProfileBytes(b []byte) (*Profile, error) { return engprof.DecodeBytes(b) }
 
 // Profile returns the session's live self-profile: per-phase attribution of

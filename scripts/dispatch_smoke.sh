@@ -118,7 +118,7 @@ grep -q 'host-failures' "$journal/report.txt" ||
 echo "smoke: sweep completed after worker kill + lease re-book + warm resume"
 echo "smoke: journaled snapshots: $(grep -c '"t":"snapshot"' "$journal/journal.jsonl" || true)"
 
-# The workers uploaded every artifact body into the journal dir's CAS;
+# The completions carried every artifact body into the journal dir's CAS;
 # materialize the bundle from the finished journal and re-verify every
 # body's recomputed SHA-256 against the digests the journal recorded.
 bundle="$workdir/bundle"

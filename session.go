@@ -28,14 +28,6 @@ type Progress struct {
 	LiveVMs int
 }
 
-// Fraction reports run completion in [0, 1].
-func (p Progress) Fraction() float64 {
-	if p.Horizon <= 0 {
-		return 1
-	}
-	return float64(p.Now) / float64(p.Horizon)
-}
-
 // Placement reports one in-window scheduling outcome (epoch-population
 // placements at t <= 0 are not streamed, matching the run's event log).
 type Placement struct {

@@ -3,7 +3,6 @@ package sapsim
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"sapsim/internal/core"
@@ -12,7 +11,7 @@ import (
 
 // Snapshot is the complete mid-run state of a simulation, captured at an
 // engine-idle boundary. It is internal/snapshot.Snapshot re-exported: a
-// versioned, digest-stamped value that serializes with EncodeSnapshot and
+// versioned, digest-stamped value that serializes with EncodeSnapshotBytes and
 // restores through ResumeFromSnapshot or Fork.
 type Snapshot = snapshot.Snapshot
 
@@ -21,7 +20,7 @@ type Snapshot = snapshot.Snapshot
 type Injector = core.Injector
 
 // SnapshotFormatVersion is the serialization format version this build
-// writes and accepts. DecodeSnapshot rejects other versions with
+// writes and accepts. DecodeSnapshotBytes rejects other versions with
 // ErrSnapshotVersion.
 const SnapshotFormatVersion = snapshot.FormatVersion
 
@@ -33,24 +32,15 @@ var ErrSnapshotCorrupt = snapshot.ErrCorrupt
 // incompatible format version.
 var ErrSnapshotVersion = snapshot.ErrVersion
 
-// EncodeSnapshot serializes a snapshot: framed magic, format version,
+// EncodeSnapshotBytes serializes a snapshot: framed magic, format version,
 // SHA-256 digest stamp, and gob payload. Bit flips and truncation are
 // detectable without decoding.
-func EncodeSnapshot(w io.Writer, s *Snapshot) error { return snapshot.Encode(w, s) }
-
-// DecodeSnapshot reads and verifies a snapshot stream. Corruption surfaces
-// as ErrSnapshotCorrupt, a foreign format version as ErrSnapshotVersion.
-func DecodeSnapshot(r io.Reader) (*Snapshot, error) { return snapshot.Decode(r) }
-
-// EncodeSnapshotBytes is EncodeSnapshot into a fresh byte slice.
 func EncodeSnapshotBytes(s *Snapshot) ([]byte, error) { return snapshot.EncodeBytes(s) }
 
-// DecodeSnapshotBytes is DecodeSnapshot from a byte slice.
+// DecodeSnapshotBytes reads and verifies an encoded snapshot. Corruption
+// surfaces as ErrSnapshotCorrupt, a foreign format version as
+// ErrSnapshotVersion.
 func DecodeSnapshotBytes(b []byte) (*Snapshot, error) { return snapshot.DecodeBytes(b) }
-
-// SnapshotDigest returns the hex SHA-256 of an encoded snapshot — the
-// content address the artifact store keeps the blob under.
-func SnapshotDigest(b []byte) string { return snapshot.Digest(b) }
 
 // Snapshot captures the session's complete current state on demand. It is
 // valid on a built or running session between driving calls (Step,
