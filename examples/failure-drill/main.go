@@ -59,7 +59,7 @@ func main() {
 					fmt.Printf("  day %d: %d VMs live\n", day, e.LiveVMs)
 				}
 			case sapsim.Migration:
-				if e.Kind == string(core.MigrateEvacuation) {
+				if e.Kind == "evacuation" {
 					streamedEvacs++
 				}
 			}

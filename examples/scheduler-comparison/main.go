@@ -60,5 +60,7 @@ func main() {
 			p.Name, res.PlacementFailures, res.SchedStats.Retries, maxCont, spread)
 	}
 	fmt.Println("\nreading: packing concentrates load (higher contention, wider spread);")
-	fmt.Println("contention-aware placement trades a little balance for fewer hot spots.")
+	fmt.Println("spreading evens it out (lowest contention, narrowest spread).")
+	fmt.Println("contention-aware matches sap-production in every column: at this")
+	fmt.Println("scale its contention weigher is idle.")
 }

@@ -99,12 +99,7 @@ func Identity(v float64) float64 { return v }
 // (most free first, matching the paper's column order).
 func DailyHeatmap(q telemetry.Querier, metric, entityLabel string, days int, tf Transform, matchers ...telemetry.Matcher) *Heatmap {
 	series := q.Select(metric, matchers...)
-	type col struct {
-		name  string
-		cells []float64
-		mean  float64
-	}
-	perSeries := mapSeries(series, func(s *telemetry.Series) *col {
+	perSeries := mapSeries(series, func(s *telemetry.Series) *heatmapColumn {
 		name := s.Labels.Get(entityLabel)
 		if name == "" {
 			return nil
@@ -126,41 +121,15 @@ func DailyHeatmap(q telemetry.Querier, metric, entityLabel string, days int, tf 
 		if n > 0 {
 			mean = sum / float64(n)
 		}
-		return &col{name: name, cells: cells, mean: mean}
+		return &heatmapColumn{name: name, cells: cells, mean: mean}
 	})
-	cols := make([]col, 0, len(perSeries))
+	cols := make([]heatmapColumn, 0, len(perSeries))
 	for _, c := range perSeries {
 		if c != nil {
 			cols = append(cols, *c)
 		}
 	}
-	sort.Slice(cols, func(i, j int) bool {
-		mi, mj := cols[i].mean, cols[j].mean
-		switch {
-		case math.IsNaN(mi) && math.IsNaN(mj):
-			return cols[i].name < cols[j].name
-		case math.IsNaN(mi):
-			return false
-		case math.IsNaN(mj):
-			return true
-		case mi != mj:
-			return mi > mj
-		default:
-			return cols[i].name < cols[j].name
-		}
-	})
-	h := &Heatmap{Metric: metric, Days: days}
-	for _, c := range cols {
-		h.Columns = append(h.Columns, c.name)
-	}
-	h.Cells = make([][]float64, days)
-	for d := 0; d < days; d++ {
-		h.Cells[d] = make([]float64, len(cols))
-		for i, c := range cols {
-			h.Cells[d][i] = c.cells[d]
-		}
-	}
-	return h
+	return assembleHeatmap(metric, days, cols)
 }
 
 // GroupedHeatmap aggregates node-level series into group-level columns
@@ -214,12 +183,7 @@ func GroupedHeatmap(q telemetry.Querier, metric, entityLabel string, days int, t
 			a.n[d]++
 		}
 	}
-	type col struct {
-		name  string
-		cells []float64
-		mean  float64
-	}
-	cols := make([]col, 0, len(groups))
+	cols := make([]heatmapColumn, 0, len(groups))
 	for _, name := range groupOrder {
 		a := groups[name]
 		cells := make([]float64, days)
@@ -237,8 +201,22 @@ func GroupedHeatmap(q telemetry.Querier, metric, entityLabel string, days int, t
 		if cnt > 0 {
 			mean = total / float64(cnt)
 		}
-		cols = append(cols, col{name: name, cells: cells, mean: mean})
+		cols = append(cols, heatmapColumn{name: name, cells: cells, mean: mean})
 	}
+	return assembleHeatmap(metric, days, cols)
+}
+
+// heatmapColumn is one heatmap column under assembly: its per-day cells
+// (NaN = missing) and their mean, which orders the columns.
+type heatmapColumn struct {
+	name  string
+	cells []float64
+	mean  float64
+}
+
+// assembleHeatmap orders the columns by descending mean — NaN means last,
+// ties by name — and lays their cells out day-major.
+func assembleHeatmap(metric string, days int, cols []heatmapColumn) *Heatmap {
 	sort.Slice(cols, func(i, j int) bool {
 		mi, mj := cols[i].mean, cols[j].mean
 		switch {

@@ -17,7 +17,9 @@ import (
 // rebalancers) but before the engine starts, so injectors can schedule
 // operational events — host failures, maintenance drains, resize waves —
 // onto the engine. Injectors must be deterministic: any randomness has to
-// derive from Config.Seed.
+// derive from Config.Seed. The rows an injector writes with Env.Record —
+// evacuations, resizes — join the run's one event stream: the log and
+// Hooks.OnEvent see them exactly as they see the core's own rows.
 //
 // To survive a mid-run snapshot, an injector schedules its events through
 // Env.ScheduleOwned against handler factories registered with Env.OnRestore,
@@ -161,5 +163,6 @@ func (e *Env) Live() []*vmmodel.VM { return sortedLive(e.live) }
 // no-op.
 func (e *Env) Lose(vm *vmmodel.VM) { delete(e.live, vm.ID) }
 
-// Record appends an event to the run's scheduling-relevant event stream.
+// Record appends an event to the run's scheduling-relevant event stream
+// and hands it to Hooks.OnEvent.
 func (e *Env) Record(ev events.Event) { e.record(ev) }

@@ -21,32 +21,16 @@ import (
 	"sapsim/internal/workload"
 )
 
-// MigrationKind distinguishes why a VM changed hosts.
-type MigrationKind string
-
-const (
-	// MigrateDRS is an intra-BB rebalancing move.
-	MigrateDRS MigrationKind = "drs"
-	// MigrateCross is a cross-BB rebalancing move.
-	MigrateCross MigrationKind = "cross-bb"
-	// MigrateEvacuation is a forced move off a failed or draining host
-	// (scenario injections through Scheduler.Evacuate).
-	MigrateEvacuation MigrationKind = "evacuation"
-)
-
 // Hooks observe a running simulation. Every hook is optional (nil hooks are
 // skipped) and fires synchronously on the engine goroutine — implementations
-// must not block and must not mutate simulation state. Hooks never receive
-// events for the pre-window epoch population (arrivals at t <= 0), matching
-// the run's event log.
+// must not block and must not mutate simulation state.
 type Hooks struct {
-	// OnPlacement fires after each in-window schedule outcome, including
-	// failed evacuations (which end unplaced like a NoValidHost). node is
-	// empty and reason non-empty when placement failed.
-	OnPlacement func(now sim.Time, vm, flavor, node, reason string)
-	// OnMigration fires after each move between hosts: DRS (intra-BB),
-	// cross-BB rebalancing, and scenario-driven evacuations.
-	OnMigration func(now sim.Time, vm, flavor, from, to string, kind MigrationKind)
+	// OnEvent is the tail of the run's event log: it receives each row —
+	// creation, deletion, resize, migration, evacuation, failed schedule —
+	// right after the row is appended, including the rows scenario
+	// injectors record through Env.Record. Like the log, it never sees the
+	// pre-window epoch population (arrivals at t <= 0).
+	OnEvent func(events.Event)
 	// OnTick fires after each host-telemetry sampling sweep — the
 	// simulation's heartbeat (one tick per Config.SampleEvery).
 	OnTick func(now sim.Time)
@@ -200,9 +184,15 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 	s.instances = workload.NewGenerator(spec).Generate()
 	instances := s.instances
 
-	// record appends an event. Appends happen in simulation-time order, so a
-	// rejected one is a bug; it fails the run instead of thinning the log.
-	record := func(e events.Event) { engine.NoteError(res.Events.Append(e)) }
+	// record appends an event and hands it to OnEvent. Appends happen in
+	// simulation-time order, so a rejected one is a bug; it fails the run
+	// instead of thinning the log.
+	record := func(e events.Event) {
+		engine.NoteError(res.Events.Append(e))
+		if hooks.OnEvent != nil {
+			hooks.OnEvent(e)
+		}
+	}
 
 	// deleteVM builds the planned-deletion handler for one instance. Both
 	// the cold path and the rearmer use it, so a restored deletion event
@@ -237,18 +227,12 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 			if inWindow {
 				record(events.Event{At: now, Type: events.ScheduleFailed,
 					VM: string(in.VM.ID), Flavor: in.VM.Flavor.Name})
-				if hooks.OnPlacement != nil {
-					hooks.OnPlacement(now, string(in.VM.ID), in.VM.Flavor.Name, "", err.Error())
-				}
 			}
 			return
 		}
 		if inWindow {
 			record(events.Event{At: now, Type: events.Create,
 				VM: string(in.VM.ID), Flavor: in.VM.Flavor.Name, Target: string(r.Node.ID)})
-			if hooks.OnPlacement != nil {
-				hooks.OnPlacement(now, string(in.VM.ID), in.VM.Flavor.Name, string(r.Node.ID), "")
-			}
 		}
 		live[in.VM.ID] = in.VM
 		if del := in.DeleteAt(); del < cfg.Horizon() {
@@ -345,10 +329,6 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 			record(events.Event{At: now, Type: events.MigrateIntraBB,
 				VM: string(vm.ID), Flavor: vm.Flavor.Name,
 				Source: string(from.ID), Target: string(to.ID)})
-			if hooks.OnMigration != nil {
-				hooks.OnMigration(now, string(vm.ID), vm.Flavor.Name,
-					string(from.ID), string(to.ID), MigrateDRS)
-			}
 		}
 		rebalancer := s.rebalancer
 		if err := addTicker(ownerTickDRS, every, every, func(now sim.Time) {
@@ -363,10 +343,6 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 			record(events.Event{At: now, Type: events.MigrateCrossBB,
 				VM: string(vm.ID), Flavor: vm.Flavor.Name,
 				Source: string(from.ID), Target: string(to.ID)})
-			if hooks.OnMigration != nil {
-				hooks.OnMigration(now, string(vm.ID), vm.Flavor.Name,
-					string(from.ID), string(to.ID), MigrateCross)
-			}
 		}
 		cross := s.cross
 		if err := addTicker(ownerTickCross, sim.Day, sim.Day, func(now sim.Time) {
@@ -421,28 +397,9 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 	// restoring mode); appended branch injectors are injected by
 	// RestoreSimulation once the engine queue is back.
 	if len(cfg.Injectors) > 0 {
-		// Injector-driven evacuations land in the event log through
-		// Env.Record; mirror them onto the hooks so observers see forced
-		// moves (and stranded VMs) alongside ordinary placements.
-		envRecord := record
-		if hooks.OnMigration != nil || hooks.OnPlacement != nil {
-			envRecord = func(e events.Event) {
-				record(e)
-				switch e.Type {
-				case events.Evacuate:
-					if hooks.OnMigration != nil {
-						hooks.OnMigration(e.At, e.VM, e.Flavor, e.Source, e.Target, MigrateEvacuation)
-					}
-				case events.EvacuateFailed:
-					if hooks.OnPlacement != nil {
-						hooks.OnPlacement(e.At, e.VM, e.Flavor, "", "evacuation failed: no valid host")
-					}
-				}
-			}
-		}
 		s.env = &Env{
 			Engine: engine, Config: cfg, Region: region, Fleet: fleet,
-			Scheduler: sched, Result: res, live: live, record: envRecord,
+			Scheduler: sched, Result: res, live: live, record: record,
 			down: s.down, rearmers: s.rearmers, rngs: s.rngs,
 		}
 		limit := len(cfg.Injectors)

@@ -75,30 +75,69 @@ func restoreHostsFactory(env *core.Env) func([]byte) (sim.Handler, error) {
 	}
 }
 
-// evacuateHost reschedules every resident VM of a (failed or draining) host
-// through the normal Nova pipeline, recording evacuate / evacuate_failed
-// events. VMs that find no valid host are lost.
-func evacuateHost(env *core.Env, h *esx.Host, now sim.Time) {
-	source := string(h.Node.ID)
-	for _, vm := range h.VMs() {
-		res, err := env.Scheduler.Evacuate(vm, now)
-		if err != nil {
-			env.Lose(vm)
-			env.Record(events.Event{At: now, Type: events.EvacuateFailed,
-				VM: string(vm.ID), Flavor: vm.Flavor.Name, Source: source})
-			continue
+// outage is every injector's take-down path. All hosts go out of service
+// first, so no evacuation lands on a host failing in the same instant;
+// their blocks re-sync once; then each host's residents reschedule through
+// the normal Nova pipeline, in host order, recording evacuate /
+// evacuate_failed events (VMs that find no valid host are lost). With
+// recovery > 0 the hosts' return is scheduled that long after now, as the
+// calling injector's "restore" event.
+func outage(env *core.Env, hosts []*esx.Host, now, recovery sim.Time) {
+	for _, h := range hosts {
+		env.TakeDown(h.Node)
+	}
+	refreshBBs(env, hosts)
+	for _, h := range hosts {
+		source := string(h.Node.ID)
+		for _, vm := range h.VMs() {
+			res, err := env.Scheduler.Evacuate(vm, now)
+			if err != nil {
+				env.Lose(vm)
+				env.Record(events.Event{At: now, Type: events.EvacuateFailed,
+					VM: string(vm.ID), Flavor: vm.Flavor.Name, Source: source})
+				continue
+			}
+			env.Record(events.Event{At: now, Type: events.Evacuate,
+				VM: string(vm.ID), Flavor: vm.Flavor.Name,
+				Source: source, Target: string(res.Node.ID)})
 		}
-		env.Record(events.Event{At: now, Type: events.Evacuate,
-			VM: string(vm.ID), Flavor: vm.Flavor.Name,
-			Source: source, Target: string(res.Node.ID)})
+	}
+	if recovery > 0 {
+		scheduleFollowUp(env, now+recovery, "restore", hostsPayload(hosts))
 	}
 }
 
-// failNode takes a node out of service and evacuates its residents.
-func failNode(env *core.Env, h *esx.Host, now sim.Time) {
-	env.TakeDown(h.Node)
-	refreshBBs(env, []*esx.Host{h})
-	evacuateHost(env, h, now)
+// inService keeps the hosts that are not out of service, in order.
+func inService(hosts []*esx.Host) []*esx.Host {
+	var active []*esx.Host
+	for _, h := range hosts {
+		if !h.Node.Maintenance {
+			active = append(active, h)
+		}
+	}
+	return active
+}
+
+// pickVictims draws count hosts from active — or, when count is zero,
+// fraction of them rounded up — and returns them in node-ID order, so the
+// evacuation event stream is independent of the permutation's draw order.
+// It draws nothing from rng when there is nothing to pick.
+func pickVictims(active []*esx.Host, count int, fraction float64, rng *rand.Rand) []*esx.Host {
+	n := count
+	if n == 0 {
+		n = int(math.Ceil(fraction * float64(len(active))))
+	}
+	n = min(n, len(active))
+	if n == 0 {
+		return nil
+	}
+	perm := rng.Perm(len(active))
+	victims := make([]*esx.Host, n)
+	for i := range victims {
+		victims[i] = active[perm[i]]
+	}
+	sort.Slice(victims, func(i, j int) bool { return victims[i].Node.ID < victims[j].Node.ID })
+	return victims
 }
 
 // scheduleFollowUp schedules an injector's next owned event from inside one
@@ -170,42 +209,9 @@ func (hf HostFailures) Inject(env *core.Env) error {
 		return fmt.Errorf("host-failures: bad count=%d fraction=%g", hf.Count, hf.Fraction)
 	}
 	fail := func(now sim.Time) {
-		var active []*esx.Host
-		for _, h := range env.Fleet.Hosts() {
-			if !h.Node.Maintenance {
-				active = append(active, h)
-			}
-		}
-		n := hf.Count
-		if n == 0 {
-			n = int(math.Ceil(hf.Fraction * float64(len(active))))
-		}
-		if n > len(active) {
-			n = len(active)
-		}
-		if n == 0 {
-			return
-		}
-		rng := injectionStream(env, hf.Salt)
-		perm := rng.Perm(len(active))
-		failed := make([]*esx.Host, n)
-		for i := 0; i < n; i++ {
-			failed[i] = active[perm[i]]
-		}
-		// Process in node-ID order so the evacuation event stream is
-		// independent of the permutation's draw order.
-		sort.Slice(failed, func(i, j int) bool { return failed[i].Node.ID < failed[j].Node.ID })
-		// Mark every victim down first: evacuations must not land on a
-		// host that fails in the same instant.
-		for _, h := range failed {
-			env.TakeDown(h.Node)
-		}
-		refreshBBs(env, failed)
-		for _, h := range failed {
-			evacuateHost(env, h, now)
-		}
-		if hf.Recover > 0 {
-			scheduleFollowUp(env, now+hf.Recover, "restore", hostsPayload(failed))
+		active := inService(env.Fleet.Hosts())
+		if failed := pickVictims(active, hf.Count, hf.Fraction, injectionStream(env, hf.Salt)); len(failed) > 0 {
+			outage(env, failed, now, hf.Recover)
 		}
 	}
 	env.OnRestore("fail", func([]byte) (sim.Handler, error) { return fail, nil })
@@ -240,31 +246,19 @@ func (o AZOutage) Inject(env *core.Env) error {
 		return fmt.Errorf("az-outage: region has no availability zones")
 	}
 	az := azs[((o.AZIndex%len(azs))+len(azs))%len(azs)]
-	outage := func(now sim.Time) {
-		var down []*esx.Host
+	// The whole zone goes dark at once, then residents evacuate to the
+	// surviving zones. The restore is scheduled even when the zone had no
+	// host in service.
+	dark := func(now sim.Time) {
+		var zone []*esx.Host
 		for _, dc := range az.DCs {
 			for _, bb := range dc.BBs {
-				for _, h := range env.Fleet.HostsInBB(bb) {
-					if !h.Node.Maintenance {
-						down = append(down, h)
-					}
-				}
+				zone = append(zone, env.Fleet.HostsInBB(bb)...)
 			}
 		}
-		// Whole zone goes dark at once, then residents evacuate to the
-		// surviving zones.
-		for _, h := range down {
-			env.TakeDown(h.Node)
-		}
-		refreshBBs(env, down)
-		for _, h := range down {
-			evacuateHost(env, h, now)
-		}
-		if o.Duration > 0 {
-			scheduleFollowUp(env, now+o.Duration, "restore", hostsPayload(down))
-		}
+		outage(env, inService(zone), now, o.Duration)
 	}
-	env.OnRestore("outage", func([]byte) (sim.Handler, error) { return outage, nil })
+	env.OnRestore("outage", func([]byte) (sim.Handler, error) { return dark, nil })
 	env.OnRestore("restore", restoreHostsFactory(env))
 	if env.Restoring() {
 		return nil
@@ -327,7 +321,7 @@ func (d MaintenanceDrain) Inject(env *core.Env) error {
 		if err != nil {
 			return nil, err
 		}
-		return func(now sim.Time) { failNode(env, h, now) }, nil
+		return func(now sim.Time) { outage(env, []*esx.Host{h}, now, 0) }, nil
 	})
 	env.OnRestore("undrain", func(p []byte) (sim.Handler, error) {
 		h, err := hostAt(p)
@@ -426,36 +420,9 @@ func (cf CorrelatedFailures) Inject(env *core.Env) error {
 		bb := blocks[perm[i%len(blocks)]]
 		burstRNG := rand.New(rand.NewPCG(env.Config.Seed, 0xb325^cf.Salt^uint64(i)))
 		burst[i] = func(now sim.Time) {
-			var active []*esx.Host
-			for _, h := range env.Fleet.HostsInBB(bb) {
-				if !h.Node.Maintenance {
-					active = append(active, h)
-				}
-			}
-			n := int(math.Ceil(fraction * float64(len(active))))
-			if n > len(active) {
-				n = len(active)
-			}
-			if n == 0 {
-				return
-			}
-			hostPerm := burstRNG.Perm(len(active))
-			failed := make([]*esx.Host, n)
-			for j := 0; j < n; j++ {
-				failed[j] = active[hostPerm[j]]
-			}
-			sort.Slice(failed, func(a, b int) bool { return failed[a].Node.ID < failed[b].Node.ID })
-			// The whole burst lands at once: evacuations must not target a
-			// host failing in the same instant.
-			for _, h := range failed {
-				env.TakeDown(h.Node)
-			}
-			refreshBBs(env, failed)
-			for _, h := range failed {
-				evacuateHost(env, h, now)
-			}
-			if cf.Recover > 0 {
-				scheduleFollowUp(env, now+cf.Recover, "restore", hostsPayload(failed))
+			active := inService(env.Fleet.HostsInBB(bb))
+			if failed := pickVictims(active, 0, fraction, burstRNG); len(failed) > 0 {
+				outage(env, failed, now, cf.Recover)
 			}
 		}
 	}
@@ -594,31 +561,17 @@ func (cf CascadingFailures) Inject(env *core.Env) error {
 	var evaluate func(now sim.Time)
 	evaluate = func(now sim.Time) {
 		var failed []*esx.Host
-		loads := map[topology.NodeID]float64{}
-		for _, h := range env.Fleet.Hosts() { // sorted by node ID
-			if h.Node.Maintenance {
-				continue
-			}
+		for _, h := range inService(env.Fleet.Hosts()) { // sorted by node ID
 			load := hostLoad(h)
 			if rng.Float64() < cf.hazard(load) {
 				failed = append(failed, h)
-				loads[h.Node.ID] = load
+				if cf.OnFail != nil {
+					cf.OnFail(h.Node.ID, load, now)
+				}
 			}
 		}
-		// The round's victims go dark together before anyone evacuates, so
-		// no evacuation lands on a host failing in the same instant.
-		for _, h := range failed {
-			env.TakeDown(h.Node)
-		}
-		refreshBBs(env, failed)
-		for _, h := range failed {
-			if cf.OnFail != nil {
-				cf.OnFail(h.Node.ID, loads[h.Node.ID], now)
-			}
-			evacuateHost(env, h, now)
-		}
-		if cf.Recover > 0 && len(failed) > 0 {
-			scheduleFollowUp(env, now+cf.Recover, "restore", hostsPayload(failed))
+		if len(failed) > 0 {
+			outage(env, failed, now, cf.Recover)
 		}
 		if next := now + every; next < end {
 			scheduleFollowUp(env, next, "eval", nil)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"sapsim/internal/core"
+	"sapsim/internal/esx"
 	"sapsim/internal/events"
 	"sapsim/internal/sim"
 	"sapsim/internal/vmmodel"
@@ -202,6 +203,25 @@ func TestBuiltinScenariosSatisfyInvariants(t *testing.T) {
 			if err := CheckInvariants(res); err != nil {
 				t.Fatalf("invariants after %s: %v", sc.Name, err)
 			}
+			// One injector's victims all go down before any of them
+			// evacuates, so no evacuation lands on a host failing in the
+			// same instant. (Not a CheckInvariants rule: two composed
+			// injectors firing at one instant may legitimately break it.)
+			failing := map[sim.Time]map[string]bool{}
+			for _, e := range res.Events.All() {
+				if e.Type == events.Evacuate || e.Type == events.EvacuateFailed {
+					if failing[e.At] == nil {
+						failing[e.At] = map[string]bool{}
+					}
+					failing[e.At][e.Source] = true
+				}
+			}
+			for _, e := range res.Events.All() {
+				if e.Type == events.Evacuate && failing[e.At][e.Target] {
+					t.Errorf("%s: %s evacuated onto %s, which fails at the same instant %v",
+						sc.Name, e.VM, e.Target, e.At)
+				}
+			}
 		})
 	}
 }
@@ -222,7 +242,7 @@ func (permaFailFirstDrainable) Inject(env *core.Env) error {
 			if err != nil {
 				panic(err)
 			}
-			failNode(env, h, now) // no restore: permanent
+			outage(env, []*esx.Host{h}, now, 0) // no restore: permanent
 			return
 		}
 	})

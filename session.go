@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sapsim/internal/core"
+	"sapsim/internal/events"
 	"sapsim/internal/sim"
 )
 
@@ -28,16 +29,17 @@ type Progress struct {
 	LiveVMs int
 }
 
-// Placement reports one in-window scheduling outcome (epoch-population
-// placements at t <= 0 are not streamed, matching the run's event log).
+// Placement reports one in-window scheduling outcome: a create row of the
+// run's event log, or a schedule_failed / evacuate_failed row (epoch-
+// population placements at t <= 0 are not streamed, matching the log).
 type Placement struct {
 	At         sim.Time
 	VM, Flavor string
 	// Node is the landing node, empty when placement failed.
 	Node string
-	// Failed marks a NoValidHost outcome; Reason carries the error text.
+	// Failed marks a VM left without a host: a NoValidHost schedule or an
+	// evacuation that found no valid host.
 	Failed bool
-	Reason string
 }
 
 // Migration reports one move between hosts: DRS intra-BB rebalancing,
@@ -46,7 +48,8 @@ type Placement struct {
 type Migration struct {
 	At           sim.Time
 	VM, From, To string
-	// Kind is "drs", "cross-bb", or "evacuation" (core.MigrationKind).
+	// Kind is "drs", "cross-bb", or "evacuation": the event log's
+	// migrate_intra_bb, migrate_cross_bb, or evacuate row.
 	Kind string
 }
 
@@ -327,6 +330,23 @@ func (s *Session) Now() sim.Time {
 // Horizon reports the end of the observation window.
 func (s *Session) Horizon() sim.Time { return s.cfg.Horizon() }
 
+// onEvent streams the event-log rows observers see as placements and
+// migrations; deletions and resizes are not streamed.
+func (s *Session) onEvent(e events.Event) {
+	switch e.Type {
+	case events.Create:
+		s.disp.publish(Placement{At: e.At, VM: e.VM, Flavor: e.Flavor, Node: e.Target})
+	case events.ScheduleFailed, events.EvacuateFailed:
+		s.disp.publish(Placement{At: e.At, VM: e.VM, Flavor: e.Flavor, Failed: true})
+	case events.MigrateIntraBB:
+		s.disp.publish(Migration{At: e.At, VM: e.VM, From: e.Source, To: e.Target, Kind: "drs"})
+	case events.MigrateCrossBB:
+		s.disp.publish(Migration{At: e.At, VM: e.VM, From: e.Source, To: e.Target, Kind: "cross-bb"})
+	case events.Evacuate:
+		s.disp.publish(Migration{At: e.At, VM: e.VM, From: e.Source, To: e.Target, Kind: "evacuation"})
+	}
+}
+
 // Build assembles the simulation: topology, scheduler, epoch population,
 // samplers, rebalancers, and scenario injectors, leaving the clock at zero.
 // Build is idempotent; Start calls it implicitly.
@@ -347,13 +367,7 @@ func (s *Session) Build() error {
 	}
 	var hooks core.Hooks
 	if s.disp != nil {
-		hooks.OnPlacement = func(now sim.Time, vm, flavor, node, reason string) {
-			s.disp.publish(Placement{At: now, VM: vm, Flavor: flavor,
-				Node: node, Failed: reason != "", Reason: reason})
-		}
-		hooks.OnMigration = func(now sim.Time, vm, flavor, from, to string, kind core.MigrationKind) {
-			s.disp.publish(Migration{At: now, VM: vm, From: from, To: to, Kind: string(kind)})
-		}
+		hooks.OnEvent = s.onEvent
 	}
 	if s.disp != nil || s.opts.incremental {
 		hooks.OnTick = s.onTick

@@ -299,56 +299,95 @@ func TestObserverBackpressureNeverDeadlocks(t *testing.T) {
 
 // TestSessionProgressStream: a full-speed observer sees a monotone progress
 // stream ending exactly at the horizon, plus placement and migration
-// events.
+// events. The second row fails half the fleet, so the stream carries
+// evacuations and the VMs they strand; every streamed count matches its
+// event-log rows.
 func TestSessionProgressStream(t *testing.T) {
-	col := &collector{}
-	cfg := sessionTestConfig(6)
-	s, err := NewSession(cfg, WithObserver(col))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.RunToCompletion(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lastNow sim.Time = -1
-	var placements, migrations int
-	for _, ev := range col.snapshot() {
-		switch e := ev.(type) {
-		case Progress:
-			if e.Now < lastNow {
-				t.Fatalf("progress went backwards: %v after %v", e.Now, lastNow)
+	failures := sessionTestConfig(6)
+	failures.Injectors = []core.Injector{
+		scenario.HostFailures{At: sim.Day, Fraction: 0.5, Recover: 12 * sim.Hour}}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"steady", sessionTestConfig(6)},
+		{"host-failures", failures},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			col := &collector{}
+			cfg := tc.cfg
+			s, err := NewSession(cfg, WithObserver(col))
+			if err != nil {
+				t.Fatal(err)
 			}
-			lastNow = e.Now
-		case Placement:
-			placements++
-			if e.VM == "" || e.Flavor == "" {
-				t.Fatalf("malformed placement %+v", e)
+			defer s.Close()
+			if err := s.RunToCompletion(); err != nil {
+				t.Fatal(err)
 			}
-			if !e.Failed && e.Node == "" {
-				t.Fatalf("successful placement without node: %+v", e)
+			res, err := s.Result()
+			if err != nil {
+				t.Fatal(err)
 			}
-		case Migration:
-			migrations++
-			if e.From == "" || e.To == "" {
-				t.Fatalf("malformed migration %+v", e)
+			var lastNow sim.Time = -1
+			var placements, failed, migrations int
+			kinds := map[string]int{}
+			for _, ev := range col.snapshot() {
+				switch e := ev.(type) {
+				case Progress:
+					if e.Now < lastNow {
+						t.Fatalf("progress went backwards: %v after %v", e.Now, lastNow)
+					}
+					lastNow = e.Now
+				case Placement:
+					placements++
+					if e.VM == "" || e.Flavor == "" {
+						t.Fatalf("malformed placement %+v", e)
+					}
+					if !e.Failed && e.Node == "" {
+						t.Fatalf("successful placement without node: %+v", e)
+					}
+					if e.Failed {
+						failed++
+					}
+				case Migration:
+					migrations++
+					kinds[e.Kind]++
+					if e.From == "" || e.To == "" {
+						t.Fatalf("malformed migration %+v", e)
+					}
+				}
 			}
-		}
-	}
-	if lastNow != cfg.Horizon() {
-		t.Fatalf("final progress at %v, want %v", lastNow, cfg.Horizon())
-	}
-	// In-window creations (plus failures) stream as placements.
-	wantPlacements := res.Events.CountByType()["create"] + res.Events.CountByType()["schedule_failed"]
-	if placements != wantPlacements {
-		t.Errorf("streamed %d placements, event log has %d", placements, wantPlacements)
-	}
-	if migrations != res.DRSMigrations+res.CrossBBMoves {
-		t.Errorf("streamed %d migrations, result counted %d", migrations, res.DRSMigrations+res.CrossBBMoves)
+			if lastNow != cfg.Horizon() {
+				t.Fatalf("final progress at %v, want %v", lastNow, cfg.Horizon())
+			}
+			counts := res.Events.CountByType()
+			// In-window creations (plus failures) stream as placements.
+			wantPlacements := counts["create"] + counts["schedule_failed"] + counts["evacuate_failed"]
+			if placements != wantPlacements {
+				t.Errorf("streamed %d placements, event log has %d", placements, wantPlacements)
+			}
+			if rebalance := migrations - kinds["evacuation"]; rebalance != res.DRSMigrations+res.CrossBBMoves {
+				t.Errorf("streamed %d rebalancing migrations, result counted %d", rebalance, res.DRSMigrations+res.CrossBBMoves)
+			}
+			for _, c := range []struct {
+				what      string
+				got, want int
+			}{
+				{"successful placements", placements - failed, counts["create"]},
+				{"failed placements", failed, counts["schedule_failed"] + counts["evacuate_failed"]},
+				{"drs migrations", kinds["drs"], counts["migrate_intra_bb"]},
+				{"cross-bb migrations", kinds["cross-bb"], counts["migrate_cross_bb"]},
+				{"evacuation migrations", kinds["evacuation"], counts["evacuate"]},
+			} {
+				if c.got != c.want {
+					t.Errorf("streamed %d %s, event log has %d", c.got, c.what, c.want)
+				}
+			}
+			if tc.name == "host-failures" && (counts["evacuate"] == 0 || counts["evacuate_failed"] == 0) {
+				t.Errorf("host failures left %d evacuate and %d evacuate_failed rows, want both > 0",
+					counts["evacuate"], counts["evacuate_failed"])
+			}
+		})
 	}
 }
 
