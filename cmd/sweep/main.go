@@ -19,7 +19,7 @@
 //
 //	sweep [-scale F] [-vms N] [-days N] [-sample D] \
 //	      [-scenarios a,b,...] [-variants x,y,...] [-seeds 7,11,...] \
-//	      [-workers N] [-timeout D] [-out DIR] [-diff] [-list] [-branch] \
+//	      [-workers N] [-timeout D] [-out DIR] [-diff] [-list] \
 //	      [-resume DIR] [-bundle DIR] [-trace FILE] [-engprof DIR]
 //
 // -engprof DIR exports each cell's engine self-profile — the always-on
@@ -86,7 +86,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		diff       = fs.Bool("diff", false, "fingerprint all artifacts per cell and print per-cell diffs vs the baseline scenario")
 		list       = fs.Bool("list", false, "list builtin scenarios and variants, then exit")
 		resumeDir  = fs.String("resume", "", "resume an interrupted dispatched sweep from this journal directory")
-		branch     = fs.Bool("branch", false, "warm-fork cells sharing a (variant, seed) from one snapshot of their common prefix (in-process mode only; a test pins equal runs to a cold sweep for one matrix, there is no general byte-identity guarantee)")
 		bundleDir  = fs.String("bundle", "", "materialize a digest-verified report bundle (artifact bodies included) into this directory")
 		traceOut   = fs.String("trace", "", "export the sweep's cell-lifecycle trace (Chrome trace-event JSON, Perfetto-loadable) to this file")
 		engprofDir = fs.String("engprof", "", "export each cell's engine self-profile as JSON into this directory (for analyze -engprof)")
@@ -126,7 +125,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if serr != nil {
 			return serr
 		}
-		res, err = localSweep(ctx, spec, *workers, *diff, *progress, *branch, stdout, stderr, exports)
+		res, err = localSweep(ctx, spec, *workers, *diff, *progress, stdout, stderr, exports)
 	}
 	if err != nil {
 		return err
@@ -145,14 +144,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 // byte-identical to the bundle a dispatched sweep of the same matrix
 // produces.
 func localSweep(ctx context.Context, spec dispatch.Spec, workers int,
-	fingerprint, progress, branch bool, stdout, stderr io.Writer, out dispatch.Exports) (*scenario.SweepResult, error) {
+	fingerprint, progress bool, stdout, stderr io.Writer, out dispatch.Exports) (*scenario.SweepResult, error) {
 	m, err := spec.Matrix()
 	if err != nil {
 		return nil, err
 	}
 	m.Workers = workers
 	m.Context = ctx
-	m.Branch = branch
 	var store *artifact.Store
 	if out.Bundle != "" {
 		casDir, err := os.MkdirTemp("", "sweep-cas-*")

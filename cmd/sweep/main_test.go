@@ -146,7 +146,7 @@ func TestExportsAndTrace(t *testing.T) {
 	report, trace, engprof := filepath.Join(dir, "report"), filepath.Join(dir, "trace.json"), filepath.Join(dir, "engprof")
 	var stdout bytes.Buffer
 	var stderr lockedBuffer
-	args := append(append([]string{}, matrix...), "-variants", "default", "-diff", "-branch",
+	args := append(append([]string{}, matrix...), "-variants", "default", "-diff",
 		"-out", report, "-trace", trace, "-engprof", engprof)
 	if err := run(args, &stdout, &stderr); err != nil {
 		t.Fatal(err)

@@ -28,8 +28,8 @@ func main() {
 
 	// Observers receive typed events on a dispatch goroutine that never
 	// blocks the simulation: per-tick Progress (coalesced under
-	// backpressure), every in-window Placement, every DRS Migration, and
-	// ArtifactReady for experiments computed incrementally.
+	// backpressure), every in-window Placement, and every DRS Migration.
+	// Artifacts are computed from the finished Result, as below.
 	var placements, failures, migrations int
 	session, err := sapsim.NewSession(cfg,
 		sapsim.WithObserverFunc(func(ev sapsim.SessionEvent) {

@@ -65,8 +65,7 @@ type Simulation struct {
 	rebalancer *drs.DRS
 	cross      *drs.CrossBB
 
-	lastArrival sim.Time
-	finalized   bool
+	finalized bool
 
 	// instances is the deterministic workload in generation order; the
 	// snapshot's VM overlay is index-aligned with its prefix.
@@ -262,18 +261,12 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 	// region is in steady state at the epoch. A restore skips placement
 	// and arrival scheduling: the VM overlay and the captured engine queue
 	// carry that state.
-	for idx, in := range instances {
-		if in.ArriveAt <= 0 {
-			if !restoring {
+	if !restoring {
+		for idx, in := range instances {
+			if in.ArriveAt <= 0 {
 				placeVM(idx, in, 0)
+				continue
 			}
-			continue
-		}
-		if in.ArriveAt > s.lastArrival {
-			s.lastArrival = in.ArriveAt
-		}
-		if !restoring {
-			idx, in := idx, in
 			if _, err := engine.ScheduleOwned(in.ArriveAt, 0, ownerArrive, indexPayload(idx), func(at sim.Time) {
 				placeVM(idx, in, at)
 			}); err != nil {
@@ -440,11 +433,6 @@ func (s *Simulation) FiredEvents() uint64 { return s.engine.Fired() }
 
 // LiveVMs reports how many VMs are currently resident in the fleet.
 func (s *Simulation) LiveVMs() int { return len(s.live) }
-
-// LastArrival reports the simulated time of the last in-window VM arrival:
-// once the clock passes it, the full arrival sequence (and with it every
-// lifetime record) is final.
-func (s *Simulation) LastArrival() sim.Time { return s.lastArrival }
 
 // Result returns the simulation's live result. Telemetry, events, and the
 // VM population accumulate as the clock advances; the end-of-run summary

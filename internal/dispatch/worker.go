@@ -262,10 +262,7 @@ func (w *Worker) Run(ctx context.Context) error {
 				// Cool the slot down so a worker-local failure doesn't
 				// re-book its own release in a tight loop; healthy workers
 				// grab the cell meanwhile.
-				select {
-				case <-ctx.Done():
-				case <-time.After(abandonBackoff):
-				}
+				_ = w.sleep(ctx, abandonBackoff)
 			} else if err == nil {
 				w.m.completed.Inc()
 			}

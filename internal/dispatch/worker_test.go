@@ -3,6 +3,7 @@ package dispatch
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 
 	"sapsim"
 	"sapsim/internal/engprof"
+	"sapsim/internal/scenario"
 )
 
 // TestWorkerBookBackoff pins the retry schedule against a flapping
@@ -119,6 +121,78 @@ func TestWorkerBackoffJitterSpread(t *testing.T) {
 	}
 	if hi <= lo || hi >= time.Second {
 		t.Errorf("high-edge first delay = %v, want in (500ms, 1s)", hi)
+	}
+}
+
+// TestWorkerAbandonCoolDown: a cell whose completion the dispatcher
+// rejects (412, missing blobs) is released with the failure as its reason,
+// and its slot cools down for abandonBackoff through the sleep seam — not
+// a wall-clock timer the test cannot see.
+func TestWorkerAbandonCoolDown(t *testing.T) {
+	base := testSpec().Base
+	base.Days = 1
+	booking := BookResponse{Job: 3, Attempt: 1, Base: base,
+		Key: scenario.Key{Scenario: "baseline", Variant: "default", Seed: 7}}
+	var (
+		mu      sync.Mutex
+		books   int
+		release *ReleaseRequest
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch r.URL.Path {
+		case "/book":
+			if books++; books > 1 {
+				w.WriteHeader(http.StatusGone)
+				return
+			}
+			_ = json.NewEncoder(w).Encode(booking)
+		case "/complete":
+			w.WriteHeader(http.StatusPreconditionFailed)
+		case "/release":
+			release = new(ReleaseRequest)
+			if err := json.NewDecoder(r.Body).Decode(release); err != nil {
+				t.Errorf("decoding /release: %v", err)
+			}
+			_, _ = io.WriteString(w, `{"OK":true}`)
+		default:
+			t.Errorf("unexpected request %s %s", r.Method, r.URL.Path)
+			w.WriteHeader(http.StatusNotFound)
+		}
+	}))
+	defer srv.Close()
+
+	var slept []time.Duration
+	w := &Worker{
+		Dispatcher:       srv.URL,
+		ID:               "w1",
+		HeartbeatEvery:   time.Hour,
+		DisableSnapshots: true,
+		sleep: func(ctx context.Context, d time.Duration) error {
+			mu.Lock()
+			slept = append(slept, d)
+			mu.Unlock()
+			return nil // no wall-clock time passes
+		},
+	}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if release == nil {
+		t.Fatal("abandoned cell was never released")
+	}
+	if release.Worker != "w1" || release.Job != booking.Job || release.Attempt != booking.Attempt {
+		t.Errorf("release = %+v, want worker w1, job %d, attempt %d", *release, booking.Job, booking.Attempt)
+	}
+	if !strings.Contains(release.Reason, ErrMissingBlobs.Error()) {
+		t.Errorf("release reason %q does not carry the rejected completion", release.Reason)
+	}
+	if len(slept) != 1 || slept[0] != abandonBackoff {
+		t.Errorf("sleeps = %v, want exactly one abandonBackoff (%v)", slept, abandonBackoff)
 	}
 }
 

@@ -200,9 +200,6 @@ type HostFailures struct {
 // Name implements core.Injector.
 func (HostFailures) Name() string { return "host-failures" }
 
-// FirstEffect reports the first instant the injection mutates run state.
-func (hf HostFailures) FirstEffect() sim.Time { return hf.At }
-
 // Inject implements core.Injector.
 func (hf HostFailures) Inject(env *core.Env) error {
 	if hf.Count < 0 || hf.Fraction < 0 || hf.Fraction > 1 {
@@ -235,9 +232,6 @@ type AZOutage struct {
 
 // Name implements core.Injector.
 func (AZOutage) Name() string { return "az-outage" }
-
-// FirstEffect reports the first instant the injection mutates run state.
-func (o AZOutage) FirstEffect() sim.Time { return o.At }
 
 // Inject implements core.Injector.
 func (o AZOutage) Inject(env *core.Env) error {
@@ -285,9 +279,6 @@ type MaintenanceDrain struct {
 
 // Name implements core.Injector.
 func (MaintenanceDrain) Name() string { return "maintenance-drain" }
-
-// FirstEffect reports the first instant the injection mutates run state.
-func (d MaintenanceDrain) FirstEffect() sim.Time { return d.At }
 
 // Inject implements core.Injector.
 func (d MaintenanceDrain) Inject(env *core.Env) error {
@@ -371,9 +362,6 @@ type CorrelatedFailures struct {
 
 // Name implements core.Injector.
 func (CorrelatedFailures) Name() string { return "correlated-failures" }
-
-// FirstEffect reports the first instant the injection mutates run state.
-func (cf CorrelatedFailures) FirstEffect() sim.Time { return cf.At }
 
 // Inject implements core.Injector.
 func (cf CorrelatedFailures) Inject(env *core.Env) error {
@@ -480,14 +468,6 @@ type CascadingFailures struct {
 
 // Name implements core.Injector.
 func (CascadingFailures) Name() string { return "cascading-failures" }
-
-// FirstEffect reports the first instant the injection mutates run state.
-func (cf CascadingFailures) FirstEffect() sim.Time {
-	if cf.Start > 0 {
-		return cf.Start
-	}
-	return sim.Day
-}
 
 // hazard is the per-evaluation failure probability at a given load
 // fraction, capped at 1.
@@ -609,11 +589,6 @@ type CapacityExpansion struct {
 // Name implements core.Injector.
 func (CapacityExpansion) Name() string { return "capacity-expansion" }
 
-// FirstEffect reports the first instant the injection mutates run state.
-// A capacity expansion mutates the topology at injection time (blocks are
-// pre-built out of service), so there is no injection-free warm prefix.
-func (CapacityExpansion) FirstEffect() sim.Time { return 0 }
-
 // Inject implements core.Injector. The blocks are created here, at
 // injection time — where topology errors (duplicate IDs from two
 // expansions targeting the same DC, bad capacity) can still fail the run
@@ -717,9 +692,6 @@ type ResizeWave struct {
 
 // Name implements core.Injector.
 func (ResizeWave) Name() string { return "resize-wave" }
-
-// FirstEffect reports the first instant the injection mutates run state.
-func (w ResizeWave) FirstEffect() sim.Time { return w.At }
 
 // Inject implements core.Injector.
 func (w ResizeWave) Inject(env *core.Env) error {

@@ -12,7 +12,6 @@ import (
 	"sapsim/internal/events"
 	"sapsim/internal/exporter"
 	"sapsim/internal/sim"
-	"sapsim/internal/snapshot"
 )
 
 // Variant is one scheduler/policy configuration under comparison. Apply
@@ -41,22 +40,6 @@ type Matrix struct {
 	// isolated (own engine, fleet, telemetry store), so the worker count
 	// never changes results or their order.
 	Workers int
-	// Branch enables warm-forked execution: cells sharing a (variant, seed)
-	// pair whose scenarios do not reshape the arrival process run their
-	// common steady-state prefix once, snapshot it, and fork per-scenario
-	// branches from the warm state instead of replaying the prefix per cell.
-	// The prefix ends at the earliest declared first effect across the
-	// group's scenarios (see the injectors' FirstEffect methods).
-	//
-	// Branching preserves the simulation up to the fork point exactly; after
-	// it, events a branch injects tie-break after same-instant events
-	// already in flight (they carry later sequence numbers than a cold run
-	// would assign), so a branched cell can differ from its cold twin in
-	// exact same-nanosecond orderings. TestSweepBranchedMatchesCold pins
-	// equal Runs to the cold sweep for its matrix; there is no general
-	// byte-identity guarantee — leave Branch off when cells must be
-	// byte-identical to cold runs.
-	Branch bool
 	// Context cancels the sweep: in-flight cells unwind within one engine
 	// tick and pending cells never start; both record the context's error
 	// in their Run.Err slot, so the scenario-major result order survives
@@ -202,67 +185,16 @@ func Sweep(m Matrix) (*SweepResult, error) {
 	if len(seeds) == 0 {
 		seeds = []uint64{m.Base.Seed}
 	}
-	type groupKey struct {
-		variant int
-		seed    uint64
-	}
-	var groups map[groupKey]*warmGroup
-	if m.Branch {
-		groups = make(map[groupKey]*warmGroup)
-		for vi, v := range variants {
-			for _, seed := range seeds {
-				wcfg := m.Base
-				wcfg.Seed = seed
-				if v.Apply != nil {
-					v.Apply(&wcfg)
-				}
-				horizon := wcfg.Horizon()
-				prefix := horizon
-				members := 0
-				for _, sc := range scenarios {
-					t, ok := warmPrefix(sc, horizon)
-					if !ok {
-						continue
-					}
-					members++
-					if t < prefix {
-						prefix = t
-					}
-				}
-				// Fork strictly before the first effect: ambient events at
-				// the effect instant (sampling ticks land on the same round
-				// timestamps injections use) must still be pending so the
-				// branch orders against them the way a cold run would.
-				prefix--
-				// A warm prefix pays off only when at least two cells share
-				// it and it covers a real slice of the run.
-				if members < 2 || prefix <= 0 || prefix >= horizon {
-					continue
-				}
-				groups[groupKey{vi, seed}] = &warmGroup{at: prefix, cfg: wcfg}
-			}
-		}
-	}
-
 	type job struct {
 		sc      *Scenario
 		variant Variant
 		seed    uint64
-		// group, when non-nil, is the warm-fork group this cell branches
-		// from (Matrix.Branch).
-		group *warmGroup
 	}
 	var jobs []job
 	for _, sc := range scenarios {
-		for vi, v := range variants {
+		for _, v := range variants {
 			for _, seed := range seeds {
-				j := job{sc: sc, variant: v, seed: seed}
-				if g := groups[groupKey{vi, seed}]; g != nil {
-					if _, ok := warmPrefix(sc, g.cfg.Horizon()); ok {
-						j.group = g
-					}
-				}
-				jobs = append(jobs, j)
+				jobs = append(jobs, job{sc: sc, variant: v, seed: seed})
 			}
 		}
 	}
@@ -321,34 +253,7 @@ func Sweep(m Matrix) (*SweepResult, error) {
 		if m.Context != nil {
 			interrupt = m.Context.Err
 		}
-		build := func() (*core.Simulation, error) { return core.NewSimulation(cfg, hooks) }
-		if g := j.group; g != nil {
-			// First cell of the group to arrive runs the shared prefix and
-			// snapshots it; the rest block here until the snapshot exists.
-			g.once.Do(func() {
-				warm, err := core.NewSimulation(g.cfg, core.Hooks{})
-				if err == nil {
-					err = warm.AdvanceTo(g.at, interrupt)
-				}
-				if err == nil {
-					g.snap, err = warm.Snapshot()
-				}
-				g.err = err
-			})
-			// A failed warm prefix (an unowned event from a custom injector,
-			// or cancellation) degrades the cell to a cold run.
-			if g.err == nil {
-				bcfg := g.cfg
-				if len(j.sc.Injections) > 0 {
-					bcfg.Injectors = append(append([]core.Injector{}, g.cfg.Injectors...), j.sc.Injections...)
-				}
-				cfg = bcfg
-				build = func() (*core.Simulation, error) {
-					return core.RestoreSimulation(bcfg, hooks, g.snap)
-				}
-			}
-		}
-		simulation, err := build()
+		simulation, err := core.NewSimulation(cfg, hooks)
 		if err == nil {
 			cell.State = CellStarted
 			notify(cell)
@@ -404,53 +309,6 @@ func Sweep(m Matrix) (*SweepResult, error) {
 	}
 	wg.Wait()
 	return &SweepResult{Runs: runs}, nil
-}
-
-// warmGroup is the shared steady-state prefix of one (variant, seed) slice
-// of a branched sweep: the first cell to execute runs the prefix once and
-// snapshots it; every other cell of the group forks from the snapshot.
-type warmGroup struct {
-	once sync.Once
-	// at is the fork point: the earliest first effect across the group's
-	// scenarios.
-	at sim.Time
-	// cfg is the prefix configuration — base plus variant and seed, without
-	// any scenario injections.
-	cfg  core.Config
-	snap *snapshot.Snapshot
-	err  error
-}
-
-// firstEffecter is implemented by injectors that declare the simulated time
-// of their earliest operational effect, enabling warm-forked sweeps.
-type firstEffecter interface{ FirstEffect() sim.Time }
-
-// warmPrefix reports how long the scenario's run is indistinguishable from
-// the injection-free baseline: the minimum declared first effect across its
-// injections (the horizon when it has none). ok is false when the scenario
-// cannot fork from a shared prefix — it reshapes the arrival process
-// (phases change workload generation from t=0), or carries an injection
-// without a declared first effect or with one at t<=0 (inject-time
-// topology mutation).
-func warmPrefix(sc *Scenario, horizon sim.Time) (sim.Time, bool) {
-	if len(sc.Phases) > 0 {
-		return 0, false
-	}
-	t := horizon
-	for _, inj := range sc.Injections {
-		fe, ok := inj.(firstEffecter)
-		if !ok {
-			return 0, false
-		}
-		at := fe.FirstEffect()
-		if at <= 0 {
-			return 0, false
-		}
-		if at < t {
-			t = at
-		}
-	}
-	return t, true
 }
 
 // Extract computes the headline metrics from a finished run.

@@ -225,43 +225,6 @@ func TestSweepOnCellLifecycle(t *testing.T) {
 	}
 }
 
-// TestSweepBranchedMatchesCold: warm-forked execution (Branch) must
-// reproduce the cold sweep's results for this matrix — the baseline cells
-// are exact seq-preserving replays, and the host-failure cells' branch
-// injections order against coincident ambient events the way their cold
-// counterparts do. Branched sweeps must also stay deterministic across
-// worker counts.
-func TestSweepBranchedMatchesCold(t *testing.T) {
-	cold, err := Sweep(testMatrix(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := testMatrix(4)
-	warm.Branch = true
-	branched, err := Sweep(warm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(branched.Runs) != len(cold.Runs) {
-		t.Fatalf("branched sweep has %d runs, cold has %d", len(branched.Runs), len(cold.Runs))
-	}
-	for i := range cold.Runs {
-		if !reflect.DeepEqual(cold.Runs[i], branched.Runs[i]) {
-			t.Errorf("cell %+v diverged under branching:\n  cold:     %+v\n  branched: %+v",
-				cold.Runs[i].Key, cold.Runs[i], branched.Runs[i])
-		}
-	}
-	serial := testMatrix(1)
-	serial.Branch = true
-	again, err := Sweep(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again.Runs, branched.Runs) {
-		t.Fatal("branched sweep is not deterministic across worker counts")
-	}
-}
-
 func TestComparativeReportShape(t *testing.T) {
 	res, err := Sweep(testMatrix(4))
 	if err != nil {

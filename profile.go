@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sapsim/internal/engprof"
-	"sapsim/internal/sim"
 )
 
 // Profile is the engine self-profiler's per-phase wall-time and work
@@ -20,15 +19,6 @@ type Profile = engprof.Profile
 // ProfileFormatVersion is the profile serialization format this build
 // writes and accepts.
 const ProfileFormatVersion = engprof.FormatVersion
-
-// ProfileReady delivers the finished run's self-profile, emitted once when
-// the session reaches the horizon.
-type ProfileReady struct {
-	At      sim.Time
-	Profile *Profile
-}
-
-func (ProfileReady) sessionEvent() {}
 
 // EncodeProfileBytes serializes a profile as JSON.
 func EncodeProfileBytes(p *Profile) ([]byte, error) { return p.EncodeBytes() }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestSessionProfile: a finished session carries a valid self-profile whose
-// top-level phases account for its measured engine time, a ProfileReady
-// event delivers it, and the wire round trip preserves it.
+// top-level phases account for its measured engine time, and the wire
+// round trip preserves it.
 func TestSessionProfile(t *testing.T) {
 	col := &collector{}
 	cfg := snapshotTestConfig(21)
@@ -54,20 +54,6 @@ func TestSessionProfile(t *testing.T) {
 	}
 	if c := p.Phase(engprof.PhaseInject); c.Count == 0 {
 		t.Error("injector firings not attributed despite configured HostFailures")
-	}
-
-	var ready *ProfileReady
-	for _, ev := range col.snapshot() {
-		if pr, ok := ev.(ProfileReady); ok {
-			pr := pr
-			ready = &pr
-		}
-	}
-	if ready == nil {
-		t.Fatal("no ProfileReady event emitted")
-	}
-	if ready.At != cfg.Horizon() || ready.Profile == nil {
-		t.Fatalf("ProfileReady at %v with profile %v, want horizon-time delivery", ready.At, ready.Profile)
 	}
 
 	b, err := EncodeProfileBytes(p)

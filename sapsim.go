@@ -65,35 +65,12 @@ type Artifact struct {
 	Values map[string]float64
 }
 
-// Stage classifies the earliest lifecycle point at which an experiment's
-// inputs are final, enabling incremental artifact emission: a Session with
-// WithIncrementalArtifacts computes each artifact as soon as its stage is
-// reached instead of waiting for the full window.
-type Stage int
-
-const (
-	// StageComplete needs the full observation window (all telemetry
-	// figures). The zero value, so unannotated experiments wait for the
-	// horizon.
-	StageComplete Stage = iota
-	// StageStatic has no run-dependent inputs (tables 3-5).
-	StageStatic
-	// StageEpoch needs only the epoch population, final once the initial
-	// placement at t=0 completes (tables 1-2).
-	StageEpoch
-	// StageArrivals needs the full arrival sequence, final once the last
-	// in-window VM arrival has been processed (fig15 lifetimes).
-	StageArrivals
-)
-
 // Experiment maps one paper artifact to the code that regenerates it.
 type Experiment struct {
 	ID         string
 	Title      string
 	PaperClaim string
-	// Stage marks when the experiment's inputs are final (see Stage).
-	Stage   Stage
-	Compute func(res *Result) (*Artifact, error)
+	Compute    func(res *Result) (*Artifact, error)
 }
 
 // netFreeTransform converts a NIC rate in Kbps to free-bandwidth percent
@@ -420,21 +397,18 @@ func buildExperiments() []Experiment {
 			ID:         "fig15a",
 			Title:      "Average VM lifetime per flavor, grouped by vCPU class",
 			PaperClaim: "Lifetimes span minutes to years, median ≈1 week; no monotone size→lifetime relation",
-			Stage:      StageArrivals,
 			Compute:    lifetimeExperiment("fig15a", false),
 		},
 		{
 			ID:         "fig15b",
 			Title:      "Average VM lifetime per flavor, grouped by RAM class",
 			PaperClaim: "Memory-intensive flavors exhibit significant lifetimes (stable long-term deployments)",
-			Stage:      StageArrivals,
 			Compute:    lifetimeExperiment("fig15b", true),
 		},
 		{
 			ID:         "table1",
 			Title:      "VM classification by number of vCPUs",
 			PaperClaim: "Small 28,446 · Medium 14,340 · Large 1,831 · Extra Large 738",
-			Stage:      StageEpoch,
 			Compute: func(res *Result) (*Artifact, error) {
 				return classArtifact("table1", "Table 1: classification by vCPUs", res,
 					func(f *vmmodel.Flavor) vmmodel.SizeClass { return f.VCPUClass() },
@@ -445,7 +419,6 @@ func buildExperiments() []Experiment {
 			ID:         "table2",
 			Title:      "VM classification by memory resources",
 			PaperClaim: "Small 991 · Medium 41,395 · Large 787 · Extra Large 2,184",
-			Stage:      StageEpoch,
 			Compute: func(res *Result) (*Artifact, error) {
 				return classArtifact("table2", "Table 2: classification by RAM", res,
 					func(f *vmmodel.Flavor) vmmodel.SizeClass { return f.RAMClass() },
@@ -456,7 +429,6 @@ func buildExperiments() []Experiment {
 			ID:         "table3",
 			Title:      "Comparison of prior work and the SAP Cloud Infrastructure Dataset",
 			PaperClaim: "SAP is the only public dataset with VM workloads, lifetimes to years, and 30s-300s sampling",
-			Stage:      StageStatic,
 			Compute: func(res *Result) (*Artifact, error) {
 				return &Artifact{
 					ID: "table3", Title: "Table 3: dataset comparison",
@@ -470,7 +442,6 @@ func buildExperiments() []Experiment {
 			ID:         "table4",
 			Title:      "Metric details for vROps and OpenStack Compute (Appendix C)",
 			PaperClaim: "14 metrics across compute-host and VM subsystems",
-			Stage:      StageStatic,
 			Compute: func(res *Result) (*Artifact, error) {
 				rows := make([][]string, 0, len(exporter.Catalog()))
 				for _, c := range exporter.Catalog() {
@@ -488,7 +459,6 @@ func buildExperiments() []Experiment {
 			ID:         "table5",
 			Title:      "Data center overview (Appendix D)",
 			PaperClaim: "29 DCs; studied region 9 has 1,823 hypervisors and 47,116 VMs",
-			Stage:      StageStatic,
 			Compute: func(res *Result) (*Artifact, error) {
 				rows := make([][]string, 0, len(topology.Table5))
 				for _, r := range topology.Table5 {

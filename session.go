@@ -14,8 +14,8 @@ import (
 )
 
 // SessionEvent is the interface satisfied by every typed event a Session
-// delivers to its observers: Progress, Placement, Migration, ArtifactReady,
-// and Error.
+// delivers to its observers: Progress, Placement, Migration, Error, and
+// SessionPhase.
 type SessionEvent interface{ sessionEvent() }
 
 // Progress reports the run's heartbeat, emitted once per host-telemetry
@@ -53,17 +53,7 @@ type Migration struct {
 	Kind string
 }
 
-// ArtifactReady delivers a finished experiment artifact. With incremental
-// artifacts enabled, experiments whose inputs are final before the horizon
-// (tables 1-5, fig15) are emitted mid-run as soon as they stabilize; the
-// rest follow at completion.
-type ArtifactReady struct {
-	At       sim.Time
-	Artifact *Artifact
-}
-
-// Error reports a run abort (context cancellation, engine failure) or a
-// non-fatal artifact computation failure.
+// Error reports a run abort: context cancellation or an engine failure.
 type Error struct {
 	At  sim.Time
 	Err error
@@ -85,12 +75,11 @@ type SessionPhase struct {
 	FromSim, ToSim sim.Time
 }
 
-func (Progress) sessionEvent()      {}
-func (Placement) sessionEvent()     {}
-func (Migration) sessionEvent()     {}
-func (ArtifactReady) sessionEvent() {}
-func (Error) sessionEvent()         {}
-func (SessionPhase) sessionEvent()  {}
+func (Progress) sessionEvent()     {}
+func (Placement) sessionEvent()    {}
+func (Migration) sessionEvent()    {}
+func (Error) sessionEvent()        {}
+func (SessionPhase) sessionEvent() {}
 
 // Observer receives session events. Observers run on a dedicated dispatch
 // goroutine, never on the simulation hot loop: a slow observer delays its
@@ -167,11 +156,9 @@ func (s SessionState) String() string {
 }
 
 type sessionOptions struct {
-	ctx            context.Context
-	observers      []Observer
-	policyNames    []string
-	incremental    bool
-	incrementalIDs map[string]bool
+	ctx         context.Context
+	observers   []Observer
+	policyNames []string
 }
 
 // Option configures a Session at construction.
@@ -227,28 +214,6 @@ func WithPolicy(name string) Option {
 	}
 }
 
-// WithIncrementalArtifacts enables ArtifactReady events: experiments whose
-// inputs are final before the horizon (StageStatic, StageEpoch,
-// StageArrivals) emit as soon as they stabilize, the rest at completion.
-// With no ids, all experiments stream; otherwise only the named ones.
-func WithIncrementalArtifacts(ids ...string) Option {
-	return func(o *sessionOptions) error {
-		o.incremental = true
-		if len(ids) > 0 {
-			if o.incrementalIDs == nil {
-				o.incrementalIDs = make(map[string]bool, len(ids))
-			}
-			for _, id := range ids {
-				if _, ok := ExperimentByID(id); !ok {
-					return fmt.Errorf("sapsim: unknown experiment %q", id)
-				}
-				o.incrementalIDs[id] = true
-			}
-		}
-		return nil
-	}
-}
-
 // Session is the phased, observable, cancellable form of a run. The
 // lifecycle is Build → Start → Step(n)/RunToCompletion → Result, with Run
 // remaining as the blocking one-call wrapper. Sessions are driven from one
@@ -276,11 +241,6 @@ type Session struct {
 	// resume, when set, makes Build restore this snapshot instead of
 	// assembling at t=0.
 	resume *Snapshot
-
-	// pending holds incremental experiments not yet emitted, keyed by
-	// effective stage; each stage's list is consumed exactly once, so the
-	// per-tick readiness check stays O(1) after a stage drains.
-	pending map[Stage][]Experiment
 }
 
 // NewSession validates cfg, applies options and any selected policies to a
@@ -368,9 +328,7 @@ func (s *Session) Build() error {
 	var hooks core.Hooks
 	if s.disp != nil {
 		hooks.OnEvent = s.onEvent
-	}
-	if s.disp != nil || s.opts.incremental {
-		hooks.OnTick = s.onTick
+		hooks.OnTick = func(sim.Time) { s.publishProgress() }
 	}
 	var simulation *core.Simulation
 	var err error
@@ -384,16 +342,6 @@ func (s *Session) Build() error {
 		return err
 	}
 	s.sim = simulation
-	if s.opts.incremental {
-		s.pending = make(map[Stage][]Experiment)
-		for _, exp := range Experiments() {
-			if s.opts.incrementalIDs != nil && !s.opts.incrementalIDs[exp.ID] {
-				continue
-			}
-			st := s.effectiveStage(exp.Stage)
-			s.pending[st] = append(s.pending[st], exp)
-		}
-	}
 	s.state = StateBuilt
 	if s.disp != nil {
 		// A resumed build starts at the snapshot time, a cold one at t=0.
@@ -404,8 +352,7 @@ func (s *Session) Build() error {
 }
 
 // Start transitions the session to StateRunning and emits the initial
-// Progress plus any incremental artifacts whose inputs are already final
-// (static tables, the epoch population of tables 1 and 2).
+// Progress.
 func (s *Session) Start() error {
 	if err := s.Build(); err != nil {
 		return err
@@ -419,7 +366,6 @@ func (s *Session) Start() error {
 	}
 	s.state = StateRunning
 	s.publishProgress()
-	s.emitReadyArtifacts(StageStatic, StageEpoch)
 	return nil
 }
 
@@ -520,12 +466,10 @@ func (s *Session) Close() error {
 	return nil
 }
 
-// finish marks the session done: summary counters are final, remaining
-// incremental artifacts emit, and the dispatcher drains.
+// finish marks the session done: summary counters are final, the last
+// Progress is published, and the dispatcher drains.
 func (s *Session) finish() {
 	s.state = StateDone
-	s.emitReadyArtifacts(StageStatic, StageEpoch, StageArrivals, StageComplete)
-	s.publish(ProfileReady{At: s.sim.Now(), Profile: s.sim.Result().Profile})
 	s.publishProgress()
 	if s.disp != nil {
 		s.disp.close()
@@ -552,15 +496,6 @@ func (s *Session) fail(err error) {
 	}
 }
 
-// onTick is the per-sample heartbeat, invoked synchronously by the engine
-// after each host-telemetry sweep.
-func (s *Session) onTick(now sim.Time) {
-	s.publishProgress()
-	if len(s.pending[StageArrivals]) > 0 && now >= s.sim.LastArrival() {
-		s.emitReadyArtifacts(StageArrivals)
-	}
-}
-
 func (s *Session) publish(ev SessionEvent) {
 	if s.disp != nil {
 		s.disp.publish(ev)
@@ -574,47 +509,6 @@ func (s *Session) publishProgress() {
 		FiredEvents: s.sim.FiredEvents(),
 		LiveVMs:     s.sim.LiveVMs(),
 	})
-}
-
-// effectiveStage narrows an experiment's declared stage to this run's
-// configuration: resize churn — the background ResizeRate process or any
-// scenario injector (a ResizeWave, or custom injectors calling
-// Scheduler.Resize) — mutates live VMs' flavors, so the epoch population's
-// size classification (tables 1-2) keeps moving until the horizon.
-// Deferring those to completion keeps the streamed artifact byte-identical
-// to the post-run computation in every configuration.
-func (s *Session) effectiveStage(st Stage) Stage {
-	if st == StageEpoch && (s.cfg.ResizeRate > 0 || len(s.cfg.Injectors) > 0) {
-		return StageComplete
-	}
-	return st
-}
-
-// emitReadyArtifacts computes and publishes the pending incremental
-// artifacts of the given stages. Inputs for these stages are final at call
-// time, so the emitted artifact is byte-identical to computing it from the
-// finished Result.
-func (s *Session) emitReadyArtifacts(stages ...Stage) {
-	if !s.opts.incremental {
-		return
-	}
-	now := s.sim.Now()
-	res := s.sim.Result()
-	for _, st := range stages {
-		list := s.pending[st]
-		if len(list) == 0 {
-			continue
-		}
-		delete(s.pending, st)
-		for _, exp := range list {
-			art, err := exp.Compute(res)
-			if err != nil {
-				s.publish(Error{At: now, Err: fmt.Errorf("%s: %w", exp.ID, err)})
-				continue
-			}
-			s.publish(ArtifactReady{At: now, Artifact: art})
-		}
-	}
 }
 
 // Run executes an experiment in one blocking call — the original monolith,

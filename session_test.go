@@ -391,168 +391,6 @@ func TestSessionProgressStream(t *testing.T) {
 	}
 }
 
-// TestSessionIncrementalArtifacts: prefix-stage experiments emit before the
-// horizon, everything emits by completion, and every streamed artifact is
-// byte-identical to recomputing it from the finished Result. Resize churn
-// is disabled so the epoch classification (tables 1-2) is genuinely final
-// at t=0; TestSessionIncrementalArtifactsWithResizes covers the deferral.
-func TestSessionIncrementalArtifacts(t *testing.T) {
-	col := &collector{}
-	cfg := sessionTestConfig(8)
-	cfg.ResizeRate = 0
-	s, err := NewSession(cfg, WithObserver(col), WithIncrementalArtifacts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.RunToCompletion(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	arrived := map[string]ArtifactReady{}
-	for _, ev := range col.snapshot() {
-		if a, ok := ev.(ArtifactReady); ok {
-			if _, dup := arrived[a.Artifact.ID]; dup {
-				t.Fatalf("artifact %s emitted twice", a.Artifact.ID)
-			}
-			arrived[a.Artifact.ID] = a
-		}
-	}
-	if len(arrived) != len(Experiments()) {
-		t.Fatalf("streamed %d artifacts, want %d", len(arrived), len(Experiments()))
-	}
-	for _, exp := range Experiments() {
-		a, ok := arrived[exp.ID]
-		if !ok {
-			t.Errorf("%s never emitted", exp.ID)
-			continue
-		}
-		switch exp.Stage {
-		case StageStatic, StageEpoch:
-			if a.At != 0 {
-				t.Errorf("%s emitted at %v, want at Start (t=0)", exp.ID, a.At)
-			}
-		case StageComplete:
-			if a.At != cfg.Horizon() {
-				t.Errorf("%s emitted at %v, want horizon", exp.ID, a.At)
-			}
-		}
-		want, err := exp.Compute(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Artifact.Text != want.Text {
-			t.Errorf("%s streamed artifact differs from post-run computation", exp.ID)
-		}
-	}
-}
-
-// TestSessionIncrementalArtifactsWithResizes: with resize churn enabled the
-// epoch tables' inputs stay fluid (live VMs change flavors), so their
-// emission defers to the horizon — and still matches the final Result.
-func TestSessionIncrementalArtifactsWithResizes(t *testing.T) {
-	col := &collector{}
-	cfg := sessionTestConfig(8) // default ResizeRate > 0
-	if cfg.ResizeRate <= 0 {
-		t.Fatal("test requires resize churn")
-	}
-	s, err := NewSession(cfg, WithObserver(col), WithIncrementalArtifacts("table1", "table2", "fig15a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.RunToCompletion(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]ArtifactReady{}
-	for _, ev := range col.snapshot() {
-		if a, ok := ev.(ArtifactReady); ok {
-			got[a.Artifact.ID] = a
-		}
-	}
-	if len(got) != 3 {
-		t.Fatalf("streamed %d artifacts, want the 3 requested", len(got))
-	}
-	for _, id := range []string{"table1", "table2"} {
-		a, ok := got[id]
-		if !ok {
-			t.Fatalf("%s never emitted", id)
-		}
-		if a.At != cfg.Horizon() {
-			t.Errorf("%s emitted at %v; resize churn should defer it to the horizon", id, a.At)
-		}
-		exp, _ := ExperimentByID(id)
-		want, err := exp.Compute(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Artifact.Text != want.Text {
-			t.Errorf("%s streamed artifact differs from post-run computation", id)
-		}
-	}
-	// Lifetime records snapshot the flavor at placement, so fig15 still
-	// streams at the last arrival even with resize churn.
-	if a := got["fig15a"]; a.At >= cfg.Horizon() {
-		t.Errorf("fig15a emitted at %v, want before the horizon", a.At)
-	}
-}
-
-// TestSessionIncrementalArtifactsWithInjectors: scenario injectors can
-// resize epoch VMs mid-run (e.g. a ResizeWave), so the epoch tables defer
-// to the horizon whenever injectors are present — and still match the
-// final Result byte-for-byte.
-func TestSessionIncrementalArtifactsWithInjectors(t *testing.T) {
-	col := &collector{}
-	cfg := sessionTestConfig(8)
-	cfg.ResizeRate = 0
-	cfg.Injectors = []core.Injector{scenario.ResizeWave{At: 6 * sim.Hour, Fraction: 0.2}}
-	s, err := NewSession(cfg, WithObserver(col), WithIncrementalArtifacts("table1", "table2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.RunToCompletion(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Resizes == 0 {
-		t.Fatal("resize wave did not fire; test exercises nothing")
-	}
-	got := map[string]ArtifactReady{}
-	for _, ev := range col.snapshot() {
-		if a, ok := ev.(ArtifactReady); ok {
-			got[a.Artifact.ID] = a
-		}
-	}
-	for _, id := range []string{"table1", "table2"} {
-		a, ok := got[id]
-		if !ok {
-			t.Fatalf("%s never emitted", id)
-		}
-		if a.At != cfg.Horizon() {
-			t.Errorf("%s emitted at %v; injectors must defer it to the horizon", id, a.At)
-		}
-		exp, _ := ExperimentByID(id)
-		want, err := exp.Compute(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Artifact.Text != want.Text {
-			t.Errorf("%s streamed artifact differs from post-run computation", id)
-		}
-	}
-}
-
 func TestSessionOptionValidation(t *testing.T) {
 	if _, err := NewSession(sessionTestConfig(1), WithPolicy("no-such-policy")); err == nil {
 		t.Error("unknown policy accepted")
@@ -562,9 +400,6 @@ func TestSessionOptionValidation(t *testing.T) {
 	}
 	if _, err := NewSession(sessionTestConfig(1), WithObserver(nil)); err == nil {
 		t.Error("nil observer accepted")
-	}
-	if _, err := NewSession(sessionTestConfig(1), WithIncrementalArtifacts("nope")); err == nil {
-		t.Error("unknown incremental artifact ID accepted")
 	}
 	bad := sessionTestConfig(1)
 	bad.Days = 0
@@ -633,23 +468,8 @@ func TestExperimentCatalogCoherent(t *testing.T) {
 		if !ok {
 			t.Fatalf("experiment %d (%s) missing from index", i, exp.ID)
 		}
-		if got.ID != exp.ID || got.Title != exp.Title || got.Stage != exp.Stage {
+		if got.ID != exp.ID || got.Title != exp.Title {
 			t.Fatalf("index entry for %s differs from slice entry", exp.ID)
-		}
-	}
-	// Stages partition as documented.
-	stages := map[string]Stage{
-		"table1": StageEpoch, "table2": StageEpoch,
-		"table3": StageStatic, "table4": StageStatic, "table5": StageStatic,
-		"fig15a": StageArrivals, "fig15b": StageArrivals,
-	}
-	for _, exp := range list {
-		want, special := stages[exp.ID]
-		if !special {
-			want = StageComplete
-		}
-		if exp.Stage != want {
-			t.Errorf("%s stage = %v, want %v", exp.ID, exp.Stage, want)
 		}
 	}
 	// Mutating the returned slice must not poison the catalog.
