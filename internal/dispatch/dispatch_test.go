@@ -101,14 +101,17 @@ func TestDispatchedSweepByteIdentity(t *testing.T) {
 		HeartbeatEvery: 2 * time.Millisecond,
 		Poll:           50 * time.Millisecond,
 		Hooks: WorkerHooks{
-			OnBook: func(job int, _ scenario.Key) {
-				victimMu.Lock()
-				if victimJob < 0 {
+			// The abandoned job is the one whose snapshot triggers the
+			// kill: under load the victim can finish its first booking
+			// before any snapshot ships and die holding a later one.
+			OnSnapshot: func(job int, _ BlobRef) {
+				victimOnce.Do(func() {
+					victimMu.Lock()
 					victimJob = job
-				}
-				victimMu.Unlock()
+					victimMu.Unlock()
+					killVictim()
+				})
 			},
-			OnSnapshot: func(int, BlobRef) { victimOnce.Do(killVictim) },
 		},
 	}
 	victimDone := make(chan error, 1)

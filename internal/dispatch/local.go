@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"sapsim/internal/scenario"
@@ -11,7 +12,7 @@ import (
 
 // LocalOptions tune RunLocal.
 type LocalOptions struct {
-	// Workers is the in-process worker count (default 2).
+	// Workers is the in-process worker count (default GOMAXPROCS).
 	Workers int
 	// HeartbeatEvery / Poll tune the workers (see Worker).
 	HeartbeatEvery time.Duration
@@ -27,7 +28,7 @@ type LocalOptions struct {
 // left open; callers Close it.
 func RunLocal(ctx context.Context, q *Queue, opts LocalOptions) (*scenario.SweepResult, error) {
 	if opts.Workers <= 0 {
-		opts.Workers = 2
+		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	d := NewDispatcher(q)
 	d.Logf = opts.Logf

@@ -41,8 +41,6 @@ const abandonBackoff = 5 * time.Second
 // WorkerHooks observe a worker's lifecycle; tests use them to kill a
 // worker mid-cell deterministically.
 type WorkerHooks struct {
-	// OnBook fires after a cell is booked, before it runs.
-	OnBook func(job int, key scenario.Key)
 	// OnHeartbeat fires after each accepted heartbeat.
 	OnHeartbeat func(job int)
 	// OnSnapshot fires after an engine snapshot is accepted by the
@@ -235,9 +233,6 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		backoff = w.Poll
 		w.m.booksBooked.Inc()
-		if w.Hooks.OnBook != nil {
-			w.Hooks.OnBook(booked.Job, booked.Key)
-		}
 		wg.Add(1)
 		go func(booked *BookResponse) {
 			defer wg.Done()

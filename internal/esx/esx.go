@@ -131,9 +131,6 @@ func (h *Host) AllocatedVCPUs() int { return h.allocVCPUs }
 // AllocatedMemMB reports the memory allocation of resident VMs.
 func (h *Host) AllocatedMemMB() int64 { return h.allocMemMB }
 
-// FreeVCPUs reports remaining admissible vCPU allocation.
-func (h *Host) FreeVCPUs() int { return h.VCPUCapacity() - h.allocVCPUs }
-
 // FreeMemMB reports remaining admissible memory allocation.
 func (h *Host) FreeMemMB() int64 { return h.MemCapacityMB() - h.allocMemMB }
 
@@ -454,9 +451,6 @@ func (f *Fleet) AddHost(n *topology.Node) *Host {
 	f.bbHosts = nil
 	return h
 }
-
-// Config returns the fleet-wide hypervisor policy.
-func (f *Fleet) Config() Config { return f.cfg }
 
 // Region returns the underlying topology.
 func (f *Fleet) Region() *topology.Region { return f.region }

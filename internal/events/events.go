@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"sapsim/internal/sim"
@@ -90,13 +89,6 @@ func (l *Log) Len() int { return len(l.events) }
 // All returns the events in order. The returned slice aliases internal
 // storage; callers must not mutate it.
 func (l *Log) All() []Event { return l.events }
-
-// Range returns events with from <= At < to.
-func (l *Log) Range(from, to sim.Time) []Event {
-	lo := sort.Search(len(l.events), func(i int) bool { return l.events[i].At >= from })
-	hi := sort.Search(len(l.events), func(i int) bool { return l.events[i].At >= to })
-	return l.events[lo:hi]
-}
 
 // CountByType tallies the log.
 func (l *Log) CountByType() map[Type]int {

@@ -36,19 +36,6 @@ func TestAppendValidation(t *testing.T) {
 	}
 }
 
-func TestRange(t *testing.T) {
-	var l Log
-	for i := 0; i < 10; i++ {
-		if err := l.Append(Event{At: sim.Time(i) * sim.Hour, Type: Create, VM: "v"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := l.Range(2*sim.Hour, 5*sim.Hour)
-	if len(got) != 3 || got[0].At != 2*sim.Hour {
-		t.Errorf("Range = %v", got)
-	}
-}
-
 func TestCountByTypeAndChurn(t *testing.T) {
 	var l Log
 	seq := []Event{

@@ -4,9 +4,8 @@
 // determine the overcommit factor" needs a principled mapping from observed
 // demand to a safe vCPU:pCPU ratio.
 //
-// Two predictors are provided: an exponentially weighted moving average for
-// trendless series, and a Holt–Winters additive model that captures the
-// diurnal cycles enterprise workloads exhibit (Figs. 5, 8).
+// The predictor is a Holt–Winters additive model that captures the diurnal
+// cycles enterprise workloads exhibit (Figs. 5, 8).
 package forecast
 
 import (
@@ -18,44 +17,6 @@ import (
 	"sapsim/internal/sim"
 	"sapsim/internal/telemetry"
 )
-
-// EWMA is an exponentially weighted moving average. The zero value is not
-// usable; construct with NewEWMA.
-type EWMA struct {
-	alpha float64
-	value float64
-	n     int
-}
-
-// NewEWMA creates an EWMA with smoothing factor alpha in (0, 1]; larger
-// alpha weights recent observations more.
-func NewEWMA(alpha float64) (*EWMA, error) {
-	if alpha <= 0 || alpha > 1 {
-		return nil, errors.New("forecast: alpha must be in (0, 1]")
-	}
-	return &EWMA{alpha: alpha}, nil
-}
-
-// Observe feeds one observation.
-func (e *EWMA) Observe(v float64) {
-	if e.n == 0 {
-		e.value = v
-	} else {
-		e.value = e.alpha*v + (1-e.alpha)*e.value
-	}
-	e.n++
-}
-
-// Value returns the current smoothed estimate (NaN before any observation).
-func (e *EWMA) Value() float64 {
-	if e.n == 0 {
-		return math.NaN()
-	}
-	return e.value
-}
-
-// N reports the number of observations.
-func (e *EWMA) N() int { return e.n }
 
 // HoltWinters is an additive triple-exponential-smoothing model with a
 // fixed seasonal period (e.g. one day of samples).

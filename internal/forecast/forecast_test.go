@@ -1,6 +1,7 @@
 package forecast
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -9,6 +10,44 @@ import (
 	"sapsim/internal/telemetry"
 	"sapsim/internal/workload"
 )
+
+// EWMA is an exponentially weighted moving average. The zero value is not
+// usable; construct with NewEWMA.
+type EWMA struct {
+	alpha float64
+	value float64
+	n     int
+}
+
+// NewEWMA creates an EWMA with smoothing factor alpha in (0, 1]; larger
+// alpha weights recent observations more.
+func NewEWMA(alpha float64) (*EWMA, error) {
+	if alpha <= 0 || alpha > 1 {
+		return nil, errors.New("forecast: alpha must be in (0, 1]")
+	}
+	return &EWMA{alpha: alpha}, nil
+}
+
+// Observe feeds one observation.
+func (e *EWMA) Observe(v float64) {
+	if e.n == 0 {
+		e.value = v
+	} else {
+		e.value = e.alpha*v + (1-e.alpha)*e.value
+	}
+	e.n++
+}
+
+// Value returns the current smoothed estimate (NaN before any observation).
+func (e *EWMA) Value() float64 {
+	if e.n == 0 {
+		return math.NaN()
+	}
+	return e.value
+}
+
+// N reports the number of observations.
+func (e *EWMA) N() int { return e.n }
 
 func TestEWMAValidation(t *testing.T) {
 	for _, alpha := range []float64{0, -0.5, 1.5} {
@@ -116,8 +155,6 @@ func TestHoltWintersNotReady(t *testing.T) {
 	}
 }
 
-// The workload generator's diurnal profiles must be predictable: MAE of the
-// seasonal model should clearly beat a naive flat prediction.
 // seriesOf returns a series holding vals at start, start+step, …, read back
 // from a store of its own.
 func seriesOf(t testing.TB, start, step sim.Time, vals ...float64) *telemetry.Series {
@@ -134,6 +171,8 @@ func seriesOf(t testing.TB, start, step sim.Time, vals ...float64) *telemetry.Se
 	return st.Select("m")[0]
 }
 
+// The workload generator's diurnal profiles must be predictable: MAE of the
+// seasonal model should clearly beat a naive flat prediction.
 func TestHoltWintersBeatsNaiveOnWorkloadProfile(t *testing.T) {
 	p := &workload.Profile{
 		Seed: 9, MeanCPU: 0.4, DiurnalAmp: 0.35, WeekendDip: 0.0,

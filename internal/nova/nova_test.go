@@ -364,6 +364,12 @@ func TestRequestTraits(t *testing.T) {
 	}
 }
 
+// rank is the buffer-free form of rankBuf.rank.
+func rank(req *RequestSpec, hosts []*HostState, weighers []Weigher) []*HostState {
+	var b rankBuf
+	return b.rank(req, hosts, weighers)
+}
+
 func TestRankDeterministicTieBreak(t *testing.T) {
 	r := topology.NewRegion("t")
 	dc := r.AddAZ("a").AddDC("d")

@@ -205,9 +205,3 @@ func (b *rankBuf) rank(req *RequestSpec, hosts []*HostState, weighers []Weigher)
 	}
 	return b.out
 }
-
-// rank is the buffer-free form, used by tests and one-shot callers.
-func rank(req *RequestSpec, hosts []*HostState, weighers []Weigher) []*HostState {
-	var b rankBuf
-	return b.rank(req, hosts, weighers)
-}

@@ -322,10 +322,6 @@ func (e *Engine) Now() Time { return e.now }
 // Fired reports how many events have executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending reports how many events are waiting in the queue (including
-// canceled ones that have not been popped yet).
-func (e *Engine) Pending() int { return e.wheel.len() }
-
 // ErrPast is returned when scheduling an event before the current time.
 var ErrPast = errors.New("sim: cannot schedule event in the past")
 

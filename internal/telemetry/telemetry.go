@@ -85,15 +85,6 @@ func (l Labels) Get(name string) string {
 // Len reports the number of labels.
 func (l Labels) Len() int { return len(l.kv) / 2 }
 
-// Names returns the label names in sorted order.
-func (l Labels) Names() []string {
-	out := make([]string, 0, l.Len())
-	for i := 0; i < len(l.kv); i += 2 {
-		out = append(out, l.kv[i])
-	}
-	return out
-}
-
 // Pairs returns the flattened sorted key, value pairs. The slice is a copy.
 func (l Labels) Pairs() []string {
 	return append([]string(nil), l.kv...)

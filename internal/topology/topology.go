@@ -92,33 +92,6 @@ type BuildingBlock struct {
 	Reserved bool
 }
 
-// TotalCapacity sums node capacities across the building block, skipping
-// nodes in maintenance.
-func (b *BuildingBlock) TotalCapacity() Capacity {
-	var total Capacity
-	for _, n := range b.Nodes {
-		if n.Maintenance {
-			continue
-		}
-		total.PCPUCores += n.Capacity.PCPUCores
-		total.MemoryMB += n.Capacity.MemoryMB
-		total.StorageGB += n.Capacity.StorageGB
-		total.NetworkGbps += n.Capacity.NetworkGbps
-	}
-	return total
-}
-
-// ActiveNodes returns the nodes not in maintenance.
-func (b *BuildingBlock) ActiveNodes() []*Node {
-	active := make([]*Node, 0, len(b.Nodes))
-	for _, n := range b.Nodes {
-		if !n.Maintenance {
-			active = append(active, n)
-		}
-	}
-	return active
-}
-
 // Datacenter hosts multiple building blocks and provides supporting
 // infrastructure. Within this study a single DC is the placement and
 // scheduling domain (Sec. 3.1, "cross-datacenter migrations are out of
@@ -127,24 +100,6 @@ type Datacenter struct {
 	Name string
 	AZ   *AvailabilityZone
 	BBs  []*BuildingBlock
-}
-
-// Nodes returns every node in the data center in deterministic order.
-func (d *Datacenter) Nodes() []*Node {
-	var nodes []*Node
-	for _, bb := range d.BBs {
-		nodes = append(nodes, bb.Nodes...)
-	}
-	return nodes
-}
-
-// NodeCount reports the number of hypervisors in the DC.
-func (d *Datacenter) NodeCount() int {
-	n := 0
-	for _, bb := range d.BBs {
-		n += len(bb.Nodes)
-	}
-	return n
 }
 
 // AvailabilityZone logically groups independent, geographically co-located

@@ -108,23 +108,6 @@ func TestLookupErrors(t *testing.T) {
 	}
 }
 
-func TestTotalCapacitySkipsMaintenance(t *testing.T) {
-	r := buildSmallRegion(t)
-	bb, _ := r.BB("bb-0")
-	full := bb.TotalCapacity()
-	if full.PCPUCores != 4*64 {
-		t.Errorf("total cores = %d, want %d", full.PCPUCores, 4*64)
-	}
-	bb.Nodes[0].Maintenance = true
-	reduced := bb.TotalCapacity()
-	if reduced.PCPUCores != 3*64 {
-		t.Errorf("total cores with maintenance = %d, want %d", reduced.PCPUCores, 3*64)
-	}
-	if got := len(bb.ActiveNodes()); got != 3 {
-		t.Errorf("active nodes = %d, want 3", got)
-	}
-}
-
 func TestRegionIterationDeterministic(t *testing.T) {
 	r := buildSmallRegion(t)
 	a := r.Nodes()

@@ -10,7 +10,6 @@ package vmmodel
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 )
 
 // WorkloadClass distinguishes the two workload families the paper analyzes.
@@ -240,17 +239,4 @@ func ClassCounts(classify func(*Flavor) SizeClass) map[SizeClass]int {
 		counts[classify(f)] += f.PaperCount
 	}
 	return counts
-}
-
-// SortedByPaperCount returns catalog flavors ordered by ascending paper
-// count, then name — the ordering used for Figure 15 bar annotations.
-func SortedByPaperCount() []*Flavor {
-	fs := Catalog()
-	sort.Slice(fs, func(i, j int) bool {
-		if fs[i].PaperCount != fs[j].PaperCount {
-			return fs[i].PaperCount < fs[j].PaperCount
-		}
-		return fs[i].Name < fs[j].Name
-	})
-	return fs
 }

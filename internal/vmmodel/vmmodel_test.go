@@ -142,15 +142,6 @@ func TestCatalogByName(t *testing.T) {
 	}
 }
 
-func TestSortedByPaperCount(t *testing.T) {
-	fs := SortedByPaperCount()
-	for i := 1; i < len(fs); i++ {
-		if fs[i-1].PaperCount > fs[i].PaperCount {
-			t.Fatalf("not sorted at %d: %d > %d", i, fs[i-1].PaperCount, fs[i].PaperCount)
-		}
-	}
-}
-
 func TestVMLifecycle(t *testing.T) {
 	cat := CatalogByName()
 	vm := &VM{ID: "vm-1", Flavor: cat["MK"], Project: "p1", CreatedAt: sim.Hour}
