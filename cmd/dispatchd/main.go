@@ -6,8 +6,8 @@
 //
 // Kill it at any point: restarting with -resume replays the journal, keeps
 // every finished cell, and re-queues the ones that were in flight. The
-// merged report of a killed-and-resumed sweep is byte-identical to a
-// single-process `sweep` run of the same matrix.
+// merged report of a killed-and-resumed sweep is byte-identical to an
+// in-process `scenario.Sweep` of the same matrix.
 //
 // Each completion carries its cell's artifact bodies into the dispatcher's
 // content-addressed store (under -dir, deduplicated by digest), so the
@@ -40,7 +40,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"syscall"
-	"time"
 
 	"sapsim/internal/cli"
 	"sapsim/internal/dispatch"
@@ -57,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		addr       = fs.String("addr", ":9090", "listen address for the dispatcher protocol")
 		dir        = fs.String("dir", "", "sweep directory holding the journal (required)")
 		resume     = fs.Bool("resume", false, "resume the journal in -dir instead of starting a new sweep")
-		checkpoint = fs.Duration("checkpoint", 6*time.Hour, "simulated-time stride workers step their cells in; between strides a worker captures at most one snapshot per heartbeat")
+		checkpoint = fs.Duration("checkpoint", dispatch.DefaultCheckpoint.Duration(), "simulated-time stride workers step their cells in; between strides a worker captures at most one snapshot per heartbeat")
 		lease      = fs.Duration("lease", dispatch.DefaultLease, "heartbeat deadline before a cell re-books")
 		out        = fs.String("out", "", "report directory (default: -dir)")
 		bundle     = fs.String("bundle", "", "materialize the digest-verified report bundle into this directory once drained")
@@ -123,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	failed := cli.Report(stdout, res, true)
+	failed := cli.Report(stdout, res)
 	exports := dispatch.Exports{Report: *out, Bundle: *bundle, Trace: *traceOut}
 	if exports.Report == "" {
 		exports.Report = *dir

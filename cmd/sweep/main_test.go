@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"sapsim"
 	"sapsim/internal/cli"
+	"sapsim/internal/core"
 	"sapsim/internal/dispatch"
 	"sapsim/internal/scenario"
 )
@@ -67,7 +69,7 @@ func readTree(t *testing.T, dir string) map[string][]byte {
 
 func TestBundleChecksumsVerify(t *testing.T) {
 	bundle := filepath.Join(t.TempDir(), "bundle")
-	out := runSweep(t, append(matrix, "-workers", "4", "-diff", "-bundle", bundle)...)
+	out := runSweep(t, append(matrix, "-workers", "4", "-bundle", bundle)...)
 	for _, want := range []string{"sweeping 2 scenarios x 2 variants x 1 seeds = 4 runs", "artifact diff vs baseline"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output lacks %q:\n%s", want, out)
@@ -96,21 +98,53 @@ func TestBundleChecksumsVerify(t *testing.T) {
 	}
 }
 
-// A journal drained by dispatched workers, then finished with -resume,
-// bundles the same bytes as the in-process sweep of the same flags.
-func TestResumedBundleMatchesInProcess(t *testing.T) {
-	dir := t.TempDir()
-	local, resumed, journal := filepath.Join(dir, "local"), filepath.Join(dir, "resumed"), filepath.Join(dir, "journal")
-	runSweep(t, append(matrix, "-bundle", local)...)
-
+// cellSpec is the dispatch spec sweep expands from args.
+func cellSpec(t *testing.T, args []string) dispatch.Spec {
+	t.Helper()
 	flags, cell := cli.Flags("sweep", &bytes.Buffer{})
-	if err := cli.Parse(flags, matrix); err != nil {
+	if err := cli.Parse(flags, args); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := cell.Spec(0)
+	spec, err := cell.Spec(dispatch.DefaultCheckpoint)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return spec
+}
+
+// A sweep's report files equal what an in-process scenario.Sweep of the
+// same matrix renders, and its bundle equals, file for file, the one
+// -resume exports from a journal that RunLocal drained.
+func TestResumedBundleMatchesInProcess(t *testing.T) {
+	dir := t.TempDir()
+	report, bundle, resumed, journal := filepath.Join(dir, "report"), filepath.Join(dir, "bundle"),
+		filepath.Join(dir, "resumed"), filepath.Join(dir, "journal")
+	runSweep(t, append(matrix, "-out", report, "-bundle", bundle)...)
+
+	spec := cellSpec(t, matrix)
+	m, err := spec.Matrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Fingerprint = func(res *core.Result) (map[string]string, error) { return sapsim.ArtifactDigests(res) }
+	oracle, err := scenario.Sweep(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{
+		"report.txt":        scenario.Comparative(oracle),
+		"runs.csv":          scenario.RunsCSV(oracle),
+		"artifact_diff.txt": scenario.ArtifactDiff(oracle),
+	} {
+		got, err := os.ReadFile(filepath.Join(report, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Errorf("%s differs from the in-process scenario.Sweep:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+
 	q, err := dispatch.NewQueue(journal, spec, dispatch.QueueOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -130,14 +164,61 @@ func TestResumedBundleMatchesInProcess(t *testing.T) {
 	if !strings.Contains(out, "artifact diff vs baseline") {
 		t.Errorf("a resumed sweep always prints the artifact diff:\n%s", out)
 	}
-	want, got := readTree(t, local), readTree(t, resumed)
+	want, got := readTree(t, bundle), readTree(t, resumed)
 	if len(got) != len(want) {
-		t.Errorf("resumed bundle has %d files, in-process %d", len(got), len(want))
+		t.Errorf("resumed bundle has %d files, new sweep %d", len(got), len(want))
 	}
 	for path, body := range want {
 		if !bytes.Equal(got[path], body) {
-			t.Errorf("%s differs between the in-process and resumed bundles", path)
+			t.Errorf("%s differs between the new and resumed bundles", path)
 		}
+	}
+}
+
+// A new sweep's queue directory is removed when the sweep succeeds. When
+// -timeout cuts the drain, the directory is kept, its path is printed, and
+// -resume on it finishes the sweep with the report a clean run prints.
+func TestQueueDirKeptOnlyWhenInterrupted(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	left := func() []string {
+		t.Helper()
+		entries, err := os.ReadDir(tmp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	// report drops the lines before the comparative report: the run count
+	// and the wall time.
+	report := func(stdout string) string {
+		_, rest, _ := strings.Cut(stdout, "\n\n")
+		return rest
+	}
+	args := append(append([]string{}, matrix...), "-variants", "default")
+	want := report(runSweep(t, args...))
+	if names := left(); len(names) != 0 {
+		t.Errorf("after a sweep, TMPDIR holds %v", names)
+	}
+
+	var stdout, stderr bytes.Buffer
+	if err := run(append([]string{"-progress=false", "-timeout", "1ms"}, args...), &stdout, &stderr); err == nil {
+		t.Fatal("a sweep cut by -timeout 1ms returned no error")
+	}
+	names := left()
+	if len(names) != 1 {
+		t.Fatalf("after a timed-out sweep, TMPDIR holds %v, want its one queue directory", names)
+	}
+	dir := filepath.Join(tmp, names[0])
+	if !strings.Contains(stderr.String(), "sweep -resume "+dir+"\n") {
+		t.Errorf("a timed-out sweep does not name its queue directory:\n%s", stderr.String())
+	}
+	if got := report(runSweep(t, "-resume", dir)); got != want {
+		t.Errorf("resuming the timed-out sweep printed\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -146,12 +227,12 @@ func TestExportsAndTrace(t *testing.T) {
 	report, trace, engprof := filepath.Join(dir, "report"), filepath.Join(dir, "trace.json"), filepath.Join(dir, "engprof")
 	var stdout bytes.Buffer
 	var stderr lockedBuffer
-	args := append(append([]string{}, matrix...), "-variants", "default", "-diff",
+	args := append(append([]string{}, matrix...), "-variants", "default",
 		"-out", report, "-trace", trace, "-engprof", engprof)
 	if err := run(args, &stdout, &stderr); err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(stderr.buf.String(), "sweep: ["); n != 2 {
+	if n := strings.Count(stderr.buf.String(), " completed by "); n != 2 {
 		t.Errorf("%d progress lines, want one per cell:\n%s", n, stderr.buf.String())
 	}
 	for _, path := range []string{

@@ -1,21 +1,20 @@
 // Package artifact is the content-addressed artifact store (CAS) behind
-// distributed sweeps: the blob layer that turns the SHA-256 digests
+// sweeps: the blob layer that turns the SHA-256 digests
 // sapsim.ArtifactDigests already computes into retrievable artifact bodies,
 // and the bundle writer that materializes a finished sweep into a
 // browsable, digest-verified report tree.
 //
-// The store keeps one write-once file per distinct digest under a flat
-// two-level fan-out (dir/ab/ab12…). Identical artifacts — the static
+// The store keeps one write-once, fsynced file per distinct digest under a
+// flat two-level fan-out (dir/ab/ab12…). Identical artifacts — the static
 // tables every cell reproduces byte-for-byte — are stored exactly once no
-// matter how many cells reference them; the dispatcher's HEAD endpoint
-// lets workers skip uploading blobs the store already holds. Integrity is
-// enforced on both sides of every transfer: Put refuses a body whose hash
-// does not match its digest, and Get re-hashes on the way out, so a blob
-// damaged at rest can never masquerade as the artifact it claims to be.
-// Verify distinguishes the three ways a blob goes bad — missing,
-// truncated (size drifted from the journaled upload), corrupt (right
-// size, wrong content) — so resume paths can report exactly what happened
-// and re-queue the affected cells.
+// matter how many cells reference them. Integrity is enforced on both
+// sides of every transfer: Put refuses a body whose hash does not match
+// its digest, and Get re-hashes on the way out, so a blob damaged at rest
+// can never masquerade as the artifact it claims to be. Verify
+// distinguishes the three ways a blob goes bad — missing, truncated (size
+// drifted from the journaled upload), corrupt (right size, wrong content)
+// — so resume paths can report exactly what happened and re-queue the
+// affected cells.
 package artifact
 
 import (
@@ -61,10 +60,8 @@ func Digest(body []byte) string {
 }
 
 // DigestSet computes the content address of every body in a rendered
-// artifact set, artifact ID → digest. Both halves of the byte-identity
-// guarantee flow through here: workers digest-then-upload through it, and
-// the in-process sweep digest-then-stores through Capture — one
-// transformation, two transports.
+// artifact set, artifact ID → digest: what a worker's completion names its
+// bodies by, and what sapsim.ArtifactDigests returns.
 func DigestSet(bodies map[string]string) map[string]string {
 	digests := make(map[string]string, len(bodies))
 	for id, text := range bodies {
@@ -73,27 +70,11 @@ func DigestSet(bodies map[string]string) map[string]string {
 	return digests
 }
 
-// Capture stores every body of a rendered artifact set and returns its
-// digests — the in-process equivalent of a worker's render → digest →
-// upload sequence.
-func (s *Store) Capture(bodies map[string]string) (map[string]string, error) {
-	digests := DigestSet(bodies)
-	for id, text := range bodies {
-		if _, err := s.Put(digests[id], []byte(text)); err != nil {
-			return nil, fmt.Errorf("artifact: capturing %s: %w", id, err)
-		}
-	}
-	return digests, nil
-}
-
 // Store is a write-once content-addressed blob store rooted at one
 // directory. It is safe for concurrent use.
 type Store struct {
 	dir string
 	mu  sync.Mutex
-	// noSync skips per-blob fsyncs (scratch stores whose contents never
-	// outlive the process).
-	noSync bool
 
 	stats storeStats
 }
@@ -165,21 +146,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// OpenScratch opens a store that skips per-blob fsyncs. For ephemeral
-// stores — an in-process sweep capturing bodies only to bundle them
-// moments later — where crash durability buys nothing and a large matrix
-// would pay thousands of synchronous flushes for it. Writes remain atomic
-// (temp file + rename), so concurrent readers still never see a torn
-// blob.
-func OpenScratch(dir string) (*Store, error) {
-	s, err := Open(dir)
-	if err != nil {
-		return nil, err
-	}
-	s.noSync = true
-	return s, nil
-}
-
 func validDigest(digest string) error {
 	if len(digest) != sha256.Size*2 {
 		return fmt.Errorf("%w: bad digest %q: want %d hex chars", ErrInvalid, digest, sha256.Size*2)
@@ -230,11 +196,9 @@ func (s *Store) Put(digest string, body []byte) (bool, error) {
 		tmp.Close()
 		return false, fmt.Errorf("artifact: writing blob: %w", err)
 	}
-	if !s.noSync {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return false, fmt.Errorf("artifact: syncing blob: %w", err)
-		}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return false, fmt.Errorf("artifact: syncing blob: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return false, fmt.Errorf("artifact: closing blob: %w", err)
@@ -243,11 +207,9 @@ func (s *Store) Put(digest string, body []byte) (bool, error) {
 		return false, fmt.Errorf("artifact: publishing blob: %w", err)
 	}
 	// Make the rename itself durable.
-	if !s.noSync {
-		if d, err := os.Open(filepath.Dir(path)); err == nil {
-			_ = d.Sync()
-			d.Close()
-		}
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
+		_ = d.Sync()
+		d.Close()
 	}
 	atomic.AddInt64(&s.stats.putStored, 1)
 	atomic.AddInt64(&s.stats.blobs, 1)

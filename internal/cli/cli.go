@@ -140,13 +140,11 @@ func (c *Cell) Simulate(name string, progress bool, stderr io.Writer) (*sapsim.R
 	return session.Result()
 }
 
-// Report prints a finished sweep's comparative report, and its artifact
-// diff when diff is set, and returns the first failed run as an error.
-func Report(w io.Writer, res *scenario.SweepResult, diff bool) error {
+// Report prints a finished sweep's comparative report and its artifact
+// diff, and returns the first failed run as an error.
+func Report(w io.Writer, res *scenario.SweepResult) error {
 	fmt.Fprint(w, scenario.Comparative(res))
-	if diff {
-		fmt.Fprint(w, scenario.ArtifactDiff(res))
-	}
+	fmt.Fprint(w, scenario.ArtifactDiff(res))
 	for _, r := range res.Runs {
 		if r.Err != "" {
 			return fmt.Errorf("run %s/%s seed %d: %s", r.Key.Scenario, r.Key.Variant, r.Key.Seed, r.Err)

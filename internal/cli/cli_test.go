@@ -117,7 +117,7 @@ func TestReportFailsOnFailedRun(t *testing.T) {
 		{Key: scenario.Key{Scenario: "host-failures", Variant: "default", Seed: 7}, Err: "boom"},
 	}}
 	var out bytes.Buffer
-	err := Report(&out, res, false)
+	err := Report(&out, res)
 	if err == nil || err.Error() != "run host-failures/default seed 7: boom" {
 		t.Errorf("err = %v", err)
 	}

@@ -134,7 +134,7 @@ type Spec struct {
 	Variants  []string
 	Seeds     []uint64
 	// CheckpointEvery is the simulated-time stride workers step a cell in,
-	// rounded up to whole SampleEvery ticks (default 6 simulated hours).
+	// rounded up to whole SampleEvery ticks (default DefaultCheckpoint).
 	// Stride boundaries are where a worker can capture a snapshot; it
 	// captures one only when its previous one has shipped, so at most one
 	// per heartbeat.
@@ -196,7 +196,7 @@ func (s *Spec) normalize() {
 		s.Seeds = []uint64{s.Base.Seed}
 	}
 	if s.CheckpointEvery <= 0 {
-		s.CheckpointEvery = 6 * sim.Hour
+		s.CheckpointEvery = DefaultCheckpoint
 	}
 }
 

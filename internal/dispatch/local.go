@@ -14,21 +14,27 @@ import (
 type LocalOptions struct {
 	// Workers is the in-process worker count (default GOMAXPROCS).
 	Workers int
-	// HeartbeatEvery / Poll tune the workers (see Worker).
+	// HeartbeatEvery tunes the workers (see Worker).
 	HeartbeatEvery time.Duration
-	Poll           time.Duration
+	// Poll is the workers' idle re-poll interval (default 25ms: over
+	// loopback a re-poll costs nothing, and Worker's remote default would
+	// put a fixed tail on every drain).
+	Poll time.Duration
 	// Logf receives dispatcher and worker transitions.
 	Logf func(format string, args ...any)
 }
 
 // RunLocal drains a queue with an in-process dispatcher and N in-process
 // workers over loopback HTTP — the full wire path, one process. It is how
-// `cmd/sweep -resume DIR` finishes an interrupted sweep without external
-// workers, and what the distributed-sweep example builds on. The queue is
-// left open; callers Close it.
+// `cmd/sweep` runs every matrix, new or resumed, without external workers,
+// and what the distributed-sweep example builds on. The queue is left
+// open; callers Close it.
 func RunLocal(ctx context.Context, q *Queue, opts LocalOptions) (*scenario.SweepResult, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
+	}
+	if opts.Poll <= 0 {
+		opts.Poll = 25 * time.Millisecond
 	}
 	d := NewDispatcher(q)
 	d.Logf = opts.Logf

@@ -9,6 +9,7 @@ import (
 
 	"sapsim/internal/artifact"
 	"sapsim/internal/scenario"
+	"sapsim/internal/sim"
 	"sapsim/internal/trace"
 )
 
@@ -49,6 +50,11 @@ var ErrMissingBlobs = errors.New("dispatch: artifact blobs missing from store")
 // DefaultLease is how long a booked or running job may go without a
 // heartbeat before it is re-queued.
 const DefaultLease = 30 * time.Second
+
+// DefaultCheckpoint is the simulated-time stride workers step a cell in
+// when the spec sets none (Spec.CheckpointEvery), and the stride sweep and
+// dispatchd journal by default.
+const DefaultCheckpoint = 6 * sim.Hour
 
 // DefaultMaxAttempts bounds how many times a job is re-booked after lease
 // expiries before the queue marks it failed — the cell that crashes every

@@ -181,7 +181,7 @@ func ArtifactDiff(sr *SweepResult) string {
 			fmt.Fprintf(&b, "  %-44s no baseline run to diff against\n", cell)
 			continue
 		case r.Digests == nil || base.Digests == nil:
-			fmt.Fprintf(&b, "  %-44s not fingerprinted (set Matrix.Fingerprint / -diff)\n", cell)
+			fmt.Fprintf(&b, "  %-44s not fingerprinted (set Matrix.Fingerprint)\n", cell)
 			continue
 		}
 		var ids []string

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"sapsim/internal/core"
 	"sapsim/internal/events"
 	"sapsim/internal/exporter"
-	"sapsim/internal/sim"
 )
 
 // Variant is one scheduler/policy configuration under comparison. Apply
@@ -40,76 +38,15 @@ type Matrix struct {
 	// isolated (own engine, fleet, telemetry store), so the worker count
 	// never changes results or their order.
 	Workers int
-	// Context cancels the sweep: in-flight cells unwind within one engine
-	// tick and pending cells never start; both record the context's error
-	// in their Run.Err slot, so the scenario-major result order survives
-	// cancellation intact. Nil runs to completion.
-	Context context.Context
-	// OnCell observes cell lifecycle transitions and live per-cell
-	// progress. It is invoked from the worker goroutines concurrently and
-	// must be safe for concurrent use; it must not block (it runs on the
-	// cells' engine hot loops).
-	OnCell func(CellUpdate)
 	// Fingerprint, when set, runs over each finished cell's Result and its
 	// output lands in Run.Digests — e.g. sapsim.ArtifactDigests for
 	// full artifact-set diffing between cells. It is invoked from the
 	// worker goroutines concurrently and must be safe for concurrent use.
 	Fingerprint func(*core.Result) (map[string]string, error)
-	// OnResult observes each successfully finished cell's full Result —
-	// including its engine self-profile (Result.Profile) — before the
-	// result is reduced to Metrics. Wall-clock-dependent consumers (the
-	// profiler) hang off this hook precisely so the SweepResult itself
-	// stays byte-identical across machines and worker counts. It is
-	// invoked from the worker goroutines concurrently and must be safe
+	// OnResult observes each successfully finished cell's full Result. It
+	// is invoked from the worker goroutines concurrently and must be safe
 	// for concurrent use.
 	OnResult func(Key, *core.Result)
-}
-
-// CellState is a sweep cell's lifecycle phase as reported to OnCell.
-type CellState int
-
-const (
-	// CellStarted fires once when a worker picks the cell up.
-	CellStarted CellState = iota
-	// CellRunning fires on the cell's progress heartbeat.
-	CellRunning
-	// CellFinished fires once on successful completion.
-	CellFinished
-	// CellFailed fires once when the cell's run errors.
-	CellFailed
-	// CellCanceled fires once when the matrix context cancels the cell.
-	CellCanceled
-)
-
-// String renders the state for progress output.
-func (s CellState) String() string {
-	switch s {
-	case CellStarted:
-		return "started"
-	case CellRunning:
-		return "running"
-	case CellFinished:
-		return "finished"
-	case CellFailed:
-		return "failed"
-	case CellCanceled:
-		return "canceled"
-	default:
-		return "unknown"
-	}
-}
-
-// CellUpdate is one OnCell notification.
-type CellUpdate struct {
-	Key   Key
-	State CellState
-	// Index is the cell's position in scenario-major order; Total the
-	// matrix size.
-	Index, Total int
-	// Now/Horizon report simulated progress for CellRunning updates.
-	Now, Horizon sim.Time
-	// Err carries the failure or cancellation cause.
-	Err string
 }
 
 // Key identifies one run of the matrix.
@@ -167,11 +104,9 @@ type SweepResult struct {
 // ErrEmptyMatrix is returned when the matrix has nothing to run.
 var ErrEmptyMatrix = errors.New("scenario: empty sweep matrix")
 
-// Sweep executes the matrix across a bounded worker pool, driving each
-// cell through its own step-driven core.Simulation (the engine loop behind
-// the public Session API), and returns the runs in deterministic
-// scenario-major order. Matrix.Context cancels in-flight cells mid-run;
-// Matrix.OnCell streams live per-cell progress.
+// Sweep executes the matrix across a bounded worker pool, running each
+// cell to its horizon on its own engine, and returns the runs in
+// deterministic scenario-major order.
 func Sweep(m Matrix) (*SweepResult, error) {
 	scenarios := m.Scenarios
 	if len(scenarios) == 0 {
@@ -211,11 +146,6 @@ func Sweep(m Matrix) (*SweepResult, error) {
 	}
 
 	runs := make([]Run, len(jobs))
-	notify := func(u CellUpdate) {
-		if m.OnCell != nil {
-			m.OnCell(u)
-		}
-	}
 	execute := func(i int) {
 		j := jobs[i]
 		cfg := m.Base
@@ -225,65 +155,23 @@ func Sweep(m Matrix) (*SweepResult, error) {
 			j.variant.Apply(&cfg)
 		}
 		key := Key{Scenario: j.sc.Name, Variant: j.variant.Name, Seed: j.seed}
-		cell := CellUpdate{Key: key, Index: i, Total: len(jobs), Horizon: cfg.Horizon()}
-
-		// A canceled matrix drains without starting further cells; the
-		// result slot still records why this cell has no metrics.
-		if m.Context != nil && m.Context.Err() != nil {
-			runs[i] = Run{Key: key, Err: m.Context.Err().Error()}
-			cell.State, cell.Err = CellCanceled, runs[i].Err
-			notify(cell)
-			return
-		}
-
-		// Each cell runs on its own step-driven engine loop — the same
-		// core.Simulation that backs the public Session API — giving the
-		// sweep per-cell context cancellation (checked before every engine
-		// event) and a live per-tick progress stream.
-		var hooks core.Hooks
-		if m.OnCell != nil {
-			total := len(jobs)
-			horizon := cfg.Horizon()
-			hooks.OnTick = func(now sim.Time) {
-				notify(CellUpdate{Key: key, Index: i, Total: total,
-					State: CellRunning, Now: now, Horizon: horizon})
-			}
-		}
-		var interrupt func() error
-		if m.Context != nil {
-			interrupt = m.Context.Err
-		}
-		simulation, err := core.NewSimulation(cfg, hooks)
-		if err == nil {
-			cell.State = CellStarted
-			notify(cell)
-			err = simulation.AdvanceTo(cfg.Horizon(), interrupt)
-		}
+		res, err := core.Run(cfg)
 		if err != nil {
 			runs[i] = Run{Key: key, Err: err.Error()}
-			cell.Err = runs[i].Err
-			if m.Context != nil && errors.Is(err, m.Context.Err()) {
-				cell.State = CellCanceled
-			} else {
-				cell.State = CellFailed
-			}
-			notify(cell)
 			return
 		}
-		run := Run{Key: key, Metrics: Extract(simulation.Result())}
+		run := Run{Key: key, Metrics: Extract(res)}
 		if m.OnResult != nil {
-			m.OnResult(key, simulation.Result())
+			m.OnResult(key, res)
 		}
 		if m.Fingerprint != nil {
-			digests, ferr := m.Fingerprint(simulation.Result())
+			digests, ferr := m.Fingerprint(res)
 			if ferr != nil {
 				run.Err = "fingerprint: " + ferr.Error()
 			}
 			run.Digests = digests
 		}
 		runs[i] = run
-		cell.State, cell.Now = CellFinished, cfg.Horizon()
-		notify(cell)
 	}
 
 	if workers == 1 {

@@ -1,10 +1,8 @@
 package scenario
 
 import (
-	"context"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"sapsim/internal/core"
@@ -106,122 +104,6 @@ func TestSweepIsolatesTelemetryPerRun(t *testing.T) {
 	if !reflect.DeepEqual(res.Runs[0].Metrics, single.Runs[0].Metrics) {
 		t.Fatalf("seed 3 metrics differ when run alongside seed 4:\n%+v\n%+v",
 			res.Runs[0].Metrics, single.Runs[0].Metrics)
-	}
-}
-
-// TestSweepCancellation: canceling the matrix context mid-sweep stops
-// in-flight cells within a tick and skips pending ones, while the result
-// slice keeps its full length and deterministic scenario-major key order —
-// every cell either carries metrics or the context's error, never garbage.
-func TestSweepCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	m := testMatrix(2)
-	m.Context = ctx
-	var once sync.Once
-	m.OnCell = func(u CellUpdate) {
-		// Cancel as soon as the first cell reports any progress: later
-		// cells must unwind or never start.
-		if u.State == CellRunning || u.State == CellFinished {
-			once.Do(cancel)
-		}
-	}
-	res, err := Sweep(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Key{
-		{"baseline", "default", 7}, {"baseline", "default", 11},
-		{"baseline", "no-drs", 7}, {"baseline", "no-drs", 11},
-		{"hf", "default", 7}, {"hf", "default", 11},
-		{"hf", "no-drs", 7}, {"hf", "no-drs", 11},
-	}
-	if len(res.Runs) != len(want) {
-		t.Fatalf("got %d runs, want %d", len(res.Runs), len(want))
-	}
-	canceled := 0
-	for i, r := range res.Runs {
-		if r.Key != want[i] {
-			t.Fatalf("run %d: got key %+v, want %+v (order corrupted by cancellation)", i, r.Key, want[i])
-		}
-		if r.Err == "" {
-			continue
-		}
-		if !strings.Contains(r.Err, context.Canceled.Error()) {
-			t.Errorf("run %+v: unexpected error %q", r.Key, r.Err)
-		}
-		if (r.Metrics != Metrics{}) {
-			t.Errorf("run %+v: canceled cell carries metrics %+v", r.Key, r.Metrics)
-		}
-		canceled++
-	}
-	if canceled == 0 {
-		t.Error("cancellation canceled no cells")
-	}
-}
-
-// TestSweepPreCanceledContext: a context canceled before Sweep starts runs
-// nothing, but still returns every slot in order with the context error.
-func TestSweepPreCanceledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	m := testMatrix(4)
-	m.Context = ctx
-	res, err := Sweep(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Runs) != 8 {
-		t.Fatalf("got %d runs, want 8", len(res.Runs))
-	}
-	for _, r := range res.Runs {
-		if !strings.Contains(r.Err, context.Canceled.Error()) {
-			t.Errorf("run %+v: err = %q, want context.Canceled", r.Key, r.Err)
-		}
-	}
-}
-
-// TestSweepOnCellLifecycle: every cell reports started → running → finished
-// on a successful sweep, with coherent indexes.
-func TestSweepOnCellLifecycle(t *testing.T) {
-	var mu sync.Mutex
-	states := make(map[Key][]CellState)
-	m := Matrix{
-		Base:    testConfig(1),
-		Seeds:   []uint64{7, 11},
-		Workers: 2,
-		OnCell: func(u CellUpdate) {
-			if u.Total != 2 || u.Index < 0 || u.Index >= 2 {
-				t.Errorf("bad cell index %d/%d", u.Index, u.Total)
-			}
-			mu.Lock()
-			states[u.Key] = append(states[u.Key], u.State)
-			mu.Unlock()
-		},
-	}
-	res, err := Sweep(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res.Runs {
-		if r.Err != "" {
-			t.Fatalf("run %+v failed: %s", r.Key, r.Err)
-		}
-		seq := states[r.Key]
-		if len(seq) < 3 {
-			t.Fatalf("cell %+v saw only %v", r.Key, seq)
-		}
-		if seq[0] != CellStarted {
-			t.Errorf("cell %+v first state = %v, want started", r.Key, seq[0])
-		}
-		if seq[len(seq)-1] != CellFinished {
-			t.Errorf("cell %+v last state = %v, want finished", r.Key, seq[len(seq)-1])
-		}
-		for _, st := range seq[1 : len(seq)-1] {
-			if st != CellRunning {
-				t.Errorf("cell %+v intermediate state = %v, want running", r.Key, st)
-			}
-		}
 	}
 }
 

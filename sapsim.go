@@ -185,8 +185,8 @@ func ArtifactSet(res *Result) (map[string]string, error) {
 // ArtifactDigests computes every experiment over the finished run and
 // returns artifact ID → SHA-256 of the rendered text. It is the full
 // fingerprint of a run — the basis of the golden harness, of cross-cell
-// artifact diffing (cmd/sweep -diff), and of the dispatcher's byte-identity
-// guarantee for distributed sweeps.
+// artifact diffing (the artifact diff every sweep prints), and of the
+// dispatcher's byte-identity guarantee for distributed sweeps.
 func ArtifactDigests(res *Result) (map[string]string, error) {
 	set, err := ArtifactSet(res)
 	if err != nil {
