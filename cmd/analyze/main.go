@@ -201,7 +201,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-func printCDF(w io.Writer, store telemetry.Querier, metric, title string, days int) {
+func printCDF(w io.Writer, store *telemetry.Store, metric, title string, days int) {
 	cdf := analysis.VMMeanUsage(store, metric, 0, sim.Time(days)*sim.Day)
 	split := analysis.SplitUtilization(cdf)
 	fmt.Fprintln(w, title+":")

@@ -18,9 +18,9 @@ import (
 
 // mapSeries fans fn out over the series with a bounded worker pool and
 // returns the results in input order, so downstream merges stay
-// deterministic regardless of scheduling. Aggregations over the sharded
-// store are per-series independent, which makes this the one parallel
-// primitive every heatmap and pooled statistic needs.
+// deterministic regardless of scheduling. Aggregations over the store's
+// immutable snapshots are per-series independent, which makes this the one
+// parallel primitive every heatmap and pooled statistic needs.
 func mapSeries[T any](series []*telemetry.Series, fn func(*telemetry.Series) T) []T {
 	out := make([]T, len(series))
 	workers := runtime.GOMAXPROCS(0)
@@ -97,7 +97,7 @@ func Identity(v float64) float64 { return v }
 // DailyHeatmap builds a heatmap of daily means of the metric, one column
 // per distinct value of entityLabel, sorted by descending overall mean
 // (most free first, matching the paper's column order).
-func DailyHeatmap(q telemetry.Querier, metric, entityLabel string, days int, tf Transform, matchers ...telemetry.Matcher) *Heatmap {
+func DailyHeatmap(q *telemetry.Store, metric, entityLabel string, days int, tf Transform, matchers ...telemetry.Matcher) *Heatmap {
 	series := q.Select(metric, matchers...)
 	perSeries := mapSeries(series, func(s *telemetry.Series) *heatmapColumn {
 		name := s.Labels.Get(entityLabel)
@@ -135,7 +135,7 @@ func DailyHeatmap(q telemetry.Querier, metric, entityLabel string, days int, tf 
 // GroupedHeatmap aggregates node-level series into group-level columns
 // (e.g. building blocks, Fig. 6) by averaging the daily means of member
 // series. groupOf maps an entity name to its group ("" skips the series).
-func GroupedHeatmap(q telemetry.Querier, metric, entityLabel string, days int, tf Transform, groupOf func(string) string) *Heatmap {
+func GroupedHeatmap(q *telemetry.Store, metric, entityLabel string, days int, tf Transform, groupOf func(string) string) *Heatmap {
 	// Resolve group membership sequentially first (groupOf is caller
 	// code and not assumed goroutine-safe), so the parallel stats pass
 	// only touches series that survive the filter.
@@ -257,7 +257,7 @@ type NodeStat struct {
 // TopKByMax returns the k nodes with the highest maximum of the metric
 // across the window, with per-node max/p95/mean — Figure 8's aggregation
 // (values converted by tf, e.g. ms → s).
-func TopKByMax(q telemetry.Querier, metric, entityLabel string, k int, tf Transform) []NodeStat {
+func TopKByMax(q *telemetry.Store, metric, entityLabel string, k int, tf Transform) []NodeStat {
 	perSeries := mapSeries(q.Select(metric), func(s *telemetry.Series) *NodeStat {
 		name := s.Labels.Get(entityLabel)
 		if name == "" || s.Len() == 0 {
@@ -301,7 +301,7 @@ type DailyAggregate struct {
 
 // DailyPooled pools every series of the metric per day and reports
 // mean/p95/max across all samples of all entities.
-func DailyPooled(q telemetry.Querier, metric string, days int) []DailyAggregate {
+func DailyPooled(q *telemetry.Store, metric string, days int) []DailyAggregate {
 	series := q.Select(metric)
 	// Slice each series into its per-day windows in parallel (index
 	// arithmetic, no copying); pools are then concatenated in series order
@@ -421,7 +421,7 @@ func SplitUtilization(c *CDF) UtilizationSplit {
 
 // VMMeanUsage computes each VM's mean usage ratio over the window from the
 // vROps VM metrics and returns the population CDF (Fig. 14).
-func VMMeanUsage(q telemetry.Querier, metric string, from, to sim.Time) *CDF {
+func VMMeanUsage(q *telemetry.Store, metric string, from, to sim.Time) *CDF {
 	perSeries := mapSeries(q.Select(metric), func(s *telemetry.Series) float64 {
 		return telemetry.MeanOverRange(s, from, to)
 	})

@@ -32,7 +32,7 @@ type WeekEffect struct {
 
 // WeekdayWeekendEffect pools all series of a metric per day and compares
 // weekday and weekend means.
-func WeekdayWeekendEffect(q telemetry.Querier, metric string, days int) WeekEffect {
+func WeekdayWeekendEffect(q *telemetry.Store, metric string, days int) WeekEffect {
 	daily := DailyPooled(q, metric, days)
 	var e WeekEffect
 	wdSum, weSum := 0.0, 0.0

@@ -87,13 +87,13 @@ func (l lateHost) Inject(env *core.Env) error {
 	return err
 }
 
-// TestHostSeriesOrderMatchesBufferedAppender: the handle path must create
-// host series in the order the buffered Appender path did — per sweep,
-// shard-major, then host-major in schema order — including hosts whose
-// first sample comes mid-run (a capacity expansion's blocks, a host out of
-// service at t=0). The reference replays the cell's own host samples
-// through an Appender into a fresh store, one commit per sweep.
-func TestHostSeriesOrderMatchesBufferedAppender(t *testing.T) {
+// TestHostSeriesOrderMatchesOneRefsPerSweep: the sampler must create host
+// series in the order one Store.Refs call per sweep over every sampled host,
+// host-major in schema order, produces — including hosts whose first sample
+// comes mid-run (a capacity expansion's blocks, a host out of service at
+// t=0). The reference replays the cell's own host samples into a fresh
+// store, one Refs and one AppendAll per sweep.
+func TestHostSeriesOrderMatchesOneRefsPerSweep(t *testing.T) {
 	cfg := smallConfig(11)
 	cfg.RecordVMMetrics = false
 	cfg.Injectors = []core.Injector{
@@ -104,20 +104,20 @@ func TestHostSeriesOrderMatchesBufferedAppender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	schema := map[string]int{}
-	for i, m := range []string{
+	metrics := []string{
 		exporter.MetricHostCPUUtil, exporter.MetricHostMemUsage,
 		exporter.MetricHostNetTx, exporter.MetricHostNetRx,
 		exporter.MetricHostDiskUsage, core.MetricHostDiskPct,
 		exporter.MetricHostCPUCont, exporter.MetricHostCPUReady,
-	} {
+	}
+	schema := map[string]int{}
+	for i, m := range metrics {
 		schema[m] = i
 	}
 	type point struct {
 		t      sim.Time
 		host   string
 		field  int
-		metric string
 		labels telemetry.Labels
 		v      float64
 	}
@@ -134,7 +134,7 @@ func TestHostSeriesOrderMatchesBufferedAppender(t *testing.T) {
 		l := telemetry.MustLabels(d.Labels...)
 		firstSample[d.Start] = true
 		for i, v := range d.Values {
-			points = append(points, point{d.Start + sim.Time(i)*d.Step, l.Get("hostsystem"), field, d.Metric, l, v})
+			points = append(points, point{d.Start + sim.Time(i)*d.Step, l.Get("hostsystem"), field, l, v})
 		}
 	}
 	if len(firstSample) < 4 {
@@ -151,22 +151,37 @@ func TestHostSeriesOrderMatchesBufferedAppender(t *testing.T) {
 		return a.field < b.field
 	})
 	ref := telemetry.NewStore()
-	app := ref.Appender()
-	for i, p := range points {
-		app.Append(p.metric, p.labels, p.t, p.v)
-		if i+1 == len(points) || points[i+1].t != p.t {
-			if _, err := app.Commit(); err != nil {
-				t.Fatal(err)
+	for len(points) > 0 {
+		sweep := points
+		for i := range points {
+			if points[i].t != points[0].t {
+				sweep = points[:i]
+				break
 			}
+		}
+		points = points[len(sweep):]
+		var sets []telemetry.Labels
+		vals := make([]float64, len(sweep))
+		for i, p := range sweep {
+			if p.field == 0 {
+				sets = append(sets, p.labels)
+			}
+			vals[i] = p.v
+		}
+		if len(sweep) != len(sets)*len(metrics) {
+			t.Fatalf("sweep at %v holds %d samples for %d hosts", sweep[0].t, len(sweep), len(sets))
+		}
+		if err := ref.AppendAll(sweep[0].t, ref.Refs(metrics, sets), vals); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if got, want := dumpKeys(res.Store), dumpKeys(ref); !reflect.DeepEqual(got, want) {
 		for i := range want {
 			if i >= len(got) || got[i] != want[i] {
-				t.Fatalf("creation order diverges at series %d of %d:\n  handles:  %s\n  appender: %s", i, len(want), got[i], want[i])
+				t.Fatalf("creation order diverges at series %d of %d:\n  sampler:   %s\n  reference: %s", i, len(want), got[i], want[i])
 			}
 		}
-		t.Fatalf("%d series through handles, %d through the appender", len(got), len(want))
+		t.Fatalf("%d series from the sampler, %d in the reference", len(got), len(want))
 	}
 }
 

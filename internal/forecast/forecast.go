@@ -140,7 +140,7 @@ func DynamicOvercommit(usageRatios []float64, headroom float64) (OvercommitRecom
 // multiplexing, so the input is the aggregate per-vCPU demand ratio of the
 // population at each sampling instant, not individual VM tails. It also
 // returns the number of instants.
-func RecommendOvercommit(store telemetry.Querier) (OvercommitRecommendation, int, error) {
+func RecommendOvercommit(store *telemetry.Store) (OvercommitRecommendation, int, error) {
 	sums := map[sim.Time]float64{}
 	counts := map[sim.Time]int{}
 	for _, s := range store.Select(exporter.MetricVMCPURatio) {

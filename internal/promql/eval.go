@@ -19,11 +19,10 @@ type Sample struct {
 // Vector is the result of an instant query.
 type Vector []Sample
 
-// Engine evaluates parsed expressions against any telemetry Querier
-// (typically the sharded *telemetry.Store, whose Select hands back
-// immutable snapshots served from the postings index).
+// Engine evaluates parsed expressions against a telemetry store, whose
+// Select hands back immutable snapshots served from the postings index.
 type Engine struct {
-	Store telemetry.Querier
+	Store *telemetry.Store
 }
 
 // Query parses and evaluates in one step.

@@ -206,11 +206,9 @@ func TestRecorderNoTargets(t *testing.T) {
 }
 
 // BenchmarkScrapeIngest measures the telemetry store's ingest path under
-// fleet pressure: N simulated worker /metrics endpoints scraped
-// concurrently into one shared store, the way the flight recorder and
-// dispatchd's own scrape loop drive it. Each scrape batches through one
-// Appender commit, so the contended cost is shard-lock acquisition, not
-// per-sample locking.
+// fleet pressure: N simulated worker /metrics endpoints scraped in sequence
+// into one shared store, the way the flight recorder's Round drives it.
+// Every scraped sample is one Store.Append.
 func BenchmarkScrapeIngest(b *testing.B) {
 	const workers = 8
 	const seriesPerWorker = 128
@@ -230,17 +228,11 @@ func BenchmarkScrapeIngest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		now := sim.Time(i+1) * sim.Second
-		var wg sync.WaitGroup
 		for _, srv := range servers {
-			wg.Add(1)
-			go func(url string) {
-				defer wg.Done()
-				if _, err := s.ScrapeTarget(url, now); err != nil {
-					b.Error(err)
-				}
-			}(srv.URL + "/metrics")
+			if _, err := s.ScrapeTarget(srv.URL+"/metrics", now); err != nil {
+				b.Fatal(err)
+			}
 		}
-		wg.Wait()
 	}
 	b.ReportMetric(float64(workers*seriesPerWorker), "samples/op")
 }

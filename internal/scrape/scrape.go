@@ -6,6 +6,7 @@ package scrape
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -127,7 +128,9 @@ type Scraper struct {
 }
 
 // ScrapeTarget GETs the target's /metrics endpoint and appends every sample
-// at simulation time now. Returns the number of samples ingested.
+// at simulation time now, labelled with the target's instance (its
+// host:port) as Prometheus does, so two targets that expose one series land
+// as two series. Returns the number of samples ingested.
 func (s *Scraper) ScrapeTarget(url string, now sim.Time) (int, error) {
 	client := s.Client
 	if client == nil {
@@ -141,22 +144,37 @@ func (s *Scraper) ScrapeTarget(url string, now sim.Time) (int, error) {
 	if resp.StatusCode != http.StatusOK {
 		return 0, fmt.Errorf("scrape: %s: status %d", url, resp.StatusCode)
 	}
-	return s.Ingest(resp.Body, now)
+	return s.ingest(resp.Body, now, instanceLabel(url))
 }
 
-// Ingest parses exposition text and appends the samples at time now. The
-// whole scrape is batched through one Appender commit, taking each store
-// shard lock once instead of once per sample. Samples that fail the
-// out-of-order check are dropped and excluded from the returned count;
-// the rest of the scrape still lands.
+// Ingest parses exposition text and appends the samples, labelled as
+// exposed, at time now: one Store.Append per sample. Samples that fail the
+// out-of-order check are dropped one at a time and excluded from the
+// returned count; the rest of the scrape still lands, and the rejections
+// come back joined.
 func (s *Scraper) Ingest(r io.Reader, now sim.Time) (int, error) {
+	return s.ingest(r, now, "")
+}
+
+// ingest is Ingest with an instance label added to every sample, unless
+// instance is empty.
+func (s *Scraper) ingest(r io.Reader, now sim.Time, instance string) (int, error) {
 	samples, err := Parse(r)
 	if err != nil {
 		return 0, err
 	}
-	app := s.Store.Appender()
+	n := 0
+	var errs []error
 	for _, smp := range samples {
-		app.Append(smp.Name, smp.Labels, now, smp.Value)
+		labels := smp.Labels
+		if instance != "" {
+			labels = labels.With("instance", instance)
+		}
+		if err := s.Store.Append(smp.Name, labels, now, smp.Value); err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		n++
 	}
-	return app.Commit()
+	return n, errors.Join(errs...)
 }

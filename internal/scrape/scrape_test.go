@@ -2,6 +2,7 @@ package scrape
 
 import (
 	"bytes"
+	"errors"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -180,5 +181,67 @@ func TestIngestOutOfOrderPropagates(t *testing.T) {
 	}
 	if _, err := s.Ingest(bytes.NewReader([]byte("m 2\n")), sim.Minute); err == nil {
 		t.Error("out-of-order ingest succeeded")
+	}
+}
+
+// TestIngestRejectsSamplesIndividually: a sample the store refuses — out of
+// order against the store, or a series repeated within one body — is
+// dropped on its own; the rest of the scrape lands, the count excludes the
+// rejections, and the error joins one rejection per dropped sample.
+func TestIngestRejectsSamplesIndividually(t *testing.T) {
+	st := telemetry.NewStore()
+	s := &Scraper{Store: st}
+	if _, err := s.Ingest(strings.NewReader("cpu{node=\"n1\"} 1\n"), sim.Hour); err != nil {
+		t.Fatal(err)
+	}
+	body := "cpu{node=\"n1\"} 2\ncpu{node=\"n2\"} 3\nmem{node=\"n3\"} 4\nmem{node=\"n3\"} 5\n"
+	n, err := s.Ingest(strings.NewReader(body), sim.Minute)
+	if n != 2 {
+		t.Errorf("ingested %d, want 2", n)
+	}
+	if !errors.Is(err, telemetry.ErrOutOfOrder) {
+		t.Fatalf("Ingest error = %v, want ErrOutOfOrder", err)
+	}
+	for _, series := range []string{`cpu{node="n1"}`, `mem{node="n3"}`} {
+		if !strings.Contains(err.Error(), series) {
+			t.Errorf("Ingest error %q does not name %s", err, series)
+		}
+	}
+	if got := st.Select("cpu", telemetry.Matcher{Name: "node", Value: "n2"}); len(got) != 1 || got[0].Sample(0).V != 3 {
+		t.Errorf("in-order sample of the scrape missing: %v", got)
+	}
+	if got := st.Select("mem"); len(got) != 1 || got[0].Len() != 1 || got[0].Sample(0).V != 4 {
+		t.Errorf("repeated series kept %v, want its first sample only", got)
+	}
+	if got := st.SampleCount(); got != 3 {
+		t.Errorf("SampleCount = %d, want 3", got)
+	}
+}
+
+// TestScrapeTargetsExposingOneSeries: two targets serving the same body at
+// one instant both land, as two series told apart by their instance label.
+func TestScrapeTargetsExposingOneSeries(t *testing.T) {
+	body := "openstack_compute_instances_total 7\ncpu{node=\"n1\"} 55\n"
+	a := httptest.NewServer(&metricsServer{body: body})
+	defer a.Close()
+	b := httptest.NewServer(&metricsServer{body: body})
+	defer b.Close()
+	st := telemetry.NewStore()
+	s := &Scraper{Store: st}
+	for _, srv := range []*httptest.Server{a, b} {
+		if n, err := s.ScrapeTarget(srv.URL+"/metrics", 0); n != 2 || err != nil {
+			t.Errorf("scrape %s: n=%d err=%v, want 2 samples", srv.URL, n, err)
+		}
+	}
+	for _, metric := range []string{"openstack_compute_instances_total", "cpu"} {
+		series := st.Select(metric)
+		if len(series) != 2 {
+			t.Fatalf("%s: %d series, want one per target", metric, len(series))
+		}
+		for i, srv := range []*httptest.Server{a, b} {
+			if got, want := series[i].Labels.Get("instance"), strings.TrimPrefix(srv.URL, "http://"); got != want {
+				t.Errorf("%s series %d instance = %q, want %q", metric, i, got, want)
+			}
+		}
 	}
 }

@@ -2,8 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"sapsim/internal/sim"
@@ -25,54 +23,11 @@ func BenchmarkAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreAppend measures concurrent batched ingestion: 8 writer
-// goroutines, each with its own Appender over a disjoint label set,
-// flushing every 64 samples — the shape of the simulator's sampling sweep
-// and the scraper's per-target batches. On the old single-mutex store this
-// serialized completely; the sharded store scales with shard count.
-func BenchmarkStoreAppend(b *testing.B) {
-	st := NewStore()
-	// RunParallel spawns p*GOMAXPROCS goroutines; aim for ≥8 writers.
-	if p := (8 + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0); p > 1 {
-		b.SetParallelism(p)
-	}
-	var writer atomic.Int64
-	b.RunParallel(func(pb *testing.PB) {
-		w := writer.Add(1)
-		app := st.Appender()
-		labels := make([]Labels, 32)
-		for i := range labels {
-			labels[i] = MustLabels(
-				"hostsystem", fmt.Sprintf("w%d-n%03d", w, i),
-				"cluster", fmt.Sprintf("bb-%d", i/8),
-			)
-		}
-		t, n := sim.Time(0), 0
-		for pb.Next() {
-			app.Append("cpu", labels[n%len(labels)], t, float64(n))
-			n++
-			if n%len(labels) == 0 {
-				t += 5 * sim.Minute
-			}
-			if app.Pending() >= 64 {
-				// b.Fatal must not be called from RunParallel goroutines.
-				if _, err := app.Commit(); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}
-		if _, err := app.Commit(); err != nil {
-			b.Error(err)
-		}
-	})
-}
-
 // BenchmarkStoreAppendAll measures the simulator's write path: a fixed
 // schema resolved to handles once, then one AppendAll per sampling sweep —
 // 8 series per host over 91 hosts (the default cell's host sweep), one sweep
 // per 5 simulated minutes. It reports ns per sample; compare with
-// BenchmarkStoreAppend's buffered hash-and-lookup.
+// BenchmarkAppend's hash, lookup and lock per sample.
 func BenchmarkStoreAppendAll(b *testing.B) {
 	st := NewStore()
 	var schema []string
@@ -102,16 +57,14 @@ func BenchmarkStoreAppendAll(b *testing.B) {
 func benchSelectStore(b *testing.B, matching, total int) *Store {
 	b.Helper()
 	st := NewStore()
-	app := st.Appender()
-	for i := 0; i < matching; i++ {
-		app.Append("target", MustLabels("hostsystem", fmt.Sprintf("n%04d", i)), 0, 1)
-	}
-	for i := matching; i < total; i++ {
-		metric := fmt.Sprintf("other_%02d", i%97)
-		app.Append(metric, MustLabels("hostsystem", fmt.Sprintf("n%04d", i)), 0, 1)
-	}
-	if _, err := app.Commit(); err != nil {
-		b.Fatal(err)
+	for i := 0; i < total; i++ {
+		metric := "target"
+		if i >= matching {
+			metric = fmt.Sprintf("other_%02d", i%97)
+		}
+		if err := st.Append(metric, MustLabels("hostsystem", fmt.Sprintf("n%04d", i)), 0, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 	return st
 }
@@ -145,12 +98,10 @@ func BenchmarkStoreSelect(b *testing.B) {
 // out of 2,000 of the same metric.
 func BenchmarkStoreSelectMatcher(b *testing.B) {
 	st := NewStore()
-	app := st.Appender()
 	for i := 0; i < 2000; i++ {
-		app.Append("cpu", MustLabels("hostsystem", fmt.Sprintf("n%04d", i)), 0, 1)
-	}
-	if _, err := app.Commit(); err != nil {
-		b.Fatal(err)
+		if err := st.Append("cpu", MustLabels("hostsystem", fmt.Sprintf("n%04d", i)), 0, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 	m := Matcher{Name: "hostsystem", Value: "n1234"}
 	b.ResetTimer()

@@ -20,7 +20,7 @@ const chunkCap = 32
 // on it (every sampler-written series does, for good), as an explicit
 // times column after the first one that does not. The first n values are
 // immutable: an append writes value n and extends chunks and times past
-// what any copy of the column can reach, so a copy taken under the shard
+// what any copy of the column can reach, so a copy taken under the store
 // lock with its slices capped (view) is a stable snapshot.
 type column struct {
 	start, step sim.Time

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"errors"
-	"sync"
 
 	"sapsim/internal/sim"
 )
@@ -16,11 +15,15 @@ type SeriesRef struct {
 	s  *memSeries
 }
 
+// refOrderBuckets fixes the order in which Refs creates a batch's new series:
+// by hashSeries modulo refOrderBuckets, then argument order. Creation order is
+// a contract — Select and Dump return it and the analysis layer accumulates
+// floats in it — and the benchmark's pinned sweep cell fingerprints rest on
+// this one.
+const refOrderBuckets = 16
+
 // Refs resolves one handle per (label set, metric) pair, sets-major, creating
-// the series that do not exist yet. Creation order is shard-major, then
-// argument order — what an Appender commit of the same samples produces, and
-// a contract: Select and Dump return creation order and the analysis layer
-// accumulates floats in it.
+// the series that do not exist yet in refOrderBuckets order.
 func (st *Store) Refs(metrics []string, sets []Labels) []SeriesRef {
 	if len(sets) == 0 {
 		return nil
@@ -30,15 +33,14 @@ func (st *Store) Refs(metrics []string, sets []Labels) []SeriesRef {
 	for i := range refs {
 		hashes[i] = hashSeries(metrics[i%len(metrics)], sets[i/len(metrics)])
 	}
-	for si := range st.shards {
-		sh := &st.shards[si]
-		sh.mu.Lock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for b := uint64(0); b < refOrderBuckets; b++ {
 		for i, hash := range hashes {
-			if sh == st.shardFor(hash) {
-				refs[i] = SeriesRef{st, st.getOrCreate(sh, hash, metrics[i%len(metrics)], sets[i/len(metrics)])}
+			if hash%refOrderBuckets == b {
+				refs[i] = SeriesRef{st, st.getOrCreate(hash, metrics[i%len(metrics)], sets[i/len(metrics)])}
 			}
 		}
-		sh.mu.Unlock()
 	}
 	return refs
 }
@@ -48,16 +50,15 @@ func (st *Store) Refs(metrics []string, sets []Labels) []SeriesRef {
 var errForeignRef = errors.New("telemetry: handle from another store")
 
 // AppendAll writes the sample (t, vals[i]) through refs[i] for every i: one
-// sampling sweep as one batch. It takes every shard's write lock once, in
-// index order, so a reader that holds every read lock (Select, Dump and the
-// counts) sees a batch whole or not at all. A rejected sample — out of order,
-// or through a handle from another store — is skipped, the rest of the batch
-// lands, and the rejections come back joined. Like an Appender, the slices
-// belong to one writer.
+// sampling sweep as one batch under one write lock, so a reader (Select, Dump
+// and the counts) sees a batch whole or not at all. A rejected sample — out
+// of order, or through a handle from another store — is skipped, the rest of
+// the batch lands, and the rejections come back joined. The slices belong to
+// one writer.
 func (st *Store) AppendAll(t sim.Time, refs []SeriesRef, vals []float64) error {
 	vals = vals[:len(refs)]
 	var errs []error
-	st.lockEach((*sync.RWMutex).Lock)
+	st.mu.Lock()
 	for i := range refs {
 		if refs[i].st != st {
 			errs = append(errs, errForeignRef)
@@ -65,14 +66,6 @@ func (st *Store) AppendAll(t sim.Time, refs []SeriesRef, vals []float64) error {
 			errs = append(errs, err)
 		}
 	}
-	st.lockEach((*sync.RWMutex).Unlock)
+	st.mu.Unlock()
 	return errors.Join(errs...)
-}
-
-// lockEach applies op to every shard's lock in index order. Every holder of
-// more than one shard lock takes them in this order, so none can deadlock.
-func (st *Store) lockEach(op func(*sync.RWMutex)) {
-	for i := range st.shards {
-		op(&st.shards[i].mu)
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -47,7 +48,7 @@ func TestSelectSnapshotImmutable(t *testing.T) {
 func TestSeriesRefLifecycle(t *testing.T) {
 	metrics := []string{"cpu", "mem", "net"}
 	var sets []Labels
-	for n := 0; n < 32; n++ { // enough keys to land in every shard
+	for n := 0; n < 32; n++ { // enough keys to land in every creation-order bucket
 		sets = append(sets, MustLabels("node", fmt.Sprintf("n%02d", n)))
 	}
 	appendAll := func(st *Store, refs []SeriesRef, at sim.Time) {
@@ -224,19 +225,12 @@ func TestConcurrentAppendSelect(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			app := st.Appender()
 			l := MustLabels("g", fmt.Sprintf("w%d", g))
 			for i := 0; i < perWriter; i++ {
-				app.Append("m", l, sim.Time(i), float64(i))
-				if i%50 == 49 {
-					if _, err := app.Commit(); err != nil {
-						t.Error(err)
-						return
-					}
+				if err := st.Append("m", l, sim.Time(i), float64(i)); err != nil {
+					t.Error(err)
+					return
 				}
-			}
-			if _, err := app.Commit(); err != nil {
-				t.Error(err)
 			}
 		}(g)
 	}
@@ -259,65 +253,6 @@ func TestConcurrentAppendSelect(t *testing.T) {
 	<-readerDone
 	if got := st.SampleCount(); got != writers*perWriter {
 		t.Errorf("SampleCount = %d, want %d", got, writers*perWriter)
-	}
-}
-
-func TestAppenderBatch(t *testing.T) {
-	st := NewStore()
-	app := st.Appender()
-	for i := 0; i < 100; i++ {
-		l := MustLabels("node", fmt.Sprintf("n%02d", i))
-		app.Append("cpu", l, sim.Minute, float64(i))
-	}
-	if app.Pending() != 100 {
-		t.Errorf("Pending = %d, want 100", app.Pending())
-	}
-	// Nothing visible before commit.
-	if n := st.SampleCount(); n != 0 {
-		t.Errorf("samples visible before commit: %d", n)
-	}
-	applied, err := app.Commit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 100 {
-		t.Errorf("applied = %d, want 100", applied)
-	}
-	if app.Pending() != 0 {
-		t.Errorf("Pending after commit = %d", app.Pending())
-	}
-	if st.SeriesCount() != 100 || st.SampleCount() != 100 {
-		t.Errorf("store has %d series / %d samples, want 100/100",
-			st.SeriesCount(), st.SampleCount())
-	}
-}
-
-// TestAppenderPartialOutOfOrder: rejected samples are reported but do not
-// sink the rest of the batch.
-func TestAppenderPartialOutOfOrder(t *testing.T) {
-	st := NewStore()
-	l1 := MustLabels("node", "n1")
-	l2 := MustLabels("node", "n2")
-	if err := st.Append("cpu", l1, sim.Hour, 1); err != nil {
-		t.Fatal(err)
-	}
-	app := st.Appender()
-	app.Append("cpu", l1, sim.Minute, 2) // out of order for n1
-	app.Append("cpu", l2, sim.Minute, 3) // fine for fresh n2
-	applied, err := app.Commit()
-	if !errors.Is(err, ErrOutOfOrder) {
-		t.Errorf("Commit error = %v, want ErrOutOfOrder", err)
-	}
-	if applied != 1 {
-		t.Errorf("applied = %d, want 1", applied)
-	}
-	if got := st.Select("cpu", Matcher{"node", "n2"}); len(got) != 1 || got[0].Sample(0).V != 3 {
-		t.Errorf("in-order sample of the batch missing: %v", got)
-	}
-	// The appender is reusable after an error.
-	app.Append("cpu", l1, 2*sim.Hour, 4)
-	if applied, err := app.Commit(); err != nil || applied != 1 {
-		t.Errorf("reuse after error: applied=%d err=%v", applied, err)
 	}
 }
 
@@ -354,7 +289,7 @@ func TestSelectEmptyValueMatcher(t *testing.T) {
 	}
 }
 
-// TestSelectDeterministicOrder: creation order survives sharding.
+// TestSelectDeterministicOrder: Select returns series in creation order.
 func TestSelectDeterministicOrder(t *testing.T) {
 	st := NewStore()
 	want := make([]string, 0, 64)
@@ -406,23 +341,47 @@ func TestHashMatchesStringFingerprint(t *testing.T) {
 	}
 }
 
-// TestSeriesSpreadAcrossShards: a realistic population should not collapse
-// into one shard (sanity check on the hash distribution).
-func TestSeriesSpreadAcrossShards(t *testing.T) {
+// TestRefsCreationOrder pins the order in which Refs creates a batch's new
+// series — sets-major arguments, stably sorted by their fingerprint modulo
+// 16 — against an oracle written here, independently of refOrderBuckets:
+// Dump returns creation order, and the benchmark's pinned sweep cell
+// fingerprints rest on it. Series that already exist keep their place, and
+// a second batch's new series follow the first batch's.
+func TestRefsCreationOrder(t *testing.T) {
+	metrics := []string{"cpu", "mem", "disk"}
+	var sets []Labels
+	for n := 0; n < 40; n++ {
+		sets = append(sets, MustLabels("node", fmt.Sprintf("n%02d", n), "cluster", fmt.Sprintf("bb-%d", n%3)))
+	}
+	type key struct {
+		metric string
+		labels Labels
+	}
+	oracle := func(sets []Labels) []key {
+		var keys []key
+		for _, l := range sets {
+			for _, m := range metrics {
+				keys = append(keys, key{m, l})
+			}
+		}
+		sort.SliceStable(keys, func(i, j int) bool {
+			return hashSeries(keys[i].metric, keys[i].labels)%16 < hashSeries(keys[j].metric, keys[j].labels)%16
+		})
+		return keys
+	}
 	st := NewStore()
-	for i := 0; i < 256; i++ {
-		l := MustLabels("hostsystem", fmt.Sprintf("node-%03d", i))
-		if err := st.Append("cpu", l, 0, 1); err != nil {
-			t.Fatal(err)
-		}
+	st.Refs(metrics, sets[:25])
+	// The second batch repeats five sets of the first; only the new ones
+	// are created.
+	st.Refs(metrics, sets[20:])
+	want := append(oracle(sets[:25]), oracle(sets[25:])...)
+	got := st.Dump()
+	if len(got) != len(want) {
+		t.Fatalf("Dump holds %d series, want %d", len(got), len(want))
 	}
-	occupied := 0
-	for i := range st.shards {
-		if len(st.shards[i].series) > 0 {
-			occupied++
+	for i, d := range got {
+		if l := MustLabels(d.Labels...); d.Metric != want[i].metric || !l.Equal(want[i].labels) {
+			t.Fatalf("series %d = %s%s, want %s%s", i, d.Metric, l, want[i].metric, want[i].labels)
 		}
-	}
-	if occupied < shardCount/2 {
-		t.Errorf("256 series landed in only %d of %d shards", occupied, shardCount)
 	}
 }

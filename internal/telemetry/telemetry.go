@@ -4,17 +4,15 @@
 // simulator, and answers the range queries and aggregations the paper's
 // analysis requires (daily means, p95, max over node and VM populations).
 //
-// The store is sharded: series are distributed over a fixed number of
-// shards by a 64-bit FNV-1a fingerprint of (metric, labels), each shard
-// keeping its own lock, a metric→series postings index, and a label-value
-// index, so concurrent ingestion scales with shard count and Select walks
-// only candidate series instead of the whole store. A fixed-schema writer
-// holds SeriesRef handles and commits each sweep with AppendAll (one pass of
-// the shard locks per sweep); batch ingestion of unknown series goes through
-// an Appender (one lock acquisition per shard per flush); reads receive
-// immutable views. A series' samples are a column (column.go): values in
-// fixed-capacity chunks, timestamps as a (start, step) grid for as long as
-// the writer keeps to one.
+// The store keeps every series behind one lock, keyed by a 64-bit FNV-1a
+// fingerprint of (metric, labels), with a metric→series postings index and
+// a label-value index so Select walks only candidate series instead of the
+// whole store. A fixed-schema writer holds SeriesRef handles and commits
+// each sweep with AppendAll (one lock acquisition per sweep); a writer of
+// unknown series, such as the scraper, calls Append per sample; reads
+// receive immutable views. A series' samples are a column (column.go):
+// values in fixed-capacity chunks, timestamps as a (start, step) grid for
+// as long as the writer keeps to one.
 package telemetry
 
 import (

@@ -78,7 +78,7 @@ const (
 // "flavor" label, arrival at the first sample, and lifetime spanning the
 // recorded window (VMs observed until the end are treated as surviving the
 // horizon).
-func BuildReplay(q telemetry.Querier, horizon sim.Time) ([]*Instance, error) {
+func BuildReplay(q *telemetry.Store, horizon sim.Time) ([]*Instance, error) {
 	cpu := q.Select(replayCPUMetric)
 	if len(cpu) == 0 {
 		return nil, fmt.Errorf("workload: store has no %s series", replayCPUMetric)

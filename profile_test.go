@@ -150,7 +150,7 @@ func TestSamplingWorkGate(t *testing.T) {
 	if raceEnabled {
 		return // the race detector's shadow allocations move the byte count
 	}
-	const wantAlloc = 18.5e6
+	const wantAlloc = 18.2e6
 	if got := float64(after.TotalAlloc - before.TotalAlloc); math.Abs(got-wantAlloc) > 0.02*wantAlloc {
 		t.Errorf("run allocated %.1f MB, want %.1f MB ±2%%", got/1e6, wantAlloc/1e6)
 	}
@@ -193,7 +193,7 @@ func TestChurnWorkGate(t *testing.T) {
 	if raceEnabled {
 		return // the race detector's shadow allocations move the byte count
 	}
-	const wantAlloc = 23.6e6
+	const wantAlloc = 23.5e6
 	if got := float64(after.TotalAlloc - before.TotalAlloc); math.Abs(got-wantAlloc) > 0.02*wantAlloc {
 		t.Errorf("run allocated %.1f MB, want %.1f MB ±2%%", got/1e6, wantAlloc/1e6)
 	}
