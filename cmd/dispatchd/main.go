@@ -56,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		addr       = fs.String("addr", ":9090", "listen address for the dispatcher protocol")
 		dir        = fs.String("dir", "", "sweep directory holding the journal (required)")
 		resume     = fs.Bool("resume", false, "resume the journal in -dir instead of starting a new sweep")
-		checkpoint = fs.Duration("checkpoint", dispatch.DefaultCheckpoint.Duration(), "simulated-time stride workers step their cells in; between strides a worker captures at most one snapshot per heartbeat")
+		checkpoint = fs.Duration("checkpoint", dispatch.DefaultCheckpoint.Duration(), "simulated-time stride workers step their cells in; each stride is one run span in the trace")
 		lease      = fs.Duration("lease", dispatch.DefaultLease, "heartbeat deadline before a cell re-books")
 		out        = fs.String("out", "", "report directory (default: -dir)")
 		bundle     = fs.String("bundle", "", "materialize the digest-verified report bundle into this directory once drained")

@@ -1,11 +1,11 @@
 // Command simworker is the worker half of the dispatcher split (the simd
 // of SIMQ): it books sweep cells from a dispatchd, runs each through the
-// step-driven sapsim Session, renews its lease with heartbeats that each
-// carry at most one mid-run snapshot, and completes each cell with one
-// request carrying its metrics, artifact digests and the bodies behind
-// them, which the dispatcher stores in its content-addressed store.
-// Workers are stateless: start as many as you have machines, kill them
-// freely — a dead worker's cell re-books after its lease expires.
+// step-driven sapsim Session, renews its lease with heartbeats that carry
+// its trace spans, and completes each cell with one request carrying its
+// metrics, artifact digests and the bodies behind them, which the
+// dispatcher stores in its content-addressed store. Workers are stateless:
+// start as many as you have machines, kill them freely — a dead worker's
+// cell re-books after its lease expires and runs again from t=0.
 //
 // -jobs advertises the worker's capacity on every booking: the dispatcher
 // weights bookings by it, leasing an N-job worker up to N cells at once,
@@ -63,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		poll       = fs.Duration("poll", 500*time.Millisecond, "idle re-poll interval when no cell is free")
 		metrics    = fs.String("metrics", "", "serve Prometheus metrics at this address (e.g. 127.0.0.1:9191; empty = off)")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof at this address (e.g. 127.0.0.1:6061; empty = off)")
-		snapshots  = fs.Bool("snapshots", true, "upload mid-run engine snapshots so a re-booked cell warm-resumes instead of restarting from t=0")
 		quiet      = fs.Bool("quiet", false, "suppress per-cell progress lines")
 	)
 	if err := cli.Parse(fs, args); err != nil {
@@ -86,12 +85,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	defer cancel()
 
 	w := &dispatch.Worker{
-		Dispatcher:       *dispatcher,
-		ID:               *id,
-		Concurrency:      *jobs,
-		HeartbeatEvery:   *heartbeat,
-		Poll:             *poll,
-		DisableSnapshots: !*snapshots,
+		Dispatcher:     *dispatcher,
+		ID:             *id,
+		Concurrency:    *jobs,
+		HeartbeatEvery: *heartbeat,
+		Poll:           *poll,
 	}
 	if !*quiet {
 		w.Logf = cli.Logf(stderr, "")

@@ -4,7 +4,7 @@
 //  1. journals a (scenario × variant × seed) matrix into a durable queue,
 //  2. serves it over the wire protocol (/book, /progress, /complete) to
 //     two workers, killing one mid-cell so its lease expires and the cell
-//     re-books,
+//     re-books and runs again from t=0,
 //  3. "crashes" the dispatcher after the first results land,
 //  4. resumes from the journal — finished cells keep their recorded
 //     results, in-flight ones re-run — and drains the rest,
@@ -55,9 +55,8 @@ func main() {
 		Scenarios: []string{"baseline", "correlated-failures", "capacity-expansion"},
 		Variants:  []string{"default"},
 		Seeds:     []uint64{7, 11},
-		// Workers stride their cells in 3-simulated-hour steps; between steps
-		// they capture at most one snapshot per lease-renewing heartbeat, and
-		// each one shipped is a journaled resume point.
+		// Workers stride their cells in 3-simulated-hour steps; each step is
+		// one "run" span, shipped on the next lease-renewing heartbeat.
 		CheckpointEvery: 3 * sim.Hour,
 	}
 
@@ -86,13 +85,13 @@ func main() {
 	victimCtx, killVictim := context.WithCancel(ctx)
 	victim := &dispatch.Worker{
 		Dispatcher: "http://" + addr, ID: "victim",
-		// Snapshot pointers ride heartbeats; beat far faster than a cell runs
-		// so the first is accepted mid-run.
+		// Beat far faster than a cell runs, so the first heartbeat is
+		// accepted mid-run.
 		HeartbeatEvery: 2 * time.Millisecond, Poll: 50 * time.Millisecond,
 		Hooks: dispatch.WorkerHooks{
-			// An accepted snapshot means the cell has resumable state in
-			// the store and has not completed; die right there.
-			OnSnapshot: func(job int, _ dispatch.BlobRef) { killVictim() },
+			// An accepted heartbeat means the cell is running and has not
+			// completed; die right there.
+			OnHeartbeat: func(job int) { killVictim() },
 		},
 	}
 	victimErr := make(chan error, 1)

@@ -138,8 +138,8 @@ func compareGoldens(t *testing.T, got map[string]string, order []string) {
 // the same goldens: snapshot the golden run at the midpoint of its horizon,
 // round-trip the snapshot through its wire form, resume a fresh session
 // from it, and finish — all 18 artifact digests must still match the
-// uninterrupted run byte for byte. This is the warm-resume path a
-// re-booked dispatch cell takes, pinned to the paper reproduction.
+// uninterrupted run byte for byte. This is the path ResumeFromSnapshot
+// and Fork take, pinned to the paper reproduction.
 func TestGoldenArtifactsSnapshotResume(t *testing.T) {
 	if *updateGolden {
 		t.Skip("goldens are blessed through TestGoldenArtifacts")

@@ -3,8 +3,6 @@ package dispatch
 import (
 	"fmt"
 	"slices"
-
-	"sapsim/internal/sim"
 )
 
 // BlobKind names what a pointer into the sweep's content-addressed store
@@ -15,38 +13,30 @@ const (
 	// BlobArtifact is a rendered artifact body. Its pointers are a done
 	// cell's Run.Digests; they are never recorded one by one.
 	BlobArtifact BlobKind = "artifact"
-	// BlobSnapshot is an encoded mid-run engine snapshot
-	// (sapsim.EncodeSnapshotBytes): what a re-booked cell warm-resumes from.
-	BlobSnapshot BlobKind = "snapshot"
 	// BlobProfile is a finished cell's encoded engine self-profile
 	// (sapsim.EncodeProfileBytes): what analyze -engprof aggregates.
 	BlobProfile BlobKind = "profile"
 )
 
 // BlobRef is a recorded pointer to one blob in the store, binding it to a
-// cell. A snapshot's body travels first (PUT /artifact/{digest}) and its
-// pointer on the next heartbeat; a profile's body rides in the completion,
-// which records the pointer. Losing a pointer is cheap — a cold restart, or
-// one cell's attribution — so the queue journals it without an fsync.
+// cell. A profile's body rides in the completion, which records the
+// pointer. Losing a pointer is cheap — one cell's attribution — so the
+// queue journals it without an fsync.
 type BlobRef struct {
 	Kind   BlobKind
 	Digest string
-	// At is the simulated instant a snapshot captures (snapshots only).
-	At sim.Time `json:",omitempty"`
 }
 
 // Validate rejects pointers a worker may not record: an unknown kind (a
 // version-skewed worker), an artifact pointer (those travel in the
-// completion), a missing address, or a snapshot of t=0. It gates
-// Queue.RecordBlob, journal replay, and the worker's warm-resume fetch.
+// completion), or a missing address. It gates Queue.RecordBlob and journal
+// replay.
 func (r BlobRef) Validate() error {
 	switch {
-	case r.Kind != BlobSnapshot && r.Kind != BlobProfile:
+	case r.Kind != BlobProfile:
 		return fmt.Errorf("dispatch: blob pointer of kind %q is not recordable", r.Kind)
 	case r.Digest == "":
 		return fmt.Errorf("dispatch: %s pointer missing blob digest", r.Kind)
-	case r.Kind == BlobSnapshot && r.At <= 0:
-		return fmt.Errorf("dispatch: snapshot pointer at %v", r.At)
 	}
 	return nil
 }
@@ -69,17 +59,13 @@ type blobPolicy struct {
 
 var blobPolicies = [...]blobPolicy{
 	{BlobArtifact, []JobState{JobDone}, true, "cells requeued"},
-	{BlobSnapshot, []JobState{JobQueued, JobBooked, JobRunning}, false, "pointers dropped, cells restart from t=0"},
 	{BlobProfile, []JobState{JobDone, JobFailed}, false, "pointers dropped, cells stay done"},
 }
 
 // slot is where the job keeps its recorded pointer of a kind; artifacts
 // have none.
 func (j *Job) slot(kind BlobKind) **BlobRef {
-	switch kind {
-	case BlobSnapshot:
-		return &j.Snapshot
-	case BlobProfile:
+	if kind == BlobProfile {
 		return &j.Profile
 	}
 	return nil

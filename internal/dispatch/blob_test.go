@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -10,26 +11,19 @@ import (
 	"time"
 
 	"sapsim/internal/artifact"
-	"sapsim/internal/sim"
 )
 
 func TestBlobRefValidation(t *testing.T) {
 	digest := artifact.Digest([]byte("blob"))
-	for _, good := range []BlobRef{
-		{Kind: BlobSnapshot, Digest: digest, At: 6 * sim.Hour},
-		{Kind: BlobProfile, Digest: digest},
-	} {
-		if err := good.Validate(); err != nil {
-			t.Errorf("%+v: %v", good, err)
-		}
+	if good := (BlobRef{Kind: BlobProfile, Digest: digest}); good.Validate() != nil {
+		t.Errorf("%+v: %v", good, good.Validate())
 	}
 	for name, bad := range map[string]BlobRef{
 		"artifact pointers travel in the completion": {Kind: BlobArtifact, Digest: digest},
 		"unknown kind (version-skewed worker)":       {Kind: "heapdump", Digest: digest},
+		"retired kind":                               {Kind: legacySnapshot, Digest: digest},
 		"no kind":                                    {Digest: digest},
-		"snapshot without a digest":                  {Kind: BlobSnapshot, At: 6 * sim.Hour},
 		"profile without a digest":                   {Kind: BlobProfile},
-		"snapshot of t=0":                            {Kind: BlobSnapshot, Digest: digest},
 	} {
 		if bad.Validate() == nil {
 			t.Errorf("%s: %+v validated", name, bad)
@@ -37,119 +31,81 @@ func TestBlobRefValidation(t *testing.T) {
 	}
 }
 
-// TestRecordBlobFlow: for both recordable kinds, the queue journals a held
-// cell's pointer only once its blob is in the store, refuses strangers and
-// stale nonces, and supersedes newest-wins, reclaiming the old blob at
-// once. What happens next is the policy table: a snapshot pointer rides
-// the next booking after a lease expiry and is reclaimed when the cell
-// completes; a profile pointer outlives completion.
+// TestRecordBlobFlow: the queue journals a held cell's profile pointer only
+// once its blob is in the store, refuses strangers and stale nonces, and
+// supersedes newest-wins, reclaiming the old blob at once. The pointer
+// then outlives completion, as its policy row says.
 func TestRecordBlobFlow(t *testing.T) {
-	for _, kind := range []BlobKind{BlobSnapshot, BlobProfile} {
-		t.Run(string(kind), func(t *testing.T) {
-			clock := &fakeClock{t: time.Unix(1000, 0)}
-			q, _ := newTestQueue(t, QueueOptions{Lease: time.Minute, now: clock.now})
-			pointer := func(st JobStatus) *BlobRef {
-				if kind == BlobSnapshot {
-					return st.Snapshot
-				}
-				return st.Profile
-			}
-			ref := func(digest string, at sim.Time) BlobRef {
-				if kind == BlobSnapshot {
-					return BlobRef{Kind: kind, Digest: digest, At: at}
-				}
-				return BlobRef{Kind: kind, Digest: digest}
-			}
+	t.Run(string(BlobProfile), func(t *testing.T) {
+		clock := &fakeClock{t: time.Unix(1000, 0)}
+		q, _ := newTestQueue(t, QueueOptions{Lease: time.Minute, now: clock.now})
+		ref := func(digest string) BlobRef { return BlobRef{Kind: BlobProfile, Digest: digest} }
 
-			job, _, err := q.Book("w1", 1)
-			if err != nil || job == nil {
-				t.Fatalf("Book = %v, %v", job, err)
-			}
-			holder, attempt := "w1", job.Attempt
+		job, _, err := q.Book("w1", 1)
+		if err != nil || job == nil {
+			t.Fatalf("Book = %v, %v", job, err)
+		}
 
-			// A pointer whose blob was never uploaded is rejected.
-			dangling := ref(artifact.Digest([]byte("never uploaded")), 6*sim.Hour)
-			if err := q.RecordBlob(job.ID, "w1", attempt, dangling); !errors.Is(err, ErrMissingBlobs) {
-				t.Fatalf("dangling pointer = %v, want ErrMissingBlobs", err)
-			}
-			first := putBody(t, q, "first "+string(kind))
-			if err := q.RecordBlob(job.ID, "w1", attempt, ref(first, 6*sim.Hour)); err != nil {
-				t.Fatal(err)
-			}
-			// Strangers and stale nonces cannot record.
-			second := putBody(t, q, "second "+string(kind))
-			if err := q.RecordBlob(job.ID, "w2", attempt, ref(second, 12*sim.Hour)); !errors.Is(err, ErrStale) {
-				t.Fatalf("stranger's pointer = %v, want ErrStale", err)
-			}
-			if err := q.RecordBlob(job.ID, "w1", attempt+1, ref(second, 12*sim.Hour)); !errors.Is(err, ErrStale) {
-				t.Fatalf("stale-nonce pointer = %v, want ErrStale", err)
-			}
-			if err := q.RecordBlob(job.ID, "w1", attempt, ref(second, 12*sim.Hour)); err != nil {
-				t.Fatal(err)
-			}
-			// Newest wins, and the superseded blob is reclaimed immediately.
-			if got := pointer(q.Snapshot()[job.ID]); got == nil || got.Digest != second {
-				t.Fatalf("status pointer = %+v, want the superseding record", got)
-			}
-			if q.Store().Has(first) {
-				t.Error("superseded blob not reclaimed")
-			}
-			if !q.Store().Has(second) {
-				t.Fatal("live blob missing")
-			}
+		// A pointer whose blob was never uploaded is rejected.
+		dangling := ref(artifact.Digest([]byte("never uploaded")))
+		if err := q.RecordBlob(job.ID, "w1", job.Attempt, dangling); !errors.Is(err, ErrMissingBlobs) {
+			t.Fatalf("dangling pointer = %v, want ErrMissingBlobs", err)
+		}
+		first := putBody(t, q, "first profile")
+		if err := q.RecordBlob(job.ID, "w1", job.Attempt, ref(first)); err != nil {
+			t.Fatal(err)
+		}
+		// Strangers and stale nonces cannot record.
+		second := putBody(t, q, "second profile")
+		if err := q.RecordBlob(job.ID, "w2", job.Attempt, ref(second)); !errors.Is(err, ErrStale) {
+			t.Fatalf("stranger's pointer = %v, want ErrStale", err)
+		}
+		if err := q.RecordBlob(job.ID, "w1", job.Attempt+1, ref(second)); !errors.Is(err, ErrStale) {
+			t.Fatalf("stale-nonce pointer = %v, want ErrStale", err)
+		}
+		if err := q.RecordBlob(job.ID, "w1", job.Attempt, ref(second)); err != nil {
+			t.Fatal(err)
+		}
+		// Newest wins, and the superseded blob is reclaimed immediately.
+		if got := q.Snapshot()[job.ID].Profile; got == nil || got.Digest != second {
+			t.Fatalf("status pointer = %+v, want the superseding record", got)
+		}
+		if q.Store().Has(first) {
+			t.Error("superseded blob not reclaimed")
+		}
+		if !q.Store().Has(second) {
+			t.Fatal("live blob missing")
+		}
 
-			if kind == BlobSnapshot {
-				// Lease expiry: the re-booking carries the pointer for a warm
-				// resume.
-				clock.advance(2 * time.Minute)
-				rebooked, _, err := q.Book("w2", 1)
-				if err != nil || rebooked == nil || rebooked.ID != job.ID {
-					t.Fatalf("re-book = %+v, %v, want job %d", rebooked, err, job.ID)
-				}
-				if rebooked.Snapshot == nil || rebooked.Snapshot.Digest != second || rebooked.Snapshot.At != 12*sim.Hour {
-					t.Fatalf("re-booked cell carries %+v, want the 12h snapshot", rebooked.Snapshot)
-				}
-				holder, attempt = "w2", rebooked.Attempt
-			}
-
-			body := putBody(t, q, "fig5 body")
-			if err := q.Complete(job.ID, holder, attempt, RunResult{Digests: map[string]string{"fig5": body}}); err != nil {
-				t.Fatal(err)
-			}
-			st := q.Snapshot()[job.ID]
-			if st.State != "done" {
-				t.Fatalf("cell ended %s, want done", st.State)
-			}
-			if !q.Store().Has(body) {
-				t.Error("artifact body reclaimed at completion")
-			}
-			// Completion is terminal for snapshots — the store converges to
-			// what the sweep promises — but NOT for profiles.
-			wantKept := kind == BlobProfile
-			if (pointer(st) != nil) != wantKept || q.Store().Has(second) != wantKept {
-				t.Fatalf("after completion: pointer %+v, blob held %v; want kept = %v",
-					pointer(st), q.Store().Has(second), wantKept)
-			}
-		})
-	}
+		body := putBody(t, q, "fig5 body")
+		if err := q.Complete(job.ID, "w1", job.Attempt, RunResult{Digests: map[string]string{"fig5": body}}); err != nil {
+			t.Fatal(err)
+		}
+		st := q.Snapshot()[job.ID]
+		if st.State != "done" {
+			t.Fatalf("cell ended %s, want done", st.State)
+		}
+		if !q.Store().Has(body) {
+			t.Error("artifact body reclaimed at completion")
+		}
+		if st.Profile == nil || !q.Store().Has(second) {
+			t.Fatalf("after completion: pointer %+v, blob held %v; want both kept", st.Profile, q.Store().Has(second))
+		}
+	})
 }
 
 // TestReleaseDropsProfilePointer: a profile recorded by a completion that
 // then failed is residue once the worker hands the cell back — the same
-// drop helper Complete uses clears it and reclaims the blob, while the
-// snapshot pointer (live in every unfinished state) stays for the next
-// holder.
+// drop helper Complete uses clears it and reclaims the blob.
 func TestReleaseDropsProfilePointer(t *testing.T) {
 	q, _ := newTestQueue(t, QueueOptions{Lease: time.Minute})
 	job, _, err := q.Book("w1", 1)
 	if err != nil || job == nil {
 		t.Fatalf("Book = %v, %v", job, err)
 	}
-	snap, prof := putBody(t, q, "snapshot"), putBody(t, q, "profile")
-	for _, ref := range []BlobRef{{Kind: BlobSnapshot, Digest: snap, At: sim.Hour}, {Kind: BlobProfile, Digest: prof}} {
-		if err := q.RecordBlob(job.ID, "w1", job.Attempt, ref); err != nil {
-			t.Fatal(err)
-		}
+	prof := putBody(t, q, "profile")
+	if err := q.RecordBlob(job.ID, "w1", job.Attempt, BlobRef{Kind: BlobProfile, Digest: prof}); err != nil {
+		t.Fatal(err)
 	}
 	if err := q.Release(job.ID, "w1", job.Attempt, "complete: 412"); err != nil {
 		t.Fatal(err)
@@ -158,8 +114,98 @@ func TestReleaseDropsProfilePointer(t *testing.T) {
 	if st.State != "queued" || st.Profile != nil || q.Store().Has(prof) {
 		t.Errorf("released cell = %+v, profile blob held %v; want queued with the profile gone", st, q.Store().Has(prof))
 	}
-	if st.Snapshot == nil || !q.Store().Has(snap) {
-		t.Errorf("released cell lost its snapshot: %+v", st.Snapshot)
+}
+
+// legacySnapshot is the pointer kind of the mid-run snapshots workers
+// shipped before warm resume was removed. Journals written then still hold
+// its records, and replay skips them.
+const legacySnapshot BlobKind = recRetiredSnapshot
+
+// appendLegacySnapshot journals a snapshot pointer for the job exactly as
+// earlier builds wrote it, through the queue's open journal.
+func appendLegacySnapshot(t testing.TB, q *Queue, job int, worker, digest string) {
+	t.Helper()
+	line := fmt.Sprintf(`{"t":"snapshot","ts":%d,"job":%d,"worker":%q,`+
+		`"ref":{"Kind":"snapshot","Digest":%q,"At":21600000000000}}`+"\n",
+		q.opts.now().UnixMicro(), job, worker, digest)
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if _, err := q.journal.f.WriteString(line); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeLegacyJournal leaves in dir what an earlier build left when its
+// dispatcher died: cell 0 running on "victim", with one snapshot blob in the
+// store and the pointer to it journaled. It returns the blob's digest.
+func writeLegacyJournal(t testing.TB, dir string, spec Spec) string {
+	t.Helper()
+	q, err := NewQueue(dir, spec, QueueOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, _, err := q.Book("victim", 1)
+	if err != nil || job == nil {
+		t.Fatalf("Book = %v, %v", job, err)
+	}
+	if err := q.Progress(job.ID, "victim", job.Attempt); err != nil {
+		t.Fatal(err)
+	}
+	blob := putBody(t, q, "engine snapshot of cell 0 at 6h")
+	appendLegacySnapshot(t, q, job.ID, "victim", blob)
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestLegacySnapshotJournalResumes: a journal that holds a snapshot pointer
+// still resumes. The record replays as a no-op, not as a corrupt line, the
+// GC collects its blob, and the cell it named drains cold to the
+// single-process reference. A kind no build ever wrote is still a corrupt
+// line: only the retired kind is skipped.
+func TestLegacySnapshotJournalResumes(t *testing.T) {
+	spec := testSpec()
+	ref := referenceSweep(t, spec)
+	dir := t.TempDir()
+	blob := writeLegacyJournal(t, dir, spec)
+
+	r, err := Resume(dir, QueueOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	recovered := r.Recovered()
+	if strings.Contains(recovered, "corrupt") || !strings.Contains(recovered, "1 requeued") ||
+		!strings.Contains(recovered, "1 orphan blobs collected") || r.Store().Has(blob) {
+		t.Errorf("Recovered() = %q, snapshot blob held %v; want the running cell requeued, "+
+			"no corrupt line and the blob collected", recovered, r.Store().Has(blob))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	merged, err := RunLocal(ctx, r, LocalOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, merged, ref, "legacy journal")
+
+	r.mu.Lock()
+	err = r.appendLocked(journalRecord{T: "heapdump", Job: 1}, false)
+	r.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Resume(dir, QueueOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	if !strings.Contains(r2.Recovered(), "1 corrupt lines skipped") || !r2.Done() {
+		t.Errorf("Recovered() = %q, drained %v; want one corrupt line and the sweep still drained",
+			r2.Recovered(), r2.Done())
 	}
 }
 
@@ -169,11 +215,14 @@ func TestReleaseDropsProfilePointer(t *testing.T) {
 // artifact body with it, and one orphan blob belongs to nobody.
 //
 // In a live state a damaged blob costs what the table says — artifact: the
-// cell re-queues with a fresh attempt budget; snapshot: the pointer drops
-// and the in-flight cell restarts cold; profile: the pointer drops and the
-// cell stays done — the damaged file is removed, and Recovered() names
-// kind and cause. Outside its live states a pointer is cleared silently
-// and the blob, damaged or not, falls to the GC with the orphan.
+// cell re-queues with a fresh attempt budget; profile: the pointer drops
+// and the cell stays done — the damaged file is removed, and Recovered()
+// names kind and cause. Outside its live states a pointer is cleared
+// silently and the blob, damaged or not, falls to the GC with the orphan.
+// A legacy snapshot pointer (live: its cell was in flight; otherwise done)
+// is skipped whatever its blob's state: nothing is audited or reported,
+// the cell resumes as if the record were not there, and the blob falls to
+// the GC.
 func TestResumeBlobAudit(t *testing.T) {
 	damage := map[string]func(t *testing.T, path string){
 		"intact": func(*testing.T, string) {},
@@ -200,11 +249,10 @@ func TestResumeBlobAudit(t *testing.T) {
 	}
 	cost := map[BlobKind]string{
 		BlobArtifact: "cells requeued",
-		BlobSnapshot: "pointers dropped, cells restart from t=0",
 		BlobProfile:  "pointers dropped, cells stay done",
 	}
 	const shared = "table5: identical across cells"
-	for _, kind := range []BlobKind{BlobArtifact, BlobSnapshot, BlobProfile} {
+	for _, kind := range []BlobKind{BlobArtifact, legacySnapshot, BlobProfile} {
 		for _, cause := range []string{"intact", "missing", "truncated", "corrupt"} {
 			for _, live := range []bool{true, false} {
 				name := fmt.Sprintf("%s/%s/live=%v", kind, cause, live)
@@ -229,26 +277,24 @@ func TestResumeBlobAudit(t *testing.T) {
 					if kind == BlobArtifact {
 						series = "subject of " + name
 					}
-					if kind != BlobArtifact {
+					switch kind {
+					case legacySnapshot:
+						appendLegacySnapshot(t, q, job.ID, "w1", subject)
+					case BlobProfile:
 						if err := q.RecordBlob(job.ID, "w1", job.Attempt,
-							BlobRef{Kind: kind, Digest: subject, At: 6 * sim.Hour}); err != nil {
+							BlobRef{Kind: kind, Digest: subject}); err != nil {
 							t.Fatal(err)
 						}
 					}
-					// artifact: live once done; snapshot: live until done;
-					// profile: live once done.
+					// artifact: live once done; legacy snapshot: live until
+					// done; profile: live once done.
 					wantState := "queued"
-					if live != (kind == BlobSnapshot) {
+					if live != (kind == legacySnapshot) {
 						digests := map[string]string{"table5": putBody(t, q, shared), "fig9": putBody(t, q, series)}
 						if err := q.Complete(job.ID, "w1", job.Attempt, RunResult{Digests: digests}); err != nil {
 							t.Fatal(err)
 						}
 						wantState = "done"
-					}
-					if kind == BlobSnapshot && !live {
-						// Complete reclaimed the blob; put it back, as a crash
-						// between the result's fsync and the reclaim leaves it.
-						putBody(t, q, "subject of "+name)
 					}
 					if err := q.Close(); err != nil {
 						t.Fatal(err)
@@ -263,7 +309,7 @@ func TestResumeBlobAudit(t *testing.T) {
 					t.Log(r.Recovered())
 					st := r.Snapshot()
 
-					damaged := live && cause != "intact"
+					damaged := live && cause != "intact" && kind != legacySnapshot
 					if damaged && kind == BlobArtifact {
 						wantState = "queued"
 						if st[0].Attempt != 0 {
@@ -289,37 +335,31 @@ func TestResumeBlobAudit(t *testing.T) {
 					if !damaged && strings.Contains(r.Recovered(), string(kind)+" blobs") {
 						t.Errorf("Recovered() = %q reports %s damage; want none", r.Recovered(), kind)
 					}
+					if strings.Contains(r.Recovered(), "corrupt lines") {
+						t.Errorf("Recovered() = %q counts a corrupt line; want none", r.Recovered())
+					}
 
 					// The blob survives only intact and pointed at; a damaged
 					// file must go so a re-upload is not deduplicated against it.
-					wantKept := live && cause == "intact"
+					wantKept := live && cause == "intact" && kind != legacySnapshot
 					if r.Store().Has(subject) != wantKept {
 						t.Errorf("subject blob held = %v, want %v", !wantKept, wantKept)
 					}
-					if kind != BlobArtifact {
-						pointer := st[0].Snapshot
-						if kind == BlobProfile {
-							pointer = st[0].Profile
-						}
-						if (pointer != nil) != wantKept {
-							t.Errorf("pointer after resume = %+v, want kept = %v", pointer, wantKept)
-						}
+					if kind == BlobProfile && (st[0].Profile != nil) != wantKept {
+						t.Errorf("pointer after resume = %+v, want kept = %v", st[0].Profile, wantKept)
 					}
 					if r.Store().Has(orphan) || !strings.Contains(r.Recovered(), "orphan blobs collected") {
 						t.Errorf("orphan held = %v, Recovered() = %q; want it collected",
 							r.Store().Has(orphan), r.Recovered())
 					}
 
-					// The sweep carries on: the subject cell re-books (warm only
-					// from an intact live snapshot), re-completes with the same
-					// deterministic bodies, and a second resume replays clean.
+					// The sweep carries on: the subject cell re-books,
+					// re-completes with the same deterministic bodies, and a
+					// second resume replays clean.
 					if wantState == "queued" {
 						rebooked, _, err := r.Book("w2", 1)
 						if err != nil || rebooked == nil || rebooked.ID != 0 {
 							t.Fatalf("re-book = %+v, %v", rebooked, err)
-						}
-						if warm := kind == BlobSnapshot && wantKept; (rebooked.Snapshot != nil) != warm {
-							t.Errorf("re-booked cell carries %+v, want warm = %v", rebooked.Snapshot, warm)
 						}
 						digests := map[string]string{"table5": putBody(t, r, shared), "fig9": putBody(t, r, series)}
 						if err := r.Complete(0, "w2", rebooked.Attempt, RunResult{Digests: digests}); err != nil {

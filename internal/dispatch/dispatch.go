@@ -3,13 +3,14 @@
 // dispatcher that books cells out to workers and collects per-cell metrics
 // and artifact digests, and a worker that runs each booked cell through the
 // step-driven sapsim Session, renewing its lease with heartbeats that carry
-// at most one mid-run snapshot pointer each and the worker's trace spans.
+// the worker's trace spans.
 //
 // The shape follows the SIMQ dispatcher/simd split: the dispatcher owns
 // queue state and survives restarts (Resume replays the journal and
 // re-queues cells that were in flight when the process died); workers are
 // stateless bookers that can appear, crash, and reconnect freely — a cell
-// whose lease expires is re-booked to the next worker that asks.
+// whose lease expires is re-booked to the next worker that asks, which runs
+// it again from t=0.
 //
 // Every cell is deterministic per (config, scenario, variant, seed), so a
 // sweep dispatched across N workers, killed, and resumed from the journal
@@ -23,24 +24,20 @@
 // artifact body and the cell's engine profile, and the dispatcher stores
 // them in its content-addressed store (internal/artifact, under the journal
 // directory) before the result takes effect. The store keeps one copy per
-// digest, so the static tables identical across cells land once. Only
-// mid-run snapshots travel on their own (HEAD probe, then PUT), since their
-// blob must land before the heartbeat that points at it. The dispatcher
-// mounts the report tree over the collected bodies — artifact.Bundle, the
-// same value WriteBundle writes to disk — at /bundle, and Resume re-verifies
-// the store against the journal, re-queueing any cell whose blobs went
-// missing, truncated, or corrupt.
+// digest, so the static tables identical across cells land once. The
+// dispatcher mounts the report tree over the collected bodies —
+// artifact.Bundle, the same value WriteBundle writes to disk — at /bundle,
+// and Resume re-verifies the store against the journal, re-queueing any
+// cell whose blobs went missing, truncated, or corrupt.
 //
-// Wire protocol (JSON over HTTP; snapshot blobs travel raw):
+// Wire protocol (JSON over HTTP; GET /artifact serves a blob raw):
 //
 //	POST /book     {worker, capacity}        → 200 job+base config | 204 none free | 410 drained
-//	POST /progress {worker, job, attempt, snapshot, spans}     → 200 (lease renewed) | 409 lease lost | 412 blob missing
+//	POST /progress {worker, job, attempt, spans}     → 200 (lease renewed) | 400 malformed | 409 lease lost
 //	POST /complete {worker, job, attempt, run, bodies, profile, spans}
 //	               → 200 | 400 body not named by run or not hashing to its digest
 //	                 | 409 lease lost | 412 a digest with neither body nor blob
 //	POST /release  {worker, job, attempt}             → 200 (cell re-queued) | 409 lease lost
-//	HEAD /artifact/{digest} → 200 held | 404 (snapshot dedup probe)
-//	PUT  /artifact/{digest} → 201 stored | 200 deduplicated | 400 hash mismatch (snapshot blobs)
 //	GET  /artifact/{digest} → 200 body (digest-verified) | 404
 //	GET  /state    → queue snapshot
 //	GET  /result   → merged SweepResult (425 until drained)
@@ -135,9 +132,9 @@ type Spec struct {
 	Seeds     []uint64
 	// CheckpointEvery is the simulated-time stride workers step a cell in,
 	// rounded up to whole SampleEvery ticks (default DefaultCheckpoint).
-	// Stride boundaries are where a worker can capture a snapshot; it
-	// captures one only when its previous one has shipped, so at most one
-	// per heartbeat.
+	// Each stride is one "run" span, shipped on the next heartbeat: the
+	// stride is how a running cell's progress reaches the journal and the
+	// trace.
 	CheckpointEvery sim.Time
 }
 
@@ -200,9 +197,15 @@ func (s *Spec) normalize() {
 	}
 }
 
+// maxCells bounds a sweep's matrix, far above any sweep run so far. A
+// journal header is outside input to Resume, and an unbounded seed list
+// would expand into jobs by the hundred for every byte it takes.
+const maxCells = 1 << 16
+
 // Validate checks that every scenario and variant name resolves against
-// the builtin libraries and that no scenario, variant or seed repeats: a
-// repeat would run the same cell twice under one key.
+// the builtin libraries, that no scenario, variant or seed repeats — a
+// repeat would run the same cell twice under one key — and that the matrix
+// has at most maxCells cells.
 func (s Spec) Validate() error {
 	if len(s.Scenarios) == 0 || len(s.Variants) == 0 || len(s.Seeds) == 0 {
 		return fmt.Errorf("dispatch: empty sweep spec")
@@ -222,6 +225,11 @@ func (s Spec) Validate() error {
 	}
 	if err := unique("variant", s.Variants); err != nil {
 		return err
+	}
+	// Scenarios and variants are unique builtins by now, so the product
+	// cannot overflow.
+	if cells := len(s.Scenarios) * len(s.Variants) * len(s.Seeds); cells > maxCells {
+		return fmt.Errorf("dispatch: %d cells in the sweep matrix (max %d)", cells, maxCells)
 	}
 	return unique("seed", s.Seeds)
 }
@@ -347,9 +355,6 @@ type JobStatus struct {
 	State   string
 	Worker  string `json:",omitempty"`
 	Attempt int
-	// Snapshot points at the newest uploaded engine snapshot, the state a
-	// re-booking of this cell would warm-resume from.
-	Snapshot *BlobRef `json:",omitempty"`
 	// Profile points at the completed cell's engine self-profile blob.
 	Profile *BlobRef `json:",omitempty"`
 	Err     string   `json:",omitempty"`

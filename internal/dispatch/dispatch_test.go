@@ -87,8 +87,8 @@ func TestDispatchedSweepByteIdentity(t *testing.T) {
 	defer cancelAll()
 
 	// Worker A books one cell and dies mid-run: the kill fires when the
-	// cell's first mid-run snapshot is accepted, so it provably lands while
-	// the simulation is in flight no matter how fast the cell runs.
+	// cell's first heartbeat is accepted, so it provably lands while the
+	// cell is in flight no matter how fast it runs.
 	victimCtx, killVictim := context.WithCancel(ctx)
 	var victimJob = -1
 	var victimOnce sync.Once
@@ -96,15 +96,15 @@ func TestDispatchedSweepByteIdentity(t *testing.T) {
 	victim := &Worker{
 		Dispatcher: srv.URL,
 		ID:         "victim",
-		// Heartbeats far shorter than a cell: the snapshot pointer rides one,
-		// so the first is accepted well before the cell's uploads finish.
+		// Heartbeats far shorter than a cell, so the first is accepted
+		// well before the cell completes.
 		HeartbeatEvery: 2 * time.Millisecond,
 		Poll:           50 * time.Millisecond,
 		Hooks: WorkerHooks{
-			// The abandoned job is the one whose snapshot triggers the
+			// The abandoned job is the one whose heartbeat triggers the
 			// kill: under load the victim can finish its first booking
-			// before any snapshot ships and die holding a later one.
-			OnSnapshot: func(job int, _ BlobRef) {
+			// before any heartbeat lands and die holding a later one.
+			OnHeartbeat: func(job int) {
 				victimOnce.Do(func() {
 					victimMu.Lock()
 					victimJob = job
@@ -122,7 +122,7 @@ func TestDispatchedSweepByteIdentity(t *testing.T) {
 	select {
 	case <-victimCtx.Done():
 	case <-time.After(time.Minute):
-		t.Fatal("victim was never killed (no snapshot accepted)")
+		t.Fatal("victim was never killed (no heartbeat accepted)")
 	}
 	<-victimDone
 	victimMu.Lock()
@@ -204,8 +204,8 @@ func TestDispatchedSweepByteIdentity(t *testing.T) {
 	// store holds one blob per distinct digest across the sweep, strictly
 	// fewer than cells x artifacts (the static tables are identical in
 	// every cell). Completed cells also leave their engine self-profile
-	// blob behind (profiles outlive completion, unlike snapshots), so
-	// those digests count toward the expected total too.
+	// blob behind (profiles outlive completion), so those digests count
+	// toward the expected total too.
 	distinct := map[string]bool{}
 	total := 0
 	for _, run := range merged.Runs {

@@ -41,8 +41,8 @@ type journalRecord struct {
 
 	Run *RunResult `json:"run,omitempty"`
 
-	// snapshot / profile (T is the pointer's BlobKind): a worker recorded a
-	// pointer to a blob it uploaded for Job. The newest record per cell and
+	// profile (T is the pointer's BlobKind): a worker recorded a pointer to
+	// a blob its completion carried for Job. The newest record per cell and
 	// kind wins.
 	Ref *BlobRef `json:"ref,omitempty"`
 
@@ -53,7 +53,7 @@ type journalRecord struct {
 	Digest string `json:"digest,omitempty"`
 	Size   int64  `json:"size,omitempty"`
 
-	// span: one worker-side trace span (engine phase, snapshot encode,
+	// span: one worker-side trace span (engine build or run phase,
 	// artifact render) shipped alongside a heartbeat or completion for
 	// Job. Spans are facts about the past, never replayed into queue
 	// state; TraceFromJournal merges them with the dispatcher-derived
@@ -67,6 +67,10 @@ const (
 	recResult   = "result"
 	recArtifact = "artifact"
 	recSpan     = "span"
+	// recRetiredSnapshot is a mid-run snapshot pointer. Workers no longer
+	// ship snapshots, but journals written before they stopped still hold
+	// these records: replay skips them.
+	recRetiredSnapshot = "snapshot"
 )
 
 // journalWriter appends records to the WAL. Callers serialize access (the

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"sapsim/internal/sim"
 )
 
 // TestRunLocalDefaultsToGOMAXPROCS: Workers <= 0 runs one in-process worker
@@ -55,5 +57,43 @@ func TestRunLocalDefaultsToGOMAXPROCS(t *testing.T) {
 	}
 	if len(booked) != 3 {
 		t.Errorf("bookings by %v, want local-0..local-2", booked)
+	}
+}
+
+// TestRunLocalManyStrides: a cell of more strides than one report may carry
+// spans for, with no heartbeat before its completion, still completes. The
+// completion ships the first maxSpansPerReport spans, the worker logs the
+// rest as dropped, and the merged sweep equals the reference.
+func TestRunLocalManyStrides(t *testing.T) {
+	spec := testSpec()
+	spec.Base.Days = 12
+	spec.CheckpointEvery = 30 * sim.Minute // 576 strides, one run span each
+	ref := referenceSweep(t, spec)
+	q, err := NewQueue(t.TempDir(), spec, QueueOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+
+	var mu sync.Mutex
+	var dropped []string
+	logf := func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.Contains(line, "dropped") {
+			mu.Lock()
+			dropped = append(dropped, line)
+			mu.Unlock()
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	merged, err := RunLocal(ctx, q, LocalOptions{Workers: 2, HeartbeatEvery: time.Hour, Logf: logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, merged, ref, "many strides")
+	mu.Lock()
+	defer mu.Unlock()
+	if len(dropped) != len(ref.Runs) {
+		t.Errorf("%d span-drop log lines for %d cells: %q", len(dropped), len(ref.Runs), dropped)
 	}
 }

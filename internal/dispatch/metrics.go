@@ -25,7 +25,6 @@ const (
 	MetricJournalAppend   = "dispatch_journal_append_seconds"
 	MetricJournalFsyncs   = "dispatch_journal_fsyncs_total"
 	MetricEncodeErrors    = "dispatch_response_encode_errors_total"
-	MetricArtifactHeads   = "dispatch_artifact_head_total" // counter{outcome}: hit|miss — workers' snapshot probes
 	// Artifact store (served by dispatchd, counters maintained by the store
 	// itself so Resume-time heal/GC work is included).
 	MetricStoreBlobs       = "artifact_store_blobs"

@@ -26,13 +26,9 @@ type Job struct {
 
 	// Run holds the completion report for done/failed jobs.
 	Run *RunResult
-	// Snapshot points at the newest uploaded engine snapshot; a re-booking
-	// of this cell warm-resumes from it. The pointee is never mutated, only
-	// replaced, so the copy Book hands out stays valid.
-	Snapshot *BlobRef
 	// Profile points at the finished cell's engine self-profile blob. It is
-	// recorded in the completion exchange and — unlike Snapshot — outlives
-	// the terminal state: it is what analyze -engprof aggregates.
+	// recorded in the completion exchange and outlives the terminal state:
+	// it is what analyze -engprof aggregates.
 	Profile *BlobRef
 }
 
@@ -150,7 +146,7 @@ func NewQueue(dir string, spec Spec, opts QueueOptions) (*Queue, error) {
 // Resume also audits the store against the journal (auditBlobs): every
 // blob a cell still points at is re-verified, damage is healed and costs
 // what blobPolicies says it costs, and blobs nothing points at — uploads
-// for cells that never durably completed, superseded snapshots — are
+// for cells that never durably completed, blobs of a retired kind — are
 // garbage-collected.
 func Resume(dir string, opts QueueOptions) (*Queue, error) {
 	opts.fill()
@@ -244,16 +240,19 @@ func (j *Job) replay(rec journalRecord) bool {
 		if rec.Run.Err != "" {
 			j.State = JobFailed
 		}
-	case string(BlobSnapshot), string(BlobProfile):
+	case string(BlobProfile):
 		if rec.Ref == nil || string(rec.Ref.Kind) != rec.T || rec.Ref.Validate() != nil {
 			return false
 		}
 		*j.slot(rec.Ref.Kind) = rec.Ref
 		return true
-	case recSpan:
+	case recSpan, recRetiredSnapshot:
 		// Trace spans are observability facts, not queue state; the replay
-		// carries no effect (TraceFromJournal reads them).
+		// carries no effect (TraceFromJournal reads them). A retired
+		// snapshot pointer is skipped, and Resume's GC collects its blob.
 		return true
+	default:
+		return false
 	}
 	j.settle()
 	return true
@@ -549,13 +548,12 @@ func (q *Queue) Progress(jobID int, worker string, attempt int) error {
 }
 
 // RecordBlob journals a held cell's pointer to a blob already in the store:
-// a mid-run snapshot (on a heartbeat) or the finished cell's profile (in
-// the completion exchange, while the lease is still held). The blob must
-// already be in the store — a dangling pointer is rejected with
-// ErrMissingBlobs, since it would send every reader through a failed
-// fetch. The newest pointer of a kind wins, and the superseded blob is
-// reclaimed now instead of accreting one per shipped snapshot until the
-// next Resume's GC. Returns Stale when the worker no longer holds the job.
+// the finished cell's profile, in the completion exchange, while the lease
+// is still held. The blob must already be in the store — a dangling
+// pointer is rejected with ErrMissingBlobs, since it would send every
+// reader through a failed fetch. The newest pointer of a kind wins, and
+// the superseded blob is reclaimed now instead of at the next Resume's GC.
+// Returns Stale when the worker no longer holds the job.
 func (q *Queue) RecordBlob(jobID int, worker string, attempt int, ref BlobRef) error {
 	if err := ref.Validate(); err != nil {
 		return err
@@ -773,7 +771,7 @@ func (q *Queue) Snapshot() []JobStatus {
 	out := make([]JobStatus, len(q.jobs))
 	for i, j := range q.jobs {
 		st := JobStatus{ID: j.ID, Key: j.Key, State: j.State.String(),
-			Worker: j.Worker, Attempt: j.Attempt, Snapshot: j.Snapshot, Profile: j.Profile}
+			Worker: j.Worker, Attempt: j.Attempt, Profile: j.Profile}
 		if j.Run != nil {
 			st.Err = j.Run.Err
 		}

@@ -49,7 +49,7 @@ func newTestQueue(t *testing.T, opts QueueOptions) (*Queue, string) {
 
 // putBody stores one artifact body in the queue's store and returns its
 // digest — completes of successful cells must have their blobs uploaded.
-func putBody(t *testing.T, q *Queue, body string) string {
+func putBody(t testing.TB, q *Queue, body string) string {
 	t.Helper()
 	digest := artifact.Digest([]byte(body))
 	if _, err := q.PutArtifact(digest, []byte(body)); err != nil {

@@ -38,11 +38,6 @@ type BookResponse struct {
 	Attempt         int
 	Base            ConfigSpec
 	CheckpointEvery int64 // sim.Time (ns)
-	// Snapshot, when set, points at the newest journaled engine snapshot
-	// for this cell (a previous holder uploaded it before dying): the
-	// worker fetches the blob and warm-resumes from Snapshot.At instead of
-	// replaying from t=0. Missing or damaged blobs degrade to a cold start.
-	Snapshot *BlobRef `json:",omitempty"`
 }
 
 // ProgressRequest is a worker heartbeat: it renews the job's lease.
@@ -52,12 +47,8 @@ type ProgressRequest struct {
 	Worker  string
 	Job     int
 	Attempt int
-	// Snapshot reports a freshly uploaded engine snapshot (the blob must
-	// already be in the store via PUT /artifact/{digest}: the one blob that
-	// travels on its own, because it lands mid-run).
-	Snapshot *BlobRef `json:",omitempty"`
 	// Spans carries the worker's finished trace spans since the last
-	// accepted report (engine phases, snapshot encode/upload).
+	// accepted report (engine phases), at most maxSpansPerReport of them.
 	Spans []trace.Span `json:",omitempty"`
 }
 
@@ -120,8 +111,6 @@ type Dispatcher struct {
 	// registry, when set via Instrument, is served at GET /metrics.
 	registry     *fleetmetrics.Registry
 	encodeErrors *fleetmetrics.Counter
-	headHits     *fleetmetrics.Counter
-	headMisses   *fleetmetrics.Counter
 }
 
 // NewDispatcher wraps a queue.
@@ -138,10 +127,6 @@ func (d *Dispatcher) Instrument(reg *fleetmetrics.Registry) {
 	d.registry = reg
 	d.encodeErrors = reg.Counter(MetricEncodeErrors,
 		"JSON responses that failed to encode or send")
-	d.headHits = reg.Counter(MetricArtifactHeads,
-		"HEAD /artifact probes", "outcome", "hit")
-	d.headMisses = reg.Counter(MetricArtifactHeads,
-		"HEAD /artifact probes", "outcome", "miss")
 }
 
 func (d *Dispatcher) logf(format string, args ...any) {
@@ -159,8 +144,6 @@ func (d *Dispatcher) Handler() http.Handler {
 	mux.HandleFunc("POST /release", d.handleRelease)
 	mux.HandleFunc("GET /state", d.handleState)
 	mux.HandleFunc("GET /result", d.handleResult)
-	mux.HandleFunc("HEAD /artifact/{digest}", d.handleArtifactHead)
-	mux.HandleFunc("PUT /artifact/{digest}", d.handleArtifactPut)
 	mux.HandleFunc("GET /artifact/{digest}", d.handleArtifactGet)
 	// The subtree root serves the index, and the mux redirects the bare
 	// /bundle to it — the index's links are relative to the tree.
@@ -237,7 +220,6 @@ func (d *Dispatcher) handleBook(w http.ResponseWriter, r *http.Request) {
 			Attempt:         job.Attempt,
 			Base:            spec.Base,
 			CheckpointEvery: int64(spec.CheckpointEvery),
-			Snapshot:        job.Snapshot,
 		})
 	}
 }
@@ -248,11 +230,6 @@ func (d *Dispatcher) handleProgress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	err := d.queue.Progress(req.Job, req.Worker, req.Attempt)
-	if err == nil && req.Snapshot != nil {
-		if err = d.queue.RecordBlob(req.Job, req.Worker, req.Attempt, *req.Snapshot); err == nil {
-			d.logf("dispatch: job %d snapshot at %v from %s", req.Job, req.Snapshot.At, req.Worker)
-		}
-	}
 	if err == nil {
 		err = d.queue.RecordSpans(req.Job, req.Worker, req.Attempt, req.Spans)
 	}

@@ -29,11 +29,10 @@ func attemptSpanID(job, attempt int) string { return fmt.Sprintf("cell-%d/a%d", 
 // dir's journal: per cell, a root span covering queued→done, queue-wait
 // spans for every stretch spent waiting (initial wait and post-expiry
 // re-queues), one attempt span per booking (annotated with worker and
-// outcome), instants for journaled snapshot pointers, and every
-// worker-shipped span record merged in. It reads only the journal —
-// a crashed, resumed, and drained sweep reconstructs the same way a clean
-// one does, which is the point: the trace survives everything the queue
-// survives.
+// outcome), and every worker-shipped span record merged in. It reads only
+// the journal — a crashed, resumed, and drained sweep reconstructs the
+// same way a clean one does, which is the point: the trace survives
+// everything the queue survives.
 func TraceFromJournal(dir string) ([]trace.Span, error) {
 	replay, err := replayJournal(filepath.Join(dir, JournalName))
 	if err != nil {
@@ -50,7 +49,6 @@ func TraceFromJournal(dir string) ([]trace.Span, error) {
 		queuedAt  int64 // start of the current queue-wait stretch
 		open      *attempt
 		waits     int
-		instants  int
 		lastTS    int64
 		endTS     int64 // result time; 0 while unfinished
 		sawResult bool
@@ -111,16 +109,6 @@ func TraceFromJournal(dir string) ([]trace.Span, error) {
 				c.sawResult = false
 				c.endTS = 0
 			}
-		case string(BlobSnapshot):
-			parent := cellSpanID(rec.Job)
-			if c.open != nil {
-				parent = attemptSpanID(rec.Job, c.open.id)
-			}
-			c.instants++
-			spans = append(spans, trace.Span{
-				Trace: tid, ID: fmt.Sprintf("%s/i%d", cellSpanID(rec.Job), c.instants),
-				Parent: parent, Name: "snapshot-record", Start: rec.TS, End: rec.TS,
-			})
 		case recResult:
 			outcome := "done"
 			if rec.Run != nil && rec.Run.Err != "" {

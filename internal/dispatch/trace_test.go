@@ -89,7 +89,7 @@ func TestTraceSurvivesCrashResume(t *testing.T) {
 	// One span references a parent that never made it into the journal
 	// (the crash ate it): the merge must adopt it, not detach it.
 	orphan := []trace.Span{{Trace: tid, ID: parent2 + "/lost-child", Parent: parent + "/s99",
-		Name: "snapshot-upload", Start: trace.Micros(start), End: trace.Micros(start)}}
+		Name: "artifact-render", Start: trace.Micros(start), End: trace.Micros(start)}}
 	if err := q2.RecordSpans(job2.ID, "w2", job2.Attempt, orphan); err != nil {
 		t.Fatal(err)
 	}
@@ -195,5 +195,35 @@ func TestRecordSpansValidation(t *testing.T) {
 	}
 	if err := q.RecordSpans(job.ID, "w1", job.Attempt, huge); err == nil {
 		t.Fatal("oversized span batch accepted")
+	}
+}
+
+// TestReportSpansCap: a report carries at most maxSpansPerReport spans, in
+// the order they finished. A heartbeat keeps the rest for the next report;
+// the completion drops them and counts them.
+func TestReportSpansCap(t *testing.T) {
+	b := trace.NewBuilder("t", "p", "p")
+	at := time.Unix(1000, 0)
+	for i := 0; i < maxSpansPerReport+88; i++ {
+		b.Add("run", at, at, nil)
+	}
+	first, dropped := reportSpans(b, false)
+	if len(first) != maxSpansPerReport || dropped != 0 || b.Len() != 88 || first[0].ID != "p/s1" {
+		t.Fatalf("heartbeat report: %d spans from %s, %d dropped, %d kept; want %d from p/s1, 0, 88",
+			len(first), first[0].ID, dropped, b.Len(), maxSpansPerReport)
+	}
+	b.Add("artifact-render", at, at, nil)
+	rest, dropped := reportSpans(b, false)
+	if len(rest) != 89 || dropped != 0 || rest[0].ID != fmt.Sprintf("p/s%d", maxSpansPerReport+1) {
+		t.Fatalf("next report: %d spans from %s, %d dropped; want 89 from the first one held back",
+			len(rest), rest[0].ID, dropped)
+	}
+	for i := 0; i < maxSpansPerReport+5; i++ {
+		b.Add("run", at, at, nil)
+	}
+	final, dropped := reportSpans(b, true)
+	if len(final) != maxSpansPerReport || dropped != 5 || b.Len() != 0 {
+		t.Fatalf("final report: %d spans, %d dropped, %d kept; want %d, 5, 0",
+			len(final), dropped, b.Len(), maxSpansPerReport)
 	}
 }

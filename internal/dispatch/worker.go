@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -25,12 +26,6 @@ import (
 // errDrained signals the dispatcher reported the sweep complete (410).
 var errDrained = errors.New("dispatch: sweep drained")
 
-// errBlobRefused marks a blob PUT the dispatcher answered with a 4xx: it
-// read the request and will not take these bytes (over its body cap, hash
-// mismatch), so — unlike a transport error or a 5xx — re-sending them cannot
-// succeed.
-var errBlobRefused = errors.New("dispatch: blob refused")
-
 // abandonBackoff is how long a slot cools down after its cell is abandoned
 // and released. The released cell re-books immediately — on another worker;
 // the cool-down keeps a worker with a persistently failing path (say, its
@@ -41,27 +36,18 @@ const abandonBackoff = 5 * time.Second
 // WorkerHooks observe a worker's lifecycle; tests use them to kill a
 // worker mid-cell deterministically.
 type WorkerHooks struct {
-	// OnHeartbeat fires after each accepted heartbeat.
+	// OnHeartbeat fires after each accepted heartbeat. The cell has not
+	// completed: the heartbeat loop stops before the completion posts.
 	OnHeartbeat func(job int)
-	// OnSnapshot fires after an engine snapshot is accepted by the
-	// dispatcher (blob uploaded, pointer journaled), at most once per
-	// heartbeat and before that heartbeat's OnHeartbeat. The snapshot is of
-	// mid-run state, and the cell has not completed: the heartbeat loop
-	// stops before the completion posts.
-	OnSnapshot func(job int, ref BlobRef)
-	// OnResume fires when a booked cell warm-resumes from a previous
-	// holder's snapshot instead of starting at t=0.
-	OnResume func(job int, at sim.Time)
 }
 
 // Worker is the simd half of the dispatcher split: a stateless loop that
 // books cells, strides each through the sapsim Session in steps of the
-// sweep's CheckpointEvery, renews the lease with heartbeats that each carry
-// at most one mid-run snapshot — captured at a stride boundary only once the
-// previous one has shipped — and completes with one request that carries
-// the cell's metrics, digests, artifact bodies and engine profile. Workers
-// hold no sweep state — kill one at any point and its cells re-book
-// elsewhere after the lease expires.
+// sweep's CheckpointEvery, renews the lease with heartbeats that carry the
+// trace spans finished since the last one, and completes with one request
+// that carries the cell's metrics, digests, artifact bodies and engine
+// profile. Workers hold no sweep state — kill one at any point and its
+// cells re-book elsewhere after the lease expires, and run again from t=0.
 type Worker struct {
 	// Dispatcher is the base URL (http://host:port).
 	Dispatcher string
@@ -85,11 +71,7 @@ type Worker struct {
 	Logf func(format string, args ...any)
 	// Hooks observe the lifecycle (tests).
 	Hooks WorkerHooks
-	// DisableSnapshots turns off mid-run snapshot capture and warm
-	// resume: cells always start at t=0, run in one RunToCompletion, and
-	// upload no snapshot blobs (simworker -snapshots=false). Correctness is
-	// unaffected — snapshots only save the re-run prefix after a worker
-	// death.
+	// Deprecated: workers take no snapshots; bench/sweep.go still sets it, and ROADMAP item 4(c) deletes it.
 	DisableSnapshots bool
 	// Metrics, when set, receives the worker's fleet metrics (in-flight
 	// vs capacity, per-cell wall time, heartbeat RTT, book failures,
@@ -311,29 +293,13 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 		return err
 	}
 
-	// pending is the one snapshot awaiting shipment. The run loop captures
-	// into it at a stride boundary only while it is nil; the heartbeat loop
-	// encodes and ships it, and clears it once the pointer is journaled (or
-	// never can be: the encode failed, the dispatcher refused the blob) —
-	// which is what asks the run loop for the next. So nothing is captured
-	// faster than heartbeats can ship, and nothing is encoded that is not
-	// shipped.
-	var (
-		mu      sync.Mutex
-		pending *sapsim.Snapshot
-	)
-	clearPending := func() {
-		mu.Lock()
-		pending = nil
-		mu.Unlock()
-	}
-	// Span collection: engine phases and snapshot work become spans
-	// parented under the booking's attempt span, shipped on heartbeats and
-	// the completion. The trace and attempt IDs are the ones
-	// TraceFromJournal derives from the journal, so the two halves join up
-	// without any coordination. The builder is guarded by mu — the
-	// session's event-dispatch goroutine, the heartbeat loop, and this
-	// goroutine all touch it.
+	// Span collection: engine phases become spans parented under the
+	// booking's attempt span, shipped on heartbeats and the completion. The
+	// trace and attempt IDs are the ones TraceFromJournal derives from the
+	// journal, so the two halves join up without any coordination. The
+	// builder is guarded by mu — the session's event-dispatch goroutine, the
+	// heartbeat loop, and this goroutine all touch it.
+	var mu sync.Mutex
 	attempt := attemptSpanID(booked.Job, booked.Attempt)
 	spanb := trace.NewBuilder(CellTraceID(key), attempt, attempt)
 	addSpan := func(name string, start, end time.Time, attrs map[string]string) {
@@ -341,10 +307,15 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 		spanb.Add(name, start, end, attrs)
 		mu.Unlock()
 	}
-	drainSpans := func() []trace.Span {
+	drainSpans := func(final bool) []trace.Span {
 		mu.Lock()
-		defer mu.Unlock()
-		return spanb.Drain()
+		batch, dropped := reportSpans(spanb, final)
+		mu.Unlock()
+		if dropped > 0 {
+			w.logf("worker %s: job %d: %d trace spans over the %d-per-report cap dropped",
+				id, booked.Job, dropped, maxSpansPerReport)
+		}
+		return batch
 	}
 	requeueSpans := func(batch []trace.Span) {
 		if len(batch) == 0 {
@@ -360,50 +331,17 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 				"sim_from": fmt.Sprint(c.FromSim), "sim_to": fmt.Sprint(c.ToSim)})
 		}
 	})
-	buildSession := func(snap *sapsim.Snapshot) (*sapsim.Session, error) {
-		opts := []sapsim.Option{sapsim.WithContext(cellCtx), observe}
-		if snap != nil {
-			return sapsim.ResumeFromSnapshot(cfg, snap, opts...)
-		}
-		return sapsim.NewSession(cfg, opts...)
-	}
-
-	// Warm resume: a previous holder of this cell uploaded a snapshot
-	// before dying. Every failure on this path — fetch, decode, config
-	// mismatch at build — degrades to the cold t=0 start; a snapshot saves
-	// the replayed prefix, it is never a correctness dependency.
-	var session *sapsim.Session
-	if booked.Snapshot != nil && !w.DisableSnapshots {
-		if snap, err := w.fetchSnapshot(cellCtx, booked.Snapshot); err != nil {
-			w.logf("worker %s: job %d snapshot %s unusable (%v); cold restart from t=0",
-				id, booked.Job, booked.Snapshot.Digest, err)
-		} else if s, err := buildSession(snap); err != nil {
-			w.logf("worker %s: job %d snapshot session (%v); cold restart from t=0", id, booked.Job, err)
-		} else if err := s.Build(); err != nil {
-			s.Close()
-			w.logf("worker %s: job %d snapshot restore (%v); cold restart from t=0", id, booked.Job, err)
-		} else {
-			session = s
-			w.logf("worker %s: job %d resuming from snapshot at %v", id, booked.Job, snap.At)
-			if w.Hooks.OnResume != nil {
-				w.Hooks.OnResume(booked.Job, snap.At)
-			}
-		}
-	}
-	if session == nil {
-		s, err := buildSession(nil)
-		if err != nil {
-			return w.complete(ctx, booked, CompleteRequest{Worker: id, Run: RunResult{Err: err.Error()},
-				Spans: drainSpans()})
-		}
-		session = s
+	session, err := sapsim.NewSession(cfg, sapsim.WithContext(cellCtx), observe)
+	if err != nil {
+		return w.complete(ctx, booked, CompleteRequest{Worker: id, Run: RunResult{Err: err.Error()},
+			Spans: drainSpans(true)})
 	}
 	defer session.Close()
 
-	// Heartbeat loop: renew the lease even before the first snapshot, and
-	// keep renewing through artifact rendering — the post-simulation work
-	// can outlast a lease on a slow box, and a cell that expires there
-	// re-runs from scratch just to hit the same wall.
+	// Heartbeat loop: renew the lease from the start, and keep renewing
+	// through artifact rendering — the post-simulation work can outlast a
+	// lease on a slow box, and a cell that expires there re-runs from
+	// scratch just to hit the same wall.
 	// The loop is stopped right before the completion posts: a heartbeat
 	// racing an accepted /complete would see 409 on the done job and
 	// cancel the cell context out from under the in-flight response,
@@ -431,43 +369,11 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 				return
 			case <-t.C:
 			}
-			mu.Lock()
-			snap := pending
-			mu.Unlock()
-			// Encode the pending snapshot here, off the engine goroutine, and
-			// ship the blob before reporting its pointer: the dispatcher
-			// rejects a pointer whose blob is not in the store. A transport
-			// failure is transient — the snapshot stays pending and the next
-			// heartbeat encodes and tries it again; a blob the dispatcher
-			// refused (over its body cap, say) is dropped, since the same
-			// bytes would be refused at every heartbeat until the cell ends.
-			var snapRef *BlobRef
-			if snap != nil {
-				encStart := time.Now()
-				if blob, err := sapsim.EncodeSnapshotBytes(snap); err != nil {
-					w.logf("worker %s: job %d snapshot encode: %v", id, booked.Job, err)
-					clearPending()
-				} else {
-					addSpan("snapshot-encode", encStart, time.Now(), nil)
-					ref := BlobRef{Kind: BlobSnapshot, Digest: artifact.Digest(blob), At: snap.At}
-					upStart := time.Now()
-					if err := w.uploadBlob(cellCtx, ref.Digest, blob); err != nil {
-						w.logf("worker %s: job %d snapshot upload: %v", id, booked.Job, err)
-						if errors.Is(err, errBlobRefused) {
-							clearPending()
-						}
-					} else {
-						addSpan("snapshot-upload", upStart, time.Now(), nil)
-						snapRef = &ref
-					}
-				}
-			}
-			spanBatch := drainSpans()
+			spanBatch := drainSpans(false)
 			var ok struct{ OK bool }
 			hbStart := time.Now()
 			status, err := w.post(cellCtx, "/progress",
-				ProgressRequest{Worker: id, Job: booked.Job, Attempt: booked.Attempt,
-					Snapshot: snapRef, Spans: spanBatch}, &ok)
+				ProgressRequest{Worker: id, Job: booked.Job, Attempt: booked.Attempt, Spans: spanBatch}, &ok)
 			if err != nil {
 				// Transient; the lease outlives several heartbeats. The spans
 				// go back in the buffer — the next report re-ships them.
@@ -488,15 +394,6 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 				w.logf("worker %s: job %d heartbeat rejected: status %d", id, booked.Job, status)
 				continue
 			}
-			// The pointer is journaled; later heartbeats renew the lease
-			// bare until the run loop captures a fresh snapshot, keeping the
-			// WAL proportional to state changes, not wall time.
-			if snapRef != nil {
-				clearPending()
-				if w.Hooks.OnSnapshot != nil {
-					w.Hooks.OnSnapshot(booked.Job, *snapRef)
-				}
-			}
 			if w.Hooks.OnHeartbeat != nil {
 				w.Hooks.OnHeartbeat(booked.Job)
 			}
@@ -504,41 +401,20 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 	}()
 
 	// Stride the run in CheckpointEvery-sized steps (whole SampleEvery
-	// ticks, counted from the build or resume point): between steps the
-	// engine is idle, the only place a consistent snapshot can be captured.
-	drive := session.RunToCompletion
-	if !w.DisableSnapshots {
-		stride := max(1, int((sim.Time(booked.CheckpointEvery)+cfg.SampleEvery-1)/cfg.SampleEvery))
-		drive = func() error {
-			for {
-				done, err := session.Step(stride)
-				if done || err != nil {
-					return err
-				}
-				mu.Lock()
-				asked := pending == nil
-				mu.Unlock()
-				if !asked {
-					continue
-				}
-				snap, err := session.Snapshot()
-				if err != nil {
-					return err
-				}
-				mu.Lock()
-				pending = snap
-				mu.Unlock()
-			}
-		}
+	// ticks): each stride is one "run" span, so a running cell's progress
+	// reaches the journal and the trace on the next heartbeat.
+	stride := max(1, int((sim.Time(booked.CheckpointEvery)+cfg.SampleEvery-1)/cfg.SampleEvery))
+	var runErr error
+	for done := false; !done && runErr == nil; {
+		done, runErr = session.Step(stride)
 	}
-	runErr := drive()
 
 	// A deterministic run failure is recorded exactly as scenario.Sweep
 	// records the cell's error string.
 	fail := func(err error) error {
 		stopHeartbeat()
 		return w.complete(ctx, booked, CompleteRequest{Worker: id, Run: RunResult{Err: err.Error()},
-			Spans: drainSpans()})
+			Spans: drainSpans(true)})
 	}
 	if runErr != nil {
 		if cellCtx.Err() != nil {
@@ -575,51 +451,26 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 	}
 	w.logf("worker %s: job %d finished", id, booked.Job)
 	stopHeartbeat()
-	req.Spans = drainSpans()
+	req.Spans = drainSpans(true)
 	return orStale(w.complete(cellCtx, booked, req))
 }
 
-// uploadBlob ships one snapshot blob into the dispatcher's store behind a
-// HEAD probe, so a blob the store already holds never travels: a re-booked
-// cell that snapshots at an instant the previous holder covered re-sends
-// nothing.
-func (w *Worker) uploadBlob(ctx context.Context, digest string, blob []byte) error {
-	_, status, err := w.do(ctx, http.MethodHead, "/artifact/"+digest, nil)
-	if err != nil || status == http.StatusOK {
-		return err // a transport error, or the store already holds this blob
+// reportSpans drains b up to the queue's per-report cap. A heartbeat
+// leaves the rest buffered for the next report; the completion, which has
+// no next report, drops them and counts them. Spans are observability, so
+// an overflow costs trace detail, never the cell.
+func reportSpans(b *trace.Builder, final bool) (batch []trace.Span, dropped int) {
+	batch = b.Drain()
+	over := len(batch) - maxSpansPerReport
+	if over <= 0 {
+		return batch, 0
 	}
-	_, status, err = w.do(ctx, http.MethodPut, "/artifact/"+digest, blob)
-	switch {
-	case err != nil:
-		return err
-	case status == http.StatusCreated || status == http.StatusOK:
-		return nil
-	case status >= 400 && status < 500:
-		return fmt.Errorf("%w: %s: status %d", errBlobRefused, digest, status)
-	default:
-		return fmt.Errorf("dispatch: blob %s rejected: status %d", digest, status)
+	if final {
+		dropped = over
+	} else {
+		b.Requeue(slices.Clone(batch[maxSpansPerReport:]))
 	}
-}
-
-// fetchSnapshot downloads and decodes the snapshot a BookResponse points
-// at. Any failure — missing blob, short read, bit rot the decode's digest
-// check catches — surfaces as an error the caller degrades to a cold
-// start.
-func (w *Worker) fetchSnapshot(ctx context.Context, rec *BlobRef) (*sapsim.Snapshot, error) {
-	if err := rec.Validate(); err != nil {
-		return nil, err
-	}
-	body, status, err := w.do(ctx, http.MethodGet, "/artifact/"+rec.Digest, nil)
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("dispatch: snapshot blob fetch: status %d", status)
-	}
-	if got := artifact.Digest(body); got != rec.Digest {
-		return nil, fmt.Errorf("dispatch: snapshot blob hashes to %s, not %s", got, rec.Digest)
-	}
-	return sapsim.DecodeSnapshotBytes(body)
+	return batch[:maxSpansPerReport], dropped
 }
 
 // complete posts the cell's completion under its booking.
@@ -670,27 +521,4 @@ func (w *Worker) post(ctx context.Context, path string, in, out any) (int, error
 		_, _ = io.Copy(io.Discard, resp.Body)
 	}
 	return resp.StatusCode, nil
-}
-
-// do sends one raw-body request — HEAD probe, blob PUT, or blob GET — and
-// returns the response body and status.
-func (w *Worker) do(ctx context.Context, method, path string, body []byte) ([]byte, int, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, w.Dispatcher+path, rd)
-	if err != nil {
-		return nil, 0, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/octet-stream")
-	}
-	resp, err := w.Client.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	got, err := io.ReadAll(resp.Body)
-	return got, resp.StatusCode, err
 }

@@ -142,7 +142,7 @@ func TestChromeTraceLaneContainment(t *testing.T) {
 	spans := []Span{
 		span("t", "p", "", "attempt", 0, 100),
 		span("t", "c1", "p", "run", 10, 60),
-		span("t", "c2", "p", "snapshot-upload", 50, 80),
+		span("t", "c2", "p", "artifact-render", 50, 80),
 	}
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, spans); err != nil {

@@ -50,19 +50,19 @@ fleet="$workdir/fleet"
   >"$workdir/recorder.out" 2>"$workdir/recorder.err" &
 recorder_pid=$!
 
-# Kill the victim once the dispatcher has journaled a snapshot from it —
-# guaranteed mid-cell, with warm-resumable state already in the store.
+# Kill the victim once the journal holds its first accepted heartbeat (the
+# booked → running record) — guaranteed mid-cell.
 killed=""
 for _ in $(seq 1 150); do
-  if grep -Eq 'snapshot at .* from victim' "$workdir/dispatchd.err" 2>/dev/null; then
+  if grep -q '"state":"running","worker":"victim"' "$journal/journal.jsonl" 2>/dev/null; then
     kill -9 "$victim_pid" 2>/dev/null || true
     killed=yes
-    echo "smoke: killed victim worker mid-cell (snapshot journaled)"
+    echo "smoke: killed victim worker mid-cell (heartbeat journaled)"
     break
   fi
   sleep 0.2
 done
-[ -n "$killed" ] || { echo "smoke: victim never got a snapshot journaled" >&2; exit 1; }
+[ -n "$killed" ] || { echo "smoke: victim never got a heartbeat journaled" >&2; exit 1; }
 
 # Mid-sweep fleet observability: scrape dispatchd's and the survivor's
 # /metrics endpoints through the in-tree scrape/promql stack and assert
@@ -107,16 +107,11 @@ grep -q '"attempt":2' "$journal/journal.jsonl" ||
   { echo "smoke: no lease re-book recorded in the journal" >&2; exit 1; }
 grep -q 'booked by survivor (attempt 2)' "$workdir/dispatchd.err" ||
   { echo "smoke: the re-booked cell was not picked up by the survivor" >&2; exit 1; }
-grep -q '"t":"snapshot"' "$journal/journal.jsonl" ||
-  { echo "smoke: no snapshot pointer recorded in the journal" >&2; exit 1; }
-grep -q 'resuming from snapshot' "$workdir/survivor.err" ||
-  { echo "smoke: the re-booked cell restarted cold instead of warm-resuming from the victim's snapshot" >&2; exit 1; }
 test -s "$journal/report.txt" || { echo "smoke: no merged report written" >&2; exit 1; }
 grep -q 'host-failures' "$journal/report.txt" ||
   { echo "smoke: merged report is missing scenarios" >&2; exit 1; }
 
-echo "smoke: sweep completed after worker kill + lease re-book + warm resume"
-echo "smoke: journaled snapshots: $(grep -c '"t":"snapshot"' "$journal/journal.jsonl" || true)"
+echo "smoke: sweep completed after worker kill + lease re-book"
 
 # The completions carried every artifact body into the journal dir's CAS;
 # materialize the bundle from the finished journal and re-verify every
@@ -180,16 +175,15 @@ bodies=$(wc -l < "$bundle/SHA256SUMS")
 (cd "$bundle" && sha256sum --check --quiet SHA256SUMS) ||
   { echo "smoke: a bundled artifact's recomputed SHA-256 differs from the journal digest" >&2; exit 1; }
 
-# Dedup + reclamation: after the drain (which reclaims every cell's
-# snapshot blob) and the resume's orphan GC, the CAS must hold exactly one
-# blob per distinct bundled digest plus one surviving profile blob per cell
-# (profiles outlive completion by design) — and strictly fewer artifact
-# blobs than bundled bodies (the static tables are identical across all
-# four cells).
+# Dedup + reclamation: after the drain and the resume's orphan GC, the CAS
+# must hold exactly one blob per distinct bundled digest plus one surviving
+# profile blob per cell (profiles outlive completion by design) — and
+# strictly fewer artifact blobs than bundled bodies (the static tables are
+# identical across all four cells).
 distinct=$(cut -d' ' -f1 "$bundle/SHA256SUMS" | sort -u | wc -l)
 blobs=$(find "$journal/cas" -type f | wc -l)
 [ "$blobs" -eq $((distinct + 4)) ] ||
-  { echo "smoke: CAS holds $blobs blobs, want $distinct artifact + 4 profile blobs (snapshot blobs must be reclaimed)" >&2; exit 1; }
+  { echo "smoke: CAS holds $blobs blobs, want $distinct artifact + 4 profile blobs" >&2; exit 1; }
 [ "$distinct" -lt "$bodies" ] ||
   { echo "smoke: no dedup: $distinct distinct blobs for $bodies bodies" >&2; exit 1; }
 
