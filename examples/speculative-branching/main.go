@@ -1,11 +1,12 @@
-// Speculative scenario branching: run the expensive steady-state warmup
-// once, snapshot it, then fork divergent futures — here, the same AZ
-// outage injected at three different instants — from that single warm
-// state. Each branch is an independent session continuing from the shared
-// snapshot, so exploring N outage timings costs one warmup plus N tails
-// instead of N full runs, and the branches differ only by the injected
-// event: any delta in the comparative report is the outage timing, not
-// noise.
+// Speculative scenario branching: run a steady-state warmup, snapshot it,
+// then fork divergent futures — here, the same AZ outage injected at three
+// different instants — from that one point. A snapshot is a replay point
+// (simulated time, events fired, config fingerprint), not a copy of the
+// state: each branch is an independent session that replays the warmup
+// itself and checks it reached the snapshot's event count before its tail
+// starts. The branches therefore share the exact warm state and differ only
+// by the injected event: any delta in the comparative report is the outage
+// timing, not noise.
 package main
 
 import (
@@ -27,7 +28,7 @@ func main() {
 	cfg.SampleEvery = 15 * sim.Minute
 	cfg.VMSampleEvery = sim.Hour
 
-	// 1. Simulate the shared prefix once: four days of arrival churn, DRS
+	// 1. Simulate the shared prefix: four days of arrival churn, DRS
 	// passes, and resize activity — the warm state every what-if shares.
 	start := time.Now()
 	warm, err := sapsim.NewSession(cfg)
@@ -44,11 +45,11 @@ func main() {
 		log.Fatal(err)
 	}
 	warmupWall := time.Since(start)
-	fmt.Printf("warm prefix: %v simulated once in %v (snapshot at %v)\n\n",
-		prefix, warmupWall.Round(time.Millisecond), snap.At)
+	fmt.Printf("warm prefix: %v simulated in %v (snapshot at %v after %d events)\n\n",
+		prefix, warmupWall.Round(time.Millisecond), snap.At, snap.Fired)
 
 	// 2. Fork the what-ifs: an identical 6-hour AZ outage landing on day
-	// 5, 6, or 7 — plus a baseline branch that replays the captured run
+	// 5, 6, or 7 — plus a baseline branch that continues the captured run
 	// unchanged. Everything in flight at the snapshot is common to all
 	// four by construction.
 	outage := func(at sim.Time) []sapsim.Injector {
@@ -65,8 +66,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 3. Drive every branch to the horizon concurrently; branches share
-	// nothing but the immutable snapshot.
+	// 3. Drive every branch to the horizon concurrently: each replays the
+	// prefix, then runs its tail. Branches share nothing but the immutable
+	// snapshot.
 	start = time.Now()
 	runs := make([]scenario.Run, len(sessions))
 	var wg sync.WaitGroup
@@ -97,8 +99,8 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("4 branches (%v tail each) explored in %v from one snapshot\n\n",
-		cfg.Horizon()-snap.At, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("4 branches (%v prefix replayed + %v tail each) explored in %v from one snapshot\n\n",
+		snap.At, cfg.Horizon()-snap.At, time.Since(start).Round(time.Millisecond))
 
 	// 4. Compare: the first scenario is the baseline, so the report shows
 	// each outage timing as a delta against the unperturbed continuation.

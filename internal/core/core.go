@@ -196,7 +196,7 @@ var (
 // its values behind them and commits the sweep with one Store.AppendAll.
 // Entities first sampled in one sweep are resolved by one Store.Refs call,
 // in node-ID / VM-ID order, because series creation order is observable:
-// Select, Dump, snapshot bytes. The order of a sweep's writes is not: each
+// Select and Dump return it. The order of a sweep's writes is not: each
 // goes to a distinct series.
 type sampler struct {
 	res *Result

@@ -79,12 +79,8 @@ func (lateHost) Name() string { return "late-host" }
 func (l lateHost) Inject(env *core.Env) error {
 	nodes := env.Region.Nodes()
 	n := nodes[len(nodes)/2]
-	env.OnRestore("up", func([]byte) (sim.Handler, error) {
-		return func(sim.Time) { env.BringUp(n) }, nil
-	})
 	env.TakeDown(n)
-	_, err := env.ScheduleOwned(l.At, "up", nil)
-	return err
+	return env.Schedule(l.At, "up", func(sim.Time) { env.BringUp(n) })
 }
 
 // TestHostSeriesOrderMatchesOneRefsPerSweep: the sampler must create host

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"strconv"
 
 	"sapsim/internal/analysis"
 	"sapsim/internal/drs"
@@ -14,7 +13,6 @@ import (
 	"sapsim/internal/nova"
 	"sapsim/internal/placement"
 	"sapsim/internal/sim"
-	"sapsim/internal/snapshot"
 	"sapsim/internal/telemetry"
 	"sapsim/internal/topology"
 	"sapsim/internal/vmmodel"
@@ -36,8 +34,8 @@ type Hooks struct {
 	OnTick func(now sim.Time)
 }
 
-// Owners of the core layer's snapshot-surviving events. Scenario injectors
-// use "inj/<idx>/<suffix>" keys built by Env.
+// Owners of the core layer's events, the labels the profiler attributes
+// them to. Scenario injectors use "inj/<idx>/<suffix>" labels built by Env.
 const (
 	ownerArrive     = "core/arrive"
 	ownerDelete     = "core/delete"
@@ -46,7 +44,6 @@ const (
 	ownerTickDRS    = "core/tick/drs"
 	ownerTickCross  = "core/tick/cross"
 	ownerTickResize = "core/tick/resize"
-	ownerResizeRNG  = "core/resize"
 )
 
 // Simulation is a fully assembled experiment that has not necessarily run
@@ -57,7 +54,6 @@ const (
 // boundaries is bit-for-bit identical to one uninterrupted run.
 type Simulation struct {
 	cfg    Config
-	hooks  Hooks
 	res    *Result
 	engine *sim.Engine
 	live   map[vmmodel.ID]*vmmodel.VM
@@ -67,27 +63,8 @@ type Simulation struct {
 
 	finalized bool
 
-	// instances is the deterministic workload in generation order; the
-	// snapshot's VM overlay is index-aligned with its prefix.
-	instances []*workload.Instance
-	// placeVM places instance idx at now (shared by the cold arrival path
-	// and the arrival rearmer).
-	placeVM func(idx int, in *workload.Instance, now sim.Time)
-	// rearmers rebuilds the handler of a pending event from its
-	// (owner, payload) record when the engine queue is restored.
-	rearmers map[string]func(payload []byte) (sim.Rearmed, error)
-	// rngs registers every RNG source that stays live across events; the
-	// snapshot marshals them, restore rewinds them.
-	rngs map[string]*rand.PCG
-	// down is the scenario layer's out-of-service refcount map, shared by
-	// every injector Env (empty when no injector runs).
-	down map[topology.NodeID]int
-	// sampler is kept so a restore can seed its per-VM series handles (the
-	// flavor label is pinned at a VM's first sample, which may predate the
-	// snapshot and a later resize).
-	sampler *sampler
-	// env is the base injector environment (nil without injectors); fork
-	// restores copy it to inject branch injectors after the queue is back.
+	// env is the base injector environment (nil without injectors); a
+	// restore copies it to inject branch injectors after the replay.
 	env *Env
 	// prof is the always-on engine self-profiler: every simulation carries
 	// one, the engine/scheduler/DRS write attribution into it, and Result
@@ -99,35 +76,18 @@ type Simulation struct {
 	placement *placement.Service
 }
 
-// indexPayload encodes an instance index as an event payload.
-func indexPayload(i int) []byte { return []byte(strconv.Itoa(i)) }
-
-// payloadIndex decodes an instance index payload, bounds-checked against n.
-func payloadIndex(p []byte, n int) (int, error) {
-	i, err := strconv.Atoi(string(p))
-	if err != nil || i < 0 || i >= n {
-		return 0, fmt.Errorf("core: bad index payload %q", p)
-	}
-	return i, nil
-}
-
 // NewSimulation assembles a simulation: topology, fleet, scheduler, epoch
 // population (placed at t=0), telemetry samplers, rebalancers, resize
 // churn, and scenario injectors. The returned simulation is positioned at
 // time zero with the whole observation window ahead of it.
 func NewSimulation(cfg Config, hooks Hooks) (*Simulation, error) {
-	return assemble(cfg, hooks, nil)
+	return assemble(cfg, hooks, len(cfg.Injectors))
 }
 
-// assemble builds the full simulation skeleton. With a nil snapshot it is
-// the ordinary cold start. With a snapshot it prepares the same skeleton for
-// an overlay restore: the epoch population stays unplaced, no arrival or
-// ticker events are scheduled (they come back from the captured engine
-// queue through the rearmer table), and the first snap.NumInjectors
-// injectors run in restoring mode — registering their handler factories and
-// RNG streams without scheduling anything.
-func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, error) {
-	restoring := snap != nil
+// assemble builds the simulation at t=0, running the first numInjectors
+// injectors. A restore injects the rest once the replay has reached the
+// snapshot.
+func assemble(cfg Config, hooks Hooks, numInjectors int) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -156,8 +116,7 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 	}
 	sched.SetProfiler(prof)
 	s := &Simulation{
-		cfg:   cfg,
-		hooks: hooks,
+		cfg: cfg,
 		res: &Result{
 			Config:    cfg,
 			Region:    region,
@@ -168,9 +127,6 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 		},
 		engine:    sim.NewEngine(),
 		live:      make(map[vmmodel.ID]*vmmodel.VM),
-		rearmers:  make(map[string]func([]byte) (sim.Rearmed, error)),
-		rngs:      make(map[string]*rand.PCG),
-		down:      make(map[topology.NodeID]int),
 		prof:      prof,
 		placement: pl,
 	}
@@ -180,8 +136,7 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 	spec := workload.DefaultSpec(cfg.VMs, cfg.Seed)
 	spec.Horizon = cfg.Horizon()
 	spec.Phases = cfg.ArrivalPhases
-	s.instances = workload.NewGenerator(spec).Generate()
-	instances := s.instances
+	instances := workload.NewGenerator(spec).Generate()
 
 	// record appends an event and hands it to OnEvent. Appends happen in
 	// simulation-time order, so a rejected one is a bug; it fails the run
@@ -193,9 +148,7 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 		}
 	}
 
-	// deleteVM builds the planned-deletion handler for one instance. Both
-	// the cold path and the rearmer use it, so a restored deletion event
-	// behaves identically to the original.
+	// deleteVM builds the planned-deletion handler for one instance.
 	deleteVM := func(in *workload.Instance) sim.Handler {
 		return func(at sim.Time) {
 			if _, ok := live[in.VM.ID]; !ok {
@@ -212,7 +165,7 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 		}
 	}
 
-	s.placeVM = func(idx int, in *workload.Instance, now sim.Time) {
+	placeVM := func(in *workload.Instance, now sim.Time) {
 		res.VMs = append(res.VMs, in.VM)
 		res.Lifetimes = append(res.Lifetimes, analysis.LifetimeRecord{
 			Flavor: in.VM.Flavor, Lifetime: in.Lifetime,
@@ -235,63 +188,28 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 		}
 		live[in.VM.ID] = in.VM
 		if del := in.DeleteAt(); del < cfg.Horizon() {
-			_, err := engine.SchedulePriorityOwned(del, -1, ownerDelete, indexPayload(idx), deleteVM(in))
+			_, err := engine.ScheduleOwned(del, -1, ownerDelete, deleteVM(in))
 			engine.NoteError(err)
 		}
 	}
-	placeVM := s.placeVM
-
-	s.rearmers[ownerArrive] = func(p []byte) (sim.Rearmed, error) {
-		idx, err := payloadIndex(p, len(instances))
-		if err != nil {
-			return sim.Rearmed{}, err
-		}
-		in := instances[idx]
-		return sim.Rearmed{Fn: func(at sim.Time) { placeVM(idx, in, at) }}, nil
-	}
-	s.rearmers[ownerDelete] = func(p []byte) (sim.Rearmed, error) {
-		idx, err := payloadIndex(p, len(instances))
-		if err != nil {
-			return sim.Rearmed{}, err
-		}
-		return sim.Rearmed{Fn: deleteVM(instances[idx])}, nil
-	}
 
 	// Initial population: placed before the first sample. The paper's
-	// region is in steady state at the epoch. A restore skips placement
-	// and arrival scheduling: the VM overlay and the captured engine queue
-	// carry that state.
-	if !restoring {
-		for idx, in := range instances {
-			if in.ArriveAt <= 0 {
-				placeVM(idx, in, 0)
-				continue
-			}
-			if _, err := engine.ScheduleOwned(in.ArriveAt, 0, ownerArrive, indexPayload(idx), func(at sim.Time) {
-				placeVM(idx, in, at)
-			}); err != nil {
-				return nil, err
-			}
+	// region is in steady state at the epoch.
+	for _, in := range instances {
+		if in.ArriveAt <= 0 {
+			placeVM(in, 0)
+			continue
 		}
-	}
-
-	// addTicker wires a recurring event: scheduled from scratch on a cold
-	// start, or created unscheduled and registered as a rearmer when the
-	// captured queue will bring its pending event back.
-	addTicker := func(owner string, start, every sim.Time, fn sim.Handler) error {
-		if restoring {
-			_, r := engine.RearmTicker(every, owner, fn)
-			s.rearmers[owner] = func([]byte) (sim.Rearmed, error) { return r, nil }
-			return nil
+		if _, err := engine.ScheduleOwned(in.ArriveAt, 0, ownerArrive, func(at sim.Time) {
+			placeVM(in, at)
+		}); err != nil {
+			return nil, err
 		}
-		_, err := engine.EveryOwned(start, every, owner, fn)
-		return err
 	}
 
 	// Host telemetry sampler. OnTick fires after the sweep so observers see
 	// a consistent snapshot of the just-sampled state.
 	sampler := newSampler(res, cfg, prof, engine.NoteError)
-	s.sampler = sampler
 	hostTick := sampler.sampleHosts
 	if hooks.OnTick != nil {
 		hostTick = func(now sim.Time) {
@@ -299,12 +217,12 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 			hooks.OnTick(now)
 		}
 	}
-	if err := addTicker(ownerTickHost, 0, cfg.SampleEvery, hostTick); err != nil {
+	if _, err := engine.EveryOwned(0, cfg.SampleEvery, ownerTickHost, hostTick); err != nil {
 		return nil, err
 	}
 	if cfg.RecordVMMetrics {
 		vmSampler := func(now sim.Time) { sampler.sampleVMs(now, len(live)) }
-		if err := addTicker(ownerTickVM, 0, cfg.VMSampleEvery, vmSampler); err != nil {
+		if _, err := engine.EveryOwned(0, cfg.VMSampleEvery, ownerTickVM, vmSampler); err != nil {
 			return nil, err
 		}
 	}
@@ -324,7 +242,7 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 				Source: string(from.ID), Target: string(to.ID)})
 		}
 		rebalancer := s.rebalancer
-		if err := addTicker(ownerTickDRS, every, every, func(now sim.Time) {
+		if _, err := engine.EveryOwned(every, every, ownerTickDRS, func(now sim.Time) {
 			rebalancer.RebalanceAll(now)
 		}); err != nil {
 			return nil, err
@@ -338,7 +256,7 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 				Source: string(from.ID), Target: string(to.ID)})
 		}
 		cross := s.cross
-		if err := addTicker(ownerTickCross, sim.Day, sim.Day, func(now sim.Time) {
+		if _, err := engine.EveryOwned(sim.Day, sim.Day, ownerTickCross, func(now sim.Time) {
 			cross.Rebalance(now)
 		}); err != nil {
 			return nil, err
@@ -346,14 +264,11 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 	}
 
 	// Resize churn: user-initiated flavor changes at the configured rate
-	// (resize is a scheduler-triggering event, Sec. 2.2). The stream stays
-	// live across ticks, so it is registered for snapshot capture.
+	// (resize is a scheduler-triggering event, Sec. 2.2).
 	if cfg.ResizeRate > 0 {
-		src := rand.NewPCG(cfg.Seed, 0x7e512e)
-		rng := rand.New(src)
-		s.rngs[ownerResizeRNG] = src
+		rng := rand.New(rand.NewPCG(cfg.Seed, 0x7e512e))
 		perDay := cfg.ResizeRate * float64(cfg.VMs) / 30
-		if err := addTicker(ownerTickResize, 12*sim.Hour, sim.Day, func(now sim.Time) {
+		if _, err := engine.EveryOwned(12*sim.Hour, sim.Day, ownerTickResize, func(now sim.Time) {
 			n := int(perDay)
 			if rng.Float64() < perDay-float64(n) {
 				n++
@@ -385,30 +300,19 @@ func assemble(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, er
 	}
 
 	// Scenario injectors run last so the steady-state wiring above is
-	// complete when they schedule their operational events. On a restore,
-	// only the injectors the snapshot was captured with run here (in
-	// restoring mode); appended branch injectors are injected by
-	// RestoreSimulation once the engine queue is back.
+	// complete when they schedule their operational events.
 	if len(cfg.Injectors) > 0 {
 		s.env = &Env{
 			Engine: engine, Config: cfg, Region: region, Fleet: fleet,
 			Scheduler: sched, Result: res, live: live, record: record,
-			down: s.down, rearmers: s.rearmers, rngs: s.rngs,
+			down: make(map[topology.NodeID]int),
 		}
-		limit := len(cfg.Injectors)
-		if restoring {
-			limit = snap.NumInjectors
-		}
-		for i := 0; i < limit; i++ {
+		for i := 0; i < numInjectors; i++ {
 			// Each injector gets its own Env copy: the index baked into the
-			// copy namespaces the rearm keys its handlers compute at event
-			// time, while the maps stay shared.
+			// copy labels the events its handlers schedule, while the maps
+			// stay shared.
 			env := *s.env
 			env.idx = i
-			env.restoring = restoring
-			if restoring {
-				env.restoreAt = snap.At
-			}
 			if err := cfg.Injectors[i].Inject(&env); err != nil {
 				return nil, fmt.Errorf("core: injector %s: %w", cfg.Injectors[i].Name(), err)
 			}

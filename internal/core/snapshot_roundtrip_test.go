@@ -222,3 +222,35 @@ func TestSnapshotForkBranches(t *testing.T) {
 		t.Fatalf("calm branch diverged from its origin run:\n  origin: %+v\n  branch: %+v", d1, d2)
 	}
 }
+
+// TestRestoreRefusesMiscountedReplay: the replay must reach the snapshot's
+// time after exactly the snapshot's number of events. A count off by one in
+// either direction is a different run, and restore refuses it.
+func TestRestoreRefusesMiscountedReplay(t *testing.T) {
+	cfg := roundtripConfig()
+	cfg.Days = 2
+	s, err := core.NewSimulation(cfg, core.Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AdvanceTo(sim.Day, nil); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Fired != s.FiredEvents() || snap.Fired == 0 {
+		t.Fatalf("snapshot records %d fired events, simulation fired %d", snap.Fired, s.FiredEvents())
+	}
+	if _, err := core.RestoreSimulation(cfg, core.Hooks{}, snap); err != nil {
+		t.Fatalf("restore of the true count: %v", err)
+	}
+	for _, delta := range []int64{-1, 1} {
+		bad := *snap
+		bad.Fired = uint64(int64(snap.Fired) + delta)
+		if _, err := core.RestoreSimulation(cfg, core.Hooks{}, &bad); err == nil {
+			t.Errorf("restore with Fired %+d accepted", delta)
+		}
+	}
+}

@@ -95,13 +95,6 @@ func (d *DRS) Migrations() int { return d.migrations }
 // Passes reports how many rebalance passes ran.
 func (d *DRS) Passes() int { return d.passes }
 
-// RestoreCounters overwrites the migration and pass counters from a
-// snapshot.
-func (d *DRS) RestoreCounters(migrations, passes int) {
-	d.migrations = migrations
-	d.passes = passes
-}
-
 // nodeLoad captures one node's instantaneous load.
 type nodeLoad struct {
 	host *esx.Host
@@ -258,9 +251,6 @@ func NewCrossBB(fleet *esx.Fleet, move func(*vmmodel.VM, *topology.Node, sim.Tim
 
 // Moves reports total cross-BB migrations.
 func (c *CrossBB) Moves() int { return c.moves }
-
-// RestoreMoves overwrites the move counter from a snapshot.
-func (c *CrossBB) RestoreMoves(moves int) { c.moves = moves }
 
 // Rebalance runs one pass per data center and BB kind.
 func (c *CrossBB) Rebalance(now sim.Time) int {

@@ -374,19 +374,6 @@ func (s *Scheduler) RefreshInventory(bb *topology.BuildingBlock) error {
 	return s.placement.SetCapacity(string(bb.ID), int64(alloc.VCPUCap), alloc.MemCapMB)
 }
 
-// RefreshAllInventories re-reads capacity for every registered building
-// block. Snapshot restore calls it after overlaying node service state so
-// every provider inventory reflects the restored fleet before allocations
-// are re-claimed.
-func (s *Scheduler) RefreshAllInventories() error {
-	for _, h := range s.states {
-		if err := s.RefreshInventory(h.BB); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RegisterBB creates a placement resource provider for a building block
 // added to the region after scheduler construction — a mid-run capacity
 // expansion. For a block that already has a provider it degrades to
@@ -407,17 +394,6 @@ func (s *Scheduler) RegisterBB(bb *topology.BuildingBlock) error {
 	return nil
 }
 
-// RestoreAllocation re-creates the placement claim for a VM resident in the
-// fleet — snapshot restore re-admits each live VM onto its recorded node and
-// then calls this to bring the placement view back in sync, exactly as the
-// original Schedule's claim left it.
-func (s *Scheduler) RestoreAllocation(vm *vmmodel.VM) error {
-	if vm.Node == nil {
-		return fmt.Errorf("nova: restore allocation of unplaced VM %s", vm.ID)
-	}
-	return s.claim(vm, vm.Node.BB)
-}
-
 // claim allocates the VM's current flavor against the building block's
 // placement provider.
 func (s *Scheduler) claim(vm *vmmodel.VM, bb *topology.BuildingBlock) error {
@@ -433,19 +409,8 @@ func (s *Scheduler) release(vm *vmmodel.VM) error {
 	return nil
 }
 
-// RestoreStats overwrites the scheduler's counters from a snapshot.
-func (s *Scheduler) RestoreStats(st Stats) {
-	s.scheduled = st.Scheduled
-	s.failed = st.Failed
-	s.retries = st.Retries
-	clear(s.eliminated)
-	for k, v := range st.Eliminated {
-		s.eliminated[k] = v
-	}
-}
-
 // Contention returns a copy of the per-BB contention view fed through
-// SetContention, for snapshotting.
+// SetContention.
 func (s *Scheduler) Contention() map[topology.BBID]float64 {
 	out := make(map[topology.BBID]float64, len(s.contention))
 	for k, v := range s.contention {

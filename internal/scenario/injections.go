@@ -6,8 +6,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-	"strconv"
-	"strings"
 
 	"sapsim/internal/core"
 	"sapsim/internal/esx"
@@ -22,57 +20,6 @@ import (
 // while keeping every draw derived from the run's seed.
 func injectionStream(env *core.Env, salt uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(env.Config.Seed, 0x5ce7a110^salt))
-}
-
-// intPayload serializes a small index as a rearm payload.
-func intPayload(i int) []byte { return []byte(strconv.Itoa(i)) }
-
-// payloadInt decodes an index payload, bounds-checked against n.
-func payloadInt(p []byte, n int) (int, error) {
-	i, err := strconv.Atoi(string(p))
-	if err != nil || i < 0 || i >= n {
-		return 0, fmt.Errorf("scenario: bad index payload %q", p)
-	}
-	return i, nil
-}
-
-// hostsPayload serializes a host list (by node ID, order-preserving) as a
-// rearm payload for recovery events that close over their victims.
-func hostsPayload(hosts []*esx.Host) []byte {
-	ids := make([]string, len(hosts))
-	for i, h := range hosts {
-		ids[i] = string(h.Node.ID)
-	}
-	return []byte(strings.Join(ids, "\n"))
-}
-
-// payloadHosts resolves a hostsPayload back to live host handles.
-func payloadHosts(env *core.Env, p []byte) ([]*esx.Host, error) {
-	if len(p) == 0 {
-		return nil, nil
-	}
-	ids := strings.Split(string(p), "\n")
-	hosts := make([]*esx.Host, 0, len(ids))
-	for _, id := range ids {
-		h, err := env.Fleet.Host(topology.NodeID(id))
-		if err != nil {
-			return nil, fmt.Errorf("scenario: recovery payload: %w", err)
-		}
-		hosts = append(hosts, h)
-	}
-	return hosts, nil
-}
-
-// restoreHostsFactory is the rearm factory for recovery events: it rebuilds
-// the `restoreHosts(env, victims)` handler from the serialized victim list.
-func restoreHostsFactory(env *core.Env) func([]byte) (sim.Handler, error) {
-	return func(p []byte) (sim.Handler, error) {
-		hosts, err := payloadHosts(env, p)
-		if err != nil {
-			return nil, err
-		}
-		return func(sim.Time) { restoreHosts(env, hosts) }, nil
-	}
 }
 
 // outage is every injector's take-down path. All hosts go out of service
@@ -103,7 +50,7 @@ func outage(env *core.Env, hosts []*esx.Host, now, recovery sim.Time) {
 		}
 	}
 	if recovery > 0 {
-		scheduleFollowUp(env, now+recovery, "restore", hostsPayload(hosts))
+		scheduleFollowUp(env, now+recovery, "restore", func(sim.Time) { restoreHosts(env, hosts) })
 	}
 }
 
@@ -140,14 +87,13 @@ func pickVictims(active []*esx.Host, count int, fraction float64, rng *rand.Rand
 	return victims
 }
 
-// scheduleFollowUp schedules an injector's next owned event from inside one
-// of its handlers. A handler has no caller to return a rejection to, and a
+// scheduleFollowUp schedules an injector's next event from inside one of
+// its handlers. A handler has no caller to return a rejection to, and a
 // follow-up that silently never fires — hosts that never recover, an
 // evaluation loop that stops — changes the run's results without a trace, so
 // the rejection fails the run.
-func scheduleFollowUp(env *core.Env, at sim.Time, suffix string, payload []byte) {
-	_, err := env.ScheduleOwned(at, suffix, payload)
-	env.Engine.NoteError(err)
+func scheduleFollowUp(env *core.Env, at sim.Time, suffix string, fn sim.Handler) {
+	env.Engine.NoteError(env.Schedule(at, suffix, fn))
 }
 
 // restoreHosts releases one out-of-service claim per host; hosts with no
@@ -211,13 +157,7 @@ func (hf HostFailures) Inject(env *core.Env) error {
 			outage(env, failed, now, hf.Recover)
 		}
 	}
-	env.OnRestore("fail", func([]byte) (sim.Handler, error) { return fail, nil })
-	env.OnRestore("restore", restoreHostsFactory(env))
-	if env.Restoring() {
-		return nil
-	}
-	_, err := env.ScheduleOwned(hf.At, "fail", nil)
-	return err
+	return env.Schedule(hf.At, "fail", fail)
 }
 
 // AZOutage takes every host of one availability zone out of service for a
@@ -252,13 +192,7 @@ func (o AZOutage) Inject(env *core.Env) error {
 		}
 		outage(env, inService(zone), now, o.Duration)
 	}
-	env.OnRestore("outage", func([]byte) (sim.Handler, error) { return dark, nil })
-	env.OnRestore("restore", restoreHostsFactory(env))
-	if env.Restoring() {
-		return nil
-	}
-	_, err := env.ScheduleOwned(o.At, "outage", nil)
-	return err
+	return env.Schedule(o.At, "outage", dark)
 }
 
 // MaintenanceDrain rolls a building block through maintenance: nodes drain
@@ -300,36 +234,20 @@ func (d MaintenanceDrain) Inject(env *core.Env) error {
 		return fmt.Errorf("maintenance-drain: no drainable building blocks")
 	}
 	bb := candidates[((d.BBIndex%len(candidates))+len(candidates))%len(candidates)]
-	hostAt := func(p []byte) (*esx.Host, error) {
-		i, err := payloadInt(p, len(bb.Nodes))
+	for i, n := range bb.Nodes {
+		h, err := env.Fleet.Host(n.ID)
 		if err != nil {
-			return nil, err
-		}
-		return env.Fleet.Host(bb.Nodes[i].ID)
-	}
-	env.OnRestore("drain", func(p []byte) (sim.Handler, error) {
-		h, err := hostAt(p)
-		if err != nil {
-			return nil, err
-		}
-		return func(now sim.Time) { outage(env, []*esx.Host{h}, now, 0) }, nil
-	})
-	env.OnRestore("undrain", func(p []byte) (sim.Handler, error) {
-		h, err := hostAt(p)
-		if err != nil {
-			return nil, err
-		}
-		return func(sim.Time) { restoreHosts(env, []*esx.Host{h}) }, nil
-	})
-	if env.Restoring() {
-		return nil
-	}
-	for i := range bb.Nodes {
-		drainAt := d.At + sim.Time(i)*every
-		if _, err := env.ScheduleOwned(drainAt, "drain", intPayload(i)); err != nil {
 			return fmt.Errorf("maintenance-drain: %w", err)
 		}
-		if _, err := env.ScheduleOwned(drainAt+hold, "undrain", intPayload(i)); err != nil {
+		drainAt := d.At + sim.Time(i)*every
+		if err := env.Schedule(drainAt, "drain", func(now sim.Time) {
+			outage(env, []*esx.Host{h}, now, 0)
+		}); err != nil {
+			return fmt.Errorf("maintenance-drain: %w", err)
+		}
+		if err := env.Schedule(drainAt+hold, "undrain", func(sim.Time) {
+			restoreHosts(env, []*esx.Host{h})
+		}); err != nil {
 			return fmt.Errorf("maintenance-drain: %w", err)
 		}
 	}
@@ -386,9 +304,6 @@ func (cf CorrelatedFailures) Inject(env *core.Env) error {
 	// All selection draws happen at injection time so the burst schedule is
 	// fixed up front: one zone for the whole campaign, then one victim
 	// block per burst, cycling through the zone's blocks in permuted order.
-	// A restoring assembly replays the identical draws, so the schedule —
-	// and each burst's private RNG, untouched until its burst fires —
-	// rebuilds without captured state.
 	rng := injectionStream(env, 0xc0221e1a^cf.Salt)
 	az := env.Region.AZs[rng.IntN(len(env.Region.AZs))]
 	var blocks []*topology.BuildingBlock
@@ -403,30 +318,15 @@ func (cf CorrelatedFailures) Inject(env *core.Env) error {
 		return fmt.Errorf("correlated-failures: zone %s has no failable building blocks", az.Name)
 	}
 	perm := rng.Perm(len(blocks))
-	burst := make([]sim.Handler, bursts)
 	for i := 0; i < bursts; i++ {
 		bb := blocks[perm[i%len(blocks)]]
 		burstRNG := rand.New(rand.NewPCG(env.Config.Seed, 0xb325^cf.Salt^uint64(i)))
-		burst[i] = func(now sim.Time) {
+		if err := env.Schedule(cf.At+sim.Time(i)*spacing, "burst", func(now sim.Time) {
 			active := inService(env.Fleet.HostsInBB(bb))
 			if failed := pickVictims(active, 0, fraction, burstRNG); len(failed) > 0 {
 				outage(env, failed, now, cf.Recover)
 			}
-		}
-	}
-	env.OnRestore("burst", func(p []byte) (sim.Handler, error) {
-		i, err := payloadInt(p, bursts)
-		if err != nil {
-			return nil, err
-		}
-		return burst[i], nil
-	})
-	env.OnRestore("restore", restoreHostsFactory(env))
-	if env.Restoring() {
-		return nil
-	}
-	for i := 0; i < bursts; i++ {
-		if _, err := env.ScheduleOwned(cf.At+sim.Time(i)*spacing, "burst", intPayload(i)); err != nil {
+		}); err != nil {
 			return fmt.Errorf("correlated-failures: %w", err)
 		}
 	}
@@ -530,13 +430,8 @@ func (cf CascadingFailures) Inject(env *core.Env) error {
 		every = sim.Hour
 	}
 	// One stream for the whole campaign, drawn in host-ID order each
-	// round, keeps the cascade bit-for-bit deterministic per seed. The
-	// stream stays live across evaluations, so it is registered for
-	// snapshot capture (same construction as injectionStream, with the
-	// source kept for state marshaling).
-	src := rand.NewPCG(env.Config.Seed, 0x5ce7a110^(0xca5cade^cf.Salt))
-	rng := rand.New(src)
-	env.RegisterRNG("hazard", src)
+	// round, keeps the cascade bit-for-bit deterministic per seed.
+	rng := injectionStream(env, 0xca5cade^cf.Salt)
 	end := start + duration
 	var evaluate func(now sim.Time)
 	evaluate = func(now sim.Time) {
@@ -554,16 +449,10 @@ func (cf CascadingFailures) Inject(env *core.Env) error {
 			outage(env, failed, now, cf.Recover)
 		}
 		if next := now + every; next < end {
-			scheduleFollowUp(env, next, "eval", nil)
+			scheduleFollowUp(env, next, "eval", evaluate)
 		}
 	}
-	env.OnRestore("eval", func([]byte) (sim.Handler, error) { return evaluate, nil })
-	env.OnRestore("restore", restoreHostsFactory(env))
-	if env.Restoring() {
-		return nil
-	}
-	_, err := env.ScheduleOwned(start, "eval", nil)
-	return err
+	return env.Schedule(start, "eval", evaluate)
 }
 
 // CapacityExpansion grows the region mid-run: newly delivered
@@ -642,35 +531,13 @@ func (ce CapacityExpansion) Inject(env *core.Env) error {
 			env.TakeDown(n) // undelivered: invisible until arrival
 		}
 	}
-	env.OnRestore("arrive", func(p []byte) (sim.Handler, error) {
-		i, err := payloadInt(p, blocks)
-		if err != nil {
-			return nil, err
-		}
-		bb := bbs[i]
-		return func(sim.Time) {
+	for i, bb := range bbs {
+		if err := env.Schedule(ce.At+sim.Time(i)*every, "arrive", func(sim.Time) {
 			for _, n := range bb.Nodes {
 				env.BringUp(n)
 			}
 			env.Engine.NoteError(env.Scheduler.RegisterBB(bb))
-		}, nil
-	})
-	if env.Restoring() {
-		// Blocks whose arrival predates the snapshot already joined the
-		// placement service; re-register them now. Service state and
-		// inventory come from the restore overlay, which runs after every
-		// restoring injection.
-		for i, bb := range bbs {
-			if ce.At+sim.Time(i)*every <= env.RestoreAt() {
-				if err := env.Scheduler.RegisterBB(bb); err != nil {
-					return fmt.Errorf("capacity-expansion: %w", err)
-				}
-			}
-		}
-		return nil
-	}
-	for i := 0; i < blocks; i++ {
-		if _, err := env.ScheduleOwned(ce.At+sim.Time(i)*every, "arrive", intPayload(i)); err != nil {
+		}); err != nil {
 			return fmt.Errorf("capacity-expansion: %w", err)
 		}
 	}
@@ -726,10 +593,5 @@ func (w ResizeWave) Inject(env *core.Env) error {
 				VM: string(vm.ID), Flavor: target.Name, Target: string(vm.Node.ID)})
 		}
 	}
-	env.OnRestore("wave", func([]byte) (sim.Handler, error) { return wave, nil })
-	if env.Restoring() {
-		return nil
-	}
-	_, err := env.ScheduleOwned(w.At, "wave", nil)
-	return err
+	return env.Schedule(w.At, "wave", wave)
 }

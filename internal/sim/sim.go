@@ -9,7 +9,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"sapsim/internal/engprof"
@@ -65,16 +64,15 @@ type Event struct {
 	fn       Handler
 	canceled bool
 	index    int // position in its heap (bucket or overflow), -1 when popped
-	name     string
-	owner    string
-	payload  []byte
+	// owner labels the event for the profiler's per-owner attribution.
+	owner string
 }
 
 // At reports the scheduled firing time.
 func (e *Event) At() Time { return e.at }
 
-// Name reports the optional diagnostic label given at scheduling time.
-func (e *Event) Name() string { return e.name }
+// Owner reports the label given at scheduling time (empty for Schedule).
+func (e *Event) Owner() string { return e.owner }
 
 // Canceled reports whether Cancel was called before the event fired.
 func (e *Event) Canceled() bool { return e.canceled }
@@ -328,45 +326,27 @@ var ErrPast = errors.New("sim: cannot schedule event in the past")
 // Schedule registers fn to run at absolute time at. It returns the event,
 // which may be canceled until it fires.
 func (e *Engine) Schedule(at Time, fn Handler) (*Event, error) {
-	return e.schedule(at, 0, "", "", nil, fn)
+	return e.schedule(at, 0, "", fn)
 }
 
-// ScheduleNamed is Schedule with a diagnostic label.
-func (e *Engine) ScheduleNamed(at Time, name string, fn Handler) (*Event, error) {
-	return e.schedule(at, 0, name, "", nil, fn)
-}
-
-// ScheduleOwned is Schedule with a rearm key and serializable payload: the
-// event survives CaptureState/RestoreState, where the registered rearmer for
-// owner rebuilds the handler from payload. Events scheduled without an owner
-// make the engine un-snapshottable while they are pending.
-func (e *Engine) ScheduleOwned(at Time, priority int, owner string, payload []byte, fn Handler) (*Event, error) {
-	if owner == "" {
-		return nil, errors.New("sim: ScheduleOwned with empty owner")
-	}
-	return e.schedule(at, priority, "", owner, payload, fn)
+// ScheduleOwned is SchedulePriority with an owner label, which the
+// profiler attributes the event's wall time to.
+func (e *Engine) ScheduleOwned(at Time, priority int, owner string, fn Handler) (*Event, error) {
+	return e.schedule(at, priority, owner, fn)
 }
 
 // After registers fn to run delay after the current time.
 func (e *Engine) After(delay Time, fn Handler) (*Event, error) {
-	return e.schedule(e.now+delay, 0, "", "", nil, fn)
+	return e.schedule(e.now+delay, 0, "", fn)
 }
 
 // SchedulePriority registers fn at time at with an explicit priority;
 // events at the same instant run in ascending priority order.
 func (e *Engine) SchedulePriority(at Time, priority int, fn Handler) (*Event, error) {
-	return e.schedule(at, priority, "", "", nil, fn)
+	return e.schedule(at, priority, "", fn)
 }
 
-// SchedulePriorityOwned is SchedulePriority with a rearm key and payload.
-func (e *Engine) SchedulePriorityOwned(at Time, priority int, owner string, payload []byte, fn Handler) (*Event, error) {
-	if owner == "" {
-		return nil, errors.New("sim: SchedulePriorityOwned with empty owner")
-	}
-	return e.schedule(at, priority, "", owner, payload, fn)
-}
-
-func (e *Engine) schedule(at Time, priority int, name, owner string, payload []byte, fn Handler) (*Event, error) {
+func (e *Engine) schedule(at Time, priority int, owner string, fn Handler) (*Event, error) {
 	if at < e.now {
 		return nil, fmt.Errorf("%w: at=%v now=%v", ErrPast, at, e.now)
 	}
@@ -374,16 +354,15 @@ func (e *Engine) schedule(at Time, priority int, name, owner string, payload []b
 		return nil, errors.New("sim: nil handler")
 	}
 	ev := e.arena.alloc()
-	e.scheduleInto(ev, at, priority, name, owner, payload, fn)
+	e.scheduleInto(ev, at, priority, owner, fn)
 	return ev, nil
 }
 
 // scheduleInto (re)initializes ev and enqueues it. The caller must have
 // validated at >= now and fn != nil; ev must not be pending in the wheel.
-func (e *Engine) scheduleInto(ev *Event, at Time, priority int, name, owner string, payload []byte, fn Handler) {
+func (e *Engine) scheduleInto(ev *Event, at Time, priority int, owner string, fn Handler) {
 	e.seq++
-	*ev = Event{at: at, priority: priority, seq: e.seq, fn: fn, name: name,
-		owner: owner, payload: payload, index: -1}
+	*ev = Event{at: at, priority: priority, seq: e.seq, fn: fn, owner: owner, index: -1}
 	e.wheel.push(ev)
 }
 
@@ -393,8 +372,7 @@ func (e *Engine) Every(start, interval Time, fn Handler) (*Ticker, error) {
 	return e.EveryOwned(start, interval, "", fn)
 }
 
-// EveryOwned is Every with a rearm key: the ticker's pending tick survives
-// CaptureState/RestoreState, where RearmTicker rebinds it.
+// EveryOwned is Every with an owner label on every tick.
 func (e *Engine) EveryOwned(start, interval Time, owner string, fn Handler) (*Ticker, error) {
 	if interval <= 0 {
 		return nil, errors.New("sim: non-positive ticker interval")
@@ -402,21 +380,11 @@ func (e *Engine) EveryOwned(start, interval Time, owner string, fn Handler) (*Ti
 	t := &Ticker{engine: e, interval: interval, fn: fn, owner: owner}
 	t.fireFn = t.fire // bound once so each tick does not allocate a method value
 	var err error
-	t.next, err = e.schedule(start, 0, "", owner, nil, t.fireFn)
+	t.next, err = e.schedule(start, 0, owner, t.fireFn)
 	if err != nil {
 		return nil, err
 	}
 	return t, nil
-}
-
-// RearmTicker recreates a ticker on a restoring engine without scheduling
-// its first tick: the returned Rearmed re-binds the ticker's pending event
-// when RestoreState replays the captured queue. The ticker behaves exactly
-// like one built by EveryOwned whose next tick is the captured event.
-func (e *Engine) RearmTicker(interval Time, owner string, fn Handler) (*Ticker, Rearmed) {
-	t := &Ticker{engine: e, interval: interval, fn: fn, owner: owner}
-	t.fireFn = t.fire
-	return t, Rearmed{Fn: t.fireFn, Attach: func(ev *Event) { t.next = ev }}
 }
 
 // Ticker re-schedules a handler at a fixed interval.
@@ -449,7 +417,7 @@ func (t *Ticker) fire(now Time) {
 		t.engine.NoteError(fmt.Errorf("sim: ticker reschedule at %v: %w", now, err))
 		return
 	}
-	t.engine.scheduleInto(t.next, at, 0, "", t.owner, nil, t.fireFn)
+	t.engine.scheduleInto(t.next, at, 0, t.owner, t.fireFn)
 }
 
 // Stop prevents future ticks. It is safe to call from within the tick
@@ -558,117 +526,4 @@ func (e *Engine) Step() bool {
 		}
 		return true
 	}
-}
-
-// PendingEvent is the serializable form of one queued event: everything but
-// the handler, which is rebuilt at restore time by the owner's rearmer.
-type PendingEvent struct {
-	At       Time
-	Priority int
-	Seq      uint64
-	Name     string
-	Owner    string
-	Payload  []byte
-}
-
-// EngineState is a consistent snapshot of the engine: the clock, the
-// scheduling counters, and the pending queue in total order. It contains no
-// function values and serializes with encoding/gob.
-type EngineState struct {
-	Now    Time
-	Seq    uint64
-	Fired  uint64
-	Events []PendingEvent
-}
-
-// Rearmed is a rearmer's product: the rebuilt handler for one pending
-// event, plus an optional hook that observes the re-created *Event (tickers
-// use it to re-bind their reusable tick).
-type Rearmed struct {
-	Fn     Handler
-	Attach func(*Event)
-}
-
-// CaptureState snapshots the engine between run windows. Every pending
-// non-canceled event must carry an owner (see ScheduleOwned/EveryOwned);
-// an unowned pending event makes the state un-restorable, so capture fails
-// loudly instead of producing a snapshot that silently drops events.
-// CaptureState must not be called from inside a handler: a ticker that is
-// mid-fire has not re-scheduled its next tick yet, so the queue would be
-// missing it.
-func (e *Engine) CaptureState() (*EngineState, error) {
-	if e.running {
-		return nil, errors.New("sim: CaptureState inside a run window")
-	}
-	st := &EngineState{Now: e.now, Seq: e.seq, Fired: e.fired}
-	collect := func(q eventQueue) error {
-		for _, ev := range q {
-			if ev.canceled {
-				continue
-			}
-			if ev.owner == "" {
-				return fmt.Errorf("sim: pending event %q at %v has no owner; cannot snapshot", ev.name, ev.at)
-			}
-			st.Events = append(st.Events, PendingEvent{
-				At: ev.at, Priority: ev.priority, Seq: ev.seq,
-				Name: ev.name, Owner: ev.owner, Payload: ev.payload,
-			})
-		}
-		return nil
-	}
-	for i := range e.wheel.buckets {
-		if err := collect(e.wheel.buckets[i]); err != nil {
-			return nil, err
-		}
-	}
-	if err := collect(e.wheel.overflow); err != nil {
-		return nil, err
-	}
-	sort.Slice(st.Events, func(i, j int) bool {
-		a, b := st.Events[i], st.Events[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		if a.Priority != b.Priority {
-			return a.Priority < b.Priority
-		}
-		return a.Seq < b.Seq
-	})
-	return st, nil
-}
-
-// RestoreState loads a captured state into a fresh engine: the clock,
-// counters, and queue come back exactly, with each pending event's handler
-// rebuilt by rearm from its (owner, payload). Original sequence numbers are
-// preserved, so the restored engine pops events in the identical total order
-// and assigns identical sequence numbers to everything scheduled later —
-// the continuation is bit-identical to the uninterrupted run.
-func (e *Engine) RestoreState(st *EngineState, rearm func(PendingEvent) (Rearmed, error)) error {
-	if e.running {
-		return errors.New("sim: RestoreState inside a run window")
-	}
-	if e.now != 0 || e.seq != 0 || e.fired != 0 || e.wheel.len() != 0 {
-		return errors.New("sim: RestoreState on a non-fresh engine")
-	}
-	e.now = st.Now
-	e.fired = st.Fired
-	e.wheel.cur = slotOf(st.Now)
-	for _, pe := range st.Events {
-		r, err := rearm(pe)
-		if err != nil {
-			return fmt.Errorf("sim: rearm %q (event %q at %v): %w", pe.Owner, pe.Name, pe.At, err)
-		}
-		if r.Fn == nil {
-			return fmt.Errorf("sim: rearm %q returned nil handler", pe.Owner)
-		}
-		ev := e.arena.alloc()
-		*ev = Event{at: pe.At, priority: pe.Priority, seq: pe.Seq, fn: r.Fn,
-			name: pe.Name, owner: pe.Owner, payload: pe.Payload, index: -1}
-		e.wheel.push(ev)
-		if r.Attach != nil {
-			r.Attach(ev)
-		}
-	}
-	e.seq = st.Seq
-	return nil
 }

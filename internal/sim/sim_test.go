@@ -240,15 +240,15 @@ func TestStep(t *testing.T) {
 
 func TestEventAccessors(t *testing.T) {
 	e := NewEngine()
-	ev, err := e.ScheduleNamed(3*Second, "probe", func(Time) {})
+	ev, err := e.ScheduleOwned(3*Second, 0, "probe", func(Time) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ev.At() != 3*Second {
 		t.Errorf("At() = %v, want 3s", ev.At())
 	}
-	if ev.Name() != "probe" {
-		t.Errorf("Name() = %q, want probe", ev.Name())
+	if ev.Owner() != "probe" {
+		t.Errorf("Owner() = %q, want probe", ev.Owner())
 	}
 }
 

@@ -1,17 +1,12 @@
-// Package snapshot defines the versioned, digest-stamped serialization of
-// complete mid-run engine state: the discrete-event queue (as rearmable
-// owner/payload records), every RNG stream, the fleet and placement
-// overlays, counters, the event log, and the telemetry store.
+// Package snapshot defines the versioned, digest-stamped serialization of a
+// replay point in a run: the simulated time, the number of events fired by
+// then, and the fingerprint of the configuration that produced them.
 //
-// A snapshot is pure data — no function values, no pointers into the live
-// simulation — so it serializes with encoding/gob behind a small framed
-// header. Restoring is the inverse overlay performed by
-// core.RestoreSimulation: the simulation is re-assembled from the
-// configuration exactly as at t=0 (the workload generator is deterministic,
-// so regenerating the instance sequence reproduces the arrival plan
-// bit-for-bit), then the snapshot overlays the dynamic state and the engine
-// queue is re-armed through the rearmer table keyed by each event's owner.
-// The restored run continues bit-identically to the uninterrupted one.
+// A snapshot carries no state. The run is deterministic, so
+// core.RestoreSimulation rebuilds the state by re-assembling the simulation
+// from the configuration and replaying it to the snapshot's time, and then
+// checks that the replay fired exactly the snapshot's number of events. The
+// restored run continues bit-identically to the uninterrupted one.
 package snapshot
 
 import (
@@ -25,69 +20,28 @@ import (
 	"io"
 	"math"
 
-	"sapsim/internal/events"
 	"sapsim/internal/sim"
-	"sapsim/internal/telemetry"
 )
 
 // FormatVersion is bumped whenever the serialized layout changes
-// incompatibly; Decode rejects snapshots from other versions. Version 2
-// carries each telemetry series as a value column with its (start, step)
-// grid or explicit timestamps; version 1 carried (time, value) pairs and has
-// no reader.
-const FormatVersion = 2
+// incompatibly; Decode rejects snapshots from other versions. Version 3
+// holds only the replay point; version 2 carried the engine queue, the VM
+// overlay, the RNG streams and the telemetry store, and version 1 carried
+// telemetry as (time, value) pairs. Neither has a reader.
+const FormatVersion = 3
 
 // magic frames a snapshot stream. The trailing byte is the format version's
 // low byte so even pre-header readers fail loudly on a version mismatch.
 var magic = [8]byte{'S', 'A', 'P', 'S', 'N', 'A', 'P', FormatVersion}
 
-// VMState is the dynamic overlay for one arrived workload instance. The
-// static side (ID, project, profile, creation time, planned lifetime) is
-// regenerated from the seed; only what the run mutated is recorded.
-type VMState struct {
-	// Flavor is the VM's current flavor name (differs from the generated
-	// one after a resize).
-	Flavor string
-	// State is the vmmodel.State ordinal.
-	State int
-	// Node is the resident node ID, empty when unplaced (failed placement,
-	// lost to a failed evacuation, or deleted).
-	Node string
-	// Live marks membership in the live set (a pending deletion event may
-	// still reference a lost VM, which is not live).
-	Live       bool
-	PlacedAt   sim.Time
-	DeletedAt  sim.Time
-	Migrations int
-}
-
-// Counters carries the run's scalar accumulators.
-type Counters struct {
-	PlacementFailures int
-	Resizes           int
-	DRSMigrations     int
-	DRSPasses         int
-	CrossBBMoves      int
-}
-
-// SchedulerState carries the Nova scheduler's counters and its decision
-// inputs that persist across placements.
-type SchedulerState struct {
-	Scheduled  int
-	Failed     int
-	Retries    int
-	Eliminated map[string]int
-	// Contention is the per-BB contention view the sampler feeds when the
-	// weighers hold a ContentionWeigher, keyed by building-block ID.
-	Contention map[string]float64
-}
-
-// Snapshot is the complete mid-run state of a core.Simulation, captured at
-// an engine-idle boundary (between AdvanceTo segments, never inside a
-// handler).
+// Snapshot is a replay point of a core.Simulation, taken at an engine-idle
+// boundary (between AdvanceTo segments, never inside a handler).
 type Snapshot struct {
 	// At is the capture time.
 	At sim.Time
+	// Fired is how many engine events had fired by At. A replay that
+	// reaches At after a different count is not the captured run.
+	Fired uint64
 	// Fingerprint identifies the configuration the snapshot belongs to;
 	// Restore refuses a mismatching config (a snapshot is only meaningful
 	// against the deterministic re-assembly of the same run).
@@ -97,24 +51,6 @@ type Snapshot struct {
 	// that is the branching mechanism — but the first NumInjectors must
 	// match the captured run.
 	NumInjectors int
-	// Engine is the captured event queue, clock, and counters.
-	Engine sim.EngineState
-	// Arrived is how many workload instances (in generation order) had
-	// arrived by At; VMs holds their dynamic overlays, index-aligned.
-	Arrived int
-	VMs     []VMState
-	// Down holds the scenario layer's out-of-service claim counts per node.
-	Down map[string]int
-	// RNGs holds the marshaled state of every registered live RNG stream,
-	// keyed by its registration name.
-	RNGs map[string][]byte
-	// Counters and Sched carry the scalar accumulators.
-	Counters Counters
-	Sched    SchedulerState
-	// Events is the scheduling-relevant event log up to At.
-	Events []events.Event
-	// Series is the telemetry store's contents in creation order.
-	Series []telemetry.SeriesData
 }
 
 // ErrCorrupt is returned when a snapshot stream fails its integrity checks

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -14,17 +15,9 @@ import (
 func testSnapshot() *Snapshot {
 	return &Snapshot{
 		At:           36 * sim.Hour,
+		Fired:        48213,
 		Fingerprint:  "cfg-fingerprint",
 		NumInjectors: 2,
-		Arrived:      17,
-		VMs: []VMState{
-			{Flavor: "m1.large", State: 1, Node: "node-3", Live: true, PlacedAt: sim.Hour},
-			{Flavor: "m1.small", State: 2, Live: false, DeletedAt: 30 * sim.Hour, Migrations: 3},
-		},
-		Down:     map[string]int{"node-9": 1},
-		RNGs:     map[string][]byte{"workload": {1, 2, 3}, "drs": {4, 5}},
-		Counters: Counters{Resizes: 4, DRSMigrations: 9, DRSPasses: 6},
-		Sched:    SchedulerState{Scheduled: 17, Retries: 2, Eliminated: map[string]int{"ram": 5}},
 	}
 }
 
@@ -41,11 +34,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip drifted:\n got %+v\nwant %+v", got, want)
 	}
-	// Gob encodes map entries in randomized order, so two encodings of the
-	// same snapshot need not be byte-equal — which is why blobs are
-	// content-addressed AFTER encoding, never by re-encoding. Digest of a
-	// given blob is of course stable.
-	if d1, d2 := Digest(blob), Digest(blob); d1 != d2 || len(d1) != 64 {
+	// A snapshot holds no map, so its encoding is a function of its value.
+	again, err := EncodeBytes(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d1, d2 := Digest(blob), Digest(again); d1 != d2 || len(d1) != 64 {
 		t.Fatalf("Digest unstable or malformed: %q vs %q", d1, d2)
 	}
 }
@@ -116,6 +110,26 @@ func TestDecodeRejectsV1(t *testing.T) {
 	}
 	if _, err := Decode(bytes.NewReader(blob)); !errors.Is(err, ErrVersion) {
 		t.Errorf("Decode(v1) = %v, want ErrVersion", err)
+	}
+}
+
+// TestDecodeRejectsV2: a snapshot written while snapshots carried the
+// engine's whole state (format 2: event queue, VM overlay, RNG streams,
+// telemetry store) is refused as version skew by both readers. The blob in
+// testdata was written by a format-2 build.
+func TestDecodeRejectsV2(t *testing.T) {
+	blob, err := os.ReadFile("testdata/v2.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob[7] != 2 || binary.BigEndian.Uint32(blob[8:12]) != 2 {
+		t.Fatalf("testdata/v2.snap is framed as v%d/v%d, want v2", blob[7], binary.BigEndian.Uint32(blob[8:12]))
+	}
+	if _, err := DecodeBytes(blob); !errors.Is(err, ErrVersion) {
+		t.Errorf("DecodeBytes(v2) = %v, want ErrVersion", err)
+	}
+	if _, err := Decode(bytes.NewReader(blob)); !errors.Is(err, ErrVersion) {
+		t.Errorf("Decode(v2) = %v, want ErrVersion", err)
 	}
 }
 

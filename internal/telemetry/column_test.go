@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -139,7 +138,7 @@ func checkSeries(t *testing.T, what string, s *Series, ref []Sample, rng *rand.R
 // irregular writers of many lengths against the reference, checking views
 // taken along the way (they must keep describing the prefix they were taken
 // at, through a chunk seal and through the grid → explicit-times switch) and
-// the Dump → Load → Dump round trip.
+// the form Dump copies the series out in.
 func TestColumnMatchesSliceReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(24, 2026))
 	lengths := []int{0, 1, 2, 3, chunkCap - 1, chunkCap, chunkCap + 1, 2*chunkCap - 1, 2 * chunkCap, 2*chunkCap + 1, 5*chunkCap + 7}
@@ -213,29 +212,6 @@ func TestColumnMatchesSliceReference(t *testing.T) {
 			dump := st.Dump()
 			if len(dump) != 1 || (len(dump[0].Times) > 0) != (!shape.grid && n >= 3) {
 				t.Fatalf("%s: dump = %d series, explicit times %v", what, len(dump), len(dump[0].Times) > 0)
-			}
-			loaded := NewStore()
-			if err := loaded.Load(dump); err != nil {
-				t.Fatalf("%s: Load: %v", what, err)
-			}
-			if again := loaded.Dump(); !reflect.DeepEqual(again, dump) {
-				t.Fatalf("%s: Dump → Load → Dump drifted", what)
-			}
-			checkSeries(t, what+" loaded", loaded.Select("m")[0], ref, rng)
-			// The loaded series keeps accepting what the original would.
-			if n > 0 {
-				next := shape.next(n, n+1, prev)
-				if shape.name == "gapped" {
-					next = prev + sim.Hour
-				}
-				for _, s := range []*Store{st, loaded} {
-					if err := s.Append("m", labels, next, 42); err != nil {
-						t.Fatalf("%s: append after the round trip: %v", what, err)
-					}
-				}
-				if a, b := st.Dump(), loaded.Dump(); !reflect.DeepEqual(a, b) {
-					t.Fatalf("%s: original and loaded store diverge on the next append", what)
-				}
 			}
 		}
 	}
@@ -341,59 +317,5 @@ func TestWindowReadsDoNotAllocate(t *testing.T) {
 		}); n != 1 {
 			t.Errorf("explicit=%v: Percentile over a window allocates %v times per run, want its one sort copy", explicit, n)
 		}
-	}
-}
-
-// TestLoadRejectsMalformedSeries: Load's input may come from a damaged or
-// foreign snapshot; a series the store could never have dumped fails the
-// restore instead of being installed.
-func TestLoadRejectsMalformedSeries(t *testing.T) {
-	good := SeriesData{Metric: "m", Labels: []string{"node", "n1"}, Start: sim.Hour, Step: sim.Hour, Values: []float64{1, 2, 3}}
-	with := func(edit func(*SeriesData)) []SeriesData {
-		d := good
-		edit(&d)
-		return []SeriesData{d}
-	}
-	for _, tc := range []struct {
-		name       string
-		data       []SeriesData
-		outOfOrder bool
-	}{
-		{"times going backwards", with(func(d *SeriesData) { d.Times = []sim.Time{1, 3, 2} }), true},
-		{"a repeated timestamp", with(func(d *SeriesData) { d.Times = []sim.Time{1, 2, 2} }), true},
-		{"fewer timestamps than values", with(func(d *SeriesData) { d.Times = []sim.Time{1, 2} }), false},
-		{"more timestamps than values", with(func(d *SeriesData) { d.Times = []sim.Time{1, 2, 3, 4} }), false},
-		{"zero step", with(func(d *SeriesData) { d.Step = 0 }), true},
-		{"negative step", with(func(d *SeriesData) { d.Step = -sim.Hour }), true},
-		{"grid running past the end of time", with(func(d *SeriesData) { d.Start, d.Step = math.MaxInt64-5, 3 }), true},
-		{"grid step overflowing", with(func(d *SeriesData) { d.Step = math.MaxInt64/2 + 1 }), true},
-		{"duplicate series", []SeriesData{good, good}, false},
-		{"duplicate empty series", []SeriesData{{Metric: "m"}, {Metric: "m"}}, false},
-		{"odd label list", with(func(d *SeriesData) { d.Labels = []string{"node"} }), false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			err := NewStore().Load(tc.data)
-			if err == nil {
-				t.Fatal("Load accepted it")
-			}
-			if errors.Is(err, ErrOutOfOrder) != tc.outOfOrder {
-				t.Errorf("Load = %v; ErrOutOfOrder = %v, want %v", err, !tc.outOfOrder, tc.outOfOrder)
-			}
-		})
-	}
-	// What Load must keep accepting: the good series, a series with one
-	// sample (no step yet) or none, and explicit times.
-	ok := []SeriesData{
-		good,
-		{Metric: "one", Start: 5, Values: []float64{1}},
-		{Metric: "none", Values: []float64{}},
-		{Metric: "explicit", Times: []sim.Time{-4, 0, 9}, Values: []float64{1, 2, 3}},
-	}
-	st := NewStore()
-	if err := st.Load(ok); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Dump(); !reflect.DeepEqual(got, ok) {
-		t.Errorf("Dump after Load = %+v, want %+v", got, ok)
 	}
 }

@@ -218,11 +218,9 @@ func (st *Store) Bytes() int {
 	return n
 }
 
-// SeriesData is the serializable form of one series: the metric, the label
-// pairs, and the samples as the store holds them — Values with the grid
-// (Start, Step) they were written on, or with explicit Times (then Start and
-// Step are zero). A store dumped and re-loaded behaves identically —
-// including the per-metric creation order Select's determinism rests on.
+// SeriesData is a copy of one series: the metric, the label pairs, and the
+// samples as the store holds them — Values with the grid (Start, Step) they
+// were written on, or with explicit Times (then Start and Step are zero).
 type SeriesData struct {
 	Metric      string
 	Labels      []string // flattened name/value pairs, sorted by name
@@ -231,40 +229,7 @@ type SeriesData struct {
 	Values      []float64
 }
 
-// column validates the samples and copies them into store form.
-func (d *SeriesData) column() (column, error) {
-	n := len(d.Values)
-	c := column{n: n, chunks: make([]*[chunkCap]float64, 0, (n+chunkCap-1)/chunkCap)}
-	switch {
-	case len(d.Times) > 0:
-		if len(d.Times) != n {
-			return c, fmt.Errorf("%d timestamps for %d values", len(d.Times), n)
-		}
-		for i := 1; i < n; i++ {
-			if d.Times[i] <= d.Times[i-1] {
-				return c, fmt.Errorf("%w: t=%v last=%v", ErrOutOfOrder, d.Times[i], d.Times[i-1])
-			}
-		}
-		c.times = slices.Clone(d.Times)
-	case n > 1:
-		span := d.Step * sim.Time(n-1)
-		if d.Step <= 0 || span/sim.Time(n-1) != d.Step || d.Start+span < d.Start {
-			return c, fmt.Errorf("%w: grid start=%v step=%v n=%d", ErrOutOfOrder, d.Start, d.Step, n)
-		}
-		c.start, c.step = d.Start, d.Step
-	case n == 1:
-		c.start = d.Start
-	}
-	for i := 0; i < n; i += chunkCap {
-		chunk := new([chunkCap]float64)
-		copy(chunk[:], d.Values[i:])
-		c.chunks = append(c.chunks, chunk)
-	}
-	return c, nil
-}
-
-// Dump snapshots every series in creation order. Together with Load it
-// round-trips a store through a snapshot.
+// Dump copies every series out in creation order.
 func (st *Store) Dump() []SeriesData {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -278,35 +243,4 @@ func (st *Store) Dump() []SeriesData {
 		})
 	}
 	return out
-}
-
-// Load replays a Dump into an empty store, recreating every series in the
-// dumped order so creation order — and with it Select order — survives the
-// round trip. The data may come from a damaged or foreign snapshot, so a
-// series that the store could not have dumped — timestamps not strictly
-// increasing, a count mismatch, a (metric, labels) pair seen before — fails
-// the load.
-func (st *Store) Load(data []SeriesData) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if len(st.all) != 0 {
-		return errors.New("telemetry: Load into a non-empty store")
-	}
-	for i := range data {
-		d := &data[i]
-		labels, err := NewLabels(d.Labels...)
-		if err != nil {
-			return fmt.Errorf("telemetry: load %s: %w", d.Metric, err)
-		}
-		col, err := d.column()
-		if err != nil {
-			return fmt.Errorf("telemetry: load %s%s: %w", d.Metric, labels, err)
-		}
-		hash := hashSeries(d.Metric, labels)
-		if st.lookup(hash, d.Metric, labels) != nil {
-			return fmt.Errorf("telemetry: load %s%s: duplicate series", d.Metric, labels)
-		}
-		st.getOrCreate(hash, d.Metric, labels).col = col
-	}
-	return nil
 }

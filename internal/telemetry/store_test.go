@@ -42,9 +42,9 @@ func TestSelectSnapshotImmutable(t *testing.T) {
 }
 
 // TestSeriesRefLifecycle drives the only lifecycle a handle has: resolve,
-// append, round-trip the store through Dump/Load, resolve again on the
-// loaded store (finding, not shadowing, the loaded series) and append. Every
-// key ends as one series, in the original creation order, with all samples.
+// append, resolve the same keys again (finding, not shadowing, the existing
+// series) and append. Every key ends as one series, in the original creation
+// order, with all samples.
 func TestSeriesRefLifecycle(t *testing.T) {
 	metrics := []string{"cpu", "mem", "net"}
 	var sets []Labels
@@ -69,33 +69,30 @@ func TestSeriesRefLifecycle(t *testing.T) {
 		t.Errorf("repeated timestamp through a handle = %v, want ErrOutOfOrder", err)
 	}
 
-	loaded := NewStore()
-	if err := loaded.Load(st.Dump()); err != nil {
-		t.Fatal(err)
+	before := make([][]*Series, len(metrics))
+	for mi, metric := range metrics {
+		before[mi] = st.Select(metric)
 	}
-	if err := loaded.Load(st.Dump()); err == nil {
-		t.Error("Load into a non-empty store succeeded")
-	}
-	appendAll(loaded, loaded.Refs(metrics, sets), 3*sim.Hour)
+	appendAll(st, st.Refs(metrics, sets), 3*sim.Hour)
 
-	if got, want := loaded.SeriesCount(), len(refs); got != want {
-		t.Fatalf("loaded store has %d series, want %d (a handle shadowed a loaded series)", got, want)
+	if got, want := st.SeriesCount(), len(refs); got != want {
+		t.Fatalf("store has %d series, want %d (a handle shadowed an existing series)", got, want)
 	}
 	for mi, metric := range metrics {
-		before, after := st.Select(metric), loaded.Select(metric)
-		if len(before) != len(sets) || len(after) != len(sets) {
-			t.Fatalf("Select(%s) = %d series before, %d after Load, want %d", metric, len(before), len(after), len(sets))
+		after := st.Select(metric)
+		if len(before[mi]) != len(sets) || len(after) != len(sets) {
+			t.Fatalf("Select(%s) = %d series before, %d after, want %d", metric, len(before[mi]), len(after), len(sets))
 		}
 		for i, s := range after {
-			if !s.Labels.Equal(before[i].Labels) {
-				t.Fatalf("Select(%s)[%d] = %s after Load, want %s (creation order lost)", metric, i, s.Labels, before[i].Labels)
+			if !s.Labels.Equal(before[mi][i].Labels) {
+				t.Fatalf("Select(%s)[%d] = %s, want %s (creation order lost)", metric, i, s.Labels, before[mi][i].Labels)
 			}
 		}
-		got := loaded.Select(metric, Matcher{"node", "n31"})
+		got := st.Select(metric, Matcher{"node", "n31"})
 		v := float64(31*len(metrics) + mi)
 		want := []Sample{{sim.Hour, v}, {2 * sim.Hour, v}, {3 * sim.Hour, v}}
 		if len(got) != 1 || !reflect.DeepEqual(samplesOf(got[0]), want) {
-			t.Errorf("Select(%s, node=n31) after Load = %v, want samples %v", metric, got, want)
+			t.Errorf("Select(%s, node=n31) = %v, want samples %v", metric, got, want)
 		}
 	}
 }

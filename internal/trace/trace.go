@@ -87,17 +87,21 @@ func (b *Builder) Add(name string, start, end time.Time, attrs map[string]string
 	return b.AddChild(b.parent, name, start, end, attrs)
 }
 
-// AddChild records a finished span under an explicit parent span ID.
+// AddChild records a finished span under an explicit parent span ID. The
+// span lasts end.Sub(start), which reads the monotonic clock when both times
+// carry it, so a wall-clock step between them cannot end the span before it
+// starts; without monotonic readings a negative duration is clamped to zero.
 func (b *Builder) AddChild(parent, name string, start, end time.Time, attrs map[string]string) string {
 	b.seq++
 	id := fmt.Sprintf("%s/s%d", b.prefix, b.seq)
+	from := Micros(start)
 	b.spans = append(b.spans, Span{
 		Trace:  b.trace,
 		ID:     id,
 		Parent: parent,
 		Name:   name,
-		Start:  Micros(start),
-		End:    Micros(end),
+		Start:  from,
+		End:    from + max(0, end.Sub(start)).Microseconds(),
 		Attrs:  attrs,
 	})
 	return id

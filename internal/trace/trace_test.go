@@ -56,6 +56,28 @@ func TestBuilderIDsAndRequeue(t *testing.T) {
 	}
 }
 
+// TestBuilderClampsBackwardClockStep: times without a monotonic reading
+// whose wall clock stepped back between start and end give a zero-length
+// span, not one that ends before it starts and fails Validate.
+func TestBuilderClampsBackwardClockStep(t *testing.T) {
+	b := NewBuilder("t", "root", "job/a1")
+	start := time.UnixMicro(5_000_000_000)
+	b.Add("run", start, start.Add(-time.Hour), nil)
+	b.Add("ok", start, start.Add(1500*time.Microsecond), nil)
+	spans := b.Drain()
+	for _, s := range spans {
+		if err := s.Validate(); err != nil {
+			t.Fatalf("span %s: %v", s.Name, err)
+		}
+	}
+	if got := spans[0]; got.Start != Micros(start) || got.End != got.Start {
+		t.Errorf("stepped-back span = [%d, %d], want [%d, %[3]d]", got.Start, got.End, Micros(start))
+	}
+	if got := spans[1]; got.End-got.Start != 1500 {
+		t.Errorf("forward span lasts %d µs, want 1500", got.End-got.Start)
+	}
+}
+
 func TestMergeDedupAndOrphanAdoption(t *testing.T) {
 	root := span("cell", "cell-1", "", "cell", 0, 100)
 	attempt := span("cell", "cell-1/a1", "cell-1", "attempt", 10, 90)

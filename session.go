@@ -60,7 +60,7 @@ type Error struct {
 }
 
 // SessionPhase reports the wall-clock cost of one engine phase: "build"
-// (simulation assembly), "run" (one driving call's AdvanceTo), or
+// (simulation assembly, and a resumed session's replay), "run" (one driving call's AdvanceTo), or
 // "snapshot-capture" (one Session.Snapshot call). It is the session's hook
 // for external tracing — a supervisor turns these into spans attributed to
 // the cell's attempt. Phase events are only measured and emitted when
@@ -238,8 +238,7 @@ type Session struct {
 
 	// name labels a branch session produced by Fork.
 	name string
-	// resume, when set, makes Build restore this snapshot instead of
-	// assembling at t=0.
+	// resume, when set, makes Build replay the run to this snapshot.
 	resume *Snapshot
 }
 
@@ -308,7 +307,8 @@ func (s *Session) onEvent(e events.Event) {
 }
 
 // Build assembles the simulation: topology, scheduler, epoch population,
-// samplers, rebalancers, and scenario injectors, leaving the clock at zero.
+// samplers, rebalancers, and scenario injectors, leaving the clock at zero
+// (or, for a resumed session, replays it to the snapshot's time).
 // Build is idempotent; Start calls it implicitly.
 func (s *Session) Build() error {
 	switch s.state {

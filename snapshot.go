@@ -9,10 +9,12 @@ import (
 	"sapsim/internal/snapshot"
 )
 
-// Snapshot is the complete mid-run state of a simulation, captured at an
-// engine-idle boundary. It is internal/snapshot.Snapshot re-exported: a
+// Snapshot is a replay point of a simulation, taken at an engine-idle
+// boundary: the simulated time, the number of events fired by then, and the
+// config fingerprint. It is internal/snapshot.Snapshot re-exported: a
 // versioned, digest-stamped value that serializes with EncodeSnapshotBytes and
-// restores through ResumeFromSnapshot or Fork.
+// restores through ResumeFromSnapshot or Fork, which rebuild the state by
+// replaying the run to that point.
 type Snapshot = snapshot.Snapshot
 
 // Injector is a scenario hook wired into the assembled simulation. It is
@@ -33,8 +35,8 @@ var ErrSnapshotCorrupt = snapshot.ErrCorrupt
 var ErrSnapshotVersion = snapshot.ErrVersion
 
 // EncodeSnapshotBytes serializes a snapshot: framed magic, format version,
-// SHA-256 digest stamp, and gob payload. Bit flips and truncation are
-// detectable without decoding.
+// SHA-256 digest stamp, and gob payload — a few hundred bytes whatever the
+// cell's size. Bit flips and truncation are detectable without decoding.
 func EncodeSnapshotBytes(s *Snapshot) ([]byte, error) { return snapshot.EncodeBytes(s) }
 
 // DecodeSnapshotBytes reads and verifies an encoded snapshot. Corruption
@@ -42,11 +44,12 @@ func EncodeSnapshotBytes(s *Snapshot) ([]byte, error) { return snapshot.EncodeBy
 // ErrSnapshotVersion.
 func DecodeSnapshotBytes(b []byte) (*Snapshot, error) { return snapshot.DecodeBytes(b) }
 
-// Snapshot captures the session's complete current state on demand. It is
+// Snapshot records the session's current replay point on demand. It is
 // valid on a built or running session between driving calls (Step,
 // RunToCompletion) — the engine is idle there — and errors once the session
 // is done, canceled, or failed. Building a new session from the returned
-// snapshot (ResumeFromSnapshot, Fork) continues the run bit-identically.
+// snapshot (ResumeFromSnapshot, Fork) replays the run to that point and
+// continues it bit-identically.
 func (s *Session) Snapshot() (*Snapshot, error) {
 	switch s.state {
 	case StateNew:
@@ -74,15 +77,18 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 func (s *Session) Name() string { return s.name }
 
 // ResumeFromSnapshot builds a session that continues a captured run from
-// its snapshot instead of t=0. cfg must re-assemble the captured run
-// deterministically: same seed, scale, and topology, and its first
-// snap.NumInjectors injectors must be the captured ones (Build enforces the
-// snapshot's config fingerprint). Injectors appended beyond the captured
-// set are injected fresh at the snapshot time — that is the branching
-// mechanism Fork wraps.
+// its snapshot. cfg must re-assemble the captured run deterministically:
+// same seed, scale, and topology, and its first snap.NumInjectors injectors
+// must be the captured ones (Build enforces the snapshot's config
+// fingerprint). Build replays the run from t=0 to the snapshot with the
+// observers muted, and fails unless the replay fired exactly the snapshot's
+// number of events. Injectors appended beyond the captured set are then
+// injected fresh at the snapshot time — that is the branching mechanism
+// Fork wraps.
 //
 // A resumed session reproduces the uninterrupted run exactly: artifacts
-// computed from its Result are byte-identical to running cfg from t=0.
+// computed from its Result are byte-identical to running cfg from t=0, and
+// its observers see the run from the snapshot on.
 func ResumeFromSnapshot(cfg Config, snap *Snapshot, opts ...Option) (*Session, error) {
 	if snap == nil {
 		return nil, errors.New("sapsim: ResumeFromSnapshot from nil snapshot")
@@ -104,8 +110,9 @@ type Branch struct {
 }
 
 // Fork builds one independent session per branch from a single snapshot —
-// speculative scenario branching: run the shared prefix once, then explore
-// divergent futures from the same warm state. Branch sessions share nothing
+// speculative scenario branching: explore divergent futures from one
+// common state. Each branch's Build replays the shared prefix on its own,
+// so N branches cost N prefixes plus N tails. Branch sessions share nothing
 // but the immutable snapshot; they may be driven sequentially or from
 // separate goroutines. The options apply to every branch.
 //

@@ -5,8 +5,8 @@ import (
 )
 
 // benchMidpointSnapshot drives the full-cell benchmark config to the middle
-// of its horizon and captures one snapshot — the state a dispatched worker
-// would ship on its heartbeat. Built once per benchmark, outside the timer.
+// of its horizon and takes one snapshot. Built once per benchmark, outside
+// the timer.
 func benchMidpointSnapshot(b *testing.B) (Config, *Snapshot) {
 	b.Helper()
 	cfg := fullCellConfig(42)
@@ -27,8 +27,7 @@ func benchMidpointSnapshot(b *testing.B) (Config, *Snapshot) {
 }
 
 // BenchmarkSnapshotEncode measures serializing a midpoint full-cell
-// snapshot to its wire form — the cost a worker's heartbeat loop pays per
-// snapshot it ships.
+// snapshot to its wire form.
 func BenchmarkSnapshotEncode(b *testing.B) {
 	_, snap := benchMidpointSnapshot(b)
 	blob, err := EncodeSnapshotBytes(snap)
@@ -45,10 +44,10 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkRestore measures the warm-boot path end to end: decode the wire
-// form, rehydrate a session from it, and build to the point where Step
-// could continue. This is what a re-booked cell pays instead of re-running
-// the whole prefix from t=0.
+// BenchmarkRestore measures the resume path end to end: decode the wire
+// form, build a session from it, and replay to the point where Step could
+// continue. The replay re-runs the prefix, so this is about the cost of
+// half a cell.
 func BenchmarkRestore(b *testing.B) {
 	cfg, snap := benchMidpointSnapshot(b)
 	blob, err := EncodeSnapshotBytes(snap)

@@ -235,6 +235,87 @@ func TestSessionFork(t *testing.T) {
 	}
 }
 
+// TestResumedSessionObservesOnlyItsTail: a resumed session replays the
+// captured prefix with its observers muted. They see no placement or
+// migration before the snapshot, no progress before it, and after it
+// exactly the stream the uninterrupted session's observers saw.
+func TestResumedSessionObservesOnlyItsTail(t *testing.T) {
+	cfg := snapshotTestConfig(15)
+	warmCol := &collector{}
+	warm, err := NewSession(cfg, WithObserver(warmCol))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	if _, err := warm.Step(24); err != nil { // 12h of a 48h run
+		t.Fatal(err)
+	}
+	snap, err := warm.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.RunToCompletion(); err != nil {
+		t.Fatal(err)
+	}
+
+	col := &collector{}
+	resumed, err := ResumeFromSnapshot(cfg, snap, WithObserver(col))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	if err := resumed.RunToCompletion(); err != nil {
+		t.Fatal(err)
+	}
+
+	var want []SessionEvent
+	for _, ev := range warmCol.snapshot() {
+		switch e := ev.(type) {
+		case Placement:
+			if e.At > snap.At {
+				want = append(want, e)
+			}
+		case Migration:
+			if e.At > snap.At {
+				want = append(want, e)
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("the uninterrupted run streamed nothing after the snapshot; the test exercises nothing")
+	}
+	var got []SessionEvent
+	var progress []sim.Time
+	for _, ev := range col.snapshot() {
+		switch e := ev.(type) {
+		case Placement:
+			if e.At < snap.At {
+				t.Errorf("resumed observer got a placement at %v, before the snapshot at %v", e.At, snap.At)
+			}
+			got = append(got, e)
+		case Migration:
+			if e.At < snap.At {
+				t.Errorf("resumed observer got a migration at %v, before the snapshot at %v", e.At, snap.At)
+			}
+			got = append(got, e)
+		case Progress:
+			progress = append(progress, e.Now)
+		}
+	}
+	if len(progress) == 0 || progress[0] != snap.At {
+		t.Errorf("resumed observer's first progress at %v, want the snapshot's %v", progress, snap.At)
+	}
+	for _, now := range progress {
+		if now < snap.At {
+			t.Errorf("resumed observer got progress at %v, before the snapshot at %v", now, snap.At)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed observer got %d placements and migrations, the uninterrupted run streamed %d after the snapshot",
+			len(got), len(want))
+	}
+}
+
 func TestSnapshotOptionValidation(t *testing.T) {
 	cfg := sessionTestConfig(14)
 	if _, err := ResumeFromSnapshot(cfg, nil); err == nil {
