@@ -26,9 +26,9 @@
 // same attribution analyze -engprof renders post-hoc.
 //
 // Beyond the artifact bodies, every completion carries the cell's engine
-// self-profile, which the dispatcher stores; the profile pointer survives
-// the cell's completion and any dispatcher crash, so sweep -engprof can
-// export per-cell attribution even from a resumed sweep.
+// self-profile, which the dispatcher stores; the cell's durable result
+// names its digest, which survives any dispatcher crash, so sweep -engprof
+// can export per-cell attribution even from a resumed sweep.
 //
 // The worker exits 0 once the dispatcher reports the sweep drained.
 package main

@@ -25,10 +25,15 @@
 // them in its content-addressed store (internal/artifact, under the journal
 // directory) before the result takes effect. The store keeps one copy per
 // digest, so the static tables identical across cells land once. The
-// dispatcher mounts the report tree over the collected bodies —
-// artifact.Bundle, the same value WriteBundle writes to disk — at /bundle,
-// and Resume re-verifies the store against the journal, re-queueing any
-// cell whose blobs went missing, truncated, or corrupt.
+// result record is the one durable fact of a completion: it names the
+// artifact digests and the profile's digest (RunResult.Profile). A profile
+// the store refuses, like a trace span that fails validation, is dropped
+// and counted — observability never fails a cell. The dispatcher mounts
+// the report tree over the collected bodies — artifact.Bundle, the same
+// value WriteBundle writes to disk — at /bundle, and Resume re-verifies
+// the store against the journal, re-queueing any cell whose artifact
+// blobs went missing, truncated, or corrupt, and dropping a damaged
+// profile's digest.
 //
 // Wire protocol (JSON over HTTP; GET /artifact serves a blob raw):
 //
@@ -59,7 +64,7 @@ import (
 
 // FormatVersion versions the journal: its header carries it, and replay
 // refuses a journal of any other version (history lives in CHANGES.md).
-const FormatVersion = 6
+const FormatVersion = 7
 
 // ConfigSpec is the serializable subset of core.Config — the knobs the
 // sweep CLIs vary. Config reconstructs a full core.Config from it on the
@@ -346,6 +351,11 @@ type RunResult struct {
 	Metrics scenario.Metrics
 	Digests map[string]string
 	Err     string
+	// Profile is the digest of the cell's engine self-profile blob — what
+	// analyze -engprof aggregates. The dispatcher sets it from the
+	// completion's profile and overwrites whatever the worker sent; it is
+	// empty when the cell shipped no profile or the store refused it.
+	Profile string `json:",omitempty"`
 }
 
 // JobStatus is one queue cell as reported by Snapshot and /state.
@@ -355,7 +365,7 @@ type JobStatus struct {
 	State   string
 	Worker  string `json:",omitempty"`
 	Attempt int
-	// Profile points at the completed cell's engine self-profile blob.
-	Profile *BlobRef `json:",omitempty"`
-	Err     string   `json:",omitempty"`
+	// Profile is the digest of the completed cell's engine self-profile.
+	Profile string `json:",omitempty"`
+	Err     string `json:",omitempty"`
 }

@@ -216,8 +216,8 @@ func TestDispatchedSweepByteIdentity(t *testing.T) {
 	}
 	artifacts := len(distinct)
 	for _, st := range q2.Snapshot() {
-		if st.Profile != nil {
-			distinct[st.Profile.Digest] = true
+		if st.Profile != "" {
+			distinct[st.Profile] = true
 		}
 	}
 	if blobs, err := q2.Store().Len(); err != nil || blobs != len(distinct) {

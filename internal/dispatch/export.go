@@ -40,8 +40,8 @@ func ProfileFileName(key scenario.Key) string {
 // holds: the report files and the bundle of res with bodies read from the
 // store the workers' completions filled (which only the bundle needs), the
 // trace reconstructed from the journal (worker-shipped engine spans
-// included), and the profile blob of every terminal cell whose profile
-// pointer survived. res is the queue's merged result. logf receives one
+// included), and the profile blob of every terminal cell whose result
+// names one. res is the queue's merged result. logf receives one
 // line per output written.
 func Export(q *Queue, res *scenario.SweepResult, out Exports, logf func(format string, args ...any)) error {
 	if out.Report != "" {
@@ -87,10 +87,10 @@ func Export(q *Queue, res *scenario.SweepResult, out Exports, logf func(format s
 		}
 		n := 0
 		for _, st := range q.Snapshot() {
-			if st.Profile == nil {
+			if st.Profile == "" {
 				continue
 			}
-			blob, err := q.store.Get(st.Profile.Digest)
+			blob, err := q.store.Get(st.Profile)
 			if err == nil {
 				err = os.WriteFile(filepath.Join(out.Engprof, ProfileFileName(st.Key)), blob, 0o644)
 			}

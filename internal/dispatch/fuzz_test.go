@@ -31,8 +31,30 @@ func resumeBounded(t *testing.T, dir string, size int) (*Queue, error) {
 func FuzzResume(f *testing.F) {
 	spec := testSpec()
 	spec.Seeds = spec.Seeds[:1]
-	legacy := f.TempDir()
-	writeLegacyJournal(f, legacy, spec)
+	// A dispatcher that died mid-sweep: cell 0 done with its profile's
+	// digest in the result, cell 1 running.
+	crashed := f.TempDir()
+	cq, err := NewQueue(crashed, spec, QueueOptions{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, worker := range []string{"w0", "w1"} {
+		job, _, err := cq.Book(worker, 1)
+		if err != nil || job == nil {
+			f.Fatalf("Book = %v, %v", job, err)
+		}
+		if err := cq.Progress(job.ID, worker, job.Attempt); err != nil {
+			f.Fatal(err)
+		}
+	}
+	run := RunResult{Digests: map[string]string{"fig5": putBody(f, cq, "fig5 body")},
+		Profile: putBody(f, cq, "engine profile")}
+	if err := cq.Complete(0, "w0", 1, run); err != nil {
+		f.Fatal(err)
+	}
+	if err := cq.Close(); err != nil {
+		f.Fatal(err)
+	}
 	drained := f.TempDir()
 	q, err := NewQueue(drained, spec, QueueOptions{})
 	if err != nil {
@@ -46,7 +68,7 @@ func FuzzResume(f *testing.F) {
 	if err := q.Close(); err != nil {
 		f.Fatal(err)
 	}
-	for _, dir := range []string{drained, legacy} {
+	for _, dir := range []string{drained, crashed} {
 		journal, err := os.ReadFile(filepath.Join(dir, JournalName))
 		if err != nil {
 			f.Fatal(err)

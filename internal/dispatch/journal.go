@@ -41,11 +41,6 @@ type journalRecord struct {
 
 	Run *RunResult `json:"run,omitempty"`
 
-	// profile (T is the pointer's BlobKind): a worker recorded a pointer to
-	// a blob its completion carried for Job. The newest record per cell and
-	// kind wins.
-	Ref *BlobRef `json:"ref,omitempty"`
-
 	// artifact: a blob of any kind landed in the content-addressed store.
 	// Digest is the blob's SHA-256; Size its byte length — the record Resume
 	// uses to distinguish a truncated blob (size drifted) from a corrupt one
@@ -67,10 +62,6 @@ const (
 	recResult   = "result"
 	recArtifact = "artifact"
 	recSpan     = "span"
-	// recRetiredSnapshot is a mid-run snapshot pointer. Workers no longer
-	// ship snapshots, but journals written before they stopped still hold
-	// these records: replay skips them.
-	recRetiredSnapshot = "snapshot"
 )
 
 // journalWriter appends records to the WAL. Callers serialize access (the

@@ -25,6 +25,10 @@ const (
 	MetricJournalAppend   = "dispatch_journal_append_seconds"
 	MetricJournalFsyncs   = "dispatch_journal_fsyncs_total"
 	MetricEncodeErrors    = "dispatch_response_encode_errors_total"
+	// counter{what,reason}: observability a worker shipped that the queue
+	// dropped instead of failing the cell — span{invalid|over_cap},
+	// profile{not_stored}.
+	MetricObservabilityDropped = "dispatch_observability_dropped_total"
 	// Artifact store (served by dispatchd, counters maintained by the store
 	// itself so Resume-time heal/GC work is included).
 	MetricStoreBlobs       = "artifact_store_blobs"
@@ -60,14 +64,19 @@ type queueMetrics struct {
 	jobAttempts     *fleetmetrics.Histogram
 	journalAppend   *fleetmetrics.Histogram
 	journalFsyncs   *fleetmetrics.Counter
+	spansInvalid    *fleetmetrics.Counter
+	spansOverCap    *fleetmetrics.Counter
+	profilesDropped *fleetmetrics.Counter
 }
 
 // Instrument registers the queue's fleet metrics — per-state depth gauges
 // (which sum to the cell count: the conservation invariant the smoke
 // asserts over promql), transition counters, the per-cell attempt
-// histogram, journal append latency/fsync counters, and the artifact
-// store's gauges and counters. Call once, before serving.
+// histogram, journal append latency/fsync counters, the dropped-observability
+// counter, and the artifact store's gauges and counters. Call once, before
+// serving.
 func (q *Queue) Instrument(reg *fleetmetrics.Registry) {
+	const dropHelp = "spans and profiles dropped instead of failing their cell"
 	m := queueMetrics{
 		books:           reg.Counter(MetricBooks, "successful cell bookings"),
 		rebooks:         reg.Counter(MetricRebooks, "bookings of a cell already attempted (lease expiry or release re-book)"),
@@ -82,6 +91,12 @@ func (q *Queue) Instrument(reg *fleetmetrics.Registry) {
 		journalAppend: reg.Histogram(MetricJournalAppend, "journal append latency",
 			fleetmetrics.ExponentialBuckets(1e-5, 10, 6)),
 		journalFsyncs: reg.Counter(MetricJournalFsyncs, "journal fsyncs (durable appends)"),
+		spansInvalid: reg.Counter(MetricObservabilityDropped, dropHelp,
+			"what", "span", "reason", "invalid"),
+		spansOverCap: reg.Counter(MetricObservabilityDropped, dropHelp,
+			"what", "span", "reason", "over_cap"),
+		profilesDropped: reg.Counter(MetricObservabilityDropped, dropHelp,
+			"what", "profile", "reason", "not_stored"),
 	}
 	q.mu.Lock()
 	q.metrics = m

@@ -24,12 +24,9 @@ type Job struct {
 	Lease   time.Time
 	Attempt int
 
-	// Run holds the completion report for done/failed jobs.
+	// Run holds the completion report for done/failed jobs, the digest of
+	// the cell's engine profile included.
 	Run *RunResult
-	// Profile points at the finished cell's engine self-profile blob. It is
-	// recorded in the completion exchange and outlives the terminal state:
-	// it is what analyze -engprof aggregates.
-	Profile *BlobRef
 }
 
 // Stale is returned by Progress and Complete when the reporting worker no
@@ -144,10 +141,9 @@ func NewQueue(dir string, spec Spec, opts QueueOptions) (*Queue, error) {
 // most one cell re-run.
 //
 // Resume also audits the store against the journal (auditBlobs): every
-// blob a cell still points at is re-verified, damage is healed and costs
-// what blobPolicies says it costs, and blobs nothing points at — uploads
-// for cells that never durably completed, blobs of a retired kind — are
-// garbage-collected.
+// blob a result names is re-verified, damage is healed at the cost its
+// kind carries, and blobs no result names — uploads for cells that never
+// durably completed — are garbage-collected.
 func Resume(dir string, opts QueueOptions) (*Queue, error) {
 	opts.fill()
 	path := filepath.Join(dir, JournalName)
@@ -178,7 +174,6 @@ func Resume(dir string, opts QueueOptions) (*Queue, error) {
 	for _, j := range q.jobs {
 		if j.State == JobBooked || j.State == JobRunning {
 			j.State, j.Worker = JobQueued, ""
-			j.settle()
 			requeued++
 		}
 	}
@@ -240,44 +235,40 @@ func (j *Job) replay(rec journalRecord) bool {
 		if rec.Run.Err != "" {
 			j.State = JobFailed
 		}
-	case string(BlobProfile):
-		if rec.Ref == nil || string(rec.Ref.Kind) != rec.T || rec.Ref.Validate() != nil {
-			return false
-		}
-		*j.slot(rec.Ref.Kind) = rec.Ref
-		return true
-	case recSpan, recRetiredSnapshot:
+	case recSpan:
 		// Trace spans are observability facts, not queue state; the replay
-		// carries no effect (TraceFromJournal reads them). A retired
-		// snapshot pointer is skipped, and Resume's GC collects its blob.
-		return true
+		// carries no effect (TraceFromJournal reads them).
 	default:
 		return false
 	}
-	j.settle()
 	return true
 }
 
+// blobCosts words, per kind of blob a result names, what a damaged one
+// costs on Resume: an artifact body costs the cell's completion (it
+// re-runs with a fresh attempt budget — disk rot is not the cell's fault),
+// a profile only the cell's attribution.
+var blobCosts = [...]struct{ kind, cost string }{
+	{"artifact", "cells requeued"},
+	{"profile", "pointers dropped, cells stay done"},
+}
+
 // auditBlobs is the one pass that holds the store to the journal on
-// Resume: every blob a cell points at is read and re-hashed exactly once,
+// Resume: every blob a result names is read and re-hashed exactly once,
 // however many cells share it (the static tables are referenced by every
 // cell of the sweep). A damaged file is removed, so a re-upload is not
-// deduplicated against it, and the pointing cell pays what its
-// blobPolicies row says. It returns the Recovered() fragment and the cells
-// it re-queued.
+// deduplicated against it, and the naming cell pays what blobCosts says.
+// It returns the Recovered() fragment and the cells it re-queued.
 func (q *Queue) auditBlobs(sizes map[string]int64) (string, map[int]bool) {
 	verified := map[string]error{}
-	type damage struct {
-		kind  BlobKind
-		cause string
-	}
+	type damage struct{ kind, cause string }
 	damaged := map[damage]int{}
 	// A heal that cannot remove its damaged blob is worse than no heal: the
 	// bad file shadows the re-upload the re-queued cell will attempt, so the
 	// failure must be surfaced (Recovered, logs, and the store's
 	// remove-failure counter), never swallowed.
 	removeFailed := 0
-	intact := func(kind BlobKind, digest string) bool {
+	intact := func(kind, digest string) bool {
 		verr, seen := verified[digest]
 		if seen {
 			return verr == nil
@@ -308,29 +299,27 @@ func (q *Queue) auditBlobs(sizes map[string]int64) (string, map[int]bool) {
 	}
 	requeued := map[int]bool{}
 	for _, j := range q.jobs {
-		for _, p := range blobPolicies {
-			bad := false
-			j.pointers(p.kind, func(digest string) {
-				if !intact(p.kind, digest) {
-					bad = true
-				}
-			})
-			switch {
-			case !bad:
-			case p.requeue:
-				j.State, j.Worker, j.Run, j.Attempt = JobQueued, "", nil, 0
-				j.settle()
-				requeued[j.ID] = true
-			default:
-				*j.slot(p.kind) = nil
+		if j.Run == nil {
+			continue
+		}
+		bad := false
+		for _, digest := range j.Run.Digests {
+			if !intact("artifact", digest) {
+				bad = true
 			}
+		}
+		if bad {
+			j.State, j.Worker, j.Run, j.Attempt = JobQueued, "", nil, 0
+			requeued[j.ID] = true
+		} else if j.Run.Profile != "" && !intact("profile", j.Run.Profile) {
+			j.Run.Profile = ""
 		}
 	}
 	report := ""
-	for _, p := range blobPolicies {
+	for _, b := range blobCosts {
 		for _, cause := range []string{"missing", "truncated", "corrupt", "unreadable"} {
-			if n := damaged[damage{p.kind, cause}]; n > 0 {
-				report += fmt.Sprintf(", %d %s %s blobs (%s)", n, cause, p.kind, p.cost)
+			if n := damaged[damage{b.kind, cause}]; n > 0 {
+				report += fmt.Sprintf(", %d %s %s blobs (%s)", n, cause, b.kind, b.cost)
 			}
 		}
 	}
@@ -343,34 +332,22 @@ func (q *Queue) auditBlobs(sizes map[string]int64) (string, map[int]bool) {
 	return report, requeued
 }
 
-// blobRefs counts, per digest, the pointers cells hold into the store —
-// what Resume's GC must keep. Every job was settled on its way here, so
-// every pointer still held is live.
+// blobRefs counts, per digest, the results that name a blob — what
+// Resume's GC must keep.
 func (q *Queue) blobRefs() map[string]int {
 	refs := map[string]int{}
 	for _, j := range q.jobs {
-		for _, p := range blobPolicies {
-			j.pointers(p.kind, func(digest string) { refs[digest]++ })
+		if j.Run == nil {
+			continue
+		}
+		for _, digest := range j.Run.Digests {
+			refs[digest]++
+		}
+		if j.Run.Profile != "" {
+			refs[j.Run.Profile]++
 		}
 	}
 	return refs
-}
-
-// reclaimLocked removes blobs no cell points at anymore — a superseded
-// pointer's, or those settle cleared. Best-effort: a failed removal is
-// re-collected by the next Resume's GC.
-func (q *Queue) reclaimLocked(digests ...string) {
-	for _, digest := range digests {
-		held := false
-		for _, j := range q.jobs {
-			for _, p := range blobPolicies {
-				j.pointers(p.kind, func(d string) { held = held || d == digest })
-			}
-		}
-		if !held {
-			_ = q.store.Remove(digest)
-		}
-	}
 }
 
 // Spec returns the sweep's matrix spec.
@@ -414,8 +391,7 @@ func (q *Queue) appendStateLocked(j *Job) error {
 // contract: the transition takes effect in memory only once its journal
 // record lands — a state record, or a durable result record when run is
 // set — and is rolled back whole on an append failure, so a cell is never
-// done in memory without a durable result. A landed transition then
-// settles the job's blob pointers, reclaiming what the new state dropped.
+// done in memory without a durable result.
 func (q *Queue) moveLocked(j *Job, to JobState, worker string, run *RunResult) error {
 	prev := *j
 	j.State, j.Worker = to, worker
@@ -428,10 +404,8 @@ func (q *Queue) moveLocked(j *Job, to JobState, worker string, run *RunResult) e
 	}
 	if err != nil {
 		*j = prev
-		return err
 	}
-	q.reclaimLocked(j.settle()...)
-	return nil
+	return err
 }
 
 // abandonLocked returns a held cell to the queue — or, once its bookings
@@ -547,61 +521,20 @@ func (q *Queue) Progress(jobID int, worker string, attempt int) error {
 	return nil
 }
 
-// RecordBlob journals a held cell's pointer to a blob already in the store:
-// the finished cell's profile, in the completion exchange, while the lease
-// is still held. The blob must already be in the store — a dangling
-// pointer is rejected with ErrMissingBlobs, since it would send every
-// reader through a failed fetch. The newest pointer of a kind wins, and
-// the superseded blob is reclaimed now instead of at the next Resume's GC.
-// Returns Stale when the worker no longer holds the job.
-func (q *Queue) RecordBlob(jobID int, worker string, attempt int, ref BlobRef) error {
-	if err := ref.Validate(); err != nil {
-		return err
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	j, err := q.heldLocked(jobID, worker, attempt)
-	if err != nil {
-		return err
-	}
-	if !q.store.Has(ref.Digest) {
-		return fmt.Errorf("%w: job %d: %s blob %s not uploaded",
-			ErrMissingBlobs, jobID, ref.Kind, ref.Digest)
-	}
-	if err := q.appendLocked(journalRecord{T: string(ref.Kind), Job: j.ID,
-		Worker: worker, Ref: &ref}, false); err != nil {
-		return err
-	}
-	slot := j.slot(ref.Kind)
-	prev := *slot
-	*slot = &ref
-	if prev != nil {
-		q.reclaimLocked(prev.Digest)
-	}
-	return nil
-}
-
 // maxSpansPerReport bounds one heartbeat's or completion's span batch — a
 // runaway worker must not be able to grow the WAL without bound.
 const maxSpansPerReport = 512
 
 // RecordSpans journals a batch of worker-side trace spans for a held cell.
 // Spans are pure observability: plain appends, no fsync, no queue-state
-// effect — losing them costs trace detail, never correctness. Returns
-// Stale when the worker no longer holds the job, so a zombie's spans from
-// a superseded attempt never pollute the trace of the current one.
+// effect — losing them costs trace detail, never correctness. So a span
+// that fails trace.Span.Validate, or one past maxSpansPerReport, is
+// dropped and counted, and the rest of the batch lands. Returns Stale
+// when the worker no longer holds the job, so a zombie's spans from a
+// superseded attempt never pollute the trace of the current one.
 func (q *Queue) RecordSpans(jobID int, worker string, attempt int, spans []trace.Span) error {
 	if len(spans) == 0 {
 		return nil
-	}
-	if len(spans) > maxSpansPerReport {
-		return fmt.Errorf("dispatch: job %d: %d spans in one report (max %d)",
-			jobID, len(spans), maxSpansPerReport)
-	}
-	for _, s := range spans {
-		if err := s.Validate(); err != nil {
-			return err
-		}
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -609,7 +542,15 @@ func (q *Queue) RecordSpans(jobID int, worker string, attempt int, spans []trace
 	if err != nil {
 		return err
 	}
+	if over := len(spans) - maxSpansPerReport; over > 0 {
+		q.metrics.spansOverCap.Add(float64(over))
+		spans = spans[:maxSpansPerReport]
+	}
 	for i := range spans {
+		if spans[i].Validate() != nil {
+			q.metrics.spansInvalid.Inc()
+			continue
+		}
 		if err := q.appendLocked(journalRecord{T: recSpan, Job: j.ID,
 			Worker: worker, Attempt: attempt, Span: &spans[i]}, false); err != nil {
 			return err
@@ -622,8 +563,10 @@ func (q *Queue) RecordSpans(jobID int, worker string, attempt int, spans []trace
 // A successful cell must have every artifact body behind its digests in
 // the store already — a complete whose blobs are missing is rejected with
 // ErrMissingBlobs, because a sweep that drains without its bodies cannot
-// produce the bundle it promises. Returns Stale when the worker no longer
-// holds the job.
+// produce the bundle it promises. A profile digest the store does not
+// hold costs only the attribution: it is dropped and counted, and the
+// result lands without it. Returns Stale when the worker no longer holds
+// the job.
 func (q *Queue) Complete(jobID int, worker string, attempt int, run RunResult) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -650,6 +593,10 @@ func (q *Queue) Complete(jobID int, worker string, attempt int, run RunResult) e
 			return fmt.Errorf("%w: job %d: %d of %d bodies neither sent nor stored",
 				ErrMissingBlobs, jobID, missing, len(run.Digests))
 		}
+	}
+	if run.Profile != "" && !q.store.Has(run.Profile) {
+		run.Profile = ""
+		q.metrics.profilesDropped.Inc()
 	}
 	if err := q.moveLocked(j, to, worker, &run); err != nil {
 		return err
@@ -771,9 +718,9 @@ func (q *Queue) Snapshot() []JobStatus {
 	out := make([]JobStatus, len(q.jobs))
 	for i, j := range q.jobs {
 		st := JobStatus{ID: j.ID, Key: j.Key, State: j.State.String(),
-			Worker: j.Worker, Attempt: j.Attempt, Profile: j.Profile}
+			Worker: j.Worker, Attempt: j.Attempt}
 		if j.Run != nil {
-			st.Err = j.Run.Err
+			st.Err, st.Profile = j.Run.Err, j.Run.Profile
 		}
 		out[i] = st
 	}

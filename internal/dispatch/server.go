@@ -48,7 +48,8 @@ type ProgressRequest struct {
 	Job     int
 	Attempt int
 	// Spans carries the worker's finished trace spans since the last
-	// accepted report (engine phases), at most maxSpansPerReport of them.
+	// accepted report (engine phases). The queue journals at most
+	// maxSpansPerReport of them, and drops and counts the rest.
 	Spans []trace.Span `json:",omitempty"`
 }
 
@@ -68,8 +69,9 @@ type CompleteRequest struct {
 	// before the completion takes effect, while the lease is still held.
 	Spans []trace.Span `json:",omitempty"`
 	// Profile is the cell's encoded engine self-profile
-	// (sapsim.EncodeProfileBytes). The dispatcher stores it and journals a
-	// pointer to it, which survives the cell's terminal state.
+	// (sapsim.EncodeProfileBytes). The dispatcher stores it and records its
+	// digest as Run.Profile; a profile the store refuses is dropped and
+	// counted, and the cell completes without it.
 	Profile []byte `json:",omitempty"`
 }
 
@@ -184,7 +186,7 @@ func (d *Dispatcher) writeJSON(w http.ResponseWriter, v any) {
 }
 
 // queueError maps a queue error onto the wire: a lost lease is 409 (abandon
-// the cell), a pointer or completion naming a blob the store lacks is 412,
+// the cell), a completion naming an artifact blob the store lacks is 412,
 // anything else is the caller's 400.
 func queueError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
@@ -266,22 +268,19 @@ func (d *Dispatcher) handleComplete(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// The profile pointer and the final span drain land before the result,
-	// while the lease is still held — a completed job accepts no further
-	// reports. A rejected pointer (a zombie's) fails the exchange before the
-	// result is durable, so no done cell is left with a dangling pointer.
-	var err error
+	// The profile rides the result as its digest. A profile the store
+	// refuses costs the cell its attribution, never its completion:
+	// Complete drops a digest the store does not hold, and counts it.
+	req.Run.Profile = ""
 	if len(req.Profile) > 0 {
-		digest := artifact.Digest(req.Profile)
-		if _, perr := d.queue.PutArtifact(digest, req.Profile); perr != nil {
-			blobError(w, perr)
-			return
+		req.Run.Profile = artifact.Digest(req.Profile)
+		if _, err := d.queue.PutArtifact(req.Run.Profile, req.Profile); err != nil {
+			d.logf("dispatch: job %d: engine profile not stored: %v", req.Job, err)
 		}
-		err = d.queue.RecordBlob(req.Job, req.Worker, req.Attempt, BlobRef{Kind: BlobProfile, Digest: digest})
 	}
-	if err == nil {
-		err = d.queue.RecordSpans(req.Job, req.Worker, req.Attempt, req.Spans)
-	}
+	// The final span drain lands before the result, while the lease is
+	// still held — a completed job accepts no further reports.
+	err := d.queue.RecordSpans(req.Job, req.Worker, req.Attempt, req.Spans)
 	if err == nil {
 		err = d.queue.Complete(req.Job, req.Worker, req.Attempt, req.Run)
 	}

@@ -2,14 +2,22 @@ package dispatch
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"sapsim/internal/artifact"
+	"sapsim/internal/fleetmetrics"
+	"sapsim/internal/trace"
 )
 
 // TestWireStatusCodes drives Dispatcher.Handler over HTTP: each case books
@@ -146,4 +154,174 @@ func getBody(t *testing.T, url string) (string, int) {
 		t.Fatal(err)
 	}
 	return string(body), resp.StatusCode
+}
+
+// TestObservabilityNeverFailsACell posts a real sweep's completions through
+// Dispatcher.Handler(), each row damaging what the completions carry for
+// observability: spans the queue cannot journal, or a profile the store
+// refuses. Every row drains to done with the single-process result, the
+// damaged part is dropped, and each drop is counted.
+func TestObservabilityNeverFailsACell(t *testing.T) {
+	spec := testSpec()
+	ref := referenceSweep(t, spec)
+	captured := captureCompletions(t, spec)
+	// Every artifact digest's fan-out directory: a profile whose digest
+	// shares one could not be made to fail alone.
+	usedDirs := map[string]bool{}
+	for _, run := range ref.Runs {
+		for _, digest := range run.Digests {
+			usedDirs[digest[:2]] = true
+		}
+	}
+	cells := float64(len(captured))
+
+	type drop struct{ what, reason string }
+	rows := []struct {
+		name   string
+		damage func(t *testing.T, dir string, req *CompleteRequest)
+		want   map[drop]float64
+	}{{
+		name: "span that ends before it starts",
+		damage: func(_ *testing.T, _ string, req *CompleteRequest) {
+			req.Spans = append(req.Spans, trace.Span{Trace: "t", ID: "backward", Name: "run", Start: 2000, End: 1000})
+		},
+		want: map[drop]float64{{"span", "invalid"}: cells},
+	}, {
+		name: "span with no ID",
+		damage: func(_ *testing.T, _ string, req *CompleteRequest) {
+			req.Spans = append(req.Spans, trace.Span{Trace: "t", Name: "run"})
+		},
+		want: map[drop]float64{{"span", "invalid"}: cells},
+	}, {
+		name: "600 spans in one completion",
+		damage: func(_ *testing.T, _ string, req *CompleteRequest) {
+			for i := len(req.Spans); i < 600; i++ {
+				req.Spans = append(req.Spans, trace.Span{Trace: "t", ID: fmt.Sprintf("pad%d", i), Name: "run"})
+			}
+		},
+		want: map[drop]float64{{"span", "over_cap"}: cells * (600 - maxSpansPerReport)},
+	}, {
+		name: "profile the store refuses",
+		damage: func(t *testing.T, dir string, req *CompleteRequest) {
+			// A plain file where the profile's fan-out directory goes makes
+			// the store's MkdirAll fail, whoever runs the test. The profile
+			// is padded with JSON whitespace until no artifact shares the
+			// directory.
+			for usedDirs[artifact.Digest(req.Profile)[:2]] {
+				req.Profile = append(req.Profile, '\n')
+			}
+			path := filepath.Join(dir, artifact.DirName, artifact.Digest(req.Profile)[:2])
+			if err := os.WriteFile(path, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		want: map[drop]float64{{"profile", "not_stored"}: cells},
+	}}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			q, dir := newTestQueue(t, QueueOptions{Lease: time.Minute})
+			d := NewDispatcher(q)
+			reg := fleetmetrics.NewRegistry()
+			d.Instrument(reg)
+			srv := httptest.NewServer(d.Handler())
+			defer srv.Close()
+
+			profiles := map[int]string{}
+			for range captured {
+				var b BookResponse
+				if status := postJSON(t, srv.URL+"/book", BookRequest{Worker: "w1", Capacity: len(captured)}, &b); status != http.StatusOK {
+					t.Fatalf("/book = %d", status)
+				}
+				req := captured[b.Job]
+				req.Worker, req.Attempt = "w1", b.Attempt
+				req.Spans = slices.Clone(req.Spans)
+				req.Profile = slices.Clone(req.Profile)
+				row.damage(t, dir, &req)
+				profiles[b.Job] = artifact.Digest(req.Profile)
+				if status := postJSON(t, srv.URL+"/complete", req, nil); status != http.StatusOK {
+					t.Fatalf("job %d: /complete = %d, want 200", b.Job, status)
+				}
+			}
+
+			merged, err := q.Merged()
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIdentical(t, merged, ref, row.name)
+			refused := row.want[drop{"profile", "not_stored"}] > 0
+			for _, st := range q.Snapshot() {
+				if st.State != JobDone.String() {
+					t.Errorf("job %d ended %s, want done", st.ID, st.State)
+				}
+				if want := profiles[st.ID]; refused && st.Profile != "" ||
+					!refused && (st.Profile != want || !q.Store().Has(want)) {
+					t.Errorf("job %d: profile %q (held %v), want %q unless refused",
+						st.ID, st.Profile, q.Store().Has(st.Profile), want)
+				}
+			}
+			for _, s := range journaledSpans(t, dir) {
+				if err := s.Validate(); err != nil {
+					t.Errorf("journaled an invalid span: %v", err)
+				}
+			}
+			for _, what := range []drop{{"span", "invalid"}, {"span", "over_cap"}, {"profile", "not_stored"}} {
+				if got := dropped(reg, what.what, what.reason); got != row.want[what] {
+					t.Errorf("%s{what=%s,reason=%s} = %g, want %g",
+						MetricObservabilityDropped, what.what, what.reason, got, row.want[what])
+				}
+			}
+		})
+	}
+}
+
+// captureCompletions drains spec through two real workers and returns, per
+// job, the completion each one posted.
+func captureCompletions(t *testing.T, spec Spec) map[int]CompleteRequest {
+	t.Helper()
+	q, err := NewQueue(t.TempDir(), spec, QueueOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	handler := NewDispatcher(q).Handler()
+	var mu sync.Mutex
+	captured := map[int]CompleteRequest{}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/complete" {
+			body, err := io.ReadAll(r.Body)
+			var req CompleteRequest
+			if err == nil {
+				err = json.Unmarshal(body, &req)
+			}
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			mu.Lock()
+			captured[req.Job] = req
+			mu.Unlock()
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		handler.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	var wg sync.WaitGroup
+	for i := range 2 {
+		w := &Worker{Dispatcher: srv.URL, ID: fmt.Sprintf("capture-%d", i), Poll: 25 * time.Millisecond}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.Run(ctx); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(captured) != len(spec.Keys()) {
+		t.Fatalf("captured %d completions for %d cells", len(captured), len(spec.Keys()))
+	}
+	return captured
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"sapsim/internal/fleetmetrics"
 	"sapsim/internal/trace"
 )
 
@@ -173,11 +175,14 @@ func TestTraceSurvivesCrashResume(t *testing.T) {
 	}
 }
 
-// TestRecordSpansValidation: malformed and oversized span batches are
-// rejected before they reach the journal.
+// TestRecordSpansValidation: a batch's malformed spans, and its spans past
+// maxSpansPerReport, never reach the journal. They are dropped and
+// counted, and the rest of the batch lands.
 func TestRecordSpansValidation(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
-	q, _ := newTestQueue(t, QueueOptions{Lease: time.Minute, now: clock.now})
+	q, dir := newTestQueue(t, QueueOptions{Lease: time.Minute, now: clock.now})
+	reg := fleetmetrics.NewRegistry()
+	q.Instrument(reg)
 	job, _, err := q.Book("w1", 1)
 	if err != nil || job == nil {
 		t.Fatalf("Book: %v, %v", job, err)
@@ -185,17 +190,52 @@ func TestRecordSpansValidation(t *testing.T) {
 	if err := q.RecordSpans(job.ID, "w1", job.Attempt, nil); err != nil {
 		t.Fatalf("empty batch should be a no-op, got %v", err)
 	}
-	bad := []trace.Span{{Trace: "", ID: "x", Name: "y"}}
-	if err := q.RecordSpans(job.ID, "w1", job.Attempt, bad); err == nil {
-		t.Fatal("span without a trace ID accepted")
+	mixed := []trace.Span{{Trace: "t", ID: "good", Name: "run"}, {Trace: "", ID: "no-trace", Name: "y"}}
+	if err := q.RecordSpans(job.ID, "w1", job.Attempt, mixed); err != nil {
+		t.Fatalf("batch with one malformed span: %v", err)
 	}
 	huge := make([]trace.Span, maxSpansPerReport+1)
 	for i := range huge {
-		huge[i] = trace.Span{Trace: "t", ID: "s", Name: "n"}
+		huge[i] = trace.Span{Trace: "t", ID: fmt.Sprintf("s%d", i), Name: "n"}
 	}
-	if err := q.RecordSpans(job.ID, "w1", job.Attempt, huge); err == nil {
-		t.Fatal("oversized span batch accepted")
+	if err := q.RecordSpans(job.ID, "w1", job.Attempt, huge); err != nil {
+		t.Fatalf("oversized batch: %v", err)
 	}
+	ids := map[string]bool{}
+	for _, s := range journaledSpans(t, dir) {
+		ids[s.ID] = true
+	}
+	if len(ids) != 1+maxSpansPerReport || !ids["good"] || ids["no-trace"] ||
+		!ids["s0"] || ids[fmt.Sprintf("s%d", maxSpansPerReport)] {
+		t.Errorf("journaled %d spans; want the valid one and the first %d of the oversized batch",
+			len(ids), maxSpansPerReport)
+	}
+	for reason, want := range map[string]float64{"invalid": 1, "over_cap": 1} {
+		if got := dropped(reg, "span", reason); got != want {
+			t.Errorf("%s{what=span,reason=%s} = %g, want %g", MetricObservabilityDropped, reason, got, want)
+		}
+	}
+}
+
+// journaledSpans returns the span records of dir's journal.
+func journaledSpans(t *testing.T, dir string) []trace.Span {
+	t.Helper()
+	replay, err := replayJournal(filepath.Join(dir, JournalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []trace.Span
+	for _, rec := range replay.records {
+		if rec.T == recSpan {
+			spans = append(spans, *rec.Span)
+		}
+	}
+	return spans
+}
+
+// dropped reads one series of the dropped-observability counter.
+func dropped(reg *fleetmetrics.Registry, what, reason string) float64 {
+	return reg.Counter(MetricObservabilityDropped, "", "what", what, "reason", reason).Value()
 }
 
 // TestReportSpansCap: a report carries at most maxSpansPerReport spans, in

@@ -126,7 +126,7 @@ engprof="$workdir/engprof"
 # Engine self-profiles: every completed cell shipped one into the CAS, the
 # pointers survived the worker kill, the re-book, and the resume, and the
 # export must cover the full 2x2 matrix — including the re-booked cell.
-grep -q '"t":"profile"' "$journal/journal.jsonl" ||
+grep -q '"Profile":"[0-9a-f]' "$journal/journal.jsonl" ||
   { echo "smoke: no profile pointer recorded in the journal" >&2; exit 1; }
 profiles=$(find "$engprof" -name '*.engprof.json' | wc -l)
 [ "$profiles" -eq 4 ] ||
