@@ -21,7 +21,6 @@ import (
 	"sapsim/internal/dispatch"
 	"sapsim/internal/engprof"
 	"sapsim/internal/scenario"
-	"sapsim/internal/trace"
 )
 
 // cellProfile is one loaded per-cell profile. keyOK reports whether the
@@ -199,12 +198,7 @@ func printOwnerTable(w io.Writer, p *engprof.Profile, topN int) {
 func printStragglers(w io.Writer, cells []cellProfile, critPath string) error {
 	wall := map[string]time.Duration{}
 	if critPath != "" {
-		f, err := os.Open(critPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		spans, err := trace.ReadChromeTrace(f)
+		spans, err := readTrace(critPath)
 		if err != nil {
 			return err
 		}

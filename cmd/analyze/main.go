@@ -6,8 +6,7 @@
 //
 //	analyze -i dataset.csv [-days N] [-fig fig9]
 //	analyze -scrape URL[,URL...] -query EXPR
-//	analyze -record DIR -scrape URL[,URL...] [-every D] [-for D]
-//	analyze -fleet DIR
+//	analyze -fleet trace.json
 //	analyze -critpath trace.json
 //	analyze -engprof DIR|FILE [-against DIR|FILE] [-top N] [-critpath trace.json]
 //
@@ -16,12 +15,11 @@
 // store instead of loading a CSV, and answers -query against the fleet's
 // current state — e.g. `sum(dispatch_queue_jobs)` mid-sweep.
 //
-// With -record, the same endpoints are polled continuously — the fleet
-// flight recorder — appending every sample to DIR/fleet.csv until
-// interrupted (or -for elapses). -fleet replays such a recording into
-// queue-depth and worker-utilization timelines; -critpath analyzes a
-// Chrome trace exported by sweep/dispatchd -trace: critical path through
-// the slowest cell plus a per-phase latency breakdown.
+// -fleet and -critpath read a Chrome trace exported by sweep/dispatchd
+// -trace. -fleet prints the sweep's queue depth (queued/leased/done/failed
+// cells) and each worker's leased cells at every span boundary; -critpath
+// prints the critical path through the slowest cell plus a per-phase
+// latency breakdown.
 //
 // With -engprof, analyze aggregates the per-cell engine self-profiles a
 // sweep exports (sweep -engprof DIR): the fleet-wide per-phase time/work
@@ -33,7 +31,6 @@ package main
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -64,10 +61,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		at      = fs.Float64("at", -1, "query evaluation time in seconds since epoch (default: end of window)")
 		oc      = fs.Bool("recommend-overcommit", false, "derive a workload-based vCPU:pCPU overcommit factor (Sec. 7 guidance)")
 		scrapes = fs.String("scrape", "", "comma-separated /metrics URLs to scrape into the store instead of reading -i")
-		record  = fs.String("record", "", "flight-recorder mode: poll -scrape targets into DIR/fleet.csv until interrupted")
-		every   = fs.Duration("every", time.Second, "polling cadence for -record")
-		forDur  = fs.Duration("for", 0, "stop -record after this long (0 = until interrupted)")
-		fleet   = fs.String("fleet", "", "render queue-depth and worker-utilization timelines from a flight recording (dir or CSV)")
+		fleet   = fs.String("fleet", "", "queue-depth and per-worker lease timelines of an exported Chrome trace")
 		crit    = fs.String("critpath", "", "critical-path and per-phase latency analysis of an exported Chrome trace")
 		engprof = fs.String("engprof", "", "aggregate per-cell engine self-profiles (a sweep -engprof export dir, or one .engprof.json file)")
 		against = fs.String("against", "", "second -engprof export to diff against")
@@ -91,11 +85,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return runCritpath(stdout, *crit)
 	case *fleet != "":
 		return runFleet(stdout, *fleet)
-	case *record != "":
-		if len(urls) == 0 {
-			return errors.New("-record needs -scrape targets")
-		}
-		return runRecord(stdout, stderr, *record, urls, *every, *forDur)
 	}
 
 	// The analysis pipeline is a straight-line batch job with no run loop

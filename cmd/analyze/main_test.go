@@ -168,21 +168,56 @@ func dispatchMetrics(t *testing.T) *httptest.Server {
 	return srv
 }
 
-func TestRecordThenFleet(t *testing.T) {
-	srv := dispatchMetrics(t)
-	dir := filepath.Join(t.TempDir(), "fleet")
-	out := runAnalyze(t, "-record", dir, "-scrape", srv.URL+"/metrics, ", "-every", "10ms", "-for", "50ms")
-	wantLines(t, out, "recorded ", "samples into "+filepath.Join(dir, "fleet.csv"))
-
-	out = runAnalyze(t, "-fleet", dir)
-	wantLines(t, out, "queue depth by state", "worker utilization", "50%")
+// TestFleet pins -fleet's rows on a two-cell trace: baseline's first
+// attempt (victim) is requeued and its second (survivor) done;
+// host-failures' only attempt (survivor) fails.
+func TestFleet(t *testing.T) {
+	const base, s = 1_700_000_000_000_000, 1_000_000 // µs
+	cell := func(tr string, end int64) trace.Span {
+		return trace.Span{Trace: tr, ID: "cell", Name: "cell", Start: base, End: base + end}
+	}
+	attempt := func(tr, id, worker, outcome string, start, end int64) trace.Span {
+		return trace.Span{Trace: tr, ID: id, Parent: "cell", Name: "attempt", Start: base + start,
+			End: base + end, Attrs: map[string]string{"worker": worker, "outcome": outcome}}
+	}
+	a, b := "baseline/default/seed7", "host-failures/default/seed7"
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := trace.WriteChromeTraceFile(path, []trace.Span{
+		cell(a, 5*s), attempt(a, "a1", "victim", "requeued", s/2, 2*s), attempt(a, "a2", "survivor", "done", 3*s, 5*s),
+		cell(b, 4*s), attempt(b, "a1", "survivor", "failed", s, 4*s),
+		{Trace: b, ID: "run", Parent: "a1", Name: "run", Start: base + 6*s/5, End: base + 27*s/10},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	out := runAnalyze(t, "-fleet", path)
+	wantLines(t, out, "2 cells, 3 attempts, 2 workers",
+		"     t(s)  queued  leased    done  failed\n"+
+			"    0.000       2       0       0       0\n"+
+			"    0.500       1       1       0       0\n"+
+			"    1.000       0       2       0       0\n"+
+			"    2.000       1       1       0       0\n"+
+			"    3.000       0       2       0       0\n"+
+			"    4.000       0       1       0       1\n"+
+			"    5.000       0       0       1       1\n",
+		"     t(s) survivor victim\n"+
+			"    0.000        0      0\n"+
+			"    0.500        0      1\n"+
+			"    1.000        1      1\n"+
+			"    2.000        1      0\n"+
+			"    3.000        2      0\n"+
+			"    4.000        1      0\n"+
+			"    5.000        0      0\n")
 
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-record", dir}, &stdout, &stderr); err == nil {
-		t.Error("-record without -scrape targets succeeded")
-	}
 	if err := run([]string{"-fleet", t.TempDir()}, &stdout, &stderr); err == nil {
-		t.Error("-fleet of an empty directory succeeded")
+		t.Error("-fleet of a directory succeeded")
+	}
+	cellsOnly := filepath.Join(t.TempDir(), "cells.json")
+	if err := trace.WriteChromeTraceFile(cellsOnly, []trace.Span{cell(a, s)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-fleet", cellsOnly}, &stdout, &stderr); err == nil {
+		t.Error("-fleet of a trace without attempt spans succeeded")
 	}
 }
 

@@ -530,12 +530,10 @@ const maxSpansPerReport = 512
 // effect — losing them costs trace detail, never correctness. So a span
 // that fails trace.Span.Validate, or one past maxSpansPerReport, is
 // dropped and counted, and the rest of the batch lands. Returns Stale
-// when the worker no longer holds the job, so a zombie's spans from a
-// superseded attempt never pollute the trace of the current one.
+// when the worker no longer holds the job, even for an empty batch, so a
+// zombie's spans from a superseded attempt never pollute the trace of the
+// current one, and a zombie's completion is refused before its blobs land.
 func (q *Queue) RecordSpans(jobID int, worker string, attempt int, spans []trace.Span) error {
-	if len(spans) == 0 {
-		return nil
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	j, err := q.heldLocked(jobID, worker, attempt)

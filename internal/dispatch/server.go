@@ -262,6 +262,14 @@ func (d *Dispatcher) handleComplete(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// The final span drain lands first: RecordSpans checks that this
+	// booking still holds the job, without renewing its lease, so a
+	// zombie's completion stores nothing. (A lease that expires between
+	// here and Complete leaves its blobs to the next Resume's GC.)
+	if err := d.queue.RecordSpans(req.Job, req.Worker, req.Attempt, req.Spans); err != nil {
+		queueError(w, err)
+		return
+	}
 	for _, digest := range slices.Sorted(maps.Keys(req.Bodies)) {
 		if _, err := d.queue.PutArtifact(digest, []byte(req.Bodies[digest])); err != nil {
 			blobError(w, err)
@@ -278,13 +286,7 @@ func (d *Dispatcher) handleComplete(w http.ResponseWriter, r *http.Request) {
 			d.logf("dispatch: job %d: engine profile not stored: %v", req.Job, err)
 		}
 	}
-	// The final span drain lands before the result, while the lease is
-	// still held — a completed job accepts no further reports.
-	err := d.queue.RecordSpans(req.Job, req.Worker, req.Attempt, req.Spans)
-	if err == nil {
-		err = d.queue.Complete(req.Job, req.Worker, req.Attempt, req.Run)
-	}
-	if err != nil {
+	if err := d.queue.Complete(req.Job, req.Worker, req.Attempt, req.Run); err != nil {
 		queueError(w, err)
 		return
 	}

@@ -87,10 +87,16 @@ func TestWireStatusCodes(t *testing.T) {
 		req: func(b BookResponse) any {
 			req := completion(b, map[string]string{digest: body})
 			req.Attempt++
+			req.Profile = []byte(`{"Format": 1}`)
 			return req
 		},
-		want:  http.StatusConflict,
-		check: held,
+		want: http.StatusConflict,
+		check: func(t *testing.T, q *Queue, url string, b BookResponse) {
+			held(t, q, url, b)
+			if n, err := q.Store().Len(); n != 0 || err != nil {
+				t.Errorf("a zombie's completion left %d blobs in the store (%v), want 0", n, err)
+			}
+		},
 	}, {
 		name: "release by the holder",
 		path: "/release",

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -177,4 +178,13 @@ func (s *Scraper) ingest(r io.Reader, now sim.Time, instance string) (int, error
 		n++
 	}
 	return n, errors.Join(errs...)
+}
+
+// instanceLabel derives the "instance" label value from a target URL:
+// its host:port, or the raw string when it does not parse.
+func instanceLabel(target string) string {
+	if u, err := url.Parse(target); err == nil && u.Host != "" {
+		return u.Host
+	}
+	return target
 }

@@ -3,6 +3,8 @@ package scrape
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -222,9 +224,9 @@ func TestIngestRejectsSamplesIndividually(t *testing.T) {
 // one instant both land, as two series told apart by their instance label.
 func TestScrapeTargetsExposingOneSeries(t *testing.T) {
 	body := "openstack_compute_instances_total 7\ncpu{node=\"n1\"} 55\n"
-	a := httptest.NewServer(&metricsServer{body: body})
+	a := httptest.NewServer(metricsServer(body))
 	defer a.Close()
-	b := httptest.NewServer(&metricsServer{body: body})
+	b := httptest.NewServer(metricsServer(body))
 	defer b.Close()
 	st := telemetry.NewStore()
 	s := &Scraper{Store: st}
@@ -244,4 +246,41 @@ func TestScrapeTargetsExposingOneSeries(t *testing.T) {
 			}
 		}
 	}
+}
+
+// metricsServer serves a fixed exposition body.
+type metricsServer string
+
+func (m metricsServer) ServeHTTP(w http.ResponseWriter, _ *http.Request) { fmt.Fprint(w, string(m)) }
+
+// BenchmarkScrapeIngest measures the telemetry store's ingest path under
+// fleet pressure: N simulated worker /metrics endpoints scraped in sequence
+// into one shared store, the way `analyze -scrape URL,URL...` loads a
+// fleet. Every scraped sample is one Store.Append.
+func BenchmarkScrapeIngest(b *testing.B) {
+	const workers = 8
+	const seriesPerWorker = 128
+	servers := make([]*httptest.Server, workers)
+	for w := 0; w < workers; w++ {
+		var body strings.Builder
+		for i := 0; i < seriesPerWorker; i++ {
+			fmt.Fprintf(&body, "worker_cell_seconds{worker=\"w%d\",cell=\"c%d\"} %d.5\n", w, i, i)
+		}
+		srv := httptest.NewServer(metricsServer(body.String()))
+		defer srv.Close()
+		servers[w] = srv
+	}
+	store := telemetry.NewStore()
+	s := &Scraper{Store: store}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := sim.Time(i+1) * sim.Second
+		for _, srv := range servers {
+			if _, err := s.ScrapeTarget(srv.URL+"/metrics", now); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(workers*seriesPerWorker), "samples/op")
 }

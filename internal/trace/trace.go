@@ -322,6 +322,9 @@ func WriteChromeTraceFile(path string, spans []Span) error {
 // ReadChromeTrace reconstructs spans from a file written by
 // WriteChromeTrace. It reads only "X" events and relies on the id/parent
 // args the exporter embeds; process_name metadata recovers the trace ID.
+// It refuses a span WriteChromeTrace would refuse, and merges the rest as
+// the exporter does, so whatever it returns writes back and re-reads to
+// the same spans.
 func ReadChromeTrace(r io.Reader) ([]Span, error) {
 	var f chromeFile
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
@@ -373,8 +376,10 @@ func ReadChromeTrace(r io.Reader) ([]Span, error) {
 		if s.ID == "" {
 			return nil, fmt.Errorf("trace: X event %q has no id arg (not written by this exporter?)", ev.Name)
 		}
+		if err := s.Validate(); err != nil {
+			return nil, err
+		}
 		spans = append(spans, s)
 	}
-	Sort(spans)
-	return spans, nil
+	return Merge(spans), nil
 }

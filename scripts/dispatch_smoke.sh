@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
 # Dispatcher smoke: start dispatchd + 2 simworkers on localhost, kill one
 # worker mid-cell, and assert the lease re-book completes the sweep with a
-# merged report. A fleet flight recorder (`analyze -record`) polls every
-# /metrics endpoint throughout and its dataset must replay into queue and
-# utilization timelines afterwards. Then export the finished sweep as a
-# report bundle with `sweep -bundle` plus a Chrome trace with `-trace`,
-# re-verify every bundled artifact body's SHA-256 against the journal's
-# digests, and assert the trace's span tree covers every cell's
-# queued→done lifecycle across the crash. Exercises the real binaries over
-# the real wire protocol — the deterministic in-process equivalent lives
-# in internal/dispatch tests.
+# merged report. Then export the finished sweep as a report bundle with
+# `sweep -bundle` plus a Chrome trace with `-trace`, re-verify every
+# bundled artifact body's SHA-256 against the journal's digests, assert
+# the trace's span tree covers every cell's queued→done lifecycle across
+# the crash, and render its fleet timelines (`analyze -fleet`), where both
+# workers must appear. Exercises the real binaries over the real wire
+# protocol — the deterministic in-process equivalent lives in
+# internal/dispatch tests.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -40,15 +39,6 @@ victim_pid=$!
   -metrics "$worker_metrics" \
   >/dev/null 2>"$workdir/survivor.err" &
 survivor_pid=$!
-
-# Fleet flight recorder: poll both /metrics endpoints for the whole sweep,
-# appending every sample to an on-disk dataset that survives whatever the
-# sweep (or the recorder) does next.
-fleet="$workdir/fleet"
-"$workdir/analyze" -record "$fleet" \
-  -scrape "http://$addr/metrics,http://$worker_metrics/metrics" -every 300ms \
-  >"$workdir/recorder.out" 2>"$workdir/recorder.err" &
-recorder_pid=$!
 
 # Kill the victim once the journal holds its first accepted heartbeat (the
 # booked → running record) — guaranteed mid-cell.
@@ -88,21 +78,6 @@ if ! wait "$dispatchd_pid"; then
 fi
 wait "$survivor_pid" || { echo "smoke: survivor failed" >&2; cat "$workdir/survivor.err" >&2; exit 1; }
 
-# Stop the recorder and replay its dataset: the recording must be
-# non-empty, reloadable, and must render the sweep's fleet timelines.
-kill -INT "$recorder_pid" 2>/dev/null || true
-wait "$recorder_pid" || { echo "smoke: recorder failed" >&2; cat "$workdir/recorder.err" >&2; exit 1; }
-rows=$(($(wc -l < "$fleet/fleet.csv") - 1))
-[ "$rows" -gt 0 ] ||
-  { echo "smoke: flight recorder dataset is empty" >&2; exit 1; }
-"$workdir/analyze" -fleet "$fleet" >"$workdir/fleet.out" ||
-  { echo "smoke: fleet timeline replay failed" >&2; exit 1; }
-grep -q 'queue depth by state' "$workdir/fleet.out" ||
-  { echo "smoke: fleet replay is missing the queue-depth timeline" >&2; exit 1; }
-grep -q 'worker utilization' "$workdir/fleet.out" ||
-  { echo "smoke: fleet replay is missing the worker-utilization timeline" >&2; exit 1; }
-echo "smoke: flight recorder captured $rows samples across the sweep"
-
 grep -q '"attempt":2' "$journal/journal.jsonl" ||
   { echo "smoke: no lease re-book recorded in the journal" >&2; exit 1; }
 grep -q 'booked by survivor (attempt 2)' "$workdir/dispatchd.err" ||
@@ -124,10 +99,11 @@ engprof="$workdir/engprof"
   { echo "smoke: bundle export failed" >&2; cat "$workdir/bundle.err" >&2; exit 1; }
 
 # Engine self-profiles: every completed cell shipped one into the CAS, the
-# pointers survived the worker kill, the re-book, and the resume, and the
-# export must cover the full 2x2 matrix — including the re-booked cell.
+# results that name them by digest survived the worker kill, the re-book,
+# and the resume, and the export must cover the full 2x2 matrix —
+# including the re-booked cell.
 grep -q '"Profile":"[0-9a-f]' "$journal/journal.jsonl" ||
-  { echo "smoke: no profile pointer recorded in the journal" >&2; exit 1; }
+  { echo "smoke: no result in the journal names a profile digest" >&2; exit 1; }
 profiles=$(find "$engprof" -name '*.engprof.json' | wc -l)
 [ "$profiles" -eq 4 ] ||
   { echo "smoke: exported $profiles engine profiles, want 4 (one per cell)" >&2; exit 1; }
@@ -163,6 +139,18 @@ runs=$(grep -o '"name":"run"' "$trace" | wc -l)
 grep -q 'critical path:' "$workdir/critpath.out" ||
   { echo "smoke: critical-path report is incomplete" >&2; exit 1; }
 echo "smoke: trace verified ($cells cells, $attempts attempts for $booked bookings, $runs run spans)"
+
+# Fleet timelines from the same trace: the queue-depth table and one
+# lease column per worker — the killed victim's as well as the survivor's.
+"$workdir/analyze" -fleet "$trace" >"$workdir/fleet.out" ||
+  { echo "smoke: fleet timelines failed" >&2; exit 1; }
+grep -q 'queue depth by state' "$workdir/fleet.out" ||
+  { echo "smoke: fleet output is missing the queue-depth table" >&2; exit 1; }
+grep -q 'leased cells per worker' "$workdir/fleet.out" ||
+  { echo "smoke: fleet output is missing the per-worker table" >&2; exit 1; }
+grep -Eq '^ +t\(s\)( .*)? survivor( .*)? victim' "$workdir/fleet.out" ||
+  { echo "smoke: fleet output lacks a victim or a survivor column" >&2; cat "$workdir/fleet.out" >&2; exit 1; }
+echo "smoke: fleet timelines rendered from the trace (victim and survivor columns)"
 
 test -s "$bundle/index.html" || { echo "smoke: bundle has no index" >&2; exit 1; }
 test -s "$bundle/scenarios/host-failures/report.txt" ||
