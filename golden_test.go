@@ -10,12 +10,16 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sapsim/internal/dataset"
 	"sapsim/internal/sim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden artifact digests")
 
-const goldenPath = "testdata/artifact_digests.txt"
+const (
+	goldenPath        = "testdata/artifact_digests.txt"
+	goldenDatasetPath = "testdata/dataset_digest.txt"
+)
 
 // goldenConfig is DefaultConfig(42) at reduced scale: small enough for
 // tier-1, large enough that every artifact has real content.
@@ -131,6 +135,37 @@ func compareGoldens(t *testing.T, got map[string]string, order []string) {
 		if got[id] != want[id] {
 			t.Errorf("%s: artifact drifted: digest %s, golden %s", id, got[id], want[id])
 		}
+	}
+}
+
+// TestGoldenDataset pins the SHA-256 of the golden cell's full telemetry
+// export. dataset.Write prints every sample at full precision, so a 1-ulp
+// drift anywhere in the sampled model fails here even where the 18
+// artifacts, printed to 3 significant digits, cannot show it. Intentional
+// changes re-bless it with `go test -run TestGoldenDataset -update .`.
+func TestGoldenDataset(t *testing.T) {
+	res, err := Run(goldenConfig())
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	h := sha256.New()
+	if err := dataset.Write(h, res.Store, dataset.WriteOptions{}); err != nil {
+		t.Fatalf("write dataset: %v", err)
+	}
+	got := fmt.Sprintf("%x", h.Sum(nil))
+	if *updateGolden {
+		if err := os.WriteFile(goldenDatasetPath, []byte(got+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", goldenDatasetPath)
+		return
+	}
+	want, err := os.ReadFile(goldenDatasetPath)
+	if err != nil {
+		t.Fatalf("reading dataset digest (run with -update to create it): %v", err)
+	}
+	if w := strings.TrimSpace(string(want)); got != w {
+		t.Errorf("dataset drifted: digest %s, golden %s", got, w)
 	}
 }
 
