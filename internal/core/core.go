@@ -204,9 +204,10 @@ type sampler struct {
 	// fail takes a rejected (out-of-order) append to the engine's error path.
 	fail func(error)
 	// Handles in schema order; a VM's are under the labels, flavor included,
-	// of its first sample.
-	hostRefs map[topology.NodeID][]telemetry.SeriesRef
-	vmRefs   map[vmmodel.ID][]telemetry.SeriesRef
+	// of its first sample. Keyed by pointer: a host or VM is one object for
+	// the whole run, and a pointer hashes cheaper than its ID string.
+	hostRefs map[*esx.Host][]telemetry.SeriesRef
+	vmRefs   map[*vmmodel.VM][]telemetry.SeriesRef
 	total    []telemetry.SeriesRef // openstack_compute_instances_total
 	// refs and vals queue the current sweep's samples; reused across sweeps.
 	refs []telemetry.SeriesRef
@@ -224,8 +225,8 @@ func newSampler(res *Result, cfg Config, prof *engprof.Collector, fail func(erro
 		res:      res,
 		cfg:      cfg,
 		fail:     fail,
-		hostRefs: make(map[topology.NodeID][]telemetry.SeriesRef),
-		vmRefs:   make(map[vmmodel.ID][]telemetry.SeriesRef),
+		hostRefs: make(map[*esx.Host][]telemetry.SeriesRef),
+		vmRefs:   make(map[*vmmodel.VM][]telemetry.SeriesRef),
 		prof:     prof,
 		feed:     weighsContention(cfg),
 	}
@@ -258,19 +259,19 @@ func (s *sampler) sampleHosts(now sim.Time) {
 	fleet := s.res.Fleet
 	// First sampled this tick: every host in service at t=0, later those a
 	// capacity expansion delivers or a drain releases.
-	var fresh []topology.NodeID
+	var fresh []*esx.Host
 	var sets []telemetry.Labels
 	fleet.EachHost(func(h *esx.Host) {
-		if h.Node.Maintenance || s.hostRefs[h.Node.ID] != nil {
+		if h.Node.Maintenance || s.hostRefs[h] != nil {
 			return
 		}
-		fresh = append(fresh, h.Node.ID)
+		fresh = append(fresh, h)
 		sets = append(sets, telemetry.MustLabels("hostsystem", string(h.Node.ID),
 			"cluster", string(h.Node.BB.ID), "datacenter", h.Node.Datacenter().Name))
 	})
 	refs := s.res.Store.Refs(hostSchema, sets)
-	for i, id := range fresh {
-		s.hostRefs[id] = refs[i*len(hostSchema):][:len(hostSchema)]
+	for i, h := range fresh {
+		s.hostRefs[h] = refs[i*len(hostSchema):][:len(hostSchema)]
 	}
 	var ops int64
 	fleet.EachHost(func(h *esx.Host) {
@@ -278,7 +279,7 @@ func (s *sampler) sampleHosts(now sim.Time) {
 			return
 		}
 		m := h.Snapshot(now, s.cfg.SampleEvery)
-		s.put(s.hostRefs[h.Node.ID], m.CPUUtilPct, m.MemUsagePct, m.TxKbps, m.RxKbps,
+		s.put(s.hostRefs[h], m.CPUUtilPct, m.MemUsagePct, m.TxKbps, m.RxKbps,
 			m.StorageUsedGB, m.StoragePct(h.Node.Capacity.StorageGB), m.CPUContentionPct, m.CPUReadyMillis)
 		ops += int64(len(hostSchema))
 
@@ -309,7 +310,7 @@ func (s *sampler) sampleVMs(now sim.Time, live int) {
 		// instant with the host sweep this reads the snapshot cache.
 		m := h.Snapshot(now, s.cfg.VMSampleEvery)
 		h.EachVMSnapshot(now, s.cfg.VMSampleEvery, m.CPUContentionPct, func(vm *vmmodel.VM, u esx.VMUsage) {
-			refs := s.vmRefs[vm.ID]
+			refs := s.vmRefs[vm]
 			if refs == nil {
 				fresh = append(fresh, firstSample{vm, len(s.refs)})
 				refs = make([]telemetry.SeriesRef, len(vmSchema))
@@ -326,8 +327,8 @@ func (s *sampler) sampleVMs(now sim.Time, live int) {
 	}
 	refs := s.res.Store.Refs(vmSchema, sets)
 	for i, f := range fresh {
-		s.vmRefs[f.vm.ID] = refs[i*len(vmSchema):][:len(vmSchema)]
-		copy(s.refs[f.at:], s.vmRefs[f.vm.ID])
+		s.vmRefs[f.vm] = refs[i*len(vmSchema):][:len(vmSchema)]
+		copy(s.refs[f.at:], s.vmRefs[f.vm])
 	}
 	if s.total == nil {
 		s.total = s.res.Store.Refs([]string{exporter.MetricInstancesTotal}, []telemetry.Labels{{}})

@@ -25,6 +25,7 @@ import (
 	"sapsim/internal/sim"
 	"sapsim/internal/topology"
 	"sapsim/internal/vmmodel"
+	"sapsim/internal/workload"
 )
 
 // Config sets fleet-wide hypervisor policy.
@@ -52,15 +53,16 @@ func DefaultConfig() Config {
 	}
 }
 
-// Host is one hypervisor with its resident VMs.
+// Host is one hypervisor with its resident VMs. The residents live in one
+// table of value records in ascending VM-ID order, which admit and evict
+// keep sorted by binary search: a snapshot walks it front to back, so float
+// sums are deterministic, and for generated usage profiles it reads nothing
+// but the records and the profiles.
 type Host struct {
 	Node *topology.Node
 	cfg  Config
 
-	vms map[vmmodel.ID]*vmmodel.VM
-	// sorted mirrors vms in ascending ID order, maintained incrementally on
-	// admit/evict so snapshots iterate deterministically without re-sorting.
-	sorted []*vmmodel.VM
+	res []resident
 	// ver counts resident-set mutations; it keys the snapshot cache.
 	ver uint64
 
@@ -85,10 +87,39 @@ type Host struct {
 	// for telemetry/DRS snapshot cost (see Fleet.SnapshotCacheStats).
 	snapHits   uint64
 	snapMisses uint64
-	// usage holds each profiled resident's CPU and memory fraction in the
-	// cached snapshot, aligned with sorted; snapFallbacks counts reads it missed.
-	usage         [][2]float64
+	// snapFallbacks counts per-VM demand reads the cached snapshot missed.
 	snapFallbacks uint64
+}
+
+// resident is one VM's record in its host's table: the sampling inputs, by
+// value, and the VM's demand in the cached snapshot. It is built at
+// admission, so a VM's flavor and profile must not change while it is
+// resident; a resize evicts the VM before it changes the flavor.
+type resident struct {
+	vm *vmmodel.VM
+	// gen is vm.Profile when it is a generated *workload.Profile, which the
+	// snapshot evaluates at its walk's Clock; nil for any other profile.
+	gen *workload.Profile
+	// cores, memMB and diskGB are the requested allocation.
+	cores, memMB, diskGB float64
+	// cpu and mem are the CPU and memory fractions in the cached snapshot,
+	// valid while it is (see Host.demand).
+	cpu, mem float64
+	pinned   bool
+}
+
+// newResident is vm's record.
+func newResident(vm *vmmodel.VM) resident {
+	gen, _ := vm.Profile.(*workload.Profile)
+	return resident{vm: vm, gen: gen, cores: float64(vm.RequestedCPUCores()),
+		memMB: float64(vm.RequestedMemoryMB()), diskGB: float64(vm.RequestedDiskGB()), pinned: vm.Flavor.PinCPU}
+}
+
+// find returns the table index of the resident with vm's ID, or where one
+// would be inserted, and whether it is there.
+func (h *Host) find(id vmmodel.ID) (int, bool) {
+	i := sort.Search(len(h.res), func(i int) bool { return h.res[i].vm.ID >= id })
+	return i, i < len(h.res) && h.res[i].vm.ID == id
 }
 
 // Errors returned by placement operations.
@@ -135,13 +166,15 @@ func (h *Host) AllocatedMemMB() int64 { return h.allocMemMB }
 func (h *Host) FreeMemMB() int64 { return h.MemCapacityMB() - h.allocMemMB }
 
 // VMCount reports the number of resident VMs.
-func (h *Host) VMCount() int { return len(h.vms) }
+func (h *Host) VMCount() int { return len(h.res) }
 
 // VMs returns resident VMs sorted by ID (deterministic iteration). The
 // result is a copy; callers may admit or evict while ranging over it.
 func (h *Host) VMs() []*vmmodel.VM {
-	out := make([]*vmmodel.VM, len(h.sorted))
-	copy(out, h.sorted)
+	out := make([]*vmmodel.VM, len(h.res))
+	for i := range h.res {
+		out[i] = h.res[i].vm
+	}
 	return out
 }
 
@@ -174,7 +207,8 @@ func (h *Host) admit(vm *vmmodel.VM) error {
 	if h.Node.Maintenance {
 		return fmt.Errorf("%w: %s", ErrMaintenance, h.Node.ID)
 	}
-	if _, ok := h.vms[vm.ID]; ok {
+	i, ok := h.find(vm.ID)
+	if ok {
 		return fmt.Errorf("%w: %s on %s", ErrAlreadyPlaced, vm.ID, h.Node.ID)
 	}
 	f := vm.Flavor
@@ -192,11 +226,7 @@ func (h *Host) admit(vm *vmmodel.VM) error {
 	if h.allocMemMB+vm.RequestedMemoryMB() > h.MemCapacityMB() {
 		return fmt.Errorf("%w: %s on %s", ErrInsufficientMem, vm.ID, h.Node.ID)
 	}
-	h.vms[vm.ID] = vm
-	i := sort.Search(len(h.sorted), func(i int) bool { return h.sorted[i].ID >= vm.ID })
-	h.sorted = append(h.sorted, nil)
-	copy(h.sorted[i+1:], h.sorted[i:])
-	h.sorted[i] = vm
+	h.res = slices.Insert(h.res, i, newResident(vm))
 	h.ver++
 	if f.PinCPU {
 		h.pinnedCores += f.VCPUs
@@ -210,12 +240,11 @@ func (h *Host) admit(vm *vmmodel.VM) error {
 
 // evict removes the VM from the host.
 func (h *Host) evict(vm *vmmodel.VM) error {
-	if _, ok := h.vms[vm.ID]; !ok {
+	i, ok := h.find(vm.ID)
+	if !ok {
 		return fmt.Errorf("%w: %s on %s", ErrNotPlaced, vm.ID, h.Node.ID)
 	}
-	delete(h.vms, vm.ID)
-	i := sort.Search(len(h.sorted), func(i int) bool { return h.sorted[i].ID >= vm.ID })
-	h.sorted = append(h.sorted[:i], h.sorted[i+1:]...)
+	h.res = slices.Delete(h.res, i, i+1)
 	h.ver++
 	if vm.Flavor.PinCPU {
 		h.pinnedCores -= vm.RequestedCPUCores()
@@ -279,6 +308,9 @@ func (h *Host) Snapshot(t sim.Time, interval sim.Time) Metrics {
 	return m
 }
 
+// snapshot walks the resident table at t, one Clock for the walk. Products
+// are rounded by explicit conversions before they are summed, so no compiler
+// may fuse them into a multiply-add and the sums are the same on every port.
 func (h *Host) snapshot(t sim.Time) Metrics {
 	var (
 		sharedDemand float64 // shared-pool vCPU demand, core units
@@ -287,35 +319,40 @@ func (h *Host) snapshot(t sim.Time) Metrics {
 		tx, rx       float64
 		diskGB       float64
 	)
-	// Iterate in sorted order: float accumulation is not associative, and
+	clock := workload.ClockAt(t)
+	// Iterate in ID order: float accumulation is not associative, and
 	// deterministic snapshots make whole runs reproducible bit-for-bit.
-	h.usage = slices.Grow(h.usage[:0], len(h.sorted))[:len(h.sorted)]
-	for i, vm := range h.sorted {
-		p := vm.Profile
-		if p == nil {
+	for i := range h.res {
+		r := &h.res[i]
+		var u vmmodel.Usage
+		switch {
+		case r.gen != nil:
+			u = r.gen.UsageAtClock(&clock)
+		case r.vm.Profile != nil:
+			u = r.vm.Profile.UsageAt(t)
+		default:
 			continue
 		}
-		u := p.UsageAt(t)
-		h.usage[i] = [2]float64{u.CPU, u.Mem}
-		demand := u.CPU * float64(vm.RequestedCPUCores())
-		if vm.Flavor.PinCPU {
+		r.cpu, r.mem = u.CPU, u.Mem
+		demand := float64(u.CPU * r.cores)
+		if r.pinned {
 			// Pinned vCPUs map 1:1 to cores: demand beyond the
 			// allocation is clipped, never contended.
-			if max := float64(vm.RequestedCPUCores()); demand > max {
-				demand = max
+			if demand > r.cores {
+				demand = r.cores
 			}
 			pinnedUsed += demand
 		} else {
 			sharedDemand += demand
 		}
-		memMB += u.Mem * float64(vm.RequestedMemoryMB())
+		memMB += float64(u.Mem * r.memMB)
 		tx += u.TxKbps
 		rx += u.RxKbps
-		diskGB += u.Disk * float64(vm.RequestedDiskGB())
+		diskGB += float64(u.Disk * r.diskGB)
 	}
 	totalCores := float64(h.Node.Capacity.PCPUCores)
 	sharedSupply := float64(h.SharedCores())
-	m := Metrics{VMCount: len(h.vms), TxKbps: tx, RxKbps: rx}
+	m := Metrics{VMCount: len(h.res), TxKbps: tx, RxKbps: rx}
 
 	sharedDelivered := sharedDemand
 	if sharedDemand > sharedSupply {
@@ -355,7 +392,7 @@ type VMUsage struct {
 // index i (< 0: not resident): cached when the snapshot covers (t, ver).
 func (h *Host) demand(vm *vmmodel.VM, i int, t sim.Time) (cpu, mem float64) {
 	if i >= 0 && h.snapValid && h.snapAt == t && h.snapVer == h.ver {
-		return h.usage[i][0], h.usage[i][1]
+		return h.res[i].cpu, h.res[i].mem
 	}
 	h.snapFallbacks++
 	return vm.Profile.CPUUsage(t), vm.Profile.MemUsage(t)
@@ -365,8 +402,8 @@ func (h *Host) demand(vm *vmmodel.VM, i int, t sim.Time) (cpu, mem float64) {
 // with their CPU demand fraction at t, read from the snapshot cached for t
 // when there is one. The resident set must not change during the walk.
 func (h *Host) EachVMDemand(t sim.Time, fn func(vm *vmmodel.VM, cpu float64)) {
-	for i, vm := range h.sorted {
-		if vm.Profile != nil {
+	for i := range h.res {
+		if vm := h.res[i].vm; vm.Profile != nil {
 			cpu, _ := h.demand(vm, i, t)
 			fn(vm, cpu)
 		}
@@ -379,14 +416,16 @@ func (h *Host) EachVMDemand(t sim.Time, fn func(vm *vmmodel.VM, cpu float64)) {
 // the host snapshot cached for t when there is one.
 func (h *Host) VMSnapshot(vm *vmmodel.VM, t sim.Time, interval sim.Time, hostContentionPct float64) VMUsage {
 	// A pointer scan: tens of residents, cheaper than binary search by ID.
-	return h.vmSnapshot(vm, slices.Index(h.sorted, vm), t, interval, hostContentionPct)
+	i := slices.IndexFunc(h.res, func(r resident) bool { return r.vm == vm })
+	return h.vmSnapshot(vm, i, t, interval, hostContentionPct)
 }
 
 // EachVMSnapshot visits every resident in ascending ID order with its
 // VMSnapshot at t, without VMSnapshot's search for the resident. The resident
 // set must not change during the walk.
 func (h *Host) EachVMSnapshot(t sim.Time, interval sim.Time, hostContentionPct float64, fn func(*vmmodel.VM, VMUsage)) {
-	for i, vm := range h.sorted {
+	for i := range h.res {
+		vm := h.res[i].vm
 		fn(vm, h.vmSnapshot(vm, i, t, interval, hostContentionPct))
 	}
 }
@@ -433,7 +472,7 @@ type Fleet struct {
 func NewFleet(region *topology.Region, cfg Config) *Fleet {
 	f := &Fleet{cfg: cfg, hosts: make(map[topology.NodeID]*Host), region: region}
 	for _, n := range region.Nodes() {
-		f.hosts[n.ID] = &Host{Node: n, cfg: cfg, vms: make(map[vmmodel.ID]*vmmodel.VM)}
+		f.hosts[n.ID] = &Host{Node: n, cfg: cfg}
 	}
 	return f
 }
@@ -445,7 +484,7 @@ func (f *Fleet) AddHost(n *topology.Node) *Host {
 	if h, ok := f.hosts[n.ID]; ok {
 		return h
 	}
-	h := &Host{Node: n, cfg: f.cfg, vms: make(map[vmmodel.ID]*vmmodel.VM)}
+	h := &Host{Node: n, cfg: f.cfg}
 	f.hosts[n.ID] = h
 	f.sortedHosts = nil
 	f.bbHosts = nil

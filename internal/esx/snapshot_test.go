@@ -11,31 +11,46 @@ import (
 )
 
 // TestSnapshotAllocs pins the sampling hot path: Snapshot must not allocate
-// — it walks the host's maintained sorted VM slice and returns a value.
+// — it walks the host's resident table and returns a value — whether the
+// residents' profiles are generated ones, evaluated at the walk's Clock, or
+// any other vmmodel.UsageProfile.
 func TestSnapshotAllocs(t *testing.T) {
-	r := testRegion(t)
-	f := NewFleet(r, DefaultConfig())
-	n := r.Nodes()[0]
-	for i := 0; i < 20; i++ {
-		vm := newVM(fmt.Sprintf("vm-%02d", i), "MK", constProfile{cpu: 0.4, mem: 0.6, tx: 10, rx: 5, disk: 0.3})
-		if err := f.Place(vm, n, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h, err := f.Host(n.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := sim.Time(0)
-	avg := testing.AllocsPerRun(200, func() {
-		now += sim.Minute
-		m := h.Snapshot(now, sim.Minute)
-		if m.VMCount != 20 {
-			t.Fatalf("snapshot saw %d VMs, want 20", m.VMCount)
-		}
-	})
-	if avg > 0 {
-		t.Errorf("Snapshot allocates %.2f objects/op, want 0", avg)
+	gen := workload.NewGenerator(workload.DefaultSpec(40, 42)).Generate()
+	for _, row := range []struct {
+		name    string
+		profile func(i int) vmmodel.UsageProfile
+	}{
+		{"constant", func(int) vmmodel.UsageProfile {
+			return constProfile{cpu: 0.4, mem: 0.6, tx: 10, rx: 5, disk: 0.3}
+		}},
+		{"generated", func(i int) vmmodel.UsageProfile { return gen[i].VM.Profile }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			r := testRegion(t)
+			f := NewFleet(r, DefaultConfig())
+			n := r.Nodes()[0]
+			for i := 0; i < 20; i++ {
+				vm := newVM(fmt.Sprintf("vm-%02d", i), "MK", row.profile(i))
+				if err := f.Place(vm, n, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h, err := f.Host(n.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			now := sim.Time(0)
+			avg := testing.AllocsPerRun(200, func() {
+				now += sim.Minute
+				m := h.Snapshot(now, sim.Minute)
+				if m.VMCount != 20 {
+					t.Fatalf("snapshot saw %d VMs, want 20", m.VMCount)
+				}
+			})
+			if avg > 0 {
+				t.Errorf("Snapshot allocates %.2f objects/op, want 0", avg)
+			}
+		})
 	}
 }
 

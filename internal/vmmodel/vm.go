@@ -54,8 +54,10 @@ type UsageProfile interface {
 	MemUsage(t sim.Time) float64
 	// UsageAt returns demand on every resource at once, CPU and Mem
 	// bit-identical to the methods above, so terms they share (diurnal
-	// cycle, noise) are evaluated once. The host snapshot is its caller;
-	// per-VM reads fall back to CPUUsage/MemUsage only off its cache.
+	// cycle, noise) are evaluated once. The host snapshot is its caller
+	// (for a generated workload.Profile it calls UsageAtClock, which
+	// UsageAt wraps); per-VM reads fall back to CPUUsage/MemUsage only off
+	// its cache.
 	UsageAt(t sim.Time) Usage
 }
 

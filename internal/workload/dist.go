@@ -30,16 +30,18 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// hashUnit maps (seed, bucket) to a uniform float in [0, 1).
-func hashUnit(seed, bucket uint64) float64 {
-	return float64(splitmix64(seed^splitmix64(bucket))>>11) / (1 << 53)
+// hashUnit maps (seed, bucket) to a uniform float in [0, 1), given the
+// bucket's splitmix64 hash mb: a Clock hashes each bucket once for every
+// profile evaluated at its instant.
+func hashUnit(seed, mb uint64) float64 {
+	return float64(splitmix64(seed^mb)>>11) / (1 << 53)
 }
 
 // hashNormal maps (seed, bucket) to an approximately standard normal value
 // using the sum of three uniforms (Irwin–Hall), cheap and smooth enough for
-// telemetry noise.
-func hashNormal(seed, bucket uint64) float64 {
-	u := hashUnit(seed, bucket) + hashUnit(seed+1, bucket) + hashUnit(seed+2, bucket)
+// telemetry noise; mb is the bucket's splitmix64 hash, as for hashUnit.
+func hashNormal(seed, mb uint64) float64 {
+	u := hashUnit(seed, mb) + hashUnit(seed+1, mb) + hashUnit(seed+2, mb)
 	return (u - 1.5) * 2.0 // variance ≈ 1
 }
 

@@ -63,6 +63,38 @@ const (
 	hoursPerDay = 24.0
 )
 
+// Clock is the time-only part of usage at one instant: every term the usage
+// methods derive from t alone. A host sweep evaluates many residents at one
+// sampling instant, so it builds one Clock with ClockAt and passes it to each
+// resident's UsageAtClock.
+type Clock struct {
+	hours, days float64
+	// weekend is set on Saturdays and Sundays.
+	weekend bool
+	// b, rb and h are the 5-minute, next-5-minute and hour bucket indices;
+	// mb, mrb and mh are their splitmix64 hashes, the inner hash of every
+	// hashUnit(seed, bucket) draw on that bucket.
+	b, rb, h    uint64
+	mb, mrb, mh uint64
+	// diskGrowth is the disk fraction's growth factor, 1+0.002·days.
+	diskGrowth float64
+}
+
+// ClockAt returns the Clock of instant t.
+func ClockAt(t sim.Time) Clock {
+	b, rb, h := uint64(t/noiseBucket), uint64((t+noiseBucket)/noiseBucket), uint64(t/sim.Hour)
+	// The epoch (2024-07-31) is a Wednesday (weekday 2 with 0=Monday), so
+	// days 3,4 (Sat/Sun), 10,11, ... are weekends.
+	weekday := (2 + int(t/sim.Day)) % 7 // 0=Mon ... 5=Sat, 6=Sun
+	days := t.Days()
+	return Clock{
+		hours: t.Hours(), days: days, weekend: weekday >= 5,
+		b: b, rb: rb, h: h, mb: splitmix64(b), mrb: splitmix64(rb), mh: splitmix64(h),
+		// Slow, bounded growth.
+		diskGrowth: 1 + float64(0.002*days),
+	}
+}
+
 // mod24 is math.Mod(x, 24) bit for bit, without the software fmod loop. For
 // 0 ≤ x < 2^40 the truncated fl(x/24) is the true quotient q: rounding is
 // monotonic, so fl(x/24) ≥ q, and the largest float below 24(q+1), over 24,
@@ -72,33 +104,31 @@ func mod24(x float64) float64 {
 	if !(x >= 0 && x < 1<<40) {
 		return math.Mod(x, hoursPerDay)
 	}
-	return x - float64(int64(x/hoursPerDay))*hoursPerDay
+	q := float64(int64(x / hoursPerDay))
+	return x - float64(q*hoursPerDay)
 }
 
-// cycle returns the diurnal+weekly demand multiplier at time t.
-func (p *Profile) cycle(t sim.Time) float64 {
-	hour := mod24(t.Hours() + p.PhaseHours)
+// cycle returns the diurnal+weekly demand multiplier at c.
+func (p *Profile) cycle(c *Clock) float64 {
+	hour := mod24(c.hours + p.PhaseHours)
 	// Working-hours bump: cosine dipped at night, peaked at 13:00.
-	day := 1 + p.DiurnalAmp*math.Cos((hour-13)/hoursPerDay*2*math.Pi)
-	// Weekend dip: the epoch (2024-07-31) is a Wednesday (weekday 2 with
-	// 0=Monday), so days 3,4 (Sat/Sun), 10,11, ... are weekends.
-	dayIdx := int(t / sim.Day)
-	weekday := (2 + dayIdx) % 7 // 0=Mon ... 5=Sat, 6=Sun
-	if weekday >= 5 {
+	day := 1 + float64(p.DiurnalAmp*math.Cos((hour-13)/hoursPerDay*2*math.Pi))
+	if c.weekend {
 		day *= 1 - p.WeekendDip
 	}
 	return day
 }
 
-// noise returns a smooth multiplicative noise factor for time t.
-func (p *Profile) noise(t sim.Time) float64 {
-	return p.noiseOf(hashNormal(p.Seed, uint64(t/noiseBucket)))
+// noise returns the multiplicative noise factor of the 5-minute bucket whose
+// splitmix64 hash is mb.
+func (p *Profile) noise(mb uint64) float64 {
+	return p.noiseOf(hashNormal(p.Seed, mb))
 }
 
 // noiseOf scales a noise draw n into the factor, floored at 0.1. The branch
 // is math.Max(0.1, v) without the call; a NaN passes through as NaN.
 func (p *Profile) noiseOf(n float64) float64 {
-	v := 1 + p.NoiseAmp*n
+	v := 1 + float64(p.NoiseAmp*n)
 	if v < 0.1 {
 		v = 0.1
 	}
@@ -113,72 +143,88 @@ func floor0(v float64) float64 {
 	return v
 }
 
-// burst returns the burst multiplier (1 when no burst is active).
-func (p *Profile) burst(t sim.Time) float64 {
-	b := uint64(t / noiseBucket)
-	if hashUnit(p.Seed^0xb0b0, b) < p.BurstProb {
+// burst returns the burst multiplier at c (1 when no burst is active).
+func (p *Profile) burst(c *Clock) float64 {
+	if hashUnit(p.Seed^0xb0b0, c.mb) < p.BurstProb {
 		return p.BurstMag
 	}
 	return 1
 }
 
+// memOf is the memory fraction at c given the hour's noise draw n.
+func (p *Profile) memOf(c *Clock, n float64) float64 {
+	grown := p.MeanMem + float64(p.MemGrowthPerDay*c.days)
+	// Memory is much less volatile than CPU: small noise, no bursts.
+	return clamp(grown*(1+float64(0.02*n)), 0, 1)
+}
+
+// disk is the disk fraction at c.
+func (p *Profile) disk(c *Clock) float64 {
+	return clamp(p.DiskFrac*c.diskGrowth, 0, 1)
+}
+
 // CPUUsage implements vmmodel.UsageProfile.
 func (p *Profile) CPUUsage(t sim.Time) float64 {
-	v := p.MeanCPU * p.cycle(t) * p.noise(t) * p.burst(t)
+	c := ClockAt(t)
+	v := p.MeanCPU * p.cycle(&c) * p.noise(c.mb) * p.burst(&c)
 	return clamp(v, 0, 1.5) // >1 models demand beyond the allocation
 }
 
 // MemUsage implements vmmodel.UsageProfile.
 func (p *Profile) MemUsage(t sim.Time) float64 {
-	return p.memOf(t, hashNormal(p.Seed^0x3333, uint64(t/sim.Hour)))
-}
-
-// memOf is the memory fraction at t given the hour's noise draw n.
-func (p *Profile) memOf(t sim.Time, n float64) float64 {
-	grown := p.MeanMem + p.MemGrowthPerDay*t.Days()
-	// Memory is much less volatile than CPU: small noise, no bursts.
-	return clamp(grown*(1+0.02*n), 0, 1)
+	c := ClockAt(t)
+	return p.memOf(&c, hashNormal(p.Seed^0x3333, c.mh))
 }
 
 // NetTxKbps is the transmit rate UsageAt reports.
 func (p *Profile) NetTxKbps(t sim.Time) float64 {
-	return floor0(p.TxKbps * p.cycle(t) * p.noise(t))
+	c := ClockAt(t)
+	return floor0(p.TxKbps * p.cycle(&c) * p.noise(c.mb))
 }
 
-// NetRxKbps is the receive rate UsageAt reports.
+// NetRxKbps is the receive rate UsageAt reports: its noise is the next
+// 5-minute bucket's draw.
 func (p *Profile) NetRxKbps(t sim.Time) float64 {
-	return floor0(p.RxKbps * p.cycle(t) * p.noise(t+noiseBucket))
+	c := ClockAt(t)
+	return floor0(p.RxKbps * p.cycle(&c) * p.noise(c.mrb))
 }
 
 // DiskUsage is the disk fraction UsageAt reports.
 func (p *Profile) DiskUsage(t sim.Time) float64 {
-	// Slow, bounded growth.
-	return clamp(p.DiskFrac*(1+0.002*t.Days()), 0, 1)
+	c := ClockAt(t)
+	return p.disk(&c)
 }
 
-// UsageAt implements vmmodel.UsageProfile. cycle(t) and noise(t) are evaluated
-// once, and the grid memo serves the CPU draw (the previous call's Rx draw)
-// and the hourly memory draw; products keep the component methods' order, so
-// results are bit-equal to them.
+// UsageAt implements vmmodel.UsageProfile: it is UsageAtClock at ClockAt(t).
+// A caller that evaluates many profiles at one instant, as the host
+// snapshot does, builds the Clock once and calls UsageAtClock for each.
 func (p *Profile) UsageAt(t sim.Time) vmmodel.Usage {
-	b, rb, h := uint64(t/noiseBucket), uint64((t+noiseBucket)/noiseBucket), uint64(t/sim.Hour)
+	c := ClockAt(t)
+	return p.UsageAtClock(&c)
+}
+
+// UsageAtClock is the usage at c's instant, bit-equal to the component
+// methods there. cycle and the 5-minute noise are evaluated once, and the
+// grid memo serves the CPU draw (the previous call's Rx draw) and the
+// hourly memory draw; products keep the component methods' order.
+func (p *Profile) UsageAtClock(c *Clock) vmmodel.Usage {
 	nb := p.rx
-	if !p.memo || p.rxKey != b {
-		nb = hashNormal(p.Seed, b)
+	if !p.memo || p.rxKey != c.b {
+		nb = hashNormal(p.Seed, c.mb)
 	}
-	if !p.memo || p.rxKey != rb {
-		p.rx, p.rxKey = hashNormal(p.Seed, rb), rb
+	if !p.memo || p.rxKey != c.rb {
+		p.rx, p.rxKey = hashNormal(p.Seed, c.mrb), c.rb
 	}
-	if !p.memo || p.memKey != h {
-		p.mem, p.memKey = hashNormal(p.Seed^0x3333, h), h
+	if !p.memo || p.memKey != c.h {
+		p.mem, p.memKey = hashNormal(p.Seed^0x3333, c.mh), c.h
 	}
 	p.memo = true
-	c, n := p.cycle(t), p.noiseOf(nb)
+	cy, n := p.cycle(c), p.noiseOf(nb)
 	return vmmodel.Usage{
-		CPU:    clamp(p.MeanCPU*c*n*p.burst(t), 0, 1.5),
-		Mem:    p.memOf(t, p.mem),
-		TxKbps: floor0(p.TxKbps * c * n),
-		RxKbps: floor0(p.RxKbps * c * p.noiseOf(p.rx)),
-		Disk:   p.DiskUsage(t),
+		CPU:    clamp(p.MeanCPU*cy*n*p.burst(c), 0, 1.5),
+		Mem:    p.memOf(c, p.mem),
+		TxKbps: floor0(p.TxKbps * cy * n),
+		RxKbps: floor0(p.RxKbps * cy * p.noiseOf(p.rx)),
+		Disk:   p.disk(c),
 	}
 }

@@ -11,15 +11,15 @@ import (
 
 func TestHashUnitRangeAndDeterminism(t *testing.T) {
 	for i := uint64(0); i < 1000; i++ {
-		v := hashUnit(42, i)
+		v := hashUnit(42, splitmix64(i))
 		if v < 0 || v >= 1 {
 			t.Fatalf("hashUnit out of range: %v", v)
 		}
-		if v != hashUnit(42, i) {
+		if v != hashUnit(42, splitmix64(i)) {
 			t.Fatal("hashUnit not deterministic")
 		}
 	}
-	if hashUnit(1, 7) == hashUnit(2, 7) {
+	if hashUnit(1, splitmix64(7)) == hashUnit(2, splitmix64(7)) {
 		t.Error("different seeds gave identical hash (suspicious)")
 	}
 }
@@ -28,7 +28,7 @@ func TestHashNormalMoments(t *testing.T) {
 	n := 20000
 	sum, sumSq := 0.0, 0.0
 	for i := 0; i < n; i++ {
-		v := hashNormal(99, uint64(i))
+		v := hashNormal(99, splitmix64(uint64(i)))
 		sum += v
 		sumSq += v * v
 	}
