@@ -32,19 +32,14 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
 
 	"sapsim/internal/cli"
 	"sapsim/internal/dispatch"
 	"sapsim/internal/fleetmetrics"
-	"sapsim/internal/pprofserve"
 	"sapsim/internal/sim"
 )
 
@@ -71,21 +66,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errors.New("-dir is required")
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if *pprofAddr != "" {
-		bound, err := pprofserve.Serve(*pprofAddr)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "dispatchd: pprof at http://%s/debug/pprof/\n", bound)
+	ctx, cancel, err := cell.Interruptible("dispatchd", *pprofAddr, stderr)
+	if err != nil {
+		return err
 	}
-	ctx, cancel := cell.Context(ctx)
 	defer cancel()
 
 	opts := dispatch.QueueOptions{Lease: *lease}
 	var q *dispatch.Queue
-	var err error
 	if *resume {
 		q, err = dispatch.Resume(*dir, opts)
 		if err == nil {

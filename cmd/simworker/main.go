@@ -40,15 +40,11 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"sapsim/internal/cli"
 	"sapsim/internal/dispatch"
 	"sapsim/internal/fleetmetrics"
-	"sapsim/internal/pprofserve"
 )
 
 func main() { cli.Main("simworker", run) }
@@ -72,16 +68,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errors.New("-dispatcher is required")
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if *pprofAddr != "" {
-		bound, err := pprofserve.Serve(*pprofAddr)
-		if err != nil {
-			return fmt.Errorf("pprof listener: %w", err)
-		}
-		fmt.Fprintf(stderr, "simworker: pprof at http://%s/debug/pprof/\n", bound)
+	ctx, cancel, err := cell.Interruptible("simworker", *pprofAddr, stderr)
+	if err != nil {
+		return err
 	}
-	ctx, cancel := cell.Context(ctx)
 	defer cancel()
 
 	w := &dispatch.Worker{

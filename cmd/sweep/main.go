@@ -49,12 +49,9 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"sapsim/internal/cli"
@@ -92,9 +89,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	ctx, cancel := cell.Context(ctx)
+	ctx, cancel, err := cell.Interruptible("sweep", "", stderr)
+	if err != nil {
+		return err
+	}
 	defer cancel()
 
 	start := time.Now()

@@ -10,11 +10,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"sapsim"
 	"sapsim/internal/core"
 	"sapsim/internal/dispatch"
+	"sapsim/internal/pprofserve"
 	"sapsim/internal/scenario"
 	"sapsim/internal/sim"
 )
@@ -114,6 +117,24 @@ func (c *Cell) Context(parent context.Context) (context.Context, context.CancelF
 		return context.WithTimeout(parent, c.Timeout)
 	}
 	return context.WithCancel(parent)
+}
+
+// Interruptible returns the context a long-running command runs under:
+// canceled on SIGINT or SIGTERM, and after -timeout when one is set. A
+// non-empty pprofAddr also serves net/http/pprof there, announced on stderr
+// under the command's name.
+func (c *Cell) Interruptible(name, pprofAddr string, stderr io.Writer) (context.Context, context.CancelFunc, error) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	if pprofAddr != "" {
+		bound, err := pprofserve.Serve(pprofAddr)
+		if err != nil {
+			stop()
+			return nil, nil, fmt.Errorf("pprof listener: %w", err)
+		}
+		fmt.Fprintf(stderr, "%s: pprof at http://%s/debug/pprof/\n", name, bound)
+	}
+	ctx, cancel := c.Context(ctx)
+	return ctx, func() { cancel(); stop() }, nil
 }
 
 // Simulate runs Config to completion through a Session, logging per-day

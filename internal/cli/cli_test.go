@@ -5,9 +5,12 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"net/http"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -108,6 +111,43 @@ func TestContextTimeout(t *testing.T) {
 	cancel()
 	if _, ok := ctx.Deadline(); ok {
 		t.Error("no -timeout still set a deadline")
+	}
+}
+
+// TestInterruptible: the command context ends on SIGTERM, -pprof serves
+// and is announced under the command's name, and a bad -pprof address is
+// an error.
+func TestInterruptible(t *testing.T) {
+	var stderr bytes.Buffer
+	_, cell := Flags("simworker", &stderr)
+	ctx, cancel, err := cell.Interruptible("simworker", "127.0.0.1:0", &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	url, ok := strings.CutPrefix(strings.TrimSpace(stderr.String()), "simworker: pprof at ")
+	if !ok {
+		t.Fatalf("stderr = %q, want the pprof announcement", stderr.String())
+	}
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET %s = %d", url, resp.StatusCode)
+	}
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-ctx.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("SIGTERM did not cancel the context")
+	}
+	if _, _, err := cell.Interruptible("simworker", "bad:address:", &stderr); err == nil ||
+		!strings.HasPrefix(err.Error(), "pprof listener: ") {
+		t.Errorf("bad -pprof address: err %v", err)
 	}
 }
 

@@ -164,13 +164,14 @@ func getBody(t *testing.T, url string) (string, int) {
 
 // TestObservabilityNeverFailsACell posts a real sweep's completions through
 // Dispatcher.Handler(), each row damaging what the completions carry for
-// observability: spans the queue cannot journal, or a profile the store
-// refuses. Every row drains to done with the single-process result, the
-// damaged part is dropped, and each drop is counted.
+// observability: spans the queue cannot journal, a profile the store
+// refuses, or spans stamped by a worker clock that steps backwards. Every
+// row drains to done with the single-process result, the damaged part is
+// dropped, and each drop is counted.
 func TestObservabilityNeverFailsACell(t *testing.T) {
 	spec := testSpec()
 	ref := referenceSweep(t, spec)
-	captured := captureCompletions(t, spec)
+	captured := captureCompletions(t, spec, nil)
 	// Every artifact digest's fan-out directory: a profile whose digest
 	// shares one could not be made to fail alone.
 	usedDirs := map[string]bool{}
@@ -185,7 +186,10 @@ func TestObservabilityNeverFailsACell(t *testing.T) {
 	rows := []struct {
 		name   string
 		damage func(t *testing.T, dir string, req *CompleteRequest)
-		want   map[drop]float64
+		// clock, when set, is the workers' clock: the row posts the
+		// completions of a sweep captured on it instead of damaging them.
+		clock func() time.Time
+		want  map[drop]float64
 	}{{
 		name: "span that ends before it starts",
 		damage: func(_ *testing.T, _ string, req *CompleteRequest) {
@@ -222,9 +226,26 @@ func TestObservabilityNeverFailsACell(t *testing.T) {
 			}
 		},
 		want: map[drop]float64{{"profile", "not_stored"}: cells},
+	}, {
+		// Every reading is wall-only and 1 h behind the one before, so the
+		// step falls inside each cell's strided run and inside its
+		// artifact-render span. The span is clamped to zero length, not
+		// dropped.
+		name:  "worker clock that steps back 1 h mid-stride",
+		clock: steppingClock(time.Hour),
 	}}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
+			completions := captured
+			if row.clock != nil {
+				completions = captureCompletions(t, spec, row.clock)
+				for job, req := range completions {
+					i := slices.IndexFunc(req.Spans, func(s trace.Span) bool { return s.Name == "artifact-render" })
+					if i < 0 || req.Spans[i].End != req.Spans[i].Start {
+						t.Errorf("job %d: artifact-render span at %d of %d, want one of zero length", job, i, len(req.Spans))
+					}
+				}
+			}
 			q, dir := newTestQueue(t, QueueOptions{Lease: time.Minute})
 			d := NewDispatcher(q)
 			reg := fleetmetrics.NewRegistry()
@@ -233,16 +254,18 @@ func TestObservabilityNeverFailsACell(t *testing.T) {
 			defer srv.Close()
 
 			profiles := map[int]string{}
-			for range captured {
+			for range completions {
 				var b BookResponse
-				if status := postJSON(t, srv.URL+"/book", BookRequest{Worker: "w1", Capacity: len(captured)}, &b); status != http.StatusOK {
+				if status := postJSON(t, srv.URL+"/book", BookRequest{Worker: "w1", Capacity: len(completions)}, &b); status != http.StatusOK {
 					t.Fatalf("/book = %d", status)
 				}
-				req := captured[b.Job]
+				req := completions[b.Job]
 				req.Worker, req.Attempt = "w1", b.Attempt
 				req.Spans = slices.Clone(req.Spans)
 				req.Profile = slices.Clone(req.Profile)
-				row.damage(t, dir, &req)
+				if row.damage != nil {
+					row.damage(t, dir, &req)
+				}
 				profiles[b.Job] = artifact.Digest(req.Profile)
 				if status := postJSON(t, srv.URL+"/complete", req, nil); status != http.StatusOK {
 					t.Fatalf("job %d: /complete = %d, want 200", b.Job, status)
@@ -280,9 +303,22 @@ func TestObservabilityNeverFailsACell(t *testing.T) {
 	}
 }
 
-// captureCompletions drains spec through two real workers and returns, per
-// job, the completion each one posted.
-func captureCompletions(t *testing.T, spec Spec) map[int]CompleteRequest {
+// steppingClock is a wall-only clock (no monotonic reading, as after a
+// clock step) that reads step earlier than its previous reading every time.
+func steppingClock(step time.Duration) func() time.Time {
+	var mu sync.Mutex
+	var back time.Duration
+	return func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		back += step
+		return time.Now().Round(0).Add(-back)
+	}
+}
+
+// captureCompletions drains spec through two real workers on clock (nil:
+// the real one) and returns, per job, the completion each one posted.
+func captureCompletions(t *testing.T, spec Spec, clock func() time.Time) map[int]CompleteRequest {
 	t.Helper()
 	q, err := NewQueue(t.TempDir(), spec, QueueOptions{})
 	if err != nil {
@@ -316,7 +352,7 @@ func captureCompletions(t *testing.T, spec Spec) map[int]CompleteRequest {
 	defer cancel()
 	var wg sync.WaitGroup
 	for i := range 2 {
-		w := &Worker{Dispatcher: srv.URL, ID: fmt.Sprintf("capture-%d", i), Poll: 25 * time.Millisecond}
+		w := &Worker{Dispatcher: srv.URL, ID: fmt.Sprintf("capture-%d", i), Poll: 25 * time.Millisecond, now: clock}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -86,12 +86,14 @@ type Worker struct {
 	// delay doubles from Poll up to this cap, with jitter, and resets the
 	// moment a book succeeds — so a fleet of workers facing a restarted
 	// dispatcher re-books spread out instead of stampeding in lockstep.
-	// It, hostname, sleep, and randFloat are test seams: identity-collision
-	// and backoff tests substitute deterministic implementations.
+	// It, hostname, sleep, randFloat and now are test seams: identity-
+	// collision, backoff and clock-step tests substitute deterministic
+	// implementations. now stamps the worker's own spans and timings.
 	bookBackoffMax time.Duration
 	hostname       func() (string, error)
 	sleep          func(ctx context.Context, d time.Duration) error
 	randFloat      func() float64
+	now            func() time.Time
 }
 
 func (w *Worker) fill() {
@@ -112,6 +114,9 @@ func (w *Worker) fill() {
 	}
 	if w.randFloat == nil {
 		w.randFloat = rand.Float64
+	}
+	if w.now == nil {
+		w.now = time.Now
 	}
 	if w.ID == "" {
 		host, err := w.hostname()
@@ -220,10 +225,10 @@ func (w *Worker) Run(ctx context.Context) error {
 			defer wg.Done()
 			defer func() { <-slots }()
 			w.m.inflight.Inc()
-			start := time.Now()
+			start := w.now()
 			err := w.runCell(ctx, w.ID, booked)
 			w.m.inflight.Dec()
-			w.m.cellSecs.Observe(time.Since(start).Seconds())
+			w.m.cellSecs.Observe(w.now().Sub(start).Seconds())
 			if err != nil && ctx.Err() == nil {
 				// Abandon the cell, handing the lease back so it re-books
 				// immediately — otherwise the queue counts it against this
@@ -371,7 +376,7 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 			}
 			spanBatch := drainSpans(false)
 			var ok struct{ OK bool }
-			hbStart := time.Now()
+			hbStart := w.now()
 			status, err := w.post(cellCtx, "/progress",
 				ProgressRequest{Worker: id, Job: booked.Job, Attempt: booked.Attempt, Spans: spanBatch}, &ok)
 			if err != nil {
@@ -380,7 +385,7 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 				requeueSpans(spanBatch)
 				continue
 			}
-			w.m.heartbeat.Observe(time.Since(hbStart).Seconds())
+			w.m.heartbeat.Observe(w.now().Sub(hbStart).Seconds())
 			if status == http.StatusConflict {
 				cancelCell(ErrStale)
 				return
@@ -427,9 +432,9 @@ func (w *Worker) runCell(ctx context.Context, id string, booked *BookResponse) e
 		return fail(err)
 	}
 	req := CompleteRequest{Worker: id, Run: RunResult{Metrics: scenario.Extract(res)}}
-	renderStart := time.Now()
+	renderStart := w.now()
 	bodies, err := sapsim.ArtifactSet(res)
-	addSpan("artifact-render", renderStart, time.Now(), nil)
+	addSpan("artifact-render", renderStart, w.now(), nil)
 	if err != nil {
 		req.Run.Err = "fingerprint: " + err.Error()
 	} else {

@@ -206,7 +206,7 @@ func (d *DRS) pickVM(src, dst *esx.Host, now sim.Time) *vmmodel.VM {
 		}
 		demand := cpu * float64(vm.RequestedCPUCores())
 		// Would the move overload the destination?
-		if dstSnap.CPUUtilPct+demand/dstCores*100 > 90 {
+		if dstSnap.CPUUtilPct+float64(demand/dstCores*100) > 90 { // rounded: never fused
 			return
 		}
 		if demand > bestDemand {

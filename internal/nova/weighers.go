@@ -183,7 +183,7 @@ func (b *rankBuf) rank(req *RequestSpec, hosts []*HostState, weighers []Weigher)
 			if span > 0 {
 				norm = (b.raws[i] - min) / span
 			}
-			b.scores[i].w += mult * norm
+			b.scores[i].w += float64(mult * norm) // rounded: never fused
 		}
 	}
 	// Insertion sort keeps the implementation dependency-free and the

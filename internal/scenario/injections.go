@@ -383,7 +383,7 @@ func (cf CascadingFailures) hazard(load float64) float64 {
 	if load > 1 {
 		load = 1
 	}
-	p := base * (1 + gain*load*load)
+	p := base * (1 + float64(gain*load*load)) // rounded: never fused
 	switch {
 	case p > 1:
 		return 1

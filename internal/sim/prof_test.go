@@ -39,8 +39,8 @@ func TestProfiledTickerFireAllocs(t *testing.T) {
 	if _, err := e.EveryOwned(0, Minute, "core/tick/host", func(Time) { n++ }); err != nil {
 		t.Fatal(err)
 	}
-	// Warm up past one full wheel rotation so every bucket's backing slice
-	// (and the profiler's owner bucket) exists; steady state reuses them.
+	// Warm up so the queue's backing array (and the profiler's owner
+	// bucket) exists; steady state reuses them.
 	horizon := 5 * Hour
 	if err := e.Run(horizon); err != nil {
 		t.Fatal(err)

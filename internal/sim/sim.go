@@ -63,7 +63,6 @@ type Event struct {
 	seq      uint64
 	fn       Handler
 	canceled bool
-	index    int // position in its heap (bucket or overflow), -1 when popped
 	// owner labels the event for the profiler's per-owner attribution.
 	owner string
 }
@@ -81,9 +80,9 @@ func (e *Event) Canceled() bool { return e.canceled }
 // has already fired (or was already canceled) is a no-op.
 func (e *Event) Cancel() { e.canceled = true }
 
-// eventQueue is a min-heap ordered by (time, priority, sequence). The sift
-// operations are hand-rolled (rather than container/heap) so pushes and pops
-// on the timer wheel's hot path avoid interface dispatch.
+// eventQueue is the engine's event queue: a binary min-heap ordered by
+// (time, priority, sequence). The sift operations are hand-rolled (rather
+// than container/heap) so every push and pop avoids interface dispatch.
 type eventQueue []*Event
 
 func (q eventQueue) less(i, j int) bool {
@@ -96,19 +95,13 @@ func (q eventQueue) less(i, j int) bool {
 	return q[i].seq < q[j].seq
 }
 
-func (q eventQueue) swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
 func (q eventQueue) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !q.less(i, parent) {
 			break
 		}
-		q.swap(i, parent)
+		q[i], q[parent] = q[parent], q[i]
 		i = parent
 	}
 }
@@ -127,121 +120,26 @@ func (q eventQueue) down(i int) {
 		if !q.less(min, i) {
 			return
 		}
-		q.swap(i, min)
+		q[i], q[min] = q[min], q[i]
 		i = min
 	}
 }
 
 func (q *eventQueue) push(e *Event) {
-	e.index = len(*q)
 	*q = append(*q, e)
-	q.up(e.index)
+	q.up(len(*q) - 1)
 }
 
-// pop removes and returns the minimum event.
+// pop removes and returns the minimum event; the queue must not be empty.
 func (q *eventQueue) pop() *Event {
 	old := *q
-	n := len(old)
+	n := len(old) - 1
 	e := old[0]
-	old.swap(0, n-1)
-	old[n-1] = nil
-	*q = old[:n-1]
-	if n > 1 {
-		(*q).down(0)
-	}
-	e.index = -1
+	old[0] = old[n]
+	old[n] = nil
+	*q = old[:n]
+	(*q).down(0)
 	return e
-}
-
-// Timer-wheel geometry: a 256-slot near wheel at one-minute tick
-// granularity (a ~4.3 h window) in front of an overflow heap. Near events —
-// sampler and rebalancer ticks, imminent arrivals — get O(1) slot selection
-// plus a sift inside a tiny per-slot heap; far events (VM deletions
-// scheduled days ahead) wait in the overflow heap, which stays small and
-// shallow, and migrate into the wheel as the cursor approaches them.
-const (
-	wheelSlotBits = 8
-	wheelSlots    = 1 << wheelSlotBits
-	wheelMask     = wheelSlots - 1
-	wheelTick     = Time(time.Minute)
-)
-
-func slotOf(t Time) int64 { return int64(t / wheelTick) }
-
-// timerWheel is a hierarchical event queue preserving the exact
-// (time, priority, sequence) total order of the flat heap it replaces: the
-// cursor visits slots in time order, each slot is itself ordered by the full
-// comparator, and overflow events always sort after every wheel event.
-type timerWheel struct {
-	cur      int64 // absolute slot index of the cursor (monotone)
-	buckets  [wheelSlots]eventQueue
-	nearN    int // events currently in buckets
-	overflow eventQueue
-}
-
-func (w *timerWheel) len() int { return w.nearN + len(w.overflow) }
-
-// limit is the first instant beyond the wheel's current window.
-func (w *timerWheel) limit() Time { return Time(w.cur+wheelSlots) * wheelTick }
-
-func (w *timerWheel) push(ev *Event) {
-	s := slotOf(ev.at)
-	if s >= w.cur+wheelSlots {
-		w.overflow.push(ev)
-		return
-	}
-	if s < w.cur {
-		// The cursor advanced past this slot while peeking at a future
-		// event (e.g. a horizon stop followed by a near schedule). The
-		// cursor bucket is the next one drained and its heap orders the
-		// event correctly ahead of everything scheduled later.
-		s = w.cur
-	}
-	w.buckets[s&wheelMask].push(ev)
-	w.nearN++
-}
-
-// migrate pulls overflow events that now fall inside the wheel window.
-func (w *timerWheel) migrate() {
-	lim := w.limit()
-	for len(w.overflow) > 0 && w.overflow[0].at < lim {
-		ev := w.overflow.pop()
-		w.buckets[slotOf(ev.at)&wheelMask].push(ev)
-		w.nearN++
-	}
-}
-
-// peek returns the next event without removing it, or nil when empty. It
-// advances the cursor to the next event's slot, which is safe: pushes behind
-// the cursor fall into the cursor bucket (see push) and ordering holds.
-func (w *timerWheel) peek() *Event {
-	for {
-		if w.nearN == 0 {
-			if len(w.overflow) == 0 {
-				return nil
-			}
-			// The wheel is empty: jump straight to the overflow minimum
-			// instead of stepping through empty slots.
-			w.cur = slotOf(w.overflow[0].at)
-			w.migrate()
-			continue
-		}
-		for len(w.buckets[w.cur&wheelMask]) == 0 {
-			w.cur++
-			w.migrate()
-		}
-		return w.buckets[w.cur&wheelMask][0]
-	}
-}
-
-// pop removes and returns the next event, or nil when empty.
-func (w *timerWheel) pop() *Event {
-	if w.peek() == nil {
-		return nil
-	}
-	ev := w.buckets[w.cur&wheelMask].pop()
-	w.nearN--
-	return ev
 }
 
 // eventArena hands out events from chunked backing arrays: one allocation
@@ -269,7 +167,7 @@ func (a *eventArena) alloc() *Event {
 // NewEngine.
 type Engine struct {
 	now     Time
-	wheel   timerWheel
+	queue   eventQueue
 	arena   eventArena
 	seq     uint64
 	fired   uint64
@@ -359,11 +257,11 @@ func (e *Engine) schedule(at Time, priority int, owner string, fn Handler) (*Eve
 }
 
 // scheduleInto (re)initializes ev and enqueues it. The caller must have
-// validated at >= now and fn != nil; ev must not be pending in the wheel.
+// validated at >= now and fn != nil; ev must not be pending in the queue.
 func (e *Engine) scheduleInto(ev *Event, at Time, priority int, owner string, fn Handler) {
 	e.seq++
-	*ev = Event{at: at, priority: priority, seq: e.seq, fn: fn, owner: owner, index: -1}
-	e.wheel.push(ev)
+	*ev = Event{at: at, priority: priority, seq: e.seq, fn: fn, owner: owner}
+	e.queue.push(ev)
 }
 
 // Every schedules fn at start and then repeatedly every interval until the
@@ -456,16 +354,13 @@ func (e *Engine) RunInterruptible(horizon Time, check func() error) error {
 
 	// The profiler's delta chain opens here: each fired event closes the
 	// interval since the previous reading and attributes it to its owner,
-	// so one clock read per event accounts for the whole loop — peek/pop
+	// so one clock read per event accounts for the whole loop — queue reads
 	// included — without a second read.
 	if e.prof != nil {
 		e.prof.BeginRun()
 	}
-	for {
-		ev := e.wheel.peek()
-		if ev == nil {
-			break
-		}
+	for len(e.queue) > 0 {
+		ev := e.queue[0]
 		if check != nil {
 			if err := check(); err != nil {
 				return err
@@ -475,7 +370,7 @@ func (e *Engine) RunInterruptible(horizon Time, check func() error) error {
 			e.now = horizon
 			return e.takeErrs()
 		}
-		e.wheel.pop()
+		e.queue.pop()
 		if ev.canceled {
 			continue
 		}
@@ -509,11 +404,8 @@ func (e *Engine) Step() bool {
 	if e.prof != nil {
 		e.prof.BeginRun()
 	}
-	for {
-		ev := e.wheel.pop()
-		if ev == nil {
-			return false
-		}
+	for len(e.queue) > 0 {
+		ev := e.queue.pop()
 		if ev.canceled {
 			continue
 		}
@@ -526,4 +418,5 @@ func (e *Engine) Step() bool {
 		}
 		return true
 	}
+	return false
 }

@@ -68,14 +68,16 @@ func Percentile(values []float64, p float64) float64 {
 	}
 	sort.Float64s(values)
 	p = min(max(p, 0), 100)
-	rank := p / 100 * float64(len(values)-1)
+	// Explicit conversions round each product, so no compiler may fuse one
+	// into a multiply-add: the quantile is the same on every port.
+	rank := float64(p / 100 * float64(len(values)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return values[lo]
 	}
 	frac := rank - float64(lo)
-	return values[lo]*(1-frac) + values[hi]*frac
+	return float64(values[lo]*(1-frac)) + float64(values[hi]*frac)
 }
 
 // DailyStat is one day's aggregate of a series, used for heatmap rows and

@@ -161,7 +161,7 @@ func Build(spec BuildSpec) (*Region, error) {
 	for i, rec := range records {
 		az := r.AddAZ(fmt.Sprintf("az-%c", 'a'+i))
 		dc := az.AddDC(fmt.Sprintf("dc-%s", rec.Datacenter))
-		nodes := int(float64(rec.Hypervisors)*spec.Scale + 0.5)
+		nodes := int(float64(float64(rec.Hypervisors)*spec.Scale) + 0.5) // rounded: never fused
 		if nodes < 4 {
 			nodes = 4
 		}
@@ -195,7 +195,7 @@ func Build(spec BuildSpec) (*Region, error) {
 					gps = append(gps, bb)
 				}
 			}
-			reserve := int(float64(len(gps))*spec.ReserveFraction + 0.5)
+			reserve := int(float64(float64(len(gps))*spec.ReserveFraction) + 0.5) // rounded: never fused
 			if reserve < 1 && len(gps) >= 2 {
 				reserve = 1 // even small DCs keep failover headroom
 			}

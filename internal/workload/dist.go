@@ -32,9 +32,10 @@ func splitmix64(x uint64) uint64 {
 
 // hashUnit maps (seed, bucket) to a uniform float in [0, 1), given the
 // bucket's splitmix64 hash mb: a Clock hashes each bucket once for every
-// profile evaluated at its instant.
+// profile evaluated at its instant. The scaling is exact; its explicit
+// rounding only keeps a caller's sum of two units from fusing with it.
 func hashUnit(seed, mb uint64) float64 {
-	return float64(splitmix64(seed^mb)>>11) / (1 << 53)
+	return float64(float64(splitmix64(seed^mb)>>11) / (1 << 53))
 }
 
 // hashNormal maps (seed, bucket) to an approximately standard normal value
@@ -48,6 +49,13 @@ func hashNormal(seed, mb uint64) float64 {
 // logNormal draws a log-normal value with the given median and shape sigma.
 func logNormal(rng *rand.Rand, median, sigma float64) float64 {
 	return median * math.Exp(sigma*rng.NormFloat64())
+}
+
+// uniform draws lo + u·width for u uniform in [0, 1). The product is rounded
+// by an explicit conversion before the sum, so no compiler may fuse the two
+// into a multiply-add and the draw is the same on every port.
+func uniform(rng *rand.Rand, lo, width float64) float64 {
+	return lo + float64(rng.Float64()*width)
 }
 
 // clamp bounds v to [lo, hi].
@@ -70,9 +78,9 @@ func drawMeanCPU(rng *rand.Rand) float64 {
 		// Log-normal centered low, truncated below the 70% threshold.
 		return clamp(logNormal(rng, 0.18, 0.8), 0.01, 0.699)
 	case u < 0.93: // optimal band
-		return 0.70 + rng.Float64()*0.15
+		return uniform(rng, 0.70, 0.15)
 	default: // over-utilized tail
-		return 0.85 + rng.Float64()*0.13
+		return uniform(rng, 0.85, 0.13)
 	}
 }
 
@@ -81,14 +89,14 @@ func drawMeanCPU(rng *rand.Rand) float64 {
 // HANA VMs pin large in-memory tables and sit high by construction.
 func drawMeanMem(rng *rand.Rand, hana bool) float64 {
 	if hana {
-		return 0.86 + rng.Float64()*0.12
+		return uniform(rng, 0.86, 0.12)
 	}
 	switch u := rng.Float64(); {
 	case u < 0.40: // under-utilized
-		return clamp(0.15+rng.Float64()*0.55, 0.0, 0.699)
+		return clamp(uniform(rng, 0.15, 0.55), 0.0, 0.699)
 	case u < 0.50: // optimal band
-		return 0.70 + rng.Float64()*0.15
+		return uniform(rng, 0.70, 0.15)
 	default: // high consumption (page cache, in-memory apps)
-		return 0.85 + rng.Float64()*0.14
+		return uniform(rng, 0.85, 0.14)
 	}
 }

@@ -138,8 +138,9 @@ func (g *Generator) churn() []*Instance {
 		if len(g.spec.Phases) == 0 {
 			t := sim.Time(0)
 			for {
-				// Exponential inter-arrival.
-				gap := sim.Time(-math.Log(1-g.rng.Float64()) / rate)
+				// Exponential inter-arrival. The conversion keeps 1-u from
+				// fusing with Float64's scaling into a multiply-add.
+				gap := sim.Time(-math.Log(1-float64(g.rng.Float64())) / rate)
 				t += gap
 				if t >= g.spec.Horizon {
 					break
@@ -151,7 +152,7 @@ func (g *Generator) churn() []*Instance {
 		envelope := phaseEnvelope(g.spec.Phases, f.Class)
 		t := sim.Time(0)
 		for {
-			gap := sim.Time(-math.Log(1-g.rng.Float64()) / (rate * envelope))
+			gap := sim.Time(-math.Log(1-float64(g.rng.Float64())) / (rate * envelope))
 			t += gap
 			if t >= g.spec.Horizon {
 				break
@@ -196,17 +197,17 @@ func (g *Generator) newProfile(f *vmmodel.Flavor) *Profile {
 		Seed:       g.rng.Uint64(),
 		MeanCPU:    drawMeanCPU(g.rng),
 		MeanMem:    drawMeanMem(g.rng, hana),
-		DiurnalAmp: 0.10 + g.rng.Float64()*0.30,
-		WeekendDip: 0.05 + g.rng.Float64()*0.30,
+		DiurnalAmp: uniform(g.rng, 0.10, 0.30),
+		WeekendDip: uniform(g.rng, 0.05, 0.30),
 		PhaseHours: g.rng.Float64() * 6,
-		NoiseAmp:   0.05 + g.rng.Float64()*0.20,
-		BurstMag:   1.5 + g.rng.Float64()*1.5,
-		DiskFrac:   0.10 + g.rng.Float64()*0.70,
+		NoiseAmp:   uniform(g.rng, 0.05, 0.20),
+		BurstMag:   uniform(g.rng, 1.5, 1.5),
+		DiskFrac:   uniform(g.rng, 0.10, 0.70),
 	}
 	// A minority of VMs are "noisy neighbors" with frequent bursts
 	// (Sec. 3.2); the rest burst rarely.
 	if g.rng.Float64() < 0.10 {
-		p.BurstProb = 0.05 + g.rng.Float64()*0.10
+		p.BurstProb = uniform(g.rng, 0.05, 0.10)
 	} else {
 		p.BurstProb = g.rng.Float64() * 0.01
 	}

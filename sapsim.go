@@ -29,8 +29,8 @@ package sapsim
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"sapsim/internal/analysis"
 	"sapsim/internal/core"
@@ -77,7 +77,8 @@ type Experiment struct {
 // given the 200 Gbps line rate of the paper's data center.
 func netFreeTransform(kbps float64) float64 {
 	const lineKbps = 200 * 1e6 // 200 Gbps in Kbit/s
-	return 100 - kbps/lineKbps*100
+	// The product is rounded before the sum, so no port fuses the two.
+	return 100 - float64(kbps/lineKbps*100)
 }
 
 // msToSec converts milliseconds to seconds (Fig. 8 axis).
@@ -126,44 +127,20 @@ func heatmapArtifact(id, title, claim string, h *analysis.Heatmap) *Artifact {
 	}
 }
 
-// experimentIndex is the experiment list plus its by-ID index, built
-// exactly once: Experiments and ExperimentByID share it, so the lookup map
-// and the slice cannot drift.
-type experimentIndex struct {
-	list  []Experiment
-	index map[string]int
-}
-
-var experimentCatalog = sync.OnceValue(func() experimentIndex {
-	list := buildExperiments()
-	index := make(map[string]int, len(list))
-	for i, e := range list {
-		if _, dup := index[e.ID]; dup {
-			panic(fmt.Sprintf("sapsim: duplicate experiment ID %q", e.ID))
-		}
-		index[e.ID] = i
-	}
-	return experimentIndex{list: list, index: index}
-})
-
 // Experiments returns every table and figure of the paper's evaluation, in
 // paper order. Each Compute consumes a finished Run result.
 func Experiments() []Experiment {
-	c := experimentCatalog()
-	out := make([]Experiment, len(c.list))
-	copy(out, c.list)
-	return out
+	return slices.Clone(experiments)
 }
 
-// ExperimentByID looks up one experiment through the catalog's index (built
-// once; no linear scan).
+// ExperimentByID looks up one experiment by its ID.
 func ExperimentByID(id string) (Experiment, bool) {
-	c := experimentCatalog()
-	i, ok := c.index[id]
-	if !ok {
-		return Experiment{}, false
+	for _, exp := range experiments {
+		if exp.ID == id {
+			return exp, true
+		}
 	}
-	return c.list[i], true
+	return Experiment{}, false
 }
 
 // ArtifactSet computes every experiment over the finished run and returns
@@ -199,284 +176,284 @@ func ArtifactDigests(res *Result) (map[string]string, error) {
 	return out, nil
 }
 
-func buildExperiments() []Experiment {
-	return []Experiment{
-		{
-			ID:         "fig5",
-			Title:      "Daily average free CPU resources per node within a single data center",
-			PaperClaim: "Strong imbalance: some nodes <20% free while others show >90% free, persistent across 30 days",
-			Compute: func(res *Result) (*Artifact, error) {
-				h := analysis.DailyHeatmap(res.Store, exporter.MetricHostCPUUtil, "hostsystem",
-					res.Config.Days, analysis.FreePercent,
-					matcherDC(res))
-				return heatmapArtifact("fig5", "Free CPU per node (single DC)",
-					"imbalanced node utilization", h), nil
-			},
+// experiments is every table and figure of the paper's evaluation, in
+// paper order.
+var experiments = []Experiment{
+	{
+		ID:         "fig5",
+		Title:      "Daily average free CPU resources per node within a single data center",
+		PaperClaim: "Strong imbalance: some nodes <20% free while others show >90% free, persistent across 30 days",
+		Compute: func(res *Result) (*Artifact, error) {
+			h := analysis.DailyHeatmap(res.Store, exporter.MetricHostCPUUtil, "hostsystem",
+				res.Config.Days, analysis.FreePercent,
+				matcherDC(res))
+			return heatmapArtifact("fig5", "Free CPU per node (single DC)",
+				"imbalanced node utilization", h), nil
 		},
-		{
-			ID:         "fig6",
-			Title:      "Daily average free CPU resources per building block",
-			PaperClaim: "BB-level utilization spans roughly 70-95% free with visible imbalance across BBs",
-			Compute: func(res *Result) (*Artifact, error) {
-				dc := firstDC(res)
-				groupOf := func(node string) string {
-					n, err := res.Region.Node(topology.NodeID(node))
-					if err != nil || n.Datacenter().Name != dc {
-						return ""
-					}
-					return string(n.BB.ID)
+	},
+	{
+		ID:         "fig6",
+		Title:      "Daily average free CPU resources per building block",
+		PaperClaim: "BB-level utilization spans roughly 70-95% free with visible imbalance across BBs",
+		Compute: func(res *Result) (*Artifact, error) {
+			dc := firstDC(res)
+			groupOf := func(node string) string {
+				n, err := res.Region.Node(topology.NodeID(node))
+				if err != nil || n.Datacenter().Name != dc {
+					return ""
 				}
-				h := analysis.GroupedHeatmap(res.Store, exporter.MetricHostCPUUtil, "hostsystem",
-					res.Config.Days, analysis.FreePercent, groupOf)
-				return heatmapArtifact("fig6", "Free CPU per building block",
-					"inter-BB imbalance", h), nil
-			},
+				return string(n.BB.ID)
+			}
+			h := analysis.GroupedHeatmap(res.Store, exporter.MetricHostCPUUtil, "hostsystem",
+				res.Config.Days, analysis.FreePercent, groupOf)
+			return heatmapArtifact("fig6", "Free CPU per building block",
+				"inter-BB imbalance", h), nil
 		},
-		{
-			ID:         "fig7",
-			Title:      "Daily average free CPU resources per node within one building block",
-			PaperClaim: "Within a BB some nodes are heavily utilized (down to ~60% free or less) while others stay free — intra-BB contention",
-			Compute: func(res *Result) (*Artifact, error) {
-				bb := largestBB(res)
-				if bb == nil {
-					return nil, fmt.Errorf("sapsim: region has no building blocks")
+	},
+	{
+		ID:         "fig7",
+		Title:      "Daily average free CPU resources per node within one building block",
+		PaperClaim: "Within a BB some nodes are heavily utilized (down to ~60% free or less) while others stay free — intra-BB contention",
+		Compute: func(res *Result) (*Artifact, error) {
+			bb := largestBB(res)
+			if bb == nil {
+				return nil, fmt.Errorf("sapsim: region has no building blocks")
+			}
+			h := analysis.DailyHeatmap(res.Store, exporter.MetricHostCPUUtil, "hostsystem",
+				res.Config.Days, analysis.FreePercent,
+				matcherCluster(bb))
+			return heatmapArtifact("fig7", fmt.Sprintf("Free CPU per node in BB %s", bb.ID),
+				"intra-BB imbalance", h), nil
+		},
+	},
+	{
+		ID:         "fig8",
+		Title:      "Top-10 nodes by CPU ready time across the region",
+		PaperClaim: "Spikes up to ~220 s; multiple nodes exceed the 30 s baseline several times during the month",
+		Compute: func(res *Result) (*Artifact, error) {
+			top := analysis.TopKByMax(res.Store, exporter.MetricHostCPUReady, "hostsystem", 10, msToSec)
+			values := map[string]float64{"nodes": float64(len(top))}
+			above30 := 0
+			for _, s := range top {
+				if s.Max > 30 {
+					above30++
 				}
-				h := analysis.DailyHeatmap(res.Store, exporter.MetricHostCPUUtil, "hostsystem",
-					res.Config.Days, analysis.FreePercent,
-					matcherCluster(bb))
-				return heatmapArtifact("fig7", fmt.Sprintf("Free CPU per node in BB %s", bb.ID),
-					"intra-BB imbalance", h), nil
-			},
+			}
+			values["nodes_above_30s"] = float64(above30)
+			if len(top) > 0 {
+				values["max_ready_s"] = top[0].Max
+				values["top_p95_s"] = top[0].P95
+			}
+			return &Artifact{
+				ID: "fig8", Title: "CPU ready time, top-10 nodes",
+				PaperClaim: "max ready time up to 220 s, 30 s threshold crossed repeatedly",
+				Text:       report.NodeStatsTable(top, "s"),
+				Values:     values,
+			}, nil
 		},
-		{
-			ID:         "fig8",
-			Title:      "Top-10 nodes by CPU ready time across the region",
-			PaperClaim: "Spikes up to ~220 s; multiple nodes exceed the 30 s baseline several times during the month",
-			Compute: func(res *Result) (*Artifact, error) {
-				top := analysis.TopKByMax(res.Store, exporter.MetricHostCPUReady, "hostsystem", 10, msToSec)
-				values := map[string]float64{"nodes": float64(len(top))}
-				above30 := 0
-				for _, s := range top {
-					if s.Max > 30 {
-						above30++
-					}
+	},
+	{
+		ID:         "fig9",
+		Title:      "Aggregated CPU contention over all nodes within the region",
+		PaperClaim: "Daily mean and p95 below 5%; maxima between 10% and 40%, exceeding the 10% strict threshold; persistent, no weekly pattern",
+		Compute: func(res *Result) (*Artifact, error) {
+			days := analysis.DailyPooled(res.Store, exporter.MetricHostCPUCont, res.Config.Days)
+			var meanSum, maxMax float64
+			n := 0
+			daysAbove10 := 0
+			for _, d := range days {
+				if d.N == 0 {
+					continue
 				}
-				values["nodes_above_30s"] = float64(above30)
-				if len(top) > 0 {
-					values["max_ready_s"] = top[0].Max
-					values["top_p95_s"] = top[0].P95
+				meanSum += d.Mean
+				n++
+				if d.Max > maxMax {
+					maxMax = d.Max
 				}
-				return &Artifact{
-					ID: "fig8", Title: "CPU ready time, top-10 nodes",
-					PaperClaim: "max ready time up to 220 s, 30 s threshold crossed repeatedly",
-					Text:       report.NodeStatsTable(top, "s"),
-					Values:     values,
-				}, nil
-			},
-		},
-		{
-			ID:         "fig9",
-			Title:      "Aggregated CPU contention over all nodes within the region",
-			PaperClaim: "Daily mean and p95 below 5%; maxima between 10% and 40%, exceeding the 10% strict threshold; persistent, no weekly pattern",
-			Compute: func(res *Result) (*Artifact, error) {
-				days := analysis.DailyPooled(res.Store, exporter.MetricHostCPUCont, res.Config.Days)
-				var meanSum, maxMax float64
-				n := 0
-				daysAbove10 := 0
-				for _, d := range days {
-					if d.N == 0 {
-						continue
-					}
-					meanSum += d.Mean
-					n++
-					if d.Max > maxMax {
-						maxMax = d.Max
-					}
-					if d.Max > 10 {
-						daysAbove10++
-					}
+				if d.Max > 10 {
+					daysAbove10++
 				}
-				values := map[string]float64{"max_contention_pct": maxMax, "days_max_above_10pct": float64(daysAbove10)}
-				if n > 0 {
-					values["overall_mean_pct"] = meanSum / float64(n)
-				}
-				return &Artifact{
-					ID: "fig9", Title: "Region-wide CPU contention per day",
-					PaperClaim: "mean/p95 < 5%, max 10-40%+",
-					Text:       report.DailySeriesCSV(days),
-					Values:     values,
-				}, nil
-			},
+			}
+			values := map[string]float64{"max_contention_pct": maxMax, "days_max_above_10pct": float64(daysAbove10)}
+			if n > 0 {
+				values["overall_mean_pct"] = meanSum / float64(n)
+			}
+			return &Artifact{
+				ID: "fig9", Title: "Region-wide CPU contention per day",
+				PaperClaim: "mean/p95 < 5%, max 10-40%+",
+				Text:       report.DailySeriesCSV(days),
+				Values:     values,
+			}, nil
 		},
-		{
-			ID:         "fig10",
-			Title:      "Daily average free memory resources per node within a single data center",
-			PaperClaim: "Bimodal: a set of nodes nearly full (<20% free, bin-packed HANA) and a set with plentiful free memory; abrupt shifts from migrations/terminations",
-			Compute: func(res *Result) (*Artifact, error) {
-				h := analysis.DailyHeatmap(res.Store, exporter.MetricHostMemUsage, "hostsystem",
-					res.Config.Days, analysis.FreePercent, matcherDC(res))
-				return heatmapArtifact("fig10", "Free memory per node (single DC)",
-					"memory-constrained subset of hosts", h), nil
-			},
+	},
+	{
+		ID:         "fig10",
+		Title:      "Daily average free memory resources per node within a single data center",
+		PaperClaim: "Bimodal: a set of nodes nearly full (<20% free, bin-packed HANA) and a set with plentiful free memory; abrupt shifts from migrations/terminations",
+		Compute: func(res *Result) (*Artifact, error) {
+			h := analysis.DailyHeatmap(res.Store, exporter.MetricHostMemUsage, "hostsystem",
+				res.Config.Days, analysis.FreePercent, matcherDC(res))
+			return heatmapArtifact("fig10", "Free memory per node (single DC)",
+				"memory-constrained subset of hosts", h), nil
 		},
-		{
-			ID:         "fig11",
-			Title:      "Daily average free network TX bandwidth per node",
-			PaperClaim: "Free TX bandwidth ≥99.85% everywhere: network load far below the 200 Gbps line rate",
-			Compute: func(res *Result) (*Artifact, error) {
-				h := analysis.DailyHeatmap(res.Store, exporter.MetricHostNetTx, "hostsystem",
-					res.Config.Days, netFreeTransform, matcherDC(res))
-				a := heatmapArtifact("fig11", "Free network TX bandwidth per node",
-					"network not a scheduling constraint", h)
-				return a, nil
-			},
+	},
+	{
+		ID:         "fig11",
+		Title:      "Daily average free network TX bandwidth per node",
+		PaperClaim: "Free TX bandwidth ≥99.85% everywhere: network load far below the 200 Gbps line rate",
+		Compute: func(res *Result) (*Artifact, error) {
+			h := analysis.DailyHeatmap(res.Store, exporter.MetricHostNetTx, "hostsystem",
+				res.Config.Days, netFreeTransform, matcherDC(res))
+			a := heatmapArtifact("fig11", "Free network TX bandwidth per node",
+				"network not a scheduling constraint", h)
+			return a, nil
 		},
-		{
-			ID:         "fig12",
-			Title:      "Daily average free network RX bandwidth per node",
-			PaperClaim: "Free RX bandwidth ≥99.75% everywhere",
-			Compute: func(res *Result) (*Artifact, error) {
-				h := analysis.DailyHeatmap(res.Store, exporter.MetricHostNetRx, "hostsystem",
-					res.Config.Days, netFreeTransform, matcherDC(res))
-				return heatmapArtifact("fig12", "Free network RX bandwidth per node",
-					"network not a scheduling constraint", h), nil
-			},
+	},
+	{
+		ID:         "fig12",
+		Title:      "Daily average free network RX bandwidth per node",
+		PaperClaim: "Free RX bandwidth ≥99.75% everywhere",
+		Compute: func(res *Result) (*Artifact, error) {
+			h := analysis.DailyHeatmap(res.Store, exporter.MetricHostNetRx, "hostsystem",
+				res.Config.Days, netFreeTransform, matcherDC(res))
+			return heatmapArtifact("fig12", "Free network RX bandwidth per node",
+				"network not a scheduling constraint", h), nil
 		},
-		{
-			ID:         "fig13",
-			Title:      "Daily average free storage resources per node",
-			PaperClaim: "Uneven storage use: 18% of hosts >90% free, 7% using >30%",
-			Compute: func(res *Result) (*Artifact, error) {
-				h := analysis.DailyHeatmap(res.Store, core.MetricHostDiskPct, "hostsystem",
-					res.Config.Days, analysis.FreePercent, matcherDC(res))
-				a := heatmapArtifact("fig13", "Free storage per node (single DC)",
-					"uneven storage utilization", h)
-				d := analysis.StorageSummary(h)
-				a.Values["frac_above_90_free"] = d.FracAbove90Free
-				a.Values["frac_above_30_used"] = d.FracAbove30Used
-				return a, nil
-			},
+	},
+	{
+		ID:         "fig13",
+		Title:      "Daily average free storage resources per node",
+		PaperClaim: "Uneven storage use: 18% of hosts >90% free, 7% using >30%",
+		Compute: func(res *Result) (*Artifact, error) {
+			h := analysis.DailyHeatmap(res.Store, core.MetricHostDiskPct, "hostsystem",
+				res.Config.Days, analysis.FreePercent, matcherDC(res))
+			a := heatmapArtifact("fig13", "Free storage per node (single DC)",
+				"uneven storage utilization", h)
+			d := analysis.StorageSummary(h)
+			a.Values["frac_above_90_free"] = d.FracAbove90Free
+			a.Values["frac_above_30_used"] = d.FracAbove30Used
+			return a, nil
 		},
-		{
-			ID:         "fig14a",
-			Title:      "CDF of average VM CPU usage ratio",
-			PaperClaim: "VMs predominantly overprovisioned: >80% of VMs below the 70% threshold, small optimal band, tiny overutilized tail",
-			Compute: func(res *Result) (*Artifact, error) {
-				cdf := analysis.VMMeanUsage(res.Store, exporter.MetricVMCPURatio, 0, res.Config.Horizon())
-				split := analysis.SplitUtilization(cdf)
-				return &Artifact{
-					ID: "fig14a", Title: "CDF of VM CPU usage",
-					PaperClaim: ">80% of VMs under-utilize CPU",
-					Text:       report.UtilizationSplitTable(split) + "\n" + report.CDFCSV(cdf, 21),
-					Values: map[string]float64{
-						"under": split.Under, "optimal": split.Optimal, "over": split.Over,
-						"n": float64(split.N),
-					},
-				}, nil
-			},
+	},
+	{
+		ID:         "fig14a",
+		Title:      "CDF of average VM CPU usage ratio",
+		PaperClaim: "VMs predominantly overprovisioned: >80% of VMs below the 70% threshold, small optimal band, tiny overutilized tail",
+		Compute: func(res *Result) (*Artifact, error) {
+			cdf := analysis.VMMeanUsage(res.Store, exporter.MetricVMCPURatio, 0, res.Config.Horizon())
+			split := analysis.SplitUtilization(cdf)
+			return &Artifact{
+				ID: "fig14a", Title: "CDF of VM CPU usage",
+				PaperClaim: ">80% of VMs under-utilize CPU",
+				Text:       report.UtilizationSplitTable(split) + "\n" + report.CDFCSV(cdf, 21),
+				Values: map[string]float64{
+					"under": split.Under, "optimal": split.Optimal, "over": split.Over,
+					"n": float64(split.N),
+				},
+			}, nil
 		},
-		{
-			ID:         "fig14b",
-			Title:      "CDF of average VM memory usage ratio",
-			PaperClaim: "Memory much better aligned: ≈38% under-utilized, ≈10% optimal, majority above 85%",
-			Compute: func(res *Result) (*Artifact, error) {
-				cdf := analysis.VMMeanUsage(res.Store, exporter.MetricVMMemRatio, 0, res.Config.Horizon())
-				split := analysis.SplitUtilization(cdf)
-				return &Artifact{
-					ID: "fig14b", Title: "CDF of VM memory usage",
-					PaperClaim: "memory requests track actual usage far better than CPU",
-					Text:       report.UtilizationSplitTable(split) + "\n" + report.CDFCSV(cdf, 21),
-					Values: map[string]float64{
-						"under": split.Under, "optimal": split.Optimal, "over": split.Over,
-						"n": float64(split.N),
-					},
-				}, nil
-			},
+	},
+	{
+		ID:         "fig14b",
+		Title:      "CDF of average VM memory usage ratio",
+		PaperClaim: "Memory much better aligned: ≈38% under-utilized, ≈10% optimal, majority above 85%",
+		Compute: func(res *Result) (*Artifact, error) {
+			cdf := analysis.VMMeanUsage(res.Store, exporter.MetricVMMemRatio, 0, res.Config.Horizon())
+			split := analysis.SplitUtilization(cdf)
+			return &Artifact{
+				ID: "fig14b", Title: "CDF of VM memory usage",
+				PaperClaim: "memory requests track actual usage far better than CPU",
+				Text:       report.UtilizationSplitTable(split) + "\n" + report.CDFCSV(cdf, 21),
+				Values: map[string]float64{
+					"under": split.Under, "optimal": split.Optimal, "over": split.Over,
+					"n": float64(split.N),
+				},
+			}, nil
 		},
-		{
-			ID:         "fig15a",
-			Title:      "Average VM lifetime per flavor, grouped by vCPU class",
-			PaperClaim: "Lifetimes span minutes to years, median ≈1 week; no monotone size→lifetime relation",
-			Compute:    lifetimeExperiment("fig15a", false),
+	},
+	{
+		ID:         "fig15a",
+		Title:      "Average VM lifetime per flavor, grouped by vCPU class",
+		PaperClaim: "Lifetimes span minutes to years, median ≈1 week; no monotone size→lifetime relation",
+		Compute:    lifetimeExperiment("fig15a", false),
+	},
+	{
+		ID:         "fig15b",
+		Title:      "Average VM lifetime per flavor, grouped by RAM class",
+		PaperClaim: "Memory-intensive flavors exhibit significant lifetimes (stable long-term deployments)",
+		Compute:    lifetimeExperiment("fig15b", true),
+	},
+	{
+		ID:         "table1",
+		Title:      "VM classification by number of vCPUs",
+		PaperClaim: "Small 28,446 · Medium 14,340 · Large 1,831 · Extra Large 738",
+		Compute: func(res *Result) (*Artifact, error) {
+			return classArtifact("table1", "Table 1: classification by vCPUs", res,
+				func(f *vmmodel.Flavor) vmmodel.SizeClass { return f.VCPUClass() },
+				[]string{"Small (<=4)", "Medium (4<v<=16)", "Large (16<v<=64)", "Extra Large (>64)"}), nil
 		},
-		{
-			ID:         "fig15b",
-			Title:      "Average VM lifetime per flavor, grouped by RAM class",
-			PaperClaim: "Memory-intensive flavors exhibit significant lifetimes (stable long-term deployments)",
-			Compute:    lifetimeExperiment("fig15b", true),
+	},
+	{
+		ID:         "table2",
+		Title:      "VM classification by memory resources",
+		PaperClaim: "Small 991 · Medium 41,395 · Large 787 · Extra Large 2,184",
+		Compute: func(res *Result) (*Artifact, error) {
+			return classArtifact("table2", "Table 2: classification by RAM", res,
+				func(f *vmmodel.Flavor) vmmodel.SizeClass { return f.RAMClass() },
+				[]string{"Small (<=2 GiB)", "Medium (2<r<=64)", "Large (64<r<=128)", "Extra Large (>128)"}), nil
 		},
-		{
-			ID:         "table1",
-			Title:      "VM classification by number of vCPUs",
-			PaperClaim: "Small 28,446 · Medium 14,340 · Large 1,831 · Extra Large 738",
-			Compute: func(res *Result) (*Artifact, error) {
-				return classArtifact("table1", "Table 1: classification by vCPUs", res,
-					func(f *vmmodel.Flavor) vmmodel.SizeClass { return f.VCPUClass() },
-					[]string{"Small (<=4)", "Medium (4<v<=16)", "Large (16<v<=64)", "Extra Large (>64)"}), nil
-			},
+	},
+	{
+		ID:         "table3",
+		Title:      "Comparison of prior work and the SAP Cloud Infrastructure Dataset",
+		PaperClaim: "SAP is the only public dataset with VM workloads, lifetimes to years, and 30s-300s sampling",
+		Compute: func(res *Result) (*Artifact, error) {
+			return &Artifact{
+				ID: "table3", Title: "Table 3: dataset comparison",
+				PaperClaim: "unique position of the SAP dataset",
+				Text:       report.Table3Text(),
+				Values:     map[string]float64{"datasets": float64(len(report.Table3()))},
+			}, nil
 		},
-		{
-			ID:         "table2",
-			Title:      "VM classification by memory resources",
-			PaperClaim: "Small 991 · Medium 41,395 · Large 787 · Extra Large 2,184",
-			Compute: func(res *Result) (*Artifact, error) {
-				return classArtifact("table2", "Table 2: classification by RAM", res,
-					func(f *vmmodel.Flavor) vmmodel.SizeClass { return f.RAMClass() },
-					[]string{"Small (<=2 GiB)", "Medium (2<r<=64)", "Large (64<r<=128)", "Extra Large (>128)"}), nil
-			},
+	},
+	{
+		ID:         "table4",
+		Title:      "Metric details for vROps and OpenStack Compute (Appendix C)",
+		PaperClaim: "14 metrics across compute-host and VM subsystems",
+		Compute: func(res *Result) (*Artifact, error) {
+			rows := make([][]string, 0, len(exporter.Catalog()))
+			for _, c := range exporter.Catalog() {
+				rows = append(rows, []string{c.Name, c.Subsystem, c.Resource, c.Description})
+			}
+			return &Artifact{
+				ID: "table4", Title: "Table 4: metric catalog",
+				PaperClaim: "the released metric set",
+				Text:       report.Table([]string{"metric", "subsystem", "resource", "description"}, rows),
+				Values:     map[string]float64{"metrics": float64(len(rows))},
+			}, nil
 		},
-		{
-			ID:         "table3",
-			Title:      "Comparison of prior work and the SAP Cloud Infrastructure Dataset",
-			PaperClaim: "SAP is the only public dataset with VM workloads, lifetimes to years, and 30s-300s sampling",
-			Compute: func(res *Result) (*Artifact, error) {
-				return &Artifact{
-					ID: "table3", Title: "Table 3: dataset comparison",
-					PaperClaim: "unique position of the SAP dataset",
-					Text:       report.Table3Text(),
-					Values:     map[string]float64{"datasets": float64(len(report.Table3()))},
-				}, nil
-			},
+	},
+	{
+		ID:         "table5",
+		Title:      "Data center overview (Appendix D)",
+		PaperClaim: "29 DCs; studied region 9 has 1,823 hypervisors and 47,116 VMs",
+		Compute: func(res *Result) (*Artifact, error) {
+			rows := make([][]string, 0, len(topology.Table5))
+			for _, r := range topology.Table5 {
+				rows = append(rows, []string{
+					fmt.Sprintf("%d", r.RegionID), r.Datacenter,
+					fmt.Sprintf("%d", r.Hypervisors), fmt.Sprintf("%d", r.VMs),
+				})
+			}
+			hv, vms := topology.Totals()
+			return &Artifact{
+				ID: "table5", Title: "Table 5: data center overview",
+				PaperClaim: "platform-wide scale",
+				Text:       report.Table([]string{"region", "dc", "hypervisors", "vms"}, rows),
+				Values:     map[string]float64{"hypervisors_total": float64(hv), "vms_total": float64(vms)},
+			}, nil
 		},
-		{
-			ID:         "table4",
-			Title:      "Metric details for vROps and OpenStack Compute (Appendix C)",
-			PaperClaim: "14 metrics across compute-host and VM subsystems",
-			Compute: func(res *Result) (*Artifact, error) {
-				rows := make([][]string, 0, len(exporter.Catalog()))
-				for _, c := range exporter.Catalog() {
-					rows = append(rows, []string{c.Name, c.Subsystem, c.Resource, c.Description})
-				}
-				return &Artifact{
-					ID: "table4", Title: "Table 4: metric catalog",
-					PaperClaim: "the released metric set",
-					Text:       report.Table([]string{"metric", "subsystem", "resource", "description"}, rows),
-					Values:     map[string]float64{"metrics": float64(len(rows))},
-				}, nil
-			},
-		},
-		{
-			ID:         "table5",
-			Title:      "Data center overview (Appendix D)",
-			PaperClaim: "29 DCs; studied region 9 has 1,823 hypervisors and 47,116 VMs",
-			Compute: func(res *Result) (*Artifact, error) {
-				rows := make([][]string, 0, len(topology.Table5))
-				for _, r := range topology.Table5 {
-					rows = append(rows, []string{
-						fmt.Sprintf("%d", r.RegionID), r.Datacenter,
-						fmt.Sprintf("%d", r.Hypervisors), fmt.Sprintf("%d", r.VMs),
-					})
-				}
-				hv, vms := topology.Totals()
-				return &Artifact{
-					ID: "table5", Title: "Table 5: data center overview",
-					PaperClaim: "platform-wide scale",
-					Text:       report.Table([]string{"region", "dc", "hypervisors", "vms"}, rows),
-					Values:     map[string]float64{"hypervisors_total": float64(hv), "vms_total": float64(vms)},
-				}, nil
-			},
-		},
-	}
+	},
 }
 
 func matcherDC(res *Result) telemetryMatcher {
