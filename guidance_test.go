@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"sapsim/internal/esx"
 	"sapsim/internal/nova"
 	"sapsim/internal/scenario"
 	"sapsim/internal/sim"
@@ -58,11 +57,11 @@ func TestSchedulingGuidance(t *testing.T) {
 		Seeds:    []uint64{42, 43, 44},
 		OnResult: func(k scenario.Key, res *Result) {
 			hot := 0
-			res.Fleet.EachHost(func(h *esx.Host) {
+			for _, h := range res.Fleet.Hosts() {
 				if float64(h.AllocatedMemMB()) > 0.8*float64(h.MemCapacityMB()) {
 					hot++
 				}
-			})
+			}
 			lo, hi := 101.0, -1.0
 			for _, bb := range res.Region.BBs() {
 				if a := res.Fleet.BBAlloc(bb); a.MemCapMB > 0 {

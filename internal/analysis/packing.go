@@ -23,9 +23,9 @@ type PackingStats struct {
 func Packing(fleet *esx.Fleet) PackingStats {
 	var s PackingStats
 	var memCap, memAlloc, cpuCap, cpuAlloc int64
-	fleet.EachHost(func(h *esx.Host) {
+	for _, h := range fleet.Hosts() {
 		if h.Node.Maintenance {
-			return
+			continue
 		}
 		s.ActiveHosts++
 		s.VMs += h.VMCount()
@@ -33,7 +33,7 @@ func Packing(fleet *esx.Fleet) PackingStats {
 		memAlloc += h.AllocatedMemMB()
 		cpuCap += int64(h.VCPUCapacity())
 		cpuAlloc += int64(h.AllocatedVCPUs())
-	})
+	}
 	if memCap > 0 {
 		s.MemAllocPct = float64(memAlloc) / float64(memCap) * 100
 	}

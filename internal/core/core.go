@@ -261,22 +261,22 @@ func (s *sampler) sampleHosts(now sim.Time) {
 	// capacity expansion delivers or a drain releases.
 	var fresh []*esx.Host
 	var sets []telemetry.Labels
-	fleet.EachHost(func(h *esx.Host) {
+	for _, h := range fleet.Hosts() {
 		if h.Node.Maintenance || s.hostRefs[h] != nil {
-			return
+			continue
 		}
 		fresh = append(fresh, h)
 		sets = append(sets, telemetry.MustLabels("hostsystem", string(h.Node.ID),
 			"cluster", string(h.Node.BB.ID), "datacenter", h.Node.Datacenter().Name))
-	})
+	}
 	refs := s.res.Store.Refs(hostSchema, sets)
 	for i, h := range fresh {
 		s.hostRefs[h] = refs[i*len(hostSchema):][:len(hostSchema)]
 	}
 	var ops int64
-	fleet.EachHost(func(h *esx.Host) {
+	for _, h := range fleet.Hosts() {
 		if h.Node.Maintenance {
-			return
+			continue
 		}
 		m := h.Snapshot(now, s.cfg.SampleEvery)
 		s.put(s.hostRefs[h], m.CPUUtilPct, m.MemUsagePct, m.TxKbps, m.RxKbps,
@@ -286,7 +286,7 @@ func (s *sampler) sampleHosts(now sim.Time) {
 		if s.feed {
 			s.res.Scheduler.SetContention(h.Node.BB.ID, m.CPUContentionPct)
 		}
-	})
+	}
 	s.commit(now)
 	if s.prof != nil {
 		s.prof.AddOps(engprof.PhaseHostSample, ops)
@@ -295,7 +295,9 @@ func (s *sampler) sampleHosts(now sim.Time) {
 
 // sampleVMs samples every resident VM, host by host in node-ID order, and
 // records live as the instance count. Every live VM is resident on exactly
-// one host and every resident is live, so the walk covers the live set.
+// one host and every resident is live, so the walk covers the live set. A
+// VM's usage is read from its host's snapshot at now, throttled by that
+// snapshot's contention (Host.EachVMUsage).
 func (s *sampler) sampleVMs(now sim.Time, live int) {
 	// First sampled this tick: queued behind unresolved handles, then
 	// resolved in ID order and patched into the queue at offset at.
@@ -305,11 +307,9 @@ func (s *sampler) sampleVMs(now sim.Time, live int) {
 	}
 	var fresh []firstSample
 	var ops int64
-	s.res.Fleet.EachHost(func(h *esx.Host) {
-		// Throttling needs the host's contention; when the VM sweep shares an
-		// instant with the host sweep this reads the snapshot cache.
-		m := h.Snapshot(now, s.cfg.VMSampleEvery)
-		h.EachVMSnapshot(now, s.cfg.VMSampleEvery, m.CPUContentionPct, func(vm *vmmodel.VM, u esx.VMUsage) {
+	for _, h := range s.res.Fleet.Hosts() {
+		// A cache hit when the VM sweep shares an instant with the host sweep.
+		h.EachVMUsage(now, s.cfg.VMSampleEvery, func(vm *vmmodel.VM, u esx.VMUsage) {
 			refs := s.vmRefs[vm]
 			if refs == nil {
 				fresh = append(fresh, firstSample{vm, len(s.refs)})
@@ -318,7 +318,7 @@ func (s *sampler) sampleVMs(now sim.Time, live int) {
 			s.put(refs, u.CPUUsageRatio, u.MemUsageRatio)
 			ops += int64(len(vmSchema))
 		})
-	})
+	}
 	slices.SortFunc(fresh, func(a, b firstSample) int { return strings.Compare(string(a.vm.ID), string(b.vm.ID)) })
 	sets := make([]telemetry.Labels, len(fresh))
 	for i, f := range fresh {

@@ -106,9 +106,9 @@ type nodeLoad struct {
 // The returned slice aliases d.loadBuf and is valid until the next call.
 func (d *DRS) loads(bb *topology.BuildingBlock, now sim.Time) []nodeLoad {
 	d.loadBuf = d.loadBuf[:0]
-	d.fleet.EachHostInBB(bb, func(h *esx.Host) {
+	for _, h := range d.fleet.HostsInBB(bb) {
 		if h.Node.Maintenance {
-			return
+			continue
 		}
 		m := h.Snapshot(now, sim.Minute)
 		// Reconstruct raw demand: utilization is capped at 100, so add
@@ -118,7 +118,7 @@ func (d *DRS) loads(bb *topology.BuildingBlock, now sim.Time) []nodeLoad {
 			cpu = m.CPUUtilPct / (1 - m.CPUContentionPct/100)
 		}
 		d.loadBuf = append(d.loadBuf, nodeLoad{host: h, cpu: cpu, mem: m.MemUsagePct})
-	})
+	}
 	out := d.loadBuf
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].cpu != out[j].cpu {

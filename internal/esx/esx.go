@@ -57,7 +57,10 @@ func DefaultConfig() Config {
 // table of value records in ascending VM-ID order, which admit and evict
 // keep sorted by binary search: a snapshot walks it front to back, so float
 // sums are deterministic, and for generated usage profiles it reads nothing
-// but the records and the profiles.
+// but the records and the profiles. The snapshot is the only place a
+// resident's usage is evaluated: the per-VM walks (EachVMUsage,
+// EachVMDemand) read each resident's demand from the snapshot covering their
+// instant.
 type Host struct {
 	Node *topology.Node
 	cfg  Config
@@ -87,8 +90,6 @@ type Host struct {
 	// for telemetry/DRS snapshot cost (see Fleet.SnapshotCacheStats).
 	snapHits   uint64
 	snapMisses uint64
-	// snapFallbacks counts per-VM demand reads the cached snapshot missed.
-	snapFallbacks uint64
 }
 
 // resident is one VM's record in its host's table: the sampling inputs, by
@@ -103,7 +104,7 @@ type resident struct {
 	// cores, memMB and diskGB are the requested allocation.
 	cores, memMB, diskGB float64
 	// cpu and mem are the CPU and memory fractions in the cached snapshot,
-	// valid while it is (see Host.demand).
+	// valid while it is: the per-VM walks read them after Host.cover.
 	cpu, mem float64
 	pinned   bool
 }
@@ -296,16 +297,25 @@ func (m Metrics) StoragePct(capGB int64) float64 {
 // cache instead of re-walking the VMs; only the ready time is re-derived
 // for the caller's interval.
 func (h *Host) Snapshot(t sim.Time, interval sim.Time) Metrics {
-	if !h.snapValid || h.snapAt != t || h.snapVer != h.ver {
-		h.snap = h.snapshot(t)
-		h.snapAt, h.snapVer, h.snapValid = t, h.ver, true
-		h.snapMisses++
-	} else {
+	if h.cover(t) {
 		h.snapHits++
 	}
 	m := h.snap
 	m.CPUReadyMillis = m.CPUContentionPct / 100 * float64(interval.Duration().Milliseconds())
 	return m
+}
+
+// cover makes the cached snapshot cover t, walking the residents and
+// counting a miss when it does not; it reports a hit, which the caller counts
+// or not.
+func (h *Host) cover(t sim.Time) (hit bool) {
+	if h.snapValid && h.snapAt == t && h.snapVer == h.ver {
+		return true
+	}
+	h.snap = h.snapshot(t)
+	h.snapAt, h.snapVer, h.snapValid = t, h.ver, true
+	h.snapMisses++
+	return false
 }
 
 // snapshot walks the resident table at t, one Clock for the walk. Products
@@ -388,70 +398,44 @@ type VMUsage struct {
 	ReadyMillis float64
 }
 
-// demand returns vm's CPU and memory fractions at t, vm being resident at
-// index i (< 0: not resident): cached when the snapshot covers (t, ver).
-func (h *Host) demand(vm *vmmodel.VM, i int, t sim.Time) (cpu, mem float64) {
-	if i >= 0 && h.snapValid && h.snapAt == t && h.snapVer == h.ver {
-		return h.res[i].cpu, h.res[i].mem
-	}
-	h.snapFallbacks++
-	return vm.Profile.CPUUsage(t), vm.Profile.MemUsage(t)
-}
-
 // EachVMDemand visits resident VMs that have a profile in ascending ID order
-// with their CPU demand fraction at t, read from the snapshot cached for t
-// when there is one. The resident set must not change during the walk.
+// with their CPU demand fraction in the snapshot at t, walking the residents
+// first only when the cached snapshot does not cover t; a hit is not
+// counted. The resident set must not change during the walk.
 func (h *Host) EachVMDemand(t sim.Time, fn func(vm *vmmodel.VM, cpu float64)) {
+	h.cover(t)
 	for i := range h.res {
-		if vm := h.res[i].vm; vm.Profile != nil {
-			cpu, _ := h.demand(vm, i, t)
-			fn(vm, cpu)
+		if r := &h.res[i]; r.vm.Profile != nil {
+			fn(r.vm, r.cpu)
 		}
 	}
 }
 
-// VMSnapshot computes one VM's delivered usage at time t given the host's
-// contention level. Under proportional-share scheduling every runnable vCPU
-// on a saturated host is throttled by the same factor. Demand comes from
-// the host snapshot cached for t when there is one.
-func (h *Host) VMSnapshot(vm *vmmodel.VM, t sim.Time, interval sim.Time, hostContentionPct float64) VMUsage {
-	// A pointer scan: tens of residents, cheaper than binary search by ID.
-	i := slices.IndexFunc(h.res, func(r resident) bool { return r.vm == vm })
-	return h.vmSnapshot(vm, i, t, interval, hostContentionPct)
-}
-
-// EachVMSnapshot visits every resident in ascending ID order with its
-// VMSnapshot at t, without VMSnapshot's search for the resident. The resident
-// set must not change during the walk.
-func (h *Host) EachVMSnapshot(t sim.Time, interval sim.Time, hostContentionPct float64, fn func(*vmmodel.VM, VMUsage)) {
+// EachVMUsage visits every resident in ascending ID order with its delivered
+// usage in the snapshot at t, ready time accumulated over interval. It covers
+// t as Snapshot does, a hit or a miss counted alike, and takes the host's
+// contention from that snapshot: under proportional-share scheduling every
+// runnable vCPU on a saturated host is throttled by the same factor. The
+// resident set must not change during the walk.
+func (h *Host) EachVMUsage(t sim.Time, interval sim.Time, fn func(*vmmodel.VM, VMUsage)) {
+	if h.cover(t) {
+		h.snapHits++
+	}
+	contention := h.snap.CPUContentionPct
+	ready := contention / 100 * float64(interval.Duration().Milliseconds())
 	for i := range h.res {
-		vm := h.res[i].vm
-		fn(vm, h.vmSnapshot(vm, i, t, interval, hostContentionPct))
-	}
-}
-
-// vmSnapshot is VMSnapshot for vm resident at index i (< 0: not resident).
-func (h *Host) vmSnapshot(vm *vmmodel.VM, i int, t sim.Time, interval sim.Time, hostContentionPct float64) VMUsage {
-	if vm.Profile == nil {
-		return VMUsage{}
-	}
-	demand, mem := h.demand(vm, i, t)
-	if vm.Flavor.PinCPU {
-		// Dedicated cores: full delivery up to the allocation, no
-		// scheduling delay — the QoS guarantee of CPU pinning.
-		if demand > 1 {
-			demand = 1
+		r := &h.res[i]
+		var u VMUsage
+		switch {
+		case r.vm.Profile == nil:
+		case r.pinned:
+			// Dedicated cores: full delivery up to the allocation, no
+			// scheduling delay — the QoS guarantee of CPU pinning.
+			u = VMUsage{CPUUsageRatio: min(r.cpu, 1), MemUsageRatio: r.mem}
+		default:
+			u = VMUsage{CPUUsageRatio: min(r.cpu*(1-contention/100), 1), MemUsageRatio: r.mem, ReadyMillis: ready}
 		}
-		return VMUsage{CPUUsageRatio: demand, MemUsageRatio: mem}
-	}
-	delivered := demand * (1 - hostContentionPct/100)
-	if delivered > 1 {
-		delivered = 1
-	}
-	return VMUsage{
-		CPUUsageRatio: delivered,
-		MemUsageRatio: mem,
-		ReadyMillis:   hostContentionPct / 100 * float64(interval.Duration().Milliseconds()),
+		fn(r.vm, u)
 	}
 }
 
@@ -508,25 +492,17 @@ func (f *Fleet) Host(id topology.NodeID) (*Host, error) {
 // when the host sampler, the VM sampler, and DRS share a sampling
 // instant. The totals feed the engine profiler's owner breakdown.
 func (f *Fleet) SnapshotCacheStats() (hits, misses uint64) {
-	for _, h := range f.sorted() {
+	for _, h := range f.Hosts() {
 		hits += h.snapHits
 		misses += h.snapMisses
 	}
 	return hits, misses
 }
 
-// SnapshotFallbacks counts per-VM demand reads the snapshot cache did not
-// cover (VMSnapshot, EachVMSnapshot, EachVMDemand), each of which
-// re-evaluated the profile.
-func (f *Fleet) SnapshotFallbacks() (n uint64) {
-	for _, h := range f.sorted() {
-		n += h.snapFallbacks
-	}
-	return n
-}
-
-// sorted returns the cached fleet-wide host slice, node-ID order.
-func (f *Fleet) sorted() []*Host {
+// Hosts returns all hosts sorted by node ID. The slice is cached and must
+// not be written; AddHost builds a new one and never touches an old one, so
+// a caller may expand the fleet while ranging over it.
+func (f *Fleet) Hosts() []*Host {
 	if f.sortedHosts == nil {
 		out := make([]*Host, 0, len(f.hosts))
 		for _, h := range f.hosts {
@@ -538,8 +514,10 @@ func (f *Fleet) sorted() []*Host {
 	return f.sortedHosts
 }
 
-// inBB returns the cached host slice of one building block, node-index order.
-func (f *Fleet) inBB(bb *topology.BuildingBlock) []*Host {
+// HostsInBB returns the hosts of one building block, by node index. Like
+// Hosts, the slice is cached, must not be written, and stays valid for a
+// caller that expands the fleet while ranging over it.
+func (f *Fleet) HostsInBB(bb *topology.BuildingBlock) []*Host {
 	if hs, ok := f.bbHosts[bb.ID]; ok {
 		return hs
 	}
@@ -554,40 +532,6 @@ func (f *Fleet) inBB(bb *topology.BuildingBlock) []*Host {
 	}
 	f.bbHosts[bb.ID] = out
 	return out
-}
-
-// Hosts returns all hosts sorted by node ID. The result is a copy; callers
-// may expand the fleet while ranging over it.
-func (f *Fleet) Hosts() []*Host {
-	s := f.sorted()
-	out := make([]*Host, len(s))
-	copy(out, s)
-	return out
-}
-
-// EachHost visits every host in node-ID order without allocating. The host
-// set must not change during the walk.
-func (f *Fleet) EachHost(fn func(*Host)) {
-	for _, h := range f.sorted() {
-		fn(h)
-	}
-}
-
-// HostsInBB returns the hosts of one building block, by node index. The
-// result is a copy; callers may expand the fleet while ranging over it.
-func (f *Fleet) HostsInBB(bb *topology.BuildingBlock) []*Host {
-	s := f.inBB(bb)
-	out := make([]*Host, len(s))
-	copy(out, s)
-	return out
-}
-
-// EachHostInBB visits one building block's hosts in node-index order without
-// allocating. The host set must not change during the walk.
-func (f *Fleet) EachHostInBB(bb *topology.BuildingBlock, fn func(*Host)) {
-	for _, h := range f.inBB(bb) {
-		fn(h)
-	}
 }
 
 // Place admits the VM onto the node and updates the VM's placement.
@@ -684,7 +628,7 @@ type BBAllocation struct {
 // them directly on the node), so only the host slice is cached, not the sum.
 func (f *Fleet) BBAlloc(bb *topology.BuildingBlock) BBAllocation {
 	agg := BBAllocation{BB: bb}
-	for _, h := range f.inBB(bb) {
+	for _, h := range f.HostsInBB(bb) {
 		if h.Node.Maintenance {
 			continue
 		}

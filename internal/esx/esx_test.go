@@ -15,14 +15,8 @@ type constProfile struct {
 	cpu, mem, tx, rx, disk float64
 }
 
-func (p constProfile) CPUUsage(sim.Time) float64  { return p.cpu }
-func (p constProfile) MemUsage(sim.Time) float64  { return p.mem }
-func (p constProfile) NetTxKbps(sim.Time) float64 { return p.tx }
-func (p constProfile) NetRxKbps(sim.Time) float64 { return p.rx }
-func (p constProfile) DiskUsage(sim.Time) float64 { return p.disk }
-func (p constProfile) UsageAt(t sim.Time) vmmodel.Usage {
-	return vmmodel.Usage{CPU: p.CPUUsage(t), Mem: p.MemUsage(t),
-		TxKbps: p.NetTxKbps(t), RxKbps: p.NetRxKbps(t), Disk: p.DiskUsage(t)}
+func (p constProfile) UsageAt(sim.Time) vmmodel.Usage {
+	return vmmodel.Usage{CPU: p.cpu, Mem: p.mem, TxKbps: p.tx, RxKbps: p.rx, Disk: p.disk}
 }
 
 func testRegion(t *testing.T) *topology.Region {
@@ -39,6 +33,22 @@ func testRegion(t *testing.T) *topology.Region {
 func newVM(id string, flavor string, p vmmodel.UsageProfile) *vmmodel.VM {
 	f := vmmodel.CatalogByName()[flavor]
 	return &vmmodel.VM{ID: vmmodel.ID(id), Flavor: f, Profile: p}
+}
+
+// usageOf is resident vm's usage in h's EachVMUsage walk at t.
+func usageOf(t *testing.T, h *Host, vm *vmmodel.VM, at, interval sim.Time) VMUsage {
+	t.Helper()
+	var u VMUsage
+	found := false
+	h.EachVMUsage(at, interval, func(v *vmmodel.VM, vu VMUsage) {
+		if v == vm {
+			u, found = vu, true
+		}
+	})
+	if !found {
+		t.Fatalf("%s is not resident on %s", vm.ID, h.Node.ID)
+	}
+	return u
 }
 
 func TestPlaceAndRemove(t *testing.T) {
@@ -259,28 +269,38 @@ func TestSnapshotContention(t *testing.T) {
 	}
 }
 
+// TestVMSnapshotThrottling saturates the shared pool as TestSnapshotContention
+// does: 4 × MJ (16 vCPU) demanding 14.4 + 16 + 16 + 17.6 = 64 cores on 32
+// gives 50% contention, which throttles every shared VM by half and charges
+// it the host's ready time. A resident without a profile has zero usage.
 func TestVMSnapshotThrottling(t *testing.T) {
 	r := testRegion(t)
 	f := NewFleet(r, DefaultConfig())
 	n := r.Nodes()[0]
 	vm := newVM("a", "MJ", constProfile{cpu: 0.9, mem: 0.7})
-	if err := f.Place(vm, n, 0); err != nil {
-		t.Fatal(err)
+	bare := newVM("e", "MJ", nil)
+	for _, v := range []*vmmodel.VM{vm, newVM("b", "MJ", constProfile{cpu: 1.0}),
+		newVM("c", "MJ", constProfile{cpu: 1.0}), newVM("d", "MJ", constProfile{cpu: 1.1}), bare} {
+		if err := f.Place(v, n, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	h, _ := f.Host(n.ID)
-	u := h.VMSnapshot(vm, 0, 5*sim.Minute, 50)
+	m := h.Snapshot(0, 5*sim.Minute)
+	if math.Abs(m.CPUContentionPct-50) > 1e-9 {
+		t.Fatalf("CPUContentionPct = %v, want 50", m.CPUContentionPct)
+	}
+	u := usageOf(t, h, vm, 0, 5*sim.Minute)
 	if math.Abs(u.CPUUsageRatio-0.45) > 1e-9 {
 		t.Errorf("throttled usage = %v, want 0.45", u.CPUUsageRatio)
 	}
 	if u.MemUsageRatio != 0.7 {
 		t.Errorf("mem ratio = %v", u.MemUsageRatio)
 	}
-	if u.ReadyMillis != 150000 {
-		t.Errorf("ready = %v", u.ReadyMillis)
+	if u.ReadyMillis != m.CPUReadyMillis || math.Abs(u.ReadyMillis-150000) > 1e-6 {
+		t.Errorf("ready = %v, want the host's %v ≈ 150000", u.ReadyMillis, m.CPUReadyMillis)
 	}
-	// No profile → zero usage.
-	bare := &vmmodel.VM{ID: "bare", Flavor: vm.Flavor}
-	if got := h.VMSnapshot(bare, 0, sim.Minute, 0); got != (VMUsage{}) {
+	if got := usageOf(t, h, bare, 0, 5*sim.Minute); got != (VMUsage{}) {
 		t.Errorf("bare VM usage = %+v, want zero", got)
 	}
 }

@@ -99,7 +99,7 @@ func TestPinnedVMsNeverContended(t *testing.T) {
 	}
 	// The pinned VM sees full delivery and zero ready time despite host
 	// contention — the QoS guarantee.
-	u := h.VMSnapshot(pinned, 0, 5*sim.Minute, m.CPUContentionPct)
+	u := usageOf(t, h, pinned, 0, 5*sim.Minute)
 	if u.CPUUsageRatio != 1.0 || u.ReadyMillis != 0 {
 		t.Errorf("pinned VM usage = %+v, want full delivery, zero ready", u)
 	}
@@ -108,7 +108,7 @@ func TestPinnedVMsNeverContended(t *testing.T) {
 	if shared.Flavor.PinCPU {
 		shared = h.VMs()[1]
 	}
-	us := h.VMSnapshot(shared, 0, 5*sim.Minute, m.CPUContentionPct)
+	us := usageOf(t, h, shared, 0, 5*sim.Minute)
 	if us.CPUUsageRatio >= 1.0 || us.ReadyMillis == 0 {
 		t.Errorf("shared VM usage = %+v, want throttled", us)
 	}
@@ -185,8 +185,7 @@ func TestPinningShieldsLatencySensitiveVM(t *testing.T) {
 		}
 		const step = 5 * sim.Minute
 		for ts := sim.Time(0); ts < sim.Day; ts += step {
-			m := h.Snapshot(ts, step)
-			u := h.VMSnapshot(critical, ts, step, m.CPUContentionPct)
+			u := usageOf(t, h, critical, ts, step)
 			delivered += u.CPUUsageRatio
 			readyS += u.ReadyMillis / 1000
 		}

@@ -94,69 +94,96 @@ func TestSnapshotCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestVMDemandReadsSnapshotCache checks that VMSnapshot, EachVMSnapshot and
-// EachVMDemand read the resident's demand from the snapshot cached for (t,
-// resident set) — bit-identical to re-evaluating the profile — and that only
-// reads the cache does not cover fall back and are counted.
+// TestVMDemandReadsSnapshotCache checks that the per-VM walks read each
+// resident's demand from the host snapshot: a walk at an instant the host was
+// not snapshotted at costs exactly one miss and yields bits equal to a fresh
+// profile copy's UsageAt, a usage walk at a covered instant counts one hit as
+// Snapshot does, a demand walk there counts nothing, and a resident-set change
+// costs one more miss.
 func TestVMDemandReadsSnapshotCache(t *testing.T) {
 	r := testRegion(t)
 	f := NewFleet(r, DefaultConfig())
 	n := r.Nodes()[0]
 	h, _ := f.Host(n.ID)
+	var fresh []workload.Profile
 	for i := 0; i < 6; i++ {
-		vm := newVM(fmt.Sprintf("vm-%d", i), "MK", &workload.Profile{Seed: uint64(i), MeanCPU: 0.2 * float64(i+1),
-			MeanMem: 0.6, DiurnalAmp: 0.3, NoiseAmp: 0.2, BurstProb: 0.3, BurstMag: 2})
-		if err := f.Place(vm, n, 0); err != nil {
+		p := &workload.Profile{Seed: uint64(i), MeanCPU: 0.2 * float64(i+1),
+			MeanMem: 0.6, DiurnalAmp: 0.3, NoiseAmp: 0.2, BurstProb: 0.3, BurstMag: 2}
+		fresh = append(fresh, *p)
+		if err := f.Place(newVM(fmt.Sprintf("vm-%d", i), "MK", p), n, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fallbacks := func(want uint64) {
+	// want is resident i's usage at t, evaluated on a copy of its profile
+	// that has never been evaluated.
+	want := func(i int, at sim.Time) vmmodel.Usage {
+		p := fresh[i]
+		return p.UsageAt(at)
+	}
+	stats := func(step string, wantHits, wantMisses uint64) {
 		t.Helper()
-		if got := f.SnapshotFallbacks(); got != want {
-			t.Fatalf("fallbacks = %d, want %d", got, want)
+		if hits, misses := f.SnapshotCacheStats(); hits != wantHits || misses != wantMisses {
+			t.Fatalf("%s: %d hits, %d misses, want %d, %d", step, hits, misses, wantHits, wantMisses)
 		}
 	}
+	bits := func(u VMUsage) [3]uint64 {
+		return [3]uint64{math.Float64bits(u.CPUUsageRatio), math.Float64bits(u.MemUsageRatio), math.Float64bits(u.ReadyMillis)}
+	}
+	usageWalk := func(at sim.Time) []VMUsage {
+		t.Helper()
+		var got []VMUsage
+		h.EachVMUsage(at, 5*sim.Minute, func(vm *vmmodel.VM, u VMUsage) {
+			if vm != h.VMs()[len(got)] {
+				t.Fatalf("EachVMUsage visit %d: %s, want %s", len(got), vm.ID, h.VMs()[len(got)].ID)
+			}
+			got = append(got, u)
+		})
+		return got
+	}
+	// check compares a usage walk's values with the fresh copies, throttled
+	// by the contention of the snapshot at at (one more hit).
+	check := func(at sim.Time, got []VMUsage) {
+		t.Helper()
+		if len(got) != h.VMCount() {
+			t.Fatalf("EachVMUsage visited %d of %d residents", len(got), h.VMCount())
+		}
+		m := h.Snapshot(at, 5*sim.Minute)
+		for i, u := range got {
+			w := want(i, at)
+			exp := VMUsage{CPUUsageRatio: min(w.CPU*(1-m.CPUContentionPct/100), 1), MemUsageRatio: w.Mem,
+				ReadyMillis: m.CPUReadyMillis}
+			if bits(u) != bits(exp) {
+				t.Fatalf("%s at %v: %+v, want %+v", h.VMs()[i].ID, at, u, exp)
+			}
+		}
+	}
+
 	at := 3*sim.Hour + 5*sim.Minute
-	var fresh []VMUsage
-	for _, vm := range h.VMs() {
-		fresh = append(fresh, h.VMSnapshot(vm, at, 5*sim.Minute, 20))
-	}
-	fallbacks(6)
-	h.Snapshot(at, 5*sim.Minute)
-	for i, vm := range h.VMs() {
-		u := h.VMSnapshot(vm, at, 5*sim.Minute, 20)
-		if math.Float64bits(u.CPUUsageRatio) != math.Float64bits(fresh[i].CPUUsageRatio) ||
-			math.Float64bits(u.MemUsageRatio) != math.Float64bits(fresh[i].MemUsageRatio) || u != fresh[i] {
-			t.Fatalf("%s: cached %+v, re-evaluated %+v", vm.ID, u, fresh[i])
-		}
-	}
-	var walked int
-	h.EachVMSnapshot(at, 5*sim.Minute, 20, func(vm *vmmodel.VM, u VMUsage) {
-		if vm != h.VMs()[walked] || u != fresh[walked] {
-			t.Fatalf("EachVMSnapshot visit %d: %s %+v, want %s %+v", walked, vm.ID, u, h.VMs()[walked].ID, fresh[walked])
+	walked := 0
+	h.EachVMDemand(at, func(vm *vmmodel.VM, cpu float64) {
+		if w := want(walked, at).CPU; vm != h.VMs()[walked] || math.Float64bits(cpu) != math.Float64bits(w) {
+			t.Fatalf("EachVMDemand visit %d: %s cpu %v, want %s %v", walked, vm.ID, cpu, h.VMs()[walked].ID, w)
 		}
 		walked++
 	})
 	if walked != len(fresh) {
-		t.Fatalf("EachVMSnapshot visited %d of %d residents", walked, len(fresh))
+		t.Fatalf("EachVMDemand visited %d of %d residents", walked, len(fresh))
 	}
-	h.EachVMDemand(at, func(vm *vmmodel.VM, cpu float64) {
-		if want := vm.Profile.CPUUsage(at); math.Float64bits(cpu) != math.Float64bits(want) {
-			t.Fatalf("%s: EachVMDemand cpu = %v, CPUUsage = %v", vm.ID, cpu, want)
-		}
-	})
-	fallbacks(6)
+	stats("demand walk at a new instant", 0, 1)
+	got := usageWalk(at)
+	stats("usage walk at a covered instant", 1, 1)
+	check(at, got)
+	h.EachVMDemand(at, func(*vmmodel.VM, float64) {})
+	stats("demand walk at a covered instant", 2, 1)
 
-	// Another instant, a VM resident elsewhere, and a resident-set change at
-	// the cached instant all miss the cache.
-	vm0 := h.VMs()[0]
-	h.VMSnapshot(vm0, at+5*sim.Minute, 5*sim.Minute, 0)
-	fallbacks(7)
-	h.VMSnapshot(newVM("elsewhere", "MK", vm0.Profile), at, 5*sim.Minute, 0)
-	fallbacks(8)
-	if err := f.Remove(h.VMs()[5], at); err != nil {
+	at2 := at + 5*sim.Minute
+	got = usageWalk(at2)
+	stats("usage walk at a new instant", 2, 2)
+	check(at2, got)
+	if err := f.Remove(h.VMs()[5], at2); err != nil {
 		t.Fatal(err)
 	}
-	h.VMSnapshot(vm0, at, 5*sim.Minute, 0)
-	fallbacks(9)
+	got = usageWalk(at2)
+	stats("usage walk after a resident-set change", 3, 3)
+	check(at2, got)
 }

@@ -14,35 +14,27 @@ import (
 	"sapsim/internal/workload"
 )
 
-// components is a usage profile's per-resource methods, from which
-// referenceMetrics sums a host snapshot without the resident table.
-type components interface {
-	vmmodel.UsageProfile
-	NetTxKbps(sim.Time) float64
-	NetRxKbps(sim.Time) float64
-	DiskUsage(sim.Time) float64
-}
-
 // referenceMetrics is h's snapshot at t with residents vms, given in
-// ascending ID order, summed from the profiles' component methods.
+// ascending ID order, summed from each profile's UsageAt without the
+// resident table.
 func referenceMetrics(h *Host, vms []*vmmodel.VM, t, interval sim.Time) Metrics {
 	var shared, pinned, memMB, tx, rx, diskGB float64
 	for _, vm := range vms {
-		p, ok := vm.Profile.(components)
-		if !ok {
+		if vm.Profile == nil {
 			continue
 		}
+		u := vm.Profile.UsageAt(t)
 		cores := float64(vm.RequestedCPUCores())
-		demand := float64(p.CPUUsage(t) * cores)
+		demand := float64(u.CPU * cores)
 		if vm.Flavor.PinCPU {
 			pinned += math.Min(demand, cores)
 		} else {
 			shared += demand
 		}
-		memMB += float64(p.MemUsage(t) * float64(vm.RequestedMemoryMB()))
-		tx += p.NetTxKbps(t)
-		rx += p.NetRxKbps(t)
-		diskGB += float64(p.DiskUsage(t) * float64(vm.RequestedDiskGB()))
+		memMB += float64(u.Mem * float64(vm.RequestedMemoryMB()))
+		tx += u.TxKbps
+		rx += u.RxKbps
+		diskGB += float64(u.Disk * float64(vm.RequestedDiskGB()))
 	}
 	m := Metrics{VMCount: len(vms), TxKbps: tx, RxKbps: rx}
 	supply, delivered := float64(h.SharedCores()), shared
@@ -71,7 +63,7 @@ func metricsBits(m Metrics) [8]uint64 {
 // fit and is rolled back. After every step the table must list the expected
 // residents in ID order, refuse a second admission and an eviction of a VM it
 // does not hold, and snapshot bit-equal to a reference summed in ID order from
-// the component methods, on a cache miss and on the hit that follows.
+// each profile's UsageAt, on a cache miss and on the hit that follows.
 func TestResidentTableMatchesReference(t *testing.T) {
 	r := testRegion(t)
 	cfg := DefaultConfig()

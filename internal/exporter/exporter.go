@@ -93,9 +93,9 @@ func (e *Exporter) collect() []sample {
 		out = append(out, sample{name: name, labels: labels, value: value})
 	}
 
-	e.Fleet.EachHost(func(h *esx.Host) {
+	for _, h := range e.Fleet.Hosts() {
 		if h.Node.Maintenance {
-			return // vROps reports no data for maintenance hosts
+			continue // vROps reports no data for maintenance hosts
 		}
 		nodeLabels := []string{
 			"hostsystem", string(h.Node.ID),
@@ -115,7 +115,7 @@ func (e *Exporter) collect() []sample {
 		add(MetricNodeMemoryMB, float64(h.MemCapacityMB()), nodeLabels...)
 		add(MetricNodeMemoryMBUsed, float64(h.AllocatedMemMB()), nodeLabels...)
 
-		h.EachVMSnapshot(now, e.Interval, m.CPUContentionPct, func(vm *vmmodel.VM, u esx.VMUsage) {
+		h.EachVMUsage(now, e.Interval, func(vm *vmmodel.VM, u esx.VMUsage) {
 			vmLabels := []string{
 				"virtualmachine", string(vm.ID),
 				"hostsystem", string(h.Node.ID),
@@ -125,7 +125,7 @@ func (e *Exporter) collect() []sample {
 			add(MetricVMCPURatio, u.CPUUsageRatio, vmLabels...)
 			add(MetricVMMemRatio, u.MemUsageRatio, vmLabels...)
 		})
-	})
+	}
 	if e.VMs != nil {
 		add(MetricInstancesTotal, float64(len(e.VMs())))
 	}

@@ -14,14 +14,8 @@ import (
 
 type constProfile struct{ cpu, mem float64 }
 
-func (p constProfile) CPUUsage(sim.Time) float64  { return p.cpu }
-func (p constProfile) MemUsage(sim.Time) float64  { return p.mem }
-func (p constProfile) NetTxKbps(sim.Time) float64 { return 500 }
-func (p constProfile) NetRxKbps(sim.Time) float64 { return 700 }
-func (p constProfile) DiskUsage(sim.Time) float64 { return 0.25 }
-func (p constProfile) UsageAt(t sim.Time) vmmodel.Usage {
-	return vmmodel.Usage{CPU: p.CPUUsage(t), Mem: p.MemUsage(t),
-		TxKbps: p.NetTxKbps(t), RxKbps: p.NetRxKbps(t), Disk: p.DiskUsage(t)}
+func (p constProfile) UsageAt(sim.Time) vmmodel.Usage {
+	return vmmodel.Usage{CPU: p.cpu, Mem: p.mem, TxKbps: 500, RxKbps: 700, Disk: 0.25}
 }
 
 func testExporter(t *testing.T) (*Exporter, *esx.Fleet) {

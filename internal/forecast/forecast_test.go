@@ -181,7 +181,7 @@ func TestHoltWintersBeatsNaiveOnWorkloadProfile(t *testing.T) {
 	const step = 30 * sim.Minute
 	var vals []float64
 	for ts := sim.Time(0); ts < 10*sim.Day; ts += step {
-		vals = append(vals, p.CPUUsage(ts))
+		vals = append(vals, p.UsageAt(ts).CPU)
 	}
 	s := seriesOf(t, 0, step, vals...)
 	period := int(sim.Day / step)

@@ -55,7 +55,7 @@ func TestReplayReproducesUtilizationShape(t *testing.T) {
 		}
 		sum, n := 0.0, 0
 		for ts := from; ts < to; ts += sim.Hour {
-			sum += in.VM.Profile.CPUUsage(ts)
+			sum += in.VM.Profile.UsageAt(ts).CPU
 			n++
 		}
 		if n > 0 {

@@ -260,14 +260,14 @@ func (s *Scheduler) selectNode(bb *topology.BuildingBlock, f *vmmodel.Flavor) *t
 	}
 	var best *esx.Host
 	var bestFree int64
-	s.fleet.EachHostInBB(bb, func(h *esx.Host) {
+	for _, h := range s.fleet.HostsInBB(bb) {
 		if !h.Fits(f) {
-			return
+			continue
 		}
 		free := h.FreeMemMB()
 		if best == nil {
 			best, bestFree = h, free
-			return
+			continue
 		}
 		switch {
 		case free != bestFree:
@@ -281,7 +281,7 @@ func (s *Scheduler) selectNode(bb *topology.BuildingBlock, f *vmmodel.Flavor) *t
 		case h.Node.ID < best.Node.ID:
 			best = h
 		}
-	})
+	}
 	if best == nil {
 		return nil
 	}

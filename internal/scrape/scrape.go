@@ -57,18 +57,17 @@ func parseLine(line string) (ParsedSample, error) {
 		return s, fmt.Errorf("malformed line %q", line)
 	}
 	s.Name = line[:nameEnd]
+	if !validName(s.Name, true) {
+		return s, fmt.Errorf("invalid metric name in %q", line)
+	}
 	rest := line[nameEnd:]
 	if rest[0] == '{' {
-		close := strings.Index(rest, "}")
-		if close < 0 {
-			return s, fmt.Errorf("unterminated label set in %q", line)
-		}
-		labels, err := parseLabels(rest[1:close])
+		labels, after, err := parseLabels(rest[1:])
 		if err != nil {
-			return s, err
+			return s, fmt.Errorf("%w in %q", err, line)
 		}
 		s.Labels = labels
-		rest = rest[close+1:]
+		rest = after
 	}
 	valueStr := strings.TrimSpace(rest)
 	// A trailing timestamp (milliseconds) may follow the value.
@@ -83,17 +82,43 @@ func parseLine(line string) (ParsedSample, error) {
 	return s, nil
 }
 
-func parseLabels(body string) (telemetry.Labels, error) {
+// validName reports whether name is a metric name ([a-zA-Z_:][a-zA-Z0-9_:]*)
+// or, without colons, a label name.
+func validName(name string, metric bool) bool {
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if !(c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || i > 0 && c >= '0' && c <= '9' || metric && c == ':') {
+			return false
+		}
+	}
+	return name != ""
+}
+
+// parseLabels parses a label set from just after its '{' through its '}',
+// and returns what follows. The set ends at the first '}' outside a quoted
+// value: the exporter quotes values with %q, so a value may hold a '}'.
+func parseLabels(body string) (telemetry.Labels, string, error) {
 	var pairs []string
-	for len(body) > 0 {
+	for {
+		body = strings.TrimSpace(body)
+		if body == "" {
+			return telemetry.Labels{}, "", errors.New("unterminated label set")
+		}
+		if body[0] == '}' {
+			labels, err := telemetry.NewLabels(pairs...)
+			return labels, body[1:], err
+		}
 		eq := strings.IndexByte(body, '=')
 		if eq < 0 {
-			return telemetry.Labels{}, fmt.Errorf("malformed labels %q", body)
+			return telemetry.Labels{}, "", fmt.Errorf("malformed labels %q", body)
 		}
 		key := strings.TrimSpace(body[:eq])
+		if !validName(key, false) {
+			return telemetry.Labels{}, "", fmt.Errorf("invalid label name %q", key)
+		}
 		body = body[eq+1:]
 		if len(body) == 0 || body[0] != '"' {
-			return telemetry.Labels{}, fmt.Errorf("unquoted label value after %q", key)
+			return telemetry.Labels{}, "", fmt.Errorf("unquoted label value after %q", key)
 		}
 		// Find the closing quote, honoring escapes.
 		end := -1
@@ -108,17 +133,20 @@ func parseLabels(body string) (telemetry.Labels, error) {
 			}
 		}
 		if end < 0 {
-			return telemetry.Labels{}, fmt.Errorf("unterminated label value after %q", key)
+			return telemetry.Labels{}, "", fmt.Errorf("unterminated label value after %q", key)
 		}
 		val, err := strconv.Unquote(body[:end+1])
 		if err != nil {
-			return telemetry.Labels{}, fmt.Errorf("bad label value after %q: %w", key, err)
+			return telemetry.Labels{}, "", fmt.Errorf("bad label value after %q: %w", key, err)
 		}
 		pairs = append(pairs, key, val)
-		body = strings.TrimPrefix(strings.TrimSpace(body[end+1:]), ",")
-		body = strings.TrimSpace(body)
+		body = strings.TrimSpace(body[end+1:])
+		if strings.HasPrefix(body, ",") {
+			body = body[1:]
+		} else if !strings.HasPrefix(body, "}") {
+			return telemetry.Labels{}, "", fmt.Errorf("want ',' or '}' after label %q", key)
+		}
 	}
-	return telemetry.NewLabels(pairs...)
 }
 
 // Scraper pulls one or more HTTP targets into a telemetry store.

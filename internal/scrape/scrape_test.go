@@ -59,11 +59,27 @@ func TestParseErrors(t *testing.T) {
 		"m{a=\"1\"} notanumber\n",
 		"m{a=1} 3\n",
 		"m{noeq} 3\n",
+		"{a=\"b\"} 1\n",          // no metric name
+		"1m 3\n",                 // invalid metric name
+		"m{1a=\"v\"} 3\n",        // invalid label name
+		"m{a=\"1\" b=\"2\"} 3\n", // no comma between labels
 	}
 	for _, in := range bad {
 		if _, err := Parse(strings.NewReader(in)); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", in)
 		}
+	}
+}
+
+// TestParseBraceInLabelValue: a '}' inside a quoted label value does not end
+// the label set, since the exporter quotes values with %q.
+func TestParseBraceInLabelValue(t *testing.T) {
+	samples, err := Parse(strings.NewReader("x{a=\"}\",b=\"{}\"} 1\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := samples[0]; s.Name != "x" || s.Labels.Get("a") != "}" || s.Labels.Get("b") != "{}" || s.Value != 1 {
+		t.Errorf("sample = %s%s %v", s.Name, s.Labels, s.Value)
 	}
 }
 
@@ -96,14 +112,8 @@ func TestIngestAppendsToStore(t *testing.T) {
 
 type constProfile struct{}
 
-func (constProfile) CPUUsage(sim.Time) float64  { return 0.4 }
-func (constProfile) MemUsage(sim.Time) float64  { return 0.6 }
-func (constProfile) NetTxKbps(sim.Time) float64 { return 100 }
-func (constProfile) NetRxKbps(sim.Time) float64 { return 100 }
-func (constProfile) DiskUsage(sim.Time) float64 { return 0.3 }
-func (p constProfile) UsageAt(t sim.Time) vmmodel.Usage {
-	return vmmodel.Usage{CPU: p.CPUUsage(t), Mem: p.MemUsage(t),
-		TxKbps: p.NetTxKbps(t), RxKbps: p.NetRxKbps(t), Disk: p.DiskUsage(t)}
+func (constProfile) UsageAt(sim.Time) vmmodel.Usage {
+	return vmmodel.Usage{CPU: 0.4, Mem: 0.6, TxKbps: 100, RxKbps: 100, Disk: 0.3}
 }
 
 // End-to-end: exporter → HTTP → scraper → store, the Sec. 4 pipeline.

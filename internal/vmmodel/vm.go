@@ -45,24 +45,17 @@ func (s State) String() string {
 // simulation time. Implementations live in internal/workload; keeping the
 // interface here avoids a dependency cycle.
 type UsageProfile interface {
-	// CPUUsage returns the fraction (0..1+) of the VM's *requested* vCPU
-	// capacity demanded at time t. Values above 1 model bursts beyond
-	// the allocation that manifest as contention on an overcommitted
-	// host.
-	CPUUsage(t sim.Time) float64
-	// MemUsage returns the fraction (0..1) of requested memory in use.
-	MemUsage(t sim.Time) float64
-	// UsageAt returns demand on every resource at once, CPU and Mem
-	// bit-identical to the methods above, so terms they share (diurnal
-	// cycle, noise) are evaluated once. The host snapshot is its caller
-	// (for a generated workload.Profile it calls UsageAtClock, which
-	// UsageAt wraps); per-VM reads fall back to CPUUsage/MemUsage only off
-	// its cache.
+	// UsageAt returns demand on every resource at t. The host snapshot is
+	// its one caller in a cell (for a generated workload.Profile it calls
+	// UsageAtClock, which UsageAt wraps), and per-VM reads take their
+	// demand from that snapshot.
 	UsageAt(t sim.Time) Usage
 }
 
 // Usage is one VM's demand on every resource at one instant: CPU, Mem and
-// Disk as fractions of the request, NIC traffic in Kbit/s.
+// Disk as fractions of the request, NIC traffic in Kbit/s. CPU may exceed 1:
+// a burst beyond the allocation is what manifests as contention on an
+// overcommitted host.
 type Usage struct{ CPU, Mem, TxKbps, RxKbps, Disk float64 }
 
 // VM is a virtual machine instance.

@@ -14,9 +14,8 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkProfileCPUUsage measures one CPU demand evaluation, the VM
-// sampler's and DRS's fallback when the host snapshot cache does not cover
-// the instant.
+// BenchmarkProfileCPUUsage measures one usage evaluation read for its CPU
+// demand, at one-minute steps: five calls share each 5-minute noise bucket.
 func BenchmarkProfileCPUUsage(b *testing.B) {
 	p := &Profile{
 		Seed: 1, MeanCPU: 0.3, DiurnalAmp: 0.2, WeekendDip: 0.2,
@@ -24,7 +23,7 @@ func BenchmarkProfileCPUUsage(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.CPUUsage(sim.Time(i) * sim.Minute)
+		_ = p.UsageAt(sim.Time(i) * sim.Minute).CPU
 	}
 }
 

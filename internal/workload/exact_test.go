@@ -152,7 +152,7 @@ func TestUsageAtMemoMatchesFresh(t *testing.T) {
 				t.Fatalf("t=%v: memoised UsageAt = %+v, zero-memo copy = %+v", at, got, want)
 			}
 			if at%sim.Hour == 0 {
-				sameBits(t, p, at)
+				matchesReference(t, p, at)
 			}
 		}
 	}

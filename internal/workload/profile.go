@@ -119,12 +119,6 @@ func (p *Profile) cycle(c *Clock) float64 {
 	return day
 }
 
-// noise returns the multiplicative noise factor of the 5-minute bucket whose
-// splitmix64 hash is mb.
-func (p *Profile) noise(mb uint64) float64 {
-	return p.noiseOf(hashNormal(p.Seed, mb))
-}
-
 // noiseOf scales a noise draw n into the factor, floored at 0.1. The branch
 // is math.Max(0.1, v) without the call; a NaN passes through as NaN.
 func (p *Profile) noiseOf(n float64) float64 {
@@ -163,38 +157,6 @@ func (p *Profile) disk(c *Clock) float64 {
 	return clamp(p.DiskFrac*c.diskGrowth, 0, 1)
 }
 
-// CPUUsage implements vmmodel.UsageProfile.
-func (p *Profile) CPUUsage(t sim.Time) float64 {
-	c := ClockAt(t)
-	v := p.MeanCPU * p.cycle(&c) * p.noise(c.mb) * p.burst(&c)
-	return clamp(v, 0, 1.5) // >1 models demand beyond the allocation
-}
-
-// MemUsage implements vmmodel.UsageProfile.
-func (p *Profile) MemUsage(t sim.Time) float64 {
-	c := ClockAt(t)
-	return p.memOf(&c, hashNormal(p.Seed^0x3333, c.mh))
-}
-
-// NetTxKbps is the transmit rate UsageAt reports.
-func (p *Profile) NetTxKbps(t sim.Time) float64 {
-	c := ClockAt(t)
-	return floor0(p.TxKbps * p.cycle(&c) * p.noise(c.mb))
-}
-
-// NetRxKbps is the receive rate UsageAt reports: its noise is the next
-// 5-minute bucket's draw.
-func (p *Profile) NetRxKbps(t sim.Time) float64 {
-	c := ClockAt(t)
-	return floor0(p.RxKbps * p.cycle(&c) * p.noise(c.mrb))
-}
-
-// DiskUsage is the disk fraction UsageAt reports.
-func (p *Profile) DiskUsage(t sim.Time) float64 {
-	c := ClockAt(t)
-	return p.disk(&c)
-}
-
 // UsageAt implements vmmodel.UsageProfile: it is UsageAtClock at ClockAt(t).
 // A caller that evaluates many profiles at one instant, as the host
 // snapshot does, builds the Clock once and calls UsageAtClock for each.
@@ -203,10 +165,11 @@ func (p *Profile) UsageAt(t sim.Time) vmmodel.Usage {
 	return p.UsageAtClock(&c)
 }
 
-// UsageAtClock is the usage at c's instant, bit-equal to the component
-// methods there. cycle and the 5-minute noise are evaluated once, and the
-// grid memo serves the CPU draw (the previous call's Rx draw) and the
-// hourly memory draw; products keep the component methods' order.
+// UsageAtClock is the usage at c's instant. cycle and the 5-minute noise are
+// evaluated once, and the grid memo serves the CPU draw (the previous call's
+// Rx draw) and the hourly memory draw, so every call yields the bits a cold
+// Profile would. CPU may exceed 1 (up to 1.5): demand beyond the allocation.
+// Rx noise is the next 5-minute bucket's draw.
 func (p *Profile) UsageAtClock(c *Clock) vmmodel.Usage {
 	nb := p.rx
 	if !p.memo || p.rxKey != c.b {

@@ -39,31 +39,10 @@ func seriesAt(s *telemetry.Series, t sim.Time, fallback float64) float64 {
 	return fallback
 }
 
-// CPUUsage implements vmmodel.UsageProfile.
-func (r *ReplayProfile) CPUUsage(t sim.Time) float64 {
-	return seriesAt(r.CPU, t, r.FallbackCPU)
-}
-
-// MemUsage implements vmmodel.UsageProfile.
-func (r *ReplayProfile) MemUsage(t sim.Time) float64 {
-	return seriesAt(r.Mem, t, r.FallbackMem)
-}
-
-// NetTxKbps is the transmit rate UsageAt reports.
-func (r *ReplayProfile) NetTxKbps(t sim.Time) float64 { return seriesAt(r.Tx, t, 0) }
-
-// NetRxKbps is the receive rate UsageAt reports.
-func (r *ReplayProfile) NetRxKbps(t sim.Time) float64 { return seriesAt(r.Rx, t, 0) }
-
-// DiskUsage is the disk fraction UsageAt reports.
-func (r *ReplayProfile) DiskUsage(t sim.Time) float64 {
-	return seriesAt(r.Disk, t, r.FallbackDisk)
-}
-
 // UsageAt implements vmmodel.UsageProfile.
 func (r *ReplayProfile) UsageAt(t sim.Time) vmmodel.Usage {
-	return vmmodel.Usage{CPU: r.CPUUsage(t), Mem: r.MemUsage(t),
-		TxKbps: r.NetTxKbps(t), RxKbps: r.NetRxKbps(t), Disk: r.DiskUsage(t)}
+	return vmmodel.Usage{CPU: seriesAt(r.CPU, t, r.FallbackCPU), Mem: seriesAt(r.Mem, t, r.FallbackMem),
+		TxKbps: seriesAt(r.Tx, t, 0), RxKbps: seriesAt(r.Rx, t, 0), Disk: seriesAt(r.Disk, t, r.FallbackDisk)}
 }
 
 // Metric names of the released per-VM series (Appendix C). Declared here

@@ -71,30 +71,30 @@ func TestReplayProfileValues(t *testing.T) {
 	}
 	p := insts[0].VM.Profile
 	// At 24h the recorded value is 0.24; between samples, LOCF.
-	if got := p.CPUUsage(24 * sim.Hour); math.Abs(got-0.24) > 1e-12 {
+	if got := p.UsageAt(24 * sim.Hour).CPU; math.Abs(got-0.24) > 1e-12 {
 		t.Errorf("CPU@24h = %v, want 0.24", got)
 	}
-	if got := p.CPUUsage(24*sim.Hour + 30*sim.Minute); math.Abs(got-0.24) > 1e-12 {
+	if got := p.UsageAt(24*sim.Hour + 30*sim.Minute).CPU; math.Abs(got-0.24) > 1e-12 {
 		t.Errorf("CPU between samples = %v, want 0.24 (LOCF)", got)
 	}
-	if got := p.MemUsage(5 * sim.Hour); got != 0.8 {
+	if got := p.UsageAt(5 * sim.Hour).Mem; got != 0.8 {
 		t.Errorf("Mem = %v, want 0.8", got)
 	}
 	// vm-b has no memory series → fallback.
 	pb := insts[1].VM.Profile.(*ReplayProfile)
-	if got := pb.MemUsage(15 * sim.Hour); got != 0.5 {
+	if got := pb.UsageAt(15 * sim.Hour).Mem; got != 0.5 {
 		t.Errorf("fallback mem = %v, want 0.5", got)
 	}
 	// Before the first sample → fallback (vm-b fallback CPU = first value).
-	if got := pb.CPUUsage(0); got != 0.5 {
+	if got := pb.UsageAt(0).CPU; got != 0.5 {
 		t.Errorf("pre-window CPU = %v, want fallback 0.5", got)
 	}
 	// Optional series absent → zero network, constant disk.
-	if pb.NetTxKbps(0) != 0 || pb.NetRxKbps(0) != 0 {
+	if pb.UsageAt(0).TxKbps != 0 || pb.UsageAt(0).RxKbps != 0 {
 		t.Error("absent network series should be 0")
 	}
-	if pb.DiskUsage(0) != 0.3 {
-		t.Errorf("disk fallback = %v", pb.DiskUsage(0))
+	if pb.UsageAt(0).Disk != 0.3 {
+		t.Errorf("disk fallback = %v", pb.UsageAt(0).Disk)
 	}
 }
 

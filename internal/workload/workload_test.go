@@ -110,11 +110,8 @@ func TestDrawMeanMemHANA(t *testing.T) {
 func TestProfileDeterministic(t *testing.T) {
 	p := &Profile{Seed: 5, MeanCPU: 0.3, MeanMem: 0.8, DiurnalAmp: 0.2, NoiseAmp: 0.1, BurstProb: 0.01, BurstMag: 2, TxKbps: 100, RxKbps: 100, DiskFrac: 0.4}
 	for _, ti := range []sim.Time{0, sim.Hour, 3 * sim.Day, 29 * sim.Day} {
-		if p.CPUUsage(ti) != p.CPUUsage(ti) {
-			t.Fatal("CPUUsage not deterministic")
-		}
-		if p.MemUsage(ti) != p.MemUsage(ti) {
-			t.Fatal("MemUsage not deterministic")
+		if p.UsageAt(ti) != p.UsageAt(ti) {
+			t.Fatal("UsageAt not deterministic")
 		}
 	}
 }
@@ -122,16 +119,17 @@ func TestProfileDeterministic(t *testing.T) {
 func TestProfileBounds(t *testing.T) {
 	p := &Profile{Seed: 11, MeanCPU: 0.9, MeanMem: 0.95, DiurnalAmp: 0.4, WeekendDip: 0.3, NoiseAmp: 0.25, BurstProb: 0.5, BurstMag: 3, TxKbps: 5000, RxKbps: 5000, DiskFrac: 0.9, MemGrowthPerDay: 0.01}
 	for ti := sim.Time(0); ti < 30*sim.Day; ti += 37 * sim.Minute {
-		if c := p.CPUUsage(ti); c < 0 || c > 1.5 {
-			t.Fatalf("CPUUsage out of [0,1.5]: %v at %v", c, ti)
+		u := p.UsageAt(ti)
+		if u.CPU < 0 || u.CPU > 1.5 {
+			t.Fatalf("CPU usage out of [0,1.5]: %v at %v", u.CPU, ti)
 		}
-		if m := p.MemUsage(ti); m < 0 || m > 1 {
-			t.Fatalf("MemUsage out of [0,1]: %v at %v", m, ti)
+		if u.Mem < 0 || u.Mem > 1 {
+			t.Fatalf("Mem usage out of [0,1]: %v at %v", u.Mem, ti)
 		}
-		if d := p.DiskUsage(ti); d < 0 || d > 1 {
-			t.Fatalf("DiskUsage out of [0,1]: %v", d)
+		if u.Disk < 0 || u.Disk > 1 {
+			t.Fatalf("Disk usage out of [0,1]: %v", u.Disk)
 		}
-		if p.NetTxKbps(ti) < 0 || p.NetRxKbps(ti) < 0 {
+		if u.TxKbps < 0 || u.RxKbps < 0 {
 			t.Fatal("negative network usage")
 		}
 	}
@@ -141,7 +139,7 @@ func TestProfileAverageTracksMean(t *testing.T) {
 	p := &Profile{Seed: 13, MeanCPU: 0.25, DiurnalAmp: 0.2, WeekendDip: 0.2, NoiseAmp: 0.1, BurstProb: 0.005, BurstMag: 2}
 	sum, n := 0.0, 0
 	for ti := sim.Time(0); ti < 30*sim.Day; ti += 10 * sim.Minute {
-		sum += p.CPUUsage(ti)
+		sum += p.UsageAt(ti).CPU
 		n++
 	}
 	if avg := sum / float64(n); math.Abs(avg-0.25) > 0.06 {
@@ -153,10 +151,10 @@ func TestProfileWeekendDip(t *testing.T) {
 	p := &Profile{Seed: 17, MeanCPU: 0.5, WeekendDip: 0.4}
 	// Epoch is Wednesday; days 3 and 4 are Saturday and Sunday. Compare
 	// the same time of day.
-	wed := p.CPUUsage(13 * sim.Hour)
-	sat := p.CPUUsage(3*sim.Day + 13*sim.Hour)
-	sun := p.CPUUsage(4*sim.Day + 13*sim.Hour)
-	mon := p.CPUUsage(5*sim.Day + 13*sim.Hour)
+	wed := p.UsageAt(13 * sim.Hour).CPU
+	sat := p.UsageAt(3*sim.Day + 13*sim.Hour).CPU
+	sun := p.UsageAt(4*sim.Day + 13*sim.Hour).CPU
+	mon := p.UsageAt(5*sim.Day + 13*sim.Hour).CPU
 	if sat >= wed {
 		t.Errorf("Saturday usage %v not below weekday %v", sat, wed)
 	}
@@ -170,8 +168,8 @@ func TestProfileWeekendDip(t *testing.T) {
 
 func TestProfileDiurnalCycle(t *testing.T) {
 	p := &Profile{Seed: 19, MeanCPU: 0.5, DiurnalAmp: 0.3}
-	peak := p.CPUUsage(13 * sim.Hour)  // 13:00
-	trough := p.CPUUsage(1 * sim.Hour) // 01:00
+	peak := p.UsageAt(13 * sim.Hour).CPU  // 13:00
+	trough := p.UsageAt(1 * sim.Hour).CPU // 01:00
 	if peak <= trough {
 		t.Errorf("diurnal peak %v not above trough %v", peak, trough)
 	}
@@ -179,8 +177,8 @@ func TestProfileDiurnalCycle(t *testing.T) {
 
 func TestMemGrowth(t *testing.T) {
 	p := &Profile{Seed: 23, MeanMem: 0.5, MemGrowthPerDay: 0.005}
-	early := p.MemUsage(sim.Hour)
-	late := p.MemUsage(29 * sim.Day)
+	early := p.UsageAt(sim.Hour).Mem
+	late := p.UsageAt(29 * sim.Day).Mem
 	if late <= early {
 		t.Errorf("memory did not grow: %v -> %v", early, late)
 	}

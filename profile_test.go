@@ -102,7 +102,7 @@ func TestSessionProfileMidRun(t *testing.T) {
 // family (8 per sampled host per tick; 2 per placed VM plus 1 per VM tick),
 // series and samples that reached the store, and resident-set walks
 // (snapshot-cache misses — the cache serves the VM sweep and DRS at a shared
-// instant, per-VM demand included, so no VM read falls back to its profile),
+// instant, and every per-VM read takes its demand from it),
 // and the bytes the store holds per sample. Placement and
 // rebalancing: candidates the scheduler filtered, claim attempts including
 // retries, hosts DRS scanned, and engine events fired. All are deterministic
@@ -129,7 +129,6 @@ func TestSamplingWorkGate(t *testing.T) {
 		{"store series", int64(res.Store.SeriesCount()), 3857},
 		{"store samples", int64(res.Store.SampleCount()), 921920 + 362913},
 		{"snapshot-cache misses", int64(misses), 115720},
-		{"snapshot-cache fallbacks", int64(res.Fleet.SnapshotFallbacks()), 0},
 		{"sched/filter ops", res.Profile.Phase(engprof.PhaseSchedFilter).Ops, 20079},
 		{"sched/claim ops", res.Profile.Phase(engprof.PhaseSchedClaim).Ops, 2663},
 		{"drs/scan ops", res.Profile.Phase(engprof.PhaseDRSScan).Ops, 11697},
