@@ -174,7 +174,8 @@ func TestGoldenDataset(t *testing.T) {
 // round-trip the snapshot through its wire form, resume a fresh session
 // from it, and finish — all 18 artifact digests must still match the
 // uninterrupted run byte for byte. This is the path ResumeFromSnapshot
-// and Fork take, pinned to the paper reproduction.
+// takes, pinned to the paper reproduction; a resume needs the captured
+// config exactly.
 func TestGoldenArtifactsSnapshotResume(t *testing.T) {
 	if *updateGolden {
 		t.Skip("goldens are blessed through TestGoldenArtifacts")

@@ -20,9 +20,11 @@ import (
 // evacuations, resizes — join the run's one event stream: the log and
 // Hooks.OnEvent see them exactly as they see the core's own rows.
 //
-// Restoring a snapshot re-runs Inject on a cold build and replays the run
-// to the snapshot's time, so an injector needs no restore path of its own:
-// it schedules plain closures through Env.Schedule.
+// Restoring a snapshot re-runs Inject on a cold build of the captured
+// config and replays the run to the snapshot's time, so an injector needs
+// no restore path of its own: it schedules plain closures through
+// Env.Schedule. A restore needs the captured injectors exactly; a what-if
+// with another injector is a cold run.
 type Injector interface {
 	// Name labels the injector for error reporting.
 	Name() string
@@ -53,21 +55,12 @@ type Env struct {
 	// idx is the injector's position in Config.Injectors; it namespaces
 	// the owner labels of the injector's events.
 	idx int
-	// schedPriority is the priority Schedule stamps on events. It is -1
-	// only while a branch injector's Inject runs after a restore: a cold
-	// run's inject-time events carry assembly-time sequence numbers and so
-	// sort before any coincident in-flight event, while a branch's carry
-	// post-snapshot sequence numbers — the lower priority restores the cold
-	// ordering at shared instants. Handler-scheduled events (recoveries,
-	// rescheduled evaluations) go back to priority 0, matching their cold
-	// counterparts' dynamic sequence order.
-	schedPriority int
 }
 
 // Schedule schedules fn at at as one of this injector's events. The event
 // is labelled "inj/<idx>/<suffix>" for the profiler.
 func (e *Env) Schedule(at sim.Time, suffix string, fn sim.Handler) error {
-	_, err := e.Engine.ScheduleOwned(at, e.schedPriority, fmt.Sprintf("inj/%d/%s", e.idx, suffix), fn)
+	_, err := e.Engine.ScheduleOwned(at, 0, fmt.Sprintf("inj/%d/%s", e.idx, suffix), fn)
 	return err
 }
 

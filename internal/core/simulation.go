@@ -63,9 +63,6 @@ type Simulation struct {
 
 	finalized bool
 
-	// env is the base injector environment (nil without injectors); a
-	// restore copies it to inject branch injectors after the replay.
-	env *Env
 	// prof is the always-on engine self-profiler: every simulation carries
 	// one, the engine/scheduler/DRS write attribution into it, and Result
 	// snapshots it. It reads the wall clock and nothing else, so it cannot
@@ -81,13 +78,6 @@ type Simulation struct {
 // churn, and scenario injectors. The returned simulation is positioned at
 // time zero with the whole observation window ahead of it.
 func NewSimulation(cfg Config, hooks Hooks) (*Simulation, error) {
-	return assemble(cfg, hooks, len(cfg.Injectors))
-}
-
-// assemble builds the simulation at t=0, running the first numInjectors
-// injectors. A restore injects the rest once the replay has reached the
-// snapshot.
-func assemble(cfg Config, hooks Hooks, numInjectors int) (*Simulation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -302,16 +292,16 @@ func assemble(cfg Config, hooks Hooks, numInjectors int) (*Simulation, error) {
 	// Scenario injectors run last so the steady-state wiring above is
 	// complete when they schedule their operational events.
 	if len(cfg.Injectors) > 0 {
-		s.env = &Env{
+		base := Env{
 			Engine: engine, Config: cfg, Region: region, Fleet: fleet,
 			Scheduler: sched, Result: res, live: live, record: record,
 			down: make(map[topology.NodeID]int),
 		}
-		for i := 0; i < numInjectors; i++ {
+		for i := range cfg.Injectors {
 			// Each injector gets its own Env copy: the index baked into the
 			// copy labels the events its handlers schedule, while the maps
 			// stay shared.
-			env := *s.env
+			env := base
 			env.idx = i
 			if err := cfg.Injectors[i].Inject(&env); err != nil {
 				return nil, fmt.Errorf("core: injector %s: %w", cfg.Injectors[i].Name(), err)

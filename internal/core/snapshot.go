@@ -13,11 +13,11 @@ import (
 
 // fingerprint identifies the deterministic re-assembly a snapshot belongs
 // to: every config knob that shapes the instance sequence, the event
-// wiring, or an RNG stream, plus the names of the first numInjectors
-// injectors. Injector parameters are the caller's responsibility — a
-// restore against a same-named injector with different settings silently
-// replays a different scenario.
-func fingerprint(cfg Config, numInjectors int) string {
+// wiring, or an RNG stream, plus the name of every injector. Injector
+// parameters are the caller's responsibility — a restore against a
+// same-named injector with different settings silently replays a different
+// scenario.
+func fingerprint(cfg Config) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed=%d scale=%g vms=%d days=%d sample=%d vmsample=%d",
 		cfg.Seed, cfg.Scale, cfg.VMs, cfg.Days, cfg.SampleEvery, cfg.VMSampleEvery)
@@ -26,8 +26,8 @@ func fingerprint(cfg Config, numInjectors int) string {
 		weighsContention(cfg), cfg.HolisticNodeFit, cfg.ResizeRate)
 	fmt.Fprintf(&b, " esx=%+v", cfg.ESX)
 	fmt.Fprintf(&b, " phases=%+v", cfg.ArrivalPhases)
-	for i := 0; i < numInjectors && i < len(cfg.Injectors); i++ {
-		fmt.Fprintf(&b, " inj=%s", cfg.Injectors[i].Name())
+	for _, inj := range cfg.Injectors {
+		fmt.Fprintf(&b, " inj=%s", inj.Name())
 	}
 	return b.String()
 }
@@ -43,33 +43,26 @@ func (s *Simulation) Snapshot() (*snapshot.Snapshot, error) {
 	}
 	mark := s.prof.Start()
 	snap := &snapshot.Snapshot{
-		At:           s.engine.Now(),
-		Fired:        s.engine.Fired(),
-		Fingerprint:  fingerprint(s.cfg, len(s.cfg.Injectors)),
-		NumInjectors: len(s.cfg.Injectors),
+		At:          s.engine.Now(),
+		Fired:       s.engine.Fired(),
+		Fingerprint: fingerprint(s.cfg),
 	}
 	s.prof.EndSpan(engprof.PhaseSnapshotEncode, mark, 1)
 	return snap, nil
 }
 
 // RestoreSimulation rebuilds a running simulation from a snapshot by
-// replay. The config must deterministically re-assemble the captured run:
-// its fingerprint (over the first snap.NumInjectors injectors) must match
-// the snapshot's. The simulation is assembled cold with those injectors and
+// replay. The config must be exactly the captured one: its fingerprint,
+// which names every injector, must match the snapshot's, so a config with an
+// injector added or dropped is refused. The simulation is assembled cold and
 // driven to snap.At with the hooks muted; a replay that arrives there after
-// a different number of events is refused. Injectors appended beyond that
-// prefix are injected into the restored run at the snapshot time — the
-// speculative-branching mechanism. With an unchanged config the restored
-// run continues bit-identically to the uninterrupted one.
+// a different number of events is refused. The restored run continues
+// bit-identically to the uninterrupted one.
 func RestoreSimulation(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simulation, error) {
 	if snap == nil {
 		return nil, errors.New("core: restore from nil snapshot")
 	}
-	if snap.NumInjectors > len(cfg.Injectors) {
-		return nil, fmt.Errorf("core: snapshot captured with %d injectors, config has %d",
-			snap.NumInjectors, len(cfg.Injectors))
-	}
-	if got := fingerprint(cfg, snap.NumInjectors); got != snap.Fingerprint {
+	if got := fingerprint(cfg); got != snap.Fingerprint {
 		return nil, fmt.Errorf("core: snapshot fingerprint mismatch:\n  config:   %s\n  snapshot: %s",
 			got, snap.Fingerprint)
 	}
@@ -90,7 +83,7 @@ func RestoreSimulation(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simul
 			}
 		}
 	}
-	s, err := assemble(cfg, muted, snap.NumInjectors)
+	s, err := NewSimulation(cfg, muted)
 	if err != nil {
 		return nil, err
 	}
@@ -103,21 +96,6 @@ func RestoreSimulation(cfg Config, hooks Hooks, snap *snapshot.Snapshot) (*Simul
 	if s.finalized || s.Now() != snap.At || s.FiredEvents() != snap.Fired {
 		return nil, fmt.Errorf("core: restore replay reached %v after %d events, snapshot is at %v after %d",
 			s.Now(), s.FiredEvents(), snap.At, snap.Fired)
-	}
-	// Branch injectors run only now, with the clock and the fleet at the
-	// snapshot point. Their inject-time events get priority -1 so they sort
-	// before coincident in-flight events — the position their cold
-	// counterparts' assembly-time sequence numbers would give them; the
-	// priority resets afterwards so handler-scheduled follow-ups order like
-	// any dynamically scheduled event.
-	for i := snap.NumInjectors; i < len(cfg.Injectors); i++ {
-		env := *s.env
-		env.idx = i
-		env.schedPriority = -1
-		if err := cfg.Injectors[i].Inject(&env); err != nil {
-			return nil, fmt.Errorf("core: branch injector %s: %w", cfg.Injectors[i].Name(), err)
-		}
-		env.schedPriority = 0
 	}
 	return s, nil
 }

@@ -81,17 +81,39 @@ func exporterOutput(tb testing.TB) []byte {
 	return b.Bytes()
 }
 
+// sameSamples reports whether a and b hold the same samples: the same names,
+// the same labels and the same value bits, in the same order.
+func sameSamples(a, b []ParsedSample) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Name != b[i].Name || !a[i].Labels.Equal(b[i].Labels) ||
+			math.Float64bits(a[i].Value) != math.Float64bits(b[i].Value) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzParse: no input makes Parse panic or allocate without bound; every
 // sample it accepts has a valid metric name and re-renders, as the exporter
-// writes it, to a line that parses back to the same bits; and a sample whose
-// label value is the input itself renders to a line that parses back to it.
-// The seeds are the exporter's output for a small fleet and two lines an
-// earlier parser got wrong: a '}' inside a quoted label value, which it
-// refused, and a label set with no metric name, which it accepted.
+// writes it, to a line that parses back to the same bits; an accepted input
+// whose last line is a sample is refused once a field that is no timestamp
+// follows it; outside label values, blanks and tabs are interchangeable; and
+// a sample whose label value is the input itself renders to a line that
+// parses back to it. The seeds are the exporter's output for a small fleet
+// and lines an earlier parser got wrong: a '}' inside a quoted label value,
+// which it refused; a label set with no metric name, which it accepted; a
+// field after the value that is no integer, or more than one, which it
+// accepted; and a tab between name and value, which it refused.
 func FuzzParse(f *testing.F) {
 	f.Add(exporterOutput(f))
 	f.Add([]byte(`x{a="}"} 1`))
 	f.Add([]byte(`{a="b"} 1`))
+	f.Add([]byte("x 1 garbage"))
+	f.Add([]byte("x 1 2 3"))
+	f.Add([]byte("x\t1"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if samples, err := parseBounded(t, data); err == nil {
 			for _, s := range samples {
@@ -99,6 +121,20 @@ func FuzzParse(f *testing.F) {
 					t.Fatalf("accepted a sample with metric name %q", s.Name)
 				}
 				roundTrip(t, s)
+			}
+			last := bytes.TrimSpace(data[bytes.LastIndexByte(data, '\n')+1:])
+			if !bytes.HasPrefix(last, []byte("#")) {
+				more := append(bytes.Clone(data), " x"...)
+				if _, err := Parse(bytes.NewReader(more)); err == nil {
+					t.Fatalf("accepted %q, a sample followed by a field that is no timestamp", more)
+				}
+			}
+		}
+		if !bytes.ContainsRune(data, '"') {
+			spaced, errS := Parse(bytes.NewReader(bytes.ReplaceAll(data, []byte("\t"), []byte(" "))))
+			tabbed, errT := Parse(bytes.NewReader(bytes.ReplaceAll(data, []byte(" "), []byte("\t"))))
+			if (errS == nil) != (errT == nil) || !sameSamples(spaced, tabbed) {
+				t.Fatalf("%q parses differently with blanks (%v) and with tabs (%v)", data, errS, errT)
 			}
 		}
 		labels, err := telemetry.NewLabels("a", string(data))

@@ -50,9 +50,13 @@ func Parse(r io.Reader) ([]ParsedSample, error) {
 	return out, nil
 }
 
+// parseLine parses one sample line: a metric name, an optional label set,
+// a value and an optional integer timestamp (milliseconds), the tokens
+// separated by blanks or tabs. The timestamp is checked and dropped: a
+// scraped sample lands at the scrape's time.
 func parseLine(line string) (ParsedSample, error) {
 	var s ParsedSample
-	nameEnd := strings.IndexAny(line, "{ ")
+	nameEnd := strings.IndexAny(line, "{ \t")
 	if nameEnd < 0 {
 		return s, fmt.Errorf("malformed line %q", line)
 	}
@@ -69,14 +73,18 @@ func parseLine(line string) (ParsedSample, error) {
 		s.Labels = labels
 		rest = after
 	}
-	valueStr := strings.TrimSpace(rest)
-	// A trailing timestamp (milliseconds) may follow the value.
-	if i := strings.IndexByte(valueStr, ' '); i >= 0 {
-		valueStr = valueStr[:i]
+	fields := strings.FieldsFunc(rest, func(r rune) bool { return r == ' ' || r == '\t' })
+	if len(fields) == 0 || len(fields) > 2 {
+		return s, fmt.Errorf("want a value and at most a timestamp in %q", line)
 	}
-	v, err := strconv.ParseFloat(valueStr, 64)
+	v, err := strconv.ParseFloat(fields[0], 64)
 	if err != nil {
 		return s, fmt.Errorf("bad value in %q: %w", line, err)
+	}
+	if len(fields) == 2 {
+		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
+			return s, fmt.Errorf("bad timestamp in %q: %w", line, err)
+		}
 	}
 	s.Value = v
 	return s, nil

@@ -42,13 +42,26 @@ baz{x="esc\"aped"} -7e3
 	}
 }
 
+// TestParseWithTimestamp: a value may be followed by one integer timestamp,
+// and blanks and tabs both separate the tokens.
 func TestParseWithTimestamp(t *testing.T) {
-	samples, err := Parse(strings.NewReader("m{l=\"v\"} 5 1700000000000\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if samples[0].Value != 5 {
-		t.Errorf("value = %v", samples[0].Value)
+	for _, tc := range []struct {
+		in   string
+		want float64
+	}{
+		{"m{l=\"v\"} 5 1700000000000\n", 5},
+		{"x\t1\n", 1},
+		{"x \t 2\t-1700000000000\n", 2},
+		{"x{a=\"b\"}\t3\t0\n", 3},
+	} {
+		samples, err := Parse(strings.NewReader(tc.in))
+		if err != nil {
+			t.Errorf("Parse(%q): %v", tc.in, err)
+			continue
+		}
+		if len(samples) != 1 || samples[0].Value != tc.want {
+			t.Errorf("Parse(%q) = %+v, want one sample of value %v", tc.in, samples, tc.want)
+		}
 	}
 }
 
@@ -63,6 +76,9 @@ func TestParseErrors(t *testing.T) {
 		"1m 3\n",                 // invalid metric name
 		"m{1a=\"v\"} 3\n",        // invalid label name
 		"m{a=\"1\" b=\"2\"} 3\n", // no comma between labels
+		"x 1 garbage\n",          // timestamp not an integer
+		"x 1 1.5\n",              // timestamp not an integer
+		"x 1 2 3\n",              // a field after the timestamp
 	}
 	for _, in := range bad {
 		if _, err := Parse(strings.NewReader(in)); err == nil {

@@ -173,7 +173,6 @@ type Engine struct {
 	fired   uint64
 	running bool
 	horizon Time
-	errHook func(error)
 	errs    []error
 	// prof, when set, receives per-event wall-time attribution from the
 	// run loop: one monotonic-clock read per fired event, attributed to
@@ -188,23 +187,13 @@ type Engine struct {
 // loop attributes event wall time to.
 func (e *Engine) SetProfiler(p *engprof.Collector) { e.prof = p }
 
-// OnError installs a hook that observes internal scheduling errors that
-// cannot be returned to a caller (e.g. a ticker failing to reschedule).
-// Without a hook such errors are collected and surfaced by Run.
-func (e *Engine) OnError(fn func(error)) { e.errHook = fn }
-
-// NoteError routes an error a handler cannot return — a ticker failing to
-// reschedule, a sampler's rejected append — to the hook, or records it for
-// Run. A nil error is ignored.
+// NoteError records an error a handler cannot return — a ticker failing to
+// reschedule, a sampler's rejected append — for Run to surface. A nil error
+// is ignored.
 func (e *Engine) NoteError(err error) {
-	if err == nil {
-		return
+	if err != nil {
+		e.errs = append(e.errs, err)
 	}
-	if e.errHook != nil {
-		e.errHook(err)
-		return
-	}
-	e.errs = append(e.errs, err)
 }
 
 // NewEngine returns an engine positioned at time zero.

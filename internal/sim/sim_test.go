@@ -355,19 +355,3 @@ func TestTickerRescheduleErrorSurfaced(t *testing.T) {
 		t.Fatalf("expected ErrPast, got %v", err)
 	}
 }
-
-// TestTickerRescheduleErrorHook routes the same failure through OnError.
-func TestTickerRescheduleErrorHook(t *testing.T) {
-	e := NewEngine()
-	var hooked []error
-	e.OnError(func(err error) { hooked = append(hooked, err) })
-	if _, err := e.Every(5, Time(math.MaxInt64), func(Time) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Run(10); err != nil {
-		t.Fatalf("hooked errors must not also surface from Run: %v", err)
-	}
-	if len(hooked) != 1 || !errors.Is(hooked[0], ErrPast) {
-		t.Fatalf("hook saw %v, want one ErrPast", hooked)
-	}
-}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sapsim/internal/core"
+	"sapsim/internal/scenario"
 	"sapsim/internal/sim"
 	"sapsim/internal/snapshot"
 )
@@ -54,6 +55,52 @@ func frame(payload []byte) []byte {
 	copy(out[12:], sum[:])
 	binary.BigEndian.PutUint64(out[12+sha256.Size:], uint64(len(payload)))
 	return append(out, payload...)
+}
+
+// TestRestoresBlobWithInjectorCount: format 3 once also carried the number
+// of injectors a restore had to match, so that a restoring config could
+// append more. testdata/v3-injector-count.snap was written by such a build:
+// it still decodes, gob skipping the dropped field, and since its
+// fingerprint already named every injector, it restores against the
+// captured config. A change to the fingerprint that makes it fail also
+// strands every stored snapshot, and wants a new FormatVersion.
+func TestRestoresBlobWithInjectorCount(t *testing.T) {
+	cfg := core.DefaultConfig(3)
+	cfg.Scale, cfg.VMs, cfg.Days = 0.01, 40, 2
+	cfg.SampleEvery, cfg.VMSampleEvery = sim.Hour, 3*sim.Hour
+	cfg.Injectors = []core.Injector{
+		scenario.HostFailures{At: 6 * sim.Hour, Fraction: 0.1, Recover: 4 * sim.Hour, Salt: 3},
+	}
+	blob, err := os.ReadFile("testdata/v3-injector-count.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := snapshot.DecodeBytes(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.NewSimulation(cfg, core.Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AdvanceTo(sim.Day/2, nil); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *old != *snap {
+		t.Fatalf("stored snapshot %+v, this build takes %+v", *old, *snap)
+	}
+	restored, err := core.RestoreSimulation(cfg, core.Hooks{}, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Now() != old.At || restored.FiredEvents() != old.Fired {
+		t.Fatalf("restored at %v after %d events, want %v after %d",
+			restored.Now(), restored.FiredEvents(), old.At, old.Fired)
+	}
 }
 
 // decodeBounded decodes blob and fails if that took memory out of proportion

@@ -6,7 +6,9 @@
 // core.RestoreSimulation rebuilds the state by re-assembling the simulation
 // from the configuration and replaying it to the snapshot's time, and then
 // checks that the replay fired exactly the snapshot's number of events. The
-// restored run continues bit-identically to the uninterrupted one.
+// restored run continues bit-identically to the uninterrupted one. A resume
+// needs the captured config exactly, injectors included: a what-if with a
+// different injector is a cold run of its own config.
 package snapshot
 
 import (
@@ -42,15 +44,11 @@ type Snapshot struct {
 	// Fired is how many engine events had fired by At. A replay that
 	// reaches At after a different count is not the captured run.
 	Fired uint64
-	// Fingerprint identifies the configuration the snapshot belongs to;
-	// Restore refuses a mismatching config (a snapshot is only meaningful
-	// against the deterministic re-assembly of the same run).
+	// Fingerprint identifies the configuration the snapshot belongs to,
+	// injectors included; Restore refuses any other config (a snapshot is
+	// only meaningful against the deterministic re-assembly of the same
+	// run).
 	Fingerprint string
-	// NumInjectors is how many of the restoring config's injectors existed
-	// at capture time. A restoring config may append further injectors —
-	// that is the branching mechanism — but the first NumInjectors must
-	// match the captured run.
-	NumInjectors int
 }
 
 // ErrCorrupt is returned when a snapshot stream fails its integrity checks

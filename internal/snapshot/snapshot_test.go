@@ -14,10 +14,9 @@ import (
 
 func testSnapshot() *Snapshot {
 	return &Snapshot{
-		At:           36 * sim.Hour,
-		Fired:        48213,
-		Fingerprint:  "cfg-fingerprint",
-		NumInjectors: 2,
+		At:          36 * sim.Hour,
+		Fired:       48213,
+		Fingerprint: "cfg-fingerprint",
 	}
 }
 

@@ -236,8 +236,6 @@ type Session struct {
 	sim  *core.Simulation
 	disp *dispatcher
 
-	// name labels a branch session produced by Fork.
-	name string
 	// resume, when set, makes Build replay the run to this snapshot.
 	resume *Snapshot
 }

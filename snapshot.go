@@ -13,8 +13,8 @@ import (
 // boundary: the simulated time, the number of events fired by then, and the
 // config fingerprint. It is internal/snapshot.Snapshot re-exported: a
 // versioned, digest-stamped value that serializes with EncodeSnapshotBytes and
-// restores through ResumeFromSnapshot or Fork, which rebuild the state by
-// replaying the run to that point.
+// restores through ResumeFromSnapshot, which rebuilds the state by replaying
+// the run to that point.
 type Snapshot = snapshot.Snapshot
 
 // Injector is a scenario hook wired into the assembled simulation. It is
@@ -48,8 +48,8 @@ func DecodeSnapshotBytes(b []byte) (*Snapshot, error) { return snapshot.DecodeBy
 // valid on a built or running session between driving calls (Step,
 // RunToCompletion) — the engine is idle there — and errors once the session
 // is done, canceled, or failed. Building a new session from the returned
-// snapshot (ResumeFromSnapshot, Fork) replays the run to that point and
-// continues it bit-identically.
+// snapshot (ResumeFromSnapshot) replays the run to that point and continues
+// it bit-identically.
 func (s *Session) Snapshot() (*Snapshot, error) {
 	switch s.state {
 	case StateNew:
@@ -72,19 +72,13 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 	return snap, err
 }
 
-// Name reports the branch name for a session produced by Fork, empty
-// otherwise.
-func (s *Session) Name() string { return s.name }
-
 // ResumeFromSnapshot builds a session that continues a captured run from
-// its snapshot. cfg must re-assemble the captured run deterministically:
-// same seed, scale, and topology, and its first snap.NumInjectors injectors
-// must be the captured ones (Build enforces the snapshot's config
-// fingerprint). Build replays the run from t=0 to the snapshot with the
-// observers muted, and fails unless the replay fired exactly the snapshot's
-// number of events. Injectors appended beyond the captured set are then
-// injected fresh at the snapshot time — that is the branching mechanism
-// Fork wraps.
+// its snapshot. cfg must be exactly the captured config: same seed, scale,
+// topology and injectors (Build enforces the snapshot's config
+// fingerprint, so a config with an injector more or less is refused). Build
+// replays the run from t=0 to the snapshot with the observers muted, and
+// fails unless the replay fired exactly the snapshot's number of events. A
+// what-if with a different injector is a cold run of its own config.
 //
 // A resumed session reproduces the uninterrupted run exactly: artifacts
 // computed from its Result are byte-identical to running cfg from t=0, and
@@ -99,45 +93,4 @@ func ResumeFromSnapshot(cfg Config, snap *Snapshot, opts ...Option) (*Session, e
 	}
 	s.resume = snap
 	return s, nil
-}
-
-// Branch names one speculative continuation of a snapshot: the base
-// config's injectors plus the branch's own, injected at the snapshot time.
-// An empty injector list replays the base run unchanged.
-type Branch struct {
-	Name      string
-	Injectors []Injector
-}
-
-// Fork builds one independent session per branch from a single snapshot —
-// speculative scenario branching: explore divergent futures from one
-// common state. Each branch's Build replays the shared prefix on its own,
-// so N branches cost N prefixes plus N tails. Branch sessions share nothing
-// but the immutable snapshot; they may be driven sequentially or from
-// separate goroutines. The options apply to every branch.
-//
-// Branch divergence comes from the appended injectors (including their
-// salts); the workload, topology, and everything already in flight at the
-// snapshot are common to all branches by construction.
-func Fork(cfg Config, snap *Snapshot, branches []Branch, opts ...Option) ([]*Session, error) {
-	if snap == nil {
-		return nil, errors.New("sapsim: Fork from nil snapshot")
-	}
-	if len(branches) == 0 {
-		return nil, errors.New("sapsim: Fork with no branches")
-	}
-	out := make([]*Session, 0, len(branches))
-	for i, b := range branches {
-		bcfg := cfg
-		if len(b.Injectors) > 0 {
-			bcfg.Injectors = append(append([]Injector{}, cfg.Injectors...), b.Injectors...)
-		}
-		bs, err := ResumeFromSnapshot(bcfg, snap, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("sapsim: fork branch %d (%s): %w", i, b.Name, err)
-		}
-		bs.name = b.Name
-		out = append(out, bs)
-	}
-	return out, nil
 }

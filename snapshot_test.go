@@ -175,66 +175,6 @@ func TestSessionResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestSessionFork: one snapshot, two speculative branches. The calm branch
-// reproduces the base run exactly; the outage branch diverges.
-func TestSessionFork(t *testing.T) {
-	cfg := sessionTestConfig(13)
-	coldRes, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldDigests, err := ArtifactDigests(coldRes)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	warm, err := NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer warm.Close()
-	if _, err := warm.Step(32); err != nil { // 16h of a 48h run
-		t.Fatal(err)
-	}
-	snap, err := warm.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	branches, err := Fork(cfg, snap, []Branch{
-		{Name: "calm"},
-		{Name: "az-outage", Injectors: []Injector{
-			scenario.AZOutage{At: 20 * sim.Hour, AZIndex: 0, Duration: 4 * sim.Hour},
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := make([]*Result, len(branches))
-	for i, b := range branches {
-		if err := b.RunToCompletion(); err != nil {
-			t.Fatalf("branch %s: %v", b.Name(), err)
-		}
-		if results[i], err = b.Result(); err != nil {
-			t.Fatalf("branch %s: %v", b.Name(), err)
-		}
-		b.Close()
-	}
-	if branches[0].Name() != "calm" || branches[1].Name() != "az-outage" {
-		t.Fatal("branch names lost")
-	}
-	calmDigests, err := ArtifactDigests(results[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(calmDigests, coldDigests) {
-		t.Fatal("calm branch diverged from the base run")
-	}
-	if results[0].Events.Len() == results[1].Events.Len() {
-		t.Fatal("outage branch produced the same event stream as the calm branch")
-	}
-}
-
 // TestResumedSessionObservesOnlyItsTail: a resumed session replays the
 // captured prefix with its observers muted. They see no placement or
 // migration before the snapshot, no progress before it, and after it
@@ -321,9 +261,6 @@ func TestSnapshotOptionValidation(t *testing.T) {
 	if _, err := ResumeFromSnapshot(cfg, nil); err == nil {
 		t.Error("nil snapshot accepted by ResumeFromSnapshot")
 	}
-	if _, err := Fork(cfg, nil, []Branch{{Name: "x"}}); err == nil {
-		t.Error("nil snapshot accepted by Fork")
-	}
 
 	s, err := NewSession(cfg)
 	if err != nil {
@@ -336,9 +273,6 @@ func TestSnapshotOptionValidation(t *testing.T) {
 	}
 	if snap.At != 0 {
 		t.Fatalf("fresh-session snapshot at %v, want 0", snap.At)
-	}
-	if _, err := Fork(cfg, snap, nil); err == nil {
-		t.Error("Fork with no branches accepted")
 	}
 	if err := s.RunToCompletion(); err != nil {
 		t.Fatal(err)
@@ -357,6 +291,19 @@ func TestSnapshotOptionValidation(t *testing.T) {
 	defer bad.Close()
 	if err := bad.Build(); err == nil {
 		t.Error("resume under a different seed accepted")
+	}
+
+	// So is a config with one injector more than the captured run: a
+	// what-if is a cold run of its own config, not a resume.
+	more := cfg
+	more.Injectors = []Injector{scenario.AZOutage{At: 20 * sim.Hour, AZIndex: 0, Duration: 4 * sim.Hour}}
+	extra, err := ResumeFromSnapshot(more, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer extra.Close()
+	if err := extra.Build(); err == nil {
+		t.Error("resume with an added injector accepted")
 	}
 
 	// Corruption surfaces as ErrSnapshotCorrupt.
