@@ -15,10 +15,7 @@
 // All draws are deterministic given the generator seed.
 package workload
 
-import (
-	"math"
-	"math/rand/v2"
-)
+import "math/rand/v2"
 
 // splitmix64 is a fast avalanche hash used for stateless per-time-bucket
 // noise: the same (seed, bucket) pair always yields the same value, so a
@@ -48,7 +45,7 @@ func hashNormal(seed, mb uint64) float64 {
 
 // logNormal draws a log-normal value with the given median and shape sigma.
 func logNormal(rng *rand.Rand, median, sigma float64) float64 {
-	return median * math.Exp(sigma*rng.NormFloat64())
+	return median * exp(float64(sigma*rng.NormFloat64()))
 }
 
 // uniform draws lo + u·width for u uniform in [0, 1). The product is rounded

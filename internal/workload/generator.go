@@ -140,7 +140,7 @@ func (g *Generator) churn() []*Instance {
 			for {
 				// Exponential inter-arrival. The conversion keeps 1-u from
 				// fusing with Float64's scaling into a multiply-add.
-				gap := sim.Time(-math.Log(1-float64(g.rng.Float64())) / rate)
+				gap := sim.Time(-log(1-float64(g.rng.Float64())) / rate)
 				t += gap
 				if t >= g.spec.Horizon {
 					break
@@ -152,7 +152,7 @@ func (g *Generator) churn() []*Instance {
 		envelope := phaseEnvelope(g.spec.Phases, f.Class)
 		t := sim.Time(0)
 		for {
-			gap := sim.Time(-math.Log(1-float64(g.rng.Float64())) / (rate * envelope))
+			gap := sim.Time(-log(1-float64(g.rng.Float64())) / (rate * envelope))
 			t += gap
 			if t >= g.spec.Horizon {
 				break

@@ -49,14 +49,26 @@ type Profile struct {
 	// changes slowly (Fig. 13).
 	DiskFrac float64
 
-	// Grid memo, used only by UsageAt (valid once memo is set): the Rx draw
-	// of bucket rxKey, which is the next tick's CPU draw, and the memory draw
-	// of hour memKey. Draws are pure in (Seed, key), so a cold memo yields
-	// the same bits; a Profile is not safe for concurrent UsageAt calls.
-	rxKey, memKey uint64
+	// Grid memo, used only by UsageAt: the Rx draw of 5-minute bucket rxKey,
+	// which is the next tick's CPU draw, and the memory draw of hour memKey,
+	// each key a memoKey; a zero key holds nothing. Draws are pure in (Seed,
+	// bucket), so a cold memo yields the same bits; a Profile is not safe for
+	// concurrent UsageAt calls.
+	rxKey, memKey uint32
 	rx, mem       float64
-	memo          bool
+
+	// cosPhi and sinPhi are the cosine and sine of the phase angle
+	// φ = 2π·PhaseHours/24, set by cycle on first use; both are zero until
+	// then, which no angle's pair is. With the 32-bit keys and no flags, a
+	// Profile fits the 144-byte allocation class it had before it carried φ.
+	cosPhi, sinPhi float64
 }
+
+// memoKey is the memo key of bucket index b: its low 32 bits, plus one so
+// that zero means empty. Bucket indices of int64 nanoseconds span fewer than
+// 2^32 values even by the 5 minutes, so two buckets never share a key; the
+// one bucket whose key wraps to zero is simply never memoised.
+func memoKey(b uint64) uint32 { return uint32(b) + 1 }
 
 const (
 	noiseBucket = 5 * sim.Minute // noise/burst correlation time
@@ -68,7 +80,11 @@ const (
 // sampling instant, so it builds one Clock with ClockAt and passes it to each
 // resident's UsageAtClock.
 type Clock struct {
-	hours, days float64
+	days float64
+	// cosTheta and sinTheta are the cosine and sine of the hour-of-day angle
+	// θ = 2π(h − 13)/24, h being the hour of the day: the diurnal cycle
+	// peaks at 13:00.
+	cosTheta, sinTheta float64
 	// weekend is set on Saturdays and Sundays.
 	weekend bool
 	// b, rb and h are the 5-minute, next-5-minute and hour bucket indices;
@@ -87,32 +103,32 @@ func ClockAt(t sim.Time) Clock {
 	// days 3,4 (Sat/Sun), 10,11, ... are weekends.
 	weekday := (2 + int(t/sim.Day)) % 7 // 0=Mon ... 5=Sat, 6=Sun
 	days := t.Days()
+	// The whole days come off in integer time, exactly, so θ rounds the
+	// same way on every day.
+	tod := t % sim.Day
+	if tod < 0 {
+		tod += sim.Day
+	}
+	theta := float64(float64(tod-13*sim.Hour) / float64(sim.Day) * (2 * math.Pi))
 	return Clock{
-		hours: t.Hours(), days: days, weekend: weekday >= 5,
+		days: days, cosTheta: cos(theta), sinTheta: sin(theta), weekend: weekday >= 5,
 		b: b, rb: rb, h: h, mb: splitmix64(b), mrb: splitmix64(rb), mh: splitmix64(h),
 		// Slow, bounded growth.
 		diskGrowth: 1 + float64(0.002*days),
 	}
 }
 
-// mod24 is math.Mod(x, 24) bit for bit, without the software fmod loop. For
-// 0 ≤ x < 2^40 the truncated fl(x/24) is the true quotient q: rounding is
-// monotonic, so fl(x/24) ≥ q, and the largest float below 24(q+1), over 24,
-// lies ≥ 2/3 ulp below q+1. So q·24 is exact and so is x − q·24, an fmod
-// remainder being representable. Other inputs go to math.Mod.
-func mod24(x float64) float64 {
-	if !(x >= 0 && x < 1<<40) {
-		return math.Mod(x, hoursPerDay)
-	}
-	q := float64(int64(x / hoursPerDay))
-	return x - float64(q*hoursPerDay)
-}
-
 // cycle returns the diurnal+weekly demand multiplier at c.
 func (p *Profile) cycle(c *Clock) float64 {
-	hour := mod24(c.hours + p.PhaseHours)
-	// Working-hours bump: cosine dipped at night, peaked at 13:00.
-	day := 1 + float64(p.DiurnalAmp*math.Cos((hour-13)/hoursPerDay*2*math.Pi))
+	if p.cosPhi == 0 && p.sinPhi == 0 {
+		// Reduced mod 24 h first, so φ lies in (−2π, 2π).
+		phi := float64(math.Mod(p.PhaseHours, hoursPerDay) / hoursPerDay * (2 * math.Pi))
+		p.cosPhi, p.sinPhi = cos(phi), sin(phi)
+	}
+	// Working-hours bump: cosine dipped at night, peaked at 13:00 shifted
+	// by the phase, cos(θ + φ) by angle addition.
+	wave := float64(c.cosTheta*p.cosPhi) - float64(c.sinTheta*p.sinPhi)
+	day := 1 + float64(p.DiurnalAmp*wave)
 	if c.weekend {
 		day *= 1 - p.WeekendDip
 	}
@@ -172,16 +188,15 @@ func (p *Profile) UsageAt(t sim.Time) vmmodel.Usage {
 // Rx noise is the next 5-minute bucket's draw.
 func (p *Profile) UsageAtClock(c *Clock) vmmodel.Usage {
 	nb := p.rx
-	if !p.memo || p.rxKey != c.b {
+	if k := memoKey(c.b); k == 0 || p.rxKey != k {
 		nb = hashNormal(p.Seed, c.mb)
 	}
-	if !p.memo || p.rxKey != c.rb {
-		p.rx, p.rxKey = hashNormal(p.Seed, c.mrb), c.rb
+	if k := memoKey(c.rb); k == 0 || p.rxKey != k {
+		p.rx, p.rxKey = hashNormal(p.Seed, c.mrb), k
 	}
-	if !p.memo || p.memKey != c.h {
-		p.mem, p.memKey = hashNormal(p.Seed^0x3333, c.mh), c.h
+	if k := memoKey(c.h); k == 0 || p.memKey != k {
+		p.mem, p.memKey = hashNormal(p.Seed^0x3333, c.mh), k
 	}
-	p.memo = true
 	cy, n := p.cycle(c), p.noiseOf(nb)
 	return vmmodel.Usage{
 		CPU:    clamp(p.MeanCPU*cy*n*p.burst(c), 0, 1.5),
